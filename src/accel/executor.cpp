@@ -17,8 +17,8 @@ void OnnExecutor::pop_readout_hook() {
   readout_hooks_.pop_back();
 }
 
-void OnnExecutor::condition_weights(nn::Sequential& model) const {
-  if (!options_.quantize_weights) return;
+nn::Sequential& OnnExecutor::condition_weights(nn::Sequential& model) const {
+  if (!options_.quantize_weights) return model;
   const phot::Dac dac(
       phot::QuantizerConfig{config_.dac_bits, -1.0, 1.0});
   for (nn::Param* p : model.params()) {
@@ -33,6 +33,7 @@ void OnnExecutor::condition_weights(nn::Sequential& model) const {
       p->value[i] = static_cast<float>(dac.quantize(normalized) * scale);
     }
   }
+  return model;
 }
 
 namespace {

@@ -58,8 +58,10 @@ class OnnExecutor {
 
   /// Emulates weight deployment onto the MR banks: each conv/linear weight
   /// tensor is normalized by its abs-max and snapped to DAC resolution
-  /// (in place). Electronic parameters are untouched.
-  void condition_weights(nn::Sequential& model) const;
+  /// (in place). Electronic parameters are untouched. Returns `model`, so
+  /// a member initializer can condition it before a mapping captures its
+  /// normalization scales.
+  nn::Sequential& condition_weights(nn::Sequential& model) const;
 
   /// Forward pass through the accelerator.
   nn::Tensor forward(nn::Sequential& model, const nn::Tensor& x) const;

@@ -47,23 +47,24 @@ std::string score_key(const std::string& campaign_id, std::size_t phase,
          std::to_string(check) + "/" + detector + "/score";
 }
 
-/// Per-worker campaign engine: one conditioned private deployment hosting
+/// Per-thread campaign engine: one conditioned private deployment hosting
 /// both the accuracy evaluator (prefix-cache aware) and a calibrated
 /// detector suite. Calibration is deterministic in (setup, weights, suite
-/// config, base_seed), so every worker's suite is identical and results
-/// never depend on the fan-out partitioning.
+/// config, base_seed), so every thread's suite is identical and results
+/// never depend on which thread evaluated which phase.
 class CampaignEvaluator {
  public:
-  CampaignEvaluator(const ExperimentSetup& setup, nn::Sequential& model,
+  CampaignEvaluator(const ExperimentSetup& setup,
+                    std::unique_ptr<nn::Sequential> model,
                     const VariantSpec& variant,
                     const CampaignOptions& options)
       : setup_(setup),
-        model_(model),
+        model_(std::move(model)),
         options_(options),
-        evaluator_(setup, model, variant.name, "", options.corruption),
+        evaluator_(setup, *model_, variant.name, "", options.corruption),
         suite_(setup, options.suite) {
     const defense::DeploymentView clean{
-        model_, evaluator_.executor(), nullptr,
+        *model_, evaluator_.executor(), nullptr,
         seed_combine(options_.base_seed, 0xCA11B)};
     suite_.calibrate(clean);
   }
@@ -95,7 +96,7 @@ class CampaignEvaluator {
       store.put(acc_key, accuracy);
     }
     const defense::DeploymentView view{
-        model_, evaluator_.executor(),
+        *model_, evaluator_.executor(),
         telemetry.empty() ? nullptr : &telemetry, 0};
     for (std::size_t check = 0; check < phase.checks; ++check) {
       defense::DeploymentView check_view = view;
@@ -120,7 +121,7 @@ class CampaignEvaluator {
 
  private:
   ExperimentSetup setup_;
-  nn::Sequential& model_;
+  std::unique_ptr<nn::Sequential> model_;
   CampaignOptions options_;
   AttackEvaluator evaluator_;
   defense::DetectorSuite suite_;
@@ -261,38 +262,19 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
     }
   }
 
-  const auto evaluate_range = [&](CampaignEvaluator& evaluator,
-                                  std::size_t lo, std::size_t hi) {
-    for (std::size_t p = lo; p < hi; ++p) {
-      const PhaseTask& task = pending[p];
-      evaluator.run_phase(campaigns[task.campaign],
-                          campaign_ids[task.campaign], task.phase, store);
-    }
-  };
-
-  if (!pending.empty()) {
-    std::size_t workers = worker_count();
-    if (options.max_workers > 0) workers = std::min(workers, options.max_workers);
-    if (pending.size() < workers * 2) {
-      // Too few phases to keep a fan-out busy: evaluate inline; the probe
-      // and evaluation forwards inside still parallelize.
-      CampaignEvaluator evaluator(setup, *model, variant, options);
-      evaluate_range(evaluator, 0, pending.size());
-    } else {
-      const std::size_t grain = (pending.size() + workers - 1) / workers;
-      parallel_for_chunks(
-          0, pending.size(),
-          [&](std::size_t lo, std::size_t hi) {
-            // Phase evaluation corrupts and restores model weights, so
-            // every worker deploys a private copy (a zoo cache load).
-            auto worker_model = zoo.get_or_train(setup, variant, false);
-            CampaignEvaluator evaluator(setup, *worker_model, variant,
-                                        options);
-            evaluate_range(evaluator, lo, hi);
-          },
-          grain);
-    }
-  }
+  parallel_claim<CampaignEvaluator>(
+      pending.size(), options.max_workers,
+      [&] {
+        // Phase evaluation corrupts and restores model weights, so every
+        // thread deploys a private copy (a zoo cache load).
+        return std::make_unique<CampaignEvaluator>(
+            setup, zoo.get_or_train(setup, variant, false), variant, options);
+      },
+      [&](CampaignEvaluator& evaluator, std::size_t p) {
+        const PhaseTask& task = pending[p];
+        evaluator.run_phase(campaigns[task.campaign],
+                            campaign_ids[task.campaign], task.phase, store);
+      });
 
   // Assemble in campaign/phase order; execution order never leaks out.
   std::set<std::pair<std::size_t, std::size_t>> fresh;
@@ -315,11 +297,9 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
       result.baseline_accuracy = *cached;
     } else {
       // Every phase was active, so no dormant phase stored the baseline:
-      // one clean evaluation fills it in. A fresh zoo load, because *model
-      // may already have been conditioned by the inline fan-out path and
-      // conditioning is only idempotent up to requantization.
-      auto clean_model = zoo.get_or_train(setup, variant, false);
-      AttackEvaluator evaluator(setup, *clean_model, variant.name, "",
+      // one clean evaluation fills it in. *model is still unconditioned:
+      // every phase ran on a private copy.
+      AttackEvaluator evaluator(setup, *model, variant.name, "",
                                 options.corruption);
       result.baseline_accuracy = evaluator.baseline_accuracy();
       store.put(baseline_key, result.baseline_accuracy);

@@ -32,38 +32,32 @@ struct RunSpec {
   std::uint64_t probe_seed = 0;
 };
 
-/// Conditions the model before the mapping captures its scales (mirrors
-/// AttackEvaluator's member-init helper).
-nn::Sequential& conditioned(const accel::OnnExecutor& executor,
-                            nn::Sequential& model) {
-  executor.condition_weights(model);
-  return model;
-}
-
-/// Per-worker detection engine: one conditioned deployment, one calibrated
-/// suite, checked against many runs. Calibration is deterministic in
-/// (setup, weights, suite config, base_seed), so every worker's suite is
-/// identical and results never depend on the fan-out partitioning.
+/// Per-thread detection engine: one private conditioned deployment, one
+/// calibrated suite, checked against many runs. Calibration is
+/// deterministic in (setup, weights, suite config, base_seed), so every
+/// thread's suite is identical and results never depend on which thread
+/// checked which run.
 class DetectionEvaluator {
  public:
-  DetectionEvaluator(const ExperimentSetup& setup, nn::Sequential& model,
+  DetectionEvaluator(const ExperimentSetup& setup,
+                     std::unique_ptr<nn::Sequential> model,
                      const DetectionOptions& options)
       : setup_(setup),
-        model_(model),
+        model_(std::move(model)),
         executor_(setup.accelerator),
-        mapping_(conditioned(executor_, model), setup.accelerator),
-        clean_snapshot_(nn::snapshot_state(model)),
+        mapping_(executor_.condition_weights(*model_), setup.accelerator),
+        clean_snapshot_(nn::snapshot_state(*model_)),
         suite_(setup, options.suite),
         options_(options) {
     const defense::DeploymentView clean{
-        model_, executor_, nullptr,
+        *model_, executor_, nullptr,
         seed_combine(options_.base_seed, 0xCA11B)};
     suite_.calibrate(clean);
   }
 
   /// Checks every detector against one run; results in suite order.
   std::vector<defense::DetectionResult> run(const RunSpec& spec) {
-    nn::restore_state(model_, clean_snapshot_);
+    nn::restore_state(*model_, clean_snapshot_);
     std::vector<attack::BlockThermalState> telemetry;
     if (!spec.clean) {
       attack::apply_attack(mapping_, spec.scenario, options_.corruption);
@@ -71,18 +65,16 @@ class DetectionEvaluator {
           setup_.accelerator, spec.scenario, options_.corruption);
     }
     const defense::DeploymentView view{
-        model_, executor_, telemetry.empty() ? nullptr : &telemetry,
+        *model_, executor_, telemetry.empty() ? nullptr : &telemetry,
         spec.probe_seed};
     std::vector<defense::DetectionResult> results = suite_.check_all(view);
-    nn::restore_state(model_, clean_snapshot_);
+    nn::restore_state(*model_, clean_snapshot_);
     return results;
   }
 
-  defense::DetectorSuite& suite() { return suite_; }
-
  private:
   ExperimentSetup setup_;
-  nn::Sequential& model_;
+  std::unique_ptr<nn::Sequential> model_;
   accel::OnnExecutor executor_;
   accel::WeightStationaryMapping mapping_;
   std::vector<nn::Tensor> clean_snapshot_;
@@ -265,8 +257,8 @@ DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
   const auto start = std::chrono::steady_clock::now();
 
   // Train (or load) on the calling thread; workers only load cache entries.
-  auto model = zoo.get_or_train(setup, variant, options.verbose);
-  const std::string checksum = weights_checksum(*model);
+  const std::string checksum =
+      weights_checksum(*zoo.get_or_train(setup, variant, options.verbose));
 
   // The reference suite provides detector names and default thresholds for
   // report assembly; workers calibrate their own identical copies.
@@ -327,64 +319,46 @@ DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
     }
   }
 
-  const auto evaluate_range = [&](DetectionEvaluator& evaluator,
-                                  std::size_t lo, std::size_t hi) {
-    for (std::size_t p = lo; p < hi; ++p) {
-      const RunSpec& spec = runs[pending[p]];
-      static metrics::Counter& checks = metrics::counter("detect.checks");
-      checks.add();
-      trace::Span run_span("detect", "detect.run");
-      if (run_span.active()) {
-        run_span.arg("run", spec.id)
-            .arg("clean", static_cast<double>(spec.clean));
-      }
-      const std::vector<defense::DetectionResult> results =
-          evaluator.run(spec);
-      for (const defense::DetectionResult& r : results) {
-        // Detection latency (probes until first flag) per detector; clean
-        // runs are excluded — a clean flag is a false positive, not a
-        // latency sample.
-        if (metrics::armed() && !spec.clean && r.flagged) {
-          metrics::histogram("detect.latency_probes." + r.detector)
-              .record(static_cast<double>(r.first_flag_probe));
+  parallel_claim<DetectionEvaluator>(
+      pending.size(), options.max_workers,
+      [&] {
+        // Checks corrupt and restore model weights, so every thread deploys
+        // a private copy (a zoo cache load).
+        return std::make_unique<DetectionEvaluator>(
+            setup, zoo.get_or_train(setup, variant, false), options);
+      },
+      [&](DetectionEvaluator& evaluator, std::size_t p) {
+        const RunSpec& spec = runs[pending[p]];
+        static metrics::Counter& checks = metrics::counter("detect.checks");
+        checks.add();
+        trace::Span run_span("detect", "detect.run");
+        if (run_span.active()) {
+          run_span.arg("run", spec.id)
+              .arg("clean", static_cast<double>(spec.clean));
         }
-        store.put(score_key(spec, r.detector), r.score);
-        store.put(probes_key(spec, r.detector),
-                  static_cast<double>(r.probes));
-        store.put(latency_key(spec, r.detector),
-                  static_cast<double>(r.first_flag_probe));
-        if (options.verbose) {
-          std::printf("  [detect] %-32s %-16s score %.4f%s\n",
-                      spec.id.c_str(), r.detector.c_str(), r.score,
-                      r.flagged ? "  FLAGGED" : "");
-          std::fflush(stdout);
+        const std::vector<defense::DetectionResult> results =
+            evaluator.run(spec);
+        for (const defense::DetectionResult& r : results) {
+          // Detection latency (probes until first flag) per detector; clean
+          // runs are excluded — a clean flag is a false positive, not a
+          // latency sample.
+          if (metrics::armed() && !spec.clean && r.flagged) {
+            metrics::histogram("detect.latency_probes." + r.detector)
+                .record(static_cast<double>(r.first_flag_probe));
+          }
+          store.put(score_key(spec, r.detector), r.score);
+          store.put(probes_key(spec, r.detector),
+                    static_cast<double>(r.probes));
+          store.put(latency_key(spec, r.detector),
+                    static_cast<double>(r.first_flag_probe));
+          if (options.verbose) {
+            std::printf("  [detect] %-32s %-16s score %.4f%s\n",
+                        spec.id.c_str(), r.detector.c_str(), r.score,
+                        r.flagged ? "  FLAGGED" : "");
+            std::fflush(stdout);
+          }
         }
-      }
-    }
-  };
-
-  if (!pending.empty()) {
-    std::size_t workers = worker_count();
-    if (options.max_workers > 0) workers = std::min(workers, options.max_workers);
-    if (pending.size() < workers * 2) {
-      // Too few runs to keep a fan-out busy: check inline; the probe
-      // forwards inside still parallelize.
-      DetectionEvaluator evaluator(setup, *model, options);
-      evaluate_range(evaluator, 0, pending.size());
-    } else {
-      const std::size_t grain = (pending.size() + workers - 1) / workers;
-      parallel_for_chunks(
-          0, pending.size(),
-          [&](std::size_t lo, std::size_t hi) {
-            // Checks corrupt and restore model weights, so every worker
-            // deploys a private copy (a zoo cache load).
-            auto worker_model = zoo.get_or_train(setup, variant, false);
-            DetectionEvaluator evaluator(setup, *worker_model, options);
-            evaluate_range(evaluator, lo, hi);
-          },
-          grain);
-    }
-  }
+      });
 
   // Assemble in run order; execution order never leaks into the report.
   DetectionReport report;

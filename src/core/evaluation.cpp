@@ -3,7 +3,7 @@
 #include <cstring>
 #include <filesystem>
 
-#include "common/env.hpp"
+#include "common/config.hpp"
 #include "common/fingerprint.hpp"
 #include "common/metrics.hpp"
 #include "nn/serialize.hpp"
@@ -20,39 +20,63 @@ std::string weights_checksum(nn::Sequential& model) {
 
 namespace {
 
-/// Conditions the model for deployment before the mapping captures its
-/// normalization scales (member-init helper).
-nn::Sequential& conditioned(const accel::OnnExecutor& executor,
-                            nn::Sequential& model) {
-  executor.condition_weights(model);
-  return model;
-}
-
 /// Batch size shared by all evaluator entry points; prefix activations are
 /// cached per batch, so producer and consumer must agree on it.
 constexpr std::size_t kEvalBatch = 64;
 
-/// Upper bound on floats held by one evaluator's whole prefix cache, all
-/// boundaries combined (~256 MB). Boundaries that would push past it fall
-/// back to plain evaluation instead of exhausting memory — note the sweep
-/// pipeline runs one evaluator per fan-out worker, so total prefix memory
-/// is worker_count() times this bound.
+/// Upper bound on floats held by one PrefixCache (~256 MB), which bounds
+/// prefix memory per pipeline sweep. Boundaries that would push past it
+/// fall back to plain evaluation instead of exhausting memory.
 constexpr std::size_t kMaxPrefixFloats = 64u << 20;
 
+/// SAFELIGHT_PREFIX_CACHE, resolved once per process.
+bool prefix_cache_default() {
+  static const bool enabled = config::prefix_cache();
+  return enabled;
+}
+
 }  // namespace
+
+const PrefixCache::Activations* PrefixCache::get(
+    std::size_t boundary, std::size_t floats,
+    const std::function<Activations()>& build) {
+  Entry* entry;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(boundary);
+    if (it == entries_.end()) {
+      if (floats_ + floats > kMaxPrefixFloats) return nullptr;
+      floats_ += floats;
+      it = entries_.try_emplace(boundary).first;
+    }
+    entry = &it->second;
+  }
+  // Built outside the map lock, so builds of different boundaries overlap;
+  // callers of this boundary wait here for its one build.
+  std::call_once(entry->built, [&] { entry->activations = build(); });
+  return &entry->activations;
+}
+
+std::size_t PrefixCache::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
+}
 
 AttackEvaluator::AttackEvaluator(const ExperimentSetup& setup,
                                  nn::Sequential& model,
                                  std::string variant_name,
                                  std::string cache_dir,
-                                 attack::CorruptionConfig corruption)
+                                 attack::CorruptionConfig corruption,
+                                 std::shared_ptr<PrefixCache> prefix_cache)
     : setup_(setup), model_(model), variant_name_(std::move(variant_name)),
       executor_(setup.accelerator),
-      mapping_(conditioned(executor_, model), setup.accelerator),
+      mapping_(executor_.condition_weights(model), setup.accelerator),
       clean_snapshot_(nn::snapshot_state(model)),
       eval_data_(make_test_data(setup).take(setup.eval_count)),
       corruption_(std::move(corruption)),
-      prefix_cache_enabled_(env_int("SAFELIGHT_PREFIX_CACHE", 1) != 0) {
+      prefix_cache_(prefix_cache ? std::move(prefix_cache)
+                                 : std::make_shared<PrefixCache>()),
+      prefix_cache_enabled_(prefix_cache_default()) {
   std::string cache_path;
   if (!cache_dir.empty()) {
     std::filesystem::create_directories(cache_dir);
@@ -96,9 +120,7 @@ std::size_t AttackEvaluator::first_dirty_layer() const {
   return model_.size();
 }
 
-const std::vector<nn::Tensor>& AttackEvaluator::prefix_for(std::size_t layer) {
-  const auto it = prefix_cache_.find(layer);
-  if (it != prefix_cache_.end()) return it->second;
+PrefixCache::Activations AttackEvaluator::clean_prefix(std::size_t layer) {
   static metrics::Counter& builds =
       metrics::counter("prefix_cache.boundary_builds");
   builds.add();
@@ -110,7 +132,17 @@ const std::vector<nn::Tensor>& AttackEvaluator::prefix_for(std::size_t layer) {
   auto prefix =
       executor_.prefix_activations(model_, eval_data_, layer, kEvalBatch);
   nn::restore_state(model_, attacked);
-  return prefix_cache_.emplace(layer, std::move(prefix)).first->second;
+  return prefix;
+}
+
+std::size_t AttackEvaluator::prefix_floats(std::size_t layer) const {
+  nn::Shape shape = eval_data_.sample_shape();
+  shape.insert(shape.begin(), kEvalBatch);
+  for (std::size_t i = 0; i < layer; ++i) {
+    shape = model_.layer(i).output_shape(shape);
+  }
+  const std::size_t batches = (eval_data_.size() + kEvalBatch - 1) / kEvalBatch;
+  return batches * nn::shape_numel(shape);
 }
 
 double AttackEvaluator::evaluate_attacked() {
@@ -120,35 +152,22 @@ double AttackEvaluator::evaluate_attacked() {
   // layers too, so cached clean activations would be wrong. Observing hooks
   // (range monitors, telemetry taps) never modify activations and keep the
   // cache valid — they just see only the layers after the resume boundary.
-  if (!prefix_cache_enabled_ || executor_.has_mutating_readout_hook()) {
+  // A dirty layer 0 leaves nothing cacheable.
+  const std::size_t dirty =
+      prefix_cache_enabled_ && !executor_.has_mutating_readout_hook()
+          ? first_dirty_layer()
+          : 0;
+  const PrefixCache::Activations* prefix =
+      dirty == 0 ? nullptr
+                 : prefix_cache_->get(dirty, prefix_floats(dirty),
+                                      [&] { return clean_prefix(dirty); });
+  if (prefix == nullptr) {
     misses.add();
     return executor_.evaluate(model_, eval_data_, kEvalBatch);
-  }
-  const std::size_t dirty = first_dirty_layer();
-  if (dirty == 0) {
-    // Corruption starts at the first layer: nothing cacheable.
-    misses.add();
-    return executor_.evaluate(model_, eval_data_, kEvalBatch);
-  }
-  if (prefix_cache_.find(dirty) == prefix_cache_.end()) {
-    // Estimate the boundary's footprint before committing memory to it.
-    nn::Shape shape = eval_data_.sample_shape();
-    shape.insert(shape.begin(), kEvalBatch);
-    for (std::size_t i = 0; i < dirty; ++i) {
-      shape = model_.layer(i).output_shape(shape);
-    }
-    const std::size_t batches =
-        (eval_data_.size() + kEvalBatch - 1) / kEvalBatch;
-    const std::size_t boundary_floats = batches * nn::shape_numel(shape);
-    if (prefix_floats_ + boundary_floats > kMaxPrefixFloats) {
-      misses.add();
-      return executor_.evaluate(model_, eval_data_, kEvalBatch);
-    }
-    prefix_floats_ += boundary_floats;
   }
   ++prefix_hits_;
   hits.add();
-  return executor_.evaluate_from(model_, eval_data_, dirty, prefix_for(dirty),
+  return executor_.evaluate_from(model_, eval_data_, dirty, *prefix,
                                  kEvalBatch);
 }
 

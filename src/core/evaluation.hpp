@@ -15,17 +15,19 @@
 // MR-mapped layers, so for the fixed eval set the activations up to the
 // first corrupted layer are identical across scenarios. The evaluator
 // detects each scenario's first dirty layer (byte comparison against the
-// clean snapshot), computes the clean activations at that boundary once per
-// boundary, and resumes every scenario's forward there — bitwise-identical
-// to a full forward, and free of the conv-stack cost for FC-only attacks.
-// Caching is disabled while a *mutating* read-out hook is installed (the
-// hook corrupts even clean-prefix layers); observing hooks (defense range
-// monitors) keep it active. It can be turned off globally with
-// SAFELIGHT_PREFIX_CACHE=0 (the A/B switch scripts/bench_report.sh uses).
+// clean snapshot), takes the clean activations at that boundary from a
+// PrefixCache (built once per boundary; the pipeline shares one per sweep),
+// and resumes every scenario's forward there — bitwise-identical to a full
+// forward, and free of the conv-stack cost for FC-only attacks. Caching is
+// disabled while a *mutating* read-out hook is installed (the hook corrupts
+// even clean-prefix layers); observing hooks (defense range monitors) keep
+// it active. SAFELIGHT_PREFIX_CACHE=0 turns it off globally.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +40,31 @@
 
 namespace safelight::core {
 
+/// Clean activations per eval batch at prefix boundaries (layer indices),
+/// shareable between the evaluators of one sweep. Thread-safe: each
+/// boundary is built once, by its first caller, while later callers wait.
+class PrefixCache {
+ public:
+  using Activations = std::vector<nn::Tensor>;
+
+  /// The activations at `boundary`, running `build` on first use; nullptr
+  /// when admitting its `floats` would push the cache past ~256 MB.
+  const Activations* get(std::size_t boundary, std::size_t floats,
+                         const std::function<Activations()>& build);
+
+  std::size_t size() const;  // boundaries admitted
+
+ private:
+  struct Entry {
+    std::once_flag built;
+    Activations activations;
+  };
+
+  mutable std::mutex mutex_;             // guards entries_ and floats_
+  std::map<std::size_t, Entry> entries_;  // nodes never move
+  std::size_t floats_ = 0;                // floats admitted, all boundaries
+};
+
 class AttackEvaluator {
  public:
   /// `cache_dir` empty disables persistence (tests). The model reference
@@ -45,10 +72,12 @@ class AttackEvaluator {
   /// from here on (conditioned, attacked, restored). `corruption` sets the
   /// attack physics shared by every scenario this evaluator runs; it is
   /// fingerprinted into the cache file name, so evaluators with different
-  /// physics never share cached accuracies.
+  /// physics never share cached accuracies. `prefix_cache` may be shared
+  /// by evaluators of the same weights and setup; null makes a private one.
   AttackEvaluator(const ExperimentSetup& setup, nn::Sequential& model,
                   std::string variant_name, std::string cache_dir,
-                  attack::CorruptionConfig corruption = {});
+                  attack::CorruptionConfig corruption = {},
+                  std::shared_ptr<PrefixCache> prefix_cache = nullptr);
 
   /// Accuracy of the unattacked (conditioned) model on the eval subset.
   double baseline_accuracy();
@@ -95,9 +124,9 @@ class AttackEvaluator {
   /// snapshot; model.size() when no corruption landed. Exposed for tests.
   std::size_t first_dirty_layer() const;
 
-  /// Prefix evaluations served / boundaries computed so far (diagnostics).
+  /// Prefix evaluations served / boundaries cached so far (diagnostics).
   std::size_t prefix_hits() const { return prefix_hits_; }
-  std::size_t prefix_boundaries() const { return prefix_cache_.size(); }
+  std::size_t prefix_boundaries() const { return prefix_cache_->size(); }
 
   const ExperimentSetup& setup() const { return setup_; }
 
@@ -114,9 +143,10 @@ class AttackEvaluator {
   /// cache when eligible, plain evaluation otherwise.
   double evaluate_attacked();
 
-  /// Returns the cached clean activations at boundary `layer`, computing
-  /// them on first use (temporarily restoring the clean weights).
-  const std::vector<nn::Tensor>& prefix_for(std::size_t layer);
+  /// Computes the clean activations at boundary `layer` (temporarily
+  /// restoring the clean weights), and their size in floats.
+  PrefixCache::Activations clean_prefix(std::size_t layer);
+  std::size_t prefix_floats(std::size_t layer) const;
 
   ExperimentSetup setup_;
   nn::Sequential& model_;
@@ -134,11 +164,9 @@ class AttackEvaluator {
   std::vector<std::pair<std::size_t,
                         std::vector<std::pair<const nn::Param*, nn::Tensor>>>>
       clean_mapped_;
-  /// boundary layer index -> clean activations per eval batch.
-  std::map<std::size_t, std::vector<nn::Tensor>> prefix_cache_;
+  std::shared_ptr<PrefixCache> prefix_cache_;
   bool prefix_cache_enabled_ = true;
   std::size_t prefix_hits_ = 0;
-  std::size_t prefix_floats_ = 0;  // floats held across all boundaries
 };
 
 /// FNV-1a checksum over all parameter bytes (cache invalidation key).

@@ -1,6 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -13,6 +12,23 @@
 #include "core/result_store.hpp"
 
 namespace safelight::core {
+
+namespace {
+
+/// One fan-out thread's private deployment of the swept variant.
+struct SweepWorker {
+  SweepWorker(std::unique_ptr<nn::Sequential> weights,
+              const ExperimentSetup& setup, const std::string& variant,
+              const attack::CorruptionConfig& corruption,
+              std::shared_ptr<PrefixCache> prefix)
+      : model(std::move(weights)),
+        evaluator(setup, *model, variant, "", corruption, std::move(prefix)) {}
+
+  std::unique_ptr<nn::Sequential> model;
+  AttackEvaluator evaluator;
+};
+
+}  // namespace
 
 std::string scenario_store_key(const attack::AttackScenario& scenario,
                                std::size_t eval_count) {
@@ -100,17 +116,22 @@ SweepResult ScenarioPipeline::run(
   }
   result.evaluated = pending.size();
 
-  if (!pending.empty()) {
-    std::size_t workers = worker_count();
-    if (options_.max_workers > 0) {
-      workers = std::min(workers, options_.max_workers);
-    }
-    const auto evaluate_range = [&](AttackEvaluator& evaluator,
-                                    std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
+  // One clean-prefix cache per sweep: every thread's evaluator resumes from
+  // it, and each boundary is built once, by whichever thread needs it first.
+  const auto prefix = std::make_shared<PrefixCache>();
+  parallel_claim<SweepWorker>(
+      pending.size(), options_.max_workers,
+      [&] {
+        // Scenario evaluation corrupts and restores model weights, so
+        // every thread needs a private copy (cheap: a zoo cache load).
+        return std::make_unique<SweepWorker>(
+            zoo_.get_or_train(setup_, variant, false), setup_, variant.name,
+            options_.corruption, prefix);
+      },
+      [&](SweepWorker& worker, std::size_t i) {
         // Scenario boundaries are the pipeline's cancellation points:
         // everything already evaluated is persisted, so stopping here loses
-        // no work. parallel_for_chunks rethrows this on the caller.
+        // no work. parallel_claim rethrows this on the caller.
         if (options_.cancel &&
             options_.cancel->load(std::memory_order_relaxed)) {
           throw ExperimentCancelled(setup_.tag());
@@ -119,41 +140,14 @@ SweepResult ScenarioPipeline::run(
         if (scenario_span.active()) {
           scenario_span.arg("scenario", pending[i].id());
         }
-        const double accuracy = evaluator.evaluate_scenario(pending[i]);
+        const double accuracy = worker.evaluator.evaluate_scenario(pending[i]);
         store.put(pending_keys[i], accuracy);
         if (options_.verbose) {
           std::printf("  [pipeline] %-36s acc %.4f\n",
                       pending[i].id().c_str(), accuracy);
           std::fflush(stdout);
         }
-      }
-    };
-    if (pending.size() < workers * 2) {
-      // Too few scenarios to keep a fan-out busy: evaluate inline on the
-      // calling thread, where the per-image inner loops still parallelize
-      // (inside a fan-out worker they would degrade to serial). A fresh
-      // model copy keeps this path identical to the worker path.
-      auto inline_model = zoo_.get_or_train(setup_, variant, false);
-      AttackEvaluator evaluator(setup_, *inline_model, variant.name, "",
-                                options_.corruption);
-      evaluate_range(evaluator, 0, pending.size());
-    } else {
-      // min_grain also caps the worker count: parallel_for_chunks spawns
-      // at most pending/grain workers.
-      const std::size_t grain = (pending.size() + workers - 1) / workers;
-      parallel_for_chunks(
-          0, pending.size(),
-          [&](std::size_t lo, std::size_t hi) {
-            // Scenario evaluation corrupts and restores model weights, so
-            // every worker needs a private copy (cheap: a zoo cache load).
-            auto worker_model = zoo_.get_or_train(setup_, variant, false);
-            AttackEvaluator evaluator(setup_, *worker_model, variant.name,
-                                      "", options_.corruption);
-            evaluate_range(evaluator, lo, hi);
-          },
-          grain);
-    }
-  }
+      });
 
   // Assemble in grid order: execution order never leaks into the result.
   result.rows.reserve(grid.size());

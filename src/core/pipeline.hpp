@@ -6,9 +6,12 @@
 //   * the variant is trained (or loaded) through the ModelZoo exactly once;
 //   * the clean-baseline evaluation shared by every scenario of a sweep is
 //     computed once and cached, never per scenario;
-//   * uncached scenarios fan out over safelight::parallel_for_chunks, one
-//     private model copy + AttackEvaluator per worker thread (scenario
-//     evaluation mutates model weights, so workers must not share a model);
+//   * uncached scenarios fan out over safelight::parallel_claim: threads
+//     claim scenarios one at a time, each with a private model copy +
+//     AttackEvaluator (scenario evaluation mutates model weights, so threads
+//     must not share a model);
+//   * those evaluators share one PrefixCache per sweep, so the clean
+//     activations at each first-dirty boundary are built once per sweep;
 //   * each finished scenario is appended to a ResultStore immediately, so
 //     an interrupted sweep resumes from the completed prefix.
 // Results are returned in grid order regardless of the execution order, so
@@ -101,8 +104,8 @@ std::string sweep_store_stem(const std::string& cache_dir,
                              const attack::CorruptionConfig& corruption);
 
 /// Fans scenario evaluations for one ExperimentSetup out over worker
-/// threads, with persistent per-scenario result caching and clean-baseline
-/// deduplication. One instance can run many sweeps (different variants
+/// threads, with persistent per-scenario result caching, clean-baseline
+/// deduplication and one shared clean-prefix cache per sweep. One instance can run many sweeps (different variants
 /// and/or grids); they share options but not state.
 class ScenarioPipeline {
  public:

@@ -341,6 +341,21 @@ TEST(CliErrorPaths, UnwritableOutDirectoryExitsOneBeforeAnyWork) {
   EXPECT_FALSE(std::filesystem::exists(dir.path() + "/zoo"));
 }
 
+TEST(CliErrorPaths, BogusPrefixCacheKnobExitsTwoBeforeTraining) {
+  config::ScopedOverrides guard(config::overrides());
+  TempDir dir("cli_prefix_knob");
+  ::setenv("SAFELIGHT_PREFIX_CACHE", "on", 1);
+  const CapturedCli result = run_cli_captured(
+      {"run", "susceptibility", "--model", "cnn1", "--scale", "tiny",
+       "--out", dir.path() + "/out", "--zoo", dir.path() + "/zoo"});
+  ::unsetenv("SAFELIGHT_PREFIX_CACHE");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_EQ(result.stderr_text,
+            "safelight: SAFELIGHT_PREFIX_CACHE must be a decimal integer "
+            "(got 'on')\n");
+  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/zoo"));
+}
+
 TEST(CliErrorPaths, CancellationExitsOneThirtyWithTheResumeHint) {
   config::ScopedOverrides guard(config::overrides());
   TempDir dir("cli_cancel");

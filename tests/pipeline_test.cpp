@@ -1,15 +1,24 @@
 // Tests for the scenario pipeline and its result store: fan-out determinism
-// (parallel == serial == repeated run), resume-after-interrupt through the
-// persistent store, and clean-baseline deduplication.
+// (parallel == serial == repeated run, under any grid order), one clean
+// prefix build per boundary per sweep, resume-after-interrupt and mid-sweep
+// cancellation through the persistent store, and clean-baseline
+// deduplication.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <thread>
 
+#include "common/csv.hpp"
+#include "common/metrics.hpp"
+#include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"
 #include "core/susceptibility.hpp"
@@ -489,6 +498,143 @@ TEST(Pipeline, CorruptionConfigSeparatesStores) {
   }
   EXPECT_EQ(store_count, 2u);
   (void)default_sweep;
+}
+
+/// CONV scenarios (first dirty layer early, full conv-stack forward: the
+/// costly ones) interleaved with FC scenarios (resume past the conv stack:
+/// cheap), so any static partition of the grid would be unbalanced.
+std::vector<attack::AttackScenario> interleaved_grid() {
+  const std::vector<attack::AttackVector> vectors = {
+      attack::AttackVector::kActuation, attack::AttackVector::kHotspot};
+  const auto conv = attack::scenario_grid(
+      vectors, {attack::AttackTarget::kConvBlock}, {0.05, 0.10}, 2, 100);
+  const auto fc = attack::scenario_grid(
+      vectors, {attack::AttackTarget::kFcBlock}, {0.05, 0.10}, 2, 100);
+  std::vector<attack::AttackScenario> grid;
+  for (std::size_t i = 0; i < conv.size(); ++i) {
+    grid.push_back(conv[i]);
+    grid.push_back(fc[i]);
+  }
+  return grid;
+}
+
+TEST(Pipeline, AdversarialOrderIsDeterministicAndBuildsEachBoundaryOnce) {
+  TempDir dir("pipeline_adversarial");
+  const ExperimentSetup setup = tiny_setup();
+  ModelZoo zoo(dir.path());
+  const VariantSpec variant = variant_by_name("Original");
+  auto grid = interleaved_grid();
+  metrics::arm_collection();
+  metrics::Counter& builds = metrics::counter("prefix_cache.boundary_builds");
+
+  // Serial reference: one evaluator, so its cache holds exactly the
+  // distinct first-dirty boundaries of the grid.
+  auto model = zoo.get_or_train(setup, variant);
+  AttackEvaluator reference(setup, *model, variant.name, "");
+  std::map<std::string, double> expected;
+  for (const auto& scenario : grid) {
+    expected[scenario.id()] = reference.evaluate_scenario(scenario);
+  }
+  const std::size_t boundaries = reference.prefix_boundaries();
+  ASSERT_GE(boundaries, 1u) << "grid never engaged the prefix cache";
+
+  for (const bool reversed : {false, true}) {
+    if (reversed) std::reverse(grid.begin(), grid.end());
+    for (const std::size_t max_workers : {1u, 2u, 4u}) {
+      PipelineOptions options;
+      options.max_workers = max_workers;
+      ScenarioPipeline pipeline(setup, zoo, options);
+      const std::uint64_t before = builds.value();
+      const SweepResult sweep = pipeline.run(variant, grid);
+      // Each boundary is built once per sweep, however many threads ran.
+      EXPECT_EQ(builds.value() - before, boundaries)
+          << "max_workers " << max_workers << (reversed ? " reversed" : "");
+      ASSERT_EQ(sweep.rows.size(), grid.size());
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_EQ(sweep.rows[i].scenario.id(), grid[i].id());
+        EXPECT_EQ(sweep.rows[i].accuracy, expected.at(grid[i].id()))
+            << grid[i].id() << " max_workers " << max_workers;
+      }
+    }
+  }
+  metrics::reset();
+}
+
+/// The sweep's rows as CSV bytes (scenario id, full-precision accuracy).
+std::string sweep_csv(const SweepResult& sweep, const std::string& path) {
+  {
+    CsvWriter writer(path, {"scenario", "accuracy"});
+    for (const auto& row : sweep.rows) {
+      writer.row({row.scenario.id(), fmt_double(row.accuracy, 17)});
+    }
+  }
+  return read_file_bytes(path);
+}
+
+TEST(Pipeline, CancelMidSweepKeepsCompleteRowsAndResumesIdentically) {
+  TempDir dir("pipeline_cancel");
+  const ExperimentSetup setup = tiny_setup();
+  ModelZoo zoo(dir.path() + "/zoo");
+  const VariantSpec variant = variant_by_name("Original");
+  const auto grid = attack::paper_scenario_grid(4, 100);
+
+  PipelineOptions uninterrupted_options;
+  uninterrupted_options.cache_dir = dir.path() + "/uninterrupted";
+  const SweepResult uninterrupted =
+      ScenarioPipeline(setup, zoo, uninterrupted_options).run(variant, grid);
+
+  // Flip the flag once k scenarios (plus the baseline) were flushed to the
+  // sweep's store, the only on-disk store this run writes.
+  constexpr std::uint64_t kStoredBeforeCancel = 3;
+  metrics::arm_collection();
+  metrics::Counter& flushes = metrics::counter("store.flushes");
+  const std::uint64_t flushes_before = flushes.value();
+  std::atomic<bool> cancel{false};
+  std::atomic<bool> finished{false};
+  std::thread canceller([&] {
+    while (!finished.load() &&
+           flushes.value() < flushes_before + 1 + kStoredBeforeCancel) {
+      std::this_thread::yield();
+    }
+    cancel = true;
+  });
+  PipelineOptions options;
+  options.cache_dir = dir.path() + "/cut";
+  options.cancel = &cancel;
+  options.max_workers = 4;
+  EXPECT_THROW(ScenarioPipeline(setup, zoo, options).run(variant, grid),
+               ExperimentCancelled);
+  finished = true;
+  canceller.join();
+  metrics::reset();
+
+  // Only complete rows were stored: every line after the header parses.
+  std::string store_file;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(options.cache_dir)) {
+    if (entry.path().string().ends_with(".sweep.csv")) {
+      store_file = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(store_file.empty());
+  const std::string bytes = read_file_bytes(store_file);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes.back(), '\n');
+  const std::size_t lines = std::count(bytes.begin(), bytes.end(), '\n');
+  const std::size_t stored = read_store_entries(store_file).size();
+  EXPECT_EQ(stored + 1, lines);  // header + one parsed row per line
+  EXPECT_GE(stored, 1 + kStoredBeforeCancel);
+  EXPECT_LT(stored, 1 + grid.size()) << "cancel never took effect";
+
+  // A rerun resumes from the stored rows and reproduces the uninterrupted
+  // sweep byte for byte.
+  options.cancel = nullptr;
+  const SweepResult resumed =
+      ScenarioPipeline(setup, zoo, options).run(variant, grid);
+  EXPECT_EQ(resumed.cache_hits, stored - 1);
+  EXPECT_EQ(resumed.evaluated, grid.size() - (stored - 1));
+  EXPECT_EQ(sweep_csv(resumed, dir.path() + "/resumed.csv"),
+            sweep_csv(uninterrupted, dir.path() + "/uninterrupted.csv"));
 }
 
 }  // namespace
