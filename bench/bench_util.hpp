@@ -1,13 +1,11 @@
-// Shared helpers for the figure/table bench binaries.
+// Shared helpers for the standalone figure/table bench binaries.
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/parallel.hpp"
 #include "core/report.hpp"
 #include "nn/models.hpp"
 
@@ -26,29 +24,5 @@ inline std::size_t seed_count(std::size_t fallback) {
 }
 
 inline void banner(const std::string& title) { core::banner(title); }
-
-/// The paper's three CNN models, in figure order.
-inline std::vector<nn::ModelId> paper_models() { return nn::paper_models(); }
-
-/// Wall-clock stopwatch for sweep timing reports.
-class Stopwatch {
- public:
-  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// One-line sweep timing summary ("N scenarios in S s on W threads").
-inline void report_timing(std::size_t scenarios, double seconds) {
-  std::printf("[%zu scenario(s) in %.1f s on %zu worker thread(s)]\n",
-              scenarios, seconds, worker_count());
-  std::fflush(stdout);
-}
 
 }  // namespace safelight::bench

@@ -14,7 +14,7 @@
 #include <string>
 
 #include "common/config.hpp"
-#include "core/campaign_eval.hpp"
+#include "core/experiment.hpp"
 #include "core/report.hpp"
 
 namespace sl = safelight;
@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   const sl::Scale scale = sl::config::scale() == sl::Scale::kDefault
                               ? sl::Scale::kTiny  // examples stay fast
                               : sl::config::scale();
-  const sl::core::ExperimentSetup setup = sl::core::experiment_setup(id, scale);
 
   std::printf("SafeLight adaptive attack campaign: %s at %s scale\n",
               model_name.c_str(), sl::to_string(scale).c_str());
@@ -53,11 +52,16 @@ int main(int argc, char** argv) {
   std::printf("campaign:  %s (%zu phases, %zu checks)\n", schedule.id().c_str(),
               schedule.phases.size(), schedule.total_checks());
 
+  const auto& registry = sl::core::ExperimentRegistry::global();
+  sl::core::ExperimentSpec spec = registry.default_spec("campaign");
+  spec.model = id;
+  spec.scale = scale;
+  spec.campaigns = {schedule};
   sl::core::ModelZoo zoo;
-  sl::core::CampaignOptions options;
-  options.cache_dir = zoo.directory();
-  const sl::core::CampaignSweepReport report = sl::core::run_campaign_sweep(
-      setup, zoo, sl::core::variant_by_name("Original"), {schedule}, options);
+  spec.cache_dir = zoo.directory();
+  sl::core::RunContext context(zoo);
+  const sl::core::CampaignSweepReport report =
+      registry.run(spec, context).as<sl::core::CampaignSweepReport>();
   const sl::core::CampaignResult& result = report.campaigns.front();
 
   std::printf("\nbaseline accuracy: %s\n\n",

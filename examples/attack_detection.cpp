@@ -15,7 +15,7 @@
 
 #include "common/config.hpp"
 #include "common/csv.hpp"
-#include "core/detection.hpp"
+#include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "nn/serialize.hpp"
 
@@ -84,16 +84,19 @@ int main(int argc, char** argv) {
 
   // Miniature detection sweep: clean runs + both vectors at 5 %/10 %.
   std::printf("== detection sweep (%zu placements per cell) ==\n", seeds);
-  sl::core::DetectionOptions options;
-  options.seed_count = seeds;
-  options.clean_runs = 4;
-  options.cache_dir = zoo.directory();
-  const auto grid = sl::attack::scenario_grid(
+  const auto& registry = sl::core::ExperimentRegistry::global();
+  sl::core::ExperimentSpec spec = registry.default_spec("detection");
+  spec.model = id;
+  spec.scale = scale;
+  spec.clean_runs = 4;
+  spec.cache_dir = zoo.directory();
+  spec.grid = sl::attack::scenario_grid(
       {sl::attack::AttackVector::kActuation,
        sl::attack::AttackVector::kHotspot},
       {sl::attack::AttackTarget::kBothBlocks}, {0.05, 0.10}, seeds);
-  const sl::core::DetectionReport report = sl::core::run_detection_sweep(
-      setup, zoo, sl::core::variant_by_name("Original"), grid, options);
+  sl::core::RunContext context(zoo);
+  const sl::core::DetectionReport report =
+      registry.run(spec, context).as<sl::core::DetectionReport>();
 
   sl::core::TextTable table({"detector", "FPR", "TPR", "AUC"});
   for (const std::string& detector : report.detectors) {

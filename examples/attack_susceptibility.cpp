@@ -8,8 +8,8 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "core/experiment.hpp"
 #include "core/report.hpp"
-#include "core/susceptibility.hpp"
 
 namespace sl = safelight;
 
@@ -18,23 +18,23 @@ int main(int argc, char** argv) {
   const std::size_t seeds =
       argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 3;
 
-  const sl::nn::ModelId id = sl::nn::model_id_from_string(model_name);
-  const sl::Scale scale = sl::config::scale() == sl::Scale::kDefault
-                              ? sl::Scale::kTiny  // examples stay fast
-                              : sl::config::scale();
-  const sl::core::ExperimentSetup setup = sl::core::experiment_setup(id, scale);
+  const auto& registry = sl::core::ExperimentRegistry::global();
+  sl::core::ExperimentSpec spec = registry.default_spec("susceptibility");
+  spec.model = sl::nn::model_id_from_string(model_name);
+  spec.scale = sl::config::scale() == sl::Scale::kDefault
+                   ? sl::Scale::kTiny  // examples stay fast
+                   : sl::config::scale();
+  spec.seed_count = seeds;
+  spec.verbose = true;
 
   std::printf("SafeLight susceptibility: %s at %s scale, %zu seeds\n",
-              model_name.c_str(), sl::to_string(scale).c_str(), seeds);
+              model_name.c_str(), sl::to_string(spec.scale).c_str(), seeds);
 
   sl::core::ModelZoo zoo;
-  sl::core::SusceptibilityOptions options;
-  options.seed_count = seeds;
-  options.verbose = true;
-  options.cache_dir = zoo.directory();
-
+  spec.cache_dir = zoo.directory();
+  sl::core::RunContext context(zoo);
   const sl::core::SusceptibilityReport report =
-      sl::core::run_susceptibility(setup, zoo, options);
+      registry.run(spec, context).as<sl::core::SusceptibilityReport>();
 
   std::printf("\nbaseline accuracy: %.2f%%\n\n",
               report.baseline_accuracy * 100.0);

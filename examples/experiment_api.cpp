@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   std::printf("done in %.1f s\n\n", result.wall_seconds);
 
   // 4a. Uniform CSV serialization — the same documents `safelight run`
-  //     and the per-figure bench binaries write.
+  //     writes.
   for (const sl::core::CsvDocument& doc : result.to_csv()) {
     std::printf("%s.csv: %zu column(s), %zu row(s)\n", doc.file_stem.c_str(),
                 doc.header.size(), doc.rows.size());

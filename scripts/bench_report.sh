@@ -40,14 +40,9 @@ for arg in "$@"; do
 done
 
 MICROBENCH="$BUILD_DIR/bench/microbench"
-FIG7="$BUILD_DIR/bench/fig7_susceptibility"
 SAFELIGHT="$BUILD_DIR/src/safelight"
 if [[ ! -x "$MICROBENCH" ]]; then
   echo "bench_report: $MICROBENCH not built (Google Benchmark missing?)" >&2
-  exit 1
-fi
-if [[ ! -x "$FIG7" ]]; then
-  echo "bench_report: $FIG7 not built" >&2
   exit 1
 fi
 if [[ ! -x "$SAFELIGHT" ]]; then
@@ -98,13 +93,14 @@ export SAFELIGHT_ZOO="$WORK_DIR/zoo"
 export SAFELIGHT_OUT="$WORK_DIR/out"
 
 # Train once so the timed runs measure the sweep, not model training.
-"$FIG7" >"$WORK_DIR/fig7_train.log"
+"$SAFELIGHT" run susceptibility >"$WORK_DIR/fig7_train.log"
 
 run_sweep() {  # $1 = SAFELIGHT_PREFIX_CACHE value; prints wall seconds
   rm -f "$SAFELIGHT_ZOO"/*.sweep.csv "$SAFELIGHT_ZOO"/*.sweep.jsonl
   local start end
   start=$(python3 -c 'import time; print(time.monotonic())')
-  SAFELIGHT_PREFIX_CACHE="$1" "$FIG7" >"$WORK_DIR/fig7_run.log"
+  SAFELIGHT_PREFIX_CACHE="$1" "$SAFELIGHT" run susceptibility \
+    >"$WORK_DIR/fig7_run.log"
   end=$(python3 -c 'import time; print(time.monotonic())')
   python3 -c "print(f'{$end - $start:.3f}')"
 }

@@ -10,8 +10,8 @@
 #    the five registered experiments, `run-all` must complete in one
 #    process (per-experiment timing on stdout), write every CSV + JSON
 #    document and the result stores, and resume instantly from cache.
-# 4. cross-check the legacy wrapper: `bench/fig7_susceptibility` must emit
-#    a CSV byte-identical to run-all's (fresh zoo, so the equality is
+# 4. fresh-zoo determinism: `safelight run susceptibility` must emit a
+#    CSV byte-identical to run-all's (fresh zoo, so the equality is
 #    computational, not cache reuse).
 # 5. distributed smoke: `run --workers 2` (clean, then with --chaos plug
 #    pulls inside the workers) must emit bytes identical to a
@@ -146,15 +146,14 @@ cmp "$SMOKE_DIR/out/fig7_susceptibility.csv" \
     "$SMOKE_DIR/out_cached/fig7_susceptibility.csv"
 phase_end
 
-phase_start "legacy wrapper byte-identity (fig7)"
-# The per-figure binary must produce the same bytes as `safelight run-all`
+phase_start "fresh-zoo byte-identity (fig7)"
+# A single-experiment run must produce the same bytes as `safelight run-all`
 # — from a fresh zoo, so the equality is computational, not cache reuse.
-FIG7="$(cd "$BUILD_DIR" && pwd)/bench/fig7_susceptibility"
-SAFELIGHT_ZOO="$SMOKE_DIR/zoo_wrapper" SAFELIGHT_OUT="$SMOKE_DIR/out_wrapper" \
-  "$FIG7" >"$SMOKE_DIR/fig7_wrapper.log"
+SAFELIGHT_ZOO="$SMOKE_DIR/zoo_fresh" SAFELIGHT_OUT="$SMOKE_DIR/out_fresh" \
+  "$SAFELIGHT" run susceptibility >"$SMOKE_DIR/fig7_fresh.log"
 cmp "$SMOKE_DIR/out/fig7_susceptibility.csv" \
-    "$SMOKE_DIR/out_wrapper/fig7_susceptibility.csv"
-echo "wrapper CSV byte-identical to run-all"
+    "$SMOKE_DIR/out_fresh/fig7_susceptibility.csv"
+echo "fresh-zoo run susceptibility CSV byte-identical to run-all"
 phase_end
 
 phase_start "distributed smoke (2 workers, clean + chaos)"

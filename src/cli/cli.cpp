@@ -266,8 +266,7 @@ CliOptions parse_flags(const std::vector<std::string>& args,
 }
 
 // ---------------------------------------------------------------------------
-// Per-experiment console rendering (the tables the per-figure bench
-// binaries used to assemble inline).
+// Per-experiment console rendering.
 // ---------------------------------------------------------------------------
 
 void render(const core::SusceptibilityReport& report) {
@@ -455,9 +454,8 @@ int cmd_list(bool json) {
 }
 
 /// Runs `experiments` over `options.models` with one shared zoo: per
-/// experiment, CSV rows of consecutive models append under one header
-/// (byte-identical to the legacy per-figure binaries) and JSON documents go
-/// next to them with --json.
+/// experiment, CSV rows of consecutive models append under one header and
+/// JSON documents go next to them with --json.
 int cmd_run(const std::vector<std::string>& experiments,
             const CliOptions& options) {
   const auto& registry = core::ExperimentRegistry::global();

@@ -31,10 +31,6 @@
 //   --fault-point <name>             restrict injection to one named point
 //   --fault-n <N>                    run length for run_length /
 //                                    uniform_over_run
-//
-// The per-figure bench binaries (bench/fig7_susceptibility, ...) are thin
-// wrappers over run(); the CSVs they emit are byte-identical to a
-// `safelight run` of the same experiment.
 #pragma once
 
 #include <string>

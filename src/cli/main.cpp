@@ -1,6 +1,6 @@
 // Entry point of the `safelight` binary (see cli/cli.hpp for the command
-// surface). Kept out of the library so tests and the per-figure bench
-// wrappers can link cli::run without a second main.
+// surface). Kept out of the library so tests can link cli::run without a
+// second main.
 #include <vector>
 
 #include "cli/cli.hpp"

@@ -7,9 +7,29 @@
 
 #include "common/error.hpp"
 
+namespace safelight {
+
+std::string to_string(Scale scale) {
+  switch (scale) {
+    case Scale::kTiny: return "tiny";
+    case Scale::kFull: return "full";
+    case Scale::kDefault: break;
+  }
+  return "default";
+}
+
+}  // namespace safelight
+
 namespace safelight::config {
 
 namespace {
+
+/// Reads an environment variable; returns fallback when unset or empty.
+std::string env_string(const char* name, const std::string& fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || value[0] == '\0') return fallback;
+  return value;
+}
 
 Overrides& mutable_overrides() {
   static Overrides active;
@@ -186,6 +206,12 @@ std::string metrics_path() {
     return *mutable_overrides().metrics_path;
   }
   return env_string("SAFELIGHT_METRICS", "");
+}
+
+bool trace_pipe() { return !env_string("SAFELIGHT_TRACE_PIPE", "").empty(); }
+
+bool metrics_pipe() {
+  return !env_string("SAFELIGHT_METRICS_PIPE", "").empty();
 }
 
 std::string backend() {

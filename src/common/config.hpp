@@ -1,8 +1,8 @@
 // Unified run-time configuration (the SAFELIGHT_* knobs).
 //
-// Every sweep entry point — the `safelight` CLI, the per-figure bench
-// binaries, the tests — resolves its knobs through this one module instead
-// of parsing environment variables ad hoc. The precedence rule, applied
+// Every sweep entry point — the `safelight` CLI, the library API, the
+// tests — resolves its knobs through this one module instead of parsing
+// environment variables ad hoc. The precedence rule, applied
 // uniformly to every knob, is:
 //
 //     CLI flag  >  environment variable  >  built-in default
@@ -35,6 +35,10 @@
 //                                        (empty = tracing disarmed)
 //   metrics_path() SAFELIGHT_METRICS     metrics JSON output file
 //                                        (empty = metrics disarmed)
+//   trace_pipe()   SAFELIGHT_TRACE_PIPE  dist worker: buffer spans for the
+//                                        coordinator (set by it, not users)
+//   metrics_pipe() SAFELIGHT_METRICS_PIPE  dist worker: collect metrics for
+//                                        the coordinator (likewise)
 //   backend()      SAFELIGHT_BACKEND     gemm compute backend: "auto" or a
 //                                        variant name (nn/backend.hpp)
 //   serve_port()   SAFELIGHT_SERVE_PORT  `safelight serve` TCP port
@@ -51,7 +55,16 @@
 #include <optional>
 #include <string>
 
-#include "common/env.hpp"
+namespace safelight {
+
+/// Experiment scale presets: dataset sizes, model widths and training
+/// epochs of the reproduction experiments (core/experiment_scale.hpp).
+enum class Scale { kTiny, kDefault, kFull };
+
+/// Scale name as parse_scale() accepts it: "tiny", "default" or "full".
+std::string to_string(Scale scale);
+
+}  // namespace safelight
 
 namespace safelight::config {
 
@@ -166,6 +179,12 @@ std::string trace_path();
 /// disarmed). metrics::init_from_config() consumes this.
 std::string metrics_path();
 
+/// Dist-worker telemetry buffering: true when the coordinator set
+/// SAFELIGHT_TRACE_PIPE / SAFELIGHT_METRICS_PIPE (any non-empty value) in
+/// the worker's environment. Consulted only when no output path is set.
+bool trace_pipe();
+bool metrics_pipe();
+
 /// GEMM compute backend name: CLI > SAFELIGHT_BACKEND > "auto". Returned
 /// verbatim; nn::backend::resolve rejects unknown or unsupported names
 /// with the registered-variant list.
@@ -194,8 +213,7 @@ bool prefix_cache();
 /// CLI's worker path): unset/empty -> nullopt; a value that is not
 /// entirely a number throws std::invalid_argument naming the variable —
 /// the actionable exit-2 path, never an uncaught parse error or a silent
-/// fallback (env_int's lenient behavior is exactly the silent-clamp class
-/// this module closes).
+/// fallback.
 std::optional<std::int64_t> strict_env_int(const char* name);
 std::optional<double> strict_env_double(const char* name);
 

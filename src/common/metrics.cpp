@@ -9,7 +9,6 @@
 #include <mutex>
 
 #include "common/config.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 
@@ -218,7 +217,7 @@ void init_from_config() {
   const std::string path = config::metrics_path();
   if (!path.empty()) {
     init(path);
-  } else if (!env_string("SAFELIGHT_METRICS_PIPE", "").empty()) {
+  } else if (config::metrics_pipe()) {
     arm_collection();
   } else {
     reset();

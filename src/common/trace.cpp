@@ -8,7 +8,6 @@
 #include <mutex>
 
 #include "common/config.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 
@@ -165,7 +164,7 @@ void init_from_config() {
   const std::string path = config::trace_path();
   if (!path.empty()) {
     init(path);
-  } else if (!env_string("SAFELIGHT_TRACE_PIPE", "").empty()) {
+  } else if (config::trace_pipe()) {
     arm_buffering();
   } else {
     reset();

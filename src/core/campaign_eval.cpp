@@ -54,18 +54,19 @@ std::string score_key(const std::string& campaign_id, std::size_t phase,
 /// never depend on which thread evaluated which phase.
 class CampaignEvaluator {
  public:
+  /// `spec` must outlive the evaluator; it supplies the suite config,
+  /// calibration seed, corruption physics and verbosity.
   CampaignEvaluator(const ExperimentSetup& setup,
                     std::unique_ptr<nn::Sequential> model,
-                    const VariantSpec& variant,
-                    const CampaignOptions& options)
+                    const VariantSpec& variant, const ExperimentSpec& spec)
       : setup_(setup),
         model_(std::move(model)),
-        options_(options),
-        evaluator_(setup, *model_, variant.name, "", options.corruption),
-        suite_(setup, options.suite) {
+        spec_(spec),
+        evaluator_(setup, *model_, variant.name, "", spec.corruption),
+        suite_(setup, spec.suite) {
     const defense::DeploymentView clean{
         *model_, evaluator_.executor(), nullptr,
-        seed_combine(options_.base_seed, 0xCA11B)};
+        seed_combine(spec_.base_seed, 0xCA11B)};
     suite_.calibrate(clean);
   }
 
@@ -83,8 +84,7 @@ class CampaignEvaluator {
     if (phase.active()) {
       evaluator_.apply_composite(phase.attack);
       telemetry = defense::composite_telemetry(setup_.accelerator,
-                                               phase.attack,
-                                               options_.corruption);
+                                               phase.attack, spec_.corruption);
     } else {
       evaluator_.restore_clean();
     }
@@ -107,7 +107,7 @@ class CampaignEvaluator {
       for (const defense::DetectionResult& r : results) {
         store.put(score_key(campaign_id, phase_index, check, r.detector),
                   r.score);
-        if (options_.verbose) {
+        if (spec_.verbose) {
           std::printf("  [campaign] %-24s p%zu k%zu %-16s score %.4f%s\n",
                       schedule.name.c_str(), phase_index, check,
                       r.detector.c_str(), r.score,
@@ -122,7 +122,7 @@ class CampaignEvaluator {
  private:
   ExperimentSetup setup_;
   std::unique_ptr<nn::Sequential> model_;
-  CampaignOptions options_;
+  const ExperimentSpec& spec_;
   AttackEvaluator evaluator_;
   defense::DetectorSuite suite_;
 };
@@ -191,25 +191,17 @@ std::size_t CampaignResult::detection_latency_checks(
 namespace {
 
 /// The sweep proper, in the unified-API shape: spec in, typed report out.
-CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
+CampaignSweepReport campaign_impl(const ExperimentSpec& spec,
                                   RunContext& context) {
-  const ExperimentSetup setup = experiment_spec.resolved_setup();
+  const ExperimentSetup setup = spec.resolved_setup();
   ModelZoo& zoo = context.zoo();
-  const VariantSpec variant = experiment_spec.resolved_variant();
+  const VariantSpec variant = spec.resolved_variant();
   const std::vector<attack::CampaignSchedule> campaigns =
-      experiment_spec.campaigns.empty() ? attack::standard_campaigns()
-                                        : experiment_spec.campaigns;
-  CampaignOptions options;
-  options.base_seed = experiment_spec.base_seed;
-  options.cache_dir = experiment_spec.cache_dir;
-  options.max_workers = experiment_spec.max_workers;
-  options.verbose = experiment_spec.verbose;
-  options.corruption = experiment_spec.corruption;
-  options.suite = experiment_spec.suite;
+      spec.campaigns.empty() ? attack::standard_campaigns() : spec.campaigns;
   context.note("campaign: sweep " + setup.tag() + " / " + variant.name);
 
   const auto start = std::chrono::steady_clock::now();
-  require(!campaigns.empty(), "run_campaign_sweep: need >= 1 campaign");
+  require(!campaigns.empty(), "campaign: need >= 1 campaign");
   std::vector<std::string> campaign_ids;
   campaign_ids.reserve(campaigns.size());
   std::set<std::string> distinct_ids;
@@ -217,26 +209,25 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
     schedule.validate();
     campaign_ids.push_back(schedule.id());
     require(distinct_ids.insert(campaign_ids.back()).second,
-            "run_campaign_sweep: duplicate campaign '" +
+            "campaign: duplicate campaign '" +
                 campaign_ids.back() + "'");
   }
 
   // Train (or load) on the calling thread; workers only load cache entries.
-  auto model = zoo.get_or_train(setup, variant, options.verbose);
+  auto model = zoo.get_or_train(setup, variant, spec.verbose);
   const std::string checksum = weights_checksum(*model);
 
   // Names and default thresholds for report assembly; workers calibrate
   // their own identical suites.
-  defense::DetectorSuite reference(setup, options.suite);
+  defense::DetectorSuite reference(setup, spec.suite);
   const std::vector<std::string> detector_names = reference.names();
 
   std::string csv_path;
-  if (!options.cache_dir.empty()) {
-    std::filesystem::create_directories(options.cache_dir);
-    csv_path = options.cache_dir + "/" + setup.tag() + "_" + variant.name +
-               "_" + checksum + "_" +
-               attack::config_fingerprint(options.corruption) + "_" +
-               defense::config_fingerprint(options.suite) + ".campaign.csv";
+  if (!spec.cache_dir.empty()) {
+    std::filesystem::create_directories(spec.cache_dir);
+    csv_path = spec.cache_dir + "/" + setup.tag() + "_" + variant.name + "_" +
+               checksum + "_" + attack::config_fingerprint(spec.corruption) +
+               "_" + defense::config_fingerprint(spec.suite) + ".campaign.csv";
   }
   ResultStore store(csv_path);
 
@@ -263,12 +254,12 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
   }
 
   parallel_claim<CampaignEvaluator>(
-      pending.size(), options.max_workers,
+      pending.size(), spec.max_workers,
       [&] {
         // Phase evaluation corrupts and restores model weights, so every
         // thread deploys a private copy (a zoo cache load).
         return std::make_unique<CampaignEvaluator>(
-            setup, zoo.get_or_train(setup, variant, false), variant, options);
+            setup, zoo.get_or_train(setup, variant, false), variant, spec);
       },
       [&](CampaignEvaluator& evaluator, std::size_t p) {
         const PhaseTask& task = pending[p];
@@ -300,7 +291,7 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
       // one clean evaluation fills it in. *model is still unconditioned:
       // every phase ran on a private copy.
       AttackEvaluator evaluator(setup, *model, variant.name, "",
-                                options.corruption);
+                                spec.corruption);
       result.baseline_accuracy = evaluator.baseline_accuracy();
       store.put(baseline_key, result.baseline_accuracy);
     }
@@ -350,30 +341,6 @@ ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.payload = campaign_impl(spec, context);
   return result;
-}
-
-CampaignSweepReport run_campaign_sweep(
-    const ExperimentSetup& setup, ModelZoo& zoo, const VariantSpec& variant,
-    const std::vector<attack::CampaignSchedule>& campaigns,
-    const CampaignOptions& options) {
-  // An explicitly empty list is caller error here; only the spec's empty
-  // default means "the standard red-team set".
-  require(!campaigns.empty(), "run_campaign_sweep: need >= 1 campaign");
-  ExperimentSpec spec =
-      ExperimentRegistry::global().default_spec("campaign", setup);
-  spec.base_seed = options.base_seed;
-  spec.variant = variant.name;
-  spec.variant_override = variant;  // pass through verbatim, no name lookup
-  spec.campaigns = campaigns;
-  spec.cache_dir = options.cache_dir;
-  spec.max_workers = options.max_workers;
-  spec.verbose = options.verbose;
-  spec.corruption = options.corruption;
-  spec.suite = options.suite;
-  RunContext context(zoo);
-  return ExperimentRegistry::global()
-      .run(spec, context)
-      .as<CampaignSweepReport>();
 }
 
 }  // namespace safelight::core

@@ -16,29 +16,17 @@
 // resume. Phase accuracies key on the composite id alone, so campaigns
 // sharing a composite (e.g. a burst phase equal to a ramp's peak) share
 // cached accuracy entries.
+//
+// Run it as the registry's "campaign" experiment (core/experiment.hpp): the
+// spec names the deployed variant and the schedules (the standard red-team
+// set when empty).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "attacks/campaign.hpp"
-#include "attacks/corruption.hpp"
-#include "core/experiment_scale.hpp"
-#include "core/zoo.hpp"
-#include "defense/suite.hpp"
-
 namespace safelight::core {
-
-/// Knobs of run_campaign_sweep.
-struct CampaignOptions {
-  std::uint64_t base_seed = 1000;  // suite calibration seed
-  std::string cache_dir;           // empty disables persistence
-  std::size_t max_workers = 0;
-  bool verbose = false;
-  attack::CorruptionConfig corruption{};
-  defense::SuiteConfig suite{};
-};
 
 /// One (phase, check, detector) cell of a campaign run.
 struct CampaignCell {
@@ -92,7 +80,7 @@ struct CampaignResult {
   std::size_t detection_latency_checks(const std::string& detector) const;
 };
 
-/// Outcome of one run_campaign_sweep call.
+/// Outcome of one campaign sweep (the "campaign" experiment's report).
 struct CampaignSweepReport {
   std::string variant;
   std::vector<CampaignResult> campaigns;  // campaign input order
@@ -100,20 +88,5 @@ struct CampaignSweepReport {
   std::size_t cache_hits = 0;  // phases served from the result store
   double wall_seconds = 0.0;
 };
-
-/// Runs every campaign schedule against the deployed `variant`: per phase,
-/// the composite corrupts a private clean deployment in one pass, accuracy
-/// is measured through the prefix-cached evaluator, and every detector
-/// checks the compromised deployment `phase.checks` times under distinct
-/// probe seeds. Parallel over phases, ResultStore-cached, resumable,
-/// deterministic in (setup, variant, schedules, options).
-///
-/// Deprecated shim: builds an ExperimentSpec and delegates to
-/// ExperimentRegistry::global().run("campaign") — new callers should use
-/// core/experiment.hpp directly.
-CampaignSweepReport run_campaign_sweep(
-    const ExperimentSetup& setup, ModelZoo& zoo, const VariantSpec& variant,
-    const std::vector<attack::CampaignSchedule>& campaigns,
-    const CampaignOptions& options);
 
 }  // namespace safelight::core

@@ -39,19 +39,20 @@ struct RunSpec {
 /// checked which run.
 class DetectionEvaluator {
  public:
+  /// `spec` must outlive the evaluator; it supplies the suite config,
+  /// calibration seed and corruption physics.
   DetectionEvaluator(const ExperimentSetup& setup,
                      std::unique_ptr<nn::Sequential> model,
-                     const DetectionOptions& options)
+                     const ExperimentSpec& spec)
       : setup_(setup),
         model_(std::move(model)),
         executor_(setup.accelerator),
         mapping_(executor_.condition_weights(*model_), setup.accelerator),
         clean_snapshot_(nn::snapshot_state(*model_)),
-        suite_(setup, options.suite),
-        options_(options) {
+        suite_(setup, spec.suite),
+        spec_(spec) {
     const defense::DeploymentView clean{
-        *model_, executor_, nullptr,
-        seed_combine(options_.base_seed, 0xCA11B)};
+        *model_, executor_, nullptr, seed_combine(spec_.base_seed, 0xCA11B)};
     suite_.calibrate(clean);
   }
 
@@ -60,9 +61,9 @@ class DetectionEvaluator {
     nn::restore_state(*model_, clean_snapshot_);
     std::vector<attack::BlockThermalState> telemetry;
     if (!spec.clean) {
-      attack::apply_attack(mapping_, spec.scenario, options_.corruption);
+      attack::apply_attack(mapping_, spec.scenario, spec_.corruption);
       telemetry = defense::scenario_telemetry(
-          setup_.accelerator, spec.scenario, options_.corruption);
+          setup_.accelerator, spec.scenario, spec_.corruption);
     }
     const defense::DeploymentView view{
         *model_, executor_, telemetry.empty() ? nullptr : &telemetry,
@@ -79,7 +80,7 @@ class DetectionEvaluator {
   accel::WeightStationaryMapping mapping_;
   std::vector<nn::Tensor> clean_snapshot_;
   defense::DetectorSuite suite_;
-  DetectionOptions options_;
+  const ExperimentSpec& spec_;
 };
 
 /// Probe seed of a run, derived from its full id so every run — including
@@ -233,67 +234,55 @@ double rank_auc(const std::vector<double>& clean_scores,
 namespace {
 
 /// The sweep proper, in the unified-API shape: spec in, typed report out.
-DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
+DetectionReport detection_impl(const ExperimentSpec& spec,
                                RunContext& context) {
-  const ExperimentSetup setup = experiment_spec.resolved_setup();
+  const ExperimentSetup setup = spec.resolved_setup();
   ModelZoo& zoo = context.zoo();
-  const VariantSpec variant = experiment_spec.resolved_variant();
+  const VariantSpec variant = spec.resolved_variant();
   const std::vector<attack::AttackScenario> grid =
-      experiment_spec.grid
-          ? *experiment_spec.grid
-          : attack::paper_scenario_grid(experiment_spec.seed_count,
-                                        experiment_spec.base_seed);
-  DetectionOptions options;
-  options.seed_count = experiment_spec.seed_count;
-  options.base_seed = experiment_spec.base_seed;
-  options.clean_runs = experiment_spec.clean_runs;
-  options.cache_dir = experiment_spec.cache_dir;
-  options.max_workers = experiment_spec.max_workers;
-  options.verbose = experiment_spec.verbose;
-  options.corruption = experiment_spec.corruption;
-  options.suite = experiment_spec.suite;
+      spec.grid ? *spec.grid
+                : attack::paper_scenario_grid(spec.seed_count, spec.base_seed);
   context.note("detection: sweep " + setup.tag() + " / " + variant.name);
 
   const auto start = std::chrono::steady_clock::now();
 
   // Train (or load) on the calling thread; workers only load cache entries.
   const std::string checksum =
-      weights_checksum(*zoo.get_or_train(setup, variant, options.verbose));
+      weights_checksum(*zoo.get_or_train(setup, variant, spec.verbose));
 
   // The reference suite provides detector names and default thresholds for
   // report assembly; workers calibrate their own identical copies.
-  defense::DetectorSuite reference(setup, options.suite);
+  defense::DetectorSuite reference(setup, spec.suite);
   const std::vector<std::string> detector_names = reference.names();
 
   std::string csv_path;
-  if (!options.cache_dir.empty()) {
-    std::filesystem::create_directories(options.cache_dir);
-    csv_path = options.cache_dir + "/" + setup.tag() + "_" + variant.name +
-               "_" + checksum + "_" +
-               attack::config_fingerprint(options.corruption) + "_" +
-               defense::config_fingerprint(options.suite) + ".detect.csv";
+  if (!spec.cache_dir.empty()) {
+    std::filesystem::create_directories(spec.cache_dir);
+    csv_path = spec.cache_dir + "/" + setup.tag() + "_" + variant.name + "_" +
+               checksum + "_" + attack::config_fingerprint(spec.corruption) +
+               "_" + defense::config_fingerprint(spec.suite) + ".detect.csv";
   }
   ResultStore store(csv_path);
 
   // Run list: clean deployments first (probe seeds derived from base_seed),
   // then the attack grid in grid order.
   std::vector<RunSpec> runs;
-  runs.reserve(options.clean_runs + grid.size());
-  for (std::size_t k = 0; k < options.clean_runs; ++k) {
-    RunSpec spec;
-    spec.id = "clean/c" + std::to_string(k) + "/b" +
-              std::to_string(options.base_seed);
-    spec.clean = true;
-    spec.probe_seed = probe_seed_of(spec.id);
-    runs.push_back(spec);
+  runs.reserve(spec.clean_runs + grid.size());
+  for (std::size_t k = 0; k < spec.clean_runs; ++k) {
+    RunSpec run;
+    run.id =
+        "clean/c" + std::to_string(k) + "/b" + std::to_string(spec.base_seed);
+    run.clean = true;
+    run.probe_seed = probe_seed_of(run.id);
+    runs.push_back(run);
   }
   for (const attack::AttackScenario& scenario : grid) {
     scenario.validate();
-    RunSpec spec;
-    spec.id = scenario.id();
-    spec.scenario = scenario;
-    spec.probe_seed = probe_seed_of(spec.id);
-    runs.push_back(spec);
+    RunSpec run;
+    run.id = scenario.id();
+    run.scenario = scenario;
+    run.probe_seed = probe_seed_of(run.id);
+    runs.push_back(run);
   }
 
   // Uncached runs, deduplicated (a grid may repeat an id; a previous
@@ -301,11 +290,11 @@ DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
   // cached when *every* one of its keys made it to disk — an interrupt can
   // land between the per-detector flushes, and a partially stored run must
   // re-check rather than crash report assembly on the missing keys.
-  const auto fully_stored = [&](const RunSpec& spec) {
+  const auto fully_stored = [&](const RunSpec& run) {
     for (const std::string& name : detector_names) {
-      if (!store.contains(score_key(spec, name)) ||
-          !store.contains(probes_key(spec, name)) ||
-          !store.contains(latency_key(spec, name))) {
+      if (!store.contains(score_key(run, name)) ||
+          !store.contains(probes_key(run, name)) ||
+          !store.contains(latency_key(run, name))) {
         return false;
       }
     }
@@ -320,40 +309,40 @@ DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
   }
 
   parallel_claim<DetectionEvaluator>(
-      pending.size(), options.max_workers,
+      pending.size(), spec.max_workers,
       [&] {
         // Checks corrupt and restore model weights, so every thread deploys
         // a private copy (a zoo cache load).
         return std::make_unique<DetectionEvaluator>(
-            setup, zoo.get_or_train(setup, variant, false), options);
+            setup, zoo.get_or_train(setup, variant, false), spec);
       },
       [&](DetectionEvaluator& evaluator, std::size_t p) {
-        const RunSpec& spec = runs[pending[p]];
+        const RunSpec& run = runs[pending[p]];
         static metrics::Counter& checks = metrics::counter("detect.checks");
         checks.add();
         trace::Span run_span("detect", "detect.run");
         if (run_span.active()) {
-          run_span.arg("run", spec.id)
-              .arg("clean", static_cast<double>(spec.clean));
+          run_span.arg("run", run.id)
+              .arg("clean", static_cast<double>(run.clean));
         }
         const std::vector<defense::DetectionResult> results =
-            evaluator.run(spec);
+            evaluator.run(run);
         for (const defense::DetectionResult& r : results) {
           // Detection latency (probes until first flag) per detector; clean
           // runs are excluded — a clean flag is a false positive, not a
           // latency sample.
-          if (metrics::armed() && !spec.clean && r.flagged) {
+          if (metrics::armed() && !run.clean && r.flagged) {
             metrics::histogram("detect.latency_probes." + r.detector)
                 .record(static_cast<double>(r.first_flag_probe));
           }
-          store.put(score_key(spec, r.detector), r.score);
-          store.put(probes_key(spec, r.detector),
+          store.put(score_key(run, r.detector), r.score);
+          store.put(probes_key(run, r.detector),
                     static_cast<double>(r.probes));
-          store.put(latency_key(spec, r.detector),
+          store.put(latency_key(run, r.detector),
                     static_cast<double>(r.first_flag_probe));
-          if (options.verbose) {
+          if (spec.verbose) {
             std::printf("  [detect] %-32s %-16s score %.4f%s\n",
-                        spec.id.c_str(), r.detector.c_str(), r.score,
+                        run.id.c_str(), r.detector.c_str(), r.score,
                         r.flagged ? "  FLAGGED" : "");
             std::fflush(stdout);
           }
@@ -364,22 +353,22 @@ DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
   DetectionReport report;
   report.variant = variant.name;
   report.detectors = detector_names;
-  report.clean_runs = options.clean_runs;
+  report.clean_runs = spec.clean_runs;
   report.evaluated = pending.size();
   report.rows.reserve(runs.size() * detector_names.size());
-  for (const RunSpec& spec : runs) {
-    const bool fresh = fresh_ids.count(spec.id) != 0;
+  for (const RunSpec& run : runs) {
+    const bool fresh = fresh_ids.count(run.id) != 0;
     if (!fresh) ++report.cache_hits;
     for (const std::string& name : detector_names) {
-      const auto score = store.lookup(score_key(spec, name));
-      const auto probes = store.lookup(probes_key(spec, name));
-      const auto latency = store.lookup(latency_key(spec, name));
+      const auto score = store.lookup(score_key(run, name));
+      const auto probes = store.lookup(probes_key(run, name));
+      const auto latency = store.lookup(latency_key(run, name));
       SAFELIGHT_ASSERT(score && probes && latency,
                        "detection sweep: result missing after fan-out");
       DetectionRow row;
-      row.run_id = spec.id;
-      row.clean = spec.clean;
-      row.scenario = spec.scenario;
+      row.run_id = run.id;
+      row.clean = run.clean;
+      row.scenario = run.scenario;
       row.detector = name;
       row.score = *score;
       row.flagged = *score > reference.detector(name).threshold();
@@ -395,25 +384,6 @@ DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
   return report;
 }
 
-/// Shared shim body of the two legacy overloads.
-ExperimentSpec detection_spec_of(const ExperimentSetup& setup,
-                                 const VariantSpec& variant,
-                                 const DetectionOptions& options) {
-  ExperimentSpec spec =
-      ExperimentRegistry::global().default_spec("detection", setup);
-  spec.seed_count = options.seed_count;
-  spec.base_seed = options.base_seed;
-  spec.variant = variant.name;
-  spec.variant_override = variant;  // pass through verbatim, no name lookup
-  spec.clean_runs = options.clean_runs;
-  spec.cache_dir = options.cache_dir;
-  spec.max_workers = options.max_workers;
-  spec.verbose = options.verbose;
-  spec.corruption = options.corruption;
-  spec.suite = options.suite;
-  return spec;
-}
-
 }  // namespace
 
 ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
@@ -422,24 +392,6 @@ ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.payload = detection_impl(spec, context);
   return result;
-}
-
-DetectionReport run_detection_sweep(
-    const ExperimentSetup& setup, ModelZoo& zoo, const VariantSpec& variant,
-    const std::vector<attack::AttackScenario>& grid,
-    const DetectionOptions& options) {
-  ExperimentSpec spec = detection_spec_of(setup, variant, options);
-  spec.grid = grid;
-  RunContext context(zoo);
-  return ExperimentRegistry::global().run(spec, context).as<DetectionReport>();
-}
-
-DetectionReport run_detection_sweep(const ExperimentSetup& setup,
-                                    ModelZoo& zoo, const VariantSpec& variant,
-                                    const DetectionOptions& options) {
-  ExperimentSpec spec = detection_spec_of(setup, variant, options);
-  RunContext context(zoo);
-  return ExperimentRegistry::global().run(spec, context).as<DetectionReport>();
 }
 
 }  // namespace safelight::core

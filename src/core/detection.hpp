@@ -1,6 +1,6 @@
 // Detection-evaluation sweep: how well do the runtime detectors work?
 //
-// The offense benches ask "how much accuracy does an attack cost"; this
+// The offense experiments ask "how much accuracy does an attack cost"; this
 // module asks "would the defense subsystem have caught it". For one trained
 // variant it deploys the model once per worker, calibrates a
 // defense::DetectorSuite on the clean deployment, and then checks every
@@ -11,19 +11,19 @@
 // AUC with optional (vector, intensity) filters, false-positive rates at
 // the default thresholds, and detection latency (probe inferences until
 // first flag).
+//
+// Run it as the registry's "detection" experiment (core/experiment.hpp):
+// the spec names the deployed variant, the clean-run count and optionally an
+// explicit scenario grid (the paper's SIV grid when absent).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "attacks/corruption.hpp"
 #include "attacks/scenario.hpp"
 #include "common/stats.hpp"
-#include "core/experiment_scale.hpp"
-#include "core/zoo.hpp"
-#include "defense/suite.hpp"
 
 namespace safelight::core {
 
@@ -54,7 +54,7 @@ struct RocCurve {
   double auc = 0.0;              // rank-based (ties count half)
 };
 
-/// Outcome of one run_detection_sweep call.
+/// Outcome of one detection sweep (the "detection" experiment's report).
 struct DetectionReport {
   std::string variant;
   std::vector<std::string> detectors;  // suite order
@@ -101,37 +101,6 @@ struct DetectionReport {
   /// attack runs the detector flagged; throws when it flagged none.
   BoxStats detection_latency(const std::string& detector) const;
 };
-
-/// Knobs of run_detection_sweep.
-struct DetectionOptions {
-  std::size_t seed_count = 5;     // trojan placements per grid cell
-  std::uint64_t base_seed = 1000;
-  /// Clean deployments checked under distinct probe seeds — the negative
-  /// class of the ROC analysis.
-  std::size_t clean_runs = 10;
-  std::string cache_dir;  // empty disables persistence
-  std::size_t max_workers = 0;
-  bool verbose = false;
-  attack::CorruptionConfig corruption{};
-  defense::SuiteConfig suite{};
-};
-
-/// Detection sweep of `variant` over an explicit scenario grid plus
-/// `options.clean_runs` clean deployments.
-///
-/// Deprecated shim (as is the grid-defaulting overload below): builds an
-/// ExperimentSpec and delegates to ExperimentRegistry::global()
-/// .run("detection") — new callers should use core/experiment.hpp directly.
-DetectionReport run_detection_sweep(
-    const ExperimentSetup& setup, ModelZoo& zoo, const VariantSpec& variant,
-    const std::vector<attack::AttackScenario>& grid,
-    const DetectionOptions& options);
-
-/// Convenience: the paper's full SIV grid (2 vectors x 3 targets x
-/// {1,5,10} % x seed_count placements) plus clean runs.
-DetectionReport run_detection_sweep(const ExperimentSetup& setup,
-                                    ModelZoo& zoo, const VariantSpec& variant,
-                                    const DetectionOptions& options);
 
 /// Rank-based (Mann-Whitney) AUC: P(attack score > clean score), ties
 /// counting one half. Throws std::invalid_argument when either side is

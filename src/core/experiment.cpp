@@ -26,9 +26,8 @@ std::string scenario_seed_cell(const DetectionRow& row) {
 }
 
 // ---------------------------------------------------------------------------
-// CSV serialization. Row formats are byte-identical to the per-figure bench
-// binaries these documents replaced (and are golden-pinned at tiny scale);
-// change them only together with tests/golden/.
+// CSV serialization. Row formats are golden-pinned at tiny scale; change
+// them only together with tests/golden/.
 // ---------------------------------------------------------------------------
 
 std::vector<CsvDocument> csv_of(const ExperimentSpec& spec,
@@ -333,12 +332,10 @@ void json_of(JsonWriter& json, const CampaignSweepReport& report) {
 }  // namespace
 
 ExperimentSetup ExperimentSpec::resolved_setup() const {
-  if (setup) return *setup;
   return experiment_setup(model, scale);
 }
 
 VariantSpec ExperimentSpec::resolved_variant() const {
-  if (variant_override) return *variant_override;
   return variant_by_name(variant, l2_strength);
 }
 
@@ -352,15 +349,8 @@ void ExperimentSpec::validate() const {
           "ExperimentSpec: clean_runs must be >= 1 — the detection sweep "
           "needs clean deployments for its ROC negative class");
   // Unknown variant names throw here (with the valid names listed) instead
-  // of deep inside a sweep after minutes of training. A full override is
-  // taken as-is (it needs no name lookup), it just must be nameable.
-  if (variant_override) {
-    require(!variant_override->name.empty(),
-            "ExperimentSpec: variant_override needs a non-empty name "
-            "(it keys zoo and result-store entries)");
-  } else {
-    variant_by_name(variant, l2_strength);
-  }
+  // of deep inside a sweep after minutes of training.
+  variant_by_name(variant, l2_strength);
   if (!robust_variant.empty()) variant_by_name(robust_variant, l2_strength);
 }
 
@@ -422,15 +412,6 @@ ExperimentSpec ExperimentRegistry::default_spec(const std::string& name) const {
   ExperimentSpec spec;
   spec.experiment = entry.name;
   spec.seed_count = entry.default_seed_count;
-  return spec;
-}
-
-ExperimentSpec ExperimentRegistry::default_spec(
-    const std::string& name, const ExperimentSetup& setup) const {
-  ExperimentSpec spec = default_spec(name);
-  spec.model = setup.model;
-  spec.scale = setup.scale;
-  spec.setup = setup;
   return spec;
 }
 

@@ -1,28 +1,18 @@
 // Unified experiment API: one spec, one registry, one result shape.
 //
-// Historically each SafeLight sweep grew its own entry point
-// (run_susceptibility, run_mitigation, run_robust_compare,
-// run_detection_sweep, run_campaign_sweep), each with a hand-rolled
-// *Options struct and a bench main that re-implemented env parsing, table
-// printing and CSV writing. This module owns that shape once:
+// This is the only way to run a SafeLight sweep; the `safelight` CLI, the
+// serve daemon, the dist planner and library callers all go through it:
 //
-//   ExperimentSpec      — a tagged superset of the five Options structs;
-//                         validated (no silent clamps), serializable into
-//                         the result metadata.
+//   ExperimentSpec      — every setting of one run, validated (no silent
+//                         clamps) and serializable into the result metadata.
 //   RunContext          — what every run needs besides the spec: the shared
 //                         ModelZoo, an optional progress callback and an
 //                         optional cooperative cancellation flag.
 //   ExperimentResult    — the typed report payload plus uniform CSV and
-//                         JSON serialization (byte-identical to the legacy
-//                         per-figure bench output, golden-pinned).
+//                         JSON serialization (golden-pinned).
 //   ExperimentRegistry  — name -> experiment ("susceptibility",
 //                         "mitigation", "robust_compare", "detection",
-//                         "campaign"); the `safelight` CLI, the bench
-//                         binaries and new callers (services, notebooks)
-//                         all go through it.
-//
-// The legacy run_* signatures still compile; they are thin shims that build
-// a spec and delegate here (see their headers).
+//                         "campaign").
 #pragma once
 
 #include <atomic>
@@ -34,19 +24,22 @@
 #include <variant>
 #include <vector>
 
+#include "attacks/campaign.hpp"
+#include "attacks/corruption.hpp"
 #include "common/error.hpp"
 #include "core/campaign_eval.hpp"
 #include "core/detection.hpp"
 #include "core/mitigation.hpp"
 #include "core/robust_compare.hpp"
 #include "core/susceptibility.hpp"
+#include "core/zoo.hpp"
+#include "defense/suite.hpp"
 
 namespace safelight::core {
 
-/// One spec describes one (experiment, model, scale) run completely. It is
-/// a superset of the five legacy Options structs; each experiment reads the
-/// fields it needs and ignores the rest (the unused fields keep their
-/// defaults and do not affect caching).
+/// One spec describes one (experiment, model, scale) run completely; each
+/// experiment reads the fields it needs and ignores the rest (the unused
+/// fields keep their defaults and do not affect caching).
 struct ExperimentSpec {
   /// Registry key: "susceptibility", "mitigation", "robust_compare",
   /// "detection" or "campaign".
@@ -63,12 +56,6 @@ struct ExperimentSpec {
   /// Deployed variant (detection / campaign sweeps), resolved through
   /// variant_by_name(variant, l2_strength).
   std::string variant = "Original";
-  /// Full VariantSpec override for callers holding a variant that name +
-  /// l2_strength cannot reconstruct (custom noise sigma, non-paper name);
-  /// takes precedence over `variant` when set. The legacy detection /
-  /// campaign shims use it to pass their VariantSpec argument through
-  /// unchanged.
-  std::optional<VariantSpec> variant_override;
   /// robust_compare: pinned robust variant; empty selects via mitigation.
   std::string robust_variant;
   float l2_strength = kDefaultL2Strength;
@@ -89,15 +76,11 @@ struct ExperimentSpec {
   /// campaign: schedules to run (attack::standard_campaigns() when empty).
   std::vector<attack::CampaignSchedule> campaigns;
 
-  /// Full ExperimentSetup override for callers that customized one; when
-  /// absent the canonical experiment_setup(model, scale) is used.
-  std::optional<ExperimentSetup> setup;
-
-  /// The setup this spec resolves to.
+  /// The setup this spec resolves to: experiment_setup(model, scale).
   ExperimentSetup resolved_setup() const;
 
-  /// The deployed variant this spec resolves to: variant_override when
-  /// set, else variant_by_name(variant, l2_strength).
+  /// The deployed variant this spec resolves to:
+  /// variant_by_name(variant, l2_strength).
   VariantSpec resolved_variant() const;
 
   /// Field-level validation with actionable messages: rejects
@@ -147,8 +130,7 @@ class RunContext {
 
 /// One logical CSV output of an experiment: the file stem (e.g.
 /// "fig7_susceptibility"), its header, and this run's rows. Multi-model
-/// sessions append rows of consecutive runs under one header, reproducing
-/// the legacy bench files byte for byte.
+/// sessions append rows of consecutive runs under one header.
 struct CsvDocument {
   std::string file_stem;
   std::vector<std::string> header;
@@ -180,8 +162,7 @@ struct ExperimentResult {
     return *typed;
   }
 
-  /// CSV serialization, byte-identical to the legacy per-figure bench
-  /// output (golden-pinned at tiny scale).
+  /// CSV serialization (golden-pinned at tiny scale).
   std::vector<CsvDocument> to_csv() const;
 
   /// Deterministic JSON document (no wall-clock or cache-hit fields), also
@@ -228,12 +209,6 @@ class ExperimentRegistry {
   /// count); callers then set model/scale/cache and tweak knobs.
   ExperimentSpec default_spec(const std::string& name) const;
 
-  /// default_spec(name) with the setup fields filled from an existing
-  /// ExperimentSetup (model, scale and the full setup override stay
-  /// consistent by construction — the legacy run_* shims build on this).
-  ExperimentSpec default_spec(const std::string& name,
-                              const ExperimentSetup& setup) const;
-
   /// Validates the spec (including the experiment name) and runs it,
   /// stamping wall_seconds.
   ExperimentResult run(const ExperimentSpec& spec, RunContext& context) const;
@@ -273,8 +248,7 @@ ExperimentSpec spec_from_json(const std::string& text);
 std::string registry_listing_json();
 
 // Spec-driven runners of the five built-in experiments (the registry's run
-// functions; the legacy run_* signatures shim onto these through the
-// registry). Defined next to each sweep's internals.
+// functions). Defined next to each sweep's internals.
 ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,
                                                RunContext& context);
 ExperimentResult run_mitigation_experiment(const ExperimentSpec& spec,

@@ -91,17 +91,4 @@ ExperimentResult run_mitigation_experiment(const ExperimentSpec& spec,
   return result;
 }
 
-MitigationReport run_mitigation(const ExperimentSetup& setup, ModelZoo& zoo,
-                                const MitigationOptions& options) {
-  ExperimentSpec spec =
-      ExperimentRegistry::global().default_spec("mitigation", setup);
-  spec.seed_count = options.seed_count;
-  spec.base_seed = options.base_seed;
-  spec.l2_strength = options.l2_strength;
-  spec.cache_dir = options.cache_dir;
-  spec.verbose = options.verbose;
-  RunContext context(zoo);
-  return ExperimentRegistry::global().run(spec, context).as<MitigationReport>();
-}
-
 }  // namespace safelight::core

@@ -33,23 +33,4 @@ struct MitigationReport {
   const VariantOutcome& outcome(const std::string& variant_name) const;
 };
 
-/// Knobs of run_mitigation.
-struct MitigationOptions {
-  std::size_t seed_count = 3;  // placements per grid cell (Fig. 8 sweep)
-  std::uint64_t base_seed = 1000;
-  float l2_strength = kDefaultL2Strength;
-  std::string cache_dir;
-  bool verbose = false;
-};
-
-/// Sweeps every paper variant of `setup`'s model across the full attack
-/// grid (training missing variants through `zoo`) and aggregates each
-/// variant's accuracy distribution.
-///
-/// Deprecated shim: builds an ExperimentSpec and delegates to
-/// ExperimentRegistry::global().run("mitigation") — new callers should use
-/// core/experiment.hpp directly.
-MitigationReport run_mitigation(const ExperimentSetup& setup, ModelZoo& zoo,
-                                const MitigationOptions& options);
-
 }  // namespace safelight::core

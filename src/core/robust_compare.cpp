@@ -27,7 +27,6 @@ ExperimentSpec robust_compare_selection_spec(const ExperimentSpec& spec) {
       ExperimentRegistry::global().default_spec("mitigation");
   mitigation_spec.model = spec.model;
   mitigation_spec.scale = spec.scale;
-  mitigation_spec.setup = spec.setup;
   mitigation_spec.base_seed = spec.base_seed;
   mitigation_spec.l2_strength = spec.l2_strength;
   mitigation_spec.cache_dir = spec.cache_dir;
@@ -118,23 +117,6 @@ ExperimentResult run_robust_compare_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.payload = robust_compare_impl(spec, context);
   return result;
-}
-
-RobustComparisonReport run_robust_compare(
-    const ExperimentSetup& setup, ModelZoo& zoo,
-    const RobustCompareOptions& options) {
-  ExperimentSpec spec =
-      ExperimentRegistry::global().default_spec("robust_compare", setup);
-  spec.seed_count = options.seed_count;
-  spec.base_seed = options.base_seed;
-  spec.l2_strength = options.l2_strength;
-  spec.robust_variant = options.robust_variant;
-  spec.cache_dir = options.cache_dir;
-  spec.verbose = options.verbose;
-  RunContext context(zoo);
-  return ExperimentRegistry::global()
-      .run(spec, context)
-      .as<RobustComparisonReport>();
 }
 
 }  // namespace safelight::core

@@ -37,17 +37,6 @@ struct RobustComparisonReport {
                                    double fraction) const;
 };
 
-/// Knobs of run_robust_compare.
-struct RobustCompareOptions {
-  std::size_t seed_count = 5;
-  std::uint64_t base_seed = 1000;
-  float l2_strength = kDefaultL2Strength;
-  /// Robust variant to use; empty selects via run_mitigation's best_robust.
-  std::string robust_variant;
-  std::string cache_dir;
-  bool verbose = false;
-};
-
 /// The inner mitigation spec robust_compare uses to select its robust
 /// variant when `spec.robust_variant` is empty: mitigation's own defaults
 /// (notably its paper seed count) with the comparison's model/scale/seed/
@@ -62,16 +51,5 @@ ExperimentSpec robust_compare_selection_spec(const ExperimentSpec& spec);
 /// placements.
 std::vector<attack::AttackScenario> robust_compare_grid(
     const ExperimentSpec& spec);
-
-/// Selects the most robust variant (via the mitigation sweep unless pinned
-/// in `options`) and compares it against Original across both attack
-/// vectors at 1/5/10 % of the total MR population.
-///
-/// Deprecated shim: builds an ExperimentSpec and delegates to
-/// ExperimentRegistry::global().run("robust_compare") — new callers should
-/// use core/experiment.hpp directly.
-RobustComparisonReport run_robust_compare(const ExperimentSetup& setup,
-                                          ModelZoo& zoo,
-                                          const RobustCompareOptions& options);
 
 }  // namespace safelight::core

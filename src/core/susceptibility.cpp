@@ -55,7 +55,7 @@ SusceptibilityReport susceptibility_impl(const ExperimentSpec& spec,
           }
         }
         SAFELIGHT_ASSERT(!values.empty(),
-                         "run_susceptibility: empty scenario group");
+                         "susceptibility: empty scenario group");
         report.groups.push_back(
             {vector, target, fraction, box_stats(std::move(values))});
       }
@@ -108,21 +108,6 @@ ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.payload = susceptibility_impl(spec, context);
   return result;
-}
-
-SusceptibilityReport run_susceptibility(
-    const ExperimentSetup& setup, ModelZoo& zoo,
-    const SusceptibilityOptions& options) {
-  ExperimentSpec spec =
-      ExperimentRegistry::global().default_spec("susceptibility", setup);
-  spec.seed_count = options.seed_count;
-  spec.base_seed = options.base_seed;
-  spec.cache_dir = options.cache_dir;
-  spec.verbose = options.verbose;
-  RunContext context(zoo);
-  return ExperimentRegistry::global()
-      .run(spec, context)
-      .as<SusceptibilityReport>();
 }
 
 }  // namespace safelight::core

@@ -47,24 +47,6 @@ struct SusceptibilityReport {
                                    double fraction) const;
 };
 
-/// Knobs of run_susceptibility. Placement seeds are base_seed ..
-/// base_seed + seed_count - 1 (the paper uses 10 placements per cell).
-struct SusceptibilityOptions {
-  std::size_t seed_count = 10;
-  std::uint64_t base_seed = 1000;
-  std::string cache_dir;  // empty disables result caching
-  bool verbose = false;
-};
-
-/// Full analysis for one model setup using its Original variant from `zoo`.
-///
-/// Deprecated shim: builds an ExperimentSpec and delegates to
-/// ExperimentRegistry::global().run("susceptibility") — new callers should
-/// use core/experiment.hpp directly.
-SusceptibilityReport run_susceptibility(const ExperimentSetup& setup,
-                                        ModelZoo& zoo,
-                                        const SusceptibilityOptions& options);
-
 /// Grid evaluation of an externally provided evaluator (used by the
 /// mitigation analysis to sweep variants).
 std::vector<SusceptibilityRow> evaluate_grid(

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "attacks/corruption.hpp"
-#include "common/env.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"

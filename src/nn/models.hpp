@@ -40,7 +40,7 @@ std::string to_string(ModelId id);
 ModelId model_id_from_string(const std::string& name);
 
 /// The paper's three CNN models, in figure order (the default model set of
-/// the `safelight` CLI and the bench binaries).
+/// the `safelight` CLI).
 std::vector<ModelId> paper_models();
 
 std::unique_ptr<Sequential> make_cnn1(const ModelConfig& config);

@@ -12,8 +12,8 @@
 #include "accel/executor.hpp"
 #include "attacks/campaign.hpp"
 #include "common/rng.hpp"
-#include "core/campaign_eval.hpp"
 #include "core/evaluation.hpp"
+#include "core/experiment.hpp"
 #include "core/zoo.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
@@ -354,7 +354,6 @@ TEST(CompositeEvaluation, OrderInvariantAndAtLeastWorstComponent) {
 
 TEST(CampaignSweep, CachedResumableAndEvadesAStaticGridDetector) {
   TempDir dir("campaign_sweep");
-  const core::ExperimentSetup setup = tiny_setup();
   core::ModelZoo zoo(dir.path());
 
   // The evasive schedule: the hotspot heaters start at 1 % of the nominal
@@ -374,10 +373,15 @@ TEST(CampaignSweep, CachedResumableAndEvadesAStaticGridDetector) {
       attack::burst_campaign("ambush", hotspot_all, /*lead_dormant=*/1,
                              /*trail_dormant=*/0);
 
-  core::CampaignOptions options;
-  options.cache_dir = dir.path();
-  const core::CampaignSweepReport first = core::run_campaign_sweep(
-      setup, zoo, core::variant_by_name("Original"), {creep, burst}, options);
+  const auto& registry = core::ExperimentRegistry::global();
+  core::ExperimentSpec spec = registry.default_spec("campaign");
+  spec.model = nn::ModelId::kCnn1;
+  spec.scale = Scale::kTiny;
+  spec.campaigns = {creep, burst};
+  spec.cache_dir = dir.path();
+  core::RunContext context(zoo);
+  const auto first =
+      registry.run(spec, context).as<core::CampaignSweepReport>();
   ASSERT_EQ(first.campaigns.size(), 2u);
   EXPECT_EQ(first.evaluated, 4u);  // 2 + 2 phases
   EXPECT_EQ(first.cache_hits, 0u);
@@ -409,8 +413,8 @@ TEST(CampaignSweep, CachedResumableAndEvadesAStaticGridDetector) {
 
   // Resume: a fresh sweep (new process in real life) re-evaluates nothing
   // and reproduces every number exactly.
-  const core::CampaignSweepReport second = core::run_campaign_sweep(
-      setup, zoo, core::variant_by_name("Original"), {creep, burst}, options);
+  const auto second =
+      registry.run(spec, context).as<core::CampaignSweepReport>();
   EXPECT_EQ(second.evaluated, 0u);
   EXPECT_EQ(second.cache_hits, 4u);
   for (std::size_t ci = 0; ci < first.campaigns.size(); ++ci) {
@@ -434,10 +438,8 @@ TEST(CampaignSweep, CachedResumableAndEvadesAStaticGridDetector) {
                    first.campaigns[1].phases[1].accuracy);
 
   // Duplicate campaign ids are rejected (they would collide in the store).
-  EXPECT_THROW(core::run_campaign_sweep(setup, zoo,
-                                        core::variant_by_name("Original"),
-                                        {creep, creep}, options),
-               std::invalid_argument);
+  spec.campaigns = {creep, creep};
+  EXPECT_THROW(registry.run(spec, context), std::invalid_argument);
 }
 
 }  // namespace

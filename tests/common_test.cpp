@@ -11,7 +11,6 @@
 
 #include "common/config.hpp"
 #include "common/csv.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/json.hpp"
@@ -314,41 +313,6 @@ TEST(Csv, FmtDoublePrecision) {
   EXPECT_EQ(fmt_double(2.0, 4), "2.0000");
 }
 
-// ---------------------------------------------------------------- env
-
-TEST(Env, StringFallback) {
-  unsetenv("SAFELIGHT_TEST_VAR");
-  EXPECT_EQ(env_string("SAFELIGHT_TEST_VAR", "dflt"), "dflt");
-  setenv("SAFELIGHT_TEST_VAR", "hello", 1);
-  EXPECT_EQ(env_string("SAFELIGHT_TEST_VAR", "dflt"), "hello");
-  unsetenv("SAFELIGHT_TEST_VAR");
-}
-
-TEST(Env, IntParsingAndFallback) {
-  setenv("SAFELIGHT_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int("SAFELIGHT_TEST_INT", 7), 42);
-  setenv("SAFELIGHT_TEST_INT", "not_a_number", 1);
-  EXPECT_EQ(env_int("SAFELIGHT_TEST_INT", 7), 7);
-  unsetenv("SAFELIGHT_TEST_INT");
-}
-
-TEST(Env, ScaleParsing) {
-  setenv("SAFELIGHT_SCALE", "tiny", 1);
-  EXPECT_EQ(env_scale(), Scale::kTiny);
-  setenv("SAFELIGHT_SCALE", "full", 1);
-  EXPECT_EQ(env_scale(), Scale::kFull);
-  setenv("SAFELIGHT_SCALE", "bogus", 1);
-  EXPECT_EQ(env_scale(), Scale::kDefault);
-  unsetenv("SAFELIGHT_SCALE");
-  EXPECT_EQ(env_scale(), Scale::kDefault);
-}
-
-TEST(Env, ScaleNames) {
-  EXPECT_EQ(to_string(Scale::kTiny), "tiny");
-  EXPECT_EQ(to_string(Scale::kDefault), "default");
-  EXPECT_EQ(to_string(Scale::kFull), "full");
-}
-
 // ---------------------------------------------------------------- error
 
 TEST(Error, RequireThrowsWithPrefix) {
@@ -405,6 +369,18 @@ TEST(Config, ScalePrecedenceCliOverEnvOverDefault) {
 TEST(Config, ScaleDefaultsWhenUnset) {
   ::unsetenv("SAFELIGHT_SCALE");
   EXPECT_EQ(config::scale(), Scale::kDefault);
+  // An empty value counts as unset, like every string knob.
+  ScopedEnv empty("SAFELIGHT_SCALE", "");
+  EXPECT_EQ(config::scale(), Scale::kDefault);
+}
+
+TEST(Config, ScaleNames) {
+  EXPECT_EQ(to_string(Scale::kTiny), "tiny");
+  EXPECT_EQ(to_string(Scale::kDefault), "default");
+  EXPECT_EQ(to_string(Scale::kFull), "full");
+  for (Scale scale : {Scale::kTiny, Scale::kDefault, Scale::kFull}) {
+    EXPECT_EQ(config::parse_scale(to_string(scale)), scale);
+  }
 }
 
 TEST(Config, ScaleRejectsUnknownValueLoudly) {
@@ -434,8 +410,8 @@ TEST(Config, SeedCountPrecedenceAndValidation) {
     ScopedEnv zero("SAFELIGHT_SEEDS", "0");
     EXPECT_THROW(config::seed_count(3), std::invalid_argument);  // no clamp
   }
-  // Non-numeric values fail loudly too, instead of env_int's silent
-  // fall-back to the default.
+  // Non-numeric values fail loudly too, never a silent fall-back to the
+  // default.
   ScopedEnv junk("SAFELIGHT_SEEDS", "ten");
   EXPECT_THROW(config::seed_count(3), std::invalid_argument);
   ScopedEnv partial("SAFELIGHT_SEEDS", "3x10");
@@ -484,8 +460,8 @@ TEST(Config, PrefixCacheKnobIsStrict) {
     ScopedEnv on("SAFELIGHT_PREFIX_CACHE", "1");
     EXPECT_TRUE(config::prefix_cache());
   }
-  // A non-integer fails with the shared strict-knob message instead of
-  // env_int's silent fall-back to "on".
+  // A non-integer fails with the shared strict-knob message, never a silent
+  // fall-back to "on".
   for (const char* junk : {"off", "1x", "yes"}) {
     ScopedEnv bogus("SAFELIGHT_PREFIX_CACHE", junk);
     try {

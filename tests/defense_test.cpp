@@ -8,8 +8,8 @@
 #include <fstream>
 #include <optional>
 
-#include "core/detection.hpp"
 #include "core/evaluation.hpp"
+#include "core/experiment.hpp"
 #include "defense/suite.hpp"
 #include "nn/serialize.hpp"
 #include "test_util.hpp"
@@ -17,7 +17,6 @@
 namespace safelight {
 namespace {
 
-using core::DetectionOptions;
 using core::DetectionReport;
 using core::ExperimentSetup;
 using core::ModelZoo;
@@ -225,17 +224,34 @@ std::vector<attack::AttackScenario> sweep_grid() {
       {attack::AttackTarget::kBothBlocks}, {0.05, 0.10}, 2, 500);
 }
 
+/// A tiny-scale CNN_1 detection spec (Original variant) over `grid`.
+core::ExperimentSpec detection_spec(std::vector<attack::AttackScenario> grid,
+                                    std::size_t clean_runs) {
+  core::ExperimentSpec spec =
+      core::ExperimentRegistry::global().default_spec("detection");
+  spec.model = nn::ModelId::kCnn1;
+  spec.scale = Scale::kTiny;
+  spec.clean_runs = clean_runs;
+  spec.grid = std::move(grid);
+  return spec;
+}
+
+DetectionReport run_detection(const core::ExperimentSpec& spec,
+                              ModelZoo& zoo) {
+  core::RunContext context(zoo);
+  return core::ExperimentRegistry::global()
+      .run(spec, context)
+      .as<DetectionReport>();
+}
+
 TEST(DetectionSweep, ZeroFalsePositivesAndAucAboveChance) {
   TempDir dir("detection_sweep");
-  const ExperimentSetup setup = tiny_setup();
   ModelZoo zoo(dir.path());
 
-  DetectionOptions options;
-  options.clean_runs = 4;
-  const DetectionReport report = core::run_detection_sweep(
-      setup, zoo, core::variant_by_name("Original"), sweep_grid(), options);
+  const core::ExperimentSpec spec = detection_spec(sweep_grid(), 4);
+  const DetectionReport report = run_detection(spec, zoo);
 
-  const std::size_t runs = options.clean_runs + sweep_grid().size();
+  const std::size_t runs = spec.clean_runs + sweep_grid().size();
   ASSERT_EQ(report.rows.size(), runs * 3u);
   ASSERT_EQ(report.detectors.size(), 3u);
 
@@ -286,27 +302,23 @@ TEST(DetectionSweep, ZeroFalsePositivesAndAucAboveChance) {
 
 TEST(DetectionSweep, CachesAndResumesDeterministically) {
   TempDir dir("detection_resume");
-  const ExperimentSetup setup = tiny_setup();
   ModelZoo zoo(dir.path());
 
-  DetectionOptions options;
-  options.clean_runs = 2;
-  options.cache_dir = dir.path();
   const auto grid = attack::scenario_grid(
       {attack::AttackVector::kActuation}, {attack::AttackTarget::kBothBlocks},
       {0.10}, 2, 600);
+  core::ExperimentSpec spec = detection_spec(grid, 2);
+  spec.cache_dir = dir.path();
 
-  const DetectionReport first = core::run_detection_sweep(
-      setup, zoo, core::variant_by_name("Original"), grid, options);
-  EXPECT_EQ(first.evaluated, options.clean_runs + grid.size());
+  const DetectionReport first = run_detection(spec, zoo);
+  EXPECT_EQ(first.evaluated, spec.clean_runs + grid.size());
   EXPECT_EQ(first.cache_hits, 0u);
 
   // A fresh sweep (new process in real life) re-evaluates nothing and
   // reproduces every score exactly.
-  const DetectionReport second = core::run_detection_sweep(
-      setup, zoo, core::variant_by_name("Original"), grid, options);
+  const DetectionReport second = run_detection(spec, zoo);
   EXPECT_EQ(second.evaluated, 0u);
-  EXPECT_EQ(second.cache_hits, options.clean_runs + grid.size());
+  EXPECT_EQ(second.cache_hits, spec.clean_runs + grid.size());
   ASSERT_EQ(second.rows.size(), first.rows.size());
   for (std::size_t i = 0; i < first.rows.size(); ++i) {
     EXPECT_DOUBLE_EQ(second.rows[i].score, first.rows[i].score)
@@ -337,8 +349,7 @@ TEST(DetectionSweep, CachesAndResumesDeterministically) {
     std::ofstream out(store_file, std::ios::trunc);
     for (const auto& line : lines) out << line << '\n';
   }
-  const DetectionReport third = core::run_detection_sweep(
-      setup, zoo, core::variant_by_name("Original"), grid, options);
+  const DetectionReport third = run_detection(spec, zoo);
   EXPECT_EQ(third.evaluated, 1u);
   for (std::size_t i = 0; i < first.rows.size(); ++i) {
     EXPECT_DOUBLE_EQ(third.rows[i].score, first.rows[i].score)

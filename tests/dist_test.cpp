@@ -1,5 +1,6 @@
-// Distributed sweep sharding: protocol, multi-writer store merge, and the
-// coordinator/worker chaos harness.
+// Distributed sweep sharding: protocol, the planner's spec -> task
+// invariant, multi-writer store merge, and the coordinator/worker chaos
+// harness.
 //
 // The end-to-end tests spawn the real `safelight` binary (the coordinator
 // re-execs it as workers via /proc/self/exe) on the tiniest deterministic
@@ -26,14 +27,18 @@
 #include <vector>
 
 #include "attacks/scenario.hpp"
+#include "common/config.hpp"
 #include "common/fault.hpp"
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "core/result_store.hpp"
 #include "dist/coordinator.hpp"
+#include "dist/plan.hpp"
 #include "dist/protocol.hpp"
 #include "dist/store_merge.hpp"
+#include "nn/models.hpp"
+#include "nn/serialize.hpp"
 #include "test_util.hpp"
 
 namespace safelight {
@@ -191,6 +196,81 @@ TEST(DistProtocol, ShutdownIsRecognizedAndMalformedLinesThrow) {
 void write_store(const std::string& path, const std::string& body) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << body;
+}
+
+// The spec is the whole run: every task the planner sends, decoded and
+// rebuilt through the worker's own path (dist/worker.cpp state_for), must
+// give exactly the setup and variant the in-process run resolves from the
+// spec. Any spec field a TaskMessage cannot carry would make the same spec
+// sweep different things in-process and under --workers.
+TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
+  TempDir dir("dist_plan_invariant");
+  core::ModelZoo zoo(dir.path() + "/zoo");
+  const auto& registry = core::ExperimentRegistry::global();
+  constexpr float kL2 = 1e-3f;  // non-default, so it must cross the wire
+  const std::vector<core::VariantSpec> variants = core::paper_variants(kL2);
+
+  for (const Scale scale : {Scale::kTiny, Scale::kDefault}) {
+    // Untrained zoo entries: the planner only loads them (for the store
+    // checksum), so the test never pays for training.
+    const core::ExperimentSetup setup =
+        core::experiment_setup(nn::ModelId::kCnn1, scale);
+    for (const core::VariantSpec& variant : variants) {
+      auto model = nn::make_model(setup.model, setup.model_config);
+      nn::save_model(*model, zoo.entry_path(setup, variant));
+    }
+
+    for (const std::string experiment :
+         {"susceptibility", "mitigation", "robust_compare"}) {
+      for (const core::VariantSpec& variant : variants) {
+        SCOPED_TRACE(experiment + " / " + variant.name + " / " +
+                     to_string(scale));
+        core::ExperimentSpec spec = registry.default_spec(experiment);
+        spec.model = nn::ModelId::kCnn1;
+        spec.scale = scale;
+        spec.seed_count = 1;
+        spec.variant = variant.name;
+        spec.l2_strength = kL2;
+        // Pinned, so robust_compare plans no selection sweep (which would
+        // evaluate the untrained models in-process).
+        spec.robust_variant = variant.name;
+        spec.cache_dir = dir.path() + "/stores";
+        const core::ExperimentSetup expected_setup = spec.resolved_setup();
+
+        dist::DistPlanner planner(experiment, spec);
+        std::set<std::string> planned;
+        while (const auto round = planner.next_round(zoo, {})) {
+          for (const TaskMessage& sent : *round) {
+            const TaskMessage task =
+                dist::decode_task(dist::encode_task(sent));
+            const core::ExperimentSetup rebuilt_setup = core::experiment_setup(
+                nn::model_id_from_string(task.model),
+                config::parse_scale(task.scale));
+            EXPECT_EQ(rebuilt_setup.tag(), expected_setup.tag());
+            EXPECT_EQ(rebuilt_setup.eval_count, expected_setup.eval_count);
+
+            const core::VariantSpec rebuilt = core::variant_by_name(
+                task.variant, static_cast<float>(task.l2_strength));
+            core::ExperimentSpec named = spec;
+            named.variant = task.variant;
+            const core::VariantSpec expected = named.resolved_variant();
+            EXPECT_EQ(rebuilt.name, expected.name);
+            EXPECT_EQ(rebuilt.weight_decay, expected.weight_decay);
+            EXPECT_EQ(rebuilt.noise_sigma, expected.noise_sigma);
+            planned.insert(task.variant);
+          }
+        }
+
+        std::set<std::string> swept = {"Original"};
+        if (experiment == "mitigation") {
+          for (const core::VariantSpec& v : variants) swept.insert(v.name);
+        } else if (experiment == "robust_compare") {
+          swept.insert(spec.resolved_variant().name);
+        }
+        EXPECT_EQ(planned, swept);
+      }
+    }
+  }
 }
 
 TEST(StoreMerge, DedupsIdenticalRowsAndAppendsFreshOnes) {

@@ -1,8 +1,7 @@
 // Unified experiment API (core/experiment.hpp): registry contents, spec
 // validation, spec -> run -> ExperimentResult -> CSV/JSON round trips for
-// every registered experiment at tiny scale, bitwise equivalence of the
-// deprecated run_* shims with the registry path, and the run-all contract
-// (one shared zoo, no retrain between experiments).
+// every registered experiment at tiny scale, and the run-all contract (one
+// shared zoo, no retrain between experiments).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -127,25 +126,20 @@ TEST(ExperimentSpec, ValidationRejectsBadFieldsWithActionableMessages) {
 }
 
 TEST(ExperimentSpec, VariantOverridePassesThroughVerbatim) {
+  // The deployed variant is exactly variant_by_name(variant, l2_strength):
+  // the name picks the noise sigma and a non-default l2_strength overrides
+  // the weight decay of every L2-regularized variant.
   core::ExperimentSpec spec =
       core::ExperimentRegistry::global().default_spec("detection");
-  // Name + l2_strength resolution is the default path...
   spec.variant = "l2+n3";
+  EXPECT_EQ(spec.resolved_variant().name, "l2+n3");
   EXPECT_FLOAT_EQ(spec.resolved_variant().noise_sigma, 0.3f);
-  // ... but a full override survives unchanged — custom sigma, non-paper
-  // name — and validates without a name lookup (the legacy detection /
-  // campaign shims rely on this to not silently alter the swept variant).
-  core::VariantSpec custom;
-  custom.name = "custom_sigma";
-  custom.weight_decay = 1e-3f;
-  custom.noise_sigma = 0.55f;
-  spec.variant_override = custom;
+  EXPECT_FLOAT_EQ(spec.resolved_variant().weight_decay,
+                  core::kDefaultL2Strength);
+  spec.l2_strength = 1e-3f;
   EXPECT_NO_THROW(spec.validate());
-  EXPECT_EQ(spec.resolved_variant().name, "custom_sigma");
-  EXPECT_FLOAT_EQ(spec.resolved_variant().noise_sigma, 0.55f);
-  // An unnameable override cannot key zoo/result-store entries.
-  spec.variant_override->name.clear();
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  EXPECT_FLOAT_EQ(spec.resolved_variant().weight_decay, 1e-3f);
+  EXPECT_FLOAT_EQ(spec.resolved_variant().noise_sigma, 0.3f);
 }
 
 TEST(ExperimentSpec, RunRejectsUnknownModelNameAtTheParseBoundary) {
@@ -200,46 +194,6 @@ TEST(ExperimentSweep, EveryRegisteredExperimentRoundTripsAtTinyScale) {
     EXPECT_NE(json.find("\"report\": {"), std::string::npos);
   }
   EXPECT_FALSE(notes.empty());  // progress hook fired
-}
-
-TEST(ExperimentSweep, DeprecatedShimsMatchTheRegistryBitwise) {
-  // The legacy entry points and the registry path must produce identical
-  // reports — serialized CSV bytes are the equality proxy. Separate cache
-  // directories prove the equality is computational, not cache reuse.
-  TempDir legacy_dir("experiment_shim_legacy");
-  TempDir registry_dir("experiment_shim_registry");
-  const core::ExperimentSetup setup = tiny_setup();
-
-  // Legacy shim path.
-  core::ModelZoo legacy_zoo(legacy_dir.path());
-  core::SusceptibilityOptions options;
-  options.seed_count = 2;
-  options.cache_dir = legacy_dir.path();
-  const core::SusceptibilityReport legacy =
-      core::run_susceptibility(setup, legacy_zoo, options);
-
-  // Registry path.
-  core::ModelZoo registry_zoo(registry_dir.path());
-  core::RunContext context(registry_zoo);
-  core::ExperimentSpec spec =
-      core::ExperimentRegistry::global().default_spec("susceptibility");
-  spec.model = setup.model;
-  spec.scale = setup.scale;
-  spec.seed_count = 2;
-  spec.cache_dir = registry_dir.path();
-  const core::ExperimentResult result =
-      core::ExperimentRegistry::global().run(spec, context);
-
-  // Wrap the legacy report in a result so both serialize through the same
-  // code; equal bytes then mean equal reports.
-  core::ExperimentResult wrapped;
-  wrapped.experiment = "susceptibility";
-  wrapped.spec = spec;
-  wrapped.payload = legacy;
-  ASSERT_EQ(wrapped.to_csv().size(), 1u);
-  ASSERT_EQ(result.to_csv().size(), 1u);
-  EXPECT_EQ(wrapped.to_csv()[0].rows, result.to_csv()[0].rows);
-  EXPECT_EQ(wrapped.to_json(), result.to_json());
 }
 
 TEST(ExperimentSweep, RunAllSharesOneZooWithoutRetraining) {

@@ -6,10 +6,9 @@
 // contract into a tripwire, so a kernel, cache or threading change can
 // never silently shift the figures again.
 //
-// Since the unified experiment API (core/experiment.hpp), all documents are
-// produced through ExperimentResult::to_csv()/to_json() — the exact code
-// path of the `safelight` CLI and the per-figure bench wrappers — so these
-// goldens also pin "CLI output == legacy bench output".
+// All documents are produced through ExperimentResult::to_csv()/to_json()
+// (core/experiment.hpp) — the exact code path of the `safelight` CLI — so
+// these goldens also pin the CLI's output files.
 //
 // To regenerate after an *intentional* numbers change:
 //   SAFELIGHT_UPDATE_GOLDEN=1 ctest -R Golden
@@ -21,7 +20,7 @@
 #include <sstream>
 #include <string>
 
-#include "common/env.hpp"
+#include "common/config.hpp"
 #include "common/fault.hpp"
 #include "core/experiment.hpp"
 #include "test_util.hpp"
@@ -39,11 +38,12 @@ std::string golden_path(const std::string& name) {
 
 /// Compares `content` against the checked-in golden file byte for byte.
 /// With SAFELIGHT_UPDATE_GOLDEN=1 the file is (re)written instead — the
-/// explicit opt-in for intentional numbers changes.
+/// explicit opt-in for intentional numbers changes. A non-integer value
+/// (e.g. "yes") throws, failing the test instead of silently comparing.
 void expect_matches_golden(const std::string& content,
                            const std::string& name) {
   const std::string path = golden_path(name);
-  if (env_int("SAFELIGHT_UPDATE_GOLDEN", 0) != 0) {
+  if (config::strict_env_int("SAFELIGHT_UPDATE_GOLDEN").value_or(0) != 0) {
     std::filesystem::create_directories(SAFELIGHT_GOLDEN_DIR);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     fault::ptp("golden.update.write");  // crash: truncated golden file

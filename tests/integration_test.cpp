@@ -14,10 +14,9 @@
 #include "accel/vdp.hpp"
 #include "attacks/reference_exec.hpp"
 #include "core/evaluation.hpp"
+#include "core/experiment.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
-#include "core/mitigation.hpp"
-#include "core/susceptibility.hpp"
 #include "nn/serialize.hpp"
 
 namespace safelight {
@@ -28,6 +27,21 @@ class IntegrationFixture : public ::testing::Test {
   static void SetUpTestSuite() {
     dir_ = "/tmp/safelight_integration_zoo";
     std::filesystem::create_directories(dir_);
+  }
+
+  /// Runs `experiment` on the fixture's tiny CNN_1 setup through the
+  /// registry, with `seeds` placements per grid cell.
+  core::ExperimentResult run_experiment(const std::string& experiment,
+                                        std::size_t seeds) const {
+    const auto& registry = core::ExperimentRegistry::global();
+    core::ExperimentSpec spec = registry.default_spec(experiment);
+    spec.model = setup_.model;
+    spec.scale = setup_.scale;
+    spec.seed_count = seeds;
+    spec.cache_dir = dir_;
+    core::ModelZoo zoo(dir_);
+    core::RunContext context(zoo);
+    return registry.run(spec, context);
   }
 
   core::ExperimentSetup setup_ =
@@ -104,12 +118,8 @@ TEST_F(IntegrationFixture, TrainAttackMitigateRecovers) {
 }
 
 TEST_F(IntegrationFixture, SusceptibilityReportShape) {
-  core::ModelZoo zoo(dir_);
-  core::SusceptibilityOptions options;
-  options.seed_count = 2;
-  options.cache_dir = dir_;
-  const core::SusceptibilityReport report =
-      core::run_susceptibility(setup_, zoo, options);
+  const core::ExperimentResult result = run_experiment("susceptibility", 2);
+  const auto& report = result.as<core::SusceptibilityReport>();
 
   EXPECT_EQ(report.rows.size(), 2u * 3u * 3u * 2u);  // grid x 2 seeds
   EXPECT_EQ(report.groups.size(), 18u);
@@ -133,12 +143,8 @@ TEST_F(IntegrationFixture, MitigationReportCoversVariants) {
   // Use a 2-variant sweep through the public API by checking the full
   // mitigation run stays consistent (11 variants would take minutes at
   // tiny scale; the zoo caches make the second run cheap).
-  core::ModelZoo zoo(dir_);
-  core::MitigationOptions options;
-  options.seed_count = 1;
-  options.cache_dir = dir_;
-  const core::MitigationReport report =
-      core::run_mitigation(setup_, zoo, options);
+  const core::ExperimentResult result = run_experiment("mitigation", 1);
+  const auto& report = result.as<core::MitigationReport>();
   EXPECT_EQ(report.outcomes.size(), 11u);
   EXPECT_GT(report.original_baseline, 0.0);
   for (const auto& outcome : report.outcomes) {
