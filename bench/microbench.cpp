@@ -86,20 +86,66 @@ void BM_ThreadPoolDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadPoolDispatch);
 
+/// Random NCHW input for the conv benchmarks.
+sl::nn::Tensor conv_input(std::size_t batch, std::size_t channels,
+                          std::size_t spatial, sl::Rng& rng) {
+  sl::nn::Tensor x({batch, channels, spatial, spatial});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  return x;
+}
+
 void BM_Conv2dForward(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));
   sl::Rng rng(2);
   sl::nn::Conv2d conv(channels, channels, 3, 1, 1, rng);
-  sl::nn::Tensor x({8, channels, 16, 16});
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    x[i] = static_cast<float>(rng.uniform(-1, 1));
-  }
+  const sl::nn::Tensor x = conv_input(8, channels, 16, rng);
   for (auto _ : state) {
     auto out = conv.forward(x, false);
     benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(32);
+
+// Deep-layer inference shapes that dominate the default-scale sweep: VGG's
+// last conv at 1x1 output and ResNet's last stage at 2x2, batch 64. Args:
+// in channels, out channels, spatial size (3x3 kernel, stride 1, pad 1).
+void BM_Conv2dForwardDeep(benchmark::State& state) {
+  const auto in_c = static_cast<std::size_t>(state.range(0));
+  const auto out_c = static_cast<std::size_t>(state.range(1));
+  const auto spatial = static_cast<std::size_t>(state.range(2));
+  sl::Rng rng(2);
+  sl::nn::Conv2d conv(in_c, out_c, 3, 1, 1, rng);
+  const sl::nn::Tensor x = conv_input(64, in_c, spatial, rng);
+  for (auto _ : state) {
+    auto out = conv.forward(x, false);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_Conv2dForwardDeep)->Args({128, 128, 1})->Args({64, 128, 2});
+
+// Backward pass at training batch 32: a large-output shape (one GEMM per
+// image) and the deep shapes above (grouped lowering). Args as for
+// BM_Conv2dForwardDeep.
+void BM_Conv2dBackward(benchmark::State& state) {
+  const auto in_c = static_cast<std::size_t>(state.range(0));
+  const auto out_c = static_cast<std::size_t>(state.range(1));
+  const auto spatial = static_cast<std::size_t>(state.range(2));
+  sl::Rng rng(2);
+  sl::nn::Conv2d conv(in_c, out_c, 3, 1, 1, rng);
+  const sl::nn::Tensor x = conv_input(32, in_c, spatial, rng);
+  const sl::nn::Tensor grad = conv_input(32, out_c, spatial, rng);
+  conv.forward(x, /*train=*/true);  // caches the input backward reads
+  for (auto _ : state) {
+    auto grad_in = conv.backward(grad);
+    benchmark::DoNotOptimize(grad_in.data());
+  }
+}
+BENCHMARK(BM_Conv2dBackward)
+    ->Args({32, 32, 16})
+    ->Args({128, 128, 1})
+    ->Args({64, 128, 2});
 
 void BM_MrBankEffectiveWeights(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));

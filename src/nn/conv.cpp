@@ -1,13 +1,72 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/scratch.hpp"
+#include "nn/backend.hpp"
 #include "nn/gemm.hpp"
 
 namespace safelight::nn {
+
+namespace {
+
+// Minimum column count of one lowered GEMM. The packed kernel always
+// computes kNr-wide panels, so a layer whose output has few pixels (VGG's
+// last conv runs at 1x1, ResNet's last stage at 2x2) lowers
+// ceil(kMinGemmCols / out_hw) images into one GEMM instead of wasting most
+// of every panel on padding.
+constexpr std::size_t kMinGemmCols = 128;
+static_assert(kMinGemmCols % backend::kNr == 0);
+
+std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
+
+/// Images per lowered GEMM for a layer with `hw` output pixels (>= 1).
+std::size_t group_size(std::size_t hw, std::size_t batch) {
+  return std::max<std::size_t>(1, std::min(batch, ceil_div(kMinGemmCols, hw)));
+}
+
+/// Unrolls images [n0, n0 + cnt) of the batch `x` side by side into one
+/// [patch_len x cnt * out_hw] matrix.
+void im2col_group(const float* x, const ConvGeom& g, std::size_t n0,
+                  std::size_t cnt, float* cols) {
+  const std::size_t image_len = g.in_c * g.in_h * g.in_w;
+  const std::size_t hw = g.out_hw();
+  for (std::size_t i = 0; i < cnt; ++i) {
+    im2col(x + (n0 + i) * image_len, g, cols + i * hw, cnt * hw);
+  }
+}
+
+/// [cnt, rows, hw] (image-major, as tensors store it) -> the row-major
+/// [rows, cnt * hw] GEMM operand of a lowered group, gathered into
+/// `scratch`. A single image already has that layout and is returned as is.
+const float* to_gemm_layout(const float* src, std::size_t cnt,
+                            std::size_t rows, std::size_t hw, float* scratch) {
+  if (cnt == 1) return src;
+  for (std::size_t i = 0; i < cnt; ++i) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::memcpy(scratch + (r * cnt + i) * hw, src + (i * rows + r) * hw,
+                  hw * sizeof(float));
+    }
+  }
+  return scratch;
+}
+
+/// Inverse of to_gemm_layout.
+void from_gemm_layout(const float* src, std::size_t cnt, std::size_t rows,
+                      std::size_t hw, float* dst) {
+  for (std::size_t i = 0; i < cnt; ++i) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::memcpy(dst + (i * rows + r) * hw, src + (r * cnt + i) * hw,
+                  hw * sizeof(float));
+    }
+  }
+}
+
+}  // namespace
 
 Conv2d::Conv2d(std::size_t in_c, std::size_t out_c, std::size_t kernel,
                std::size_t stride, std::size_t pad, Rng& rng, bool bias)
@@ -50,25 +109,33 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const std::size_t batch = x.dim(0);
   const std::size_t hw = g.out_hw();
   const std::size_t patch = g.patch_len();
+  const std::size_t per = group_size(hw, batch);
   Tensor out({batch, out_c_, g.out_h(), g.out_w()});
 
   const float* w = weight_.value.data();
   const float* b = has_bias_ ? bias_.value.data() : nullptr;
   parallel_for_chunks(
-      0, batch,
+      0, ceil_div(batch, per),
       [&](std::size_t lo, std::size_t hi) {
-        // Per-worker scratch: the im2col buffer lives in the thread-local
-        // arena and is reused across every batch item of the chunk.
+        // Per-worker scratch: the group's im2col buffer (and the GEMM
+        // output it is scattered from) live in the thread-local arena and
+        // are reused across every group of the chunk.
         ScratchArena& arena = ScratchArena::local();
         const ScratchArena::Frame frame(arena);
-        float* cols = arena.alloc(patch * hw);
-        for (std::size_t n = lo; n < hi; ++n) {
-          im2col(x.data() + n * in_c_ * g.in_h * g.in_w, g, cols);
-          float* out_n = out.data() + n * out_c_ * hw;
+        float* cols = arena.alloc(patch * per * hw);
+        float* tmp = per > 1 ? arena.alloc(out_c_ * per * hw) : nullptr;
+        for (std::size_t group = lo; group < hi; ++group) {
+          const std::size_t n0 = group * per;
+          const std::size_t cnt = std::min(per, batch - n0);
+          im2col_group(x.data(), g, n0, cnt, cols);
+          // A single image's GEMM output already has the tensor layout.
+          float* out_n0 = out.data() + n0 * out_c_ * hw;
+          float* dst = cnt == 1 ? out_n0 : tmp;
           // Bias (one per output channel = per GEMM row) fuses into the
           // kernel epilogue instead of a second pass over the output.
-          gemm(w, cols, out_n, out_c_, patch, hw, /*accumulate=*/false,
+          gemm(w, cols, dst, out_c_, patch, cnt * hw, /*accumulate=*/false,
                /*row_bias=*/b);
+          if (cnt > 1) from_gemm_layout(tmp, cnt, out_c_, hw, out_n0);
         }
       },
       1);
@@ -89,6 +156,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::size_t batch = x.dim(0);
   const std::size_t hw = g.out_hw();
   const std::size_t patch = g.patch_len();
+  const std::size_t image_len = in_c_ * g.in_h * g.in_w;
+  const std::size_t out_len = out_c_ * hw;
+  const std::size_t per = group_size(hw, batch);
   require(grad_out.shape() == output_shape(x.shape()),
           "Conv2d::backward: grad shape mismatch");
 
@@ -105,7 +175,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // contract, not a nicety.
   constexpr std::size_t kGradParts = 8;
   const std::size_t parts = std::min<std::size_t>(kGradParts, batch);
-  const std::size_t per_part = (batch + parts - 1) / parts;
+  const std::size_t per_part = ceil_div(batch, parts);
   std::vector<Tensor> gw_parts;
   std::vector<Tensor> gb_parts;
   for (std::size_t i = 0; i < parts; ++i) {
@@ -113,6 +183,22 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     gb_parts.emplace_back(Shape{out_c_});
   }
 
+  // dcols = W^T [patch x outC] * gout [outC x cols], scattered back into
+  // the images of grad_in whose columns sit at `dcols + i * hw`.
+  const auto input_grad = [&](const float* gout, std::size_t n0,
+                              std::size_t cnt, float* dcols) {
+    gemm_at(w, gout, dcols, patch, out_c_, cnt * hw);
+    for (std::size_t i = 0; i < cnt; ++i) {
+      col2im(dcols + i * hw, g, grad_in.data() + (n0 + i) * image_len,
+             cnt * hw);
+    }
+  };
+
+  // dW: each part runs its items in groups of at most `per`, one GEMM per
+  // group over the concatenated (item, pixel) reduction axis. The kernel
+  // loads the accumulator from C and reduces k in ascending order, so this
+  // performs the same float operations as one accumulating call per item.
+  // With per == 1 the input gradient fuses into the same pass.
   parallel_for(
       0, parts,
       [&](std::size_t part) {
@@ -122,29 +208,53 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         float* gb = gb_parts[part].data();
         ScratchArena& arena = ScratchArena::local();
         const ScratchArena::Frame frame(arena);
-        float* cols = arena.alloc(patch * hw);
-        float* cols_grad = arena.alloc(patch * hw);
-        for (std::size_t n = lo; n < hi; ++n) {
-          const float* gout_n = grad_out.data() + n * out_c_ * hw;
-          im2col(x.data() + n * in_c_ * g.in_h * g.in_w, g, cols);
-          // dW += gout_n [outC x hw] * cols^T [hw x patch]
-          gemm_bt(gout_n, cols, gw, out_c_, hw, patch,
+        float* cols = arena.alloc(patch * per * hw);
+        float* gout_group = per > 1 ? arena.alloc(out_len * per) : nullptr;
+        float* dcols = per == 1 ? arena.alloc(patch * hw) : nullptr;
+        for (std::size_t n0 = lo; n0 < hi; n0 += per) {
+          const std::size_t cnt = std::min(per, hi - n0);
+          im2col_group(x.data(), g, n0, cnt, cols);
+          const float* gout = to_gemm_layout(grad_out.data() + n0 * out_len,
+                                             cnt, out_c_, hw, gout_group);
+          // dW += gout [outC x cols] * cols^T [cols x patch]
+          gemm_bt(gout, cols, gw, out_c_, cnt * hw, patch,
                   /*accumulate=*/true);
           if (has_bias_) {
-            for (std::size_t o = 0; o < out_c_; ++o) {
-              const float* row = gout_n + o * hw;
-              float acc = 0.0f;
-              for (std::size_t i = 0; i < hw; ++i) acc += row[i];
-              gb[o] += acc;
+            for (std::size_t n = n0; n < n0 + cnt; ++n) {
+              const float* gout_n = grad_out.data() + n * out_len;
+              for (std::size_t o = 0; o < out_c_; ++o) {
+                const float* row = gout_n + o * hw;
+                float acc = 0.0f;
+                for (std::size_t i = 0; i < hw; ++i) acc += row[i];
+                gb[o] += acc;
+              }
             }
           }
-          // dcols = W^T [patch x outC] * gout_n [outC x hw]
-          gemm_at(w, gout_n, cols_grad, patch, out_c_, hw);
-          col2im(cols_grad, g,
-                 grad_in.data() + n * in_c_ * g.in_h * g.in_w);
+          if (per == 1) input_grad(gout, n0, 1, dcols);
         }
       },
       1);
+
+  // dX for grouped layers: groups span the whole batch (not just one
+  // part), since each image's input gradient is independent.
+  if (per > 1) {
+    parallel_for_chunks(
+        0, ceil_div(batch, per),
+        [&](std::size_t lo, std::size_t hi) {
+          ScratchArena& arena = ScratchArena::local();
+          const ScratchArena::Frame frame(arena);
+          float* gout_group = arena.alloc(out_len * per);
+          float* dcols = arena.alloc(patch * per * hw);
+          for (std::size_t group = lo; group < hi; ++group) {
+            const std::size_t n0 = group * per;
+            const std::size_t cnt = std::min(per, batch - n0);
+            input_grad(to_gemm_layout(grad_out.data() + n0 * out_len, cnt,
+                                      out_c_, hw, gout_group),
+                       n0, cnt, dcols);
+          }
+        },
+        1);
+  }
 
   for (std::size_t i = 0; i < parts; ++i) {
     weight_.grad += gw_parts[i];

@@ -1,4 +1,19 @@
 // 2-D convolution layer (im2col + GEMM lowering).
+//
+// Each layer call lowers its batch in groups of
+// per = clamp(ceil(kMinGemmCols / out_hw), 1, batch) images: the group's
+// patches are unrolled side by side into one [patch x per * out_hw] matrix
+// and multiplied by the weights in a single GEMM, so layers with tiny
+// outputs (1x1, 2x2) fill the kernel's 32-column panels instead of padding
+// them. Large-output layers get per = 1, one GEMM per image.
+//
+// Backward keeps the weight gradient's fixed 8-part batch partition (the
+// thread-invariance contract); inside a part, each group's weight gradient
+// is one accumulating GEMM over the concatenated (image, pixel) axis, which
+// the kernel's ascending-k single-accumulator reduction makes bitwise equal
+// to one call per image. The input gradient is grouped like forward. Every
+// output, gradient and trained weight is therefore byte-identical to the
+// per-image lowering.
 #pragma once
 
 #include "nn/im2col.hpp"

@@ -1,7 +1,11 @@
 // im2col / col2im lowering for 2-D convolution.
 //
-// Convolution forward becomes one GEMM per batch over the unrolled patch
-// matrix; backward-to-input uses col2im to scatter patch gradients back.
+// Conv2d lowers a group of images at a time into one GEMM: each image of
+// the group is unrolled into its own out_hw-wide column block of a shared
+// [patch_len x cnt * out_hw] matrix (leading dimension `ld` = cnt * out_hw),
+// so deep layers with tiny outputs still hand the kernel wide panels.
+// Backward-to-input uses col2im to scatter patch gradients back, one image
+// per column block.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +32,26 @@ struct ConvGeom {
   }
 };
 
-/// Unrolls a single image [C,H,W] into columns [patch_len x out_hw].
-/// Out-of-bounds (padding) taps contribute zeros.
-void im2col(const float* image, const ConvGeom& g, float* columns);
+/// Unrolls a single image [C,H,W] into columns [patch_len x out_hw] whose
+/// rows sit `ld` floats apart (ld >= out_hw). Out-of-bounds (padding) taps
+/// contribute zeros; columns [out_hw, ld) of each row are left untouched.
+void im2col(const float* image, const ConvGeom& g, float* columns,
+            std::size_t ld);
 
-/// Scatters columns [patch_len x out_hw] back into an image [C,H,W],
-/// accumulating overlapping contributions. `image` must be zeroed by the
-/// caller beforehand.
-void col2im(const float* columns, const ConvGeom& g, float* image);
+/// im2col with densely packed rows (ld = out_hw).
+inline void im2col(const float* image, const ConvGeom& g, float* columns) {
+  im2col(image, g, columns, g.out_hw());
+}
+
+/// Scatters columns [patch_len x out_hw] (rows `ld` floats apart) back into
+/// an image [C,H,W], accumulating overlapping contributions. `image` must be
+/// zeroed by the caller beforehand.
+void col2im(const float* columns, const ConvGeom& g, float* image,
+            std::size_t ld);
+
+/// col2im with densely packed rows (ld = out_hw).
+inline void col2im(const float* columns, const ConvGeom& g, float* image) {
+  col2im(columns, g, image, g.out_hw());
+}
 
 }  // namespace safelight::nn

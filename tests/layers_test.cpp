@@ -4,12 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
+#include "nn/backend.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/dropout.hpp"
+#include "nn/gemm_ref.hpp"
+#include "nn/im2col.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
@@ -149,6 +155,132 @@ TEST(Conv2d, ParamKindsForMapping) {
   Conv2d conv(1, 2, 3, 1, 1, rng);
   EXPECT_EQ(conv.params()[0]->kind, ParamKind::kConvWeight);
   EXPECT_EQ(conv.params()[1]->kind, ParamKind::kElectronic);  // bias
+}
+
+/// One training step of a conv layer lowered per image onto the naive
+/// reference kernels: one im2col + GEMM per image, and backward over the
+/// layer's fixed 8-part batch partition with each part's weight gradient
+/// accumulated one image at a time, merged in part order. `weight_grad` and
+/// `bias_grad` hold the gradients before the step and accumulate into them.
+struct ConvReferenceStep {
+  std::vector<float> out, grad_in;
+};
+
+ConvReferenceStep reference_conv_step(Conv2d& conv, const Tensor& x,
+                                      const Tensor& grad_out,
+                                      std::vector<float>& weight_grad,
+                                      std::vector<float>& bias_grad) {
+  const ConvGeom g{conv.in_channels(), x.dim(2), x.dim(3), conv.kernel(),
+                   conv.kernel(), conv.stride(), conv.pad()};
+  const std::size_t batch = x.dim(0);
+  const std::size_t out_c = conv.out_channels();
+  const std::size_t hw = g.out_hw();
+  const std::size_t patch = g.patch_len();
+  const std::size_t image_len = g.in_c * g.in_h * g.in_w;
+  const std::size_t out_len = out_c * hw;
+  const float* w = conv.weight().value.data();
+  const float* b = conv.has_bias() ? conv.bias().value.data() : nullptr;
+  std::vector<float> cols(patch * hw), dcols(patch * hw);
+
+  ConvReferenceStep step;
+  step.out.assign(batch * out_len, 0.0f);
+  step.grad_in.assign(x.numel(), 0.0f);
+  for (std::size_t n = 0; n < batch; ++n) {
+    im2col(x.data() + n * image_len, g, cols.data());
+    gemm_ref(w, cols.data(), step.out.data() + n * out_len, out_c, patch, hw,
+             false, b);
+  }
+
+  const std::size_t parts = std::min<std::size_t>(8, batch);
+  const std::size_t per_part = (batch + parts - 1) / parts;
+  for (std::size_t part = 0; part < parts; ++part) {
+    std::vector<float> gw(weight_grad.size(), 0.0f), gb(out_c, 0.0f);
+    const std::size_t hi = std::min(batch, (part + 1) * per_part);
+    for (std::size_t n = part * per_part; n < hi; ++n) {
+      const float* gout = grad_out.data() + n * out_len;
+      im2col(x.data() + n * image_len, g, cols.data());
+      gemm_bt_ref(gout, cols.data(), gw.data(), out_c, hw, patch, true);
+      if (b != nullptr) {
+        for (std::size_t o = 0; o < out_c; ++o) {
+          float acc = 0.0f;
+          for (std::size_t i = 0; i < hw; ++i) acc += gout[o * hw + i];
+          gb[o] += acc;
+        }
+      }
+      gemm_at_ref(w, gout, dcols.data(), patch, out_c, hw);
+      col2im(dcols.data(), g, step.grad_in.data() + n * image_len);
+    }
+    for (std::size_t i = 0; i < gw.size(); ++i) weight_grad[i] += gw[i];
+    for (std::size_t o = 0; o < bias_grad.size(); ++o) bias_grad[o] += gb[o];
+  }
+  return step;
+}
+
+void expect_bytes_equal(const Tensor& got, const std::vector<float>& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.numel(), want.size()) << label;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+            0)
+      << label << ": differs bitwise from the per-image reference";
+}
+
+TEST(Conv2d, GroupedLoweringMatchesPerImageReferenceBitwise) {
+  // Output sizes 1x1 / 2x2 / 3x3 / 6x6 group several images per GEMM;
+  // 16x16 keeps one image per GEMM. Batches leave partial last groups and parts, and
+  // batches 9 and 33 leave some of the 8 gradient parts empty.
+  struct Case {
+    std::size_t in_c, out_c, kernel, stride, pad, spatial;
+    bool bias;
+  };
+  const Case cases[] = {
+      {5, 6, 3, 1, 0, 3, true},   // 1x1 output
+      {4, 6, 3, 2, 1, 4, true},   // 2x2 output, stride 2
+      {3, 5, 3, 1, 1, 3, false},  // 3x3 output, no bias
+      {3, 4, 3, 1, 1, 6, true},   // 6x6 output: several groups per part
+      {2, 3, 3, 1, 1, 16, true},  // 16x16 output
+  };
+  const std::size_t batches[] = {1, 9, 33, 65};
+  std::size_t checked = 0;
+  for (const backend::ComputeBackend* variant : backend::registered()) {
+    if (!variant->supported()) continue;
+    const backend::ScopedBackend forced(*variant);
+    for (const Case& c : cases) {
+      for (const std::size_t batch : batches) {
+        Rng rng(7 + batch);
+        Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, c.pad, rng, c.bias);
+        std::vector<float> weight_grad(conv.weight().grad.numel(), 0.0f);
+        std::vector<float> bias_grad(c.bias ? c.out_c : 0, 0.0f);
+        // The same layer runs two steps: caches are refreshed and the
+        // gradients accumulate across backward calls.
+        for (int step = 0; step < 2; ++step) {
+          const std::string label =
+              std::string(variant->name()) + " in_c=" +
+              std::to_string(c.in_c) + " spatial=" +
+              std::to_string(c.spatial) + " batch=" + std::to_string(batch) +
+              " step=" + std::to_string(step);
+          const Tensor x =
+              random_tensor({batch, c.in_c, c.spatial, c.spatial}, rng);
+          const Tensor eval_out = conv.forward(x, /*train=*/false);
+          const Tensor out = conv.forward(x, /*train=*/true);
+          const Tensor grad_out = random_tensor(out.shape(), rng);
+          const Tensor grad_in = conv.backward(grad_out);
+          const ConvReferenceStep want =
+              reference_conv_step(conv, x, grad_out, weight_grad, bias_grad);
+          expect_bytes_equal(eval_out, want.out, label + " eval out");
+          expect_bytes_equal(out, want.out, label + " out");
+          expect_bytes_equal(grad_in, want.grad_in, label + " grad_in");
+          expect_bytes_equal(conv.weight().grad, weight_grad,
+                             label + " weight.grad");
+          if (c.bias) {
+            expect_bytes_equal(conv.bias().grad, bias_grad,
+                               label + " bias.grad");
+          }
+        }
+      }
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 1u);  // scalar at minimum
 }
 
 // ---------------------------------------------------------------- linear

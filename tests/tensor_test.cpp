@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -267,6 +269,180 @@ TEST(Im2col, Col2imAccumulatesOverlaps) {
   // Corner pixel (0,0) is touched once; center (1,1) four times.
   EXPECT_FLOAT_EQ(image[0], 1.0f);
   EXPECT_FLOAT_EQ(image[4], 4.0f);
+}
+
+std::vector<float> random_floats(std::size_t n, Rng& rng) {
+  std::vector<float> out(n);
+  for (auto& v : out) v = static_cast<float>(rng.uniform(-1, 1));
+  return out;
+}
+
+TEST(Im2col, LeadingDimensionLeavesGapColumnsUntouched) {
+  // Two images share one [patch x 2 * (hw + gap)] buffer the way Conv2d
+  // lowers a group; each image's gap columns must keep their prior bytes.
+  ConvGeom g{3, 5, 4, 3, 3, 1, 1};
+  const std::size_t hw = g.out_hw();
+  const std::size_t patch = g.patch_len();
+  const std::size_t ld = 2 * (hw + 3);
+  const std::size_t image_len = g.in_c * g.in_h * g.in_w;
+  Rng rng(56);
+  const auto images = random_floats(2 * image_len, rng);
+  std::vector<float> dense(patch * hw);
+  std::vector<float> cols(patch * ld, 42.0f);
+  im2col(images.data(), g, cols.data(), ld);
+  im2col(images.data() + image_len, g, cols.data() + hw + 3, ld);
+  for (std::size_t img = 0; img < 2; ++img) {
+    im2col(images.data() + img * image_len, g, dense.data());
+    const std::size_t base = img * (hw + 3);
+    for (std::size_t row = 0; row < patch; ++row) {
+      const float* got = cols.data() + row * ld + base;
+      EXPECT_EQ(std::memcmp(got, dense.data() + row * hw, hw * sizeof(float)),
+                0)
+          << "image " << img << " row " << row;
+      for (std::size_t j = hw; j < hw + 3; ++j) {
+        EXPECT_EQ(got[j], 42.0f) << "gap column overwritten, row " << row;
+      }
+    }
+  }
+
+  // col2im reads only the first hw columns of each row: NaN gaps must not
+  // reach the image.
+  for (std::size_t row = 0; row < patch; ++row) {
+    for (std::size_t j = hw; j < ld; ++j) cols[row * ld + j] = std::nanf("");
+  }
+  std::vector<float> got(image_len, 0.0f), want(image_len, 0.0f);
+  col2im(cols.data(), g, got.data(), ld);
+  for (std::size_t row = 0; row < patch; ++row) {
+    std::memcpy(dense.data() + row * hw, cols.data() + row * ld,
+                hw * sizeof(float));
+  }
+  col2im(dense.data(), g, want.data());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), image_len * sizeof(float)),
+            0);
+}
+
+TEST(Im2col, Col2imIsAdjointWithLeadingDimension) {
+  // The adjoint property restricted to the hw columns each row owns.
+  ConvGeom g{2, 5, 6, 3, 3, 2, 1};
+  const std::size_t hw = g.out_hw();
+  const std::size_t ld = hw + 5;
+  Rng rng(57);
+  const std::size_t image_len = g.in_c * g.in_h * g.in_w;
+  const auto x = random_floats(image_len, rng);
+  const auto y = random_floats(g.patch_len() * ld, rng);
+
+  std::vector<float> ax(g.patch_len() * ld, 0.0f);
+  im2col(x.data(), g, ax.data(), ld);
+  std::vector<float> aty(image_len, 0.0f);
+  col2im(y.data(), g, aty.data(), ld);
+
+  double lhs = 0, rhs = 0;
+  for (std::size_t row = 0; row < g.patch_len(); ++row) {
+    for (std::size_t j = 0; j < hw; ++j) {
+      lhs += ax[row * ld + j] * y[row * ld + j];
+    }
+  }
+  for (std::size_t i = 0; i < image_len; ++i) rhs += x[i] * aty[i];
+  EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+/// The original per-element lowering, with a bounds test on every tap: the
+/// span-based im2col/col2im must reproduce it exactly.
+void im2col_per_tap(const float* image, const ConvGeom& g, float* columns) {
+  const std::size_t out_h = g.out_h();
+  const std::size_t out_w = g.out_w();
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.in_c; ++c) {
+    for (std::size_t kh = 0; kh < g.k_h; ++kh) {
+      for (std::size_t kw = 0; kw < g.k_w; ++kw, ++row) {
+        for (std::size_t oh = 0; oh < out_h; ++oh) {
+          for (std::size_t ow = 0; ow < out_w; ++ow) {
+            const long ih = static_cast<long>(oh * g.stride + kh) -
+                            static_cast<long>(g.pad);
+            const long iw = static_cast<long>(ow * g.stride + kw) -
+                            static_cast<long>(g.pad);
+            const bool ok = ih >= 0 && ih < static_cast<long>(g.in_h) &&
+                            iw >= 0 && iw < static_cast<long>(g.in_w);
+            columns[row * out_h * out_w + oh * out_w + ow] =
+                ok ? image[(c * g.in_h + static_cast<std::size_t>(ih)) *
+                               g.in_w +
+                           static_cast<std::size_t>(iw)]
+                   : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void col2im_per_tap(const float* columns, const ConvGeom& g, float* image) {
+  const std::size_t out_h = g.out_h();
+  const std::size_t out_w = g.out_w();
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.in_c; ++c) {
+    for (std::size_t kh = 0; kh < g.k_h; ++kh) {
+      for (std::size_t kw = 0; kw < g.k_w; ++kw, ++row) {
+        for (std::size_t oh = 0; oh < out_h; ++oh) {
+          for (std::size_t ow = 0; ow < out_w; ++ow) {
+            const long ih = static_cast<long>(oh * g.stride + kh) -
+                            static_cast<long>(g.pad);
+            const long iw = static_cast<long>(ow * g.stride + kw) -
+                            static_cast<long>(g.pad);
+            if (ih < 0 || ih >= static_cast<long>(g.in_h) || iw < 0 ||
+                iw >= static_cast<long>(g.in_w)) {
+              continue;
+            }
+            image[(c * g.in_h + static_cast<std::size_t>(ih)) * g.in_w +
+                  static_cast<std::size_t>(iw)] +=
+                columns[row * out_h * out_w + oh * out_w + ow];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Im2col, MatchesPerTapLoweringElementForElement) {
+  const ConvGeom geoms[] = {
+      {2, 5, 5, 2, 2, 1, 3},  // padding wider than the kernel
+      {2, 6, 6, 3, 3, 3, 4},  // ... with stride 3
+      {3, 7, 5, 3, 3, 2, 1},  // stride 2, odd sizes
+      {2, 5, 7, 3, 3, 2, 2},  // stride 2, odd sizes, pad 2
+      {1, 4, 6, 2, 3, 2, 1},  // non-square kernel
+      {1, 1, 1, 7, 7, 1, 3},  // kernel wider than the image
+      {2, 8, 8, 3, 3, 1, 1},  // the common same-padding case
+      {1, 6, 9, 1, 1, 2, 0},  // 1x1 kernel, stride 2
+  };
+  Rng rng(58);
+  for (const ConvGeom& g : geoms) {
+    ASSERT_TRUE(g.valid());
+    const std::string label = "in " + std::to_string(g.in_h) + "x" +
+                              std::to_string(g.in_w) + " k" +
+                              std::to_string(g.k_h) + "x" +
+                              std::to_string(g.k_w) + " s" +
+                              std::to_string(g.stride) + " p" +
+                              std::to_string(g.pad);
+    const std::size_t image_len = g.in_c * g.in_h * g.in_w;
+    const std::size_t cols_len = g.patch_len() * g.out_hw();
+    const auto image = random_floats(image_len, rng);
+    std::vector<float> got(cols_len, 7.0f), want(cols_len, -7.0f);
+    im2col(image.data(), g, got.data());
+    im2col_per_tap(image.data(), g, want.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), cols_len * sizeof(float)),
+              0)
+        << label << ": im2col";
+
+    // col2im accumulates onto whatever the image holds.
+    const auto cols = random_floats(cols_len, rng);
+    std::vector<float> back = random_floats(image_len, rng);
+    std::vector<float> back_want = back;
+    col2im(cols.data(), g, back.data());
+    col2im_per_tap(cols.data(), g, back_want.data());
+    EXPECT_EQ(
+        std::memcmp(back.data(), back_want.data(), image_len * sizeof(float)),
+        0)
+        << label << ": col2im";
+  }
 }
 
 }  // namespace
