@@ -18,7 +18,13 @@ namespace {
 // computes kNr-wide panels, so a layer whose output has few pixels (VGG's
 // last conv runs at 1x1, ResNet's last stage at 2x2) lowers
 // ceil(kMinGemmCols / out_hw) images into one GEMM instead of wasting most
-// of every panel on padding.
+// of every panel on padding. Measured against kMinGemmCols = kNr on a
+// 4-vCPU AVX-512 host (perfbench/run.py, 5 alternating pairs): sweep-default
+// median wall_s 3.87 s at 128 vs 4.22 s at kNr, for about 3 MB more peak
+// RSS (103 vs 100 MB; serve-storm 68 vs 67 MB). kNr was faster only on the
+// multi-threaded batch-64 forward microbenchmarks, where it yields more
+// groups to spread over the pool; inside the sweep's scenario fan-out
+// each layer runs on one thread.
 constexpr std::size_t kMinGemmCols = 128;
 static_assert(kMinGemmCols % backend::kNr == 0);
 
@@ -183,22 +189,10 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     gb_parts.emplace_back(Shape{out_c_});
   }
 
-  // dcols = W^T [patch x outC] * gout [outC x cols], scattered back into
-  // the images of grad_in whose columns sit at `dcols + i * hw`.
-  const auto input_grad = [&](const float* gout, std::size_t n0,
-                              std::size_t cnt, float* dcols) {
-    gemm_at(w, gout, dcols, patch, out_c_, cnt * hw);
-    for (std::size_t i = 0; i < cnt; ++i) {
-      col2im(dcols + i * hw, g, grad_in.data() + (n0 + i) * image_len,
-             cnt * hw);
-    }
-  };
-
   // dW: each part runs its items in groups of at most `per`, one GEMM per
   // group over the concatenated (item, pixel) reduction axis. The kernel
   // loads the accumulator from C and reduces k in ascending order, so this
   // performs the same float operations as one accumulating call per item.
-  // With per == 1 the input gradient fuses into the same pass.
   parallel_for(
       0, parts,
       [&](std::size_t part) {
@@ -210,7 +204,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         const ScratchArena::Frame frame(arena);
         float* cols = arena.alloc(patch * per * hw);
         float* gout_group = per > 1 ? arena.alloc(out_len * per) : nullptr;
-        float* dcols = per == 1 ? arena.alloc(patch * hw) : nullptr;
         for (std::size_t n0 = lo; n0 < hi; n0 += per) {
           const std::size_t cnt = std::min(per, hi - n0);
           im2col_group(x.data(), g, n0, cnt, cols);
@@ -230,31 +223,34 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
               }
             }
           }
-          if (per == 1) input_grad(gout, n0, 1, dcols);
         }
       },
       1);
 
-  // dX for grouped layers: groups span the whole batch (not just one
-  // part), since each image's input gradient is independent.
-  if (per > 1) {
-    parallel_for_chunks(
-        0, ceil_div(batch, per),
-        [&](std::size_t lo, std::size_t hi) {
-          ScratchArena& arena = ScratchArena::local();
-          const ScratchArena::Frame frame(arena);
-          float* gout_group = arena.alloc(out_len * per);
-          float* dcols = arena.alloc(patch * per * hw);
-          for (std::size_t group = lo; group < hi; ++group) {
-            const std::size_t n0 = group * per;
-            const std::size_t cnt = std::min(per, batch - n0);
-            input_grad(to_gemm_layout(grad_out.data() + n0 * out_len, cnt,
-                                      out_c_, hw, gout_group),
-                       n0, cnt, dcols);
+  // dX: grouped like forward over the whole batch (each image's input
+  // gradient is independent). dcols = W^T [patch x outC] * gout
+  // [outC x cols], scattered back into the images of grad_in whose columns
+  // sit at `dcols + i * hw`.
+  parallel_for_chunks(
+      0, ceil_div(batch, per),
+      [&](std::size_t lo, std::size_t hi) {
+        ScratchArena& arena = ScratchArena::local();
+        const ScratchArena::Frame frame(arena);
+        float* gout_group = per > 1 ? arena.alloc(out_len * per) : nullptr;
+        float* dcols = arena.alloc(patch * per * hw);
+        for (std::size_t group = lo; group < hi; ++group) {
+          const std::size_t n0 = group * per;
+          const std::size_t cnt = std::min(per, batch - n0);
+          const float* gout = to_gemm_layout(grad_out.data() + n0 * out_len,
+                                             cnt, out_c_, hw, gout_group);
+          gemm_at(w, gout, dcols, patch, out_c_, cnt * hw);
+          for (std::size_t i = 0; i < cnt; ++i) {
+            col2im(dcols + i * hw, g, grad_in.data() + (n0 + i) * image_len,
+                   cnt * hw);
           }
-        },
-        1);
-  }
+        }
+      },
+      1);
 
   for (std::size_t i = 0; i < parts; ++i) {
     weight_.grad += gw_parts[i];

@@ -47,8 +47,13 @@ void im2col(const float* image, const ConvGeom& g, float* columns,
           float* dst = out_row + oh * out_w;
           std::memset(dst, 0, cols.lo * sizeof(float));
           if (g.stride == 1) {
-            std::memcpy(dst + cols.lo, src + cols.lo + kw - g.pad,
-                        (cols.hi - cols.lo) * sizeof(float));
+            // An empty span (the tap reads only padding, e.g. a kernel
+            // wider than the image) must not form its source pointer: it
+            // would lie outside the plane.
+            if (cols.hi > cols.lo) {
+              std::memcpy(dst + cols.lo, src + cols.lo + kw - g.pad,
+                          (cols.hi - cols.lo) * sizeof(float));
+            }
           } else {
             for (std::size_t ow = cols.lo; ow < cols.hi; ++ow) {
               dst[ow] = src[ow * g.stride + kw - g.pad];
