@@ -4,8 +4,8 @@
 //   A3. tuning-circuit compensation capacity sweep
 //   A4. DAC resolution sweep (deployment quantization)
 // All on CNN_1 (fast, full CrossLight-sized blocks). The scenario sweeps
-// (A1/A2/A3/A5/A7) run through the scenario pipeline with the ablated
-// CorruptionConfig — the pipeline fingerprints the config into its result
+// (A1/A2/A3/A5/A7) run through the scenario sweep with the ablated
+// CorruptionConfig — the sweep fingerprints the config into its result
 // store, so every knob setting caches separately and re-runs are instant.
 
 #include <cstdio>
@@ -31,17 +31,19 @@ int main() {
   const std::size_t seeds = sl::bench::seed_count(3);
 
   // Mean accuracy across placements for one ablated corruption config,
-  // evaluated through the parallel pipeline on the CONV+FC target.
+  // evaluated through the parallel scenario sweep on the CONV+FC target.
+  const sl::core::RunContext context(zoo);
   const auto sweep_mean = [&](const std::string& variant,
                               sl::attack::AttackVector vector, double fraction,
                               std::uint64_t base_seed,
                               const sl::attack::CorruptionConfig& corruption) {
-    sl::core::PipelineOptions options;
-    options.cache_dir = zoo.directory();
-    options.corruption = corruption;
-    sl::core::ScenarioPipeline pipeline(setup, zoo, options);
-    const sl::core::SweepResult sweep = pipeline.run(
-        sl::core::variant_by_name(variant),
+    sl::core::ExperimentSpec spec;
+    spec.model = setup.model;
+    spec.scale = scale;
+    spec.cache_dir = zoo.directory();
+    spec.corruption = corruption;
+    const sl::core::SweepResult sweep = sl::core::sweep_variant(
+        spec, context, sl::core::variant_by_name(variant),
         sl::attack::scenario_grid({vector},
                                   {sl::attack::AttackTarget::kBothBlocks},
                                   {fraction}, seeds, base_seed));

@@ -96,7 +96,7 @@ export SAFELIGHT_OUT="$WORK_DIR/out"
 "$SAFELIGHT" run susceptibility >"$WORK_DIR/fig7_train.log"
 
 run_sweep() {  # $1 = SAFELIGHT_PREFIX_CACHE value; prints wall seconds
-  rm -f "$SAFELIGHT_ZOO"/*.sweep.csv "$SAFELIGHT_ZOO"/*.sweep.jsonl
+  rm -f "$SAFELIGHT_ZOO"/*.sweep.csv
   local start end
   start=$(python3 -c 'import time; print(time.monotonic())')
   SAFELIGHT_PREFIX_CACHE="$1" "$SAFELIGHT" run susceptibility \
@@ -111,7 +111,7 @@ echo "sweep wall-clock: ${SWEEP_CACHED}s (prefix cache on), ${SWEEP_UNCACHED}s (
 
 echo "== telemetry overhead (traced vs untraced CLI sweep) =="
 run_cli_sweep() {  # $@ = extra CLI flags; prints wall seconds
-  rm -f "$SAFELIGHT_ZOO"/*.sweep.csv "$SAFELIGHT_ZOO"/*.sweep.jsonl
+  rm -f "$SAFELIGHT_ZOO"/*.sweep.csv
   local start end
   start=$(python3 -c 'import time; print(time.monotonic())')
   "$SAFELIGHT" run susceptibility "$@" >"$WORK_DIR/cli_run.log"

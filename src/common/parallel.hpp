@@ -7,10 +7,11 @@
 // issued per attack sweep can afford it; the helpers still degrade to a
 // plain serial loop when the range or the host does not justify fanning out.
 //
-// The sweep engines (scenario pipeline, detection, campaign) fan out with
-// parallel_claim instead: their items cost anywhere from milliseconds to
-// seconds and each thread needs private state (a model copy and evaluator),
-// so threads claim items one at a time rather than taking fixed chunks.
+// The cell-sweep engine (core/pipeline.hpp), which runs every experiment's
+// sweep, fans out with parallel_claim instead: its cells cost anywhere from
+// milliseconds to seconds and each thread needs private state (a model copy
+// and evaluator), so threads claim cells one at a time rather than taking
+// fixed chunks.
 #pragma once
 
 #include <cstddef>

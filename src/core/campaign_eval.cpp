@@ -2,17 +2,12 @@
 
 #include "core/experiment.hpp"
 
-#include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <set>
 
 #include "common/error.hpp"
-#include "common/fingerprint.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "core/evaluation.hpp"
-#include "core/result_store.hpp"
+#include "core/pipeline.hpp"
 
 namespace safelight::core {
 
@@ -24,21 +19,12 @@ struct PhaseTask {
   std::size_t phase = 0;
 };
 
-/// Probe seed of one (campaign, phase, check) cell, derived from its full
-/// key so every check reads independent sensor noise and a cached score is
-/// a pure function of the key.
-std::uint64_t probe_seed_of(const std::string& key) {
-  Fingerprint fp;
-  fp.mix_bytes(key.data(), key.size());
-  return splitmix64(fp.value());
-}
-
-/// Accuracy store key of a phase: composite-id based, so campaigns sharing
-/// a composite (a burst equal to a ramp's peak) share the cached entry.
-std::string accuracy_key(const attack::CampaignPhase& phase,
+/// Accuracy store key of a composite (or "baseline" for the clean
+/// deployment): composite-id based, so campaigns sharing a composite (a
+/// burst equal to a ramp's peak) share the cached entry.
+std::string accuracy_key(const std::string& composite_id,
                          std::size_t eval_count) {
-  return "acc/" + (phase.active() ? phase.attack.id() : "baseline") + "/n" +
-         std::to_string(eval_count);
+  return "acc/" + composite_id + "/n" + std::to_string(eval_count);
 }
 
 std::string score_key(const std::string& campaign_id, std::size_t phase,
@@ -70,8 +56,12 @@ class CampaignEvaluator {
     suite_.calibrate(clean);
   }
 
-  /// Evaluates one phase: accuracy (through the composite-id cache) plus
-  /// `phase.checks` full suite checks against the compromised deployment.
+  /// Accuracy of the clean deployment (the sweep's baseline cell).
+  double baseline_accuracy() { return evaluator_.baseline_accuracy(); }
+
+  /// Evaluates one phase: an active phase's accuracy (through the
+  /// composite-id cache) plus `phase.checks` full suite checks against the
+  /// deployment. A dormant phase runs clean; its accuracy is the baseline.
   void run_phase(const attack::CampaignSchedule& schedule,
                  const std::string& campaign_id, std::size_t phase_index,
                  ResultStore& store) {
@@ -85,22 +75,20 @@ class CampaignEvaluator {
       evaluator_.apply_composite(phase.attack);
       telemetry = defense::composite_telemetry(setup_.accelerator,
                                                phase.attack, spec_.corruption);
+      const std::string acc_key =
+          accuracy_key(phase.attack.id(), setup_.eval_count);
+      if (!store.contains(acc_key)) {
+        store.put(acc_key, evaluator_.evaluate_applied(phase.attack.id()));
+      }
     } else {
       evaluator_.restore_clean();
-    }
-    const std::string acc_key = accuracy_key(phase, setup_.eval_count);
-    if (!store.contains(acc_key)) {
-      const double accuracy =
-          phase.active() ? evaluator_.evaluate_applied(phase.attack.id())
-                         : evaluator_.baseline_accuracy();
-      store.put(acc_key, accuracy);
     }
     const defense::DeploymentView view{
         *model_, evaluator_.executor(),
         telemetry.empty() ? nullptr : &telemetry, 0};
     for (std::size_t check = 0; check < phase.checks; ++check) {
       defense::DeploymentView check_view = view;
-      check_view.probe_seed = probe_seed_of(
+      check_view.probe_seed = defense::probe_seed_of(
           score_key(campaign_id, phase_index, check, "suite"));
       const std::vector<defense::DetectionResult> results =
           suite_.check_all(check_view);
@@ -194,13 +182,11 @@ namespace {
 CampaignSweepReport campaign_impl(const ExperimentSpec& spec,
                                   RunContext& context) {
   const ExperimentSetup setup = spec.resolved_setup();
-  ModelZoo& zoo = context.zoo();
   const VariantSpec variant = spec.resolved_variant();
   const std::vector<attack::CampaignSchedule> campaigns =
       spec.campaigns.empty() ? attack::standard_campaigns() : spec.campaigns;
   context.note("campaign: sweep " + setup.tag() + " / " + variant.name);
 
-  const auto start = std::chrono::steady_clock::now();
   require(!campaigns.empty(), "campaign: need >= 1 campaign");
   std::vector<std::string> campaign_ids;
   campaign_ids.reserve(campaigns.size());
@@ -213,123 +199,95 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& spec,
                 campaign_ids.back() + "'");
   }
 
-  // Train (or load) on the calling thread; workers only load cache entries.
-  auto model = zoo.get_or_train(setup, variant, spec.verbose);
-  const std::string checksum = weights_checksum(*model);
-
   // Names and default thresholds for report assembly; workers calibrate
   // their own identical suites.
   defense::DetectorSuite reference(setup, spec.suite);
   const std::vector<std::string> detector_names = reference.names();
 
-  std::string csv_path;
-  if (!spec.cache_dir.empty()) {
-    std::filesystem::create_directories(spec.cache_dir);
-    csv_path = spec.cache_dir + "/" + setup.tag() + "_" + variant.name + "_" +
-               checksum + "_" + attack::config_fingerprint(spec.corruption) +
-               "_" + defense::config_fingerprint(spec.suite) + ".campaign.csv";
-  }
-  ResultStore store(csv_path);
-
-  // Pending phases: any missing key (accuracy or a score cell) re-evaluates
-  // the whole phase — an interrupt can land between the per-cell flushes,
-  // and a partially stored phase must re-check rather than crash assembly.
-  const auto fully_stored = [&](std::size_t ci, std::size_t pi) {
-    const attack::CampaignPhase& phase = campaigns[ci].phases[pi];
-    if (!store.contains(accuracy_key(phase, setup.eval_count))) return false;
-    for (std::size_t check = 0; check < phase.checks; ++check) {
-      for (const std::string& name : detector_names) {
-        if (!store.contains(score_key(campaign_ids[ci], pi, check, name))) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-  std::vector<PhaseTask> pending;
+  // Cell 0 is the clean baseline (a dormant phase's accuracy); cell i > 0
+  // is phase tasks[i - 1], filling its (check, detector) scores and, when
+  // active, its composite's accuracy.
+  std::vector<SweepCell> cells{
+      {"baseline", {accuracy_key("baseline", setup.eval_count)}}};
+  std::vector<PhaseTask> tasks;
   for (std::size_t ci = 0; ci < campaigns.size(); ++ci) {
     for (std::size_t pi = 0; pi < campaigns[ci].phases.size(); ++pi) {
-      if (!fully_stored(ci, pi)) pending.push_back({ci, pi});
+      const attack::CampaignPhase& phase = campaigns[ci].phases[pi];
+      SweepCell cell{campaign_ids[ci] + "/p" + std::to_string(pi), {}};
+      for (std::size_t check = 0; check < phase.checks; ++check) {
+        for (const std::string& name : detector_names) {
+          cell.keys.push_back(score_key(campaign_ids[ci], pi, check, name));
+        }
+      }
+      if (phase.active()) {
+        cell.keys.push_back(accuracy_key(phase.attack.id(), setup.eval_count));
+      }
+      cells.push_back(std::move(cell));
+      tasks.push_back({ci, pi});
     }
   }
 
-  parallel_claim<CampaignEvaluator>(
-      pending.size(), spec.max_workers,
-      [&] {
-        // Phase evaluation corrupts and restores model weights, so every
-        // thread deploys a private copy (a zoo cache load).
-        return std::make_unique<CampaignEvaluator>(
-            setup, zoo.get_or_train(setup, variant, false), variant, spec);
+  const std::vector<SweptCell> swept = sweep_cells<CampaignEvaluator>(
+      spec, context, variant,
+      "_" + defense::config_fingerprint(spec.suite) + ".campaign.csv", cells,
+      [&](std::unique_ptr<nn::Sequential> model) {
+        return std::make_unique<CampaignEvaluator>(setup, std::move(model),
+                                                   variant, spec);
       },
-      [&](CampaignEvaluator& evaluator, std::size_t p) {
-        const PhaseTask& task = pending[p];
+      [&](CampaignEvaluator& evaluator, std::size_t i, ResultStore& store) {
+        if (i == 0) {
+          store.put(cells[0].keys[0], evaluator.baseline_accuracy());
+          return;
+        }
+        const PhaseTask& task = tasks[i - 1];
         evaluator.run_phase(campaigns[task.campaign],
                             campaign_ids[task.campaign], task.phase, store);
       });
 
   // Assemble in campaign/phase order; execution order never leaks out.
-  std::set<std::pair<std::size_t, std::size_t>> fresh;
-  for (const PhaseTask& task : pending) {
-    fresh.insert({task.campaign, task.phase});
-  }
   CampaignSweepReport report;
   report.variant = variant.name;
-  report.evaluated = pending.size();
   report.campaigns.reserve(campaigns.size());
-  const std::string baseline_key = "acc/baseline/n" +
-                                   std::to_string(setup.eval_count);
+  const double baseline = swept[0].values[0];
+  std::size_t i = 1;
   for (std::size_t ci = 0; ci < campaigns.size(); ++ci) {
     const attack::CampaignSchedule& schedule = campaigns[ci];
     CampaignResult result;
     result.campaign = schedule.name;
     result.campaign_id = campaign_ids[ci];
     result.detectors = detector_names;
-    if (const auto cached = store.lookup(baseline_key)) {
-      result.baseline_accuracy = *cached;
-    } else {
-      // Every phase was active, so no dormant phase stored the baseline:
-      // one clean evaluation fills it in. *model is still unconditioned:
-      // every phase ran on a private copy.
-      AttackEvaluator evaluator(setup, *model, variant.name, "",
-                                spec.corruption);
-      result.baseline_accuracy = evaluator.baseline_accuracy();
-      store.put(baseline_key, result.baseline_accuracy);
-    }
-    for (std::size_t pi = 0; pi < schedule.phases.size(); ++pi) {
+    result.baseline_accuracy = baseline;
+    for (std::size_t pi = 0; pi < schedule.phases.size(); ++pi, ++i) {
       const attack::CampaignPhase& phase = schedule.phases[pi];
-      const bool from_cache = fresh.count({ci, pi}) == 0;
-      if (from_cache) ++report.cache_hits;
-      const auto accuracy = store.lookup(accuracy_key(phase, setup.eval_count));
-      SAFELIGHT_ASSERT(accuracy.has_value(),
-                       "campaign sweep: accuracy missing after fan-out");
+      const SweptCell& swept_phase = swept[i];
+      if (swept_phase.fresh) {
+        ++report.evaluated;
+      } else {
+        ++report.cache_hits;
+      }
       CampaignPhaseOutcome outcome;
       outcome.name = phase.name;
       outcome.active = phase.active();
       outcome.checks = phase.checks;
-      outcome.accuracy = *accuracy;
+      outcome.accuracy =
+          phase.active() ? swept_phase.values.back() : baseline;
       result.phases.push_back(outcome);
       for (std::size_t check = 0; check < phase.checks; ++check) {
-        for (const std::string& name : detector_names) {
-          const auto score =
-              store.lookup(score_key(campaign_ids[ci], pi, check, name));
-          SAFELIGHT_ASSERT(score.has_value(),
-                           "campaign sweep: score missing after fan-out");
+        for (std::size_t d = 0; d < detector_names.size(); ++d) {
           CampaignCell cell;
           cell.phase = pi;
           cell.check = check;
-          cell.detector = name;
-          cell.score = *score;
-          cell.flagged = *score > reference.detector(name).threshold();
-          cell.from_cache = from_cache;
+          cell.detector = detector_names[d];
+          cell.score = swept_phase.values[check * detector_names.size() + d];
+          cell.flagged =
+              cell.score > reference.detector(cell.detector).threshold();
+          cell.from_cache = !swept_phase.fresh;
           result.cells.push_back(std::move(cell));
         }
       }
     }
     report.campaigns.push_back(std::move(result));
   }
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   return report;
 }
 

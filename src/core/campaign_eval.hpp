@@ -10,12 +10,14 @@
 // per-detector detection latency in checks, and the evasion rate — the
 // fraction of active phases where the attack goes unflagged.
 //
-// Same fan-out / ResultStore discipline as the other sweeps: phases
-// evaluate in parallel over private deployments, every cell persists
-// immediately keyed on the schedule's stable id, and interrupted sweeps
-// resume. Phase accuracies key on the composite id alone, so campaigns
-// sharing a composite (e.g. a burst phase equal to a ramp's peak) share
-// cached accuracy entries.
+// It runs on the same cell-sweep engine as the other sweeps
+// (core/pipeline.hpp): the clean baseline and every phase are cells that
+// evaluate in parallel over private deployments, persist immediately in
+// `<sweep_store_stem>_<suite fingerprint>.campaign.csv` keyed on the
+// schedule's stable id, and resume after an interrupt or a cancel. Phase
+// accuracies key on the composite id alone, so campaigns sharing a
+// composite (e.g. a burst phase equal to a ramp's peak) share cached
+// accuracy entries.
 //
 // Run it as the registry's "campaign" experiment (core/experiment.hpp): the
 // spec names the deployed variant and the schedules (the standard red-team
@@ -86,7 +88,6 @@ struct CampaignSweepReport {
   std::vector<CampaignResult> campaigns;  // campaign input order
   std::size_t evaluated = 0;   // phases computed in this sweep
   std::size_t cache_hits = 0;  // phases served from the result store
-  double wall_seconds = 0.0;
 };
 
 }  // namespace safelight::core

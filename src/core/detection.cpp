@@ -3,21 +3,16 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <set>
 
 #include "common/error.hpp"
-#include "common/fingerprint.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
-#include "core/evaluation.hpp"
-#include "core/result_store.hpp"
+#include "core/pipeline.hpp"
 #include "nn/serialize.hpp"
 
 namespace safelight::core {
@@ -29,7 +24,6 @@ struct RunSpec {
   std::string id;
   bool clean = false;
   attack::AttackScenario scenario{};
-  std::uint64_t probe_seed = 0;
 };
 
 /// Per-thread detection engine: one private conditioned deployment, one
@@ -67,7 +61,7 @@ class DetectionEvaluator {
     }
     const defense::DeploymentView view{
         *model_, executor_, telemetry.empty() ? nullptr : &telemetry,
-        spec.probe_seed};
+        defense::probe_seed_of(spec.id)};
     std::vector<defense::DetectionResult> results = suite_.check_all(view);
     nn::restore_state(*model_, clean_snapshot_);
     return results;
@@ -83,23 +77,10 @@ class DetectionEvaluator {
   const ExperimentSpec& spec_;
 };
 
-/// Probe seed of a run, derived from its full id so every run — including
-/// same-placement scenarios at different intensities — reads independent
-/// sensor noise, and so a cached score is a pure function of the run id.
-std::uint64_t probe_seed_of(const std::string& run_id) {
-  Fingerprint fp;
-  fp.mix_bytes(run_id.data(), run_id.size());
-  return splitmix64(fp.value());
-}
-
-std::string score_key(const RunSpec& spec, const std::string& detector) {
-  return spec.id + "/" + detector + "/score";
-}
-std::string probes_key(const RunSpec& spec, const std::string& detector) {
-  return spec.id + "/" + detector + "/probes";
-}
-std::string latency_key(const RunSpec& spec, const std::string& detector) {
-  return spec.id + "/" + detector + "/latency";
+/// Store key of one (run, detector) field.
+std::string run_key(const std::string& run_id, const std::string& detector,
+                    const char* field) {
+  return run_id + "/" + detector + "/" + field;
 }
 
 }  // namespace
@@ -237,87 +218,52 @@ namespace {
 DetectionReport detection_impl(const ExperimentSpec& spec,
                                RunContext& context) {
   const ExperimentSetup setup = spec.resolved_setup();
-  ModelZoo& zoo = context.zoo();
   const VariantSpec variant = spec.resolved_variant();
   const std::vector<attack::AttackScenario> grid =
       spec.grid ? *spec.grid
                 : attack::paper_scenario_grid(spec.seed_count, spec.base_seed);
   context.note("detection: sweep " + setup.tag() + " / " + variant.name);
 
-  const auto start = std::chrono::steady_clock::now();
-
-  // Train (or load) on the calling thread; workers only load cache entries.
-  const std::string checksum =
-      weights_checksum(*zoo.get_or_train(setup, variant, spec.verbose));
-
   // The reference suite provides detector names and default thresholds for
   // report assembly; workers calibrate their own identical copies.
   defense::DetectorSuite reference(setup, spec.suite);
   const std::vector<std::string> detector_names = reference.names();
 
-  std::string csv_path;
-  if (!spec.cache_dir.empty()) {
-    std::filesystem::create_directories(spec.cache_dir);
-    csv_path = spec.cache_dir + "/" + setup.tag() + "_" + variant.name + "_" +
-               checksum + "_" + attack::config_fingerprint(spec.corruption) +
-               "_" + defense::config_fingerprint(spec.suite) + ".detect.csv";
-  }
-  ResultStore store(csv_path);
-
-  // Run list: clean deployments first (probe seeds derived from base_seed),
-  // then the attack grid in grid order.
+  // Run list: clean deployments first, then the attack grid in grid order.
+  // Each run is one cell filling (score, probes, latency) per detector.
   std::vector<RunSpec> runs;
   runs.reserve(spec.clean_runs + grid.size());
   for (std::size_t k = 0; k < spec.clean_runs; ++k) {
-    RunSpec run;
-    run.id =
-        "clean/c" + std::to_string(k) + "/b" + std::to_string(spec.base_seed);
-    run.clean = true;
-    run.probe_seed = probe_seed_of(run.id);
-    runs.push_back(run);
+    runs.push_back({"clean/c" + std::to_string(k) + "/b" +
+                        std::to_string(spec.base_seed),
+                    true,
+                    {}});
   }
   for (const attack::AttackScenario& scenario : grid) {
     scenario.validate();
-    RunSpec run;
-    run.id = scenario.id();
-    run.scenario = scenario;
-    run.probe_seed = probe_seed_of(run.id);
-    runs.push_back(run);
+    runs.push_back({scenario.id(), false, scenario});
   }
-
-  // Uncached runs, deduplicated (a grid may repeat an id; a previous
-  // interrupted sweep may have persisted a prefix). A run only counts as
-  // cached when *every* one of its keys made it to disk — an interrupt can
-  // land between the per-detector flushes, and a partially stored run must
-  // re-check rather than crash report assembly on the missing keys.
-  const auto fully_stored = [&](const RunSpec& run) {
+  std::vector<SweepCell> cells;
+  cells.reserve(runs.size());
+  for (const RunSpec& run : runs) {
+    SweepCell cell{run.id, {}};
     for (const std::string& name : detector_names) {
-      if (!store.contains(score_key(run, name)) ||
-          !store.contains(probes_key(run, name)) ||
-          !store.contains(latency_key(run, name))) {
-        return false;
-      }
+      cell.keys.push_back(run_key(run.id, name, "score"));
+      cell.keys.push_back(run_key(run.id, name, "probes"));
+      cell.keys.push_back(run_key(run.id, name, "latency"));
     }
-    return true;
-  };
-  std::vector<std::size_t> pending;
-  std::set<std::string> fresh_ids;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (!fully_stored(runs[i]) && fresh_ids.insert(runs[i].id).second) {
-      pending.push_back(i);
-    }
+    cells.push_back(std::move(cell));
   }
 
-  parallel_claim<DetectionEvaluator>(
-      pending.size(), spec.max_workers,
-      [&] {
-        // Checks corrupt and restore model weights, so every thread deploys
-        // a private copy (a zoo cache load).
-        return std::make_unique<DetectionEvaluator>(
-            setup, zoo.get_or_train(setup, variant, false), spec);
+  const std::vector<SweptCell> swept = sweep_cells<DetectionEvaluator>(
+      spec, context, variant,
+      "_" + defense::config_fingerprint(spec.suite) + ".detect.csv", cells,
+      [&](std::unique_ptr<nn::Sequential> model) {
+        return std::make_unique<DetectionEvaluator>(setup, std::move(model),
+                                                    spec);
       },
-      [&](DetectionEvaluator& evaluator, std::size_t p) {
-        const RunSpec& run = runs[pending[p]];
+      [&](DetectionEvaluator& evaluator, std::size_t i, ResultStore& store) {
+        const RunSpec& run = runs[i];
         static metrics::Counter& checks = metrics::counter("detect.checks");
         checks.add();
         trace::Span run_span("detect", "detect.run");
@@ -335,10 +281,10 @@ DetectionReport detection_impl(const ExperimentSpec& spec,
             metrics::histogram("detect.latency_probes." + r.detector)
                 .record(static_cast<double>(r.first_flag_probe));
           }
-          store.put(score_key(run, r.detector), r.score);
-          store.put(probes_key(run, r.detector),
+          store.put(run_key(run.id, r.detector, "score"), r.score);
+          store.put(run_key(run.id, r.detector, "probes"),
                     static_cast<double>(r.probes));
-          store.put(latency_key(run, r.detector),
+          store.put(run_key(run.id, r.detector, "latency"),
                     static_cast<double>(r.first_flag_probe));
           if (spec.verbose) {
             std::printf("  [detect] %-32s %-16s score %.4f%s\n",
@@ -349,38 +295,34 @@ DetectionReport detection_impl(const ExperimentSpec& spec,
         }
       });
 
-  // Assemble in run order; execution order never leaks into the report.
   DetectionReport report;
   report.variant = variant.name;
   report.detectors = detector_names;
   report.clean_runs = spec.clean_runs;
-  report.evaluated = pending.size();
   report.rows.reserve(runs.size() * detector_names.size());
-  for (const RunSpec& run : runs) {
-    const bool fresh = fresh_ids.count(run.id) != 0;
-    if (!fresh) ++report.cache_hits;
-    for (const std::string& name : detector_names) {
-      const auto score = store.lookup(score_key(run, name));
-      const auto probes = store.lookup(probes_key(run, name));
-      const auto latency = store.lookup(latency_key(run, name));
-      SAFELIGHT_ASSERT(score && probes && latency,
-                       "detection sweep: result missing after fan-out");
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const RunSpec& run = runs[i];
+    if (swept[i].fresh) {
+      ++report.evaluated;
+    } else {
+      ++report.cache_hits;
+    }
+    for (std::size_t d = 0; d < detector_names.size(); ++d) {
+      // The cell's keys run (score, probes, latency) per detector.
+      const double* values = &swept[i].values[3 * d];
       DetectionRow row;
       row.run_id = run.id;
       row.clean = run.clean;
       row.scenario = run.scenario;
-      row.detector = name;
-      row.score = *score;
-      row.flagged = *score > reference.detector(name).threshold();
-      row.probes = static_cast<std::size_t>(std::llround(*probes));
-      row.first_flag_probe = static_cast<std::size_t>(std::llround(*latency));
-      row.from_cache = !fresh;
+      row.detector = detector_names[d];
+      row.score = values[0];
+      row.flagged = values[0] > reference.detector(row.detector).threshold();
+      row.probes = static_cast<std::size_t>(std::llround(values[1]));
+      row.first_flag_probe = static_cast<std::size_t>(std::llround(values[2]));
+      row.from_cache = !swept[i].fresh;
       report.rows.push_back(std::move(row));
     }
   }
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   return report;
 }
 

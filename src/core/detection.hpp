@@ -5,12 +5,13 @@
 // variant it deploys the model once per worker, calibrates a
 // defense::DetectorSuite on the clean deployment, and then checks every
 // detector against each run of {clean deployments x the attack scenario
-// grid} — the same fan-out / ResultStore discipline as ScenarioPipeline, so
-// sweeps are parallel, cached, resumable and deterministic. The report
-// aggregates per-detector ROC curves (TPR/FPR vs. threshold), rank-based
-// AUC with optional (vector, intensity) filters, false-positive rates at
-// the default thresholds, and detection latency (probe inferences until
-// first flag).
+// grid}. Each run is one cell of the sweep engine (core/pipeline.hpp), so
+// sweeps are parallel, cached, resumable, cancellable and deterministic,
+// with their store at `<sweep_store_stem>_<suite fingerprint>.detect.csv`.
+// The report aggregates per-detector ROC curves (TPR/FPR vs. threshold),
+// rank-based AUC with optional (vector, intensity) filters, false-positive
+// rates at the default thresholds, and detection latency (probe inferences
+// until first flag).
 //
 // Run it as the registry's "detection" experiment (core/experiment.hpp):
 // the spec names the deployed variant, the clean-run count and optionally an
@@ -63,7 +64,6 @@ struct DetectionReport {
   std::size_t clean_runs = 0;
   std::size_t evaluated = 0;   // runs checked in this sweep
   std::size_t cache_hits = 0;  // runs served from the result store
-  double wall_seconds = 0.0;
 
   /// Scores of the clean runs for one detector, in run order.
   std::vector<double> clean_scores(const std::string& detector) const;

@@ -20,14 +20,6 @@ MitigationReport mitigation_impl(const ExperimentSpec& spec,
   MitigationReport report;
   report.model = setup.model;
 
-  PipelineOptions pipeline_options;
-  pipeline_options.cache_dir = spec.cache_dir;
-  pipeline_options.max_workers = spec.max_workers;
-  pipeline_options.verbose = spec.verbose;
-  pipeline_options.corruption = spec.corruption;
-  pipeline_options.cancel = context.cancel;
-  ScenarioPipeline pipeline(setup, context.zoo(), pipeline_options);
-
   for (const VariantSpec& variant : paper_variants(spec.l2_strength)) {
     context.throw_if_cancelled("mitigation");
     context.note("mitigation: " + setup.tag() + " / " + variant.name);
@@ -36,7 +28,7 @@ MitigationReport mitigation_impl(const ExperimentSpec& spec,
                   variant.name.c_str());
       std::fflush(stdout);
     }
-    const SweepResult sweep = pipeline.run(variant, scenarios);
+    const SweepResult sweep = sweep_variant(spec, context, variant, scenarios);
 
     VariantOutcome outcome;
     outcome.variant = variant;

@@ -1,6 +1,6 @@
 #include "core/pipeline.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <unordered_set>
@@ -8,8 +8,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/trace.hpp"
-#include "core/experiment.hpp"
-#include "core/result_store.hpp"
 
 namespace safelight::core {
 
@@ -30,13 +28,18 @@ struct SweepWorker {
 
 }  // namespace
 
-std::string scenario_store_key(const attack::AttackScenario& scenario,
-                               std::size_t eval_count) {
-  return scenario.id() + "/n" + std::to_string(eval_count);
-}
-
-std::string baseline_store_key(std::size_t eval_count) {
-  return "baseline/n" + std::to_string(eval_count);
+std::vector<std::size_t> pending_cells(
+    const std::vector<SweepCell>& cells,
+    const std::function<bool(const std::string&)>& stored) {
+  std::vector<std::size_t> pending;
+  std::unordered_set<std::string> seen;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!seen.insert(cells[i].id).second) continue;
+    if (!std::all_of(cells[i].keys.begin(), cells[i].keys.end(), stored)) {
+      pending.push_back(i);
+    }
+  }
+  return pending;
 }
 
 std::string sweep_store_stem(const std::string& cache_dir,
@@ -48,6 +51,81 @@ std::string sweep_store_stem(const std::string& cache_dir,
          weights_checksum + "_" + attack::config_fingerprint(corruption);
 }
 
+std::vector<SweptCell> detail::sweep_cells(
+    const ExperimentSpec& spec, const RunContext& context,
+    const VariantSpec& variant, const std::string& store_suffix,
+    const std::vector<SweepCell>& cells,
+    const std::function<std::shared_ptr<void>(std::unique_ptr<nn::Sequential>)>&
+        make_worker,
+    const std::function<void(void*, std::size_t, ResultStore&)>& evaluate) {
+  const ExperimentSetup setup = spec.resolved_setup();
+  ModelZoo& zoo = context.zoo();
+
+  // Train (or load) on the calling thread so workers only ever load the
+  // finished zoo entry — never race on training it.
+  const std::string checksum =
+      weights_checksum(*zoo.get_or_train(setup, variant, spec.verbose));
+  std::string store_path;
+  if (!spec.cache_dir.empty()) {
+    std::filesystem::create_directories(spec.cache_dir);
+    store_path = sweep_store_stem(spec.cache_dir, setup, variant.name,
+                                  checksum, spec.corruption) +
+                 store_suffix;
+  }
+  ResultStore store(store_path);
+
+  const std::vector<std::size_t> pending = pending_cells(
+      cells, [&](const std::string& key) { return store.contains(key); });
+  safelight::detail::parallel_claim(
+      pending.size(), spec.max_workers,
+      // Evaluation corrupts and restores model weights, so every thread
+      // deploys a private copy (cheap: a zoo cache load).
+      [&] { return make_worker(zoo.get_or_train(setup, variant, false)); },
+      [&](void* worker, std::size_t p) {
+        // Cell boundaries are the cancellation points: everything already
+        // evaluated is persisted, so stopping here loses no work.
+        // parallel_claim rethrows this on the caller.
+        context.throw_if_cancelled(spec.experiment);
+        evaluate(worker, pending[p], store);
+      });
+
+  // Assemble in declaration order: execution order never leaks out.
+  std::vector<SweptCell> swept(cells.size());
+  for (const std::size_t i : pending) swept[i].fresh = true;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    for (const std::string& key : cells[i].keys) {
+      const auto value = store.lookup(key);
+      SAFELIGHT_ASSERT(value.has_value(), "sweep: cell '" + cells[i].id +
+                                              "' missing '" + key +
+                                              "' after fan-out");
+      swept[i].values.push_back(*value);
+    }
+  }
+  return swept;
+}
+
+std::string scenario_store_key(const attack::AttackScenario& scenario,
+                               std::size_t eval_count) {
+  return scenario.id() + "/n" + std::to_string(eval_count);
+}
+
+std::string baseline_store_key(std::size_t eval_count) {
+  return "baseline/n" + std::to_string(eval_count);
+}
+
+std::vector<SweepCell> scenario_cells(
+    const std::vector<attack::AttackScenario>& grid, std::size_t eval_count) {
+  std::vector<SweepCell> cells;
+  cells.reserve(grid.size() + 1);
+  cells.push_back({"baseline", {baseline_store_key(eval_count)}});
+  for (const auto& scenario : grid) {
+    scenario.validate();
+    cells.push_back(
+        {scenario.id(), {scenario_store_key(scenario, eval_count)}});
+  }
+  return cells;
+}
+
 std::vector<double> SweepResult::accuracies() const {
   std::vector<double> values;
   values.reserve(rows.size());
@@ -57,122 +135,60 @@ std::vector<double> SweepResult::accuracies() const {
 
 BoxStats SweepResult::under_attack() const { return box_stats(accuracies()); }
 
-ScenarioPipeline::ScenarioPipeline(const ExperimentSetup& setup, ModelZoo& zoo,
-                                   PipelineOptions options)
-    : setup_(setup), zoo_(zoo), options_(std::move(options)) {}
-
-SweepResult ScenarioPipeline::run(
-    const VariantSpec& variant,
-    const std::vector<attack::AttackScenario>& grid) {
-  const auto start = std::chrono::steady_clock::now();
+SweepResult sweep_variant(const ExperimentSpec& spec,
+                          const RunContext& context,
+                          const VariantSpec& variant,
+                          const std::vector<attack::AttackScenario>& grid) {
   trace::Span sweep_span("pipeline", "pipeline.sweep");
   sweep_span.arg("variant", variant.name)
       .arg("grid", static_cast<double>(grid.size()));
-
-  // Train (or load) on the calling thread so workers only ever load the
-  // finished zoo entry — never race on training it.
-  auto model = zoo_.get_or_train(setup_, variant, options_.verbose);
-  const std::string checksum = weights_checksum(*model);
-
-  std::string csv_path, jsonl_path;
-  if (!options_.cache_dir.empty()) {
-    std::filesystem::create_directories(options_.cache_dir);
-    const std::string base =
-        sweep_store_stem(options_.cache_dir, setup_, variant.name, checksum,
-                         options_.corruption);
-    csv_path = base + ".sweep.csv";
-    if (options_.stream_jsonl) jsonl_path = base + ".sweep.jsonl";
-  }
-  ResultStore store(csv_path, jsonl_path);
-
-  SweepResult result;
-  result.variant = variant.name;
-
-  // Baseline dedup: one clean evaluation serves every scenario of the sweep
-  // (and, through the store, every future sweep of this variant).
-  const std::string baseline_key = baseline_store_key(setup_.eval_count);
-  if (const auto cached = store.lookup(baseline_key)) {
-    result.baseline_accuracy = *cached;
-    result.baseline_from_cache = true;
-  } else {
-    AttackEvaluator evaluator(setup_, *model, variant.name, "",
-                              options_.corruption);
-    result.baseline_accuracy = evaluator.baseline_accuracy();
-    store.put(baseline_key, result.baseline_accuracy);
-  }
-
-  // Uncached scenarios, deduplicated: a grid may repeat an id, and a
-  // previous interrupted run may have persisted a prefix.
-  std::vector<attack::AttackScenario> pending;
-  std::vector<std::string> pending_keys;
-  std::unordered_set<std::string> fresh_keys;
-  for (const auto& scenario : grid) {
-    scenario.validate();
-    const std::string key = scenario_store_key(scenario, setup_.eval_count);
-    if (!store.contains(key) && fresh_keys.insert(key).second) {
-      pending.push_back(scenario);
-      pending_keys.push_back(key);
-    }
-  }
-  result.evaluated = pending.size();
+  const ExperimentSetup setup = spec.resolved_setup();
+  const std::vector<SweepCell> cells = scenario_cells(grid, setup.eval_count);
 
   // One clean-prefix cache per sweep: every thread's evaluator resumes from
   // it, and each boundary is built once, by whichever thread needs it first.
   const auto prefix = std::make_shared<PrefixCache>();
-  parallel_claim<SweepWorker>(
-      pending.size(), options_.max_workers,
-      [&] {
-        // Scenario evaluation corrupts and restores model weights, so
-        // every thread needs a private copy (cheap: a zoo cache load).
-        return std::make_unique<SweepWorker>(
-            zoo_.get_or_train(setup_, variant, false), setup_, variant.name,
-            options_.corruption, prefix);
+  const std::vector<SweptCell> swept = sweep_cells<SweepWorker>(
+      spec, context, variant, ".sweep.csv", cells,
+      [&](std::unique_ptr<nn::Sequential> model) {
+        return std::make_unique<SweepWorker>(std::move(model), setup,
+                                             variant.name, spec.corruption,
+                                             prefix);
       },
-      [&](SweepWorker& worker, std::size_t i) {
-        // Scenario boundaries are the pipeline's cancellation points:
-        // everything already evaluated is persisted, so stopping here loses
-        // no work. parallel_claim rethrows this on the caller.
-        if (options_.cancel &&
-            options_.cancel->load(std::memory_order_relaxed)) {
-          throw ExperimentCancelled(setup_.tag());
-        }
+      [&](SweepWorker& worker, std::size_t i, ResultStore& store) {
         trace::Span scenario_span("pipeline", "scenario.evaluate");
-        if (scenario_span.active()) {
-          scenario_span.arg("scenario", pending[i].id());
+        if (scenario_span.active()) scenario_span.arg("scenario", cells[i].id);
+        // Cell 0 is the clean baseline, shared by every scenario of the
+        // sweep (and, through the store, by every future sweep).
+        if (i == 0) {
+          store.put(cells[0].keys[0], worker.evaluator.baseline_accuracy());
+          return;
         }
-        const double accuracy = worker.evaluator.evaluate_scenario(pending[i]);
-        store.put(pending_keys[i], accuracy);
-        if (options_.verbose) {
-          std::printf("  [pipeline] %-36s acc %.4f\n",
-                      pending[i].id().c_str(), accuracy);
+        const double accuracy =
+            worker.evaluator.evaluate_scenario(grid[i - 1]);
+        store.put(cells[i].keys[0], accuracy);
+        if (spec.verbose) {
+          std::printf("  [pipeline] %-36s acc %.4f\n", cells[i].id.c_str(),
+                      accuracy);
           std::fflush(stdout);
         }
       });
 
-  // Assemble in grid order: execution order never leaks into the result.
+  SweepResult result;
+  result.variant = variant.name;
+  result.baseline_accuracy = swept[0].values[0];
+  result.baseline_from_cache = !swept[0].fresh;
   result.rows.reserve(grid.size());
-  for (const auto& scenario : grid) {
-    const std::string key = scenario_store_key(scenario, setup_.eval_count);
-    const auto value = store.lookup(key);
-    SAFELIGHT_ASSERT(value.has_value(), "pipeline: result missing after sweep");
-    ScenarioOutcome outcome;
-    outcome.scenario = scenario;
-    outcome.accuracy = *value;
-    outcome.from_cache = fresh_keys.count(key) == 0;
-    if (outcome.from_cache) ++result.cache_hits;
-    result.rows.push_back(outcome);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const SweptCell& cell = swept[i + 1];
+    result.rows.push_back({grid[i], cell.values[0], !cell.fresh});
+    if (cell.fresh) {
+      ++result.evaluated;
+    } else {
+      ++result.cache_hits;
+    }
   }
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   return result;
-}
-
-SweepResult ScenarioPipeline::run_paper_grid(const VariantSpec& variant,
-                                             std::size_t seed_count,
-                                             std::uint64_t base_seed) {
-  return run(variant, attack::paper_scenario_grid(seed_count, base_seed));
 }
 
 }  // namespace safelight::core

@@ -1,71 +1,121 @@
-// Parallel scenario-sweep engine (the experiment pipeline).
+// The cell-sweep engine every experiment runs through.
 //
-// Every figure/table reproduction boils down to the same shape of work:
-// "evaluate one trained model variant under a grid of attack scenarios".
-// ScenarioPipeline owns that shape once, for all of them:
-//   * the variant is trained (or loaded) through the ModelZoo exactly once;
-//   * the clean-baseline evaluation shared by every scenario of a sweep is
-//     computed once and cached, never per scenario;
-//   * uncached scenarios fan out over safelight::parallel_claim: threads
-//     claim scenarios one at a time, each with a private model copy +
-//     AttackEvaluator (scenario evaluation mutates model weights, so threads
-//     must not share a model);
-//   * those evaluators share one PrefixCache per sweep, so the clean
-//     activations at each first-dirty boundary are built once per sweep;
-//   * each finished scenario is appended to a ResultStore immediately, so
-//     an interrupted sweep resumes from the completed prefix.
-// Results are returned in grid order regardless of the execution order, so
-// a sweep's output is deterministic in (setup, variant, grid) and identical
-// between serial and parallel runs.
+// Each sweep — the scenario grids behind the figures, the detection ROC
+// sweep and the campaign sweep — has the same shape: "deploy one trained
+// variant, fill a set of store keys per cell, assemble a report". A cell is
+// a stable id plus the ResultStore keys its evaluation fills. The engine
+// owns the whole shape once:
+//   * the variant is trained (or loaded) through the ModelZoo on the calling
+//     thread, so workers only ever load the finished entry;
+//   * the sweep's ResultStore is opened under the spec's cache_dir, named by
+//     sweep_store_stem plus the experiment's suffix;
+//   * cells are deduplicated by id, and a cell is pending when any of its
+//     keys is missing (an interrupt can land between a cell's flushes);
+//   * pending cells fan out over safelight::parallel_claim: threads claim
+//     cells one at a time, each with a private worker built around its own
+//     model copy (evaluation mutates weights, so threads never share one);
+//   * the RunContext's cancel flag is checked at every cell boundary —
+//     everything evaluated so far is persisted, so a rerun resumes;
+//   * values come back per cell in declaration order, with a flag saying
+//     whether this sweep evaluated the cell or read it from the store.
+// Results never depend on execution order, so a sweep is deterministic in
+// (spec, variant, cells) and identical between serial and parallel runs.
+//
+// sweep_variant() is the scenario sweep on top of it: a variant's clean
+// baseline plus one accuracy per scenario of a grid, with one clean-prefix
+// cache shared by the sweep's evaluators.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "attacks/corruption.hpp"
 #include "attacks/scenario.hpp"
 #include "common/stats.hpp"
-#include "core/evaluation.hpp"
-#include "core/zoo.hpp"
+#include "core/experiment.hpp"
+#include "core/result_store.hpp"
 
 namespace safelight::core {
 
-/// Knobs of a pipeline instance; shared by every sweep it runs.
-struct PipelineOptions {
-  /// Directory for ResultStore files; empty disables persistence (results
-  /// are still deduplicated in memory within one sweep).
-  std::string cache_dir;
-  /// Also stream each new result as a JSON object to a .jsonl file next to
-  /// the CSV store (ignored when cache_dir is empty).
-  bool stream_jsonl = false;
-  /// Upper bound on worker threads; 0 uses safelight::worker_count()
-  /// (SAFELIGHT_THREADS). 1 forces the serial reference path.
-  std::size_t max_workers = 0;
-  bool verbose = false;
-  /// Corruption physics shared by all scenarios of a sweep. Non-default
-  /// configs get their own result-store files (the config is part of the
-  /// store fingerprint), so ablation sweeps never poison the paper-grid
-  /// cache.
-  attack::CorruptionConfig corruption{};
-  /// Cooperative-cancellation flag, checked between scenario evaluations.
-  /// When it flips to true the sweep stops at the next scenario boundary by
-  /// throwing ExperimentCancelled — everything evaluated so far is already
-  /// in the ResultStore, so a rerun resumes from the completed prefix.
-  const std::atomic<bool>* cancel = nullptr;
+/// One unit of a cell sweep. Cells sharing an id are one evaluation.
+struct SweepCell {
+  std::string id;
+  std::vector<std::string> keys;  // store keys its evaluation fills
 };
+
+/// One swept cell as handed to assembly.
+struct SweptCell {
+  std::vector<double> values;  // one per key, in key order
+  /// True for the cell this sweep evaluated; false when its values came
+  /// from the store (a previous run, or an earlier cell with the same id).
+  bool fresh = false;
+};
+
+/// Indices of the cells a sweep must evaluate, in declaration order: the
+/// first cell of each id that has a key `stored` does not report. Shared
+/// by the engine and the distributed planner, so both agree on what is
+/// cached by construction.
+std::vector<std::size_t> pending_cells(
+    const std::vector<SweepCell>& cells,
+    const std::function<bool(const std::string&)>& stored);
+
+/// Path (without extension) of the result-store files of a sweep of
+/// `variant_name` under `cache_dir`. `weights_checksum` is the trained
+/// variant's checksum — part of the name so retrained weights never read
+/// stale entries; `corruption` likewise fingerprints ablated physics.
+std::string sweep_store_stem(const std::string& cache_dir,
+                             const ExperimentSetup& setup,
+                             const std::string& variant_name,
+                             const std::string& weights_checksum,
+                             const attack::CorruptionConfig& corruption);
+
+namespace detail {
+/// Type-erased core of sweep_cells.
+std::vector<SweptCell> sweep_cells(
+    const ExperimentSpec& spec, const RunContext& context,
+    const VariantSpec& variant, const std::string& store_suffix,
+    const std::vector<SweepCell>& cells,
+    const std::function<std::shared_ptr<void>(std::unique_ptr<nn::Sequential>)>&
+        make_worker,
+    const std::function<void(void*, std::size_t, ResultStore&)>& evaluate);
+}  // namespace detail
+
+/// Runs one cell sweep of `variant` under `spec` (setup, cache_dir,
+/// max_workers) and `context` (zoo, cancel flag). The store is
+/// `sweep_store_stem(...) + store_suffix` under spec.cache_dir, in memory
+/// when cache_dir is empty. Each fan-out thread builds one Worker with
+/// make_worker from its own copy of the variant's weights; evaluate(worker,
+/// i, store) must put every key of cells[i]. Throws ExperimentCancelled at
+/// the first cell boundary after context.cancel flips.
+template <typename Worker>
+std::vector<SweptCell> sweep_cells(
+    const ExperimentSpec& spec, const RunContext& context,
+    const VariantSpec& variant, const std::string& store_suffix,
+    const std::vector<SweepCell>& cells,
+    const std::function<std::unique_ptr<Worker>(
+        std::unique_ptr<nn::Sequential>)>& make_worker,
+    const std::function<void(Worker&, std::size_t, ResultStore&)>& evaluate) {
+  return detail::sweep_cells(
+      spec, context, variant, store_suffix, cells,
+      [&make_worker](std::unique_ptr<nn::Sequential> model)
+          -> std::shared_ptr<void> { return make_worker(std::move(model)); },
+      [&evaluate](void* worker, std::size_t i, ResultStore& store) {
+        evaluate(*static_cast<Worker*>(worker), i, store);
+      });
+}
 
 /// One evaluated grid entry.
 struct ScenarioOutcome {
   attack::AttackScenario scenario;
   double accuracy = 0.0;
-  /// True when the value came from a previous run's result store rather
-  /// than an evaluation in this sweep.
+  /// True when the value came from the result store rather than an
+  /// evaluation in this sweep.
   bool from_cache = false;
 };
 
-/// Outcome of one ScenarioPipeline::run call.
+/// Outcome of one sweep_variant call.
 struct SweepResult {
   std::string variant;
   double baseline_accuracy = 0.0;  // unattacked accuracy, evaluated once
@@ -73,7 +123,6 @@ struct SweepResult {
   std::vector<ScenarioOutcome> rows;  // in grid order
   std::size_t cache_hits = 0;  // rows served from the result store
   std::size_t evaluated = 0;   // scenarios actually evaluated this run
-  double wall_seconds = 0.0;   // time spent inside run()
 
   /// Accuracies in grid order.
   std::vector<double> accuracies() const;
@@ -83,54 +132,26 @@ struct SweepResult {
 };
 
 /// Store key of a scenario: its stable id plus the evaluation subset size
-/// (a larger eval_count is a different measurement). Shared by the pipeline
-/// and the distributed planner — the coordinator decides "already cached?"
-/// with exactly the key the pipeline will later look up.
+/// (a larger eval_count is a different measurement).
 std::string scenario_store_key(const attack::AttackScenario& scenario,
                                std::size_t eval_count);
 
 /// Store key of the clean (unattacked) baseline evaluation.
 std::string baseline_store_key(std::size_t eval_count);
 
-/// Path (without extension) of the ResultStore files a pipeline sweep of
-/// `variant` uses under `cache_dir`: the CSV store is `<stem>.sweep.csv`,
-/// the optional mirror `<stem>.sweep.jsonl`. `weights_checksum` is the
-/// trained variant's checksum — part of the name so retrained weights never
-/// read stale entries; `corruption` likewise fingerprints ablated physics.
-std::string sweep_store_stem(const std::string& cache_dir,
-                             const ExperimentSetup& setup,
-                             const std::string& variant_name,
-                             const std::string& weights_checksum,
-                             const attack::CorruptionConfig& corruption);
+/// Cells of a scenario sweep over `grid`: the clean baseline first, then
+/// one cell per scenario in grid order. Validates every scenario.
+std::vector<SweepCell> scenario_cells(
+    const std::vector<attack::AttackScenario>& grid, std::size_t eval_count);
 
-/// Fans scenario evaluations for one ExperimentSetup out over worker
-/// threads, with persistent per-scenario result caching, clean-baseline
-/// deduplication and one shared clean-prefix cache per sweep. One instance can run many sweeps (different variants
-/// and/or grids); they share options but not state.
-class ScenarioPipeline {
- public:
-  ScenarioPipeline(const ExperimentSetup& setup, ModelZoo& zoo,
-                   PipelineOptions options = {});
-
-  /// Evaluates `variant` under every scenario in `grid`. Trains/loads the
-  /// variant via the zoo, dedupes the baseline, evaluates uncached
-  /// scenarios in parallel and returns results in grid order.
-  SweepResult run(const VariantSpec& variant,
-                  const std::vector<attack::AttackScenario>& grid);
-
-  /// Convenience: the paper's full SIV grid (2 vectors x 3 targets x
-  /// {1,5,10} % x seed_count placements).
-  SweepResult run_paper_grid(const VariantSpec& variant,
-                             std::size_t seed_count,
-                             std::uint64_t base_seed = 1000);
-
-  const ExperimentSetup& setup() const { return setup_; }
-  const PipelineOptions& options() const { return options_; }
-
- private:
-  ExperimentSetup setup_;
-  ModelZoo& zoo_;
-  PipelineOptions options_;
-};
+/// Evaluates `variant` under every scenario in `grid` (setup, store and
+/// physics from `spec`, zoo and cancel flag from `context`); results in
+/// grid order. The sweep's evaluators share one clean-prefix cache, so each
+/// first-dirty boundary is built once per sweep. Its store is
+/// `<sweep_store_stem>.sweep.csv`.
+SweepResult sweep_variant(const ExperimentSpec& spec,
+                          const RunContext& context,
+                          const VariantSpec& variant,
+                          const std::vector<attack::AttackScenario>& grid);
 
 }  // namespace safelight::core

@@ -53,24 +53,6 @@ void sweep_orphaned_temp_files(const std::filesystem::path& directory) {
   }
 }
 
-/// Truncates `path` back to its last complete ('\n'-terminated) line. The
-/// JSONL mirror is append-only telemetry: a record torn by a crash must not
-/// merge with the next append into one corrupt line.
-void truncate_torn_tail(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  const std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  in.close();
-  const std::size_t last_newline = content.rfind('\n');
-  const std::size_t keep =
-      last_newline == std::string::npos ? 0 : last_newline + 1;
-  if (keep != content.size()) {
-    std::error_code ec;
-    std::filesystem::resize_file(path, keep, ec);
-  }
-}
-
 /// Splits one CSV line into (key, raw value bytes) when it is a complete,
 /// well-formed store row; nullopt for headers, blanks and malformed rows.
 /// The value must parse as a full double but is returned unparsed — the
@@ -184,15 +166,14 @@ std::vector<RawStoreEntry> read_store_entries(const std::string& csv_path) {
   return entries;
 }
 
-ResultStore::ResultStore(std::string csv_path, std::string jsonl_path)
-    : csv_path_(std::move(csv_path)), jsonl_path_(std::move(jsonl_path)) {
+ResultStore::ResultStore(std::string csv_path)
+    : csv_path_(std::move(csv_path)) {
   if (csv_path_.empty()) return;
   // Writer exclusivity first: everything below mutates the directory.
   lock_ = StoreWriterLock(csv_path_);
   const std::filesystem::path parent =
       std::filesystem::path(csv_path_).parent_path();
   sweep_orphaned_temp_files(parent.empty() ? "." : parent);
-  if (!jsonl_path_.empty()) truncate_torn_tail(jsonl_path_);
   // Hand-rolled tolerant parse: an interrupted run may leave a torn final
   // row, which must not prevent the resume it exists to enable. Every
   // complete row ends with '\n' (put() writes row + newline + flush), so an
@@ -253,35 +234,23 @@ void ResultStore::append_to_disk(const std::string& key, double value) {
   // The fault::ptp points sit at the nastiest byte boundaries a crash can
   // hit; the mid-row flushes that make the torn state real are taken only
   // when injection is armed, so the normal path keeps its single flush.
-  if (!csv_path_.empty()) {
-    const bool fresh = !std::filesystem::exists(csv_path_);
-    std::ofstream out(csv_path_, std::ios::app);
-    if (out) {
-      if (fresh) {
-        out << "key,accuracy\n";
-        if (fault::armed()) out.flush();
-        fault::ptp("store.csv.create");  // crash: header-only file
-      }
-      out << key << ',';
-      if (fault::armed()) out.flush();
-      fault::ptp("store.csv.append");  // crash: torn row (key, no value)
-      out << format_value(value) << '\n';
-      out.flush();
-      fault::ptp("store.csv.flush");  // crash: row fully durable
-      static metrics::Counter& flushes = metrics::counter("store.flushes");
-      flushes.add();
-    }
+  if (csv_path_.empty()) return;
+  const bool fresh = !std::filesystem::exists(csv_path_);
+  std::ofstream out(csv_path_, std::ios::app);
+  if (!out) return;
+  if (fresh) {
+    out << "key,accuracy\n";
+    if (fault::armed()) out.flush();
+    fault::ptp("store.csv.create");  // crash: header-only file
   }
-  if (!jsonl_path_.empty()) {
-    std::ofstream out(jsonl_path_, std::ios::app);
-    if (out) {
-      out << "{\"key\":\"" << key << "\",";
-      if (fault::armed()) out.flush();
-      fault::ptp("store.jsonl.append");  // crash: torn mirror record
-      out << "\"accuracy\":" << format_value(value) << "}\n";
-      out.flush();
-    }
-  }
+  out << key << ',';
+  if (fault::armed()) out.flush();
+  fault::ptp("store.csv.append");  // crash: torn row (key, no value)
+  out << format_value(value) << '\n';
+  out.flush();
+  fault::ptp("store.csv.flush");  // crash: row fully durable
+  static metrics::Counter& flushes = metrics::counter("store.flushes");
+  flushes.add();
 }
 
 }  // namespace safelight::core

@@ -1,11 +1,10 @@
 // Thread-safe, incrementally persisted key -> accuracy store.
 //
-// The scenario pipeline records one entry per evaluated scenario, keyed by
-// AttackScenario::id() (plus the evaluation subset size), mirroring the
-// ModelZoo's on-disk cache discipline: entries are appended to a CSV file
-// and flushed immediately, so an interrupted sweep resumes from whatever
-// made it to disk instead of restarting. An optional JSONL mirror streams
-// the same records for external monitoring/plotting tools.
+// The cell-sweep engine records one entry per store key of a cell (for a
+// scenario, AttackScenario::id() plus the evaluation subset size),
+// mirroring the ModelZoo's on-disk cache discipline: entries are appended
+// to a CSV file and flushed immediately, so an interrupted sweep resumes
+// from whatever made it to disk instead of restarting.
 #pragma once
 
 #include <mutex>
@@ -72,15 +71,13 @@ class ResultStore {
   /// Opens the store. When `csv_path` names an existing file written by a
   /// previous (possibly interrupted) run, its rows are loaded so lookups
   /// hit instead of re-evaluating; malformed rows (e.g. a torn final line
-  /// from a mid-write kill) are skipped, not fatal. `jsonl_path` non-empty
-  /// additionally appends one JSON object per new entry to that file; a
-  /// torn trailing mirror record is truncated away on open. Opening also
+  /// from a mid-write kill) are skipped, not fatal. Opening also
   /// sweeps (deletes, with a warning) orphaned `*.tmp` staging files a
   /// crashed writer left in the store's directory — cache directories have
   /// one live writer by contract. Every durable write carries fault::ptp
   /// crash points (see common/fault.hpp); the resume-after-any-crash
   /// contract is proven by tests/fault_injection_test.cpp.
-  explicit ResultStore(std::string csv_path, std::string jsonl_path = "");
+  explicit ResultStore(std::string csv_path);
 
   /// Value stored under `key`, or nullopt when missing.
   std::optional<double> lookup(const std::string& key) const;
@@ -89,7 +86,7 @@ class ResultStore {
   bool contains(const std::string& key) const;
 
   /// Inserts (or overwrites) `key` and appends the entry to the backing
-  /// CSV/JSONL files, flushing so the entry survives an interrupt.
+  /// CSV file, flushing so the entry survives an interrupt.
   /// Disk write failures are swallowed: the store is an optimization and
   /// must never fail an experiment.
   void put(const std::string& key, double value);
@@ -98,15 +95,13 @@ class ResultStore {
   std::size_t size() const;
 
   const std::string& csv_path() const { return csv_path_; }
-  const std::string& jsonl_path() const { return jsonl_path_; }
 
  private:
   void append_to_disk(const std::string& key, double value);
 
   mutable std::mutex mutex_;
-  std::string csv_path_;    // empty = in-memory only
-  std::string jsonl_path_;  // empty = no JSON mirror
-  StoreWriterLock lock_;    // engaged while csv_path_ is non-empty
+  std::string csv_path_;  // empty = in-memory only
+  StoreWriterLock lock_;  // engaged while csv_path_ is non-empty
   std::unordered_map<std::string, double> entries_;
 };
 

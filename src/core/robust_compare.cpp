@@ -67,18 +67,11 @@ RobustComparisonReport robust_compare_impl(const ExperimentSpec& spec,
 
   const auto grid = robust_compare_grid(spec);
 
-  PipelineOptions pipeline_options;
-  pipeline_options.cache_dir = spec.cache_dir;
-  pipeline_options.max_workers = spec.max_workers;
-  pipeline_options.verbose = spec.verbose;
-  pipeline_options.corruption = spec.corruption;
-  pipeline_options.cancel = context.cancel;
-  ScenarioPipeline pipeline(setup, context.zoo(), pipeline_options);
   context.note("robust_compare: sweeping Original vs " + robust_name);
   const SweepResult original_sweep =
-      pipeline.run(variant_by_name("Original"), grid);
-  const SweepResult robust_sweep = pipeline.run(
-      variant_by_name(robust_name, spec.l2_strength), grid);
+      sweep_variant(spec, context, variant_by_name("Original"), grid);
+  const SweepResult robust_sweep = sweep_variant(
+      spec, context, variant_by_name(robust_name, spec.l2_strength), grid);
 
   RobustComparisonReport report;
   report.model = setup.model;

@@ -23,15 +23,9 @@ SusceptibilityReport susceptibility_impl(const ExperimentSpec& spec,
                                          RunContext& context) {
   const ExperimentSetup setup = spec.resolved_setup();
   context.note("susceptibility: sweep " + setup.tag());
-  PipelineOptions pipeline_options;
-  pipeline_options.cache_dir = spec.cache_dir;
-  pipeline_options.max_workers = spec.max_workers;
-  pipeline_options.verbose = spec.verbose;
-  pipeline_options.corruption = spec.corruption;
-  pipeline_options.cancel = context.cancel;
-  ScenarioPipeline pipeline(setup, context.zoo(), pipeline_options);
-  const SweepResult sweep = pipeline.run_paper_grid(
-      variant_by_name("Original"), spec.seed_count, spec.base_seed);
+  const SweepResult sweep = sweep_variant(
+      spec, context, variant_by_name("Original"),
+      attack::paper_scenario_grid(spec.seed_count, spec.base_seed));
 
   SusceptibilityReport report;
   report.model = setup.model;

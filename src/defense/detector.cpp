@@ -1,8 +1,16 @@
 #include "defense/detector.hpp"
 
 #include "common/error.hpp"
+#include "common/fingerprint.hpp"
+#include "common/rng.hpp"
 
 namespace safelight::defense {
+
+std::uint64_t probe_seed_of(const std::string& key) {
+  Fingerprint fp;
+  fp.mix_bytes(key.data(), key.size());
+  return splitmix64(fp.value());
+}
 
 ScopedObservingHook::ScopedObservingHook(accel::OnnExecutor& executor,
                                          accel::ReadoutHook hook)

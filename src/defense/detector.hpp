@@ -40,6 +40,11 @@ struct DeploymentView {
   std::uint64_t probe_seed = 0;
 };
 
+/// Probe seed of one check, derived from its full store key so every check
+/// reads independent sensor noise and a cached score is a pure function of
+/// the key.
+std::uint64_t probe_seed_of(const std::string& key);
+
 /// Verdict of one detector check.
 struct DetectionResult {
   std::string detector;   // Detector::name() of the producer

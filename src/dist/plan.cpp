@@ -70,15 +70,16 @@ std::vector<TaskMessage> DistPlanner::plan_sweeps(
     VariantWork vw;
     vw.variant = &variant;
     vw.stem = std::filesystem::path(stem_path).filename().string();
-    vw.baseline =
-        cached.count(core::baseline_store_key(setup.eval_count)) == 0;
-    std::unordered_set<std::string> fresh;
-    for (const auto& scenario : grid) {
-      scenario.validate();
-      const std::string key =
-          core::scenario_store_key(scenario, setup.eval_count);
-      if (cached.count(key) == 0 && fresh.insert(key).second) {
-        vw.pending.push_back(scenario);
+    // The sweep's own cells and pending rule: cell 0 is the baseline, cell
+    // i > 0 is grid[i - 1].
+    const auto pending = core::pending_cells(
+        core::scenario_cells(grid, setup.eval_count),
+        [&](const std::string& key) { return cached.count(key) > 0; });
+    for (const std::size_t i : pending) {
+      if (i == 0) {
+        vw.baseline = true;
+      } else {
+        vw.pending.push_back(grid[i - 1]);
       }
     }
     total_pending += vw.pending.size() + (vw.baseline ? 1 : 0);

@@ -4,11 +4,13 @@
 // the caches* the in-process experiment will read. The planner therefore
 // answers exactly one question per round: "which (variant, scenario) cells
 // of this experiment's sweeps are not yet in the canonical result stores?"
-// Those cells are chunked into TaskMessages; once the workers have filled
-// them and the coordinator has merged the per-worker stores, the ordinary
-// registry run replays the experiment with every lookup hitting cache, so
-// the distributed output is byte-identical to a single-process run by
-// construction.
+// It answers with the sweep engine's own cell list and pending rule
+// (core::scenario_cells / core::pending_cells), so the planner and the
+// in-process sweep agree on keys by construction. Those cells are chunked
+// into TaskMessages; once the workers have filled them and the coordinator
+// has merged the per-worker stores, the ordinary registry run replays the
+// experiment with every lookup hitting cache, so the distributed output is
+// byte-identical to a single-process run by construction.
 //
 // Rounds exist because robust_compare has a sequential dependency: the
 // robust variant is unknown until the mitigation selection sweep finishes.
@@ -45,10 +47,10 @@ class DistPlanner {
   /// distribute without persistent stores).
   DistPlanner(std::string experiment, core::ExperimentSpec spec);
 
-  /// True when `experiment` decomposes into independent pipeline sweeps.
-  /// detection and campaign do not (their stores are per-deployment trace
-  /// caches with their own formats); the CLI runs them in-process with a
-  /// loud note instead.
+  /// True when `experiment` decomposes into scenario sweeps the workers
+  /// can run. detection and campaign are cell sweeps on the same engine,
+  /// but workers only execute scenario tasks, so the CLI runs them
+  /// in-process with a loud note instead.
   static bool shardable(const std::string& experiment);
 
   /// Plans the next round: trains every referenced variant through `zoo`

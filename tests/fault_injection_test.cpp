@@ -11,17 +11,10 @@
 // instrumentation surface, so a fault point that silently stops being
 // reached fails the suite ("no dead instrumentation").
 //
-// The JSONL mirror point (store.jsonl.append) is not reachable through any
-// registered experiment, so it is exercised in-process via fork(): the
-// child tears a mirror record mid-write, the parent proves the reopened
-// store repairs the tail and keeps appending complete records.
-//
 // These tests run child processes and whole (tiny) sweeps; they carry the
 // `fault` ctest label and stay out of the unit shard. See docs/testing.md.
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -33,7 +26,6 @@
 #include <vector>
 
 #include "common/fault.hpp"
-#include "core/result_store.hpp"
 #include "test_util.hpp"
 
 namespace safelight {
@@ -234,52 +226,6 @@ TEST(FaultInjection, UniformModeIsDeterministicUnderOneSeed) {
   ASSERT_EQ(b.exit_code, fault::kPlugPulledExitCode) << b.stderr_text;
   ASSERT_FALSE(plug_line(a.stderr_text).empty()) << a.stderr_text;
   EXPECT_EQ(plug_line(a.stderr_text), plug_line(b.stderr_text));
-}
-
-TEST(FaultInjection, TornJsonlMirrorIsRepairedOnReopen) {
-  // store.jsonl.append is unreachable through the CLI (no experiment
-  // streams the mirror), so tear it in a forked child instead: same
-  // _Exit-based power cut, same resume proof, no CLI in the loop.
-  TempDir dir("fault_jsonl");
-  const std::string csv = dir.path() + "/store.csv";
-  const std::string jsonl = dir.path() + "/store.jsonl";
-
-  const pid_t child = fork();
-  ASSERT_NE(child, -1);
-  if (child == 0) {
-    fault::FaultConfig config;
-    config.mode = fault::Mode::kRunLength;
-    config.point = "store.jsonl.append";
-    config.run_length = 2;
-    fault::init(config);
-    core::ResultStore store(csv, jsonl);
-    store.put("alpha", 0.5);
-    store.put("beta", 0.25);  // plug pulled mid-record: never returns
-    std::_Exit(1);            // reaching this means the point never fired
-  }
-  int status = 0;
-  ASSERT_TRUE(wait_with_timeout(child, kChildTimeoutSeconds, &status))
-      << "forked child hung and was SIGKILLed";
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), fault::kPlugPulledExitCode);
-
-  // The CSV row for beta was already durable; the mirror record tore after
-  // its key prefix.
-  const std::string torn = read_file(jsonl);
-  EXPECT_NE(torn.find("{\"key\":\"beta\","), std::string::npos) << torn;
-  EXPECT_NE(torn.back(), '\n') << torn;
-
-  // Reopen: both entries load from the CSV, the torn mirror tail is
-  // truncated away, and the next append produces a complete record instead
-  // of merging into the tear.
-  core::ResultStore resumed(csv, jsonl);
-  EXPECT_EQ(resumed.size(), 2u);
-  EXPECT_EQ(resumed.lookup("alpha"), 0.5);
-  EXPECT_EQ(resumed.lookup("beta"), 0.25);
-  resumed.put("gamma", 0.75);
-  EXPECT_EQ(read_file(jsonl),
-            "{\"key\":\"alpha\",\"accuracy\":0.5}\n"
-            "{\"key\":\"gamma\",\"accuracy\":0.75}\n");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Tests for the scenario pipeline and its result store: fan-out determinism
-// (parallel == serial == repeated run, under any grid order), one clean
-// prefix build per boundary per sweep, resume-after-interrupt and mid-sweep
-// cancellation through the persistent store, and clean-baseline
-// deduplication.
+// Tests for the cell-sweep engine, the scenario sweep on top of it and the
+// result store: fan-out determinism (parallel == serial == repeated run,
+// under any grid order), one clean prefix build per boundary per sweep,
+// resume-after-interrupt, mid-sweep cancellation of every cell sweep
+// through the persistent store, per-key pending and per-id dedup, and
+// clean-baseline deduplication.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -14,9 +15,12 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
-#include "common/csv.hpp"
 #include "common/metrics.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
@@ -29,6 +33,31 @@ namespace {
 
 ExperimentSetup tiny_setup() {
   return experiment_setup(nn::ModelId::kCnn1, Scale::kTiny);
+}
+
+/// Spec of a tiny cnn1 sweep; an empty cache_dir keeps stores in memory.
+ExperimentSpec tiny_spec(const std::string& cache_dir = "",
+                         std::size_t max_workers = 0) {
+  ExperimentSpec spec;
+  spec.model = nn::ModelId::kCnn1;
+  spec.scale = Scale::kTiny;
+  spec.cache_dir = cache_dir;
+  spec.max_workers = max_workers;
+  return spec;
+}
+
+/// The one store file in `dir` whose name ends in `suffix`; empty (and a
+/// test failure) unless there is exactly one.
+std::string only_store_file(const std::string& dir,
+                            const std::string& suffix = ".csv") {
+  std::vector<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().string().ends_with(suffix)) {
+      found.push_back(entry.path().string());
+    }
+  }
+  EXPECT_EQ(found.size(), 1u) << dir;
+  return found.size() == 1 ? found[0] : "";
 }
 
 std::vector<attack::AttackScenario> small_grid(std::size_t seeds = 2) {
@@ -277,29 +306,6 @@ TEST(ResultStore, PropertyResumesFromEveryTruncationOffset) {
   }
 }
 
-TEST(ResultStore, TruncatedJsonlMirrorNeverAffectsResume) {
-  // The JSONL mirror is write-only telemetry: a record torn by a mid-write
-  // kill must neither break CSV resume nor stop the mirror from appending.
-  TempDir dir("result_store_jsonl_torn");
-  const std::string csv = dir.path() + "/store.csv";
-  const std::string jsonl = dir.path() + "/store.jsonl";
-  {
-    ResultStore store(csv, jsonl);
-    store.put("k/1", 0.5);
-    store.put("k/2", 0.25);
-  }
-  // Tear the mirror mid-record.
-  std::filesystem::resize_file(jsonl, std::filesystem::file_size(jsonl) / 2);
-
-  ResultStore resumed(csv, jsonl);
-  EXPECT_EQ(resumed.size(), 2u);  // resume reads the CSV, not the mirror
-  resumed.put("k/3", 0.125);
-  std::ifstream in(jsonl);
-  std::string line, last;
-  while (std::getline(in, line)) last = line;
-  EXPECT_NE(last.find("\"key\":\"k/3\""), std::string::npos);
-}
-
 TEST(ResultStore, OpenSweepsOrphanedTempFilesWithAWarning) {
   // A crash between nn::save_model's tmp write and its atomic rename
   // leaves `<target>.tmp` behind; nothing else ever reclaims it. Opening a
@@ -329,33 +335,21 @@ TEST(ResultStore, OpenSweepsOrphanedTempFilesWithAWarning) {
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
-TEST(ResultStore, StreamsJsonlMirror) {
-  TempDir dir("result_store_jsonl");
-  const std::string csv = dir.path() + "/store.csv";
-  const std::string jsonl = dir.path() + "/store.jsonl";
-  ResultStore store(csv, jsonl);
-  store.put("k", 0.125);
-  std::ifstream in(jsonl);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(line.find("\"key\":\"k\""), std::string::npos);
-  EXPECT_NE(line.find("0.125"), std::string::npos);
-}
-
 // ---------------------------------------------------------------- pipeline
 
 TEST(Pipeline, DeterministicAcrossRunsAndMatchesSerial) {
   TempDir zoo_dir("pipeline_determinism");
   const ExperimentSetup setup = tiny_setup();
   ModelZoo zoo(zoo_dir.path());
+  const RunContext context(zoo);
+  const VariantSpec original = variant_by_name("Original");
   const auto grid = small_grid();
 
   // Parallel run, no persistence.
-  ScenarioPipeline parallel_pipeline(setup, zoo, {});
-  const SweepResult a = parallel_pipeline.run(variant_by_name("Original"), grid);
+  const SweepResult a = sweep_variant(tiny_spec(), context, original, grid);
 
   // Second run from scratch: identical accuracies in identical order.
-  const SweepResult b = parallel_pipeline.run(variant_by_name("Original"), grid);
+  const SweepResult b = sweep_variant(tiny_spec(), context, original, grid);
   ASSERT_EQ(a.rows.size(), grid.size());
   ASSERT_EQ(b.rows.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -365,18 +359,15 @@ TEST(Pipeline, DeterministicAcrossRunsAndMatchesSerial) {
   EXPECT_DOUBLE_EQ(a.baseline_accuracy, b.baseline_accuracy);
 
   // Forced-serial run agrees with the fan-out (same seeds -> same results).
-  PipelineOptions serial_options;
-  serial_options.max_workers = 1;
-  ScenarioPipeline serial_pipeline(setup, zoo, serial_options);
   const SweepResult serial =
-      serial_pipeline.run(variant_by_name("Original"), grid);
+      sweep_variant(tiny_spec("", 1), context, original, grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_DOUBLE_EQ(serial.rows[i].accuracy, a.rows[i].accuracy)
         << grid[i].id();
   }
 
   // And the serial reference path (AttackEvaluator loop) agrees too.
-  auto model = zoo.get_or_train(setup, variant_by_name("Original"));
+  auto model = zoo.get_or_train(setup, original);
   AttackEvaluator evaluator(setup, *model, "Original", "");
   const auto reference = evaluate_grid(evaluator, grid, /*verbose=*/false);
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -387,22 +378,20 @@ TEST(Pipeline, DeterministicAcrossRunsAndMatchesSerial) {
 
 TEST(Pipeline, ResumesFromPersistedStore) {
   TempDir dir("pipeline_resume");
-  const ExperimentSetup setup = tiny_setup();
   ModelZoo zoo(dir.path());
+  const RunContext context(zoo);
+  const ExperimentSpec spec = tiny_spec(dir.path());
+  const VariantSpec original = variant_by_name("Original");
   const auto grid = small_grid();
 
-  PipelineOptions options;
-  options.cache_dir = dir.path();
-  ScenarioPipeline pipeline(setup, zoo, options);
-  const SweepResult first = pipeline.run(variant_by_name("Original"), grid);
+  const SweepResult first = sweep_variant(spec, context, original, grid);
   EXPECT_EQ(first.evaluated, grid.size());
   EXPECT_EQ(first.cache_hits, 0u);
   EXPECT_FALSE(first.baseline_from_cache);
 
-  // A second pipeline instance (simulating a restarted process) evaluates
-  // nothing: every scenario and the baseline come from the store.
-  ScenarioPipeline resumed(setup, zoo, options);
-  const SweepResult second = resumed.run(variant_by_name("Original"), grid);
+  // A second sweep (simulating a restarted process) evaluates nothing:
+  // every scenario and the baseline come from the store.
+  const SweepResult second = sweep_variant(spec, context, original, grid);
   EXPECT_EQ(second.evaluated, 0u);
   EXPECT_EQ(second.cache_hits, grid.size());
   EXPECT_TRUE(second.baseline_from_cache);
@@ -410,14 +399,11 @@ TEST(Pipeline, ResumesFromPersistedStore) {
     EXPECT_DOUBLE_EQ(second.rows[i].accuracy, first.rows[i].accuracy);
   }
 
-  // Interrupt simulation: delete one row from the store file; only that
-  // scenario is re-evaluated, and it reproduces the original value.
-  std::string store_file;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
-    if (entry.path().string().find(".sweep.csv") != std::string::npos) {
-      store_file = entry.path().string();
-    }
-  }
+  // Interrupt simulation: delete the last scenario row from the store file
+  // (the baseline may land anywhere, it evaluates alongside the scenarios);
+  // only that scenario is re-evaluated, and it reproduces the original
+  // value.
+  const std::string store_file = only_store_file(dir.path(), ".sweep.csv");
   ASSERT_FALSE(store_file.empty());
   std::vector<std::string> lines;
   {
@@ -426,68 +412,66 @@ TEST(Pipeline, ResumesFromPersistedStore) {
     while (std::getline(in, line)) lines.push_back(line);
   }
   ASSERT_GT(lines.size(), 2u);
-  const std::string dropped = lines.back();
-  lines.pop_back();
+  const auto dropped =
+      std::find_if(lines.rbegin(), lines.rend(), [](const std::string& line) {
+        return line.rfind("baseline/", 0) != 0;
+      });
+  lines.erase(std::next(dropped).base());
   {
     std::ofstream out(store_file, std::ios::trunc);
     for (const auto& line : lines) out << line << '\n';
   }
-  ScenarioPipeline after_interrupt(setup, zoo, options);
-  const SweepResult third = after_interrupt.run(variant_by_name("Original"), grid);
+  const SweepResult third = sweep_variant(spec, context, original, grid);
   EXPECT_EQ(third.evaluated, 1u);
   EXPECT_EQ(third.cache_hits, grid.size() - 1);
+  EXPECT_TRUE(third.baseline_from_cache);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_DOUBLE_EQ(third.rows[i].accuracy, first.rows[i].accuracy);
   }
-  (void)dropped;
 }
 
 TEST(Pipeline, DeduplicatesBaselineAndRepeatedScenarios) {
   TempDir dir("pipeline_dedup");
-  const ExperimentSetup setup = tiny_setup();
   ModelZoo zoo(dir.path());
+  const RunContext context(zoo);
+  const ExperimentSpec spec = tiny_spec(dir.path());
 
   // A grid that repeats the same scenario: evaluated once, reported twice.
   auto grid = small_grid(1);
   const std::size_t unique_count = grid.size();
   grid.insert(grid.end(), grid.begin(), grid.begin() + 2);
 
-  PipelineOptions options;
-  options.cache_dir = dir.path();
-  ScenarioPipeline pipeline(setup, zoo, options);
-  const SweepResult sweep = pipeline.run(variant_by_name("Original"), grid);
+  const SweepResult sweep =
+      sweep_variant(spec, context, variant_by_name("Original"), grid);
   EXPECT_EQ(sweep.evaluated, unique_count);
   ASSERT_EQ(sweep.rows.size(), unique_count + 2);
   EXPECT_DOUBLE_EQ(sweep.rows[0].accuracy, sweep.rows[unique_count].accuracy);
 
   // The store holds exactly one baseline entry, shared by both sweeps of
   // this variant (the second run reads, never re-evaluates).
-  const SweepResult again = pipeline.run(variant_by_name("Original"), grid);
+  const SweepResult again =
+      sweep_variant(spec, context, variant_by_name("Original"), grid);
   EXPECT_TRUE(again.baseline_from_cache);
   EXPECT_DOUBLE_EQ(again.baseline_accuracy, sweep.baseline_accuracy);
 }
 
 TEST(Pipeline, CorruptionConfigSeparatesStores) {
   TempDir dir("pipeline_corruption");
-  const ExperimentSetup setup = tiny_setup();
   ModelZoo zoo(dir.path());
+  const RunContext context(zoo);
   const auto grid = attack::scenario_grid(
       {attack::AttackVector::kActuation},
       {attack::AttackTarget::kBothBlocks}, {0.10}, 1, 100);
 
-  PipelineOptions default_options;
-  default_options.cache_dir = dir.path();
-  ScenarioPipeline default_pipeline(setup, zoo, default_options);
-  const SweepResult default_sweep =
-      default_pipeline.run(variant_by_name("Original"), grid);
+  const ExperimentSpec default_spec = tiny_spec(dir.path());
+  sweep_variant(default_spec, context, variant_by_name("Original"), grid);
 
   // Ablated physics (tiny park distance ~= stuck-at-zero) must not reuse
   // the default-physics cache entries.
-  PipelineOptions ablated_options = default_options;
-  ablated_options.corruption.actuation.park_spacing_fraction = 0.02;
-  ScenarioPipeline ablated_pipeline(setup, zoo, ablated_options);
+  ExperimentSpec ablated_spec = default_spec;
+  ablated_spec.corruption.actuation.park_spacing_fraction = 0.02;
   const SweepResult ablated_sweep =
-      ablated_pipeline.run(variant_by_name("Original"), grid);
+      sweep_variant(ablated_spec, context, variant_by_name("Original"), grid);
   EXPECT_EQ(ablated_sweep.evaluated, grid.size());  // no cross-config hits
 
   std::size_t store_count = 0;
@@ -497,7 +481,6 @@ TEST(Pipeline, CorruptionConfigSeparatesStores) {
     }
   }
   EXPECT_EQ(store_count, 2u);
-  (void)default_sweep;
 }
 
 /// CONV scenarios (first dirty layer early, full conv-stack forward: the
@@ -522,6 +505,7 @@ TEST(Pipeline, AdversarialOrderIsDeterministicAndBuildsEachBoundaryOnce) {
   TempDir dir("pipeline_adversarial");
   const ExperimentSetup setup = tiny_setup();
   ModelZoo zoo(dir.path());
+  const RunContext context(zoo);
   const VariantSpec variant = variant_by_name("Original");
   auto grid = interleaved_grid();
   metrics::arm_collection();
@@ -541,11 +525,9 @@ TEST(Pipeline, AdversarialOrderIsDeterministicAndBuildsEachBoundaryOnce) {
   for (const bool reversed : {false, true}) {
     if (reversed) std::reverse(grid.begin(), grid.end());
     for (const std::size_t max_workers : {1u, 2u, 4u}) {
-      PipelineOptions options;
-      options.max_workers = max_workers;
-      ScenarioPipeline pipeline(setup, zoo, options);
       const std::uint64_t before = builds.value();
-      const SweepResult sweep = pipeline.run(variant, grid);
+      const SweepResult sweep =
+          sweep_variant(tiny_spec("", max_workers), context, variant, grid);
       // Each boundary is built once per sweep, however many threads ran.
       EXPECT_EQ(builds.value() - before, boundaries)
           << "max_workers " << max_workers << (reversed ? " reversed" : "");
@@ -560,81 +542,210 @@ TEST(Pipeline, AdversarialOrderIsDeterministicAndBuildsEachBoundaryOnce) {
   metrics::reset();
 }
 
-/// The sweep's rows as CSV bytes (scenario id, full-precision accuracy).
-std::string sweep_csv(const SweepResult& sweep, const std::string& path) {
-  {
-    CsvWriter writer(path, {"scenario", "accuracy"});
-    for (const auto& row : sweep.rows) {
-      writer.row({row.scenario.id(), fmt_double(row.accuracy, 17)});
+TEST(Pipeline, CancelMidSweepKeepsCompleteRowsAndResumesIdentically) {
+  // Every cell sweep polls the cancel flag at its cell boundaries: the
+  // scenario sweep, the detection sweep and the campaign sweep alike.
+  TempDir dir("pipeline_cancel");
+  ModelZoo zoo(dir.path() + "/zoo");
+  const auto& registry = ExperimentRegistry::global();
+  for (const std::string experiment :
+       {"susceptibility", "detection", "campaign"}) {
+    SCOPED_TRACE(experiment);
+    ExperimentSpec spec = registry.default_spec(experiment);
+    spec.model = nn::ModelId::kCnn1;
+    spec.scale = Scale::kTiny;
+    spec.base_seed = 100;
+    spec.seed_count = experiment == "susceptibility" ? 4 : 1;
+    spec.max_workers = 4;
+
+    spec.cache_dir = dir.path() + "/" + experiment + "/uninterrupted";
+    RunContext plain(zoo);
+    const std::string uninterrupted = registry.run(spec, plain).to_json();
+    const auto complete = read_store_entries(only_store_file(spec.cache_dir));
+    ASSERT_FALSE(complete.empty());
+
+    // Flip the flag once k rows were flushed to the sweep's store, the only
+    // on-disk store this run writes.
+    constexpr std::uint64_t kStoredBeforeCancel = 4;
+    metrics::arm_collection();
+    metrics::Counter& flushes = metrics::counter("store.flushes");
+    const std::uint64_t flushes_before = flushes.value();
+    std::atomic<bool> cancel{false};
+    std::atomic<bool> finished{false};
+    std::thread canceller([&] {
+      while (!finished.load() &&
+             flushes.value() < flushes_before + kStoredBeforeCancel) {
+        std::this_thread::yield();
+      }
+      cancel = true;
+    });
+    spec.cache_dir = dir.path() + "/" + experiment + "/cut";
+    RunContext cancellable(zoo);
+    cancellable.cancel = &cancel;
+    EXPECT_THROW(registry.run(spec, cancellable), ExperimentCancelled);
+    finished = true;
+    canceller.join();
+
+    // Only complete rows were stored: every line after the header is a
+    // `key,value` row holding the value the uninterrupted sweep stored.
+    // (Campaigns sharing a composite may race to store its accuracy twice;
+    // both rows carry the same value.)
+    const std::string store_file = only_store_file(spec.cache_dir);
+    const std::string bytes = read_file_bytes(store_file);
+    ASSERT_FALSE(bytes.empty());
+    EXPECT_EQ(bytes.back(), '\n');
+    std::map<std::string, std::string> reference;
+    for (const auto& entry : complete) reference[entry.key] = entry.value;
+    std::istringstream rows(bytes);
+    std::string row;
+    ASSERT_TRUE(std::getline(rows, row));
+    EXPECT_EQ(row, "key,accuracy");
+    while (std::getline(rows, row)) {
+      const std::size_t comma = row.rfind(',');
+      ASSERT_NE(comma, std::string::npos) << row;
+      EXPECT_EQ(reference[row.substr(0, comma)], row.substr(comma + 1)) << row;
     }
+    const auto stored = read_store_entries(store_file);
+    EXPECT_GE(stored.size(), kStoredBeforeCancel);
+    EXPECT_LT(stored.size(), complete.size()) << "cancel never took effect";
+
+    // A rerun resumes from the stored rows — it writes only what is
+    // missing — and reproduces the uninterrupted report byte for byte.
+    const std::uint64_t flushes_at_resume = flushes.value();
+    EXPECT_EQ(registry.run(spec, plain).to_json(), uninterrupted);
+    const std::uint64_t written = flushes.value() - flushes_at_resume;
+    if (experiment == "campaign") {
+      // Only campaign cells share keys, so only they can write one twice.
+      EXPECT_GE(written, complete.size() - stored.size());
+      EXPECT_LT(written, complete.size());
+    } else {
+      EXPECT_EQ(written, complete.size() - stored.size());
+    }
+    metrics::reset();
   }
-  return read_file_bytes(path);
 }
 
-TEST(Pipeline, CancelMidSweepKeepsCompleteRowsAndResumesIdentically) {
-  TempDir dir("pipeline_cancel");
-  const ExperimentSetup setup = tiny_setup();
-  ModelZoo zoo(dir.path() + "/zoo");
-  const VariantSpec variant = variant_by_name("Original");
-  const auto grid = attack::paper_scenario_grid(4, 100);
+// -------------------------------------------------------------- cell sweep
 
-  PipelineOptions uninterrupted_options;
-  uninterrupted_options.cache_dir = dir.path() + "/uninterrupted";
-  const SweepResult uninterrupted =
-      ScenarioPipeline(setup, zoo, uninterrupted_options).run(variant, grid);
+/// Test worker: records which cells it evaluated and stores a value derived
+/// from each key's position, so results are checkable without a model.
+struct CountingWorker {
+  std::mutex* mutex;
+  std::vector<std::string>* evaluated;
+};
 
-  // Flip the flag once k scenarios (plus the baseline) were flushed to the
-  // sweep's store, the only on-disk store this run writes.
-  constexpr std::uint64_t kStoredBeforeCancel = 3;
-  metrics::arm_collection();
-  metrics::Counter& flushes = metrics::counter("store.flushes");
-  const std::uint64_t flushes_before = flushes.value();
-  std::atomic<bool> cancel{false};
-  std::atomic<bool> finished{false};
-  std::thread canceller([&] {
-    while (!finished.load() &&
-           flushes.value() < flushes_before + 1 + kStoredBeforeCancel) {
-      std::this_thread::yield();
-    }
-    cancel = true;
-  });
-  PipelineOptions options;
-  options.cache_dir = dir.path() + "/cut";
-  options.cancel = &cancel;
-  options.max_workers = 4;
-  EXPECT_THROW(ScenarioPipeline(setup, zoo, options).run(variant, grid),
-               ExperimentCancelled);
-  finished = true;
-  canceller.join();
-  metrics::reset();
+/// Cell sweeps of the tiny cnn1 Original variant, trained once per suite.
+class CellSweep : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    dir_ = new TempDir("cell_sweep");
+    zoo_ = new ModelZoo(dir_->path() + "/zoo");
+  }
+  static void TearDownTestSuite() {
+    delete zoo_;
+    delete dir_;
+  }
 
-  // Only complete rows were stored: every line after the header parses.
-  std::string store_file;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options.cache_dir)) {
-    if (entry.path().string().ends_with(".sweep.csv")) {
-      store_file = entry.path().string();
+  /// Sweeps `cells`; evaluate stores 100 * cell index + key index.
+  std::vector<SweptCell> sweep(const std::vector<SweepCell>& cells,
+                               const ExperimentSpec& spec) {
+    const RunContext context(*zoo_);
+    return sweep_cells<CountingWorker>(
+        spec, context, variant_by_name("Original"), ".cells.csv", cells,
+        [&](std::unique_ptr<nn::Sequential>) {
+          return std::make_unique<CountingWorker>(
+              CountingWorker{&mutex_, &evaluated_});
+        },
+        [&](CountingWorker& worker, std::size_t i, ResultStore& store) {
+          {
+            const std::lock_guard<std::mutex> lock(*worker.mutex);
+            worker.evaluated->push_back(cells[i].id);
+          }
+          for (std::size_t k = 0; k < cells[i].keys.size(); ++k) {
+            store.put(cells[i].keys[k], static_cast<double>(100 * i + k));
+          }
+        });
+  }
+
+  static TempDir* dir_;
+  static ModelZoo* zoo_;
+  std::mutex mutex_;
+  std::vector<std::string> evaluated_;
+};
+
+TempDir* CellSweep::dir_ = nullptr;
+ModelZoo* CellSweep::zoo_ = nullptr;
+
+TEST_F(CellSweep, RerunsACellMissingOneOfItsKeys) {
+  const ExperimentSpec spec = tiny_spec(dir_->path() + "/partial");
+  const std::vector<SweepCell> cells = {{"a", {"a/0", "a/1", "a/2"}},
+                                        {"b", {"b/0", "b/1"}}};
+  const auto first = sweep(cells, spec);
+  EXPECT_TRUE(first[0].fresh);
+  EXPECT_TRUE(first[1].fresh);
+
+  // Drop one of a's three rows, as an interrupt between flushes would.
+  const std::string store_file = only_store_file(spec.cache_dir);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(store_file);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("a/1,", 0) != 0) lines.push_back(line);
     }
   }
-  ASSERT_FALSE(store_file.empty());
-  const std::string bytes = read_file_bytes(store_file);
-  ASSERT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes.back(), '\n');
-  const std::size_t lines = std::count(bytes.begin(), bytes.end(), '\n');
-  const std::size_t stored = read_store_entries(store_file).size();
-  EXPECT_EQ(stored + 1, lines);  // header + one parsed row per line
-  EXPECT_GE(stored, 1 + kStoredBeforeCancel);
-  EXPECT_LT(stored, 1 + grid.size()) << "cancel never took effect";
+  {
+    std::ofstream out(store_file, std::ios::trunc);
+    for (const auto& line : lines) out << line << '\n';
+  }
+  const auto stored = [&](const std::string& key) {
+    for (const auto& line : lines) {
+      if (line.rfind(key + ",", 0) == 0) return true;
+    }
+    return false;
+  };
+  EXPECT_EQ(pending_cells(cells, stored), std::vector<std::size_t>{0});
 
-  // A rerun resumes from the stored rows and reproduces the uninterrupted
-  // sweep byte for byte.
-  options.cancel = nullptr;
-  const SweepResult resumed =
-      ScenarioPipeline(setup, zoo, options).run(variant, grid);
-  EXPECT_EQ(resumed.cache_hits, stored - 1);
-  EXPECT_EQ(resumed.evaluated, grid.size() - (stored - 1));
-  EXPECT_EQ(sweep_csv(resumed, dir.path() + "/resumed.csv"),
-            sweep_csv(uninterrupted, dir.path() + "/uninterrupted.csv"));
+  evaluated_.clear();
+  const auto second = sweep(cells, spec);
+  EXPECT_EQ(evaluated_, std::vector<std::string>{"a"});
+  EXPECT_TRUE(second[0].fresh);
+  EXPECT_FALSE(second[1].fresh);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(second[i].values, first[i].values) << cells[i].id;
+  }
+}
+
+TEST_F(CellSweep, EvaluatesARepeatedIdOnce) {
+  const std::vector<SweepCell> cells = {
+      {"x", {"x/0"}}, {"y", {"y/0"}}, {"x", {"x/0"}}};
+  const auto swept = sweep(cells, tiny_spec());
+  EXPECT_EQ(evaluated_, (std::vector<std::string>{"x", "y"}));
+  EXPECT_TRUE(swept[0].fresh);
+  EXPECT_TRUE(swept[1].fresh);
+  EXPECT_FALSE(swept[2].fresh);  // read back what cell 0 stored
+  EXPECT_EQ(swept[2].values, swept[0].values);
+}
+
+TEST_F(CellSweep, ResultsFollowDeclarationOrderForOneAndFourWorkers) {
+  std::vector<SweepCell> cells;
+  for (std::size_t i = 0; i < 24; ++i) {
+    std::string id = "c";
+    id += std::to_string(i);
+    cells.push_back({id, {id + "/0", id + "/1"}});
+  }
+  for (const std::size_t workers : {1u, 4u}) {
+    evaluated_.clear();
+    const auto swept = sweep(cells, tiny_spec("", workers));
+    ASSERT_EQ(swept.size(), cells.size());
+    EXPECT_EQ(evaluated_.size(), cells.size()) << workers << " workers";
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_TRUE(swept[i].fresh);
+      EXPECT_EQ(swept[i].values,
+                (std::vector<double>{100.0 * i, 100.0 * i + 1}))
+          << cells[i].id << ", " << workers << " workers";
+    }
+  }
 }
 
 }  // namespace
