@@ -42,11 +42,14 @@ int main() {
     spec.scale = scale;
     spec.cache_dir = zoo.directory();
     spec.corruption = corruption;
-    const sl::core::SweepResult sweep = sl::core::sweep_variant(
-        spec, context, sl::core::variant_by_name(variant),
-        sl::attack::scenario_grid({vector},
-                                  {sl::attack::AttackTarget::kBothBlocks},
-                                  {fraction}, seeds, base_seed));
+    const auto grid = sl::attack::scenario_grid(
+        {vector}, {sl::attack::AttackTarget::kBothBlocks}, {fraction}, seeds,
+        base_seed);
+    const sl::core::SweepResult sweep = sl::core::run_scenario_sweep(
+        spec, context,
+        sl::core::scenario_sweep(spec, setup,
+                                 sl::core::variant_by_name(variant), grid),
+        grid);
     return sl::mean_of(sweep.accuracies());
   };
 

@@ -125,8 +125,7 @@ doc = {
     },
     "run_all_wall_seconds": {
         "note": "run-all, tiny scale, 2 seeds, all 5 experiments, fresh "
-                "zoo per leg; detection/campaign are not shardable and "
-                "run in-process at every worker count",
+                "zoo per leg; every experiment shards",
         "workers_0_single_process": $RA0 / 1000.0,
         "workers_1": $RA1 / 1000.0,
         "workers_2": $RA2 / 1000.0,

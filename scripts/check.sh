@@ -16,7 +16,8 @@
 # 5. distributed smoke: `run --workers 2` (clean, then with --chaos plug
 #    pulls inside the workers) must emit bytes identical to a
 #    single-process run from a fresh zoo — the coordinator/worker/merge
-#    stack proves itself end to end on every CI run.
+#    stack proves itself end to end on every CI run; detection and
+#    campaign shard too and must match their in-process CSVs.
 # 6. telemetry smoke: the same 2-worker run armed with --trace/--metrics
 #    must stay byte-identical, produce a parseable merged Chrome trace
 #    with coordinator + worker tracks, and a schema-valid metrics JSON;
@@ -156,7 +157,7 @@ cmp "$SMOKE_DIR/out/fig7_susceptibility.csv" \
 echo "fresh-zoo run susceptibility CSV byte-identical to run-all"
 phase_end
 
-phase_start "distributed smoke (2 workers, clean + chaos)"
+phase_start "distributed smoke (2 workers, clean + chaos, all sweep kinds)"
 # The coordinator shards the sweep across 2 worker subprocesses from a
 # fresh zoo; the merged result must be byte-identical to a single-process
 # run (also fresh, so the equality is computational). cnn1-only keeps the
@@ -186,6 +187,21 @@ SAFELIGHT_ZOO="$SMOKE_DIR/zoo_dist_chaos" SAFELIGHT_OUT="$SMOKE_DIR/out_dist_cha
 grep '\[dist\] summary:' "$SMOKE_DIR/dist_chaos.log"
 cmp "$SMOKE_DIR/out_dist_ref/fig7_susceptibility.csv" \
     "$SMOKE_DIR/out_dist_chaos/fig7_susceptibility.csv"
+# The detector sweeps shard through their declared cells too; each
+# distributed run must plan tasks and match its in-process CSVs.
+for experiment in detection campaign; do
+  SAFELIGHT_ZOO="$SMOKE_DIR/zoo_dist_ref" \
+    SAFELIGHT_OUT="$SMOKE_DIR/out_dist_ref" "$SAFELIGHT" run "$experiment" \
+    --model cnn1 >"$SMOKE_DIR/dist_ref_$experiment.log"
+  SAFELIGHT_ZOO="$SMOKE_DIR/zoo_dist" SAFELIGHT_OUT="$SMOKE_DIR/out_dist" \
+    "$SAFELIGHT" run "$experiment" --model cnn1 --workers 2 \
+    >"$SMOKE_DIR/dist_$experiment.log"
+  grep -E '\[dist\] summary: workers=2 tasks=[1-9]' \
+    "$SMOKE_DIR/dist_$experiment.log"
+done
+for csv in fig_detection fig_detection_roc fig_campaign_phases fig_campaign; do
+  cmp "$SMOKE_DIR/out_dist_ref/$csv.csv" "$SMOKE_DIR/out_dist/$csv.csv"
+done
 echo "distributed CSVs byte-identical to single-process reference"
 phase_end
 

@@ -23,21 +23,6 @@ std::string to_string(AttackTarget target) {
   return "CONV+FC";
 }
 
-AttackVector vector_from_string(const std::string& name) {
-  if (name == "actuation") return AttackVector::kActuation;
-  if (name == "hotspot") return AttackVector::kHotspot;
-  fail_argument("unknown attack vector '" + name +
-                "' (valid: actuation, hotspot)");
-}
-
-AttackTarget target_from_string(const std::string& name) {
-  if (name == "CONV") return AttackTarget::kConvBlock;
-  if (name == "FC") return AttackTarget::kFcBlock;
-  if (name == "CONV+FC") return AttackTarget::kBothBlocks;
-  fail_argument("unknown attack target '" + name +
-                "' (valid: CONV, FC, CONV+FC)");
-}
-
 void AttackScenario::validate() const {
   require(fraction >= 0.0 && fraction <= 1.0,
           "AttackScenario: fraction must be in [0,1]");

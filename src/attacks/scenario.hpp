@@ -23,12 +23,6 @@ enum class AttackTarget { kConvBlock, kFcBlock, kBothBlocks };
 std::string to_string(AttackVector vector);
 std::string to_string(AttackTarget target);
 
-/// Inverse of to_string, for wire formats (the distributed-sweep protocol
-/// ships scenarios by name). Throw std::invalid_argument listing the valid
-/// names on anything else.
-AttackVector vector_from_string(const std::string& name);
-AttackTarget target_from_string(const std::string& name);
-
 /// One attack case of the paper's §IV grid.
 struct AttackScenario {
   AttackVector vector = AttackVector::kActuation;

@@ -23,7 +23,6 @@
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "dist/coordinator.hpp"
-#include "dist/plan.hpp"
 #include "dist/worker.hpp"
 #include "nn/backend.hpp"
 #include "serve/server.hpp"
@@ -509,37 +508,29 @@ int cmd_run(const std::vector<std::string>& experiments,
       std::fflush(stdout);
 
       if (config::workers() > 0) {
-        if (!dist::DistPlanner::shardable(name)) {
-          std::printf(
-              "[dist] note: experiment '%s' is not shardable; running "
-              "in-process\n",
-              name.c_str());
-          std::fflush(stdout);
-        } else {
-          // Distributed phase: workers warm the result stores; the ordinary
-          // registry.run below then assembles the report with every lookup
-          // hitting cache, so its output is byte-identical to an in-process
-          // run of the same spec.
-          dist::DistOptions dist_options;
-          dist_options.workers = config::workers();
-          dist_options.heartbeat_timeout_s = config::heartbeat_timeout_s();
-          dist_options.max_task_retries = config::max_task_retries();
-          dist_options.chaos_kill_prob = options.chaos;
-          dist_options.chaos_seed = spec.base_seed;
-          dist_options.verbose = options.verbose;
-          dist_options.cancel = &g_cancel_requested;
-          dist::DistSummary dist_summary;
-          const dist::DistStatus status = dist::run_distributed(
-              name, spec, zoo, dist_options, dist_summary);
-          if (status == dist::DistStatus::kQuarantined) {
-            log::error("dist",
-                       "%s/%s incomplete: %zu task(s) quarantined; "
-                       "skipping report assembly for this model",
-                       name.c_str(), nn::to_string(model).c_str(),
-                       dist_summary.quarantined.size());
-            any_quarantine = true;
-            continue;
-          }
+        // Distributed phase: workers warm the result stores; the ordinary
+        // registry.run below then assembles the report with every lookup
+        // hitting cache, so its output is byte-identical to an in-process
+        // run of the same spec.
+        dist::DistOptions dist_options;
+        dist_options.workers = config::workers();
+        dist_options.heartbeat_timeout_s = config::heartbeat_timeout_s();
+        dist_options.max_task_retries = config::max_task_retries();
+        dist_options.chaos_kill_prob = options.chaos;
+        dist_options.chaos_seed = spec.base_seed;
+        dist_options.verbose = options.verbose;
+        dist_options.cancel = &g_cancel_requested;
+        dist::DistSummary dist_summary;
+        const dist::DistStatus status =
+            dist::run_distributed(spec, zoo, dist_options, dist_summary);
+        if (status == dist::DistStatus::kQuarantined) {
+          log::error("dist",
+                     "%s/%s incomplete: %zu task(s) quarantined; "
+                     "skipping report assembly for this model",
+                     name.c_str(), nn::to_string(model).c_str(),
+                     dist_summary.quarantined.size());
+          any_quarantine = true;
+          continue;
         }
       }
 

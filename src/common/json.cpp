@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -138,6 +139,15 @@ JsonWriter& JsonWriter::value(double v, int precision) {
   begin_value();
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+  out_ += buf;
+  return *this;
+}
+
+JsonWriter& JsonWriter::exact(double v) {
+  if (!std::isfinite(v)) fail_invariant("JsonWriter: non-finite number");
+  begin_value();
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
   out_ += buf;
   return *this;
 }
@@ -346,7 +356,9 @@ double JsonValue::as_number() const {
 
 std::uint64_t JsonValue::as_uint() const {
   const double n = as_number();
-  if (n < 0.0 || n != static_cast<double>(static_cast<std::uint64_t>(n))) {
+  // Range first: casting a NaN or a double outside [0, 2^64) is undefined.
+  if (!(n >= 0.0 && n < 18446744073709551616.0) ||
+      n != static_cast<double>(static_cast<std::uint64_t>(n))) {
     type_mismatch("a non-negative integer");
   }
   return static_cast<std::uint64_t>(n);

@@ -53,6 +53,9 @@ class JsonWriter {
   JsonWriter& value(int n) { return value(static_cast<std::int64_t>(n)); }
   /// Fixed-precision double (default 6 digits), deterministic across hosts.
   JsonWriter& value(double v, int precision = 6);
+  /// Double as %.17g, which JsonValue::parse reads back bit for bit.
+  /// `v` must be finite.
+  JsonWriter& exact(double v);
   JsonWriter& null_value();
 
   /// Finished document. Throws std::logic_error when containers are still

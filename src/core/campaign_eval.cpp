@@ -40,19 +40,20 @@ std::string score_key(const std::string& campaign_id, std::size_t phase,
 /// never depend on which thread evaluated which phase.
 class CampaignEvaluator {
  public:
-  /// `spec` must outlive the evaluator; it supplies the suite config,
-  /// calibration seed, corruption physics and verbosity.
+  /// `spec` supplies the suite config, calibration seed, corruption
+  /// physics and verbosity.
   CampaignEvaluator(const ExperimentSetup& setup,
                     std::unique_ptr<nn::Sequential> model,
                     const VariantSpec& variant, const ExperimentSpec& spec)
       : setup_(setup),
         model_(std::move(model)),
-        spec_(spec),
+        corruption_(spec.corruption),
+        verbose_(spec.verbose),
         evaluator_(setup, *model_, variant.name, "", spec.corruption),
         suite_(setup, spec.suite) {
     const defense::DeploymentView clean{
         *model_, evaluator_.executor(), nullptr,
-        seed_combine(spec_.base_seed, 0xCA11B)};
+        seed_combine(spec.base_seed, 0xCA11B)};
     suite_.calibrate(clean);
   }
 
@@ -63,18 +64,19 @@ class CampaignEvaluator {
   /// composite-id cache) plus `phase.checks` full suite checks against the
   /// deployment. A dormant phase runs clean; its accuracy is the baseline.
   void run_phase(const attack::CampaignSchedule& schedule,
-                 const std::string& campaign_id, std::size_t phase_index,
-                 ResultStore& store) {
+                 std::size_t phase_index, ResultStore& store) {
     const attack::CampaignPhase& phase = schedule.phases[phase_index];
+    const std::string campaign_id = schedule.id();
 
     // The composite corrupts the deployment once; the accuracy measurement
     // and every check of the phase then observe the same compromised state
     // (evaluate_applied does not touch the weights).
     std::vector<attack::BlockThermalState> telemetry;
+    std::vector<std::pair<std::string, double>> rows;
     if (phase.active()) {
       evaluator_.apply_composite(phase.attack);
       telemetry = defense::composite_telemetry(setup_.accelerator,
-                                               phase.attack, spec_.corruption);
+                                               phase.attack, corruption_);
       const std::string acc_key =
           accuracy_key(phase.attack.id(), setup_.eval_count);
       if (!store.contains(acc_key)) {
@@ -93,9 +95,9 @@ class CampaignEvaluator {
       const std::vector<defense::DetectionResult> results =
           suite_.check_all(check_view);
       for (const defense::DetectionResult& r : results) {
-        store.put(score_key(campaign_id, phase_index, check, r.detector),
-                  r.score);
-        if (spec_.verbose) {
+        rows.emplace_back(
+            score_key(campaign_id, phase_index, check, r.detector), r.score);
+        if (verbose_) {
           std::printf("  [campaign] %-24s p%zu k%zu %-16s score %.4f%s\n",
                       schedule.name.c_str(), phase_index, check,
                       r.detector.c_str(), r.score,
@@ -105,12 +107,14 @@ class CampaignEvaluator {
       }
     }
     evaluator_.restore_clean();
+    store.put(rows);
   }
 
  private:
   ExperimentSetup setup_;
   std::unique_ptr<nn::Sequential> model_;
-  const ExperimentSpec& spec_;
+  attack::CorruptionConfig corruption_;
+  bool verbose_;
   AttackEvaluator evaluator_;
   defense::DetectorSuite suite_;
 };
@@ -178,71 +182,89 @@ std::size_t CampaignResult::detection_latency_checks(
 
 namespace {
 
-/// The sweep proper, in the unified-API shape: spec in, typed report out.
-CampaignSweepReport campaign_impl(const ExperimentSpec& spec,
-                                  RunContext& context) {
+/// The schedules a campaign sweep runs: the spec's, or the standard set.
+std::vector<attack::CampaignSchedule> campaigns_of(
+    const ExperimentSpec& spec) {
+  return spec.campaigns.empty() ? attack::standard_campaigns()
+                                : spec.campaigns;
+}
+
+}  // namespace
+
+std::vector<CellSweep> campaign_sweeps(const ExperimentSpec& spec) {
   const ExperimentSetup setup = spec.resolved_setup();
   const VariantSpec variant = spec.resolved_variant();
-  const std::vector<attack::CampaignSchedule> campaigns =
-      spec.campaigns.empty() ? attack::standard_campaigns() : spec.campaigns;
-  context.note("campaign: sweep " + setup.tag() + " / " + variant.name);
-
-  require(!campaigns.empty(), "campaign: need >= 1 campaign");
-  std::vector<std::string> campaign_ids;
-  campaign_ids.reserve(campaigns.size());
-  std::set<std::string> distinct_ids;
-  for (const attack::CampaignSchedule& schedule : campaigns) {
-    schedule.validate();
-    campaign_ids.push_back(schedule.id());
-    require(distinct_ids.insert(campaign_ids.back()).second,
-            "campaign: duplicate campaign '" +
-                campaign_ids.back() + "'");
-  }
-
-  // Names and default thresholds for report assembly; workers calibrate
-  // their own identical suites.
-  defense::DetectorSuite reference(setup, spec.suite);
-  const std::vector<std::string> detector_names = reference.names();
+  auto campaigns =
+      std::make_shared<const std::vector<attack::CampaignSchedule>>(
+          campaigns_of(spec));
+  require(!campaigns->empty(), "campaign: need >= 1 campaign");
+  const std::vector<std::string> detector_names =
+      defense::DetectorSuite(setup, spec.suite).names();
 
   // Cell 0 is the clean baseline (a dormant phase's accuracy); cell i > 0
   // is phase tasks[i - 1], filling its (check, detector) scores and, when
   // active, its composite's accuracy.
   std::vector<SweepCell> cells{
       {"baseline", {accuracy_key("baseline", setup.eval_count)}}};
-  std::vector<PhaseTask> tasks;
-  for (std::size_t ci = 0; ci < campaigns.size(); ++ci) {
-    for (std::size_t pi = 0; pi < campaigns[ci].phases.size(); ++pi) {
-      const attack::CampaignPhase& phase = campaigns[ci].phases[pi];
-      SweepCell cell{campaign_ids[ci] + "/p" + std::to_string(pi), {}};
+  auto tasks = std::make_shared<std::vector<PhaseTask>>();
+  std::set<std::string> distinct_ids;
+  for (std::size_t ci = 0; ci < campaigns->size(); ++ci) {
+    const attack::CampaignSchedule& schedule = (*campaigns)[ci];
+    schedule.validate();
+    const std::string campaign_id = schedule.id();
+    require(distinct_ids.insert(campaign_id).second,
+            "campaign: duplicate campaign '" + campaign_id + "'");
+    for (std::size_t pi = 0; pi < schedule.phases.size(); ++pi) {
+      const attack::CampaignPhase& phase = schedule.phases[pi];
+      SweepCell cell{campaign_id + "/p" + std::to_string(pi), {}};
       for (std::size_t check = 0; check < phase.checks; ++check) {
         for (const std::string& name : detector_names) {
-          cell.keys.push_back(score_key(campaign_ids[ci], pi, check, name));
+          cell.keys.push_back(score_key(campaign_id, pi, check, name));
         }
       }
       if (phase.active()) {
         cell.keys.push_back(accuracy_key(phase.attack.id(), setup.eval_count));
       }
       cells.push_back(std::move(cell));
-      tasks.push_back({ci, pi});
+      tasks->push_back({ci, pi});
     }
   }
 
-  const std::vector<SweptCell> swept = sweep_cells<CampaignEvaluator>(
-      spec, context, variant,
-      "_" + defense::config_fingerprint(spec.suite) + ".campaign.csv", cells,
-      [&](std::unique_ptr<nn::Sequential> model) {
+  std::string suffix = "_";  // "_" + fp trips a GCC 12 -Wrestrict bug
+  suffix += defense::config_fingerprint(spec.suite) + ".campaign.csv";
+  return {cell_sweep<CampaignEvaluator>(
+      variant, suffix, std::move(cells),
+      [setup, variant, spec](std::unique_ptr<nn::Sequential> model) {
         return std::make_unique<CampaignEvaluator>(setup, std::move(model),
                                                    variant, spec);
       },
-      [&](CampaignEvaluator& evaluator, std::size_t i, ResultStore& store) {
+      [campaigns, tasks = std::shared_ptr<const std::vector<PhaseTask>>(tasks),
+       eval_count = setup.eval_count](CampaignEvaluator& evaluator,
+                                      std::size_t i, ResultStore& store) {
         if (i == 0) {
-          store.put(cells[0].keys[0], evaluator.baseline_accuracy());
+          store.put(accuracy_key("baseline", eval_count),
+                    evaluator.baseline_accuracy());
           return;
         }
-        const PhaseTask& task = tasks[i - 1];
-        evaluator.run_phase(campaigns[task.campaign],
-                            campaign_ids[task.campaign], task.phase, store);
-      });
+        const PhaseTask& task = (*tasks)[i - 1];
+        evaluator.run_phase((*campaigns)[task.campaign], task.phase, store);
+      })};
+}
+
+ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
+                                         RunContext& context) {
+  spec.validate();  // callers may invoke this runner without the registry
+  const ExperimentSetup setup = spec.resolved_setup();
+  const VariantSpec variant = spec.resolved_variant();
+  const std::vector<attack::CampaignSchedule> campaigns = campaigns_of(spec);
+  context.note("campaign: sweep " + setup.tag() + " / " + variant.name);
+
+  // Names and default thresholds for report assembly; workers calibrate
+  // their own identical suites.
+  defense::DetectorSuite reference(setup, spec.suite);
+  const std::vector<std::string> detector_names = reference.names();
+  const std::vector<SweptCell> swept =
+      sweep_cells(spec, context, campaign_sweeps(spec).at(0));
 
   // Assemble in campaign/phase order; execution order never leaks out.
   CampaignSweepReport report;
@@ -254,7 +276,7 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& spec,
     const attack::CampaignSchedule& schedule = campaigns[ci];
     CampaignResult result;
     result.campaign = schedule.name;
-    result.campaign_id = campaign_ids[ci];
+    result.campaign_id = schedule.id();
     result.detectors = detector_names;
     result.baseline_accuracy = baseline;
     for (std::size_t pi = 0; pi < schedule.phases.size(); ++pi, ++i) {
@@ -288,16 +310,9 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& spec,
     }
     report.campaigns.push_back(std::move(result));
   }
-  return report;
-}
 
-}  // namespace
-
-ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
-                                         RunContext& context) {
-  spec.validate();  // callers may invoke this runner without the registry
   ExperimentResult result;
-  result.payload = campaign_impl(spec, context);
+  result.payload = std::move(report);
   return result;
 }
 

@@ -10,10 +10,11 @@
 // per-detector detection latency in checks, and the evasion rate — the
 // fraction of active phases where the attack goes unflagged.
 //
-// It runs on the same cell-sweep engine as the other sweeps
-// (core/pipeline.hpp): the clean baseline and every phase are cells that
-// evaluate in parallel over private deployments, persist immediately in
-// `<sweep_store_stem>_<suite fingerprint>.campaign.csv` keyed on the
+// It declares one sweep on the same cell-sweep engine as the other
+// experiments (campaign_sweeps, core/pipeline.hpp): the clean baseline and
+// every phase are cells that evaluate in parallel over private deployments
+// (or across --workers), persist as one durable append per phase in the
+// store with suffix `_<suite fingerprint>.campaign.csv`, keyed on the
 // schedule's stable id, and resume after an interrupt or a cancel. Phase
 // accuracies key on the composite id alone, so campaigns sharing a
 // composite (e.g. a burst phase equal to a ramp's peak) share cached

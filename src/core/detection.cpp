@@ -33,8 +33,8 @@ struct RunSpec {
 /// checked which run.
 class DetectionEvaluator {
  public:
-  /// `spec` must outlive the evaluator; it supplies the suite config,
-  /// calibration seed and corruption physics.
+  /// `spec` supplies the suite config, calibration seed and corruption
+  /// physics.
   DetectionEvaluator(const ExperimentSetup& setup,
                      std::unique_ptr<nn::Sequential> model,
                      const ExperimentSpec& spec)
@@ -44,9 +44,9 @@ class DetectionEvaluator {
         mapping_(executor_.condition_weights(*model_), setup.accelerator),
         clean_snapshot_(nn::snapshot_state(*model_)),
         suite_(setup, spec.suite),
-        spec_(spec) {
+        corruption_(spec.corruption) {
     const defense::DeploymentView clean{
-        *model_, executor_, nullptr, seed_combine(spec_.base_seed, 0xCA11B)};
+        *model_, executor_, nullptr, seed_combine(spec.base_seed, 0xCA11B)};
     suite_.calibrate(clean);
   }
 
@@ -55,9 +55,9 @@ class DetectionEvaluator {
     nn::restore_state(*model_, clean_snapshot_);
     std::vector<attack::BlockThermalState> telemetry;
     if (!spec.clean) {
-      attack::apply_attack(mapping_, spec.scenario, spec_.corruption);
-      telemetry = defense::scenario_telemetry(
-          setup_.accelerator, spec.scenario, spec_.corruption);
+      attack::apply_attack(mapping_, spec.scenario, corruption_);
+      telemetry = defense::scenario_telemetry(setup_.accelerator,
+                                              spec.scenario, corruption_);
     }
     const defense::DeploymentView view{
         *model_, executor_, telemetry.empty() ? nullptr : &telemetry,
@@ -74,7 +74,7 @@ class DetectionEvaluator {
   accel::WeightStationaryMapping mapping_;
   std::vector<nn::Tensor> clean_snapshot_;
   defense::DetectorSuite suite_;
-  const ExperimentSpec& spec_;
+  attack::CorruptionConfig corruption_;
 };
 
 /// Store key of one (run, detector) field.
@@ -214,23 +214,12 @@ double rank_auc(const std::vector<double>& clean_scores,
 
 namespace {
 
-/// The sweep proper, in the unified-API shape: spec in, typed report out.
-DetectionReport detection_impl(const ExperimentSpec& spec,
-                               RunContext& context) {
-  const ExperimentSetup setup = spec.resolved_setup();
-  const VariantSpec variant = spec.resolved_variant();
+/// The runs of a detection sweep: clean deployments first, then the
+/// attack grid in grid order. Each run is one cell.
+std::vector<RunSpec> detection_runs(const ExperimentSpec& spec) {
   const std::vector<attack::AttackScenario> grid =
       spec.grid ? *spec.grid
                 : attack::paper_scenario_grid(spec.seed_count, spec.base_seed);
-  context.note("detection: sweep " + setup.tag() + " / " + variant.name);
-
-  // The reference suite provides detector names and default thresholds for
-  // report assembly; workers calibrate their own identical copies.
-  defense::DetectorSuite reference(setup, spec.suite);
-  const std::vector<std::string> detector_names = reference.names();
-
-  // Run list: clean deployments first, then the attack grid in grid order.
-  // Each run is one cell filling (score, probes, latency) per detector.
   std::vector<RunSpec> runs;
   runs.reserve(spec.clean_runs + grid.size());
   for (std::size_t k = 0; k < spec.clean_runs; ++k) {
@@ -243,9 +232,21 @@ DetectionReport detection_impl(const ExperimentSpec& spec,
     scenario.validate();
     runs.push_back({scenario.id(), false, scenario});
   }
+  return runs;
+}
+
+}  // namespace
+
+std::vector<CellSweep> detection_sweeps(const ExperimentSpec& spec) {
+  const ExperimentSetup setup = spec.resolved_setup();
+  const std::vector<std::string> detector_names =
+      defense::DetectorSuite(setup, spec.suite).names();
+  auto runs =
+      std::make_shared<const std::vector<RunSpec>>(detection_runs(spec));
+  // Each run fills (score, probes, latency) per detector.
   std::vector<SweepCell> cells;
-  cells.reserve(runs.size());
-  for (const RunSpec& run : runs) {
+  cells.reserve(runs->size());
+  for (const RunSpec& run : *runs) {
     SweepCell cell{run.id, {}};
     for (const std::string& name : detector_names) {
       cell.keys.push_back(run_key(run.id, name, "score"));
@@ -255,15 +256,17 @@ DetectionReport detection_impl(const ExperimentSpec& spec,
     cells.push_back(std::move(cell));
   }
 
-  const std::vector<SweptCell> swept = sweep_cells<DetectionEvaluator>(
-      spec, context, variant,
-      "_" + defense::config_fingerprint(spec.suite) + ".detect.csv", cells,
-      [&](std::unique_ptr<nn::Sequential> model) {
+  std::string suffix = "_";  // "_" + fp trips a GCC 12 -Wrestrict bug
+  suffix += defense::config_fingerprint(spec.suite) + ".detect.csv";
+  return {cell_sweep<DetectionEvaluator>(
+      spec.resolved_variant(), suffix, std::move(cells),
+      [setup, spec](std::unique_ptr<nn::Sequential> model) {
         return std::make_unique<DetectionEvaluator>(setup, std::move(model),
                                                     spec);
       },
-      [&](DetectionEvaluator& evaluator, std::size_t i, ResultStore& store) {
-        const RunSpec& run = runs[i];
+      [runs, verbose = spec.verbose](DetectionEvaluator& evaluator,
+                                     std::size_t i, ResultStore& store) {
+        const RunSpec& run = (*runs)[i];
         static metrics::Counter& checks = metrics::counter("detect.checks");
         checks.add();
         trace::Span run_span("detect", "detect.run");
@@ -273,6 +276,7 @@ DetectionReport detection_impl(const ExperimentSpec& spec,
         }
         const std::vector<defense::DetectionResult> results =
             evaluator.run(run);
+        std::vector<std::pair<std::string, double>> rows;
         for (const defense::DetectionResult& r : results) {
           // Detection latency (probes until first flag) per detector; clean
           // runs are excluded — a clean flag is a false positive, not a
@@ -281,19 +285,36 @@ DetectionReport detection_impl(const ExperimentSpec& spec,
             metrics::histogram("detect.latency_probes." + r.detector)
                 .record(static_cast<double>(r.first_flag_probe));
           }
-          store.put(run_key(run.id, r.detector, "score"), r.score);
-          store.put(run_key(run.id, r.detector, "probes"),
-                    static_cast<double>(r.probes));
-          store.put(run_key(run.id, r.detector, "latency"),
-                    static_cast<double>(r.first_flag_probe));
-          if (spec.verbose) {
+          rows.emplace_back(run_key(run.id, r.detector, "score"), r.score);
+          rows.emplace_back(run_key(run.id, r.detector, "probes"),
+                            static_cast<double>(r.probes));
+          rows.emplace_back(run_key(run.id, r.detector, "latency"),
+                            static_cast<double>(r.first_flag_probe));
+          if (verbose) {
             std::printf("  [detect] %-32s %-16s score %.4f%s\n",
                         run.id.c_str(), r.detector.c_str(), r.score,
                         r.flagged ? "  FLAGGED" : "");
             std::fflush(stdout);
           }
         }
-      });
+        store.put(rows);
+      })};
+}
+
+ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
+                                          RunContext& context) {
+  spec.validate();  // callers may invoke this runner without the registry
+  const ExperimentSetup setup = spec.resolved_setup();
+  const VariantSpec variant = spec.resolved_variant();
+  context.note("detection: sweep " + setup.tag() + " / " + variant.name);
+
+  // The reference suite provides detector names and default thresholds for
+  // report assembly; workers calibrate their own identical copies.
+  defense::DetectorSuite reference(setup, spec.suite);
+  const std::vector<std::string> detector_names = reference.names();
+  const std::vector<RunSpec> runs = detection_runs(spec);
+  const std::vector<SweptCell> swept =
+      sweep_cells(spec, context, detection_sweeps(spec).at(0));
 
   DetectionReport report;
   report.variant = variant.name;
@@ -323,16 +344,9 @@ DetectionReport detection_impl(const ExperimentSpec& spec,
       report.rows.push_back(std::move(row));
     }
   }
-  return report;
-}
 
-}  // namespace
-
-ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
-                                          RunContext& context) {
-  spec.validate();  // callers may invoke this runner without the registry
   ExperimentResult result;
-  result.payload = detection_impl(spec, context);
+  result.payload = std::move(report);
   return result;
 }
 

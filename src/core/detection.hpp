@@ -5,9 +5,11 @@
 // variant it deploys the model once per worker, calibrates a
 // defense::DetectorSuite on the clean deployment, and then checks every
 // detector against each run of {clean deployments x the attack scenario
-// grid}. Each run is one cell of the sweep engine (core/pipeline.hpp), so
-// sweeps are parallel, cached, resumable, cancellable and deterministic,
-// with their store at `<sweep_store_stem>_<suite fingerprint>.detect.csv`.
+// grid}. Each run is one cell of the sweep the experiment declares
+// (detection_sweeps, core/pipeline.hpp), so sweeps are parallel, cached,
+// resumable, cancellable, deterministic and split across --workers,
+// with the store suffix `_<suite fingerprint>.detect.csv`. A cell's
+// scores persist as one durable append.
 // The report aggregates per-detector ROC curves (TPR/FPR vs. threshold),
 // rank-based AUC with optional (vector, intensity) filters, false-positive
 // rates at the default thresholds, and detection latency (probe inferences

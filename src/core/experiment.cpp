@@ -4,6 +4,7 @@
 
 #include "common/csv.hpp"
 #include "common/json.hpp"
+#include "core/pipeline.hpp"
 
 namespace safelight::core {
 
@@ -422,27 +423,32 @@ ExperimentRegistry& ExperimentRegistry::global() {
             "attack grid vs. the Original variant (Fig. 7)",
             /*default_seed_count=*/10,
             {"fig7_susceptibility"},
-            run_susceptibility_experiment});
+            run_susceptibility_experiment,
+            susceptibility_sweeps});
     r->add({"mitigation",
             "all 11 training variants under the attack grid (Fig. 8)",
             /*default_seed_count=*/3,
             {"fig8_mitigation"},
-            run_mitigation_experiment});
+            run_mitigation_experiment,
+            mitigation_sweeps});
     r->add({"robust_compare",
             "most robust variant vs. Original, CONV+FC attacks (Fig. 9)",
             /*default_seed_count=*/5,
             {"fig9_robust"},
-            run_robust_compare_experiment});
+            run_robust_compare_experiment,
+            robust_compare_sweeps});
     r->add({"detection",
             "runtime detector ROC sweep over clean runs + the attack grid",
             /*default_seed_count=*/3,
             {"fig_detection", "fig_detection_roc"},
-            run_detection_experiment});
+            run_detection_experiment,
+            detection_sweeps});
     r->add({"campaign",
             "adaptive multi-phase red-team campaigns vs. the defense suite",
             /*default_seed_count=*/1,
             {"fig_campaign_phases", "fig_campaign"},
-            run_campaign_experiment});
+            run_campaign_experiment,
+            campaign_sweeps});
     return r;
   }();
   return *registry;

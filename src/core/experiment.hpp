@@ -170,6 +170,8 @@ struct ExperimentResult {
   std::string to_json() const;
 };
 
+struct CellSweep;  // core/pipeline.hpp
+
 /// One registered experiment.
 struct ExperimentInfo {
   std::string name;
@@ -182,6 +184,11 @@ struct ExperimentInfo {
   using RunFn =
       std::function<ExperimentResult(const ExperimentSpec&, RunContext&)>;
   RunFn run;
+  /// The cell sweeps run(spec) fills (core/pipeline.hpp), which the dist
+  /// planner shards across workers; unset declares none.
+  using SweepsFn =
+      std::function<std::vector<CellSweep>(const ExperimentSpec&)>;
+  SweepsFn sweeps;
 };
 
 /// Name -> experiment registry. The five paper sweeps are registered in the
@@ -241,14 +248,20 @@ class ExperimentRegistry {
 /// CLI's exit-2 convention; serve answers 400 with the same text).
 ExperimentSpec spec_from_json(const std::string& text);
 
+/// One-line JSON of every field spec_from_json() accepts, written
+/// explicitly so a parse in another process (a dist worker) resolves
+/// nothing from its environment; spec_from_json reproduces them bit for
+/// bit. Throws std::invalid_argument when base_seed exceeds 2^53.
+std::string spec_to_json(const ExperimentSpec& spec);
+
 /// Machine-readable registry listing (`safelight list --json`): every
 /// registered experiment's name, summary, default seed count and CSV file
 /// stems, plus the spec_from_json() field names under "spec_fields".
 /// Deterministic pretty JSON, trailing newline included.
 std::string registry_listing_json();
 
-// Spec-driven runners of the five built-in experiments (the registry's run
-// functions). Defined next to each sweep's internals.
+// The registry's run and sweeps functions of the five built-in experiments.
+// Defined next to each sweep's internals.
 ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,
                                                RunContext& context);
 ExperimentResult run_mitigation_experiment(const ExperimentSpec& spec,
@@ -259,5 +272,13 @@ ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
                                           RunContext& context);
 ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
                                          RunContext& context);
+
+std::vector<CellSweep> susceptibility_sweeps(const ExperimentSpec& spec);
+std::vector<CellSweep> mitigation_sweeps(const ExperimentSpec& spec);
+/// Empty unless spec.robust_variant is pinned: the robust variant is only
+/// known after the selection run (robust_compare_selection_spec).
+std::vector<CellSweep> robust_compare_sweeps(const ExperimentSpec& spec);
+std::vector<CellSweep> detection_sweeps(const ExperimentSpec& spec);
+std::vector<CellSweep> campaign_sweeps(const ExperimentSpec& spec);
 
 }  // namespace safelight::core

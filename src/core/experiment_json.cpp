@@ -2,6 +2,8 @@
 // the scripting surface: `safelight serve` parses POST /v1/jobs bodies
 // through spec_from_json(), `safelight list --json` and the serve docs
 // endpoint render registry_listing_json().
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -122,7 +124,10 @@ ExperimentSpec spec_from_json(const std::string& text) {
   }
   if (doc.has("l2_strength")) {
     spec.l2_strength = read_field(doc, "l2_strength", [](const JsonValue& v) {
-      return static_cast<float>(v.as_number());
+      const double value = v.as_number();  // cast below is UB past FLT_MAX
+      require(std::fabs(value) <= std::numeric_limits<float>::max(),
+              "l2_strength must be a finite float");
+      return static_cast<float>(value);
     });
   }
   if (doc.has("clean_runs")) {
@@ -142,6 +147,30 @@ ExperimentSpec spec_from_json(const std::string& text) {
 
   spec.validate();  // seed_count >= 1, known variant names, clean_runs >= 1
   return spec;
+}
+
+std::string spec_to_json(const ExperimentSpec& spec) {
+  // JSON numbers parse as doubles, so a seed past 2^53 would come back
+  // rounded; the other integer fields cannot get that large in practice.
+  require(spec.base_seed <= (std::uint64_t{1} << 53),
+          "spec_to_json: base_seed must be <= 2^53 to round-trip");
+  JsonWriter json(/*compact=*/true);
+  json.begin_object();
+  json.key("experiment").value(spec.experiment);
+  json.key("model").value(nn::to_string(spec.model));
+  json.key("scale").value(to_string(spec.scale));
+  json.key("seed_count").value(static_cast<std::uint64_t>(spec.seed_count));
+  json.key("base_seed").value(static_cast<std::uint64_t>(spec.base_seed));
+  json.key("variant").value(spec.variant);
+  json.key("robust_variant").value(spec.robust_variant);
+  // %.17g of the float's exact double value: parsing it back to double and
+  // narrowing to float reproduces the float bit for bit.
+  json.key("l2_strength").exact(static_cast<double>(spec.l2_strength));
+  json.key("clean_runs").value(static_cast<std::uint64_t>(spec.clean_runs));
+  json.key("max_workers").value(static_cast<std::uint64_t>(spec.max_workers));
+  json.key("verbose").value(spec.verbose);
+  json.end_object();
+  return std::move(json).str();
 }
 
 std::string registry_listing_json() {

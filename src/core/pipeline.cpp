@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <unordered_set>
 
 #include "common/error.hpp"
@@ -26,6 +27,18 @@ struct SweepWorker {
   AttackEvaluator evaluator;
 };
 
+/// Store key of a scenario: its stable id plus the evaluation subset size
+/// (a larger eval_count is a different measurement).
+std::string scenario_store_key(const attack::AttackScenario& scenario,
+                               std::size_t eval_count) {
+  return scenario.id() + "/n" + std::to_string(eval_count);
+}
+
+/// Store key of the clean (unattacked) baseline evaluation.
+std::string baseline_store_key(std::size_t eval_count) {
+  return "baseline/n" + std::to_string(eval_count);
+}
+
 }  // namespace
 
 std::vector<std::size_t> pending_cells(
@@ -42,51 +55,49 @@ std::vector<std::size_t> pending_cells(
   return pending;
 }
 
-std::string sweep_store_stem(const std::string& cache_dir,
-                             const ExperimentSetup& setup,
-                             const std::string& variant_name,
-                             const std::string& weights_checksum,
-                             const attack::CorruptionConfig& corruption) {
-  return cache_dir + "/" + setup.tag() + "_" + variant_name + "_" +
-         weights_checksum + "_" + attack::config_fingerprint(corruption);
+std::string sweep_store_name(const ExperimentSetup& setup,
+                             const attack::CorruptionConfig& corruption,
+                             const CellSweep& sweep,
+                             const std::string& weights_checksum) {
+  return setup.tag() + "_" + sweep.variant.name + "_" + weights_checksum +
+         "_" + attack::config_fingerprint(corruption) + sweep.store_suffix;
 }
 
-std::vector<SweptCell> detail::sweep_cells(
-    const ExperimentSpec& spec, const RunContext& context,
-    const VariantSpec& variant, const std::string& store_suffix,
-    const std::vector<SweepCell>& cells,
-    const std::function<std::shared_ptr<void>(std::unique_ptr<nn::Sequential>)>&
-        make_worker,
-    const std::function<void(void*, std::size_t, ResultStore&)>& evaluate) {
+std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
+                                   const RunContext& context,
+                                   const CellSweep& sweep) {
   const ExperimentSetup setup = spec.resolved_setup();
   ModelZoo& zoo = context.zoo();
 
   // Train (or load) on the calling thread so workers only ever load the
   // finished zoo entry — never race on training it.
-  const std::string checksum =
-      weights_checksum(*zoo.get_or_train(setup, variant, spec.verbose));
+  const std::string checksum = weights_checksum(
+      *zoo.get_or_train(setup, sweep.variant, spec.verbose));
   std::string store_path;
   if (!spec.cache_dir.empty()) {
     std::filesystem::create_directories(spec.cache_dir);
-    store_path = sweep_store_stem(spec.cache_dir, setup, variant.name,
-                                  checksum, spec.corruption) +
-                 store_suffix;
+    store_path = spec.cache_dir + "/" +
+                 sweep_store_name(setup, spec.corruption, sweep, checksum);
   }
   ResultStore store(store_path);
 
+  const std::vector<SweepCell>& cells = sweep.cells;
   const std::vector<std::size_t> pending = pending_cells(
       cells, [&](const std::string& key) { return store.contains(key); });
   safelight::detail::parallel_claim(
       pending.size(), spec.max_workers,
       // Evaluation corrupts and restores model weights, so every thread
       // deploys a private copy (cheap: a zoo cache load).
-      [&] { return make_worker(zoo.get_or_train(setup, variant, false)); },
+      [&] {
+        return sweep.make_worker(
+            zoo.get_or_train(setup, sweep.variant, false));
+      },
       [&](void* worker, std::size_t p) {
         // Cell boundaries are the cancellation points: everything already
         // evaluated is persisted, so stopping here loses no work.
         // parallel_claim rethrows this on the caller.
         context.throw_if_cancelled(spec.experiment);
-        evaluate(worker, pending[p], store);
+        sweep.evaluate(worker, pending[p], store);
       });
 
   // Assemble in declaration order: execution order never leaks out.
@@ -104,28 +115,6 @@ std::vector<SweptCell> detail::sweep_cells(
   return swept;
 }
 
-std::string scenario_store_key(const attack::AttackScenario& scenario,
-                               std::size_t eval_count) {
-  return scenario.id() + "/n" + std::to_string(eval_count);
-}
-
-std::string baseline_store_key(std::size_t eval_count) {
-  return "baseline/n" + std::to_string(eval_count);
-}
-
-std::vector<SweepCell> scenario_cells(
-    const std::vector<attack::AttackScenario>& grid, std::size_t eval_count) {
-  std::vector<SweepCell> cells;
-  cells.reserve(grid.size() + 1);
-  cells.push_back({"baseline", {baseline_store_key(eval_count)}});
-  for (const auto& scenario : grid) {
-    scenario.validate();
-    cells.push_back(
-        {scenario.id(), {scenario_store_key(scenario, eval_count)}});
-  }
-  return cells;
-}
-
 std::vector<double> SweepResult::accuracies() const {
   std::vector<double> values;
   values.reserve(rows.size());
@@ -135,47 +124,79 @@ std::vector<double> SweepResult::accuracies() const {
 
 BoxStats SweepResult::under_attack() const { return box_stats(accuracies()); }
 
-SweepResult sweep_variant(const ExperimentSpec& spec,
-                          const RunContext& context,
-                          const VariantSpec& variant,
-                          const std::vector<attack::AttackScenario>& grid) {
-  trace::Span sweep_span("pipeline", "pipeline.sweep");
-  sweep_span.arg("variant", variant.name)
-      .arg("grid", static_cast<double>(grid.size()));
-  const ExperimentSetup setup = spec.resolved_setup();
-  const std::vector<SweepCell> cells = scenario_cells(grid, setup.eval_count);
+CellSweep scenario_sweep(const ExperimentSpec& spec,
+                         const ExperimentSetup& setup,
+                         const VariantSpec& variant,
+                         std::vector<attack::AttackScenario> grid) {
+  std::vector<SweepCell> cells;
+  cells.reserve(grid.size() + 1);
+  cells.push_back({"baseline", {baseline_store_key(setup.eval_count)}});
+  for (const auto& scenario : grid) {
+    scenario.validate();
+    cells.push_back(
+        {scenario.id(), {scenario_store_key(scenario, setup.eval_count)}});
+  }
 
-  // One clean-prefix cache per sweep: every thread's evaluator resumes from
-  // it, and each boundary is built once, by whichever thread needs it first.
-  const auto prefix = std::make_shared<PrefixCache>();
-  const std::vector<SweptCell> swept = sweep_cells<SweepWorker>(
-      spec, context, variant, ".sweep.csv", cells,
-      [&](std::unique_ptr<nn::Sequential> model) {
-        return std::make_unique<SweepWorker>(std::move(model), setup,
-                                             variant.name, spec.corruption,
-                                             prefix);
+  // One clean-prefix cache per run, shared by the run's evaluators (each
+  // boundary is built once, by whichever thread needs it first) and freed
+  // with the last of them, so a declaration kept after its run pins no
+  // activations. A dist worker's kept deployment keeps it warm.
+  struct PrefixSlot {
+    std::mutex mutex;
+    std::weak_ptr<PrefixCache> cache;
+  };
+  auto slot = std::make_shared<PrefixSlot>();
+  auto shared_grid =
+      std::make_shared<const std::vector<attack::AttackScenario>>(
+          std::move(grid));
+  return cell_sweep<SweepWorker>(
+      variant, ".sweep.csv", std::move(cells),
+      [setup, name = variant.name, corruption = spec.corruption,
+       slot](std::unique_ptr<nn::Sequential> model) {
+        std::shared_ptr<PrefixCache> prefix;
+        {
+          const std::lock_guard<std::mutex> lock(slot->mutex);
+          prefix = slot->cache.lock();
+          if (!prefix) slot->cache = prefix = std::make_shared<PrefixCache>();
+        }
+        return std::make_unique<SweepWorker>(std::move(model), setup, name,
+                                             corruption, std::move(prefix));
       },
-      [&](SweepWorker& worker, std::size_t i, ResultStore& store) {
+      [setup, grid = std::move(shared_grid), verbose = spec.verbose](
+          SweepWorker& worker, std::size_t i, ResultStore& store) {
         trace::Span scenario_span("pipeline", "scenario.evaluate");
-        if (scenario_span.active()) scenario_span.arg("scenario", cells[i].id);
         // Cell 0 is the clean baseline, shared by every scenario of the
         // sweep (and, through the store, by every future sweep).
         if (i == 0) {
-          store.put(cells[0].keys[0], worker.evaluator.baseline_accuracy());
+          if (scenario_span.active()) scenario_span.arg("scenario", "baseline");
+          store.put(baseline_store_key(setup.eval_count),
+                    worker.evaluator.baseline_accuracy());
           return;
         }
-        const double accuracy =
-            worker.evaluator.evaluate_scenario(grid[i - 1]);
-        store.put(cells[i].keys[0], accuracy);
-        if (spec.verbose) {
-          std::printf("  [pipeline] %-36s acc %.4f\n", cells[i].id.c_str(),
-                      accuracy);
+        const attack::AttackScenario& scenario = (*grid)[i - 1];
+        const std::string id = scenario.id();
+        if (scenario_span.active()) scenario_span.arg("scenario", id);
+        const double accuracy = worker.evaluator.evaluate_scenario(scenario);
+        store.put(scenario_store_key(scenario, setup.eval_count), accuracy);
+        if (verbose) {
+          std::printf("  [pipeline] %-36s acc %.4f\n", id.c_str(), accuracy);
           std::fflush(stdout);
         }
       });
+}
+
+SweepResult run_scenario_sweep(
+    const ExperimentSpec& spec, const RunContext& context,
+    const CellSweep& sweep, const std::vector<attack::AttackScenario>& grid) {
+  trace::Span sweep_span("pipeline", "pipeline.sweep");
+  sweep_span.arg("variant", sweep.variant.name)
+      .arg("grid", static_cast<double>(grid.size()));
+  SAFELIGHT_ASSERT(sweep.cells.size() == grid.size() + 1,
+                   "run_scenario_sweep: sweep does not match its grid");
+  const std::vector<SweptCell> swept = sweep_cells(spec, context, sweep);
 
   SweepResult result;
-  result.variant = variant.name;
+  result.variant = sweep.variant.name;
   result.baseline_accuracy = swept[0].values[0];
   result.baseline_from_cache = !swept[0].fresh;
   result.rows.reserve(grid.size());

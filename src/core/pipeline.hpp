@@ -3,12 +3,13 @@
 // Each sweep — the scenario grids behind the figures, the detection ROC
 // sweep and the campaign sweep — has the same shape: "deploy one trained
 // variant, fill a set of store keys per cell, assemble a report". A cell is
-// a stable id plus the ResultStore keys its evaluation fills. The engine
-// owns the whole shape once:
+// a stable id plus the ResultStore keys its evaluation fills. An experiment
+// declares its sweeps as data (CellSweep: variant, store suffix, cells,
+// worker factory, evaluate), and the engine owns the whole shape once:
 //   * the variant is trained (or loaded) through the ModelZoo on the calling
 //     thread, so workers only ever load the finished entry;
 //   * the sweep's ResultStore is opened under the spec's cache_dir, named by
-//     sweep_store_stem plus the experiment's suffix;
+//     sweep_store_name;
 //   * cells are deduplicated by id, and a cell is pending when any of its
 //     keys is missing (an interrupt can land between a cell's flushes);
 //   * pending cells fan out over safelight::parallel_claim: threads claim
@@ -20,10 +21,12 @@
 //     whether this sweep evaluated the cell or read it from the store.
 // Results never depend on execution order, so a sweep is deterministic in
 // (spec, variant, cells) and identical between serial and parallel runs.
+// The distributed layer (src/dist) fills subsets of the same declarations
+// in worker processes, so both paths agree on cells, keys and store names.
 //
-// sweep_variant() is the scenario sweep on top of it: a variant's clean
-// baseline plus one accuracy per scenario of a grid, with one clean-prefix
-// cache shared by the sweep's evaluators.
+// scenario_sweep() declares the scenario sweep on top of it: a variant's
+// clean baseline plus one accuracy per scenario of a grid, with one
+// clean-prefix cache shared by the sweep's evaluators.
 #pragma once
 
 #include <functional>
@@ -61,50 +64,54 @@ std::vector<std::size_t> pending_cells(
     const std::vector<SweepCell>& cells,
     const std::function<bool(const std::string&)>& stored);
 
-/// Path (without extension) of the result-store files of a sweep of
-/// `variant_name` under `cache_dir`. `weights_checksum` is the trained
-/// variant's checksum — part of the name so retrained weights never read
-/// stale entries; `corruption` likewise fingerprints ablated physics.
-std::string sweep_store_stem(const std::string& cache_dir,
-                             const ExperimentSetup& setup,
-                             const std::string& variant_name,
-                             const std::string& weights_checksum,
-                             const attack::CorruptionConfig& corruption);
+/// One cell sweep as data (ExperimentInfo::sweeps): what the engine, or a
+/// dist worker filling some of its cells, runs. Its functions own what
+/// they capture, so a declaration outlives the call that made it.
+struct CellSweep {
+  VariantSpec variant;       // the deployed variant
+  std::string store_suffix;  // store file suffix, e.g. ".sweep.csv"
+  std::vector<SweepCell> cells;
+  /// Builds one private deployment around a copy of the variant's weights.
+  std::function<std::shared_ptr<void>(std::unique_ptr<nn::Sequential>)>
+      make_worker;
+  /// Evaluates cells[i] on a deployment; must put every key of the cell.
+  std::function<void(void*, std::size_t, ResultStore&)> evaluate;
+};
 
-namespace detail {
-/// Type-erased core of sweep_cells.
-std::vector<SweptCell> sweep_cells(
-    const ExperimentSpec& spec, const RunContext& context,
-    const VariantSpec& variant, const std::string& store_suffix,
-    const std::vector<SweepCell>& cells,
-    const std::function<std::shared_ptr<void>(std::unique_ptr<nn::Sequential>)>&
-        make_worker,
-    const std::function<void(void*, std::size_t, ResultStore&)>& evaluate);
-}  // namespace detail
-
-/// Runs one cell sweep of `variant` under `spec` (setup, cache_dir,
-/// max_workers) and `context` (zoo, cancel flag). The store is
-/// `sweep_store_stem(...) + store_suffix` under spec.cache_dir, in memory
-/// when cache_dir is empty. Each fan-out thread builds one Worker with
-/// make_worker from its own copy of the variant's weights; evaluate(worker,
-/// i, store) must put every key of cells[i]. Throws ExperimentCancelled at
-/// the first cell boundary after context.cancel flips.
+/// A CellSweep over typed deployments: make_worker builds one Worker per
+/// fan-out thread, evaluate(worker, i, store) fills cells[i].
 template <typename Worker>
-std::vector<SweptCell> sweep_cells(
-    const ExperimentSpec& spec, const RunContext& context,
-    const VariantSpec& variant, const std::string& store_suffix,
-    const std::vector<SweepCell>& cells,
-    const std::function<std::unique_ptr<Worker>(
-        std::unique_ptr<nn::Sequential>)>& make_worker,
-    const std::function<void(Worker&, std::size_t, ResultStore&)>& evaluate) {
-  return detail::sweep_cells(
-      spec, context, variant, store_suffix, cells,
-      [&make_worker](std::unique_ptr<nn::Sequential> model)
-          -> std::shared_ptr<void> { return make_worker(std::move(model)); },
-      [&evaluate](void* worker, std::size_t i, ResultStore& store) {
-        evaluate(*static_cast<Worker*>(worker), i, store);
-      });
+CellSweep cell_sweep(
+    VariantSpec variant, std::string store_suffix,
+    std::vector<SweepCell> cells,
+    std::function<std::unique_ptr<Worker>(std::unique_ptr<nn::Sequential>)>
+        make_worker,
+    std::function<void(Worker&, std::size_t, ResultStore&)> evaluate) {
+  return {std::move(variant), std::move(store_suffix), std::move(cells),
+          [make = std::move(make_worker)](std::unique_ptr<nn::Sequential> model)
+              -> std::shared_ptr<void> { return make(std::move(model)); },
+          [eval = std::move(evaluate)](void* worker, std::size_t i,
+                                       ResultStore& store) {
+            eval(*static_cast<Worker*>(worker), i, store);
+          }};
 }
+
+/// File name of the store of `sweep`, the one the engine, the dist planner
+/// and its workers all use: setup tag, variant, weights checksum (retrained
+/// weights never read stale entries), corruption fingerprint and suffix.
+std::string sweep_store_name(const ExperimentSetup& setup,
+                             const attack::CorruptionConfig& corruption,
+                             const CellSweep& sweep,
+                             const std::string& weights_checksum);
+
+/// Runs one declared sweep under `spec` (setup, cache_dir, max_workers)
+/// and `context` (zoo, cancel flag). The store is
+/// `<spec.cache_dir>/<sweep_store_name>`, in memory when cache_dir is
+/// empty. Throws ExperimentCancelled at the first cell boundary after
+/// context.cancel flips.
+std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
+                                   const RunContext& context,
+                                   const CellSweep& sweep);
 
 /// One evaluated grid entry.
 struct ScenarioOutcome {
@@ -115,7 +122,7 @@ struct ScenarioOutcome {
   bool from_cache = false;
 };
 
-/// Outcome of one sweep_variant call.
+/// Outcome of one scenario sweep.
 struct SweepResult {
   std::string variant;
   double baseline_accuracy = 0.0;  // unattacked accuracy, evaluated once
@@ -131,27 +138,21 @@ struct SweepResult {
   BoxStats under_attack() const;
 };
 
-/// Store key of a scenario: its stable id plus the evaluation subset size
-/// (a larger eval_count is a different measurement).
-std::string scenario_store_key(const attack::AttackScenario& scenario,
-                               std::size_t eval_count);
+/// The scenario sweep of `variant` over `grid` (`setup` is
+/// spec.resolved_setup(), which builds a model): cell 0 is the clean
+/// baseline, cell i > 0 is grid[i - 1], keyed by scenario id and eval
+/// count. The evaluators of one run share a clean-prefix cache; suffix
+/// `.sweep.csv`.
+CellSweep scenario_sweep(const ExperimentSpec& spec,
+                         const ExperimentSetup& setup,
+                         const VariantSpec& variant,
+                         std::vector<attack::AttackScenario> grid);
 
-/// Store key of the clean (unattacked) baseline evaluation.
-std::string baseline_store_key(std::size_t eval_count);
-
-/// Cells of a scenario sweep over `grid`: the clean baseline first, then
-/// one cell per scenario in grid order. Validates every scenario.
-std::vector<SweepCell> scenario_cells(
-    const std::vector<attack::AttackScenario>& grid, std::size_t eval_count);
-
-/// Evaluates `variant` under every scenario in `grid` (setup, store and
-/// physics from `spec`, zoo and cancel flag from `context`); results in
-/// grid order. The sweep's evaluators share one clean-prefix cache, so each
-/// first-dirty boundary is built once per sweep. Its store is
-/// `<sweep_store_stem>.sweep.csv`.
-SweepResult sweep_variant(const ExperimentSpec& spec,
-                          const RunContext& context,
-                          const VariantSpec& variant,
-                          const std::vector<attack::AttackScenario>& grid);
+/// Runs `sweep` (declared by scenario_sweep over `grid`) and assembles its
+/// result in grid order.
+SweepResult run_scenario_sweep(const ExperimentSpec& spec,
+                               const RunContext& context,
+                               const CellSweep& sweep,
+                               const std::vector<attack::AttackScenario>& grid);
 
 }  // namespace safelight::core

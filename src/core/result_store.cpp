@@ -223,18 +223,20 @@ std::size_t ResultStore::size() const {
 }
 
 void ResultStore::put(const std::string& key, double value) {
-  static metrics::Counter& appends = metrics::counter("store.appends");
-  appends.add();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_[key] = value;
-  append_to_disk(key, value);
+  put({{key, value}});
 }
 
-void ResultStore::append_to_disk(const std::string& key, double value) {
+void ResultStore::put(
+    const std::vector<std::pair<std::string, double>>& entries) {
+  static metrics::Counter& appends = metrics::counter("store.appends");
+  appends.add(entries.size());
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [key, value] : entries) entries_[key] = value;
+
   // The fault::ptp points sit at the nastiest byte boundaries a crash can
   // hit; the mid-row flushes that make the torn state real are taken only
   // when injection is armed, so the normal path keeps its single flush.
-  if (csv_path_.empty()) return;
+  if (csv_path_.empty() || entries.empty()) return;
   const bool fresh = !std::filesystem::exists(csv_path_);
   std::ofstream out(csv_path_, std::ios::app);
   if (!out) return;
@@ -243,14 +245,18 @@ void ResultStore::append_to_disk(const std::string& key, double value) {
     if (fault::armed()) out.flush();
     fault::ptp("store.csv.create");  // crash: header-only file
   }
-  out << key << ',';
-  if (fault::armed()) out.flush();
-  fault::ptp("store.csv.append");  // crash: torn row (key, no value)
-  out << format_value(value) << '\n';
+  for (std::size_t r = 0; r < entries.size(); ++r) {
+    out << entries[r].first << ',';
+    if (r + 1 == entries.size()) {
+      if (fault::armed()) out.flush();
+      fault::ptp("store.csv.append");  // crash: torn row (key, no value)
+    }
+    out << format_value(entries[r].second) << '\n';
+  }
   out.flush();
-  fault::ptp("store.csv.flush");  // crash: row fully durable
+  fault::ptp("store.csv.flush");  // crash: every row fully durable
   static metrics::Counter& flushes = metrics::counter("store.flushes");
-  flushes.add();
+  flushes.add(entries.size());  // rows made durable
 }
 
 }  // namespace safelight::core

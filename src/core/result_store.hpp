@@ -91,14 +91,17 @@ class ResultStore {
   /// must never fail an experiment.
   void put(const std::string& key, double value);
 
+  /// Puts every entry as one durable append: a crash leaves complete
+  /// leading rows plus at most a torn last row. A cell filling many keys
+  /// puts them this way, so crash-retry costs one write per cell, not key.
+  void put(const std::vector<std::pair<std::string, double>>& entries);
+
   /// Number of entries currently held (loaded + inserted).
   std::size_t size() const;
 
   const std::string& csv_path() const { return csv_path_; }
 
  private:
-  void append_to_disk(const std::string& key, double value);
-
   mutable std::mutex mutex_;
   std::string csv_path_;  // empty = in-memory only
   StoreWriterLock lock_;  // engaged while csv_path_ is non-empty

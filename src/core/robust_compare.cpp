@@ -36,21 +36,36 @@ ExperimentSpec robust_compare_selection_spec(const ExperimentSpec& spec) {
   return mitigation_spec;
 }
 
+namespace {
+
+/// The comparison grid robust_compare sweeps for Original and the robust
+/// variant: one combined grid (2 vectors x CONV+FC x {1, 5, 10} % x
+/// spec.seed_count placements), swept once per model; cells are sliced out
+/// afterwards.
 std::vector<attack::AttackScenario> robust_compare_grid(
     const ExperimentSpec& spec) {
-  // One combined grid (2 vectors x 3 fractions x seeds on CONV+FC), swept
-  // once per model; cells are sliced out afterwards.
   return attack::scenario_grid(
       {attack::AttackVector::kActuation, attack::AttackVector::kHotspot},
       {attack::AttackTarget::kBothBlocks}, {0.01, 0.05, 0.10},
       spec.seed_count, spec.base_seed);
 }
 
-namespace {
+}  // namespace
 
-/// The comparison proper, in the unified-API shape: spec in, report out.
-RobustComparisonReport robust_compare_impl(const ExperimentSpec& spec,
-                                           RunContext& context) {
+std::vector<CellSweep> robust_compare_sweeps(const ExperimentSpec& spec) {
+  if (spec.robust_variant.empty()) return {};
+  const ExperimentSetup setup = spec.resolved_setup();
+  return {scenario_sweep(spec, setup, variant_by_name("Original"),
+                         robust_compare_grid(spec)),
+          scenario_sweep(
+              spec, setup,
+              variant_by_name(spec.robust_variant, spec.l2_strength),
+              robust_compare_grid(spec))};
+}
+
+ExperimentResult run_robust_compare_experiment(const ExperimentSpec& spec,
+                                               RunContext& context) {
+  spec.validate();  // callers may invoke this runner without the registry
   const ExperimentSetup setup = spec.resolved_setup();
 
   std::string robust_name = spec.robust_variant;
@@ -65,13 +80,16 @@ RobustComparisonReport robust_compare_impl(const ExperimentSpec& spec,
   }
   context.throw_if_cancelled("robust_compare");
 
-  const auto grid = robust_compare_grid(spec);
+  ExperimentSpec pinned = spec;
+  pinned.robust_variant = robust_name;
+  const auto grid = robust_compare_grid(pinned);
+  const std::vector<CellSweep> sweeps = robust_compare_sweeps(pinned);
 
   context.note("robust_compare: sweeping Original vs " + robust_name);
   const SweepResult original_sweep =
-      sweep_variant(spec, context, variant_by_name("Original"), grid);
-  const SweepResult robust_sweep = sweep_variant(
-      spec, context, variant_by_name(robust_name, spec.l2_strength), grid);
+      run_scenario_sweep(pinned, context, sweeps.at(0), grid);
+  const SweepResult robust_sweep =
+      run_scenario_sweep(pinned, context, sweeps.at(1), grid);
 
   RobustComparisonReport report;
   report.model = setup.model;
@@ -99,16 +117,9 @@ RobustComparisonReport robust_compare_impl(const ExperimentSpec& spec,
       report.cells.push_back(cell);
     }
   }
-  return report;
-}
 
-}  // namespace
-
-ExperimentResult run_robust_compare_experiment(const ExperimentSpec& spec,
-                                               RunContext& context) {
-  spec.validate();  // callers may invoke this runner without the registry
   ExperimentResult result;
-  result.payload = robust_compare_impl(spec, context);
+  result.payload = std::move(report);
   return result;
 }
 

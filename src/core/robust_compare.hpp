@@ -41,15 +41,9 @@ struct RobustComparisonReport {
 /// variant when `spec.robust_variant` is empty: mitigation's own defaults
 /// (notably its paper seed count) with the comparison's model/scale/seed/
 /// corruption settings copied over. Exposed so the distributed planner can
-/// pre-shard the selection sweep with exactly the cache keys the in-process
+/// shard the selection sweeps with exactly the cache keys the in-process
 /// run will look up.
 struct ExperimentSpec;
 ExperimentSpec robust_compare_selection_spec(const ExperimentSpec& spec);
-
-/// The comparison grid robust_compare sweeps for Original and the robust
-/// variant: both vectors x CONV+FC x {1, 5, 10} % x spec.seed_count
-/// placements.
-std::vector<attack::AttackScenario> robust_compare_grid(
-    const ExperimentSpec& spec);
 
 }  // namespace safelight::core

@@ -1,7 +1,6 @@
 #include "core/susceptibility.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/error.hpp"
 #include "core/experiment.hpp"
@@ -18,14 +17,41 @@ bool scenario_in_group(const attack::AttackScenario& s,
          std::abs(s.fraction - fraction) < 1e-12;
 }
 
-/// The sweep proper, in the unified-API shape: spec in, typed report out.
-SusceptibilityReport susceptibility_impl(const ExperimentSpec& spec,
-                                         RunContext& context) {
+}  // namespace
+
+const SusceptibilityGroup& SusceptibilityReport::group(
+    attack::AttackVector vector, attack::AttackTarget target,
+    double fraction) const {
+  for (const auto& g : groups) {
+    if (g.vector == vector && g.target == target &&
+        std::abs(g.fraction - fraction) < 1e-12) {
+      return g;
+    }
+  }
+  fail_argument("SusceptibilityReport::group: no such group");
+}
+
+double SusceptibilityReport::worst_drop(attack::AttackVector vector,
+                                        attack::AttackTarget target,
+                                        double fraction) const {
+  return baseline_accuracy - group(vector, target, fraction).accuracy.min;
+}
+
+std::vector<CellSweep> susceptibility_sweeps(const ExperimentSpec& spec) {
+  return {scenario_sweep(
+      spec, spec.resolved_setup(), variant_by_name("Original"),
+      attack::paper_scenario_grid(spec.seed_count, spec.base_seed))};
+}
+
+ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,
+                                               RunContext& context) {
+  spec.validate();  // callers may invoke this runner without the registry
   const ExperimentSetup setup = spec.resolved_setup();
   context.note("susceptibility: sweep " + setup.tag());
-  const SweepResult sweep = sweep_variant(
-      spec, context, variant_by_name("Original"),
-      attack::paper_scenario_grid(spec.seed_count, spec.base_seed));
+  const SweepResult sweep =
+      run_scenario_sweep(spec, context, susceptibility_sweeps(spec).at(0),
+                         attack::paper_scenario_grid(spec.seed_count,
+                                                     spec.base_seed));
 
   SusceptibilityReport report;
   report.model = setup.model;
@@ -55,52 +81,9 @@ SusceptibilityReport susceptibility_impl(const ExperimentSpec& spec,
       }
     }
   }
-  return report;
-}
 
-}  // namespace
-
-const SusceptibilityGroup& SusceptibilityReport::group(
-    attack::AttackVector vector, attack::AttackTarget target,
-    double fraction) const {
-  for (const auto& g : groups) {
-    if (g.vector == vector && g.target == target &&
-        std::abs(g.fraction - fraction) < 1e-12) {
-      return g;
-    }
-  }
-  fail_argument("SusceptibilityReport::group: no such group");
-}
-
-double SusceptibilityReport::worst_drop(attack::AttackVector vector,
-                                        attack::AttackTarget target,
-                                        double fraction) const {
-  return baseline_accuracy - group(vector, target, fraction).accuracy.min;
-}
-
-std::vector<SusceptibilityRow> evaluate_grid(
-    AttackEvaluator& evaluator,
-    const std::vector<attack::AttackScenario>& scenarios, bool verbose) {
-  std::vector<SusceptibilityRow> rows;
-  rows.reserve(scenarios.size());
-  for (const auto& scenario : scenarios) {
-    SusceptibilityRow row;
-    row.scenario = scenario;
-    row.accuracy = evaluator.evaluate_scenario(scenario);
-    rows.push_back(row);
-    if (verbose) {
-      std::printf("  %-32s acc %.4f\n", scenario.id().c_str(), row.accuracy);
-      std::fflush(stdout);
-    }
-  }
-  return rows;
-}
-
-ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,
-                                               RunContext& context) {
-  spec.validate();  // callers may invoke this runner without the registry
   ExperimentResult result;
-  result.payload = susceptibility_impl(spec, context);
+  result.payload = std::move(report);
   return result;
 }
 

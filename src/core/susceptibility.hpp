@@ -47,10 +47,4 @@ struct SusceptibilityReport {
                                    double fraction) const;
 };
 
-/// Grid evaluation of an externally provided evaluator (used by the
-/// mitigation analysis to sweep variants).
-std::vector<SusceptibilityRow> evaluate_grid(
-    AttackEvaluator& evaluator,
-    const std::vector<attack::AttackScenario>& scenarios, bool verbose);
-
 }  // namespace safelight::core

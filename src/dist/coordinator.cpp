@@ -110,24 +110,19 @@ struct TaskState {
 
 class Coordinator {
  public:
-  Coordinator(std::string experiment, const core::ExperimentSpec& spec,
-              core::ModelZoo& zoo, const DistOptions& options,
-              DistSummary& summary)
-      : experiment_(std::move(experiment)),
-        spec_(spec),
+  Coordinator(const core::ExperimentSpec& spec, core::ModelZoo& zoo,
+              const DistOptions& options, DistSummary& summary)
+      : spec_(spec),
         zoo_(zoo),
         options_(options),
         summary_(summary),
-        planner_(experiment_, spec) {
+        planner_(spec) {
     require(options_.workers >= 1, "run_distributed: workers must be >= 1");
     // The fingerprint every worker hello must match: identical across
     // hosts and backend variants for a conforming binary, different only
     // when the kernel math differs (nn/backend.hpp).
     expected_kernel_ = nn::backend::kernel_fingerprint();
-    binary_ = options_.binary;
-    if (binary_.empty()) {
-      if (const char* env = std::getenv("SAFELIGHT_DIST_BIN")) binary_ = env;
-    }
+    if (const char* env = std::getenv("SAFELIGHT_DIST_BIN")) binary_ = env;
     if (binary_.empty()) binary_ = "/proc/self/exe";
 
     dist_dir_ = spec_.cache_dir + "/dist";
@@ -166,8 +161,7 @@ class Coordinator {
       }
     }
     DistStatus status = DistStatus::kComplete;
-    while (auto tasks = planner_.next_round(
-               zoo_, {options_.workers, options_.chunk_size})) {
+    while (auto tasks = planner_.next_round(zoo_, options_.workers)) {
       ++summary_.rounds;
       if (tasks->empty()) continue;
       run_round(*tasks);
@@ -453,25 +447,18 @@ class Coordinator {
   void quarantine(TaskState& state) {
     state.quarantined = true;
     ++round_finished_;
-    QuarantinedTask record;
-    record.id = state.task.id;
-    record.variant = state.task.variant;
-    if (state.task.baseline) record.scenario_ids.push_back("baseline");
-    for (const auto& scenario : state.task.scenarios) {
-      record.scenario_ids.push_back(scenario.id());
-    }
-    record.failures = state.failures;
-    record.last_error = state.last_error;
+    QuarantinedTask record{state.task.id, state.task.store, state.task.cells,
+                           state.failures, state.last_error};
     std::string joined;
-    for (const std::string& id : record.scenario_ids) {
+    for (const std::string& id : record.cells) {
       if (!joined.empty()) joined += ", ";
       joined += id;
     }
     log::error("dist",
-               "QUARANTINED task %llu (variant %s): %s after %zu "
+               "QUARANTINED task %llu (store %s): cells %s after %zu "
                "failures (last error: %s)",
                static_cast<unsigned long long>(record.id),
-               record.variant.c_str(), joined.c_str(), record.failures,
+               record.store.c_str(), joined.c_str(), record.failures,
                record.last_error.c_str());
     summary_.quarantined.push_back(std::move(record));
   }
@@ -731,11 +718,11 @@ class Coordinator {
     summary_.tasks += round_tasks.size();
     round_total_ = round_tasks.size();
     round_finished_ = 0;
-    std::vector<std::string> stems;
+    std::vector<std::string> stores;
     for (const TaskMessage& task : round_tasks) {
-      if (std::find(stems.begin(), stems.end(), task.store_stem) ==
-          stems.end()) {
-        stems.push_back(task.store_stem);
+      if (std::find(stores.begin(), stores.end(), task.store) ==
+          stores.end()) {
+        stores.push_back(task.store);
       }
       TaskState state;
       state.task = task;
@@ -763,24 +750,25 @@ class Coordinator {
     }
 
     if (cancelled) shutdown_workers();
-    merge_round(stems);  // partial results survive a cancel
-    if (cancelled) throw core::ExperimentCancelled(experiment_);
+    merge_round(stores);  // partial results survive a cancel
+    if (cancelled) throw core::ExperimentCancelled(spec_.experiment);
   }
 
-  void merge_round(const std::vector<std::string>& stems) {
+  /// Folds every slot's copy of each store file into the canonical one.
+  void merge_round(const std::vector<std::string>& stores) {
     trace::Span merge_span("dist", "dist.merge");
-    merge_span.arg("stems", static_cast<double>(stems.size()));
+    merge_span.arg("stores", static_cast<double>(stores.size()));
     static metrics::Counter& merged_rows =
         metrics::counter("dist.merged_rows");
     static metrics::Counter& merge_duplicates =
         metrics::counter("dist.merge_duplicates");
-    for (const std::string& stem : stems) {
+    for (const std::string& store : stores) {
       std::vector<std::string> sources;
       for (const WorkerSlot& slot : slots_) {
-        sources.push_back(slot_store_dir(slot) + "/" + stem + ".sweep.csv");
+        sources.push_back(slot_store_dir(slot) + "/" + store);
       }
       const MergeStats stats =
-          merge_stores(sources, spec_.cache_dir + "/" + stem + ".sweep.csv");
+          merge_stores(sources, spec_.cache_dir + "/" + store);
       summary_.merged_rows += stats.appended;
       summary_.merge_duplicates += stats.duplicates;
       merged_rows.add(stats.appended);
@@ -865,7 +853,6 @@ class Coordinator {
     shutting_down_ = false;
   }
 
-  std::string experiment_;
   const core::ExperimentSpec& spec_;
   core::ModelZoo& zoo_;
   const DistOptions& options_;
@@ -884,12 +871,11 @@ class Coordinator {
 
 }  // namespace
 
-DistStatus run_distributed(const std::string& experiment,
-                           const core::ExperimentSpec& spec,
+DistStatus run_distributed(const core::ExperimentSpec& spec,
                            core::ModelZoo& zoo, const DistOptions& options,
                            DistSummary& summary) {
   SigpipeGuard sigpipe;
-  Coordinator coordinator(experiment, spec, zoo, options, summary);
+  Coordinator coordinator(spec, zoo, options, summary);
   return coordinator.run();
 }
 

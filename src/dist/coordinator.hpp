@@ -11,8 +11,8 @@
 //     the process SIGKILLed and handled like a crash;
 //   * poison task (fails deterministically every time) -> after
 //     max_task_retries + 1 failures the task is quarantined: the sweep
-//     completes without it, the report names every lost scenario, and the
-//     run exits nonzero instead of pretending to be complete.
+//     completes without it, the report names every lost cell, and the run
+//     exits nonzero instead of pretending to be complete.
 // Work-stealing: when the queue drains, an idle worker speculatively
 // duplicates the oldest in-flight task (once per task). Evaluation is
 // deterministic, so a duplicate's rows merge as byte-identical duplicates —
@@ -60,21 +60,17 @@ struct DistOptions {
   /// chaos_seed) — the chaos harness that proves crash recovery end to end.
   double chaos_kill_prob = 0.0;
   std::uint64_t chaos_seed = 1;
-  /// Scenarios per task; 0 = auto (see PlanOptions).
-  std::size_t chunk_size = 0;
-  /// Worker binary; empty resolves SAFELIGHT_DIST_BIN, then /proc/self/exe.
-  std::string binary;
   bool verbose = false;
   /// Cooperative cancel: workers are shut down, the partial round is merged
-  /// (completed scenarios stay cached), then ExperimentCancelled is thrown.
+  /// (completed cells stay cached), then ExperimentCancelled is thrown.
   const std::atomic<bool>* cancel = nullptr;
 };
 
 /// One task given up on after exhausting its retries.
 struct QuarantinedTask {
   std::uint64_t id = 0;
-  std::string variant;
-  std::vector<std::string> scenario_ids;  // includes "baseline" when lost
+  std::string store;               // store file the cells belong to
+  std::vector<std::string> cells;  // cell ids lost
   std::size_t failures = 0;
   std::string last_error;
 };
@@ -100,13 +96,13 @@ enum class DistStatus {
                  // surface the loss and exit nonzero
 };
 
-/// Runs `experiment` (must be DistPlanner::shardable) distributed across
-/// options.workers subprocesses, warming spec.cache_dir's stores. Prints a
-/// one-line machine-parsable summary ("[dist] summary: ...") on completion.
-/// Throws core::ExperimentCancelled on cancel, std::runtime_error on a
-/// store-merge conflict or spawn failure.
-DistStatus run_distributed(const std::string& experiment,
-                           const core::ExperimentSpec& spec,
+/// Runs spec.experiment's declared sweeps distributed across
+/// options.workers subprocesses (the binary named by SAFELIGHT_DIST_BIN,
+/// else this one), warming spec.cache_dir's stores. Prints a one-line
+/// machine-parsable summary ("[dist] summary: ...") on completion. Throws
+/// core::ExperimentCancelled on cancel, std::runtime_error on a store-merge
+/// conflict or spawn failure.
+DistStatus run_distributed(const core::ExperimentSpec& spec,
                            core::ModelZoo& zoo, const DistOptions& options,
                            DistSummary& summary);
 

@@ -11,8 +11,8 @@ namespace safelight::dist {
 namespace {
 
 /// %.17g: enough significant digits that strtod returns the identical
-/// double — scenario fractions reproduce the store key bit for bit, and
-/// telemetry values (span args, metric sums) survive the pipe unchanged.
+/// double — telemetry values (span args, metric sums) survive the pipe
+/// unchanged.
 std::string double_to_wire(double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
@@ -140,22 +140,12 @@ std::string encode_task(const TaskMessage& task) {
   json.begin_object();
   json.key("type").value("task");
   json.key("id").value(task.id);
-  json.key("model").value(task.model);
-  json.key("scale").value(task.scale);
-  json.key("variant").value(task.variant);
-  json.key("l2").value(double_to_wire(task.l2_strength));
-  json.key("store_stem").value(task.store_stem);
-  json.key("fingerprint").value(task.fingerprint);
-  json.key("baseline").value(task.baseline);
-  json.key("scenarios").begin_array();
-  for (const auto& scenario : task.scenarios) {
-    json.begin_object();
-    json.key("vector").value(attack::to_string(scenario.vector));
-    json.key("target").value(attack::to_string(scenario.target));
-    json.key("fraction").value(double_to_wire(scenario.fraction));
-    json.key("seed").value(static_cast<std::uint64_t>(scenario.seed));
-    json.end_object();
-  }
+  json.key("experiment").value(task.experiment);
+  json.key("spec").value(task.spec);
+  json.key("sweep").value(static_cast<std::uint64_t>(task.sweep));
+  json.key("store").value(task.store);
+  json.key("cells").begin_array();
+  for (const std::string& cell : task.cells) json.value(cell);
   json.end_array();
   json.end_object();
   return std::move(json).str();
@@ -180,23 +170,12 @@ TaskMessage decode_task(const std::string& line) {
               doc.at("type").as_string() + "')");
   TaskMessage task;
   task.id = doc.at("id").as_uint();
-  task.model = doc.at("model").as_string();
-  task.scale = doc.at("scale").as_string();
-  task.variant = doc.at("variant").as_string();
-  task.l2_strength = double_from_wire(doc.at("l2").as_string());
-  task.store_stem = doc.at("store_stem").as_string();
-  task.fingerprint = doc.at("fingerprint").as_string();
-  task.baseline = doc.at("baseline").as_bool();
-  for (const JsonValue& entry : doc.at("scenarios").as_array()) {
-    attack::AttackScenario scenario;
-    scenario.vector =
-        attack::vector_from_string(entry.at("vector").as_string());
-    scenario.target =
-        attack::target_from_string(entry.at("target").as_string());
-    scenario.fraction = double_from_wire(entry.at("fraction").as_string());
-    scenario.seed = entry.at("seed").as_uint();
-    scenario.validate();
-    task.scenarios.push_back(scenario);
+  task.experiment = doc.at("experiment").as_string();
+  task.spec = doc.at("spec").as_string();
+  task.sweep = static_cast<std::size_t>(doc.at("sweep").as_uint());
+  task.store = doc.at("store").as_string();
+  for (const JsonValue& cell : doc.at("cells").as_array()) {
+    task.cells.push_back(cell.as_string());
   }
   return task;
 }

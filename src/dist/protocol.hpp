@@ -3,18 +3,22 @@
 // One JSON document per line (NDJSON), written with common/json's compact
 // writer and parsed back with JsonValue — no third-party dependency, and
 // both directions are strict: an unknown type, a missing field or trailing
-// garbage is a protocol error, not a silent skip. Scenarios travel as full
-// descriptors (vector/target/fraction/seed), never as grid indices, so a
-// coordinator and a worker built from slightly different grid code cannot
-// disagree about which cell a task means. Fractions are shipped as %.17g
-// strings: the scenario's store key contains the double, and a decimal
-// round-trip through 17 significant digits reproduces it bit for bit.
+// garbage is a protocol error, not a silent skip.
+//
+// A task names an experiment, its spec, one of the sweeps the experiment
+// declares (core::ExperimentInfo::sweeps, by index), that sweep's store file
+// and the ids of the cells to fill. The spec travels whole (spec_to_json),
+// so the worker rebuilds the very declaration the in-process run uses and
+// its own environment cannot change it. Cells travel as ids because the
+// declaration already knows what each id means; an undeclared id fails the
+// task, and so does a store name the worker computes differently (it
+// carries the weights checksum and the corruption and suite fingerprints).
 //
 // Coordinator -> worker commands:
-//   {"type":"task", "id":N, "model":"cnn1", "scale":"tiny",
-//    "variant":"l2+n3", "l2":3e-04, "store_stem":"...", "fingerprint":"...",
-//    "baseline":true, "scenarios":[{"vector":"hotspot","target":"CONV+FC",
-//    "fraction":"0.050000000000000003","seed":1003}, ...]}
+//   {"type":"task", "id":N, "experiment":"detection",
+//    "spec":"{\"experiment\":\"detection\",\"model\":\"cnn1\",...}",
+//    "sweep":0, "store":"cnn1_tiny_Original_<sum>_<fp>_<fp>.detect.csv",
+//    "cells":["clean/c0/b1000","hotspot/CONV+FC/f0.05/s1003", ...]}
 //   {"type":"shutdown"}
 //
 // Worker -> coordinator events:
@@ -30,36 +34,30 @@
 // fleet's observability into one Chrome trace / one metrics registry: a
 // worker in SAFELIGHT_TRACE_PIPE buffering mode drains its span buffer
 // after every task (and at shutdown), and ships one metrics snapshot right
-// before exiting. Doubles ride as %.17g strings, same as fractions.
+// before exiting. Telemetry doubles ride as %.17g strings, which strtod
+// reads back bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "attacks/scenario.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 
 namespace safelight::dist {
 
-/// One shard of sweep work: evaluate `scenarios` (plus, when `baseline` is
-/// set, the clean baseline) for `variant` of (model, scale), recording
-/// results in the worker's own store file `<store_dir>/<store_stem>.sweep.csv`
-/// under exactly the keys the in-process pipeline would use.
+/// One shard of sweep work: fill `cells` of sweep `sweep` of
+/// `experiment` under `spec`, recording results in the worker's own copy
+/// of the store file `store`, under exactly the keys the in-process run
+/// uses.
 struct TaskMessage {
   std::uint64_t id = 0;
-  std::string model;        // nn::to_string(ModelId) name
-  std::string scale;        // "tiny" | "default" | "full"
-  std::string variant;      // VariantSpec name (variant_by_name-resolvable)
-  double l2_strength = 0.0;
-  std::string store_stem;   // store file stem, no directory, no extension
-  /// attack::config_fingerprint of the corruption physics. The worker
-  /// recomputes its own and refuses the task on a mismatch — a coordinator
-  /// and worker disagreeing on physics must fail loudly, not poison a store.
-  std::string fingerprint;
-  bool baseline = false;
-  std::vector<attack::AttackScenario> scenarios;
+  std::string experiment;  // registry key
+  std::string spec;        // core::spec_to_json document
+  std::size_t sweep = 0;   // index into the experiment's sweeps(spec)
+  std::string store;       // store file name, no directory
+  std::vector<std::string> cells;  // cell ids
 };
 
 /// Worker -> coordinator event.
@@ -77,7 +75,7 @@ struct EventMessage {
   std::string backend;          // kHello
   std::string kernel;           // kHello
   std::uint64_t task_id = 0;    // kDone / kFatal
-  std::uint64_t evaluated = 0;  // kDone: scenarios computed fresh
+  std::uint64_t evaluated = 0;  // kDone: cells computed fresh
   std::uint64_t cached = 0;     // kDone: already present in the worker store
   std::string message;          // kFatal: exception text
   std::vector<trace::RawEvent> spans;  // kTrace: drained span buffer

@@ -4,6 +4,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -16,19 +17,16 @@
 #include <string>
 #include <thread>
 
-#include "attacks/corruption.hpp"
-#include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "core/evaluation.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"
-#include "core/variants.hpp"
 #include "core/zoo.hpp"
 #include "dist/protocol.hpp"
 #include "nn/backend.hpp"
-#include "nn/models.hpp"
 
 namespace safelight::dist {
 
@@ -143,16 +141,6 @@ class LineReader {
   std::string buffer_;
 };
 
-/// Everything the worker keeps alive per store stem: the trained model, the
-/// evaluator conditioned from it, and this worker's own store file. Tasks
-/// of one variant arrive in chunks; caching the deployment across them is
-/// what makes small chunk sizes affordable.
-struct StemState {
-  std::unique_ptr<nn::Sequential> model;
-  std::unique_ptr<core::AttackEvaluator> evaluator;
-  std::unique_ptr<core::ResultStore> store;
-};
-
 /// Chaos/fault seams, read once from the environment (see worker.hpp).
 struct Seams {
   std::string poison;     // SAFELIGHT_DIST_POISON
@@ -174,13 +162,13 @@ Seams read_seams() {
   return seams;
 }
 
-void apply_seams(const Seams& seams, const std::string& scenario_id) {
+void apply_seams(const Seams& seams, const std::string& cell_id) {
   if (!seams.poison.empty() &&
-      scenario_id.find(seams.poison) != std::string::npos) {
+      cell_id.find(seams.poison) != std::string::npos) {
     std::_Exit(41);  // deterministic poison: fails identically on retry
   }
   if (!seams.hang.empty() &&
-      scenario_id.find(seams.hang) != std::string::npos) {
+      cell_id.find(seams.hang) != std::string::npos) {
     bool should_hang = true;
     if (!seams.hang_once.empty()) {
       // Only the first process to create the sentinel hangs, so the
@@ -197,65 +185,95 @@ void apply_seams(const Seams& seams, const std::string& scenario_id) {
   }
 }
 
-StemState& state_for(std::map<std::string, StemState>& stems,
-                     core::ModelZoo& zoo, const std::string& store_dir,
-                     const TaskMessage& task) {
-  auto it = stems.find(task.store_stem);
-  if (it != stems.end()) return it->second;
+/// One deployment of a declared sweep, kept across the small tasks of one
+/// (experiment, spec, sweep): no model load, conditioning or suite
+/// calibration per chunk, and the sweep's prefix cache stays warm.
+struct Deployment {
+  core::CellSweep sweep;
+  std::string store_name;
+  core::ResultStore* store = nullptr;  // owned by the worker's store map
+  std::shared_ptr<void> worker;
+};
 
-  const core::ExperimentSetup setup = core::experiment_setup(
-      nn::model_id_from_string(task.model), config::parse_scale(task.scale));
-  const core::VariantSpec variant = core::variant_by_name(
-      task.variant, static_cast<float>(task.l2_strength));
+/// Private stores by file name: sweeps writing one file (robust_compare's
+/// Original sweep in both rounds) share its single writer.
+using StoreMap = std::map<std::string, std::unique_ptr<core::ResultStore>>;
 
-  StemState state;
-  // The coordinator trains every referenced zoo entry before dispatching,
+std::unique_ptr<Deployment> deploy(const TaskMessage& task,
+                                   core::ModelZoo& zoo,
+                                   const std::string& store_dir,
+                                   StoreMap& stores) {
+  const core::ExperimentSpec spec = core::spec_from_json(task.spec);
+  require(spec.experiment == task.experiment,
+          "worker: task experiment '" + task.experiment +
+              "' differs from its spec's '" + spec.experiment + "'");
+  const core::ExperimentInfo& info =
+      core::ExperimentRegistry::global().info(task.experiment);
+  std::vector<core::CellSweep> sweeps =
+      info.sweeps ? info.sweeps(spec) : std::vector<core::CellSweep>{};
+  require(task.sweep < sweeps.size(),
+          "worker: task names an undeclared sweep of " + task.experiment);
+
+  auto deployment = std::make_unique<Deployment>();
+  deployment->sweep = std::move(sweeps[task.sweep]);
+  const core::CellSweep& sweep = deployment->sweep;
+  // The coordinator trains every declared zoo entry before dispatching,
   // so this is a cache load; training here anyway (e.g. after a corrupted
   // entry) is correct, just slow.
-  state.model = zoo.get_or_train(setup, variant, /*verbose=*/false);
-  state.evaluator = std::make_unique<core::AttackEvaluator>(
-      setup, *state.model, variant.name, /*cache_dir=*/"",
-      attack::CorruptionConfig{});
-  state.store = std::make_unique<core::ResultStore>(
-      store_dir + "/" + task.store_stem + ".sweep.csv");
-  return stems.emplace(task.store_stem, std::move(state)).first->second;
+  const core::ExperimentSetup setup = spec.resolved_setup();
+  auto model = zoo.get_or_train(setup, sweep.variant, /*verbose=*/false);
+  deployment->store_name = core::sweep_store_name(
+      setup, spec.corruption, sweep, core::weights_checksum(*model));
+  auto& store = stores[deployment->store_name];
+  if (!store) {
+    store = std::make_unique<core::ResultStore>(store_dir + "/" +
+                                                deployment->store_name);
+  }
+  deployment->store = store.get();
+  deployment->worker = sweep.make_worker(std::move(model));
+  return deployment;
 }
 
-void run_task(const TaskMessage& task, StemState& state, const Seams& seams,
-              const std::atomic<bool>* cancel, EventMessage& done) {
-  // Refuse physics the coordinator and this binary disagree on: a silently
-  // different corruption model would cache wrong accuracies under keys the
-  // assembly run trusts.
-  const std::string local_fingerprint =
-      attack::config_fingerprint(attack::CorruptionConfig{});
-  if (task.fingerprint != local_fingerprint) {
+void run_task(const TaskMessage& task, Deployment& deployment,
+              const Seams& seams, const std::atomic<bool>* cancel,
+              EventMessage& done) {
+  // The store name carries the weights checksum and the corruption and
+  // suite fingerprints: a coordinator and worker that disagree on any of
+  // them would cache wrong values under keys the assembly run trusts.
+  if (task.store != deployment.store_name) {
     throw std::runtime_error(
-        "worker: corruption fingerprint mismatch (task " + task.fingerprint +
-        " vs local " + local_fingerprint +
-        "); coordinator and worker binaries disagree on attack physics");
+        "worker: store mismatch (task " + task.store + " vs local " +
+        deployment.store_name +
+        "); coordinator and worker disagree on weights or physics");
   }
-
-  const std::size_t eval_count = state.evaluator->setup().eval_count;
-  if (task.baseline) {
-    const std::string key = core::baseline_store_key(eval_count);
-    if (state.store->contains(key)) {
-      ++done.cached;
-    } else {
-      state.store->put(key, state.evaluator->baseline_accuracy());
-      ++done.evaluated;
+  const core::CellSweep& sweep = deployment.sweep;
+  std::vector<std::size_t> cells;
+  for (const std::string& id : task.cells) {
+    const auto it = std::find_if(
+        sweep.cells.begin(), sweep.cells.end(),
+        [&](const core::SweepCell& cell) { return cell.id == id; });
+    if (it == sweep.cells.end()) {
+      throw std::runtime_error("worker: cell '" + id +
+                               "' is not declared by sweep " +
+                               std::to_string(task.sweep) + " of '" +
+                               task.experiment + "'");
     }
+    cells.push_back(static_cast<std::size_t>(it - sweep.cells.begin()));
   }
-  for (const auto& scenario : task.scenarios) {
+  core::ResultStore& store = *deployment.store;
+  for (const std::size_t i : cells) {
     if (cancel != nullptr && cancel->load()) {
       throw core::ExperimentCancelled("worker");
     }
-    const std::string key = core::scenario_store_key(scenario, eval_count);
-    if (state.store->contains(key)) {
+    const std::vector<std::string>& keys = sweep.cells[i].keys;
+    if (std::all_of(keys.begin(), keys.end(), [&](const std::string& key) {
+          return store.contains(key);
+        })) {
       ++done.cached;
       continue;
     }
-    apply_seams(seams, scenario.id());
-    state.store->put(key, state.evaluator->evaluate_scenario(scenario));
+    apply_seams(seams, sweep.cells[i].id);
+    sweep.evaluate(deployment.worker.get(), i, store);
     ++done.evaluated;
   }
 }
@@ -294,7 +312,9 @@ int run_worker(const WorkerOptions& options) {
   std::filesystem::create_directories(options.store_dir);
   core::ModelZoo zoo(options.zoo_dir);
   const Seams seams = read_seams();
-  std::map<std::string, StemState> stems;
+  StoreMap stores;
+  // Keyed by (experiment, spec document, sweep index).
+  std::map<std::string, std::unique_ptr<Deployment>> deployments;
 
   LineReader reader(options.protocol_in);
   while (auto line = reader.next_line()) {
@@ -305,12 +325,16 @@ int run_worker(const WorkerOptions& options) {
     done.type = EventMessage::Type::kDone;
     done.task_id = task.id;
     try {
-      StemState& state =
-          state_for(stems, zoo, options.store_dir, task);
+      std::unique_ptr<Deployment>& deployment =
+          deployments[task.experiment + '\n' + task.spec + '\n' +
+                      std::to_string(task.sweep)];
+      if (!deployment) {
+        deployment = deploy(task, zoo, options.store_dir, stores);
+      }
       {
         trace::Span task_span("dist", "worker.task");
         task_span.arg("task", static_cast<double>(task.id));
-        run_task(task, state, seams, options.cancel, done);
+        run_task(task, *deployment, seams, options.cancel, done);
         task_span.arg("evaluated", static_cast<double>(done.evaluated))
             .arg("cached", static_cast<double>(done.cached));
       }

@@ -2,13 +2,15 @@
 //
 // A worker is the `safelight worker` subcommand, spawned by the
 // coordinator with its stdin/stdout turned into the NDJSON protocol pipes
-// (stderr goes to a per-slot log file). It evaluates the scenarios of each
-// task with the same AttackEvaluator the in-process pipeline uses, and
-// appends results to its *own* store directory — never to the canonical
-// stores — keyed exactly as the pipeline would key them. Incremental
-// resume comes for free: a respawned worker (same slot, next generation)
-// reopens its slot's stores, takes over the crashed predecessor's stale
-// writer locks, and skips every scenario already durable there.
+// (stderr goes to a per-slot log file). Each task names an experiment, a
+// spec and one of the sweeps the experiment declares
+// (core::ExperimentInfo::sweeps); the worker rebuilds that declaration and
+// fills exactly the task's cells through its own evaluate, appending to its
+// *own* store directory — never to the canonical stores — under exactly
+// the keys and store file name the in-process run uses. Incremental resume
+// comes for free: a respawned worker (same slot, next generation) reopens
+// its slot's stores, takes over the crashed predecessor's stale writer
+// locks, and skips every cell already durable there.
 //
 // A heartbeat thread writes {"type":"heartbeat"} every interval so the
 // coordinator can distinguish "busy evaluating" from "hung": SIGSTOP (or a
@@ -16,11 +18,11 @@
 // timeout.
 //
 // Test seams (environment variables, only read here):
-//   SAFELIGHT_DIST_POISON      scenario-id substring; evaluating a matching
-//                              scenario _Exits(41) — a deterministic
-//                              "poison task" that fails on every retry.
-//   SAFELIGHT_DIST_HANG        scenario-id substring; a matching scenario
-//                              raises SIGSTOP instead of evaluating.
+//   SAFELIGHT_DIST_POISON      cell-id substring; evaluating a matching
+//                              cell _Exits(41) — a deterministic "poison
+//                              task" that fails on every retry.
+//   SAFELIGHT_DIST_HANG        cell-id substring; a matching cell raises
+//                              SIGSTOP instead of evaluating.
 //   SAFELIGHT_DIST_HANG_ONCE   path of a sentinel file; when set, only the
 //                              process that O_EXCL-creates it hangs, so a
 //                              reassigned task completes on the next worker.
@@ -38,7 +40,7 @@ struct WorkerOptions {
   int protocol_in = 0;    // fd carrying coordinator commands
   int protocol_out = 1;   // fd carrying worker events
   double heartbeat_interval_s = 1.0;
-  /// Cooperative cancellation (SIGINT/SIGTERM): checked between scenarios;
+  /// Cooperative cancellation (SIGINT/SIGTERM): checked between cells;
   /// throws core::ExperimentCancelled so the CLI exits 130.
   const std::atomic<bool>* cancel = nullptr;
 };

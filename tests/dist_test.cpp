@@ -1,6 +1,6 @@
-// Distributed sweep sharding: protocol, the planner's spec -> task
-// invariant, multi-writer store merge, and the coordinator/worker chaos
-// harness.
+// Distributed sweep sharding: the planner's spec -> task invariant,
+// multi-writer store merge, and the coordinator/worker chaos harness (the
+// wire protocol itself is covered by protocol_test.cpp, in the unit shard).
 //
 // The end-to-end tests spawn the real `safelight` binary (the coordinator
 // re-execs it as workers via /proc/self/exe) on the tiniest deterministic
@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -32,6 +33,7 @@
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "core/pipeline.hpp"
 #include "core/result_store.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/plan.hpp"
@@ -44,150 +46,7 @@
 namespace safelight {
 namespace {
 
-using dist::EventMessage;
 using dist::TaskMessage;
-
-// ---------------------------------------------------------------------------
-// NDJSON protocol
-// ---------------------------------------------------------------------------
-
-TEST(DistProtocol, TaskRoundTripsThroughNdjsonBitExactly) {
-  TaskMessage task;
-  task.id = 42;
-  task.model = "cnn1";
-  task.scale = "tiny";
-  task.variant = "l2+n3";
-  task.l2_strength = 3e-4;  // not exactly representable in decimal
-  task.store_stem = "cnn1_tiny_l2+n3_deadbeef_cafe";
-  task.fingerprint = "e43e271b";
-  task.baseline = true;
-  task.scenarios = attack::scenario_grid(
-      {attack::AttackVector::kActuation, attack::AttackVector::kHotspot},
-      {attack::AttackTarget::kBothBlocks}, {0.1, 0.05}, 2);
-
-  const std::string line = dist::encode_task(task);
-  ASSERT_EQ(line.back(), '\n');
-  ASSERT_EQ(line.find('\n'), line.size() - 1) << "task must be one line";
-
-  const TaskMessage decoded = dist::decode_task(line);
-  EXPECT_EQ(decoded.id, task.id);
-  EXPECT_EQ(decoded.model, task.model);
-  EXPECT_EQ(decoded.scale, task.scale);
-  EXPECT_EQ(decoded.variant, task.variant);
-  EXPECT_EQ(decoded.l2_strength, task.l2_strength);  // exact double equality
-  EXPECT_EQ(decoded.store_stem, task.store_stem);
-  EXPECT_EQ(decoded.fingerprint, task.fingerprint);
-  EXPECT_EQ(decoded.baseline, task.baseline);
-  ASSERT_EQ(decoded.scenarios.size(), task.scenarios.size());
-  for (std::size_t i = 0; i < task.scenarios.size(); ++i) {
-    // Store keys are derived from the id, which embeds the fraction double;
-    // id equality is exactly the bit-exactness the cache needs.
-    EXPECT_EQ(decoded.scenarios[i].id(), task.scenarios[i].id());
-    EXPECT_EQ(decoded.scenarios[i].fraction, task.scenarios[i].fraction);
-  }
-}
-
-TEST(DistProtocol, EventsRoundTrip) {
-  EventMessage hello;
-  hello.type = EventMessage::Type::kHello;
-  hello.pid = 12345;
-  const EventMessage hello2 = dist::decode_event(dist::encode_event(hello));
-  EXPECT_EQ(hello2.type, EventMessage::Type::kHello);
-  EXPECT_EQ(hello2.pid, 12345u);
-
-  EventMessage done;
-  done.type = EventMessage::Type::kDone;
-  done.task_id = 7;
-  done.evaluated = 3;
-  done.cached = 2;
-  const EventMessage done2 = dist::decode_event(dist::encode_event(done));
-  EXPECT_EQ(done2.type, EventMessage::Type::kDone);
-  EXPECT_EQ(done2.task_id, 7u);
-  EXPECT_EQ(done2.evaluated, 3u);
-  EXPECT_EQ(done2.cached, 2u);
-
-  EventMessage fatal;
-  fatal.type = EventMessage::Type::kFatal;
-  fatal.task_id = 9;
-  fatal.message = "fingerprint mismatch: \"a\" vs \"b\"\nsecond line";
-  const EventMessage fatal2 = dist::decode_event(dist::encode_event(fatal));
-  EXPECT_EQ(fatal2.type, EventMessage::Type::kFatal);
-  EXPECT_EQ(fatal2.task_id, 9u);
-  EXPECT_EQ(fatal2.message, fatal.message);  // newline survives as \n escape
-}
-
-TEST(DistProtocol, TelemetryEventsRoundTrip) {
-  // Spans ship with absolute nanosecond timestamps and typed args; doubles
-  // ride as %.17g strings, so even decimal-inexact values survive exactly.
-  EventMessage shipped;
-  shipped.type = EventMessage::Type::kTrace;
-  trace::RawEvent span;
-  span.name = "worker.task";
-  span.cat = "dist";
-  span.start_ns = 123456789012345ull;
-  span.dur_ns = 987654321ull;
-  span.tid = 3;
-  span.num_args.emplace_back("gflops", 0.1 + 0.2);  // 0.30000000000000004
-  span.str_args.emplace_back("variant", "l2+n3");
-  shipped.spans.push_back(span);
-  const EventMessage t2 = dist::decode_event(dist::encode_event(shipped));
-  ASSERT_EQ(t2.type, EventMessage::Type::kTrace);
-  ASSERT_EQ(t2.spans.size(), 1u);
-  EXPECT_EQ(t2.spans[0].name, span.name);
-  EXPECT_EQ(t2.spans[0].cat, span.cat);
-  EXPECT_EQ(t2.spans[0].start_ns, span.start_ns);
-  EXPECT_EQ(t2.spans[0].dur_ns, span.dur_ns);
-  EXPECT_EQ(t2.spans[0].tid, span.tid);
-  ASSERT_EQ(t2.spans[0].num_args.size(), 1u);
-  EXPECT_EQ(t2.spans[0].num_args[0].first, "gflops");
-  EXPECT_EQ(t2.spans[0].num_args[0].second, 0.1 + 0.2);  // exact equality
-  ASSERT_EQ(t2.spans[0].str_args.size(), 1u);
-  EXPECT_EQ(t2.spans[0].str_args[0].second, "l2+n3");
-
-  // Metrics snapshots carry sparse histogram buckets so the coordinator
-  // can merge them additively.
-  EventMessage registry;
-  registry.type = EventMessage::Type::kMetrics;
-  registry.metrics.counters["gemm.calls"] = 11298;
-  registry.metrics.gauges["pool.threads"] = 4.0;
-  metrics::HistogramSnapshot hist;
-  hist.count = 3;
-  hist.sum = 0.1 + 0.2;
-  hist.min = 0.1;
-  hist.max = 0.15;
-  hist.buckets[0] = 1;
-  hist.buckets[115] = 2;
-  registry.metrics.histograms["gemm.gflops"] = hist;
-  const EventMessage m2 = dist::decode_event(dist::encode_event(registry));
-  ASSERT_EQ(m2.type, EventMessage::Type::kMetrics);
-  EXPECT_EQ(m2.metrics.counters.at("gemm.calls"), 11298u);
-  EXPECT_EQ(m2.metrics.gauges.at("pool.threads"), 4.0);
-  const metrics::HistogramSnapshot& h2 =
-      m2.metrics.histograms.at("gemm.gflops");
-  EXPECT_EQ(h2.count, hist.count);
-  EXPECT_EQ(h2.sum, hist.sum);
-  EXPECT_EQ(h2.min, hist.min);
-  EXPECT_EQ(h2.max, hist.max);
-  EXPECT_EQ(h2.buckets, hist.buckets);
-
-  // An out-of-range bucket index is a protocol error, not a silent skip.
-  EXPECT_THROW(
-      dist::decode_event(
-          "{\"type\":\"metrics\",\"counters\":{},\"gauges\":{},"
-          "\"histograms\":{\"h\":{\"count\":1,\"sum\":\"1\",\"min\":\"1\","
-          "\"max\":\"1\",\"buckets\":{\"99999\":1}}}}"),
-      std::invalid_argument);
-}
-
-TEST(DistProtocol, ShutdownIsRecognizedAndMalformedLinesThrow) {
-  EXPECT_TRUE(dist::is_shutdown(dist::encode_shutdown()));
-  EXPECT_FALSE(dist::is_shutdown(dist::encode_event(EventMessage{})));
-  EXPECT_THROW(dist::decode_task("{\"type\":\"shutdown\"}"),
-               std::invalid_argument);
-  EXPECT_THROW(dist::decode_task("{not json"), std::invalid_argument);
-  EXPECT_THROW(dist::decode_event("{\"type\":\"task\"}"),
-               std::invalid_argument);
-}
 
 // ---------------------------------------------------------------------------
 // Multi-writer store merge
@@ -199,10 +58,12 @@ void write_store(const std::string& path, const std::string& body) {
 }
 
 // The spec is the whole run: every task the planner sends, decoded and
-// rebuilt through the worker's own path (dist/worker.cpp state_for), must
-// give exactly the setup and variant the in-process run resolves from the
-// spec. Any spec field a TaskMessage cannot carry would make the same spec
-// sweep different things in-process and under --workers.
+// rebuilt the way a worker rebuilds it (dist/worker.cpp deploy: parse the
+// shipped spec, take the named sweep of the named experiment, load its
+// variant, name its store), must name the store the planner read and
+// deploy the variant the in-process run declares. Together the tasks must
+// cover exactly the cells core::pending_cells leaves over the experiment's
+// declared sweeps — here with one cell per store already cached.
 TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
   TempDir dir("dist_plan_invariant");
   core::ModelZoo zoo(dir.path() + "/zoo");
@@ -220,54 +81,99 @@ TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
       nn::save_model(*model, zoo.entry_path(setup, variant));
     }
 
-    for (const std::string experiment :
-         {"susceptibility", "mitigation", "robust_compare"}) {
+    for (const std::string& experiment : registry.names()) {
       for (const core::VariantSpec& variant : variants) {
+        // mitigation sweeps every variant, whatever spec.variant names.
+        if (experiment == "mitigation" && !variant.is_original()) continue;
         SCOPED_TRACE(experiment + " / " + variant.name + " / " +
                      to_string(scale));
         core::ExperimentSpec spec = registry.default_spec(experiment);
         spec.model = nn::ModelId::kCnn1;
         spec.scale = scale;
         spec.seed_count = 1;
+        spec.clean_runs = 2;
         spec.variant = variant.name;
         spec.l2_strength = kL2;
         // Pinned, so robust_compare plans no selection sweep (which would
         // evaluate the untrained models in-process).
         spec.robust_variant = variant.name;
-        spec.cache_dir = dir.path() + "/stores";
-        const core::ExperimentSetup expected_setup = spec.resolved_setup();
+        spec.cache_dir = dir.path() + "/stores/" + experiment + "_" +
+                         variant.name + "_" + to_string(scale);
+        std::filesystem::create_directories(spec.cache_dir);
+        const std::vector<core::CellSweep> declared =
+            registry.info(experiment).sweeps(spec);
+        ASSERT_FALSE(declared.empty());
 
-        dist::DistPlanner planner(experiment, spec);
-        std::set<std::string> planned;
-        while (const auto round = planner.next_round(zoo, {})) {
-          for (const TaskMessage& sent : *round) {
-            const TaskMessage task =
-                dist::decode_task(dist::encode_task(sent));
-            const core::ExperimentSetup rebuilt_setup = core::experiment_setup(
-                nn::model_id_from_string(task.model),
-                config::parse_scale(task.scale));
-            EXPECT_EQ(rebuilt_setup.tag(), expected_setup.tag());
-            EXPECT_EQ(rebuilt_setup.eval_count, expected_setup.eval_count);
-
-            const core::VariantSpec rebuilt = core::variant_by_name(
-                task.variant, static_cast<float>(task.l2_strength));
-            core::ExperimentSpec named = spec;
-            named.variant = task.variant;
-            const core::VariantSpec expected = named.resolved_variant();
-            EXPECT_EQ(rebuilt.name, expected.name);
-            EXPECT_EQ(rebuilt.weight_decay, expected.weight_decay);
-            EXPECT_EQ(rebuilt.noise_sigma, expected.noise_sigma);
-            planned.insert(task.variant);
+        // Cache the first cell of every declared store, so the planner
+        // must read the canonical store under the name the engine uses.
+        std::vector<std::string> store_names;
+        for (const core::CellSweep& sweep : declared) {
+          const auto model =
+              zoo.get_or_train(setup, sweep.variant, /*verbose=*/false);
+          store_names.push_back(core::sweep_store_name(
+              setup, spec.corruption, sweep, core::weights_checksum(*model)));
+          core::ResultStore store(spec.cache_dir + "/" + store_names.back());
+          for (const std::string& key : sweep.cells[0].keys) {
+            store.put(key, 0.5);
           }
         }
 
-        std::set<std::string> swept = {"Original"};
-        if (experiment == "mitigation") {
-          for (const core::VariantSpec& v : variants) swept.insert(v.name);
-        } else if (experiment == "robust_compare") {
-          swept.insert(spec.resolved_variant().name);
+        dist::DistPlanner planner(spec);
+        std::vector<std::set<std::string>> planned(declared.size());
+        // Like a worker, rebuild once per (spec document, sweep).
+        std::map<std::pair<std::string, std::size_t>, std::string> rebuilt;
+        while (const auto round = planner.next_round(zoo, 2)) {
+          for (const TaskMessage& sent : *round) {
+            const TaskMessage task =
+                dist::decode_task(dist::encode_task(sent));
+            EXPECT_EQ(task.experiment, experiment);
+            ASSERT_LT(task.sweep, declared.size());
+            std::string& store = rebuilt[{task.spec, task.sweep}];
+            if (store.empty()) {
+              const core::ExperimentSpec shipped =
+                  core::spec_from_json(task.spec);
+              const std::vector<core::CellSweep> sweeps =
+                  registry.info(task.experiment).sweeps(shipped);
+              ASSERT_LT(task.sweep, sweeps.size());
+              const core::CellSweep& sweep = sweeps[task.sweep];
+              const core::VariantSpec& expected =
+                  declared[task.sweep].variant;
+              EXPECT_EQ(sweep.variant.name, expected.name);
+              EXPECT_EQ(sweep.variant.weight_decay, expected.weight_decay);
+              EXPECT_EQ(sweep.variant.noise_sigma, expected.noise_sigma);
+              const core::ExperimentSetup shipped_setup =
+                  shipped.resolved_setup();
+              const auto model =
+                  zoo.get_or_train(shipped_setup, sweep.variant, false);
+              store = core::sweep_store_name(shipped_setup, shipped.corruption,
+                                             sweep,
+                                             core::weights_checksum(*model));
+            }
+            EXPECT_EQ(store, task.store);
+            EXPECT_EQ(task.store, store_names[task.sweep]);
+            for (const std::string& id : task.cells) {
+              EXPECT_TRUE(planned[task.sweep].insert(id).second)
+                  << "cell " << id << " planned twice";
+            }
+          }
         }
-        EXPECT_EQ(planned, swept);
+
+        for (std::size_t s = 0; s < declared.size(); ++s) {
+          std::set<std::string> cached;
+          for (const auto& entry : core::read_store_entries(
+                   spec.cache_dir + "/" + store_names[s])) {
+            cached.insert(entry.key);
+          }
+          std::set<std::string> pending;
+          for (const std::size_t i : core::pending_cells(
+                   declared[s].cells, [&](const std::string& key) {
+                     return cached.count(key) > 0;
+                   })) {
+            pending.insert(declared[s].cells[i].id);
+          }
+          EXPECT_FALSE(pending.count(declared[s].cells[0].id));
+          EXPECT_EQ(planned[s], pending) << "sweep " << s;
+        }
       }
     }
   }
@@ -374,19 +280,20 @@ constexpr double kRunTimeoutSeconds = 240.0;
 struct DistRunResult {
   ProcessResult proc;
   std::map<std::string, std::string> summary;  // parsed "[dist] summary:" k=v
-  std::string csv_bytes;                       // fig7_susceptibility.csv
-  std::string json_bytes;                      // susceptibility_cnn1.json
+  std::string csv_bytes;   // the experiment's CSVs, in registry order
+  std::string json_bytes;  // <experiment>_cnn1.json
 };
 
-/// Runs `safelight run susceptibility` (cnn1, tiny, 2 seeds, 1 thread) in
+/// Runs `safelight run <experiment>` (cnn1, tiny, 2 seeds, 1 thread) in
 /// `dir` with extra flags/env; parses the dist summary line when present.
-DistRunResult run_susceptibility(const std::string& dir,
-                                 const std::vector<std::string>& extra_flags,
-                                 const std::vector<std::string>& extra_env,
-                                 double kill_after_s = 0.0,
-                                 int kill_signal = 0) {
+DistRunResult run_experiment(const std::string& experiment,
+                             const std::string& dir,
+                             const std::vector<std::string>& extra_flags,
+                             const std::vector<std::string>& extra_env,
+                             double kill_after_s = 0.0,
+                             int kill_signal = 0) {
   std::vector<std::string> argv = {
-      SAFELIGHT_CLI_BIN, "run",     "susceptibility",
+      SAFELIGHT_CLI_BIN, "run",     experiment,
       "--model",         "cnn1",    "--scale",
       "tiny",            "--seeds", "2",
       "--threads",       "1",       "--zoo",
@@ -410,8 +317,12 @@ DistRunResult run_susceptibility(const std::string& dir,
       }
     }
   }
-  result.csv_bytes = read_file_bytes(dir + "/out/fig7_susceptibility.csv");
-  result.json_bytes = read_file_bytes(dir + "/out/susceptibility_cnn1.json");
+  for (const std::string& stem :
+       core::ExperimentRegistry::global().info(experiment).csv_files) {
+    result.csv_bytes += read_file_bytes(dir + "/out/" + stem + ".csv");
+  }
+  result.json_bytes =
+      read_file_bytes(dir + "/out/" + experiment + "_cnn1.json");
   return result;
 }
 
@@ -426,7 +337,7 @@ std::uint64_t summary_count(const DistRunResult& result,
 const DistRunResult& reference_run() {
   static const DistRunResult reference = [] {
     static TempDir dir("dist_reference");  // outlives every comparison
-    DistRunResult run = run_susceptibility(dir.path(), {}, {});
+    DistRunResult run = run_experiment("susceptibility", dir.path(), {}, {});
     EXPECT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
     EXPECT_FALSE(run.csv_bytes.empty());
     EXPECT_FALSE(run.json_bytes.empty());
@@ -441,7 +352,7 @@ const std::string& reference_json() { return reference_run().json_bytes; }
 TEST(DistRun, TwoWorkersMatchSingleProcessBitwise) {
   TempDir dir("dist_two_workers");
   const DistRunResult run =
-      run_susceptibility(dir.path(), {"--workers", "2"}, {});
+      run_experiment("susceptibility", dir.path(), {"--workers", "2"}, {});
   ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
   ASSERT_FALSE(run.summary.empty()) << run.proc.stdout_text;
   EXPECT_EQ(summary_count(run, "workers"), 2u);
@@ -460,8 +371,8 @@ TEST(DistRun, MismatchedKernelFingerprintFailsTheHandshake) {
   // dispatched — merging its store rows would silently mix numerics.
   TempDir dir("dist_bad_kernel");
   const DistRunResult run =
-      run_susceptibility(dir.path(), {"--workers", "1"},
-                         {"SAFELIGHT_DIST_FAKE_KERNEL=deadbeefdeadbeef"});
+      run_experiment("susceptibility", dir.path(), {"--workers", "1"},
+                     {"SAFELIGHT_DIST_FAKE_KERNEL=deadbeefdeadbeef"});
   EXPECT_NE(run.proc.exit_code, 0);
   EXPECT_NE(run.proc.stderr_text.find("deadbeefdeadbeef"), std::string::npos)
       << run.proc.stderr_text;
@@ -478,8 +389,8 @@ TEST(DistRun, TracedTwoWorkerRunMergesFleetTraceAndStaysBitwise) {
   const std::string metrics_path = dir.path() + "/metrics.json";
   // The small heartbeat timeout shrinks the beat interval (timeout/4) so
   // worker heartbeat markers land even in a sub-second sweep.
-  const DistRunResult run = run_susceptibility(
-      dir.path(),
+  const DistRunResult run = run_experiment(
+      "susceptibility", dir.path(),
       {"--workers", "2", "--heartbeat-timeout", "0.5", "--trace", trace_path,
        "--metrics", metrics_path},
       {});
@@ -530,12 +441,12 @@ TEST(DistRun, TracedTwoWorkerRunMergesFleetTraceAndStaysBitwise) {
 TEST(DistRun, SecondRunIsFullyCachedAndPlansNoTasks) {
   TempDir dir("dist_cached");
   const DistRunResult first =
-      run_susceptibility(dir.path(), {"--workers", "2"}, {});
+      run_experiment("susceptibility", dir.path(), {"--workers", "2"}, {});
   ASSERT_EQ(first.proc.exit_code, 0) << first.proc.stderr_text;
   // Same spec, same cache: the planner must find every cell cached and
   // dispatch nothing.
   const DistRunResult second =
-      run_susceptibility(dir.path(), {"--workers", "2"}, {});
+      run_experiment("susceptibility", dir.path(), {"--workers", "2"}, {});
   ASSERT_EQ(second.proc.exit_code, 0) << second.proc.stderr_text;
   EXPECT_EQ(summary_count(second, "tasks"), 0u);
   EXPECT_EQ(second.csv_bytes, reference_csv());
@@ -547,8 +458,8 @@ TEST(DistRun, ChaosKillsAreRetriedToBitwiseIdenticalOutput) {
   // still converge on the exact reference bytes (workers resume from their
   // own stores, so progress is monotone and termination guaranteed).
   TempDir dir("dist_chaos");
-  const DistRunResult run = run_susceptibility(
-      dir.path(),
+  const DistRunResult run = run_experiment(
+      "susceptibility", dir.path(),
       {"--workers", "4", "--chaos", "0.25", "--max-task-retries", "1000"},
       {});
   ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
@@ -569,8 +480,9 @@ TEST(DistRun, HungWorkerIsKilledByHeartbeatTimeoutAndWorkReassigned) {
   // respawned replacement. A single worker makes this deterministic: with a
   // second worker present, work-stealing races (and usually beats) the
   // heartbeat kill — that path has its own test below.
-  const DistRunResult run = run_susceptibility(
-      dir.path(), {"--workers", "1", "--heartbeat-timeout", "1"},
+  const DistRunResult run = run_experiment(
+      "susceptibility", dir.path(),
+      {"--workers", "1", "--heartbeat-timeout", "1"},
       {"SAFELIGHT_DIST_HANG=hotspot/CONV+FC/f0.1",
        "SAFELIGHT_DIST_HANG_ONCE=" + dir.path() + "/hang_sentinel"});
   ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
@@ -586,8 +498,9 @@ TEST(DistRun, HungTaskIsStolenByIdleWorkerBeforeAnyTimeout) {
   // is never killed — the only way the sweep can finish is the idle second
   // worker speculatively duplicating the hung in-flight task. The duplicate
   // rows merge as byte-identical dedups, so the CSV still matches.
-  const DistRunResult run = run_susceptibility(
-      dir.path(), {"--workers", "2", "--heartbeat-timeout", "600"},
+  const DistRunResult run = run_experiment(
+      "susceptibility", dir.path(),
+      {"--workers", "2", "--heartbeat-timeout", "600"},
       {"SAFELIGHT_DIST_HANG=hotspot/CONV+FC/f0.1",
        "SAFELIGHT_DIST_HANG_ONCE=" + dir.path() + "/hang_sentinel"});
   ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
@@ -602,8 +515,9 @@ TEST(DistRun, PoisonTaskIsQuarantinedAfterCappedRetriesWithNonzeroExit) {
   // that can never succeed. With --max-task-retries 2 it must be given up
   // after exactly 3 failures, loudly, with exit code 3.
   const std::string poison = "actuation/CONV/f0.01";
-  const DistRunResult run = run_susceptibility(
-      dir.path(), {"--workers", "2", "--max-task-retries", "2"},
+  const DistRunResult run = run_experiment(
+      "susceptibility", dir.path(),
+      {"--workers", "2", "--max-task-retries", "2"},
       {"SAFELIGHT_DIST_POISON=" + poison});
   EXPECT_EQ(run.proc.exit_code, 3) << run.proc.stderr_text;
   EXPECT_GE(summary_count(run, "quarantined"), 1u) << run.proc.stdout_text;
@@ -636,23 +550,44 @@ TEST(DistRun, SigtermExitsGracefullyWith130AndResumeHint) {
       << proc.stderr_text;
 }
 
-TEST(DistRun, NonShardableExperimentFallsBackInProcessWithANote) {
-  TempDir dir("dist_fallback");
-  std::vector<std::string> argv = {
-      SAFELIGHT_CLI_BIN, "run",     "detection",
-      "--model",         "cnn1",    "--scale",
-      "tiny",            "--seeds", "1",
-      "--threads",       "1",       "--workers",
-      "2",               "--zoo",   dir.path() + "/zoo",
-      "--out",           dir.path() + "/out"};
-  const ProcessResult proc =
-      run_process(argv, {}, dir.path(), kRunTimeoutSeconds);
-  ASSERT_EQ(proc.exit_code, 0) << proc.stderr_text;
-  EXPECT_NE(proc.stdout_text.find(
-                "[dist] note: experiment 'detection' is not shardable"),
-            std::string::npos)
-      << proc.stdout_text;
+// The detector sweeps shard like the scenario sweeps: tasks carry their
+// cell ids, workers fill them under the same chaos harness, and the merged
+// stores replay to the in-process bytes with nothing left to plan.
+class DistRunSweep : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DistRunSweep, ShardsUnderChaosToInProcessBytesAndReplansNothing) {
+  const std::string experiment = GetParam();
+  TempDir reference_dir("dist_sweep_ref_" + experiment);
+  const DistRunResult reference =
+      run_experiment(experiment, reference_dir.path(), {}, {});
+  ASSERT_EQ(reference.proc.exit_code, 0) << reference.proc.stderr_text;
+  ASSERT_FALSE(reference.csv_bytes.empty());
+  ASSERT_FALSE(reference.json_bytes.empty());
+
+  TempDir dir("dist_sweep_" + experiment);
+  const std::vector<std::string> flags = {"--workers", "2", "--chaos", "0.25",
+                                          "--max-task-retries", "1000"};
+  const DistRunResult run = run_experiment(experiment, dir.path(), flags, {});
+  ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
+  ASSERT_FALSE(run.summary.empty()) << run.proc.stdout_text;
+  EXPECT_GE(summary_count(run, "tasks"), 1u) << run.proc.stdout_text;
+  EXPECT_EQ(summary_count(run, "completed"), summary_count(run, "tasks"));
+  EXPECT_EQ(summary_count(run, "quarantined"), 0u);
+  EXPECT_EQ(run.csv_bytes, reference.csv_bytes);
+  EXPECT_EQ(run.json_bytes, reference.json_bytes);
+
+  const DistRunResult again = run_experiment(experiment, dir.path(), flags, {});
+  ASSERT_EQ(again.proc.exit_code, 0) << again.proc.stderr_text;
+  ASSERT_FALSE(again.summary.empty()) << again.proc.stdout_text;
+  EXPECT_EQ(summary_count(again, "tasks"), 0u);
+  EXPECT_EQ(again.csv_bytes, reference.csv_bytes);
 }
+
+INSTANTIATE_TEST_SUITE_P(DetectorSweeps, DistRunSweep,
+                         ::testing::Values("detection", "campaign"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace safelight

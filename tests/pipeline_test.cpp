@@ -46,6 +46,16 @@ ExperimentSpec tiny_spec(const std::string& cache_dir = "",
   return spec;
 }
 
+/// The scenario sweep of `variant` over `grid`, declared and run.
+SweepResult sweep_variant(const ExperimentSpec& spec,
+                          const RunContext& context,
+                          const VariantSpec& variant,
+                          const std::vector<attack::AttackScenario>& grid) {
+  return run_scenario_sweep(
+      spec, context,
+      scenario_sweep(spec, spec.resolved_setup(), variant, grid), grid);
+}
+
 /// The one store file in `dir` whose name ends in `suffix`; empty (and a
 /// test failure) unless there is exactly one.
 std::string only_store_file(const std::string& dir,
@@ -369,9 +379,8 @@ TEST(Pipeline, DeterministicAcrossRunsAndMatchesSerial) {
   // And the serial reference path (AttackEvaluator loop) agrees too.
   auto model = zoo.get_or_train(setup, original);
   AttackEvaluator evaluator(setup, *model, "Original", "");
-  const auto reference = evaluate_grid(evaluator, grid, /*verbose=*/false);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_DOUBLE_EQ(reference[i].accuracy, a.rows[i].accuracy)
+    EXPECT_DOUBLE_EQ(evaluator.evaluate_scenario(grid[i]), a.rows[i].accuracy)
         << grid[i].id();
   }
 }
@@ -650,21 +659,23 @@ class CellSweep : public ::testing::Test {
   std::vector<SweptCell> sweep(const std::vector<SweepCell>& cells,
                                const ExperimentSpec& spec) {
     const RunContext context(*zoo_);
-    return sweep_cells<CountingWorker>(
-        spec, context, variant_by_name("Original"), ".cells.csv", cells,
-        [&](std::unique_ptr<nn::Sequential>) {
-          return std::make_unique<CountingWorker>(
-              CountingWorker{&mutex_, &evaluated_});
-        },
-        [&](CountingWorker& worker, std::size_t i, ResultStore& store) {
-          {
-            const std::lock_guard<std::mutex> lock(*worker.mutex);
-            worker.evaluated->push_back(cells[i].id);
-          }
-          for (std::size_t k = 0; k < cells[i].keys.size(); ++k) {
-            store.put(cells[i].keys[k], static_cast<double>(100 * i + k));
-          }
-        });
+    return sweep_cells(
+        spec, context,
+        cell_sweep<CountingWorker>(
+            variant_by_name("Original"), ".cells.csv", cells,
+            [&](std::unique_ptr<nn::Sequential>) {
+              return std::make_unique<CountingWorker>(
+                  CountingWorker{&mutex_, &evaluated_});
+            },
+            [&](CountingWorker& worker, std::size_t i, ResultStore& store) {
+              {
+                const std::lock_guard<std::mutex> lock(*worker.mutex);
+                worker.evaluated->push_back(cells[i].id);
+              }
+              for (std::size_t k = 0; k < cells[i].keys.size(); ++k) {
+                store.put(cells[i].keys[k], static_cast<double>(100 * i + k));
+              }
+            }));
   }
 
   static TempDir* dir_;
