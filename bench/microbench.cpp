@@ -39,9 +39,9 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
 // The kept naive reference kernel (nn/gemm_ref.hpp): the denominator of the
-// packed-kernel speedup ratio scripts/bench_report.sh records. It matches
-// the pre-PR-2 scalar kernel's structure, so BM_Gemm / BM_GemmRef tracks
-// the kernel rewrite's win on whatever host runs the report.
+// packed-kernel speedup ratio. It matches the original scalar kernel's
+// structure, so BM_Gemm / BM_GemmRef tracks the packed kernel's win on
+// whatever host runs it.
 void BM_GemmRef(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sl::Rng rng(1);

@@ -25,14 +25,16 @@
 # 7. serve smoke: `safelight list --json` schema check, then a daemon on
 #    an ephemeral port driven with curl — submit, NDJSON event stream,
 #    GET /result byte-identical to the run-all JSON document, 400 on an
-#    unknown spec field, cooperative DELETE, SIGTERM -> exit 130 — plus
-#    the bench_serve --smoke concurrent-client storm.
+#    unknown spec field, cooperative DELETE, SIGTERM -> exit 130.
+# 8. perfbench smoke: the benchmark harness's self-tests, then its
+#    serve-storm workload at smoke size, untraced and traced; each run must
+#    end in a result line with "correct": true and "failed": 0.
 # Ends with a per-phase wall-time summary. CI uploads $SMOKE_DIR/out as
 # the experiment artifact bundle (see .github/workflows/ci.yml).
 #
 # SAFELIGHT_SANITIZE=ON builds with ASan+UBSan and runs the unit,
 # integration, fault, dist and serve ctest shards only: the sweep-smoke shard and
-# the CLI/bench smokes re-cover the same code paths at ~10x sanitizer
+# the CLI/perfbench smokes re-cover the same code paths at ~10x sanitizer
 # cost, and the fault/dist harnesses' child processes inherit the
 # instrumentation.
 set -euo pipefail
@@ -90,7 +92,7 @@ if [[ "$UNLABELLED" != "0" ]]; then
 fi
 
 if [[ "$SANITIZE" == "ON" ]]; then
-  echo "== sanitize mode: skipping sweep-smoke shard and CLI/bench smokes =="
+  echo "== sanitize mode: skipping sweep-smoke shard and CLI/perfbench smokes =="
   echo "== all checks passed =="
   echo
   echo "== timing summary =="
@@ -309,11 +311,6 @@ if command -v curl >/dev/null; then
 else
   echo "curl missing: serve HTTP smoke skipped"
 fi
-if command -v python3 >/dev/null; then
-  # The concurrent-client storm (8 mixed-experiment tenants) end to end.
-  scripts/bench_serve.sh --smoke "$BUILD_DIR"
-  test -s "$BUILD_DIR/bench_serve_smoke.json"
-fi
 phase_end
 
 # Preserve the artifact bundle for CI upload (the EXIT trap removes
@@ -330,24 +327,36 @@ if [[ -n "${SAFELIGHT_ARTIFACT_DIR:-}" ]]; then
   # in https://ui.perfetto.dev to inspect the CI run.
   cp "$SMOKE_DIR/trace.json" "$SMOKE_DIR/metrics.json" "$SAFELIGHT_ARTIFACT_DIR/"
   # Serving smoke evidence: daemon log (startup, drain), the NDJSON event
-  # stream, the byte-identity result document, and the client-storm report.
+  # stream and the byte-identity result document.
   mkdir -p "$SAFELIGHT_ARTIFACT_DIR/serve"
   cp "$SMOKE_DIR/serve.log" "$SMOKE_DIR/serve_events.ndjson" \
      "$SMOKE_DIR/serve_result.json" "$SAFELIGHT_ARTIFACT_DIR/serve/" 2>/dev/null || true
-  cp "$BUILD_DIR/bench_serve_smoke.json" "$SAFELIGHT_ARTIFACT_DIR/serve/" 2>/dev/null || true
-  cp BENCH_pr10.json "$SAFELIGHT_ARTIFACT_DIR/serve/" 2>/dev/null || true
 fi
 
-# Bench smoke: microbench (kernel + reference GEMM) and a timed sweep with
-# the prefix cache A/B, exercised end to end when the bench stack is built.
-if [[ -x "$BUILD_DIR/bench/microbench" ]] && command -v python3 >/dev/null; then
-  phase_start "bench report smoke"
-  unset SAFELIGHT_SCALE SAFELIGHT_SEEDS SAFELIGHT_ZOO SAFELIGHT_OUT
-  scripts/bench_report.sh --smoke "$BUILD_DIR"
-  test -s "$BUILD_DIR/bench_report_smoke.json"
+# perfbench smoke: the harness's own tests, then the serve-storm workload
+# (concurrent clients against the daemon; results byte-identical to the
+# CLI's; SIGTERM drain exits 130) for 2 s, untraced and traced. perfbench
+# builds its own Release tree in .bench_build/; CMake reads the ccache
+# launcher from the environment when it first configures that tree.
+if command -v python3 >/dev/null; then
+  phase_start "perfbench smoke (serve-storm)"
+  python3 -m unittest discover -s perfbench/tests
+  if command -v ccache >/dev/null; then
+    export CMAKE_CXX_COMPILER_LAUNCHER=ccache
+  fi
+  PERFBENCH_LOG="$BUILD_DIR/perfbench_smoke.log"
+  : >"$PERFBENCH_LOG"
+  for trace in 0 1; do
+    python3 perfbench/run.py --workload serve-storm --seed 1 --seconds 2 \
+      --trace "$trace" | tee -a "$PERFBENCH_LOG"
+    tail -1 "$PERFBENCH_LOG" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+assert result["correct"] and result["failed"] == 0, result'
+  done
   phase_end
 else
-  echo "== bench report smoke skipped (microbench or python3 missing) =="
+  echo "== perfbench smoke skipped (python3 missing) =="
 fi
 
 echo "== all checks passed =="

@@ -463,8 +463,8 @@ int cmd_run(const std::vector<std::string>& experiments,
 
   const Scale scale = config::scale();
   const std::string out_dir = config::out_dir();
-  // Evaluators resolve this knob; a bogus value fails here, before training.
-  config::prefix_cache();
+  // Resolved before the zoo exists, so a bogus value fails before any work.
+  const std::uint64_t base_seed = config::base_seed();
   core::ModelZoo zoo;
   core::RunContext context(zoo);
   context.cancel = &g_cancel_requested;
@@ -498,7 +498,7 @@ int cmd_run(const std::vector<std::string>& experiments,
       spec.model = model;
       spec.scale = scale;
       spec.seed_count = seeds;
-      spec.base_seed = config::base_seed();
+      spec.base_seed = base_seed;
       spec.cache_dir = zoo.directory();
       spec.verbose = options.verbose;
 
@@ -619,7 +619,6 @@ int cmd_serve(const CliOptions& options) {
   serve_options.port = config::serve_port();
   serve_options.slots = config::serve_slots();
   serve_options.queue_depth = config::serve_queue_depth();
-  config::prefix_cache();  // a bogus value fails at start, not per job
   serve_options.zoo_dir = config::zoo_dir();
   serve_options.stop = &g_cancel_requested;
   serve_options.verbose = options.verbose;

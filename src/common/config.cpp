@@ -246,8 +246,4 @@ std::size_t serve_queue_depth() {
   return static_cast<std::size_t>(v);
 }
 
-bool prefix_cache() {
-  return strict_env_int("SAFELIGHT_PREFIX_CACHE").value_or(1) != 0;
-}
-
 }  // namespace safelight::config

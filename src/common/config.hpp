@@ -46,8 +46,6 @@
 //   serve_slots()  SAFELIGHT_SERVE_SLOTS concurrent experiment slots
 //   serve_queue_depth() SAFELIGHT_SERVE_QUEUE  jobs allowed to wait beyond
 //                                        the running ones before 429
-//   prefix_cache() SAFELIGHT_PREFIX_CACHE  clean-prefix activation cache in
-//                                        attack sweeps (0 = off)
 #pragma once
 
 #include <cstddef>
@@ -203,11 +201,6 @@ std::size_t serve_slots();
 /// 429: CLI > SAFELIGHT_SERVE_QUEUE > 4. 0 disables queuing (admission
 /// only while a slot is free).
 std::size_t serve_queue_depth();
-
-/// Prefix-activation caching in attack sweeps: SAFELIGHT_PREFIX_CACHE > on.
-/// 0 turns it off; results are bitwise-identical either way (an A/B
-/// switch for benchmarks). Evaluators resolve it once per process.
-bool prefix_cache();
 
 /// Strict numeric env reads shared by every numeric knob above (and by the
 /// CLI's worker path): unset/empty -> nullopt; a value that is not

@@ -23,7 +23,7 @@
 // mode) for the coordinator to ingest() into one fleet-wide registry.
 //
 // The JSON file has a fixed schema (sorted keys, fixed per-type fields) so
-// tooling — scripts/bench_report.sh — reads it instead of re-parsing logs;
+// tooling — perfbench/lib/layers.py — reads it instead of re-parsing logs;
 // see tests/trace_test.cpp for the schema golden.
 #pragma once
 

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "common/config.hpp"
 #include "common/fingerprint.hpp"
 #include "common/metrics.hpp"
 #include "nn/serialize.hpp"
@@ -28,12 +27,6 @@ constexpr std::size_t kEvalBatch = 64;
 /// prefix memory per pipeline sweep. Boundaries that would push past it
 /// fall back to plain evaluation instead of exhausting memory.
 constexpr std::size_t kMaxPrefixFloats = 64u << 20;
-
-/// SAFELIGHT_PREFIX_CACHE, resolved once per process.
-bool prefix_cache_default() {
-  static const bool enabled = config::prefix_cache();
-  return enabled;
-}
 
 }  // namespace
 
@@ -75,8 +68,7 @@ AttackEvaluator::AttackEvaluator(const ExperimentSetup& setup,
       eval_data_(make_test_data(setup).take(setup.eval_count)),
       corruption_(std::move(corruption)),
       prefix_cache_(prefix_cache ? std::move(prefix_cache)
-                                 : std::make_shared<PrefixCache>()),
-      prefix_cache_enabled_(prefix_cache_default()) {
+                                 : std::make_shared<PrefixCache>()) {
   std::string cache_path;
   if (!cache_dir.empty()) {
     std::filesystem::create_directories(cache_dir);

@@ -21,7 +21,7 @@
 // forward, and free of the conv-stack cost for FC-only attacks. Caching is
 // disabled while a *mutating* read-out hook is installed (the hook corrupts
 // even clean-prefix layers); observing hooks (defense range monitors) keep
-// it active. SAFELIGHT_PREFIX_CACHE=0 turns it off globally.
+// it active.
 #pragma once
 
 #include <functional>
@@ -115,8 +115,9 @@ class AttackEvaluator {
   /// Leaves the model in its clean conditioned state.
   void restore_clean();
 
-  /// Enables/disables prefix-activation caching for this evaluator
-  /// (overrides the SAFELIGHT_PREFIX_CACHE default; tests A/B both paths).
+  /// Enables/disables prefix-activation caching for this evaluator (on by
+  /// default; results are bitwise-identical either way, and tests A/B both
+  /// paths).
   void set_prefix_cache(bool enabled) { prefix_cache_enabled_ = enabled; }
   bool prefix_cache_enabled() const { return prefix_cache_enabled_; }
 

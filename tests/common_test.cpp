@@ -449,33 +449,6 @@ TEST(Config, ThreadsRejectsBogusEnvValues) {
   EXPECT_THROW(config::threads(), std::invalid_argument);
 }
 
-TEST(Config, PrefixCacheKnobIsStrict) {
-  ::unsetenv("SAFELIGHT_PREFIX_CACHE");
-  EXPECT_TRUE(config::prefix_cache());  // on by default
-  {
-    ScopedEnv off("SAFELIGHT_PREFIX_CACHE", "0");
-    EXPECT_FALSE(config::prefix_cache());
-  }
-  {
-    ScopedEnv on("SAFELIGHT_PREFIX_CACHE", "1");
-    EXPECT_TRUE(config::prefix_cache());
-  }
-  // A non-integer fails with the shared strict-knob message, never a silent
-  // fall-back to "on".
-  for (const char* junk : {"off", "1x", "yes"}) {
-    ScopedEnv bogus("SAFELIGHT_PREFIX_CACHE", junk);
-    try {
-      config::prefix_cache();
-      FAIL() << "accepted '" << junk << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_EQ(std::string(e.what()),
-                std::string("safelight: SAFELIGHT_PREFIX_CACHE must be a "
-                            "decimal integer (got '") +
-                    junk + "')");
-    }
-  }
-}
-
 TEST(Config, FaultKnobsFollowPrecedence) {
   ::unsetenv("SAFELIGHT_FAULT_MODE");
   ::unsetenv("SAFELIGHT_FAULT_POINT");

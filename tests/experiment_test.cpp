@@ -295,17 +295,17 @@ TEST(CliErrorPaths, UnwritableOutDirectoryExitsOneBeforeAnyWork) {
   EXPECT_FALSE(std::filesystem::exists(dir.path() + "/zoo"));
 }
 
-TEST(CliErrorPaths, BogusPrefixCacheKnobExitsTwoBeforeTraining) {
+TEST(CliErrorPaths, BogusBaseSeedKnobExitsTwoBeforeTraining) {
   config::ScopedOverrides guard(config::overrides());
-  TempDir dir("cli_prefix_knob");
-  ::setenv("SAFELIGHT_PREFIX_CACHE", "on", 1);
+  TempDir dir("cli_base_seed_knob");
+  ::setenv("SAFELIGHT_BASE_SEED", "on", 1);
   const CapturedCli result = run_cli_captured(
       {"run", "susceptibility", "--model", "cnn1", "--scale", "tiny",
        "--out", dir.path() + "/out", "--zoo", dir.path() + "/zoo"});
-  ::unsetenv("SAFELIGHT_PREFIX_CACHE");
+  ::unsetenv("SAFELIGHT_BASE_SEED");
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_EQ(result.stderr_text,
-            "safelight: SAFELIGHT_PREFIX_CACHE must be a decimal integer "
+            "safelight: SAFELIGHT_BASE_SEED must be a decimal integer "
             "(got 'on')\n");
   EXPECT_FALSE(std::filesystem::exists(dir.path() + "/zoo"));
 }

@@ -806,6 +806,84 @@ TEST(ServeEndToEnd, RejectsBadSpecsAndUnknownRoutes) {
   EXPECT_EQ(fixture.shutdown(), 130);
 }
 
+TEST(ServeEndToEnd, ConcurrentMixedClientsAllReachResult) {
+  TempDir dir("serve_e2e_storm");
+  metrics::reset();
+  metrics::arm_collection();
+
+  config::Overrides overrides;
+  overrides.scale = Scale::kTiny;
+  overrides.seed_count = 1;
+  config::ScopedOverrides scoped(overrides);
+
+  // Six tenants at once, two per experiment, queueing behind two slots on
+  // one cold zoo: admission, train-once contention and per-slot stores.
+  const std::vector<std::string> experiments = {"susceptibility", "detection",
+                                                "campaign"};
+  constexpr std::size_t kClients = 6;
+  struct ClientRun {
+    SimpleResponse submitted;
+    SimpleResponse events;
+    SimpleResponse result;
+    std::string error;
+  };
+  std::vector<ClientRun> runs(kClients);
+
+  ServerFixture fixture(dir.path(), /*slots=*/2, /*queue_depth=*/kClients);
+  const std::uint16_t port = fixture.port();
+  ASSERT_NE(port, 0);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      ClientRun& run = runs[i];
+      try {
+        run.submitted = http_post(port, "/v1/jobs",
+                                  "{\"experiment\": \"" +
+                                      experiments[i % experiments.size()] +
+                                      "\", \"model\": \"cnn1\"}");
+        if (run.submitted.status != 202) return;
+        const std::string job =
+            JsonValue::parse(run.submitted.body).at("job").as_string();
+        // The event stream stays open until the job is terminal.
+        run.events = http_get(port, "/v1/jobs/" + job + "/events");
+        run.result = http_get(port, "/v1/jobs/" + job + "/result");
+      } catch (const std::exception& e) {
+        run.error = e.what();
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  for (std::size_t i = 0; i < kClients; ++i) {
+    const ClientRun& run = runs[i];
+    ASSERT_EQ(run.error, "") << "client " << i;
+    ASSERT_EQ(run.submitted.status, 202) << "client " << i << ": "
+                                         << run.submitted.body;
+    const std::string& stream = run.events.body;
+    ASSERT_FALSE(stream.empty()) << "client " << i;
+    const std::size_t last = stream.rfind('\n', stream.size() - 2);
+    const std::string last_line =
+        stream.substr(last == std::string::npos ? 0 : last + 1);
+    EXPECT_EQ(JsonValue::parse(last_line).at("type").as_string(), "result")
+        << "client " << i;
+    ASSERT_EQ(run.result.status, 200) << "client " << i;
+    EXPECT_FALSE(run.result.body.empty()) << "client " << i;
+    // Same spec, same bytes, whichever slot and store served it.
+    EXPECT_EQ(run.result.body, runs[i % experiments.size()].result.body)
+        << "client " << i;
+  }
+
+  const SimpleResponse metrics_response = http_get(port, "/metrics");
+  ASSERT_EQ(metrics_response.status, 200);
+  EXPECT_EQ(JsonValue::parse(metrics_response.body)
+                .at("counters")
+                .at("serve.jobs.completed")
+                .as_uint(),
+            kClients);
+  EXPECT_EQ(fixture.shutdown(), 130);
+  metrics::reset();
+}
+
 // ---------------------------------------------------------------------------
 // The real CLI as a child process: `serve` signal handling, `list --json`
 // ---------------------------------------------------------------------------

@@ -246,8 +246,8 @@ TEST(MetricsJson, SchemaIsStable) {
   EXPECT_EQ(doc.at("schema").as_string(), "safelight.metrics.v1");
   EXPECT_EQ(doc.at("counters").at("t.schema.alpha").as_uint(), 3u);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("t.schema.beta").as_number(), 1.5);
-  // Every histogram carries exactly these fields — bench_report.sh and the
-  // docs recipe key on them.
+  // Every histogram carries exactly these fields — perfbench and the docs
+  // recipe key on them.
   const auto& hist = doc.at("histograms").at("t.schema.gamma").as_object();
   const std::set<std::string> expected = {"count", "max", "min", "p50",
                                           "p95",   "p99", "sum"};
