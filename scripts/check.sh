@@ -9,7 +9,8 @@
 # 3. smoke the `safelight` CLI end to end at tiny scale: `list` must show
 #    the five registered experiments, `run-all` must complete in one
 #    process (per-experiment timing on stdout), write every CSV + JSON
-#    document and the result stores, and resume instantly from cache.
+#    document and the result stores (no store holding a key twice), and
+#    resume instantly from cache.
 # 4. fresh-zoo determinism: `safelight run susceptibility` must emit a
 #    CSV byte-identical to run-all's (fresh zoo, so the equality is
 #    computational, not cache reuse).
@@ -17,7 +18,8 @@
 #    pulls inside the workers) must emit bytes identical to a
 #    single-process run from a fresh zoo — the coordinator/worker/merge
 #    stack proves itself end to end on every CI run; detection and
-#    campaign shard too and must match their in-process CSVs.
+#    campaign shard too and must match their in-process CSVs, and the
+#    merged stores hold no key twice.
 # 6. telemetry smoke: the same 2-worker run armed with --trace/--metrics
 #    must stay byte-identical, produce a parseable merged Chrome trace
 #    with coordinator + worker tracks, and a schema-valid metrics JSON;
@@ -53,6 +55,19 @@ phase_start() {
 }
 phase_end() {
   TIMING_SECS+=("$(( $(date +%s) - PHASE_START ))")
+}
+# Fails when a result store in directory $1 holds one key on two data rows:
+# every cell sweep appends each key at most once.
+check_store_keys_unique() {
+  local store dups
+  for store in "$1"/*.csv; do
+    dups="$(tail -n +2 "$store" | sed 's/,[^,]*$//' | sort | uniq -d)"
+    if [ -n "$dups" ]; then
+      echo "error: $store holds a key on two rows:" >&2
+      echo "$dups" >&2
+      exit 1
+    fi
+  done
 }
 
 CMAKE_LAUNCHER_ARGS=()
@@ -139,6 +154,7 @@ done
 ls "$SMOKE_DIR/zoo/"*.sweep.csv >/dev/null     # pipeline stores written
 ls "$SMOKE_DIR/zoo/"*.detect.csv >/dev/null    # detection stores written
 ls "$SMOKE_DIR/zoo/"*.campaign.csv >/dev/null  # campaign stores written
+check_store_keys_unique "$SMOKE_DIR/zoo"
 
 # Second run must be served from the result stores (no re-evaluation):
 # a full cached re-run of all five experiments finishes in a few seconds.
@@ -201,6 +217,7 @@ for experiment in detection campaign; do
   grep -E '\[dist\] summary: workers=2 tasks=[1-9]' \
     "$SMOKE_DIR/dist_$experiment.log"
 done
+check_store_keys_unique "$SMOKE_DIR/zoo_dist"
 for csv in fig_detection fig_detection_roc fig_campaign_phases fig_campaign; do
   cmp "$SMOKE_DIR/out_dist_ref/$csv.csv" "$SMOKE_DIR/out_dist/$csv.csv"
 done

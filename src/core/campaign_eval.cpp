@@ -3,121 +3,99 @@
 #include "core/experiment.hpp"
 
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <set>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "core/pipeline.hpp"
 
 namespace safelight::core {
 
 namespace {
 
-/// One fan-out unit: a phase of one campaign.
-struct PhaseTask {
-  std::size_t campaign = 0;
-  std::size_t phase = 0;
-};
-
 /// Accuracy store key of a composite (or "baseline" for the clean
-/// deployment): composite-id based, so campaigns sharing a composite (a
-/// burst equal to a ramp's peak) share the cached entry.
+/// deployment), which is also the id of its accuracy cell: composite-id
+/// based, so campaigns sharing a composite (a burst equal to a ramp's
+/// peak) share one cell and one stored entry.
 std::string accuracy_key(const std::string& composite_id,
                          std::size_t eval_count) {
   return "acc/" + composite_id + "/n" + std::to_string(eval_count);
 }
 
-std::string score_key(const std::string& campaign_id, std::size_t phase,
-                      std::size_t check, const std::string& detector) {
-  return campaign_id + "/p" + std::to_string(phase) + "/k" +
-         std::to_string(check) + "/" + detector + "/score";
+std::string phase_cell_id(const std::string& campaign_id, std::size_t phase) {
+  return campaign_id + "/p" + std::to_string(phase);
 }
 
-/// Per-thread campaign engine: one conditioned private deployment hosting
-/// both the accuracy evaluator (prefix-cache aware) and a calibrated
-/// detector suite. Calibration is deterministic in (setup, weights, suite
-/// config, base_seed), so every thread's suite is identical and results
-/// never depend on which thread evaluated which phase.
-class CampaignEvaluator {
- public:
-  /// `spec` supplies the suite config, calibration seed, corruption
-  /// physics and verbosity.
-  CampaignEvaluator(const ExperimentSetup& setup,
-                    std::unique_ptr<nn::Sequential> model,
-                    const VariantSpec& variant, const ExperimentSpec& spec)
-      : setup_(setup),
-        model_(std::move(model)),
-        corruption_(spec.corruption),
-        verbose_(spec.verbose),
-        evaluator_(setup, *model_, variant.name, "", spec.corruption),
-        suite_(setup, spec.suite) {
-    const defense::DeploymentView clean{
-        *model_, evaluator_.executor(), nullptr,
-        seed_combine(spec.base_seed, 0xCA11B)};
-    suite_.calibrate(clean);
+std::string score_key(const std::string& campaign_id, std::size_t phase,
+                      std::size_t check, const std::string& detector) {
+  return phase_cell_id(campaign_id, phase) + "/k" + std::to_string(check) +
+         "/" + detector + "/score";
+}
+
+/// Evaluates one accuracy cell: the deployment's accuracy under
+/// `composite`, or the clean baseline when it is null.
+void measure_accuracy(Deployment& deployment,
+                      const attack::CompositeScenario* composite,
+                      ResultStore& store) {
+  AttackEvaluator& evaluator = deployment.evaluator;
+  const std::string id = composite ? composite->id() : "baseline";
+  trace::Span accuracy_span("campaign", "campaign.accuracy");
+  if (accuracy_span.active()) accuracy_span.arg("composite", id);
+  store.put(accuracy_key(id, evaluator.setup().eval_count),
+            composite ? evaluator.evaluate_composite(*composite)
+                      : evaluator.baseline_accuracy());
+}
+
+/// Evaluates one phase cell: `phase.checks` full suite checks against the
+/// deployment while the phase runs. An active phase's composite corrupts
+/// the deployment once and every check observes that compromised state; a
+/// dormant phase runs clean.
+void check_phase(Deployment& deployment,
+                 const attack::CampaignSchedule& schedule,
+                 std::size_t phase_index,
+                 const attack::CorruptionConfig& corruption, bool verbose,
+                 ResultStore& store) {
+  const attack::CampaignPhase& phase = schedule.phases[phase_index];
+  const std::string campaign_id = schedule.id();
+  trace::Span phase_span("campaign", "campaign.phase");
+  if (phase_span.active()) {
+    phase_span.arg("campaign", schedule.name)
+        .arg("phase", static_cast<double>(phase_index))
+        .arg("active", static_cast<double>(phase.active()));
   }
-
-  /// Accuracy of the clean deployment (the sweep's baseline cell).
-  double baseline_accuracy() { return evaluator_.baseline_accuracy(); }
-
-  /// Evaluates one phase: an active phase's accuracy (through the
-  /// composite-id cache) plus `phase.checks` full suite checks against the
-  /// deployment. A dormant phase runs clean; its accuracy is the baseline.
-  void run_phase(const attack::CampaignSchedule& schedule,
-                 std::size_t phase_index, ResultStore& store) {
-    const attack::CampaignPhase& phase = schedule.phases[phase_index];
-    const std::string campaign_id = schedule.id();
-
-    // The composite corrupts the deployment once; the accuracy measurement
-    // and every check of the phase then observe the same compromised state
-    // (evaluate_applied does not touch the weights).
-    std::vector<attack::BlockThermalState> telemetry;
-    std::vector<std::pair<std::string, double>> rows;
-    if (phase.active()) {
-      evaluator_.apply_composite(phase.attack);
-      telemetry = defense::composite_telemetry(setup_.accelerator,
-                                               phase.attack, corruption_);
-      const std::string acc_key =
-          accuracy_key(phase.attack.id(), setup_.eval_count);
-      if (!store.contains(acc_key)) {
-        store.put(acc_key, evaluator_.evaluate_applied(phase.attack.id()));
-      }
-    } else {
-      evaluator_.restore_clean();
-    }
+  AttackEvaluator& evaluator = deployment.evaluator;
+  std::vector<attack::BlockThermalState> telemetry;
+  if (phase.active()) {
+    evaluator.apply_composite(phase.attack);
+    telemetry = defense::composite_telemetry(evaluator.setup().accelerator,
+                                             phase.attack, corruption);
+  } else {
+    evaluator.restore_clean();
+  }
+  std::vector<std::pair<std::string, double>> rows;
+  for (std::size_t check = 0; check < phase.checks; ++check) {
     const defense::DeploymentView view{
-        *model_, evaluator_.executor(),
-        telemetry.empty() ? nullptr : &telemetry, 0};
-    for (std::size_t check = 0; check < phase.checks; ++check) {
-      defense::DeploymentView check_view = view;
-      check_view.probe_seed = defense::probe_seed_of(
-          score_key(campaign_id, phase_index, check, "suite"));
-      const std::vector<defense::DetectionResult> results =
-          suite_.check_all(check_view);
-      for (const defense::DetectionResult& r : results) {
-        rows.emplace_back(
-            score_key(campaign_id, phase_index, check, r.detector), r.score);
-        if (verbose_) {
-          std::printf("  [campaign] %-24s p%zu k%zu %-16s score %.4f%s\n",
-                      schedule.name.c_str(), phase_index, check,
-                      r.detector.c_str(), r.score,
-                      r.flagged ? "  FLAGGED" : "");
-          std::fflush(stdout);
-        }
+        *deployment.model, evaluator.executor(),
+        telemetry.empty() ? nullptr : &telemetry,
+        defense::probe_seed_of(
+            score_key(campaign_id, phase_index, check, "suite"))};
+    for (const defense::DetectionResult& r :
+         deployment.suite->check_all(view)) {
+      rows.emplace_back(score_key(campaign_id, phase_index, check, r.detector),
+                        r.score);
+      if (verbose) {
+        std::printf("  [campaign] %-24s p%zu k%zu %-16s score %.4f%s\n",
+                    schedule.name.c_str(), phase_index, check,
+                    r.detector.c_str(), r.score, r.flagged ? "  FLAGGED" : "");
+        std::fflush(stdout);
       }
     }
-    evaluator_.restore_clean();
-    store.put(rows);
   }
-
- private:
-  ExperimentSetup setup_;
-  std::unique_ptr<nn::Sequential> model_;
-  attack::CorruptionConfig corruption_;
-  bool verbose_;
-  AttackEvaluator evaluator_;
-  defense::DetectorSuite suite_;
-};
+  evaluator.restore_clean();
+  store.put(rows);
+}
 
 }  // namespace
 
@@ -193,7 +171,6 @@ std::vector<attack::CampaignSchedule> campaigns_of(
 
 std::vector<CellSweep> campaign_sweeps(const ExperimentSpec& spec) {
   const ExperimentSetup setup = spec.resolved_setup();
-  const VariantSpec variant = spec.resolved_variant();
   auto campaigns =
       std::make_shared<const std::vector<attack::CampaignSchedule>>(
           campaigns_of(spec));
@@ -201,54 +178,66 @@ std::vector<CellSweep> campaign_sweeps(const ExperimentSpec& spec) {
   const std::vector<std::string> detector_names =
       defense::DetectorSuite(setup, spec.suite).names();
 
-  // Cell 0 is the clean baseline (a dormant phase's accuracy); cell i > 0
-  // is phase tasks[i - 1], filling its (check, detector) scores and, when
-  // active, its composite's accuracy.
+  // Cell 0 is the clean baseline, then one accuracy cell per distinct
+  // active composite in first-use order, then one cell per phase holding
+  // its (check, detector) scores; evaluations[i] fills cells[i].
   std::vector<SweepCell> cells{
       {"baseline", {accuracy_key("baseline", setup.eval_count)}}};
-  auto tasks = std::make_shared<std::vector<PhaseTask>>();
-  std::set<std::string> distinct_ids;
+  auto evaluations = std::make_shared<
+      std::vector<std::function<void(Deployment&, ResultStore&)>>>();
+  evaluations->push_back([](Deployment& deployment, ResultStore& store) {
+    measure_accuracy(deployment, nullptr, store);
+  });
+  std::set<std::string> campaign_ids;
+  std::set<std::string> accuracy_ids;
   for (std::size_t ci = 0; ci < campaigns->size(); ++ci) {
     const attack::CampaignSchedule& schedule = (*campaigns)[ci];
     schedule.validate();
-    const std::string campaign_id = schedule.id();
-    require(distinct_ids.insert(campaign_id).second,
-            "campaign: duplicate campaign '" + campaign_id + "'");
+    require(campaign_ids.insert(schedule.id()).second,
+            "campaign: duplicate campaign '" + schedule.id() + "'");
     for (std::size_t pi = 0; pi < schedule.phases.size(); ++pi) {
       const attack::CampaignPhase& phase = schedule.phases[pi];
-      SweepCell cell{campaign_id + "/p" + std::to_string(pi), {}};
-      for (std::size_t check = 0; check < phase.checks; ++check) {
+      if (!phase.active()) continue;
+      std::string id = accuracy_key(phase.attack.id(), setup.eval_count);
+      if (accuracy_ids.insert(id).second) {
+        cells.push_back({id, {id}});
+        evaluations->push_back([campaigns, ci, pi](Deployment& deployment,
+                                                   ResultStore& store) {
+          measure_accuracy(deployment, &(*campaigns)[ci].phases[pi].attack,
+                           store);
+        });
+      }
+    }
+  }
+  for (std::size_t ci = 0; ci < campaigns->size(); ++ci) {
+    const attack::CampaignSchedule& schedule = (*campaigns)[ci];
+    const std::string campaign_id = schedule.id();
+    for (std::size_t pi = 0; pi < schedule.phases.size(); ++pi) {
+      SweepCell cell{phase_cell_id(campaign_id, pi), {}};
+      for (std::size_t check = 0; check < schedule.phases[pi].checks;
+           ++check) {
         for (const std::string& name : detector_names) {
           cell.keys.push_back(score_key(campaign_id, pi, check, name));
         }
       }
-      if (phase.active()) {
-        cell.keys.push_back(accuracy_key(phase.attack.id(), setup.eval_count));
-      }
       cells.push_back(std::move(cell));
-      tasks->push_back({ci, pi});
+      evaluations->push_back(
+          [campaigns, ci, pi, corruption = spec.corruption,
+           verbose = spec.verbose](Deployment& deployment, ResultStore& store) {
+            check_phase(deployment, (*campaigns)[ci], pi, corruption, verbose,
+                        store);
+          });
     }
   }
 
   std::string suffix = "_";  // "_" + fp trips a GCC 12 -Wrestrict bug
   suffix += defense::config_fingerprint(spec.suite) + ".campaign.csv";
-  return {cell_sweep<CampaignEvaluator>(
-      variant, suffix, std::move(cells),
-      [setup, variant, spec](std::unique_ptr<nn::Sequential> model) {
-        return std::make_unique<CampaignEvaluator>(setup, std::move(model),
-                                                   variant, spec);
-      },
-      [campaigns, tasks = std::shared_ptr<const std::vector<PhaseTask>>(tasks),
-       eval_count = setup.eval_count](CampaignEvaluator& evaluator,
-                                      std::size_t i, ResultStore& store) {
-        if (i == 0) {
-          store.put(accuracy_key("baseline", eval_count),
-                    evaluator.baseline_accuracy());
-          return;
-        }
-        const PhaseTask& task = (*tasks)[i - 1];
-        evaluator.run_phase((*campaigns)[task.campaign], task.phase, store);
-      })};
+  return {{spec.resolved_variant(), suffix, std::move(cells),
+           /*detectors=*/true,
+           [evaluations](Deployment& deployment, std::size_t i,
+                         ResultStore& store) {
+             (*evaluations)[i](deployment, store);
+           }}};
 }
 
 ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
@@ -259,29 +248,33 @@ ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
   const std::vector<attack::CampaignSchedule> campaigns = campaigns_of(spec);
   context.note("campaign: sweep " + setup.tag() + " / " + variant.name);
 
-  // Names and default thresholds for report assembly; workers calibrate
-  // their own identical suites.
+  // Names and default thresholds for report assembly; each deployment
+  // calibrates its own identical suite.
   defense::DetectorSuite reference(setup, spec.suite);
   const std::vector<std::string> detector_names = reference.names();
-  const std::vector<SweptCell> swept =
-      sweep_cells(spec, context, campaign_sweeps(spec).at(0));
+  const CellSweep sweep = campaign_sweeps(spec).at(0);
+  const std::vector<SweptCell> swept = sweep_cells(spec, context, sweep);
+  std::map<std::string, const SweptCell*> by_id;
+  for (std::size_t i = 0; i < swept.size(); ++i) {
+    by_id.emplace(sweep.cells[i].id, &swept[i]);
+  }
 
-  // Assemble in campaign/phase order; execution order never leaks out.
+  // Assemble in campaign/phase order; execution order never leaks out. A
+  // phase's accuracy is its composite's cell (the baseline when dormant).
   CampaignSweepReport report;
   report.variant = variant.name;
   report.campaigns.reserve(campaigns.size());
   const double baseline = swept[0].values[0];
-  std::size_t i = 1;
-  for (std::size_t ci = 0; ci < campaigns.size(); ++ci) {
-    const attack::CampaignSchedule& schedule = campaigns[ci];
+  for (const attack::CampaignSchedule& schedule : campaigns) {
     CampaignResult result;
     result.campaign = schedule.name;
     result.campaign_id = schedule.id();
     result.detectors = detector_names;
     result.baseline_accuracy = baseline;
-    for (std::size_t pi = 0; pi < schedule.phases.size(); ++pi, ++i) {
+    for (std::size_t pi = 0; pi < schedule.phases.size(); ++pi) {
       const attack::CampaignPhase& phase = schedule.phases[pi];
-      const SweptCell& swept_phase = swept[i];
+      const SweptCell& swept_phase =
+          *by_id.at(phase_cell_id(result.campaign_id, pi));
       if (swept_phase.fresh) {
         ++report.evaluated;
       } else {
@@ -292,7 +285,10 @@ ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
       outcome.active = phase.active();
       outcome.checks = phase.checks;
       outcome.accuracy =
-          phase.active() ? swept_phase.values.back() : baseline;
+          phase.active()
+              ? by_id.at(accuracy_key(phase.attack.id(), setup.eval_count))
+                    ->values[0]
+              : baseline;
       result.phases.push_back(outcome);
       for (std::size_t check = 0; check < phase.checks; ++check) {
         for (std::size_t d = 0; d < detector_names.size(); ++d) {

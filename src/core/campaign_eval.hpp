@@ -11,14 +11,15 @@
 // fraction of active phases where the attack goes unflagged.
 //
 // It declares one sweep on the same cell-sweep engine as the other
-// experiments (campaign_sweeps, core/pipeline.hpp): the clean baseline and
-// every phase are cells that evaluate in parallel over private deployments
-// (or across --workers), persist as one durable append per phase in the
-// store with suffix `_<suite fingerprint>.campaign.csv`, keyed on the
-// schedule's stable id, and resume after an interrupt or a cancel. Phase
+// experiments (campaign_sweeps, core/pipeline.hpp): the clean baseline,
+// one accuracy per distinct active composite and every phase's detector
+// checks are cells that evaluate in parallel over private deployments (or
+// across --workers), persist as one durable append each in the store with
+// suffix `_<suite fingerprint>.campaign.csv`, and resume after an
+// interrupt or a cancel. Phase scores key on the schedule's stable id;
 // accuracies key on the composite id alone, so campaigns sharing a
-// composite (e.g. a burst phase equal to a ramp's peak) share cached
-// accuracy entries.
+// composite (e.g. a burst phase equal to a ramp's peak) share one
+// accuracy cell, evaluated and stored once.
 //
 // Run it as the registry's "campaign" experiment (core/experiment.hpp): the
 // spec names the deployed variant and the schedules (the standard red-team

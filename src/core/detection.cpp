@@ -10,10 +10,8 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "common/rng.hpp"
 #include "common/trace.hpp"
 #include "core/pipeline.hpp"
-#include "nn/serialize.hpp"
 
 namespace safelight::core {
 
@@ -24,57 +22,6 @@ struct RunSpec {
   std::string id;
   bool clean = false;
   attack::AttackScenario scenario{};
-};
-
-/// Per-thread detection engine: one private conditioned deployment, one
-/// calibrated suite, checked against many runs. Calibration is
-/// deterministic in (setup, weights, suite config, base_seed), so every
-/// thread's suite is identical and results never depend on which thread
-/// checked which run.
-class DetectionEvaluator {
- public:
-  /// `spec` supplies the suite config, calibration seed and corruption
-  /// physics.
-  DetectionEvaluator(const ExperimentSetup& setup,
-                     std::unique_ptr<nn::Sequential> model,
-                     const ExperimentSpec& spec)
-      : setup_(setup),
-        model_(std::move(model)),
-        executor_(setup.accelerator),
-        mapping_(executor_.condition_weights(*model_), setup.accelerator),
-        clean_snapshot_(nn::snapshot_state(*model_)),
-        suite_(setup, spec.suite),
-        corruption_(spec.corruption) {
-    const defense::DeploymentView clean{
-        *model_, executor_, nullptr, seed_combine(spec.base_seed, 0xCA11B)};
-    suite_.calibrate(clean);
-  }
-
-  /// Checks every detector against one run; results in suite order.
-  std::vector<defense::DetectionResult> run(const RunSpec& spec) {
-    nn::restore_state(*model_, clean_snapshot_);
-    std::vector<attack::BlockThermalState> telemetry;
-    if (!spec.clean) {
-      attack::apply_attack(mapping_, spec.scenario, corruption_);
-      telemetry = defense::scenario_telemetry(setup_.accelerator,
-                                              spec.scenario, corruption_);
-    }
-    const defense::DeploymentView view{
-        *model_, executor_, telemetry.empty() ? nullptr : &telemetry,
-        defense::probe_seed_of(spec.id)};
-    std::vector<defense::DetectionResult> results = suite_.check_all(view);
-    nn::restore_state(*model_, clean_snapshot_);
-    return results;
-  }
-
- private:
-  ExperimentSetup setup_;
-  std::unique_ptr<nn::Sequential> model_;
-  accel::OnnExecutor executor_;
-  accel::WeightStationaryMapping mapping_;
-  std::vector<nn::Tensor> clean_snapshot_;
-  defense::DetectorSuite suite_;
-  attack::CorruptionConfig corruption_;
 };
 
 /// Store key of one (run, detector) field.
@@ -235,6 +182,58 @@ std::vector<RunSpec> detection_runs(const ExperimentSpec& spec) {
   return runs;
 }
 
+/// Evaluates the cell of `run`: checks every detector against the run's
+/// deployment — clean, or compromised by the scenario with its thermal
+/// telemetry — and stores (score, probes, latency) per detector.
+void check_run(Deployment& deployment, const RunSpec& run,
+               const attack::CorruptionConfig& corruption, bool verbose,
+               ResultStore& store) {
+  static metrics::Counter& checks = metrics::counter("detect.checks");
+  checks.add();
+  trace::Span run_span("detect", "detect.run");
+  if (run_span.active()) {
+    run_span.arg("run", run.id).arg("clean", static_cast<double>(run.clean));
+  }
+  AttackEvaluator& evaluator = deployment.evaluator;
+  std::vector<attack::BlockThermalState> telemetry;
+  if (run.clean) {
+    evaluator.restore_clean();
+  } else {
+    evaluator.apply_scenario(run.scenario);
+    telemetry = defense::scenario_telemetry(evaluator.setup().accelerator,
+                                            run.scenario, corruption);
+  }
+  const defense::DeploymentView view{
+      *deployment.model, evaluator.executor(),
+      telemetry.empty() ? nullptr : &telemetry,
+      defense::probe_seed_of(run.id)};
+  const std::vector<defense::DetectionResult> results =
+      deployment.suite->check_all(view);
+  evaluator.restore_clean();
+
+  std::vector<std::pair<std::string, double>> rows;
+  for (const defense::DetectionResult& r : results) {
+    // Detection latency (probes until first flag) per detector; clean
+    // runs are excluded — a clean flag is a false positive, not a
+    // latency sample.
+    if (metrics::armed() && !run.clean && r.flagged) {
+      metrics::histogram("detect.latency_probes." + r.detector)
+          .record(static_cast<double>(r.first_flag_probe));
+    }
+    rows.emplace_back(run_key(run.id, r.detector, "score"), r.score);
+    rows.emplace_back(run_key(run.id, r.detector, "probes"),
+                      static_cast<double>(r.probes));
+    rows.emplace_back(run_key(run.id, r.detector, "latency"),
+                      static_cast<double>(r.first_flag_probe));
+    if (verbose) {
+      std::printf("  [detect] %-32s %-16s score %.4f%s\n", run.id.c_str(),
+                  r.detector.c_str(), r.score, r.flagged ? "  FLAGGED" : "");
+      std::fflush(stdout);
+    }
+  }
+  store.put(rows);
+}
+
 }  // namespace
 
 std::vector<CellSweep> detection_sweeps(const ExperimentSpec& spec) {
@@ -258,47 +257,12 @@ std::vector<CellSweep> detection_sweeps(const ExperimentSpec& spec) {
 
   std::string suffix = "_";  // "_" + fp trips a GCC 12 -Wrestrict bug
   suffix += defense::config_fingerprint(spec.suite) + ".detect.csv";
-  return {cell_sweep<DetectionEvaluator>(
-      spec.resolved_variant(), suffix, std::move(cells),
-      [setup, spec](std::unique_ptr<nn::Sequential> model) {
-        return std::make_unique<DetectionEvaluator>(setup, std::move(model),
-                                                    spec);
-      },
-      [runs, verbose = spec.verbose](DetectionEvaluator& evaluator,
-                                     std::size_t i, ResultStore& store) {
-        const RunSpec& run = (*runs)[i];
-        static metrics::Counter& checks = metrics::counter("detect.checks");
-        checks.add();
-        trace::Span run_span("detect", "detect.run");
-        if (run_span.active()) {
-          run_span.arg("run", run.id)
-              .arg("clean", static_cast<double>(run.clean));
-        }
-        const std::vector<defense::DetectionResult> results =
-            evaluator.run(run);
-        std::vector<std::pair<std::string, double>> rows;
-        for (const defense::DetectionResult& r : results) {
-          // Detection latency (probes until first flag) per detector; clean
-          // runs are excluded — a clean flag is a false positive, not a
-          // latency sample.
-          if (metrics::armed() && !run.clean && r.flagged) {
-            metrics::histogram("detect.latency_probes." + r.detector)
-                .record(static_cast<double>(r.first_flag_probe));
-          }
-          rows.emplace_back(run_key(run.id, r.detector, "score"), r.score);
-          rows.emplace_back(run_key(run.id, r.detector, "probes"),
-                            static_cast<double>(r.probes));
-          rows.emplace_back(run_key(run.id, r.detector, "latency"),
-                            static_cast<double>(r.first_flag_probe));
-          if (verbose) {
-            std::printf("  [detect] %-32s %-16s score %.4f%s\n",
-                        run.id.c_str(), r.detector.c_str(), r.score,
-                        r.flagged ? "  FLAGGED" : "");
-            std::fflush(stdout);
-          }
-        }
-        store.put(rows);
-      })};
+  return {{spec.resolved_variant(), suffix, std::move(cells),
+           /*detectors=*/true,
+           [runs, corruption = spec.corruption, verbose = spec.verbose](
+               Deployment& deployment, std::size_t i, ResultStore& store) {
+             check_run(deployment, (*runs)[i], corruption, verbose, store);
+           }}};
 }
 
 ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
@@ -309,7 +273,7 @@ ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
   context.note("detection: sweep " + setup.tag() + " / " + variant.name);
 
   // The reference suite provides detector names and default thresholds for
-  // report assembly; workers calibrate their own identical copies.
+  // report assembly; each deployment calibrates its own identical copy.
   defense::DetectorSuite reference(setup, spec.suite);
   const std::vector<std::string> detector_names = reference.names();
   const std::vector<RunSpec> runs = detection_runs(spec);

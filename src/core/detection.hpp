@@ -2,8 +2,8 @@
 //
 // The offense experiments ask "how much accuracy does an attack cost"; this
 // module asks "would the defense subsystem have caught it". For one trained
-// variant it deploys the model once per worker, calibrates a
-// defense::DetectorSuite on the clean deployment, and then checks every
+// variant each engine deployment (core::Deployment) calibrates a
+// defense::DetectorSuite on the clean model, and then checks every
 // detector against each run of {clean deployments x the attack scenario
 // grid}. Each run is one cell of the sweep the experiment declares
 // (detection_sweeps, core/pipeline.hpp), so sweeps are parallel, cached,

@@ -65,7 +65,6 @@ AttackEvaluator::AttackEvaluator(const ExperimentSetup& setup,
       executor_(setup.accelerator),
       mapping_(executor_.condition_weights(model), setup.accelerator),
       clean_snapshot_(nn::snapshot_state(model)),
-      eval_data_(make_test_data(setup).take(setup.eval_count)),
       corruption_(std::move(corruption)),
       prefix_cache_(prefix_cache ? std::move(prefix_cache)
                                  : std::make_shared<PrefixCache>()) {
@@ -92,8 +91,8 @@ AttackEvaluator::AttackEvaluator(const ExperimentSetup& setup,
   }
 }
 
-std::string AttackEvaluator::cache_key(const std::string& scenario_id) const {
-  return scenario_id + "/n" + std::to_string(eval_data_.size());
+std::string AttackEvaluator::cache_key(const std::string& scenario_id) {
+  return scenario_id + "/n" + std::to_string(eval_data().size());
 }
 
 void AttackEvaluator::restore_clean() {
@@ -122,18 +121,26 @@ PrefixCache::Activations AttackEvaluator::clean_prefix(std::size_t layer) {
   std::vector<nn::Tensor> attacked = nn::snapshot_state(model_);
   nn::restore_state(model_, clean_snapshot_);
   auto prefix =
-      executor_.prefix_activations(model_, eval_data_, layer, kEvalBatch);
+      executor_.prefix_activations(model_, eval_data(), layer, kEvalBatch);
   nn::restore_state(model_, attacked);
   return prefix;
 }
 
-std::size_t AttackEvaluator::prefix_floats(std::size_t layer) const {
-  nn::Shape shape = eval_data_.sample_shape();
+const nn::Dataset& AttackEvaluator::eval_data() {
+  if (!eval_data_) {
+    eval_data_ = make_test_data(setup_).take(setup_.eval_count);
+  }
+  return *eval_data_;
+}
+
+std::size_t AttackEvaluator::prefix_floats(std::size_t layer) {
+  nn::Shape shape = eval_data().sample_shape();
   shape.insert(shape.begin(), kEvalBatch);
   for (std::size_t i = 0; i < layer; ++i) {
     shape = model_.layer(i).output_shape(shape);
   }
-  const std::size_t batches = (eval_data_.size() + kEvalBatch - 1) / kEvalBatch;
+  const std::size_t batches =
+      (eval_data().size() + kEvalBatch - 1) / kEvalBatch;
   return batches * nn::shape_numel(shape);
 }
 
@@ -155,11 +162,11 @@ double AttackEvaluator::evaluate_attacked() {
                                       [&] { return clean_prefix(dirty); });
   if (prefix == nullptr) {
     misses.add();
-    return executor_.evaluate(model_, eval_data_, kEvalBatch);
+    return executor_.evaluate(model_, eval_data(), kEvalBatch);
   }
   ++prefix_hits_;
   hits.add();
-  return executor_.evaluate_from(model_, eval_data_, dirty, *prefix,
+  return executor_.evaluate_from(model_, eval_data(), dirty, *prefix,
                                  kEvalBatch);
 }
 
@@ -167,7 +174,7 @@ double AttackEvaluator::baseline_accuracy() {
   const std::string key = cache_key("baseline");
   if (const auto cached = cache_->lookup(key)) return *cached;
   restore_clean();
-  const double accuracy = executor_.evaluate(model_, eval_data_, kEvalBatch);
+  const double accuracy = executor_.evaluate(model_, eval_data(), kEvalBatch);
   cache_->put(key, accuracy);
   return accuracy;
 }
@@ -177,13 +184,19 @@ double AttackEvaluator::evaluate_scenario(
   const std::string key = cache_key(scenario.id());
   if (const auto cached = cache_->lookup(key)) return *cached;
 
-  restore_clean();
-  last_stats_ = attack::apply_attack(mapping_, scenario, corruption_);
+  apply_scenario(scenario);
   const double accuracy = evaluate_attacked();
   restore_clean();
 
   cache_->put(key, accuracy);
   return accuracy;
+}
+
+attack::CorruptionStats AttackEvaluator::apply_scenario(
+    const attack::AttackScenario& scenario) {
+  restore_clean();
+  last_stats_ = attack::apply_attack(mapping_, scenario, corruption_);
+  return last_stats_;
 }
 
 attack::CorruptionStats AttackEvaluator::apply_composite(
@@ -193,22 +206,16 @@ attack::CorruptionStats AttackEvaluator::apply_composite(
   return last_stats_;
 }
 
-double AttackEvaluator::evaluate_applied(const std::string& id) {
-  const std::string key = cache_key(id);
-  if (const auto cached = cache_->lookup(key)) return *cached;
-  const double accuracy = evaluate_attacked();
-  cache_->put(key, accuracy);
-  return accuracy;
-}
-
 double AttackEvaluator::evaluate_composite(
     const attack::CompositeScenario& composite) {
   const std::string key = cache_key(composite.id());
   if (const auto cached = cache_->lookup(key)) return *cached;
 
   apply_composite(composite);
-  const double accuracy = evaluate_applied(composite.id());
+  const double accuracy = evaluate_attacked();
   restore_clean();
+
+  cache_->put(key, accuracy);
   return accuracy;
 }
 

@@ -1,4 +1,4 @@
-// Attack evaluation engine with persistent result caching.
+// Attack evaluation engine: one deployed model variant under attack.
 //
 // For one trained model variant, the evaluator:
 //   1. conditions the weights for deployment (per-tensor normalization +
@@ -7,9 +7,10 @@
 //   3. per scenario: restores the snapshot, applies the attack corruption
 //      through the weight-stationary mapping, and measures accuracy on the
 //      evaluation subset.
-// Results are memoized in a CSV keyed by a checksum of the trained weights,
-// so reruns of the bench suite are cheap and retraining invalidates stale
-// entries automatically.
+// Sweeps persist results through the cell engine's store (core/pipeline.hpp)
+// and construct the evaluator with an empty cache_dir, so its own memo of
+// accuracies by scenario id stays in memory. A non-empty cache_dir still
+// persists that memo to a CSV keyed by a checksum of the trained weights.
 //
 // Prefix-activation caching: apply_attack only mutates parameters of
 // MR-mapped layers, so for the fixed eval set the activations up to the
@@ -28,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,6 +87,13 @@ class AttackEvaluator {
   /// Accuracy under one attack scenario (cached).
   double evaluate_scenario(const attack::AttackScenario& scenario);
 
+  /// Applies `scenario` to the clean deployment and *leaves the model
+  /// attacked* — the detection sweep's entry point for checking detectors
+  /// against a compromised deployment. Call restore_clean() when done.
+  /// Returns the corruption stats (also latched in last_stats()).
+  attack::CorruptionStats apply_scenario(
+      const attack::AttackScenario& scenario);
+
   /// Accuracy under a composite scenario (cached by CompositeScenario::id,
   /// which is component-order invariant — a reordered composite hits the
   /// same entry). All components corrupt the deployment in one pass before
@@ -94,20 +103,11 @@ class AttackEvaluator {
   /// snapshot).
   double evaluate_composite(const attack::CompositeScenario& composite);
 
-  /// Applies every component of `composite` to the clean deployment and
-  /// *leaves the model attacked* — the campaign sweep's entry point for
-  /// running detector checks against a composite-compromised deployment.
-  /// Call restore_clean() when done. Returns the aggregated corruption
-  /// stats (also latched in last_stats()).
+  /// apply_scenario for a composite — the campaign sweep's entry point
+  /// for checking detectors against a composite-compromised deployment.
+  /// Returns the aggregated corruption stats.
   attack::CorruptionStats apply_composite(
       const attack::CompositeScenario& composite);
-
-  /// Accuracy of the deployment in its *current* (already-attacked) state,
-  /// cached under `id` like evaluate_scenario and routed through the
-  /// prefix cache. Does not touch the weights — the campaign sweep uses it
-  /// between apply_composite and the detector checks so each phase pays
-  /// for exactly one corruption pass.
-  double evaluate_applied(const std::string& id);
 
   /// Corruption statistics of the last *computed* (non-cached) scenario.
   const attack::CorruptionStats& last_stats() const { return last_stats_; }
@@ -138,7 +138,7 @@ class AttackEvaluator {
   accel::OnnExecutor& executor() { return executor_; }
 
  private:
-  std::string cache_key(const std::string& scenario_id) const;
+  std::string cache_key(const std::string& scenario_id);
 
   /// Accuracy of the currently-attacked model, routed through the prefix
   /// cache when eligible, plain evaluation otherwise.
@@ -147,7 +147,11 @@ class AttackEvaluator {
   /// Computes the clean activations at boundary `layer` (temporarily
   /// restoring the clean weights), and their size in floats.
   PrefixCache::Activations clean_prefix(std::size_t layer);
-  std::size_t prefix_floats(std::size_t layer) const;
+  std::size_t prefix_floats(std::size_t layer);
+
+  /// The evaluation subset, generated on first use, so a deployment that
+  /// only runs detector checks never pays for it.
+  const nn::Dataset& eval_data();
 
   ExperimentSetup setup_;
   nn::Sequential& model_;
@@ -155,7 +159,7 @@ class AttackEvaluator {
   accel::OnnExecutor executor_;
   accel::WeightStationaryMapping mapping_;
   std::vector<nn::Tensor> clean_snapshot_;
-  nn::Dataset eval_data_;
+  std::optional<nn::Dataset> eval_data_;
   attack::CorruptionConfig corruption_;
   attack::CorruptionStats last_stats_{};
   std::unique_ptr<ResultStore> cache_;  // in-memory when cache_dir was empty

@@ -3,29 +3,17 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <mutex>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "common/trace.hpp"
 
 namespace safelight::core {
 
 namespace {
-
-/// One fan-out thread's private deployment of the swept variant.
-struct SweepWorker {
-  SweepWorker(std::unique_ptr<nn::Sequential> weights,
-              const ExperimentSetup& setup, const std::string& variant,
-              const attack::CorruptionConfig& corruption,
-              std::shared_ptr<PrefixCache> prefix)
-      : model(std::move(weights)),
-        evaluator(setup, *model, variant, "", corruption, std::move(prefix)) {}
-
-  std::unique_ptr<nn::Sequential> model;
-  AttackEvaluator evaluator;
-};
 
 /// Store key of a scenario: its stable id plus the evaluation subset size
 /// (a larger eval_count is a different measurement).
@@ -46,13 +34,33 @@ std::vector<std::size_t> pending_cells(
     const std::function<bool(const std::string&)>& stored) {
   std::vector<std::size_t> pending;
   std::unordered_set<std::string> seen;
+  std::unordered_map<std::string, const std::string*> owner;  // key -> id
   for (std::size_t i = 0; i < cells.size(); ++i) {
+    for (const std::string& key : cells[i].keys) {
+      const auto [it, first] = owner.emplace(key, &cells[i].id);
+      SAFELIGHT_ASSERT(first || *it->second == cells[i].id,
+                       "sweep: key '" + key + "' is listed by cells '" +
+                           *it->second + "' and '" + cells[i].id + "'");
+    }
     if (!seen.insert(cells[i].id).second) continue;
     if (!std::all_of(cells[i].keys.begin(), cells[i].keys.end(), stored)) {
       pending.push_back(i);
     }
   }
   return pending;
+}
+
+Deployment::Deployment(const ExperimentSpec& spec,
+                       const ExperimentSetup& setup, const CellSweep& sweep,
+                       std::unique_ptr<nn::Sequential> weights,
+                       std::shared_ptr<PrefixCache> prefix)
+    : model(std::move(weights)),
+      evaluator(setup, *model, sweep.variant.name, "", spec.corruption,
+                std::move(prefix)) {
+  if (!sweep.detectors) return;
+  suite.emplace(setup, spec.suite);
+  suite->calibrate({*model, evaluator.executor(), nullptr,
+                    seed_combine(spec.base_seed, 0xCA11B)});
 }
 
 std::string sweep_store_name(const ExperimentSetup& setup,
@@ -84,20 +92,24 @@ std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
   const std::vector<SweepCell>& cells = sweep.cells;
   const std::vector<std::size_t> pending = pending_cells(
       cells, [&](const std::string& key) { return store.contains(key); });
-  safelight::detail::parallel_claim(
+  // One clean-prefix cache per run, shared by its deployments: each
+  // boundary is built once, by whichever thread needs it first.
+  const auto prefix = std::make_shared<PrefixCache>();
+  parallel_claim<Deployment>(
       pending.size(), spec.max_workers,
       // Evaluation corrupts and restores model weights, so every thread
       // deploys a private copy (cheap: a zoo cache load).
       [&] {
-        return sweep.make_worker(
-            zoo.get_or_train(setup, sweep.variant, false));
+        return std::make_unique<Deployment>(
+            spec, setup, sweep, zoo.get_or_train(setup, sweep.variant, false),
+            prefix);
       },
-      [&](void* worker, std::size_t p) {
+      [&](Deployment& deployment, std::size_t p) {
         // Cell boundaries are the cancellation points: everything already
         // evaluated is persisted, so stopping here loses no work.
         // parallel_claim rethrows this on the caller.
         context.throw_if_cancelled(spec.experiment);
-        sweep.evaluate(worker, pending[p], store);
+        sweep.evaluate(deployment, pending[p], store);
       });
 
   // Assemble in declaration order: execution order never leaks out.
@@ -137,52 +149,36 @@ CellSweep scenario_sweep(const ExperimentSpec& spec,
         {scenario.id(), {scenario_store_key(scenario, setup.eval_count)}});
   }
 
-  // One clean-prefix cache per run, shared by the run's evaluators (each
-  // boundary is built once, by whichever thread needs it first) and freed
-  // with the last of them, so a declaration kept after its run pins no
-  // activations. A dist worker's kept deployment keeps it warm.
-  struct PrefixSlot {
-    std::mutex mutex;
-    std::weak_ptr<PrefixCache> cache;
-  };
-  auto slot = std::make_shared<PrefixSlot>();
   auto shared_grid =
       std::make_shared<const std::vector<attack::AttackScenario>>(
           std::move(grid));
-  return cell_sweep<SweepWorker>(
-      variant, ".sweep.csv", std::move(cells),
-      [setup, name = variant.name, corruption = spec.corruption,
-       slot](std::unique_ptr<nn::Sequential> model) {
-        std::shared_ptr<PrefixCache> prefix;
-        {
-          const std::lock_guard<std::mutex> lock(slot->mutex);
-          prefix = slot->cache.lock();
-          if (!prefix) slot->cache = prefix = std::make_shared<PrefixCache>();
-        }
-        return std::make_unique<SweepWorker>(std::move(model), setup, name,
-                                             corruption, std::move(prefix));
-      },
-      [setup, grid = std::move(shared_grid), verbose = spec.verbose](
-          SweepWorker& worker, std::size_t i, ResultStore& store) {
-        trace::Span scenario_span("pipeline", "scenario.evaluate");
-        // Cell 0 is the clean baseline, shared by every scenario of the
-        // sweep (and, through the store, by every future sweep).
-        if (i == 0) {
-          if (scenario_span.active()) scenario_span.arg("scenario", "baseline");
-          store.put(baseline_store_key(setup.eval_count),
-                    worker.evaluator.baseline_accuracy());
-          return;
-        }
-        const attack::AttackScenario& scenario = (*grid)[i - 1];
-        const std::string id = scenario.id();
-        if (scenario_span.active()) scenario_span.arg("scenario", id);
-        const double accuracy = worker.evaluator.evaluate_scenario(scenario);
-        store.put(scenario_store_key(scenario, setup.eval_count), accuracy);
-        if (verbose) {
-          std::printf("  [pipeline] %-36s acc %.4f\n", id.c_str(), accuracy);
-          std::fflush(stdout);
-        }
-      });
+  return {variant, ".sweep.csv", std::move(cells), /*detectors=*/false,
+          [eval_count = setup.eval_count, grid = std::move(shared_grid),
+           verbose = spec.verbose](Deployment& deployment, std::size_t i,
+                                   ResultStore& store) {
+            trace::Span scenario_span("pipeline", "scenario.evaluate");
+            // Cell 0 is the clean baseline, shared by every scenario of the
+            // sweep (and, through the store, by every future sweep).
+            if (i == 0) {
+              if (scenario_span.active()) {
+                scenario_span.arg("scenario", "baseline");
+              }
+              store.put(baseline_store_key(eval_count),
+                        deployment.evaluator.baseline_accuracy());
+              return;
+            }
+            const attack::AttackScenario& scenario = (*grid)[i - 1];
+            const std::string id = scenario.id();
+            if (scenario_span.active()) scenario_span.arg("scenario", id);
+            const double accuracy =
+                deployment.evaluator.evaluate_scenario(scenario);
+            store.put(scenario_store_key(scenario, eval_count), accuracy);
+            if (verbose) {
+              std::printf("  [pipeline] %-36s acc %.4f\n", id.c_str(),
+                          accuracy);
+              std::fflush(stdout);
+            }
+          }};
 }
 
 SweepResult run_scenario_sweep(

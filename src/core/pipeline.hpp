@@ -5,16 +5,20 @@
 // variant, fill a set of store keys per cell, assemble a report". A cell is
 // a stable id plus the ResultStore keys its evaluation fills. An experiment
 // declares its sweeps as data (CellSweep: variant, store suffix, cells,
-// worker factory, evaluate), and the engine owns the whole shape once:
+// whether its deployments carry a detector suite, evaluate), and the engine
+// owns the whole shape once:
 //   * the variant is trained (or loaded) through the ModelZoo on the calling
-//     thread, so workers only ever load the finished entry;
+//     thread, so fan-out threads only ever load the finished entry;
 //   * the sweep's ResultStore is opened under the spec's cache_dir, named by
 //     sweep_store_name;
 //   * cells are deduplicated by id, and a cell is pending when any of its
 //     keys is missing (an interrupt can land between a cell's flushes);
+//     one key listed under two different ids is a declaration bug;
 //   * pending cells fan out over safelight::parallel_claim: threads claim
-//     cells one at a time, each with a private worker built around its own
+//     cells one at a time, each on a private Deployment around its own
 //     model copy (evaluation mutates weights, so threads never share one);
+//     the deployments of one run share one clean-prefix cache, freed when
+//     the run returns;
 //   * the RunContext's cancel flag is checked at every cell boundary —
 //     everything evaluated so far is persisted, so a rerun resumes;
 //   * values come back per cell in declaration order, with a flag saying
@@ -22,23 +26,26 @@
 // Results never depend on execution order, so a sweep is deterministic in
 // (spec, variant, cells) and identical between serial and parallel runs.
 // The distributed layer (src/dist) fills subsets of the same declarations
-// in worker processes, so both paths agree on cells, keys and store names.
+// in worker processes on the same Deployment, so both paths agree on
+// cells, keys, store names and how a variant is deployed.
 //
 // scenario_sweep() declares the scenario sweep on top of it: a variant's
-// clean baseline plus one accuracy per scenario of a grid, with one
-// clean-prefix cache shared by the sweep's evaluators.
+// clean baseline plus one accuracy per scenario of a grid.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "attacks/corruption.hpp"
 #include "attacks/scenario.hpp"
 #include "common/stats.hpp"
+#include "core/evaluation.hpp"
 #include "core/experiment.hpp"
 #include "core/result_store.hpp"
+#include "defense/suite.hpp"
 
 namespace safelight::core {
 
@@ -59,42 +66,44 @@ struct SweptCell {
 /// Indices of the cells a sweep must evaluate, in declaration order: the
 /// first cell of each id that has a key `stored` does not report. Shared
 /// by the engine and the distributed planner, so both agree on what is
-/// cached by construction.
+/// cached by construction. Throws std::logic_error when one key is listed
+/// under two different ids (two cells would race to append it).
 std::vector<std::size_t> pending_cells(
     const std::vector<SweepCell>& cells,
     const std::function<bool(const std::string&)>& stored);
 
+struct Deployment;
+
 /// One cell sweep as data (ExperimentInfo::sweeps): what the engine, or a
-/// dist worker filling some of its cells, runs. Its functions own what
-/// they capture, so a declaration outlives the call that made it.
+/// dist worker filling some of its cells, runs. `evaluate` owns what it
+/// captures, so a declaration outlives the call that made it.
 struct CellSweep {
   VariantSpec variant;       // the deployed variant
   std::string store_suffix;  // store file suffix, e.g. ".sweep.csv"
   std::vector<SweepCell> cells;
-  /// Builds one private deployment around a copy of the variant's weights.
-  std::function<std::shared_ptr<void>(std::unique_ptr<nn::Sequential>)>
-      make_worker;
+  /// Whether each deployment calibrates a detector suite (Deployment::suite).
+  bool detectors = false;
   /// Evaluates cells[i] on a deployment; must put every key of the cell.
-  std::function<void(void*, std::size_t, ResultStore&)> evaluate;
+  std::function<void(Deployment&, std::size_t, ResultStore&)> evaluate;
 };
 
-/// A CellSweep over typed deployments: make_worker builds one Worker per
-/// fan-out thread, evaluate(worker, i, store) fills cells[i].
-template <typename Worker>
-CellSweep cell_sweep(
-    VariantSpec variant, std::string store_suffix,
-    std::vector<SweepCell> cells,
-    std::function<std::unique_ptr<Worker>(std::unique_ptr<nn::Sequential>)>
-        make_worker,
-    std::function<void(Worker&, std::size_t, ResultStore&)> evaluate) {
-  return {std::move(variant), std::move(store_suffix), std::move(cells),
-          [make = std::move(make_worker)](std::unique_ptr<nn::Sequential> model)
-              -> std::shared_ptr<void> { return make(std::move(model)); },
-          [eval = std::move(evaluate)](void* worker, std::size_t i,
-                                       ResultStore& store) {
-            eval(*static_cast<Worker*>(worker), i, store);
-          }};
-}
+/// One private deployment of a sweep's variant, the only state a cell
+/// evaluates on: the engine builds one per fan-out thread, a dist worker
+/// one per kept sweep. The evaluator conditions the weights for the
+/// accelerator and manages them from then on (attack, restore); the suite,
+/// present when sweep.detectors is set, is calibrated on the clean
+/// deployment under the spec's base seed, so every deployment of a sweep
+/// is identical and results never depend on which one evaluated a cell.
+/// `setup` is spec.resolved_setup(), which the caller already holds.
+struct Deployment {
+  Deployment(const ExperimentSpec& spec, const ExperimentSetup& setup,
+             const CellSweep& sweep, std::unique_ptr<nn::Sequential> weights,
+             std::shared_ptr<PrefixCache> prefix);
+
+  std::unique_ptr<nn::Sequential> model;
+  AttackEvaluator evaluator;
+  std::optional<defense::DetectorSuite> suite;
+};
 
 /// File name of the store of `sweep`, the one the engine, the dist planner
 /// and its workers all use: setup tag, variant, weights checksum (retrained
@@ -139,10 +148,8 @@ struct SweepResult {
 };
 
 /// The scenario sweep of `variant` over `grid` (`setup` is
-/// spec.resolved_setup(), which builds a model): cell 0 is the clean
-/// baseline, cell i > 0 is grid[i - 1], keyed by scenario id and eval
-/// count. The evaluators of one run share a clean-prefix cache; suffix
-/// `.sweep.csv`.
+/// spec.resolved_setup()): cell 0 is the clean baseline, cell i > 0 is
+/// grid[i - 1], keyed by scenario id and eval count; suffix `.sweep.csv`.
 CellSweep scenario_sweep(const ExperimentSpec& spec,
                          const ExperimentSetup& setup,
                          const VariantSpec& variant,

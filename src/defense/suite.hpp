@@ -4,9 +4,9 @@
 // detectors for an experiment setup, sourcing the held-out probe datasets
 // from the setup's synthetic generator under probe-specific seeds (so
 // calibration inputs never overlap the attack-evaluation subset). The
-// suite is what the detection sweep (core/detection.hpp) instantiates per
-// worker; config_fingerprint keys the sweep's result store so re-tuned
-// detector knobs never reuse stale cached scores.
+// suite is what the detection and campaign sweeps' deployments
+// (core::Deployment) calibrate; config_fingerprint keys the sweep's result
+// store so re-tuned detector knobs never reuse stale cached scores.
 #pragma once
 
 #include <memory>

@@ -185,24 +185,34 @@ void apply_seams(const Seams& seams, const std::string& cell_id) {
   }
 }
 
-/// One deployment of a declared sweep, kept across the small tasks of one
-/// (experiment, spec, sweep): no model load, conditioning or suite
-/// calibration per chunk, and the sweep's prefix cache stays warm.
-struct Deployment {
+/// One declared sweep and its deployment, kept across the small tasks of
+/// one (experiment, spec, sweep): no model load, conditioning or suite
+/// calibration per chunk, and the deployment's prefix cache stays warm.
+struct KeptSweep {
+  KeptSweep(const core::ExperimentSpec& spec,
+            const core::ExperimentSetup& setup, core::CellSweep declared,
+            std::unique_ptr<nn::Sequential> weights, std::string store_file,
+            core::ResultStore& sweep_store)
+      : sweep(std::move(declared)),
+        store_name(std::move(store_file)),
+        store(&sweep_store),
+        deployment(spec, setup, sweep, std::move(weights),
+                   std::make_shared<core::PrefixCache>()) {}
+
   core::CellSweep sweep;
   std::string store_name;
-  core::ResultStore* store = nullptr;  // owned by the worker's store map
-  std::shared_ptr<void> worker;
+  core::ResultStore* store;  // owned by the worker's store map
+  core::Deployment deployment;
 };
 
 /// Private stores by file name: sweeps writing one file (robust_compare's
 /// Original sweep in both rounds) share its single writer.
 using StoreMap = std::map<std::string, std::unique_ptr<core::ResultStore>>;
 
-std::unique_ptr<Deployment> deploy(const TaskMessage& task,
-                                   core::ModelZoo& zoo,
-                                   const std::string& store_dir,
-                                   StoreMap& stores) {
+std::unique_ptr<KeptSweep> deploy(const TaskMessage& task,
+                                  core::ModelZoo& zoo,
+                                  const std::string& store_dir,
+                                  StoreMap& stores) {
   const core::ExperimentSpec spec = core::spec_from_json(task.spec);
   require(spec.experiment == task.experiment,
           "worker: task experiment '" + task.experiment +
@@ -214,39 +224,35 @@ std::unique_ptr<Deployment> deploy(const TaskMessage& task,
   require(task.sweep < sweeps.size(),
           "worker: task names an undeclared sweep of " + task.experiment);
 
-  auto deployment = std::make_unique<Deployment>();
-  deployment->sweep = std::move(sweeps[task.sweep]);
-  const core::CellSweep& sweep = deployment->sweep;
+  core::CellSweep& sweep = sweeps[task.sweep];
   // The coordinator trains every declared zoo entry before dispatching,
   // so this is a cache load; training here anyway (e.g. after a corrupted
   // entry) is correct, just slow.
   const core::ExperimentSetup setup = spec.resolved_setup();
   auto model = zoo.get_or_train(setup, sweep.variant, /*verbose=*/false);
-  deployment->store_name = core::sweep_store_name(
+  std::string store_name = core::sweep_store_name(
       setup, spec.corruption, sweep, core::weights_checksum(*model));
-  auto& store = stores[deployment->store_name];
+  auto& store = stores[store_name];
   if (!store) {
-    store = std::make_unique<core::ResultStore>(store_dir + "/" +
-                                                deployment->store_name);
+    store = std::make_unique<core::ResultStore>(store_dir + "/" + store_name);
   }
-  deployment->store = store.get();
-  deployment->worker = sweep.make_worker(std::move(model));
-  return deployment;
+  return std::make_unique<KeptSweep>(spec, setup, std::move(sweep),
+                                     std::move(model), std::move(store_name),
+                                     *store);
 }
 
-void run_task(const TaskMessage& task, Deployment& deployment,
-              const Seams& seams, const std::atomic<bool>* cancel,
-              EventMessage& done) {
+void run_task(const TaskMessage& task, KeptSweep& kept, const Seams& seams,
+              const std::atomic<bool>* cancel, EventMessage& done) {
   // The store name carries the weights checksum and the corruption and
   // suite fingerprints: a coordinator and worker that disagree on any of
   // them would cache wrong values under keys the assembly run trusts.
-  if (task.store != deployment.store_name) {
+  if (task.store != kept.store_name) {
     throw std::runtime_error(
         "worker: store mismatch (task " + task.store + " vs local " +
-        deployment.store_name +
+        kept.store_name +
         "); coordinator and worker disagree on weights or physics");
   }
-  const core::CellSweep& sweep = deployment.sweep;
+  const core::CellSweep& sweep = kept.sweep;
   std::vector<std::size_t> cells;
   for (const std::string& id : task.cells) {
     const auto it = std::find_if(
@@ -260,7 +266,7 @@ void run_task(const TaskMessage& task, Deployment& deployment,
     }
     cells.push_back(static_cast<std::size_t>(it - sweep.cells.begin()));
   }
-  core::ResultStore& store = *deployment.store;
+  core::ResultStore& store = *kept.store;
   for (const std::size_t i : cells) {
     if (cancel != nullptr && cancel->load()) {
       throw core::ExperimentCancelled("worker");
@@ -273,7 +279,7 @@ void run_task(const TaskMessage& task, Deployment& deployment,
       continue;
     }
     apply_seams(seams, sweep.cells[i].id);
-    sweep.evaluate(deployment.worker.get(), i, store);
+    sweep.evaluate(kept.deployment, i, store);
     ++done.evaluated;
   }
 }
@@ -314,7 +320,7 @@ int run_worker(const WorkerOptions& options) {
   const Seams seams = read_seams();
   StoreMap stores;
   // Keyed by (experiment, spec document, sweep index).
-  std::map<std::string, std::unique_ptr<Deployment>> deployments;
+  std::map<std::string, std::unique_ptr<KeptSweep>> kept_sweeps;
 
   LineReader reader(options.protocol_in);
   while (auto line = reader.next_line()) {
@@ -325,16 +331,14 @@ int run_worker(const WorkerOptions& options) {
     done.type = EventMessage::Type::kDone;
     done.task_id = task.id;
     try {
-      std::unique_ptr<Deployment>& deployment =
-          deployments[task.experiment + '\n' + task.spec + '\n' +
+      std::unique_ptr<KeptSweep>& kept =
+          kept_sweeps[task.experiment + '\n' + task.spec + '\n' +
                       std::to_string(task.sweep)];
-      if (!deployment) {
-        deployment = deploy(task, zoo, options.store_dir, stores);
-      }
+      if (!kept) kept = deploy(task, zoo, options.store_dir, stores);
       {
         trace::Span task_span("dist", "worker.task");
         task_span.arg("task", static_cast<double>(task.id));
-        run_task(task, *deployment, seams, options.cancel, done);
+        run_task(task, *kept, seams, options.cancel, done);
         task_span.arg("evaluated", static_cast<double>(done.evaluated))
             .arg("cached", static_cast<double>(done.cached));
       }

@@ -2,7 +2,8 @@
 // result store: fan-out determinism (parallel == serial == repeated run,
 // under any grid order), one clean prefix build per boundary per sweep,
 // resume-after-interrupt, mid-sweep cancellation of every cell sweep
-// through the persistent store, per-key pending and per-id dedup, and
+// through the persistent store, per-key pending and per-id dedup, one
+// owning cell id per store key (in every registry sweep), and
 // clean-baseline deduplication.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -597,8 +599,6 @@ TEST(Pipeline, CancelMidSweepKeepsCompleteRowsAndResumesIdentically) {
 
     // Only complete rows were stored: every line after the header is a
     // `key,value` row holding the value the uninterrupted sweep stored.
-    // (Campaigns sharing a composite may race to store its accuracy twice;
-    // both rows carry the same value.)
     const std::string store_file = only_store_file(spec.cache_dir);
     const std::string bytes = read_file_bytes(store_file);
     ASSERT_FALSE(bytes.empty());
@@ -609,10 +609,13 @@ TEST(Pipeline, CancelMidSweepKeepsCompleteRowsAndResumesIdentically) {
     std::string row;
     ASSERT_TRUE(std::getline(rows, row));
     EXPECT_EQ(row, "key,accuracy");
+    std::set<std::string> rows_seen;
     while (std::getline(rows, row)) {
       const std::size_t comma = row.rfind(',');
       ASSERT_NE(comma, std::string::npos) << row;
       EXPECT_EQ(reference[row.substr(0, comma)], row.substr(comma + 1)) << row;
+      EXPECT_TRUE(rows_seen.insert(row.substr(0, comma)).second)
+          << "key stored twice: " << row;
     }
     const auto stored = read_store_entries(store_file);
     EXPECT_GE(stored.size(), kStoredBeforeCancel);
@@ -623,25 +626,12 @@ TEST(Pipeline, CancelMidSweepKeepsCompleteRowsAndResumesIdentically) {
     const std::uint64_t flushes_at_resume = flushes.value();
     EXPECT_EQ(registry.run(spec, plain).to_json(), uninterrupted);
     const std::uint64_t written = flushes.value() - flushes_at_resume;
-    if (experiment == "campaign") {
-      // Only campaign cells share keys, so only they can write one twice.
-      EXPECT_GE(written, complete.size() - stored.size());
-      EXPECT_LT(written, complete.size());
-    } else {
-      EXPECT_EQ(written, complete.size() - stored.size());
-    }
+    EXPECT_EQ(written, complete.size() - stored.size());
     metrics::reset();
   }
 }
 
 // -------------------------------------------------------------- cell sweep
-
-/// Test worker: records which cells it evaluated and stores a value derived
-/// from each key's position, so results are checkable without a model.
-struct CountingWorker {
-  std::mutex* mutex;
-  std::vector<std::string>* evaluated;
-};
 
 /// Cell sweeps of the tiny cnn1 Original variant, trained once per suite.
 class CellSweep : public ::testing::Test {
@@ -655,27 +645,24 @@ class CellSweep : public ::testing::Test {
     delete dir_;
   }
 
-  /// Sweeps `cells`; evaluate stores 100 * cell index + key index.
+  /// Sweeps `cells`, recording which cells were evaluated; evaluate stores
+  /// 100 * cell index + key index, so results are checkable without
+  /// touching the deployment.
   std::vector<SweptCell> sweep(const std::vector<SweepCell>& cells,
                                const ExperimentSpec& spec) {
     const RunContext context(*zoo_);
     return sweep_cells(
         spec, context,
-        cell_sweep<CountingWorker>(
-            variant_by_name("Original"), ".cells.csv", cells,
-            [&](std::unique_ptr<nn::Sequential>) {
-              return std::make_unique<CountingWorker>(
-                  CountingWorker{&mutex_, &evaluated_});
-            },
-            [&](CountingWorker& worker, std::size_t i, ResultStore& store) {
-              {
-                const std::lock_guard<std::mutex> lock(*worker.mutex);
-                worker.evaluated->push_back(cells[i].id);
-              }
-              for (std::size_t k = 0; k < cells[i].keys.size(); ++k) {
-                store.put(cells[i].keys[k], static_cast<double>(100 * i + k));
-              }
-            }));
+        {variant_by_name("Original"), ".cells.csv", cells, false,
+         [&](Deployment&, std::size_t i, ResultStore& store) {
+           {
+             const std::lock_guard<std::mutex> lock(mutex_);
+             evaluated_.push_back(cells[i].id);
+           }
+           for (std::size_t k = 0; k < cells[i].keys.size(); ++k) {
+             store.put(cells[i].keys[k], static_cast<double>(100 * i + k));
+           }
+         }});
   }
 
   static TempDir* dir_;
@@ -738,6 +725,14 @@ TEST_F(CellSweep, EvaluatesARepeatedIdOnce) {
   EXPECT_EQ(swept[2].values, swept[0].values);
 }
 
+TEST_F(CellSweep, RejectsOneKeyListedUnderTwoIds) {
+  const std::vector<SweepCell> cells = {{"a", {"k"}}, {"b", {"k"}}};
+  EXPECT_THROW(pending_cells(cells, [](const std::string&) { return false; }),
+               std::logic_error);
+  EXPECT_THROW(sweep(cells, tiny_spec()), std::logic_error);
+  EXPECT_TRUE(evaluated_.empty());
+}
+
 TEST_F(CellSweep, ResultsFollowDeclarationOrderForOneAndFourWorkers) {
   std::vector<SweepCell> cells;
   for (std::size_t i = 0; i < 24; ++i) {
@@ -755,6 +750,39 @@ TEST_F(CellSweep, ResultsFollowDeclarationOrderForOneAndFourWorkers) {
       EXPECT_EQ(swept[i].values,
                 (std::vector<double>{100.0 * i, 100.0 * i + 1}))
           << cells[i].id << ", " << workers << " workers";
+    }
+  }
+}
+
+// Every registry experiment's declared sweeps give each store key exactly
+// one owning cell id, so no two cells can race to append the same key.
+TEST(CellSweepDeclarations, EveryRegistrySweepListsEachKeyUnderOneId) {
+  const auto& registry = ExperimentRegistry::global();
+  const std::vector<std::string> experiments = registry.names();
+  ASSERT_EQ(experiments.size(), 5u);
+  for (const std::string& experiment : experiments) {
+    SCOPED_TRACE(experiment);
+    ExperimentSpec spec = registry.default_spec(experiment);
+    spec.model = nn::ModelId::kCnn1;
+    spec.scale = Scale::kTiny;
+    spec.robust_variant = "L2_reg";  // pinned: no selection round
+    const std::vector<core::CellSweep> sweeps =
+        registry.info(experiment).sweeps(spec);
+    ASSERT_FALSE(sweeps.empty());
+    for (std::size_t s = 0; s < sweeps.size(); ++s) {
+      const std::vector<SweepCell>& cells = sweeps[s].cells;
+      std::map<std::string, std::string> owner;  // key -> first cell id
+      for (const SweepCell& cell : cells) {
+        for (const std::string& key : cell.keys) {
+          const auto [it, first] = owner.emplace(key, cell.id);
+          EXPECT_TRUE(first || it->second == cell.id)
+              << "sweep " << s << ": key '" << key << "' under cells '"
+              << it->second << "' and '" << cell.id << "'";
+        }
+      }
+      EXPECT_NO_THROW(
+          pending_cells(cells, [](const std::string&) { return false; }))
+          << "sweep " << s;
     }
   }
 }
