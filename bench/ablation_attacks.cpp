@@ -45,12 +45,10 @@ int main() {
     const auto grid = sl::attack::scenario_grid(
         {vector}, {sl::attack::AttackTarget::kBothBlocks}, {fraction}, seeds,
         base_seed);
-    const sl::core::SweepResult sweep = sl::core::run_scenario_sweep(
+    return sl::mean_of(sl::core::scenario_accuracies(sl::core::sweep_cells(
         spec, context,
         sl::core::scenario_sweep(spec, setup,
-                                 sl::core::variant_by_name(variant), grid),
-        grid);
-    return sl::mean_of(sweep.accuracies());
+                                 sl::core::variant_by_name(variant), grid))));
   };
 
   sl::CsvWriter csv(sl::bench::out_dir() + "/ablation_attacks.csv",

@@ -17,9 +17,10 @@
 # 5. distributed smoke: `run --workers 2` (clean, then with --chaos plug
 #    pulls inside the workers) must emit bytes identical to a
 #    single-process run from a fresh zoo — the coordinator/worker/merge
-#    stack proves itself end to end on every CI run; detection and
-#    campaign shard too and must match their in-process CSVs, and the
-#    merged stores hold no key twice.
+#    stack proves itself end to end on every CI run; detection,
+#    campaign and an unpinned robust_compare (two planning rounds) shard
+#    too and must match their in-process CSVs, and the merged stores hold
+#    no key twice.
 # 6. telemetry smoke: the same 2-worker run armed with --trace/--metrics
 #    must stay byte-identical, produce a parseable merged Chrome trace
 #    with coordinator + worker tracks, and a schema-valid metrics JSON;
@@ -207,7 +208,10 @@ cmp "$SMOKE_DIR/out_dist_ref/fig7_susceptibility.csv" \
     "$SMOKE_DIR/out_dist_chaos/fig7_susceptibility.csv"
 # The detector sweeps shard through their declared cells too; each
 # distributed run must plan tasks and match its in-process CSVs.
-for experiment in detection campaign; do
+# robust_compare runs unpinned: the planner shards the mitigation selection
+# in round 1 and, after resolving the variant through the experiment's own
+# resolve, the comparison in round 2.
+for experiment in detection campaign robust_compare; do
   SAFELIGHT_ZOO="$SMOKE_DIR/zoo_dist_ref" \
     SAFELIGHT_OUT="$SMOKE_DIR/out_dist_ref" "$SAFELIGHT" run "$experiment" \
     --model cnn1 >"$SMOKE_DIR/dist_ref_$experiment.log"
@@ -217,8 +221,10 @@ for experiment in detection campaign; do
   grep -E '\[dist\] summary: workers=2 tasks=[1-9]' \
     "$SMOKE_DIR/dist_$experiment.log"
 done
+grep -E '\[dist\] summary: .* rounds=2 ' "$SMOKE_DIR/dist_robust_compare.log"
 check_store_keys_unique "$SMOKE_DIR/zoo_dist"
-for csv in fig_detection fig_detection_roc fig_campaign_phases fig_campaign; do
+for csv in fig_detection fig_detection_roc fig_campaign_phases fig_campaign \
+           fig9_robust; do
   cmp "$SMOKE_DIR/out_dist_ref/$csv.csv" "$SMOKE_DIR/out_dist/$csv.csv"
 done
 echo "distributed CSVs byte-identical to single-process reference"

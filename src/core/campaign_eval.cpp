@@ -240,20 +240,18 @@ std::vector<CellSweep> campaign_sweeps(const ExperimentSpec& spec) {
            }}};
 }
 
-ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
-                                         RunContext& context) {
-  spec.validate();  // callers may invoke this runner without the registry
+ExperimentResult::Payload assemble_campaign(
+    const ExperimentSpec& spec, const std::vector<CellSweep>& sweeps,
+    const std::vector<std::vector<SweptCell>>& swept_sweeps) {
   const ExperimentSetup setup = spec.resolved_setup();
-  const VariantSpec variant = spec.resolved_variant();
   const std::vector<attack::CampaignSchedule> campaigns = campaigns_of(spec);
-  context.note("campaign: sweep " + setup.tag() + " / " + variant.name);
 
   // Names and default thresholds for report assembly; each deployment
   // calibrates its own identical suite.
   defense::DetectorSuite reference(setup, spec.suite);
   const std::vector<std::string> detector_names = reference.names();
-  const CellSweep sweep = campaign_sweeps(spec).at(0);
-  const std::vector<SweptCell> swept = sweep_cells(spec, context, sweep);
+  const CellSweep& sweep = sweeps.at(0);
+  const std::vector<SweptCell>& swept = swept_sweeps.at(0);
   std::map<std::string, const SweptCell*> by_id;
   for (std::size_t i = 0; i < swept.size(); ++i) {
     by_id.emplace(sweep.cells[i].id, &swept[i]);
@@ -262,7 +260,7 @@ ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
   // Assemble in campaign/phase order; execution order never leaks out. A
   // phase's accuracy is its composite's cell (the baseline when dormant).
   CampaignSweepReport report;
-  report.variant = variant.name;
+  report.variant = sweep.variant.name;
   report.campaigns.reserve(campaigns.size());
   const double baseline = swept[0].values[0];
   for (const attack::CampaignSchedule& schedule : campaigns) {
@@ -307,9 +305,7 @@ ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
     report.campaigns.push_back(std::move(result));
   }
 
-  ExperimentResult result;
-  result.payload = std::move(report);
-  return result;
+  return report;
 }
 
 }  // namespace safelight::core

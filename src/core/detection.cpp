@@ -265,23 +265,19 @@ std::vector<CellSweep> detection_sweeps(const ExperimentSpec& spec) {
            }}};
 }
 
-ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
-                                          RunContext& context) {
-  spec.validate();  // callers may invoke this runner without the registry
+ExperimentResult::Payload assemble_detection(
+    const ExperimentSpec& spec, const std::vector<CellSweep>& sweeps,
+    const std::vector<std::vector<SweptCell>>& swept_sweeps) {
   const ExperimentSetup setup = spec.resolved_setup();
-  const VariantSpec variant = spec.resolved_variant();
-  context.note("detection: sweep " + setup.tag() + " / " + variant.name);
-
   // The reference suite provides detector names and default thresholds for
   // report assembly; each deployment calibrates its own identical copy.
   defense::DetectorSuite reference(setup, spec.suite);
   const std::vector<std::string> detector_names = reference.names();
   const std::vector<RunSpec> runs = detection_runs(spec);
-  const std::vector<SweptCell> swept =
-      sweep_cells(spec, context, detection_sweeps(spec).at(0));
+  const std::vector<SweptCell>& swept = swept_sweeps.at(0);
 
   DetectionReport report;
-  report.variant = variant.name;
+  report.variant = sweeps.at(0).variant.name;
   report.detectors = detector_names;
   report.clean_runs = spec.clean_runs;
   report.rows.reserve(runs.size() * detector_names.size());
@@ -309,9 +305,7 @@ ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
     }
   }
 
-  ExperimentResult result;
-  result.payload = std::move(report);
-  return result;
+  return report;
 }
 
 }  // namespace safelight::core

@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <chrono>
+#include <cstdio>
 
 #include "common/csv.hpp"
 #include "common/json.hpp"
@@ -361,9 +362,29 @@ ExperimentResult ExperimentRegistry::run(const ExperimentSpec& spec,
   spec.validate();
   context.throw_if_cancelled(spec.experiment);
   const auto start = std::chrono::steady_clock::now();
-  ExperimentResult result = entry.run(spec, context);
+  const ExperimentSpec resolved =
+      entry.resolve ? entry.resolve(spec, context) : spec;
+  const std::vector<CellSweep> sweeps = entry.sweeps(resolved);
+  // ExperimentSetup::tag() without building the setup, which costs a model.
+  const std::string tag =
+      nn::to_string(resolved.model) + "_" + to_string(resolved.scale);
+  std::vector<std::vector<SweptCell>> swept;
+  swept.reserve(sweeps.size());
+  for (const CellSweep& sweep : sweeps) {
+    context.throw_if_cancelled(spec.experiment);
+    const std::string stage = tag + " / " + sweep.variant.name;
+    context.note(spec.experiment + ": sweep " + stage);
+    if (resolved.verbose) {
+      std::printf("[%s] %s\n", spec.experiment.c_str(), stage.c_str());
+      std::fflush(stdout);
+    }
+    swept.push_back(sweep_cells(resolved, context, sweep));
+  }
+
+  ExperimentResult result;
   result.experiment = spec.experiment;
   result.spec = spec;
+  result.payload = entry.assemble(resolved, sweeps, swept);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -372,9 +393,9 @@ ExperimentResult ExperimentRegistry::run(const ExperimentSpec& spec,
 
 void ExperimentRegistry::add(ExperimentInfo info) {
   require(!info.name.empty(), "ExperimentRegistry: experiment needs a name");
-  require(static_cast<bool>(info.run),
+  require(static_cast<bool>(info.sweeps) && static_cast<bool>(info.assemble),
           "ExperimentRegistry: experiment '" + info.name +
-              "' needs a run function");
+              "' needs sweeps and assemble functions");
   require(!contains(info.name),
           "ExperimentRegistry: experiment '" + info.name +
               "' is already registered");
@@ -423,32 +444,33 @@ ExperimentRegistry& ExperimentRegistry::global() {
             "attack grid vs. the Original variant (Fig. 7)",
             /*default_seed_count=*/10,
             {"fig7_susceptibility"},
-            run_susceptibility_experiment,
-            susceptibility_sweeps});
+            susceptibility_sweeps,
+            assemble_susceptibility});
     r->add({"mitigation",
             "all 11 training variants under the attack grid (Fig. 8)",
             /*default_seed_count=*/3,
             {"fig8_mitigation"},
-            run_mitigation_experiment,
-            mitigation_sweeps});
+            mitigation_sweeps,
+            assemble_mitigation});
     r->add({"robust_compare",
             "most robust variant vs. Original, CONV+FC attacks (Fig. 9)",
             /*default_seed_count=*/5,
             {"fig9_robust"},
-            run_robust_compare_experiment,
-            robust_compare_sweeps});
+            robust_compare_sweeps,
+            assemble_robust_compare,
+            resolve_robust_compare});
     r->add({"detection",
             "runtime detector ROC sweep over clean runs + the attack grid",
             /*default_seed_count=*/3,
             {"fig_detection", "fig_detection_roc"},
-            run_detection_experiment,
-            detection_sweeps});
+            detection_sweeps,
+            assemble_detection});
     r->add({"campaign",
             "adaptive multi-phase red-team campaigns vs. the defense suite",
             /*default_seed_count=*/1,
             {"fig_campaign_phases", "fig_campaign"},
-            run_campaign_experiment,
-            campaign_sweeps});
+            campaign_sweeps,
+            assemble_campaign});
     return r;
   }();
   return *registry;

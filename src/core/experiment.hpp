@@ -12,7 +12,11 @@
 //                         JSON serialization (golden-pinned).
 //   ExperimentRegistry  — name -> experiment ("susceptibility",
 //                         "mitigation", "robust_compare", "detection",
-//                         "campaign").
+//                         "campaign"). An experiment is its declared cell
+//                         sweeps plus an assembly of the swept cells into
+//                         its report; the registry is the only code that
+//                         runs the sweeps (resolve -> sweeps -> sweep_cells
+//                         -> assemble).
 #pragma once
 
 #include <atomic>
@@ -171,8 +175,12 @@ struct ExperimentResult {
 };
 
 struct CellSweep;  // core/pipeline.hpp
+struct SweptCell;  // core/pipeline.hpp
 
-/// One registered experiment.
+/// One registered experiment: the cell sweeps it evaluates, declared as
+/// data, plus the assembly of its report from the swept cells. The
+/// registry runs the sweeps; the dist planner and its workers shard the
+/// same declarations, so every path evaluates exactly the same cells.
 struct ExperimentInfo {
   std::string name;
   /// One-line summary shown by `safelight list`.
@@ -181,14 +189,21 @@ struct ExperimentInfo {
   std::size_t default_seed_count = 1;
   /// File stems of the CSVs to_csv() emits, in emission order.
   std::vector<std::string> csv_files;
-  using RunFn =
-      std::function<ExperimentResult(const ExperimentSpec&, RunContext&)>;
-  RunFn run;
-  /// The cell sweeps run(spec) fills (core/pipeline.hpp), which the dist
-  /// planner shards across workers; unset declares none.
+  /// The cell sweeps (core/pipeline.hpp) a resolved spec evaluates.
   using SweepsFn =
       std::function<std::vector<CellSweep>(const ExperimentSpec&)>;
   SweepsFn sweeps;
+  /// Builds the report: swept[s] holds the cells of sweeps[s] in
+  /// declaration order.
+  using AssembleFn = std::function<ExperimentResult::Payload(
+      const ExperimentSpec&, const std::vector<CellSweep>&,
+      const std::vector<std::vector<SweptCell>>&)>;
+  AssembleFn assemble;
+  /// Optional: completes a spec before its sweeps are declared; it may run
+  /// other experiments through the registry.
+  using ResolveFn =
+      std::function<ExperimentSpec(const ExperimentSpec&, RunContext&)>;
+  ResolveFn resolve = nullptr;
 };
 
 /// Name -> experiment registry. The five paper sweeps are registered in the
@@ -201,7 +216,7 @@ class ExperimentRegistry {
   static ExperimentRegistry& global();
 
   /// Registers an experiment; throws when the name is empty, already
-  /// taken, or `run` is missing.
+  /// taken, or `sweeps` or `assemble` is missing.
   void add(ExperimentInfo info);
 
   /// Registered names in registration order.
@@ -216,8 +231,10 @@ class ExperimentRegistry {
   /// count); callers then set model/scale/cache and tweak knobs.
   ExperimentSpec default_spec(const std::string& name) const;
 
-  /// Validates the spec (including the experiment name) and runs it,
-  /// stamping wall_seconds.
+  /// Validates the spec (including the experiment name), resolves it,
+  /// runs each declared sweep through sweep_cells and assembles the
+  /// report, stamping wall_seconds over the whole run. result.spec is the
+  /// caller's spec.
   ExperimentResult run(const ExperimentSpec& spec, RunContext& context) const;
 
  private:
@@ -251,7 +268,11 @@ ExperimentSpec spec_from_json(const std::string& text);
 /// One-line JSON of every field spec_from_json() accepts, written
 /// explicitly so a parse in another process (a dist worker) resolves
 /// nothing from its environment; spec_from_json reproduces them bit for
-/// bit. Throws std::invalid_argument when base_seed exceeds 2^53.
+/// bit. Throws std::invalid_argument when base_seed exceeds 2^53, or
+/// naming the field when one it cannot ship is off its default (grid set,
+/// campaigns non-empty, a corruption or suite config whose fingerprint is
+/// not the default's): a worker would declare other cells or stores.
+/// cache_dir is never shipped.
 std::string spec_to_json(const ExperimentSpec& spec);
 
 /// Machine-readable registry listing (`safelight list --json`): every
@@ -260,23 +281,32 @@ std::string spec_to_json(const ExperimentSpec& spec);
 /// Deterministic pretty JSON, trailing newline included.
 std::string registry_listing_json();
 
-// The registry's run and sweeps functions of the five built-in experiments.
-// Defined next to each sweep's internals.
-ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,
-                                               RunContext& context);
-ExperimentResult run_mitigation_experiment(const ExperimentSpec& spec,
-                                           RunContext& context);
-ExperimentResult run_robust_compare_experiment(const ExperimentSpec& spec,
-                                               RunContext& context);
-ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
-                                          RunContext& context);
-ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
-                                         RunContext& context);
+// The registry's sweeps, assemble and resolve functions of the five
+// built-in experiments. Defined next to each sweep's internals.
+ExperimentResult::Payload assemble_susceptibility(
+    const ExperimentSpec& spec, const std::vector<CellSweep>& sweeps,
+    const std::vector<std::vector<SweptCell>>& swept);
+ExperimentResult::Payload assemble_mitigation(
+    const ExperimentSpec& spec, const std::vector<CellSweep>& sweeps,
+    const std::vector<std::vector<SweptCell>>& swept);
+ExperimentResult::Payload assemble_robust_compare(
+    const ExperimentSpec& spec, const std::vector<CellSweep>& sweeps,
+    const std::vector<std::vector<SweptCell>>& swept);
+ExperimentResult::Payload assemble_detection(
+    const ExperimentSpec& spec, const std::vector<CellSweep>& sweeps,
+    const std::vector<std::vector<SweptCell>>& swept);
+ExperimentResult::Payload assemble_campaign(
+    const ExperimentSpec& spec, const std::vector<CellSweep>& sweeps,
+    const std::vector<std::vector<SweptCell>>& swept);
+
+/// Pins spec.robust_variant, when empty, to the best robust variant of the
+/// robust_compare_selection_spec(spec) mitigation run.
+ExperimentSpec resolve_robust_compare(const ExperimentSpec& spec,
+                                      RunContext& context);
 
 std::vector<CellSweep> susceptibility_sweeps(const ExperimentSpec& spec);
 std::vector<CellSweep> mitigation_sweeps(const ExperimentSpec& spec);
-/// Empty unless spec.robust_variant is pinned: the robust variant is only
-/// known after the selection run (robust_compare_selection_spec).
+/// Empty unless spec.robust_variant is pinned (resolve_robust_compare).
 std::vector<CellSweep> robust_compare_sweeps(const ExperimentSpec& spec);
 std::vector<CellSweep> detection_sweeps(const ExperimentSpec& spec);
 std::vector<CellSweep> campaign_sweeps(const ExperimentSpec& spec);

@@ -154,6 +154,24 @@ std::string spec_to_json(const ExperimentSpec& spec) {
   // rounded; the other integer fields cannot get that large in practice.
   require(spec.base_seed <= (std::uint64_t{1} << 53),
           "spec_to_json: base_seed must be <= 2^53 to round-trip");
+  // The fields below are not shipped, and a worker's default would
+  // declare other cells or stores than the caller's spec does: refuse
+  // them here instead of failing every task. (cache_dir stays unshipped on
+  // purpose: each process places its own stores.)
+  const auto unshipped = [](const char* field) {
+    fail_argument(std::string("spec_to_json: field '") + field +
+                  "' cannot be shipped; leave it at its default");
+  };
+  if (spec.grid) unshipped("grid");
+  if (!spec.campaigns.empty()) unshipped("campaigns");
+  if (attack::config_fingerprint(spec.corruption) !=
+      attack::config_fingerprint(attack::CorruptionConfig{})) {
+    unshipped("corruption");
+  }
+  if (defense::config_fingerprint(spec.suite) !=
+      defense::config_fingerprint(defense::SuiteConfig{})) {
+    unshipped("suite");
+  }
   JsonWriter json(/*compact=*/true);
   json.begin_object();
   json.key("experiment").value(spec.experiment);

@@ -1,7 +1,5 @@
 #include "core/mitigation.hpp"
 
-#include <cstdio>
-
 #include "common/error.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
@@ -50,41 +48,25 @@ std::vector<CellSweep> mitigation_sweeps(const ExperimentSpec& spec) {
   return sweeps;
 }
 
-ExperimentResult run_mitigation_experiment(const ExperimentSpec& spec,
-                                           RunContext& context) {
-  spec.validate();  // callers may invoke this runner without the registry
-  const ExperimentSetup setup = spec.resolved_setup();
-  const auto scenarios =
-      attack::paper_scenario_grid(spec.seed_count, spec.base_seed);
-
+ExperimentResult::Payload assemble_mitigation(
+    const ExperimentSpec& spec, const std::vector<CellSweep>& sweeps,
+    const std::vector<std::vector<SweptCell>>& swept) {
   MitigationReport report;
-  report.model = setup.model;
+  report.model = spec.model;
 
-  for (const CellSweep& sweep_of_variant : mitigation_sweeps(spec)) {
-    const VariantSpec& variant = sweep_of_variant.variant;
-    context.throw_if_cancelled("mitigation");
-    context.note("mitigation: " + setup.tag() + " / " + variant.name);
-    if (spec.verbose) {
-      std::printf("[mitigation] %s / %s\n", setup.tag().c_str(),
-                  variant.name.c_str());
-      std::fflush(stdout);
-    }
-    const SweepResult sweep =
-        run_scenario_sweep(spec, context, sweep_of_variant, scenarios);
-
+  for (std::size_t s = 0; s < sweeps.size(); ++s) {
+    const VariantSpec& variant = sweeps[s].variant;
     VariantOutcome outcome;
     outcome.variant = variant;
-    outcome.baseline_accuracy = sweep.baseline_accuracy;
+    outcome.baseline_accuracy = swept[s][0].values[0];
     if (variant.is_original()) {
       report.original_baseline = outcome.baseline_accuracy;
     }
-    outcome.under_attack = sweep.under_attack();
+    outcome.under_attack = box_stats(scenario_accuracies(swept[s]));
     report.outcomes.push_back(std::move(outcome));
   }
 
-  ExperimentResult result;
-  result.payload = std::move(report);
-  return result;
+  return report;
 }
 
 }  // namespace safelight::core

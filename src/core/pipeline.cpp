@@ -74,6 +74,15 @@ std::string sweep_store_name(const ExperimentSetup& setup,
 std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
                                    const RunContext& context,
                                    const CellSweep& sweep) {
+  // Detector sweeps run no scenario.evaluate spans, so they get their own
+  // name and pipeline.sweep stays the denominator of the scenario busy
+  // ratio.
+  trace::Span sweep_span(sweep.detectors ? "defense" : "pipeline",
+                         sweep.detectors ? "defense.sweep" : "pipeline.sweep");
+  if (sweep_span.active()) {
+    sweep_span.arg("variant", sweep.variant.name)
+        .arg("cells", static_cast<double>(sweep.cells.size()));
+  }
   const ExperimentSetup setup = spec.resolved_setup();
   ModelZoo& zoo = context.zoo();
 
@@ -127,15 +136,6 @@ std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
   return swept;
 }
 
-std::vector<double> SweepResult::accuracies() const {
-  std::vector<double> values;
-  values.reserve(rows.size());
-  for (const auto& row : rows) values.push_back(row.accuracy);
-  return values;
-}
-
-BoxStats SweepResult::under_attack() const { return box_stats(accuracies()); }
-
 CellSweep scenario_sweep(const ExperimentSpec& spec,
                          const ExperimentSetup& setup,
                          const VariantSpec& variant,
@@ -181,31 +181,13 @@ CellSweep scenario_sweep(const ExperimentSpec& spec,
           }};
 }
 
-SweepResult run_scenario_sweep(
-    const ExperimentSpec& spec, const RunContext& context,
-    const CellSweep& sweep, const std::vector<attack::AttackScenario>& grid) {
-  trace::Span sweep_span("pipeline", "pipeline.sweep");
-  sweep_span.arg("variant", sweep.variant.name)
-      .arg("grid", static_cast<double>(grid.size()));
-  SAFELIGHT_ASSERT(sweep.cells.size() == grid.size() + 1,
-                   "run_scenario_sweep: sweep does not match its grid");
-  const std::vector<SweptCell> swept = sweep_cells(spec, context, sweep);
-
-  SweepResult result;
-  result.variant = sweep.variant.name;
-  result.baseline_accuracy = swept[0].values[0];
-  result.baseline_from_cache = !swept[0].fresh;
-  result.rows.reserve(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const SweptCell& cell = swept[i + 1];
-    result.rows.push_back({grid[i], cell.values[0], !cell.fresh});
-    if (cell.fresh) {
-      ++result.evaluated;
-    } else {
-      ++result.cache_hits;
-    }
+std::vector<double> scenario_accuracies(const std::vector<SweptCell>& swept) {
+  std::vector<double> accuracies;
+  accuracies.reserve(swept.size() - 1);
+  for (std::size_t i = 1; i < swept.size(); ++i) {
+    accuracies.push_back(swept[i].values[0]);
   }
-  return result;
+  return accuracies;
 }
 
 }  // namespace safelight::core

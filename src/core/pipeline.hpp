@@ -5,7 +5,8 @@
 // variant, fill a set of store keys per cell, assemble a report". A cell is
 // a stable id plus the ResultStore keys its evaluation fills. An experiment
 // declares its sweeps as data (CellSweep: variant, store suffix, cells,
-// whether its deployments carry a detector suite, evaluate), and the engine
+// whether its deployments carry a detector suite, evaluate), the registry
+// (ExperimentRegistry::run) hands each one to sweep_cells, and the engine
 // owns the whole shape once:
 //   * the variant is trained (or loaded) through the ModelZoo on the calling
 //     thread, so fan-out threads only ever load the finished entry;
@@ -30,7 +31,8 @@
 // cells, keys, store names and how a variant is deployed.
 //
 // scenario_sweep() declares the scenario sweep on top of it: a variant's
-// clean baseline plus one accuracy per scenario of a grid.
+// clean baseline plus one accuracy per scenario of a grid, read back in
+// grid order by scenario_accuracies().
 #pragma once
 
 #include <functional>
@@ -117,35 +119,12 @@ std::string sweep_store_name(const ExperimentSetup& setup,
 /// and `context` (zoo, cancel flag). The store is
 /// `<spec.cache_dir>/<sweep_store_name>`, in memory when cache_dir is
 /// empty. Throws ExperimentCancelled at the first cell boundary after
-/// context.cancel flips.
+/// context.cancel flips. The whole call, training included, runs in one
+/// trace span: `defense.sweep` for detector sweeps, `pipeline.sweep` for
+/// the others.
 std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
                                    const RunContext& context,
                                    const CellSweep& sweep);
-
-/// One evaluated grid entry.
-struct ScenarioOutcome {
-  attack::AttackScenario scenario;
-  double accuracy = 0.0;
-  /// True when the value came from the result store rather than an
-  /// evaluation in this sweep.
-  bool from_cache = false;
-};
-
-/// Outcome of one scenario sweep.
-struct SweepResult {
-  std::string variant;
-  double baseline_accuracy = 0.0;  // unattacked accuracy, evaluated once
-  bool baseline_from_cache = false;
-  std::vector<ScenarioOutcome> rows;  // in grid order
-  std::size_t cache_hits = 0;  // rows served from the result store
-  std::size_t evaluated = 0;   // scenarios actually evaluated this run
-
-  /// Accuracies in grid order.
-  std::vector<double> accuracies() const;
-
-  /// Five-number summary over all rows; throws when the sweep is empty.
-  BoxStats under_attack() const;
-};
 
 /// The scenario sweep of `variant` over `grid` (`setup` is
 /// spec.resolved_setup()): cell 0 is the clean baseline, cell i > 0 is
@@ -155,11 +134,8 @@ CellSweep scenario_sweep(const ExperimentSpec& spec,
                          const VariantSpec& variant,
                          std::vector<attack::AttackScenario> grid);
 
-/// Runs `sweep` (declared by scenario_sweep over `grid`) and assembles its
-/// result in grid order.
-SweepResult run_scenario_sweep(const ExperimentSpec& spec,
-                               const RunContext& context,
-                               const CellSweep& sweep,
-                               const std::vector<attack::AttackScenario>& grid);
+/// Accuracies of a swept scenario sweep in grid order: cells 1..n (cell 0
+/// is the clean baseline).
+std::vector<double> scenario_accuracies(const std::vector<SweptCell>& swept);
 
 }  // namespace safelight::core

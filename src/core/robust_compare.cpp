@@ -63,39 +63,39 @@ std::vector<CellSweep> robust_compare_sweeps(const ExperimentSpec& spec) {
               robust_compare_grid(spec))};
 }
 
-ExperimentResult run_robust_compare_experiment(const ExperimentSpec& spec,
-                                               RunContext& context) {
-  spec.validate();  // callers may invoke this runner without the registry
-  const ExperimentSetup setup = spec.resolved_setup();
-
-  std::string robust_name = spec.robust_variant;
-  if (robust_name.empty()) {
+ExperimentSpec resolve_robust_compare(const ExperimentSpec& spec,
+                                      RunContext& context) {
+  ExperimentSpec pinned = spec;
+  if (pinned.robust_variant.empty()) {
     // Select via the mitigation sweep at its own paper seed count (3).
     context.note("robust_compare: selecting robust variant");
-    robust_name = ExperimentRegistry::global()
-                      .run(robust_compare_selection_spec(spec), context)
-                      .as<MitigationReport>()
-                      .best_robust()
-                      .variant.name;
+    pinned.robust_variant = ExperimentRegistry::global()
+                                .run(robust_compare_selection_spec(spec),
+                                     context)
+                                .as<MitigationReport>()
+                                .best_robust()
+                                .variant.name;
   }
-  context.throw_if_cancelled("robust_compare");
+  return pinned;
+}
 
-  ExperimentSpec pinned = spec;
-  pinned.robust_variant = robust_name;
-  const auto grid = robust_compare_grid(pinned);
-  const std::vector<CellSweep> sweeps = robust_compare_sweeps(pinned);
-
-  context.note("robust_compare: sweeping Original vs " + robust_name);
-  const SweepResult original_sweep =
-      run_scenario_sweep(pinned, context, sweeps.at(0), grid);
-  const SweepResult robust_sweep =
-      run_scenario_sweep(pinned, context, sweeps.at(1), grid);
+ExperimentResult::Payload assemble_robust_compare(
+    const ExperimentSpec& spec, const std::vector<CellSweep>& /*sweeps*/,
+    const std::vector<std::vector<SweptCell>>& swept) {
+  const auto grid = robust_compare_grid(spec);
+  const std::vector<double> original_accuracies =
+      scenario_accuracies(swept.at(0));
+  const std::vector<double> robust_accuracies =
+      scenario_accuracies(swept.at(1));
+  SAFELIGHT_ASSERT(original_accuracies.size() == grid.size() &&
+                       robust_accuracies.size() == grid.size(),
+                   "robust_compare: sweeps do not match their grid");
 
   RobustComparisonReport report;
-  report.model = setup.model;
-  report.robust_variant_name = robust_name;
-  report.original_baseline = original_sweep.baseline_accuracy;
-  report.robust_baseline = robust_sweep.baseline_accuracy;
+  report.model = spec.model;
+  report.robust_variant_name = spec.robust_variant;
+  report.original_baseline = swept[0][0].values[0];
+  report.robust_baseline = swept[1][0].values[0];
 
   for (attack::AttackVector vector :
        {attack::AttackVector::kActuation, attack::AttackVector::kHotspot}) {
@@ -106,8 +106,8 @@ ExperimentResult run_robust_compare_experiment(const ExperimentSpec& spec,
             std::abs(grid[i].fraction - fraction) >= 1e-12) {
           continue;
         }
-        original_acc.push_back(original_sweep.rows[i].accuracy);
-        robust_acc.push_back(robust_sweep.rows[i].accuracy);
+        original_acc.push_back(original_accuracies[i]);
+        robust_acc.push_back(robust_accuracies[i]);
       }
       RobustComparisonCell cell;
       cell.vector = vector;
@@ -118,9 +118,7 @@ ExperimentResult run_robust_compare_experiment(const ExperimentSpec& spec,
     }
   }
 
-  ExperimentResult result;
-  result.payload = std::move(report);
-  return result;
+  return report;
 }
 
 }  // namespace safelight::core

@@ -43,22 +43,21 @@ std::vector<CellSweep> susceptibility_sweeps(const ExperimentSpec& spec) {
       attack::paper_scenario_grid(spec.seed_count, spec.base_seed))};
 }
 
-ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,
-                                               RunContext& context) {
-  spec.validate();  // callers may invoke this runner without the registry
-  const ExperimentSetup setup = spec.resolved_setup();
-  context.note("susceptibility: sweep " + setup.tag());
-  const SweepResult sweep =
-      run_scenario_sweep(spec, context, susceptibility_sweeps(spec).at(0),
-                         attack::paper_scenario_grid(spec.seed_count,
-                                                     spec.base_seed));
+ExperimentResult::Payload assemble_susceptibility(
+    const ExperimentSpec& spec, const std::vector<CellSweep>& /*sweeps*/,
+    const std::vector<std::vector<SweptCell>>& swept) {
+  const std::vector<attack::AttackScenario> grid =
+      attack::paper_scenario_grid(spec.seed_count, spec.base_seed);
+  const std::vector<double> accuracies = scenario_accuracies(swept.at(0));
+  SAFELIGHT_ASSERT(accuracies.size() == grid.size(),
+                   "susceptibility: sweep does not match its grid");
 
   SusceptibilityReport report;
-  report.model = setup.model;
-  report.baseline_accuracy = sweep.baseline_accuracy;
-  report.rows.reserve(sweep.rows.size());
-  for (const auto& outcome : sweep.rows) {
-    report.rows.push_back({outcome.scenario, outcome.accuracy});
+  report.model = spec.model;
+  report.baseline_accuracy = swept[0][0].values[0];
+  report.rows.reserve(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    report.rows.push_back({grid[i], accuracies[i]});
   }
 
   // Aggregate into the 18 groups (2 vectors x 3 targets x 3 fractions).
@@ -82,9 +81,7 @@ ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,
     }
   }
 
-  ExperimentResult result;
-  result.payload = std::move(report);
-  return result;
+  return report;
 }
 
 }  // namespace safelight::core

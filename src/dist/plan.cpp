@@ -20,8 +20,7 @@ std::vector<TaskMessage> DistPlanner::plan(core::ModelZoo& zoo,
                                            std::size_t workers) {
   const core::ExperimentInfo& info =
       core::ExperimentRegistry::global().info(spec.experiment);
-  const std::vector<core::CellSweep> sweeps =
-      info.sweeps ? info.sweeps(spec) : std::vector<core::CellSweep>{};
+  const std::vector<core::CellSweep> sweeps = info.sweeps(spec);
   const core::ExperimentSetup setup = spec.resolved_setup();
   const std::string shipped_spec = core::spec_to_json(spec);
 
@@ -83,16 +82,14 @@ std::optional<std::vector<TaskMessage>> DistPlanner::next_round(
         workers);
   }
   if (stage > 1 || !select) return std::nullopt;
-  // Every selection cell is cached now, so this is assembly-only work.
+  // Every selection cell is cached now, so the resolve is assembly-only
+  // work; it pins the variant exactly as the in-process run will.
   core::RunContext context(zoo);
-  core::ExperimentSpec pinned = spec_;
-  pinned.robust_variant =
-      core::ExperimentRegistry::global()
-          .run(core::robust_compare_selection_spec(spec_), context)
-          .as<core::MitigationReport>()
-          .best_robust()
-          .variant.name;
-  return plan(zoo, pinned, workers);
+  return plan(zoo,
+              core::ExperimentRegistry::global()
+                  .info(spec_.experiment)
+                  .resolve(spec_, context),
+              workers);
 }
 
 }  // namespace safelight::dist

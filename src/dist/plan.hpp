@@ -15,9 +15,10 @@
 //
 // Rounds exist because robust_compare declares its comparison sweeps only
 // once its robust variant is pinned. Unpinned, round 1 shards the mitigation
-// sweeps of robust_compare_selection_spec, the planner then runs that
-// mitigation in-process (fully cached) to pick the variant, and round 2
-// shards robust_compare with it pinned into the shipped spec.
+// sweeps of robust_compare_selection_spec; round 2 resolves the spec through
+// the experiment's own ExperimentInfo::resolve (which runs that mitigation
+// in-process, fully cached, exactly as the registry run will) and shards
+// robust_compare with the variant pinned into the shipped spec.
 #pragma once
 
 #include <cstdint>

@@ -219,8 +219,7 @@ std::unique_ptr<KeptSweep> deploy(const TaskMessage& task,
               "' differs from its spec's '" + spec.experiment + "'");
   const core::ExperimentInfo& info =
       core::ExperimentRegistry::global().info(task.experiment);
-  std::vector<core::CellSweep> sweeps =
-      info.sweeps ? info.sweeps(spec) : std::vector<core::CellSweep>{};
+  std::vector<core::CellSweep> sweeps = info.sweeps(spec);
   require(task.sweep < sweeps.size(),
           "worker: task names an undeclared sweep of " + task.experiment);
 
@@ -254,6 +253,7 @@ void run_task(const TaskMessage& task, KeptSweep& kept, const Seams& seams,
   }
   const core::CellSweep& sweep = kept.sweep;
   std::vector<std::size_t> cells;
+  std::vector<core::SweepCell> task_cells;  // cells[j]'s declaration
   for (const std::string& id : task.cells) {
     const auto it = std::find_if(
         sweep.cells.begin(), sweep.cells.end(),
@@ -265,19 +265,19 @@ void run_task(const TaskMessage& task, KeptSweep& kept, const Seams& seams,
                                task.experiment + "'");
     }
     cells.push_back(static_cast<std::size_t>(it - sweep.cells.begin()));
+    task_cells.push_back(*it);
   }
+  // The engine's pending rule over the task's cells, so worker, planner
+  // and engine agree on what is cached (and on one id per key).
   core::ResultStore& store = *kept.store;
-  for (const std::size_t i : cells) {
+  const std::vector<std::size_t> pending = core::pending_cells(
+      task_cells, [&](const std::string& key) { return store.contains(key); });
+  done.cached += cells.size() - pending.size();
+  for (const std::size_t p : pending) {
     if (cancel != nullptr && cancel->load()) {
       throw core::ExperimentCancelled("worker");
     }
-    const std::vector<std::string>& keys = sweep.cells[i].keys;
-    if (std::all_of(keys.begin(), keys.end(), [&](const std::string& key) {
-          return store.contains(key);
-        })) {
-      ++done.cached;
-      continue;
-    }
+    const std::size_t i = cells[p];
     apply_seams(seams, sweep.cells[i].id);
     sweep.evaluate(kept.deployment, i, store);
     ++done.evaluated;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <system_error>
 
@@ -14,6 +15,7 @@
 #include "cli/cli.hpp"
 #include "common/config.hpp"
 #include "core/experiment.hpp"
+#include "core/pipeline.hpp"
 #include "test_util.hpp"
 
 namespace safelight {
@@ -61,7 +63,10 @@ TEST(ExperimentRegistry, ListsTheFiveBuiltinsInFigureOrder) {
     EXPECT_FALSE(info.summary.empty());
     EXPECT_GE(info.default_seed_count, 1u);
     EXPECT_FALSE(info.csv_files.empty());
-    EXPECT_TRUE(static_cast<bool>(info.run));
+    EXPECT_TRUE(static_cast<bool>(info.sweeps));
+    EXPECT_TRUE(static_cast<bool>(info.assemble));
+    // Only robust_compare completes its spec (the selection run).
+    EXPECT_EQ(static_cast<bool>(info.resolve), name == "robust_compare");
   }
 }
 
@@ -82,15 +87,22 @@ TEST(ExperimentRegistry, DuplicateAndInvalidRegistrationsThrow) {
   core::ExperimentRegistry registry;
   core::ExperimentInfo info;
   info.name = "custom";
-  info.run = core::run_susceptibility_experiment;
+  info.sweeps = core::susceptibility_sweeps;
+  info.assemble = core::assemble_susceptibility;
   registry.add(info);
   EXPECT_THROW(registry.add(info), std::invalid_argument);  // duplicate
-  core::ExperimentInfo nameless;
-  nameless.run = core::run_susceptibility_experiment;
+  core::ExperimentInfo nameless = info;
+  nameless.name.clear();
   EXPECT_THROW(registry.add(nameless), std::invalid_argument);
-  core::ExperimentInfo runless;
-  runless.name = "runless";
-  EXPECT_THROW(registry.add(runless), std::invalid_argument);
+  core::ExperimentInfo sweepless = info;
+  sweepless.name = "sweepless";
+  sweepless.sweeps = nullptr;
+  EXPECT_THROW(registry.add(sweepless), std::invalid_argument);
+  core::ExperimentInfo assembleless = info;
+  assembleless.name = "assembleless";
+  assembleless.assemble = nullptr;
+  EXPECT_THROW(registry.add(assembleless), std::invalid_argument);
+  EXPECT_EQ(registry.names(), std::vector<std::string>{"custom"});
 }
 
 TEST(ExperimentSpec, ValidationRejectsBadFieldsWithActionableMessages) {
@@ -154,6 +166,18 @@ TEST(ExperimentSpec, RunRejectsUnknownModelNameAtTheParseBoundary) {
   }
 }
 
+/// Every regular file under `dir`, path -> bytes.
+std::map<std::string, std::string> snapshot(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files[entry.path().string()] = read_file_bytes(entry.path().string());
+    }
+  }
+  return files;
+}
+
 TEST(ExperimentSweep, EveryRegisteredExperimentRoundTripsAtTinyScale) {
   TempDir dir("experiment_roundtrip");
   core::ModelZoo zoo(dir.path());
@@ -165,7 +189,15 @@ TEST(ExperimentSweep, EveryRegisteredExperimentRoundTripsAtTinyScale) {
   for (const std::string& name : registry.names()) {
     SCOPED_TRACE(name);
     const core::ExperimentSpec spec = tiny_spec(name, dir.path());
+    // Fill the declared sweeps first: the registry run must then evaluate
+    // nothing, so no file in the cache dir changes by a byte.
+    for (const core::CellSweep& sweep : registry.info(name).sweeps(spec)) {
+      core::sweep_cells(spec, context, sweep);
+    }
+    const std::map<std::string, std::string> filled = snapshot(dir.path());
     const core::ExperimentResult result = registry.run(spec, context);
+    EXPECT_EQ(snapshot(dir.path()), filled)
+        << "the run evaluated cells outside its declared sweeps";
 
     EXPECT_EQ(result.experiment, name);
     EXPECT_GT(result.wall_seconds, 0.0);

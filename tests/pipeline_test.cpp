@@ -48,14 +48,23 @@ ExperimentSpec tiny_spec(const std::string& cache_dir = "",
   return spec;
 }
 
-/// The scenario sweep of `variant` over `grid`, declared and run.
-SweepResult sweep_variant(const ExperimentSpec& spec,
-                          const RunContext& context,
-                          const VariantSpec& variant,
-                          const std::vector<attack::AttackScenario>& grid) {
-  return run_scenario_sweep(
+/// The scenario sweep of `variant` over `grid`, declared and run: cell 0
+/// is the clean baseline, cell i + 1 is grid[i].
+std::vector<SweptCell> sweep_variant(
+    const ExperimentSpec& spec, const RunContext& context,
+    const VariantSpec& variant,
+    const std::vector<attack::AttackScenario>& grid) {
+  return sweep_cells(
       spec, context,
-      scenario_sweep(spec, spec.resolved_setup(), variant, grid), grid);
+      scenario_sweep(spec, spec.resolved_setup(), variant, grid));
+}
+
+/// Scenario cells (the baseline excluded) the sweep evaluated rather than
+/// read from the store.
+std::size_t fresh_scenarios(const std::vector<SweptCell>& swept) {
+  return static_cast<std::size_t>(
+      std::count_if(swept.begin() + 1, swept.end(),
+                    [](const SweptCell& cell) { return cell.fresh; }));
 }
 
 /// The one store file in `dir` whose name ends in `suffix`; empty (and a
@@ -358,31 +367,34 @@ TEST(Pipeline, DeterministicAcrossRunsAndMatchesSerial) {
   const auto grid = small_grid();
 
   // Parallel run, no persistence.
-  const SweepResult a = sweep_variant(tiny_spec(), context, original, grid);
+  const auto a_cells = sweep_variant(tiny_spec(), context, original, grid);
 
   // Second run from scratch: identical accuracies in identical order.
-  const SweepResult b = sweep_variant(tiny_spec(), context, original, grid);
-  ASSERT_EQ(a.rows.size(), grid.size());
-  ASSERT_EQ(b.rows.size(), grid.size());
+  const auto b_cells = sweep_variant(tiny_spec(), context, original, grid);
+  const std::vector<double> a = scenario_accuracies(a_cells);
+  const std::vector<double> b = scenario_accuracies(b_cells);
+  ASSERT_EQ(a.size(), grid.size());
+  ASSERT_EQ(b.size(), grid.size());
+  const core::CellSweep declared =
+      scenario_sweep(tiny_spec(), setup, original, grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(a.rows[i].scenario.id(), grid[i].id());
-    EXPECT_DOUBLE_EQ(a.rows[i].accuracy, b.rows[i].accuracy) << grid[i].id();
+    EXPECT_EQ(declared.cells[i + 1].id, grid[i].id());
+    EXPECT_DOUBLE_EQ(a[i], b[i]) << grid[i].id();
   }
-  EXPECT_DOUBLE_EQ(a.baseline_accuracy, b.baseline_accuracy);
+  EXPECT_DOUBLE_EQ(a_cells[0].values[0], b_cells[0].values[0]);
 
   // Forced-serial run agrees with the fan-out (same seeds -> same results).
-  const SweepResult serial =
-      sweep_variant(tiny_spec("", 1), context, original, grid);
+  const std::vector<double> serial = scenario_accuracies(
+      sweep_variant(tiny_spec("", 1), context, original, grid));
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.rows[i].accuracy, a.rows[i].accuracy)
-        << grid[i].id();
+    EXPECT_DOUBLE_EQ(serial[i], a[i]) << grid[i].id();
   }
 
   // And the serial reference path (AttackEvaluator loop) agrees too.
   auto model = zoo.get_or_train(setup, original);
   AttackEvaluator evaluator(setup, *model, "Original", "");
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_DOUBLE_EQ(evaluator.evaluate_scenario(grid[i]), a.rows[i].accuracy)
+    EXPECT_DOUBLE_EQ(evaluator.evaluate_scenario(grid[i]), a[i])
         << grid[i].id();
   }
 }
@@ -395,19 +407,19 @@ TEST(Pipeline, ResumesFromPersistedStore) {
   const VariantSpec original = variant_by_name("Original");
   const auto grid = small_grid();
 
-  const SweepResult first = sweep_variant(spec, context, original, grid);
-  EXPECT_EQ(first.evaluated, grid.size());
-  EXPECT_EQ(first.cache_hits, 0u);
-  EXPECT_FALSE(first.baseline_from_cache);
+  const auto first = sweep_variant(spec, context, original, grid);
+  ASSERT_EQ(first.size(), grid.size() + 1);
+  EXPECT_EQ(fresh_scenarios(first), grid.size());  // no cache hits
+  EXPECT_TRUE(first[0].fresh);
 
   // A second sweep (simulating a restarted process) evaluates nothing:
   // every scenario and the baseline come from the store.
-  const SweepResult second = sweep_variant(spec, context, original, grid);
-  EXPECT_EQ(second.evaluated, 0u);
-  EXPECT_EQ(second.cache_hits, grid.size());
-  EXPECT_TRUE(second.baseline_from_cache);
+  const auto second = sweep_variant(spec, context, original, grid);
+  ASSERT_EQ(second.size(), grid.size() + 1);
+  EXPECT_EQ(fresh_scenarios(second), 0u);  // all cache hits
+  EXPECT_FALSE(second[0].fresh);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_DOUBLE_EQ(second.rows[i].accuracy, first.rows[i].accuracy);
+    EXPECT_DOUBLE_EQ(second[i + 1].values[0], first[i + 1].values[0]);
   }
 
   // Interrupt simulation: delete the last scenario row from the store file
@@ -432,12 +444,12 @@ TEST(Pipeline, ResumesFromPersistedStore) {
     std::ofstream out(store_file, std::ios::trunc);
     for (const auto& line : lines) out << line << '\n';
   }
-  const SweepResult third = sweep_variant(spec, context, original, grid);
-  EXPECT_EQ(third.evaluated, 1u);
-  EXPECT_EQ(third.cache_hits, grid.size() - 1);
-  EXPECT_TRUE(third.baseline_from_cache);
+  const auto third = sweep_variant(spec, context, original, grid);
+  ASSERT_EQ(third.size(), grid.size() + 1);
+  EXPECT_EQ(fresh_scenarios(third), 1u);  // grid.size() - 1 cache hits
+  EXPECT_FALSE(third[0].fresh);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_DOUBLE_EQ(third.rows[i].accuracy, first.rows[i].accuracy);
+    EXPECT_DOUBLE_EQ(third[i + 1].values[0], first[i + 1].values[0]);
   }
 }
 
@@ -452,18 +464,19 @@ TEST(Pipeline, DeduplicatesBaselineAndRepeatedScenarios) {
   const std::size_t unique_count = grid.size();
   grid.insert(grid.end(), grid.begin(), grid.begin() + 2);
 
-  const SweepResult sweep =
+  const auto sweep =
       sweep_variant(spec, context, variant_by_name("Original"), grid);
-  EXPECT_EQ(sweep.evaluated, unique_count);
-  ASSERT_EQ(sweep.rows.size(), unique_count + 2);
-  EXPECT_DOUBLE_EQ(sweep.rows[0].accuracy, sweep.rows[unique_count].accuracy);
+  EXPECT_EQ(fresh_scenarios(sweep), unique_count);
+  const std::vector<double> accuracies = scenario_accuracies(sweep);
+  ASSERT_EQ(accuracies.size(), unique_count + 2);
+  EXPECT_DOUBLE_EQ(accuracies[0], accuracies[unique_count]);
 
   // The store holds exactly one baseline entry, shared by both sweeps of
   // this variant (the second run reads, never re-evaluates).
-  const SweepResult again =
+  const auto again =
       sweep_variant(spec, context, variant_by_name("Original"), grid);
-  EXPECT_TRUE(again.baseline_from_cache);
-  EXPECT_DOUBLE_EQ(again.baseline_accuracy, sweep.baseline_accuracy);
+  EXPECT_FALSE(again[0].fresh);
+  EXPECT_DOUBLE_EQ(again[0].values[0], sweep[0].values[0]);
 }
 
 TEST(Pipeline, CorruptionConfigSeparatesStores) {
@@ -481,9 +494,9 @@ TEST(Pipeline, CorruptionConfigSeparatesStores) {
   // the default-physics cache entries.
   ExperimentSpec ablated_spec = default_spec;
   ablated_spec.corruption.actuation.park_spacing_fraction = 0.02;
-  const SweepResult ablated_sweep =
+  const auto ablated_sweep =
       sweep_variant(ablated_spec, context, variant_by_name("Original"), grid);
-  EXPECT_EQ(ablated_sweep.evaluated, grid.size());  // no cross-config hits
+  EXPECT_EQ(fresh_scenarios(ablated_sweep), grid.size());  // no cross-config hits
 
   std::size_t store_count = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
@@ -537,15 +550,18 @@ TEST(Pipeline, AdversarialOrderIsDeterministicAndBuildsEachBoundaryOnce) {
     if (reversed) std::reverse(grid.begin(), grid.end());
     for (const std::size_t max_workers : {1u, 2u, 4u}) {
       const std::uint64_t before = builds.value();
-      const SweepResult sweep =
-          sweep_variant(tiny_spec("", max_workers), context, variant, grid);
+      const ExperimentSpec spec = tiny_spec("", max_workers);
+      const core::CellSweep declared =
+          scenario_sweep(spec, setup, variant, grid);
+      const std::vector<double> accuracies =
+          scenario_accuracies(sweep_cells(spec, context, declared));
       // Each boundary is built once per sweep, however many threads ran.
       EXPECT_EQ(builds.value() - before, boundaries)
           << "max_workers " << max_workers << (reversed ? " reversed" : "");
-      ASSERT_EQ(sweep.rows.size(), grid.size());
+      ASSERT_EQ(accuracies.size(), grid.size());
       for (std::size_t i = 0; i < grid.size(); ++i) {
-        EXPECT_EQ(sweep.rows[i].scenario.id(), grid[i].id());
-        EXPECT_EQ(sweep.rows[i].accuracy, expected.at(grid[i].id()))
+        EXPECT_EQ(declared.cells[i + 1].id, grid[i].id());
+        EXPECT_EQ(accuracies[i], expected.at(grid[i].id()))
             << grid[i].id() << " max_workers " << max_workers;
       }
     }

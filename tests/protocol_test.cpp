@@ -74,6 +74,46 @@ TEST(DistProtocol, SpecRoundTripsThroughSpecJsonBitExactly) {
   }
 }
 
+/// spec_to_json(spec) must throw std::invalid_argument naming `field`.
+void expect_unshippable(const core::ExperimentSpec& spec,
+                        const std::string& field) {
+  try {
+    core::spec_to_json(spec);
+    FAIL() << "spec_to_json shipped a spec with '" << field << "' set";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + field + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The fields spec_to_json does not write would silently fall back to their
+// defaults in the worker, which then declares other cells or stores than
+// the caller's spec: each one off its default is refused up front.
+TEST(DistProtocol, SpecToJsonRefusesAGridItCannotShip) {
+  core::ExperimentSpec spec = shipped_spec();
+  spec.grid = std::vector<attack::AttackScenario>{};
+  expect_unshippable(spec, "grid");
+}
+
+TEST(DistProtocol, SpecToJsonRefusesCampaignsItCannotShip) {
+  core::ExperimentSpec spec = shipped_spec();
+  spec.campaigns = attack::standard_campaigns();
+  expect_unshippable(spec, "campaigns");
+}
+
+TEST(DistProtocol, SpecToJsonRefusesACorruptionConfigItCannotShip) {
+  core::ExperimentSpec spec = shipped_spec();
+  spec.corruption.actuation.park_spacing_fraction = 0.02;
+  expect_unshippable(spec, "corruption");
+}
+
+TEST(DistProtocol, SpecToJsonRefusesASuiteConfigItCannotShip) {
+  core::ExperimentSpec spec = shipped_spec();
+  spec.suite.probe_data_seed += 1;
+  expect_unshippable(spec, "suite");
+}
+
 TEST(DistProtocol, TaskRoundTripsThroughNdjsonBitExactly) {
   TaskMessage task;
   task.id = 42;

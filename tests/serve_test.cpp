@@ -24,6 +24,7 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "core/experiment.hpp"
+#include "core/pipeline.hpp"
 #include "core/result_store.hpp"
 #include "core/zoo.hpp"
 #include "dist/store_merge.hpp"
@@ -70,18 +71,23 @@ void ensure_block_experiment() {
     info.name = "test_block";
     info.summary = "serve_test: spins until released or cancelled";
     info.default_seed_count = 1;
-    info.run = [](const core::ExperimentSpec& spec,
-                  core::RunContext& context) {
+    info.sweeps = [](const core::ExperimentSpec&) {
+      return std::vector<core::CellSweep>{};
+    };
+    info.assemble = [](const core::ExperimentSpec&,
+                       const std::vector<core::CellSweep>&,
+                       const std::vector<std::vector<core::SweptCell>>&) {
+      return core::ExperimentResult::Payload{core::SusceptibilityReport{}};
+    };
+    info.resolve = [](const core::ExperimentSpec& spec,
+                      core::RunContext& context) {
       g_block_started.fetch_add(1);
       context.note("test_block: spinning");
       while (!g_block_release.load()) {
         context.throw_if_cancelled("test_block");
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
-      core::ExperimentResult result;
-      result.payload = core::SusceptibilityReport{};
-      (void)spec;
-      return result;
+      return spec;
     };
     core::ExperimentRegistry::global().add(std::move(info));
     return true;

@@ -1,5 +1,6 @@
 // Tests for the observability layer: common/trace (scoped spans, thread
-// buffers, Chrome trace-event flush, worker-event ingest), common/metrics
+// buffers, Chrome trace-event flush, worker-event ingest, the sweep span of
+// a detection run), common/metrics
 // (histogram bucket geometry, quantiles, snapshot merging, the
 // safelight.metrics.v1 JSON schema), and common/log level gating.
 //
@@ -22,6 +23,7 @@
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "core/experiment.hpp"
 #include "test_util.hpp"
 
 namespace safelight {
@@ -69,6 +71,44 @@ TEST(TraceSpan, NestedSpansNestWithinTheParentInterval) {
   EXPECT_EQ(inner.str_args[0].first, "detector");
   EXPECT_EQ(inner.str_args[0].second, "spc");
   trace::reset();
+}
+
+TEST(TraceSpan, DetectionRunRecordsOneDefenseSweepSpan) {
+  TempDir dir("trace_defense_sweep");
+  core::ModelZoo zoo(dir.path());
+  core::RunContext context(zoo);
+  core::ExperimentSpec spec =
+      core::ExperimentRegistry::global().default_spec("detection");
+  spec.model = nn::ModelId::kCnn1;
+  spec.scale = Scale::kTiny;
+  spec.clean_runs = 1;
+  spec.grid = attack::scenario_grid({attack::AttackVector::kHotspot},
+                                    {attack::AttackTarget::kBothBlocks},
+                                    {0.10}, 1, 100);
+  // Train before arming, so the buffer holds the sweep's spans only.
+  zoo.get_or_train(spec.resolved_setup(), spec.resolved_variant());
+
+  trace::reset();
+  trace::arm_buffering();
+  core::ExperimentRegistry::global().run(spec, context);
+  const std::vector<trace::RawEvent> events = trace::drain();
+  trace::reset();
+  std::size_t defense_sweeps = 0;
+  for (const trace::RawEvent& event : events) {
+    // Detector sweeps stay out of pipeline.sweep, the denominator of the
+    // scenario busy ratio.
+    EXPECT_NE(event.name, "pipeline.sweep");
+    if (event.name != "defense.sweep") continue;
+    ++defense_sweeps;
+    EXPECT_EQ(event.cat, "defense");
+    ASSERT_EQ(event.str_args.size(), 1u);
+    EXPECT_EQ(event.str_args[0],
+              (std::pair<std::string, std::string>{"variant", "Original"}));
+    ASSERT_EQ(event.num_args.size(), 1u);
+    EXPECT_EQ(event.num_args[0],
+              (std::pair<std::string, double>{"cells", 2.0}));
+  }
+  EXPECT_EQ(defense_sweeps, 1u);
 }
 
 TEST(TraceFlush, MergesThreadBuffersIntoOneChromeDocument) {
