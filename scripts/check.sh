@@ -3,6 +3,9 @@
 #
 #   scripts/check.sh [build-dir]
 #
+# 0. env-knob lint: `getenv(` appears in src/ only in common/config.cpp
+#    (the one way to read SAFELIGHT_* knobs) and in the test seams
+#    dist/worker.hpp documents.
 # 1. configure + build (warnings-as-errors, Release; ccache-launched when
 #    ccache is on PATH, so cached CI runs rebuild in seconds)
 # 2. run the full ctest suite
@@ -75,6 +78,18 @@ CMAKE_LAUNCHER_ARGS=()
 if command -v ccache >/dev/null; then
   CMAKE_LAUNCHER_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
+
+phase_start "env-knob lint"
+STRAY_GETENV="$(grep -rn 'getenv(' src \
+  | grep -v '^src/common/config\.cpp:' \
+  | grep -vE '^src/dist/worker\.cpp:[0-9]+:.*getenv\("SAFELIGHT_DIST_(POISON|HANG|HANG_ONCE|FAKE_KERNEL)"\)' \
+  || true)"
+if [[ -n "$STRAY_GETENV" ]]; then
+  echo "error: getenv( outside common/config.cpp; read the knob through config::" >&2
+  echo "$STRAY_GETENV" >&2
+  exit 1
+fi
+phase_end
 
 phase_start "configure"
 cmake -B "$BUILD_DIR" -S . "${CMAKE_LAUNCHER_ARGS[@]}" \

@@ -43,7 +43,8 @@ constexpr const char* kUsage =
     "                       ExperimentSpec JSON over HTTP, stream NDJSON\n"
     "                       progress (docs/architecture.md \"Serving\")\n"
     "  worker               internal: distributed sweep worker (spawned by\n"
-    "                       'run --workers N', speaks NDJSON on stdin/stdout)\n"
+    "                       'run --workers N', speaks NDJSON on stdin/stdout);\n"
+    "                       takes the flags below plus --store-dir <dir>\n"
     "  help                 this text\n"
     "\n"
     "flags (precedence: flag > SAFELIGHT_* env > default):\n"
@@ -74,7 +75,8 @@ constexpr const char* kUsage =
     "  --heartbeat-timeout <s>   worker silence before a kill + retry\n"
     "  --max-task-retries <N>    task failures tolerated before quarantine\n"
     "  --chaos <p>          arm fault injection inside the workers with\n"
-    "                       per-write crash probability p (chaos testing)\n"
+    "                       per-write crash probability p (chaos testing;\n"
+    "                       needs --workers)\n"
     "\n"
     "observability (docs/architecture.md \"Observability\"):\n"
     "  --trace <file>       write a merged Chrome trace-event JSON of the\n"
@@ -88,6 +90,8 @@ constexpr const char* kUsage =
     "  --fault-point <p>    only pull the plug at this named point\n"
     "  --fault-n <N>        crash on the N-th matched hit (run_length),\n"
     "                       or draw the hit uniformly from [1, N] (uniform)\n"
+    "  --fault-prob <p>     per-hit crash probability (independent)\n"
+    "  --fault-seed <N>     seed of the injection draws\n"
     "\n"
     "exit codes: 0 ok, 1 runtime error, 2 usage error, 3 sweep incomplete\n"
     "(quarantined tasks), 42 injected crash, 130 cancelled (SIGINT/SIGTERM)\n";
@@ -96,7 +100,8 @@ struct CliOptions {
   std::vector<nn::ModelId> models;  // resolved; paper models when no --model
   bool json = false;
   bool verbose = false;
-  double chaos = 0.0;  // worker-side per-write crash probability
+  double chaos = 0.0;     // worker-side per-write crash probability
+  std::string store_dir;  // `safelight worker` only: its private stores
 };
 
 using core::banner;
@@ -155,19 +160,26 @@ std::size_t positive_int(const std::string& flag, const std::string& value) {
   return static_cast<std::size_t>(parsed);
 }
 
-/// Strict full-string parse of a positive double (no trailing garbage).
-double positive_double(const std::string& flag, const std::string& value) {
+/// Strict full-string parse of a double (no trailing garbage) for which
+/// `valid` holds; `expected` completes the error's "flag <f> needs ...".
+template <typename Valid>
+double number(const std::string& flag, const std::string& value, Valid valid,
+              const char* expected) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  require(end != value.c_str() && *end == '\0' && parsed > 0.0,
-          "flag " + flag + " needs a positive number (got '" + value + "')");
+  require(end != value.c_str() && *end == '\0' && valid(parsed),
+          "flag " + flag + " needs " + expected + " (got '" + value + "')");
   return parsed;
 }
 
-/// Parses flags into (config overrides, CLI options); consumes all args
-/// after the command word. Throws std::invalid_argument on unknown flags.
+/// Parses flags into (config overrides, CLI options), consumes all args
+/// after the command word, then arms fault injection, telemetry and the
+/// compute backend from the result. Every command goes through here, the
+/// coordinator-spawned `worker` too: it alone accepts --store-dir, and its
+/// --trace/--metrics buffer for the event pipe instead of writing files.
+/// Throws std::invalid_argument on unknown flags.
 CliOptions parse_flags(const std::vector<std::string>& args,
-                       std::size_t begin) {
+                       std::size_t begin, bool worker) {
   CliOptions options;
   config::Overrides overrides;
   for (std::size_t i = begin; i < args.size(); ++i) {
@@ -215,18 +227,14 @@ CliOptions parse_flags(const std::vector<std::string>& args,
       overrides.workers =
           static_cast<std::size_t>(nonnegative_int(flag, value()));
     } else if (flag == "--heartbeat-timeout") {
-      overrides.heartbeat_timeout_s = positive_double(flag, value());
+      overrides.heartbeat_timeout_s = number(
+          flag, value(), [](double v) { return v > 0.0; }, "a positive number");
     } else if (flag == "--max-task-retries") {
       overrides.max_task_retries = positive_int(flag, value());
     } else if (flag == "--chaos") {
-      const std::string& raw = value();
-      char* end = nullptr;
-      const double parsed = std::strtod(raw.c_str(), &end);
-      require(end != raw.c_str() && *end == '\0' && parsed >= 0.0 &&
-                  parsed < 1.0,
-              "flag --chaos needs a probability in [0, 1) (got '" + raw +
-                  "')");
-      options.chaos = parsed;
+      options.chaos = number(
+          flag, value(), [](double v) { return v >= 0.0 && v < 1.0; },
+          "a probability in [0, 1)");
     } else if (flag == "--fault-mode") {
       const std::string& mode = value();
       fault::parse_mode(mode);  // reject typos at the flag boundary
@@ -235,6 +243,12 @@ CliOptions parse_flags(const std::vector<std::string>& args,
       overrides.fault_point = value();
     } else if (flag == "--fault-n") {
       overrides.fault_n = positive_int(flag, value());
+    } else if (flag == "--fault-prob") {
+      overrides.fault_prob = number(
+          flag, value(), [](double v) { return v >= 0.0 && v <= 1.0; },
+          "a probability in [0, 1]");
+    } else if (flag == "--fault-seed") {
+      overrides.fault_seed = nonnegative_int(flag, value());
     } else if (flag == "--trace") {
       overrides.trace_path = value();
     } else if (flag == "--metrics") {
@@ -243,19 +257,26 @@ CliOptions parse_flags(const std::vector<std::string>& args,
       options.json = true;
     } else if (flag == "--verbose") {
       options.verbose = true;
+    } else if (flag == "--store-dir" && worker) {
+      options.store_dir = value();
     } else {
       fail_argument("unknown flag '" + flag + "' (see 'safelight help')");
     }
   }
   if (options.models.empty()) options.models = nn::paper_models();
   config::set_overrides(overrides);
+  // Chaos is armed in dist workers only; without them it would silently
+  // run an unperturbed sweep.
+  require(options.chaos == 0.0 || config::workers() > 0,
+          "flag --chaos needs --workers N (N >= 1): it arms fault injection "
+          "inside the dist workers only");
   // Arm (or disarm) fault injection from the now-complete flag > env >
   // default resolution; every durable write below this point is a ptp site.
   fault::init_from_config();
   // Same precedence for the observability layer: every span/metric site
   // below this point is live (or a single relaxed load when disarmed).
-  trace::init_from_config();
-  metrics::init_from_config();
+  trace::init_from_config(/*buffer_only=*/worker);
+  metrics::init_from_config(/*collect_only=*/worker);
   // The cached backend resolution may predate the overrides just installed
   // (run() is invoked repeatedly in one process by tests and embedders);
   // re-resolve, then report the choice through the armed telemetry.
@@ -627,63 +648,22 @@ int cmd_serve(const CliOptions& options) {
 }
 
 /// `safelight worker`: the coordinator-spawned end of the distributed
-/// protocol. stdin carries task commands, the *original* stdout carries
-/// events; stdout is re-pointed at stderr immediately so stray prints from
-/// experiment code cannot corrupt the event stream.
-int cmd_worker(const std::vector<std::string>& args) {
-  std::string zoo_dir;
-  std::string store_dir;
-  config::Overrides overrides;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    const auto value = [&]() -> const std::string& {
-      require(i + 1 < args.size(), "flag " + flag + " needs a value");
-      return args[++i];
-    };
-    if (flag == "--slot") {
-      nonnegative_int(flag, value());  // a label; the store dir carries it
-    } else if (flag == "--store-dir") {
-      store_dir = value();
-    } else if (flag == "--zoo") {
-      zoo_dir = value();
-      overrides.zoo_dir = zoo_dir;
-    } else if (flag == "--threads") {
-      overrides.threads = positive_int(flag, value());
-    } else {
-      fail_argument("unknown worker flag '" + flag + "'");
-    }
-  }
-  require(!store_dir.empty(), "'safelight worker' needs --store-dir");
-  config::set_overrides(overrides);
-  // Chaos runs arm the plug-pull harness via the SAFELIGHT_FAULT_* env the
-  // coordinator set for this slot.
-  fault::init_from_config();
-  // A traced coordinator injects SAFELIGHT_TRACE_PIPE/SAFELIGHT_METRICS_PIPE
-  // (never SAFELIGHT_TRACE/SAFELIGHT_METRICS — those are stripped so a
-  // worker can't clobber the output files): the worker buffers spans and
-  // metrics and ships them home over the event pipe.
-  trace::init_from_config();
-  metrics::init_from_config();
-  // Workers select their backend from the SAFELIGHT_BACKEND the coordinator
-  // injected (or their own CPU probe under "auto" — safe on heterogeneous
-  // fleets because all conforming variants are bitwise-identical, and the
-  // hello handshake rejects a binary whose numerics actually differ).
-  nn::backend::invalidate_cache();
-  nn::backend::announce(/*verbose=*/false);
-
+/// protocol, configured by its command line alone (parse_flags). stdin
+/// carries task commands, the *original* stdout carries events; stdout is
+/// re-pointed at stderr immediately so stray prints from experiment code
+/// cannot corrupt the event stream.
+int cmd_worker(const CliOptions& options) {
+  require(!options.store_dir.empty(), "'safelight worker' needs --store-dir");
   dist::WorkerOptions worker;
-  worker.zoo_dir = zoo_dir;
-  worker.store_dir = store_dir;
+  worker.zoo_dir = config::zoo_dir();
+  worker.store_dir = options.store_dir;
   worker.protocol_in = 0;
   worker.protocol_out = ::dup(1);
   require(worker.protocol_out >= 0, "worker: dup(stdout) failed");
   ::dup2(2, 1);
-  if (const auto interval =
-          config::strict_env_double("SAFELIGHT_DIST_HEARTBEAT_INTERVAL")) {
-    require(*interval > 0.0,
-            "SAFELIGHT_DIST_HEARTBEAT_INTERVAL must be > 0 seconds");
-    worker.heartbeat_interval_s = *interval;
-  }
+  // Four beats per timeout window, so one late beat never reads as a hang.
+  worker.heartbeat_interval_s =
+      std::clamp(config::heartbeat_timeout_s() / 4.0, 0.02, 1.0);
   worker.cancel = &g_cancel_requested;
   return dist::run_worker(worker);
 }
@@ -730,22 +710,22 @@ int run(const std::vector<std::string>& args) {
       return cmd_list(args.size() == 2);
     }
     if (command == "serve") {
-      const CliOptions options = parse_flags(args, 1);
+      const CliOptions options = parse_flags(args, 1, /*worker=*/false);
       return cmd_serve(options);
     }
     if (command == "run") {
       require(args.size() >= 2 && args[1].rfind("--", 0) != 0,
               "'safelight run' needs an experiment name (try "
               "'safelight list')");
-      const CliOptions options = parse_flags(args, 2);
+      const CliOptions options = parse_flags(args, 2, /*worker=*/false);
       return cmd_run({args[1]}, options);
     }
     if (command == "run-all") {
-      const CliOptions options = parse_flags(args, 1);
+      const CliOptions options = parse_flags(args, 1, /*worker=*/false);
       return cmd_run(core::ExperimentRegistry::global().names(), options);
     }
     if (command == "worker") {
-      return cmd_worker(args);
+      return cmd_worker(parse_flags(args, 1, /*worker=*/true));
     }
     fail_argument("unknown command '" + command +
                   "' (see 'safelight help')");

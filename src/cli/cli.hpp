@@ -6,8 +6,10 @@
 //   safelight run <experiment> [...]   one experiment, paper models
 //   safelight run-all [...]            every experiment, one process,
 //                                      shared zoo/caches
-//   safelight worker [...]             internal: distributed sweep worker
-//                                      (spawned by 'run --workers N')
+//   safelight worker --store-dir <d> [...]
+//                                      internal: distributed sweep worker
+//                                      (spawned by 'run --workers N', which
+//                                      passes every setting as a flag)
 //
 // Flags (CLI flag > SAFELIGHT_* env > default; see common/config.hpp):
 //   --model <cnn1|resnet18|vgg16v>   restrict to one model (default: all 3)
@@ -26,11 +28,14 @@
 //   --max-task-retries <N>           failures before a task is quarantined
 //   --chaos <p>                      arm fault injection inside workers
 //                                    with per-write crash probability p
+//                                    (a usage error without --workers)
 //   --fault-mode <m>                 fault injection: none | independent |
 //                                    run_length | uniform_over_run
 //   --fault-point <name>             restrict injection to one named point
 //   --fault-n <N>                    run length for run_length /
 //                                    uniform_over_run
+//   --fault-prob <p>                 per-hit crash probability (independent)
+//   --fault-seed <N>                 seed of the injection draws
 #pragma once
 
 #include <string>

@@ -156,14 +156,18 @@ std::uint64_t fault_n() {
 }
 
 double fault_prob() {
+  if (mutable_overrides().fault_prob) return *mutable_overrides().fault_prob;
   return strict_env_double("SAFELIGHT_FAULT_PROB").value_or(0.0);
 }
 
 std::uint64_t fault_seed() {
+  if (mutable_overrides().fault_seed) return *mutable_overrides().fault_seed;
   const std::int64_t v = strict_env_int("SAFELIGHT_FAULT_SEED").value_or(1);
   require(v >= 0, "SAFELIGHT_FAULT_SEED must be >= 0");
   return static_cast<std::uint64_t>(v);
 }
+
+std::string log_level() { return env_string("SAFELIGHT_LOG_LEVEL", "info"); }
 
 std::size_t workers() {
   if (mutable_overrides().workers) return *mutable_overrides().workers;
@@ -196,6 +200,10 @@ std::size_t max_task_retries() {
   return static_cast<std::size_t>(v);
 }
 
+std::string dist_bin() {
+  return env_string("SAFELIGHT_DIST_BIN", "/proc/self/exe");
+}
+
 std::string trace_path() {
   if (mutable_overrides().trace_path) return *mutable_overrides().trace_path;
   return env_string("SAFELIGHT_TRACE", "");
@@ -206,12 +214,6 @@ std::string metrics_path() {
     return *mutable_overrides().metrics_path;
   }
   return env_string("SAFELIGHT_METRICS", "");
-}
-
-bool trace_pipe() { return !env_string("SAFELIGHT_TRACE_PIPE", "").empty(); }
-
-bool metrics_pipe() {
-  return !env_string("SAFELIGHT_METRICS_PIPE", "").empty();
 }
 
 std::string backend() {

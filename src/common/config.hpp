@@ -25,20 +25,20 @@
 //   fault_n()     SAFELIGHT_FAULT_N      run length of the injected crash
 //   fault_prob()  SAFELIGHT_FAULT_PROB   independent-mode plug probability
 //   fault_seed()  SAFELIGHT_FAULT_SEED   seed of the injection draws
+//   log_level()   SAFELIGHT_LOG_LEVEL    stderr diagnostics level; lenient:
+//                                        common/log maps unknown names to info
 //   workers()     SAFELIGHT_WORKERS      distributed worker processes
 //                                        (0 = in-process, no coordinator)
 //   heartbeat_timeout_s()  SAFELIGHT_HEARTBEAT_TIMEOUT  seconds of worker
 //                                        silence before it is declared hung
 //   max_task_retries()     SAFELIGHT_MAX_TASK_RETRIES   failures before a
 //                                        task is quarantined as poison
+//   dist_bin()    SAFELIGHT_DIST_BIN     binary the coordinator spawns as
+//                                        `safelight worker` (default: itself)
 //   trace_path()   SAFELIGHT_TRACE       Chrome trace-event output file
 //                                        (empty = tracing disarmed)
 //   metrics_path() SAFELIGHT_METRICS     metrics JSON output file
 //                                        (empty = metrics disarmed)
-//   trace_pipe()   SAFELIGHT_TRACE_PIPE  dist worker: buffer spans for the
-//                                        coordinator (set by it, not users)
-//   metrics_pipe() SAFELIGHT_METRICS_PIPE  dist worker: collect metrics for
-//                                        the coordinator (likewise)
 //   backend()      SAFELIGHT_BACKEND     gemm compute backend: "auto" or a
 //                                        variant name (nn/backend.hpp)
 //   serve_port()   SAFELIGHT_SERVE_PORT  `safelight serve` TCP port
@@ -46,6 +46,10 @@
 //   serve_slots()  SAFELIGHT_SERVE_SLOTS concurrent experiment slots
 //   serve_queue_depth() SAFELIGHT_SERVE_QUEUE  jobs allowed to wait beyond
 //                                        the running ones before 429
+//
+// A dist worker gets every setting its coordinator forwards as a flag on its
+// command line (dist/coordinator.hpp), so no env value it inherits can
+// override one.
 #pragma once
 
 #include <cstddef>
@@ -78,6 +82,8 @@ struct Overrides {
   std::optional<std::string> fault_mode;
   std::optional<std::string> fault_point;
   std::optional<std::uint64_t> fault_n;
+  std::optional<double> fault_prob;
+  std::optional<std::uint64_t> fault_seed;
   std::optional<std::size_t> workers;
   std::optional<double> heartbeat_timeout_s;
   std::optional<std::size_t> max_task_retries;
@@ -149,12 +155,17 @@ std::string fault_point();
 /// rejected (the plug is pulled on the n-th matched hit, 1-based).
 std::uint64_t fault_n();
 
-/// Independent-mode plug probability: SAFELIGHT_FAULT_PROB > 0.0. Out-of-
-/// range values are rejected by fault::init.
+/// Independent-mode plug probability: CLI > SAFELIGHT_FAULT_PROB > 0.0.
+/// Out-of-range values are rejected by fault::init.
 double fault_prob();
 
-/// Seed of the fault-injection draws: SAFELIGHT_FAULT_SEED > 1.
+/// Seed of the fault-injection draws: CLI > SAFELIGHT_FAULT_SEED > 1.
 std::uint64_t fault_seed();
+
+/// Diagnostics level name: SAFELIGHT_LOG_LEVEL > "info". Returned verbatim
+/// and never rejected: common/log reads an unknown name as "info", since
+/// diagnostics must never abort a run.
+std::string log_level();
 
 /// Distributed worker-process count: CLI > SAFELIGHT_WORKERS > 0.
 /// 0 means "no coordinator": experiments run in-process as always.
@@ -169,6 +180,11 @@ double heartbeat_timeout_s();
 /// quarantines it as poison: CLI > SAFELIGHT_MAX_TASK_RETRIES > 3.
 std::size_t max_task_retries();
 
+/// Binary the dist coordinator execs as `safelight worker`:
+/// SAFELIGHT_DIST_BIN > "/proc/self/exe" (this binary). The hello handshake
+/// rejects a worker whose kernel numerics differ (nn/backend.hpp).
+std::string dist_bin();
+
 /// Chrome trace-event output file: CLI > SAFELIGHT_TRACE > "" (tracing
 /// disarmed). trace::init_from_config() consumes this.
 std::string trace_path();
@@ -176,12 +192,6 @@ std::string trace_path();
 /// Metrics JSON output file: CLI > SAFELIGHT_METRICS > "" (metrics
 /// disarmed). metrics::init_from_config() consumes this.
 std::string metrics_path();
-
-/// Dist-worker telemetry buffering: true when the coordinator set
-/// SAFELIGHT_TRACE_PIPE / SAFELIGHT_METRICS_PIPE (any non-empty value) in
-/// the worker's environment. Consulted only when no output path is set.
-bool trace_pipe();
-bool metrics_pipe();
 
 /// GEMM compute backend name: CLI > SAFELIGHT_BACKEND > "auto". Returned
 /// verbatim; nn::backend::resolve rejects unknown or unsupported names
@@ -202,11 +212,10 @@ std::size_t serve_slots();
 /// only while a slot is free).
 std::size_t serve_queue_depth();
 
-/// Strict numeric env reads shared by every numeric knob above (and by the
-/// CLI's worker path): unset/empty -> nullopt; a value that is not
-/// entirely a number throws std::invalid_argument naming the variable —
-/// the actionable exit-2 path, never an uncaught parse error or a silent
-/// fallback.
+/// Strict numeric env reads shared by every numeric knob above:
+/// unset/empty -> nullopt; a value that is not entirely a number throws
+/// std::invalid_argument naming the variable — the actionable exit-2 path,
+/// never an uncaught parse error or a silent fallback.
 std::optional<std::int64_t> strict_env_int(const char* name);
 std::optional<double> strict_env_double(const char* name);
 

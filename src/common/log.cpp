@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+
+#include "common/config.hpp"
 
 namespace safelight::log {
 
@@ -18,13 +18,11 @@ std::atomic<int>& level_cell() {
 }
 
 int parse_env_level() {
-  const char* raw = std::getenv("SAFELIGHT_LOG_LEVEL");
-  if (raw == nullptr || raw[0] == '\0') return static_cast<int>(Level::kInfo);
-  if (std::strcmp(raw, "error") == 0) return static_cast<int>(Level::kError);
-  if (std::strcmp(raw, "warn") == 0) return static_cast<int>(Level::kWarn);
-  if (std::strcmp(raw, "info") == 0) return static_cast<int>(Level::kInfo);
-  if (std::strcmp(raw, "debug") == 0) return static_cast<int>(Level::kDebug);
-  // Diagnostics must never abort a run: unknown names mean the default.
+  const std::string name = config::log_level();
+  if (name == "error") return static_cast<int>(Level::kError);
+  if (name == "warn") return static_cast<int>(Level::kWarn);
+  if (name == "debug") return static_cast<int>(Level::kDebug);
+  // "info" and, since diagnostics must never abort a run, any unknown name.
   return static_cast<int>(Level::kInfo);
 }
 

@@ -8,10 +8,11 @@
 // ad-hoc messages — tests and scripts that grep "[dist] summary:" keep
 // working.
 //
-// The level comes from SAFELIGHT_LOG_LEVEL ("error" | "warn" | "info" |
-// "debug", default "info"), read once on first use; set_level() overrides
-// it (tests, or a future --log-level flag). debug is for messages that were
-// previously compiled out or hidden behind verbose gates.
+// The level comes from config::log_level() (SAFELIGHT_LOG_LEVEL: "error" |
+// "warn" | "info" | "debug", default "info"), read once on first use;
+// set_level() overrides it (tests, or a future --log-level flag). debug is
+// for messages that were previously compiled out or hidden behind verbose
+// gates.
 #pragma once
 
 #include <cstdarg>

@@ -213,14 +213,14 @@ void arm_collection() {
   detail::g_armed.store(true, std::memory_order_relaxed);
 }
 
-void init_from_config() {
+void init_from_config(bool collect_only) {
   const std::string path = config::metrics_path();
-  if (!path.empty()) {
-    init(path);
-  } else if (config::metrics_pipe()) {
+  if (path.empty()) {
+    reset();
+  } else if (collect_only) {
     arm_collection();
   } else {
-    reset();
+    init(path);
   }
 }
 

@@ -19,8 +19,9 @@
 // computed from bucket boundaries — deterministic given the same set of
 // recorded values regardless of thread interleaving, and snapshots merge by
 // adding bucket counts. That mergeability is what lets dist workers ship
-// their registries over the NDJSON pipe (SAFELIGHT_METRICS_PIPE buffering
-// mode) for the coordinator to ingest() into one fleet-wide registry.
+// their registries over the NDJSON pipe (collection mode, armed by the
+// --metrics path the coordinator passes them) for the coordinator to
+// ingest() into one fleet-wide registry.
 //
 // The JSON file has a fixed schema (sorted keys, fixed per-type fields) so
 // tooling — perfbench/lib/layers.py — reads it instead of re-parsing logs;
@@ -157,8 +158,10 @@ void init(const std::string& path);
 void arm_collection();
 
 /// Arms from the resolved configuration (CLI > SAFELIGHT_METRICS env >
-/// SAFELIGHT_METRICS_PIPE env > disarmed). Disarms when no knob is set.
-void init_from_config();
+/// disarmed). Disarms when no path is set. With `collect_only` (the dist
+/// worker) a set path arms arm_collection() instead: only the coordinator
+/// writes the file.
+void init_from_config(bool collect_only);
 
 /// Disarms and zeroes every metric (references stay valid).
 void reset();

@@ -160,14 +160,14 @@ void init(const std::string& path) {
 
 void arm_buffering() { arm(""); }
 
-void init_from_config() {
+void init_from_config(bool buffer_only) {
   const std::string path = config::trace_path();
-  if (!path.empty()) {
-    init(path);
-  } else if (config::trace_pipe()) {
+  if (path.empty()) {
+    reset();
+  } else if (buffer_only) {
     arm_buffering();
   } else {
-    reset();
+    init(path);
   }
 }
 

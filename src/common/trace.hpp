@@ -17,11 +17,12 @@
 // via common/json — load it in Perfetto (https://ui.perfetto.dev) or
 // chrome://tracing.
 //
-// Distributed runs: workers arm in buffering mode (SAFELIGHT_TRACE_PIPE,
-// injected by the coordinator) and ship drain()ed events over the NDJSON
-// pipe protocol; the coordinator ingest()s them under a per-worker pid so
-// one merged fleet trace shows coordinator dispatch and worker execution on
-// separate tracks. Timestamps are absolute CLOCK_MONOTONIC nanoseconds —
+// Distributed runs: the coordinator passes its --trace path to each
+// worker, which arms in buffering mode (init_from_config(true): no file
+// written) and ships drain()ed events over the NDJSON pipe protocol; the
+// coordinator ingest()s them under a per-worker pid so one merged fleet
+// trace shows coordinator dispatch and worker execution on separate
+// tracks. Timestamps are absolute CLOCK_MONOTONIC nanoseconds —
 // machine-wide, so coordinator and worker spans share one clock — and the
 // flush rebases them against the arming instant.
 //
@@ -59,15 +60,15 @@ struct RawEvent {
 /// path.
 void init(const std::string& path);
 
-/// Arms tracing with no output file: events buffer until drain()ed. The
-/// dist worker runs in this mode (the coordinator injects
-/// SAFELIGHT_TRACE_PIPE and ships the buffers home over the pipe).
+/// Arms tracing with no output file: events buffer until drain()ed.
 void arm_buffering();
 
 /// Arms from the resolved configuration (CLI > SAFELIGHT_TRACE env >
-/// SAFELIGHT_TRACE_PIPE env > disarmed); the `safelight` CLI calls this
-/// after flag parsing. Disarms when no knob is set.
-void init_from_config();
+/// disarmed); the `safelight` CLI calls this after flag parsing. Disarms
+/// when no path is set. With `buffer_only` (the dist worker) a set path
+/// arms arm_buffering() instead: the worker ships its spans home over the
+/// pipe, and only the coordinator writes the file.
+void init_from_config(bool buffer_only);
 
 /// Disarms and clears all buffered/ingested events and track names.
 void reset();

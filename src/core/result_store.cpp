@@ -166,6 +166,21 @@ std::vector<RawStoreEntry> read_store_entries(const std::string& csv_path) {
   return entries;
 }
 
+void truncate_torn_tail(const std::string& csv_path) {
+  std::ifstream in(csv_path, std::ios::binary);
+  if (!in) return;
+  const std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  in.close();
+  const std::size_t last_newline = content.rfind('\n');
+  const std::size_t keep =
+      last_newline == std::string::npos ? 0 : last_newline + 1;
+  if (keep != content.size()) {
+    std::error_code ec;
+    std::filesystem::resize_file(csv_path, keep, ec);
+  }
+}
+
 ResultStore::ResultStore(std::string csv_path)
     : csv_path_(std::move(csv_path)) {
   if (csv_path_.empty()) return;
@@ -174,29 +189,12 @@ ResultStore::ResultStore(std::string csv_path)
   const std::filesystem::path parent =
       std::filesystem::path(csv_path_).parent_path();
   sweep_orphaned_temp_files(parent.empty() ? "." : parent);
-  // Hand-rolled tolerant parse: an interrupted run may leave a torn final
-  // row, which must not prevent the resume it exists to enable. Every
-  // complete row ends with '\n' (put() writes row + newline + flush), so an
-  // unterminated tail is a tear: it is dropped, the file truncated back to
-  // the last complete row (a later append must not merge into the tear),
-  // and its scenario simply re-evaluates. Other malformed rows are skipped.
-  std::ifstream in(csv_path_, std::ios::binary);
-  if (!in) return;
-  const std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  in.close();
-  std::size_t pos = 0;
-  while (pos < content.size()) {
-    const std::size_t newline = content.find('\n', pos);
-    if (newline == std::string::npos) {
-      std::error_code ec;
-      std::filesystem::resize_file(csv_path_, pos, ec);
-      break;
-    }
-    auto entry = parse_store_line(content.substr(pos, newline - pos));
-    pos = newline + 1;
-    if (!entry) continue;
-    entries_[entry->key] = std::strtod(entry->value.c_str(), nullptr);
+  // An interrupted run may leave a torn final row, which must not prevent
+  // the resume it exists to enable: the tear is cut off and its cell simply
+  // re-evaluates. Other malformed rows are skipped by the tolerant reader.
+  truncate_torn_tail(csv_path_);
+  for (const RawStoreEntry& entry : read_store_entries(csv_path_)) {
+    entries_[entry.key] = std::strtod(entry.value.c_str(), nullptr);
   }
 }
 

@@ -61,6 +61,13 @@ struct RawStoreEntry {
 /// process owns.
 std::vector<RawStoreEntry> read_store_entries(const std::string& csv_path);
 
+/// Cuts a result-store CSV back to its last complete ('\n'-terminated)
+/// row. Every complete row ends with '\n', so an unterminated tail is a
+/// tear left by a writer killed mid-append, and a later append must not
+/// extend it into a corrupt row. Writers call this before appending
+/// (ResultStore on open, dist's store merge); a missing file is left alone.
+void truncate_torn_tail(const std::string& csv_path);
+
 /// Append-only result cache shared by the pipeline's worker threads.
 ///
 /// All members are safe to call concurrently. Persistence is optional:

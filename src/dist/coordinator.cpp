@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -34,8 +33,6 @@
 #include "dist/store_merge.hpp"
 #include "nn/backend.hpp"
 
-extern char** environ;
-
 namespace safelight::dist {
 
 namespace {
@@ -46,6 +43,17 @@ using Clock = CoordinatorClock;
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
+}
+
+/// Requeue backoff: min(kRetryCapS, kRetryBaseS * 2^(failures-1)).
+constexpr double kRetryBaseS = 0.2;
+constexpr double kRetryCapS = 5.0;
+
+/// Round-trip exact decimal text of a double flag value.
+std::string flag_number(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
 }
 
 /// SIGPIPE -> SIG_IGN for the coordinator's lifetime: writing a task to a
@@ -103,7 +111,7 @@ struct TaskState {
   bool completed = false;
   bool quarantined = false;
   // Trace bookkeeping: the dispatch->done "dist.task" span crosses event-
-  // loop iterations, so its start is parked here (trace-armed runs only).
+  // loop iterations, so its start is parked here.
   std::uint64_t dispatch_ns = 0;
   int dispatch_slot = -1;
 };
@@ -122,8 +130,7 @@ class Coordinator {
     // hosts and backend variants for a conforming binary, different only
     // when the kernel math differs (nn/backend.hpp).
     expected_kernel_ = nn::backend::kernel_fingerprint();
-    if (const char* env = std::getenv("SAFELIGHT_DIST_BIN")) binary_ = env;
-    if (binary_.empty()) binary_ = "/proc/self/exe";
+    binary_ = config::dist_bin();
 
     dist_dir_ = spec_.cache_dir + "/dist";
     std::filesystem::create_directories(dist_dir_ + "/logs");
@@ -195,52 +202,34 @@ class Coordinator {
 
   // ---- process management -------------------------------------------------
 
-  std::vector<std::string> worker_env(const WorkerSlot& slot) const {
-    const bool chaos = options_.chaos_kill_prob > 0.0;
-    std::vector<std::string> env;
-    for (char** entry = environ; *entry != nullptr; ++entry) {
-      const std::string value(*entry);
-      if (value.rfind("SAFELIGHT_DIST_HEARTBEAT_INTERVAL=", 0) == 0) continue;
-      if (value.rfind("SAFELIGHT_BACKEND=", 0) == 0) continue;
-      if (chaos && value.rfind("SAFELIGHT_FAULT_", 0) == 0) continue;
-      // Telemetry knobs never pass through: a worker must not clobber the
-      // coordinator's output files. Buffering mode is injected below iff
-      // the matching subsystem is armed here — the spans/metrics then ship
-      // home over the pipe instead.
-      if (value.rfind("SAFELIGHT_TRACE=", 0) == 0) continue;
-      if (value.rfind("SAFELIGHT_METRICS=", 0) == 0) continue;
-      if (value.rfind("SAFELIGHT_TRACE_PIPE=", 0) == 0) continue;
-      if (value.rfind("SAFELIGHT_METRICS_PIPE=", 0) == 0) continue;
-      env.push_back(value);
-    }
-    if (trace::armed()) env.push_back("SAFELIGHT_TRACE_PIPE=1");
-    if (metrics::armed()) env.push_back("SAFELIGHT_METRICS_PIPE=1");
-    // The coordinator's effective backend choice (flag > env > "auto")
-    // propagates so a forced --backend governs the whole fleet; "auto"
-    // stays "auto" — each node picks the best variant its own CPU
-    // supports, which is safe because conforming variants are bitwise-
-    // identical (and the hello handshake enforces "conforming").
-    env.push_back("SAFELIGHT_BACKEND=" + config::backend());
-    const double interval =
-        std::clamp(options_.heartbeat_timeout_s / 4.0, 0.02, 1.0);
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.17g", interval);
-    env.push_back(std::string("SAFELIGHT_DIST_HEARTBEAT_INTERVAL=") + buffer);
-    if (chaos) {
+  /// A worker's whole configuration, as flags: under flag > env precedence
+  /// no SAFELIGHT_* value the worker inherits can override them.
+  std::vector<std::string> worker_args(const WorkerSlot& slot) const {
+    std::vector<std::string> args = {
+        binary_, "worker", "--store-dir", slot_store_dir(slot), "--zoo",
+        zoo_.directory(), "--threads", std::to_string(config::threads()),
+        // "auto" stays "auto": each node picks the best variant its own CPU
+        // supports, which is safe because conforming variants are bitwise-
+        // identical (and the hello handshake enforces "conforming").
+        "--backend", config::backend(), "--heartbeat-timeout",
+        flag_number(options_.heartbeat_timeout_s),
+        // In a worker a telemetry path only arms buffering: spans and
+        // metrics ship home over the pipe, and the coordinator alone writes
+        // the files. An empty path keeps the worker disarmed.
+        "--trace", config::trace_path(), "--metrics", config::metrics_path()};
+    if (options_.chaos_kill_prob > 0.0) {
       // Arm the plug-pull harness in the worker only: every fault point,
       // independent draws, a seed unique per slot *and* generation so a
       // respawned worker does not replay its predecessor's kill schedule.
-      env.push_back("SAFELIGHT_FAULT_MODE=independent");
-      std::snprintf(buffer, sizeof buffer, "%.17g", options_.chaos_kill_prob);
-      env.push_back(std::string("SAFELIGHT_FAULT_PROB=") + buffer);
-      env.push_back("SAFELIGHT_FAULT_SEED=" +
-                    std::to_string(options_.chaos_seed +
-                                   static_cast<std::uint64_t>(slot.slot) *
-                                       1000 +
-                                   static_cast<std::uint64_t>(
-                                       slot.generation)));
+      const std::uint64_t seed =
+          options_.chaos_seed + static_cast<std::uint64_t>(slot.slot) * 1000 +
+          static_cast<std::uint64_t>(slot.generation);
+      args.insert(args.end(),
+                  {"--fault-mode", "independent", "--fault-point", "",
+                   "--fault-prob", flag_number(options_.chaos_kill_prob),
+                   "--fault-seed", std::to_string(seed)});
     }
-    return env;
+    return args;
   }
 
   void spawn(WorkerSlot& slot) {
@@ -256,23 +245,13 @@ class Coordinator {
                                std::strerror(errno));
     }
 
-    const std::string slot_name = std::to_string(slot.slot);
-    const std::string store_dir = slot_store_dir(slot);
     const std::string log_path =
-        dist_dir_ + "/logs/w" + slot_name + ".log";
-    std::vector<std::string> args = {binary_,      "worker",
-                                     "--slot",     slot_name,
-                                     "--store-dir", store_dir,
-                                     "--zoo",      zoo_.directory()};
+        dist_dir_ + "/logs/w" + std::to_string(slot.slot) + ".log";
+    std::vector<std::string> args = worker_args(slot);
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (std::string& arg : args) argv.push_back(arg.data());
     argv.push_back(nullptr);
-    std::vector<std::string> env = worker_env(slot);
-    std::vector<char*> envp;
-    envp.reserve(env.size() + 1);
-    for (std::string& entry : env) envp.push_back(entry.data());
-    envp.push_back(nullptr);
 
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -288,7 +267,7 @@ class Coordinator {
         ::dup2(log_fd, 2);
         if (log_fd > 2) ::close(log_fd);
       }
-      ::execve(binary_.c_str(), argv.data(), envp.data());
+      ::execv(binary_.c_str(), argv.data());
       ::_exit(127);  // exec failed; stderr already points at the log
     }
 
@@ -418,21 +397,13 @@ class Coordinator {
     ++summary_.retries;
     static metrics::Counter& retries = metrics::counter("dist.retries");
     retries.add();
-    if (trace::armed()) {
-      trace::RawEvent event;
-      event.name = "dist.retry";
-      event.cat = "dist";
-      event.start_ns = trace::now_ns();
-      event.num_args.emplace_back("task",
-                                  static_cast<double>(state.task.id));
-      event.num_args.emplace_back("failures",
-                                  static_cast<double>(state.failures));
-      trace::record(std::move(event));
-    }
-    const double delay =
-        std::min(options_.retry_cap_s,
-                 options_.retry_base_s *
-                     std::ldexp(1.0, static_cast<int>(state.failures) - 1));
+    // A temporary span: an instant marker on the coordinator's track.
+    trace::Span("dist", "dist.retry")
+        .arg("task", static_cast<double>(state.task.id))
+        .arg("failures", static_cast<double>(state.failures));
+    const double delay = std::min(
+        kRetryCapS,
+        kRetryBaseS * std::ldexp(1.0, static_cast<int>(state.failures) - 1));
     state.eligible_at =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(delay));
@@ -525,35 +496,19 @@ class Coordinator {
       static metrics::Counter& dispatches =
           metrics::counter("dist.dispatches");
       dispatches.add();
-      if (trace::armed()) {
-        state.dispatch_ns = trace::now_ns();
-        state.dispatch_slot = slot.slot;
-        trace::RawEvent event;
-        event.name = "dist.dispatch";
-        event.cat = "dist";
-        event.start_ns = state.dispatch_ns;
-        event.num_args.emplace_back("task",
-                                    static_cast<double>(state.task.id));
-        event.num_args.emplace_back("worker",
-                                    static_cast<double>(slot.slot));
-        trace::record(std::move(event));
-      }
+      state.dispatch_ns = trace::now_ns();
+      state.dispatch_slot = slot.slot;
+      trace::Span("dist", "dist.dispatch")
+          .arg("task", static_cast<double>(state.task.id))
+          .arg("worker", static_cast<double>(slot.slot));
       if (speculative) {
         state.speculated = true;
         ++summary_.steals;
         static metrics::Counter& steals = metrics::counter("dist.steals");
         steals.add();
-        if (trace::armed()) {
-          trace::RawEvent event;
-          event.name = "dist.steal";
-          event.cat = "dist";
-          event.start_ns = trace::now_ns();
-          event.num_args.emplace_back("task",
-                                      static_cast<double>(state.task.id));
-          event.num_args.emplace_back("worker",
-                                      static_cast<double>(slot.slot));
-          trace::record(std::move(event));
-        }
+        trace::Span("dist", "dist.steal")
+            .arg("task", static_cast<double>(state.task.id))
+            .arg("worker", static_cast<double>(slot.slot));
         if (options_.verbose) {
           log::info("dist", "task %llu speculatively duplicated on w%d",
                     static_cast<unsigned long long>(*chosen), slot.slot);
@@ -608,7 +563,7 @@ class Coordinator {
     static metrics::Counter& completed =
         metrics::counter("dist.tasks_completed");
     completed.add();
-    if (trace::armed() && state.dispatch_ns != 0) {
+    if (trace::armed()) {
       trace::RawEvent span;
       span.name = "dist.task";
       span.cat = "dist";
@@ -791,52 +746,31 @@ class Coordinator {
     // telemetry (trailing span buffer, one metrics snapshot) between the
     // shutdown command and exit, and a payload larger than the pipe buffer
     // would deadlock a worker against a coordinator that only waitpid()s.
-    const auto drain_until = [&](Clock::time_point deadline) {
-      while (Clock::now() < deadline) {
-        std::vector<struct pollfd> fds;
-        std::vector<WorkerSlot*> owners;
-        for (WorkerSlot& slot : slots_) {
-          if (!slot.alive) continue;
-          fds.push_back({slot.event_fd, POLLIN, 0});
-          owners.push_back(&slot);
-        }
-        if (fds.empty()) return true;
-        if (::poll(fds.data(), fds.size(), 50) <= 0) continue;
-        for (std::size_t i = 0; i < fds.size(); ++i) {
-          if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-          WorkerSlot& slot = *owners[i];
-          char chunk[4096];
-          const ssize_t bytes = ::read(slot.event_fd, chunk, sizeof chunk);
-          if (bytes > 0) {
-            slot.buffer.append(chunk, static_cast<std::size_t>(bytes));
-            process_lines(slot);
-          } else if (bytes == 0) {
-            int status = 0;
-            ::waitpid(slot.pid, &status, 0);
-            close_slot(slot);
-          }
-        }
-      }
-      return false;
+    // At EOF, handle_death only drains and closes while shutting down.
+    const auto any_alive = [&] {
+      return std::any_of(slots_.begin(), slots_.end(),
+                         [](const WorkerSlot& slot) { return slot.alive; });
     };
+    const Clock::time_point drain_deadline =
+        Clock::now() + std::chrono::seconds(5);
+    while (any_alive() && Clock::now() < drain_deadline) {
+      poll_events(/*timeout_ms=*/50);
+    }
     const auto reap_until = [&](Clock::time_point deadline) {
       while (Clock::now() < deadline) {
-        bool any_alive = false;
         for (WorkerSlot& slot : slots_) {
-          if (!slot.alive) continue;
           int status = 0;
-          if (::waitpid(slot.pid, &status, WNOHANG) == slot.pid) {
+          if (slot.alive &&
+              ::waitpid(slot.pid, &status, WNOHANG) == slot.pid) {
             close_slot(slot);
-          } else {
-            any_alive = true;
           }
         }
-        if (!any_alive) return true;
+        if (!any_alive()) return true;
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
       return false;
     };
-    if (!drain_until(Clock::now() + std::chrono::seconds(5))) {
+    if (any_alive()) {
       for (WorkerSlot& slot : slots_) {
         if (slot.alive) ::kill(slot.pid, SIGTERM);
       }

@@ -22,6 +22,12 @@
 // (dist/store_merge.hpp), and the caller replays the experiment in-process
 // against the warmed cache — distributed output is therefore byte-identical
 // to a single-process run by construction.
+//
+// A worker is configured by its command line alone: the coordinator passes
+// its resolved --zoo, --threads, --backend, --heartbeat-timeout, --trace and
+// --metrics (plus the --fault-* flags under chaos) as flags, which win over
+// any SAFELIGHT_* value the worker inherits, so its environment passes
+// through unchanged.
 #pragma once
 
 #include <atomic>
@@ -52,12 +58,9 @@ struct DistOptions {
   /// Re-dispatches of one task before it is quarantined (i.e. a task is
   /// given up after max_task_retries + 1 failures).
   std::size_t max_task_retries = 3;
-  /// Requeue backoff: min(retry_cap_s, retry_base_s * 2^(failures-1)).
-  double retry_base_s = 0.2;
-  double retry_cap_s = 5.0;
-  /// > 0 arms PR 6 fault injection *inside the workers only* (independent
-  /// mode, every fault point, per-slot/generation seeds derived from
-  /// chaos_seed) — the chaos harness that proves crash recovery end to end.
+  /// > 0 arms fault injection *inside the workers only* (independent mode,
+  /// every fault point, per-slot/generation seeds derived from chaos_seed)
+  /// — the chaos harness that proves crash recovery end to end.
   double chaos_kill_prob = 0.0;
   std::uint64_t chaos_seed = 1;
   bool verbose = false;
@@ -97,8 +100,8 @@ enum class DistStatus {
 };
 
 /// Runs spec.experiment's declared sweeps distributed across
-/// options.workers subprocesses (the binary named by SAFELIGHT_DIST_BIN,
-/// else this one), warming spec.cache_dir's stores. Prints a one-line
+/// options.workers subprocesses (config::dist_bin(): SAFELIGHT_DIST_BIN,
+/// else this binary), warming spec.cache_dir's stores. Prints a one-line
 /// machine-parsable summary ("[dist] summary: ...") on completion. Throws
 /// core::ExperimentCancelled on cancel, std::runtime_error on a store-merge
 /// conflict or spawn failure.

@@ -32,7 +32,7 @@
 //
 // Telemetry events exist so an armed coordinator can merge the whole
 // fleet's observability into one Chrome trace / one metrics registry: a
-// worker in SAFELIGHT_TRACE_PIPE buffering mode drains its span buffer
+// worker armed for buffering (it was passed --trace) drains its span buffer
 // after every task (and at shutdown), and ships one metrics snapshot right
 // before exiting. Telemetry doubles ride as %.17g strings, which strtod
 // reads back bit for bit.

@@ -10,35 +10,14 @@
 
 namespace safelight::dist {
 
-namespace {
-
-/// Truncates `path` back to its last complete line, exactly like
-/// ResultStore's open-time repair: a coordinator killed mid-merge leaves a
-/// torn row that the next merge must not extend into a corrupt one.
-void truncate_torn_tail(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  const std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  in.close();
-  const std::size_t last_newline = content.rfind('\n');
-  const std::size_t keep =
-      last_newline == std::string::npos ? 0 : last_newline + 1;
-  if (keep != content.size()) {
-    std::error_code ec;
-    std::filesystem::resize_file(path, keep, ec);
-  }
-}
-
-}  // namespace
-
 MergeStats merge_stores(const std::vector<std::string>& source_csvs,
                         const std::string& dest_csv) {
   MergeStats stats;
   // Exclusive writer for the whole merge: a concurrent sweep appending to
   // the canonical store mid-merge would interleave rows unpredictably.
   core::StoreWriterLock lock(dest_csv);
-  truncate_torn_tail(dest_csv);
+  // A coordinator killed mid-merge leaves a torn row in the destination.
+  core::truncate_torn_tail(dest_csv);
 
   // key -> value bytes already durable in the destination (or appended
   // earlier in this merge) — the conflict/dedup baseline.

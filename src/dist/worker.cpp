@@ -85,15 +85,9 @@ class HeartbeatThread {
     std::unique_lock<std::mutex> lock(mutex_);
     while (!cv_.wait_for(lock, interval_, [this] { return stop_; })) {
       lock.unlock();
-      if (trace::armed()) {
-        // Instant marker on this worker's track: the merged fleet trace
-        // shows exactly when each worker last proved liveness.
-        trace::RawEvent event;
-        event.name = "dist.heartbeat";
-        event.cat = "dist";
-        event.start_ns = trace::now_ns();
-        trace::record(std::move(event));
-      }
+      // Instant marker on this worker's track: the merged fleet trace shows
+      // exactly when each worker last proved liveness.
+      trace::Span("dist", "dist.heartbeat");
       EventMessage beat;
       beat.type = EventMessage::Type::kHeartbeat;
       writer_.send(beat);

@@ -2,8 +2,12 @@
 //
 // A worker is the `safelight worker` subcommand, spawned by the
 // coordinator with its stdin/stdout turned into the NDJSON protocol pipes
-// (stderr goes to a per-slot log file). Each task names an experiment, a
-// spec and one of the sweeps the experiment declares
+// (stderr goes to a per-slot log file). Its command line is its whole
+// configuration: --store-dir, --zoo, --threads, --backend,
+// --heartbeat-timeout, --trace/--metrics (which arm buffering for the pipe,
+// never a file) and, under --chaos, the --fault-* flags; the CLI parses
+// them with the flag parser every command uses. Each task names an
+// experiment, a spec and one of the sweeps the experiment declares
 // (core::ExperimentInfo::sweeps); the worker rebuilds that declaration and
 // fills exactly the task's cells through its own evaluate, appending to its
 // *own* store directory — never to the canonical stores — under exactly
@@ -12,10 +16,10 @@
 // its slot's stores, takes over the crashed predecessor's stale writer
 // locks, and skips every cell already durable there.
 //
-// A heartbeat thread writes {"type":"heartbeat"} every interval so the
-// coordinator can distinguish "busy evaluating" from "hung": SIGSTOP (or a
-// livelock) silences the heartbeat, and the coordinator SIGKILLs after its
-// timeout.
+// A heartbeat thread writes {"type":"heartbeat"} every interval (a quarter
+// of the --heartbeat-timeout, clamped to [0.02, 1] s) so the coordinator can
+// distinguish "busy evaluating" from "hung": SIGSTOP (or a livelock)
+// silences the heartbeat, and the coordinator SIGKILLs after its timeout.
 //
 // Test seams (environment variables, only read here):
 //   SAFELIGHT_DIST_POISON      cell-id substring; evaluating a matching
@@ -26,6 +30,10 @@
 //   SAFELIGHT_DIST_HANG_ONCE   path of a sentinel file; when set, only the
 //                              process that O_EXCL-creates it hangs, so a
 //                              reassigned task completes on the next worker.
+//   SAFELIGHT_DIST_FAKE_KERNEL fingerprint the hello advertises instead of
+//                              the real one (the handshake-rejection test).
+// These are the only getenv calls outside common/config.cpp (check.sh
+// enforces it).
 #pragma once
 
 #include <atomic>

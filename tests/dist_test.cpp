@@ -425,6 +425,10 @@ TEST(DistRun, TracedTwoWorkerRunMergesFleetTraceAndStaysBitwise) {
     if (pid < 2) continue;
     worker_task = worker_task || names.count("worker.task") > 0;
     worker_beat = worker_beat || names.count("dist.heartbeat") > 0;
+    // --threads 1 reaches the workers: a one-thread pool runs every job
+    // inline and never drains, whatever the host's CPU count.
+    EXPECT_EQ(names.count("pool.drain"), 0u)
+        << "worker track " << pid << " ran a multi-thread pool";
   }
   EXPECT_TRUE(worker_task) << "no worker shipped a task-execution span";
   EXPECT_TRUE(worker_beat) << "no worker shipped a heartbeat marker";

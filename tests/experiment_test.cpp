@@ -304,6 +304,22 @@ TEST(CliErrorPaths, UsageErrorsExitTwoWithTheDocumentedMessages) {
   EXPECT_EQ(bad_mode.stderr_text,
             "safelight: unknown fault mode 'sometimes' (valid modes: none, "
             "independent, run_length, uniform)\n");
+
+  // Chaos arms inside dist workers only; without them it would be ignored.
+  const CapturedCli chaos_alone =
+      run_cli_captured({"run", "susceptibility", "--chaos", "0.2"});
+  EXPECT_EQ(chaos_alone.exit_code, 2);
+  EXPECT_EQ(chaos_alone.stderr_text,
+            "safelight: flag --chaos needs --workers N (N >= 1): it arms "
+            "fault injection inside the dist workers only\n");
+
+  // --store-dir is the worker's own flag; every other command rejects it.
+  const CapturedCli store_dir =
+      run_cli_captured({"run", "susceptibility", "--store-dir", "stores"});
+  EXPECT_EQ(store_dir.exit_code, 2);
+  EXPECT_EQ(store_dir.stderr_text,
+            "safelight: unknown flag '--store-dir' (see 'safelight "
+            "help')\n");
 }
 
 TEST(CliErrorPaths, UnwritableOutDirectoryExitsOneBeforeAnyWork) {

@@ -368,6 +368,15 @@ TEST(LogLevel, SetLevelGatesEnabled) {
   EXPECT_TRUE(log::enabled(log::Level::kWarn));
   EXPECT_FALSE(log::enabled(log::Level::kInfo));
   EXPECT_FALSE(log::enabled(log::Level::kDebug));
+  // The env knob is read through config; an unknown name means info, since
+  // diagnostics must never abort a run.
+  ::setenv("SAFELIGHT_LOG_LEVEL", "debug", 1);
+  log::reset();
+  EXPECT_TRUE(log::enabled(log::Level::kDebug));
+  ::setenv("SAFELIGHT_LOG_LEVEL", "chatty", 1);
+  log::reset();
+  EXPECT_TRUE(log::enabled(log::Level::kInfo));
+  EXPECT_FALSE(log::enabled(log::Level::kDebug));
   // Back to the environment default (info): the historical [dist]/[store]
   // diagnostics stay byte-identical, debug stays hidden.
   ::unsetenv("SAFELIGHT_LOG_LEVEL");
