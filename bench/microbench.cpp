@@ -12,6 +12,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/backend.hpp"
 #include "nn/conv.hpp"
 #include "nn/gemm.hpp"
 #include "nn/gemm_ref.hpp"
@@ -146,6 +147,55 @@ BENCHMARK(BM_Conv2dBackward)
     ->Args({32, 32, 16})
     ->Args({128, 128, 1})
     ->Args({64, 128, 2});
+
+// Conv2d's B operand for one image group, on the hot shapes of the
+// default-scale sweep: cnn1's first layer (1->6 channels, 28x28, k5, pad
+// 0), ResNet's first stage (8 channels, 16x16, k3), its second stage (16
+// channels, 8x8, k3, two images per GEMM) and its last (64 channels, 2x2,
+// k3, 32 images per GEMM). Arg 0 picks the shape; arg 1 picks the direct
+// packer (0, what Conv2d runs) or the im2col + pack_b reference it
+// replaced (1), which writes the same panels.
+void BM_ConvPack(benchmark::State& state) {
+  struct Shape {
+    std::size_t in_c, spatial, kernel, pad, cnt;
+  };
+  constexpr Shape kShapes[] = {
+      {1, 28, 5, 0, 1}, {8, 16, 3, 1, 1}, {16, 8, 3, 1, 2}, {64, 2, 3, 1, 32}};
+  const Shape& s = kShapes[state.range(0)];
+  const bool reference = state.range(1) != 0;
+  sl::nn::ConvGeom g;
+  g.in_c = s.in_c;
+  g.in_h = g.in_w = s.spatial;
+  g.k_h = g.k_w = s.kernel;
+  g.pad = s.pad;
+  sl::Rng rng(3);
+  const sl::nn::Tensor x = conv_input(s.cnt, s.in_c, s.spatial, rng);
+  const std::size_t hw = g.out_hw();
+  const std::size_t n = s.cnt * hw;
+  std::vector<float> cols(g.patch_len() * n);
+  std::vector<float> packed(sl::nn::packed_b_size(g.patch_len(), n));
+  const sl::nn::backend::ConvPackArgs args =
+      sl::nn::conv_pack_args(g, x.data(), s.cnt);
+  const sl::nn::backend::GemmKernels& kernels =
+      sl::nn::backend::active().gemm_kernels();
+  const std::size_t image_len = g.in_c * g.in_h * g.in_w;
+  for (auto _ : state) {
+    if (reference) {
+      for (std::size_t i = 0; i < s.cnt; ++i) {
+        sl::nn::im2col(x.data() + i * image_len, g, cols.data() + i * hw, n);
+      }
+      kernels.pack_b(cols.data(), g.patch_len(), n, packed.data());
+    } else {
+      kernels.pack_conv(args, packed.data());
+    }
+    benchmark::DoNotOptimize(packed.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(packed.size() *
+                                                    sizeof(float)));
+}
+BENCHMARK(BM_ConvPack)->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 void BM_MrBankEffectiveWeights(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));

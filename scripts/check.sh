@@ -5,7 +5,8 @@
 #
 # 0. env-knob lint: `getenv(` appears in src/ only in common/config.cpp
 #    (the one way to read SAFELIGHT_* knobs) and in the test seams
-#    dist/worker.hpp documents.
+#    dist/worker.hpp documents. im2col lint: `im2col(` appears in src/
+#    only in nn/im2col.*, the conv packers' test reference.
 # 1. configure + build (warnings-as-errors, Release; ccache-launched when
 #    ccache is on PATH, so cached CI runs rebuild in seconds)
 # 2. run the full ctest suite
@@ -87,6 +88,19 @@ STRAY_GETENV="$(grep -rn 'getenv(' src \
 if [[ -n "$STRAY_GETENV" ]]; then
   echo "error: getenv( outside common/config.cpp; read the knob through config::" >&2
   echo "$STRAY_GETENV" >&2
+  exit 1
+fi
+phase_end
+
+# im2col is the test reference of the conv packers (nn/gemm_variant.inl);
+# no hot path may lower through it again.
+phase_start "im2col lint"
+STRAY_IM2COL="$(grep -rn 'im2col(' src \
+  | grep -vE '^src/nn/im2col\.(hpp|cpp):' \
+  || true)"
+if [[ -n "$STRAY_IM2COL" ]]; then
+  echo "error: im2col( outside nn/im2col.*; Conv2d packs through pack_conv" >&2
+  echo "$STRAY_IM2COL" >&2
   exit 1
 fi
 phase_end

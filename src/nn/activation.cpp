@@ -9,16 +9,16 @@ namespace safelight::nn {
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
   Tensor out = x;
+  float* o = out.data();
+  const std::size_t n = out.numel();
+  // One branch-free select pass: `v > 0 ? v : 0` sends NaN and -0.0f to
+  // +0.0f, exactly like the compare-and-clear it replaces.
+  for (std::size_t i = 0; i < n; ++i) o[i] = o[i] > 0.0f ? o[i] : 0.0f;
   if (train) {
-    mask_.assign(x.numel(), false);
+    // The output is positive exactly where the input is.
+    mask_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) mask_[i] = o[i] > 0.0f;
     cached_shape_ = x.shape();
-  }
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] > 0.0f) {
-      if (train) mask_[i] = true;
-    } else {
-      out[i] = 0.0f;
-    }
   }
   return out;
 }
@@ -28,8 +28,9 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   require(grad_out.shape() == cached_shape_,
           "ReLU::backward: grad shape mismatch");
   Tensor grad_in = grad_out;
+  float* g = grad_in.data();
   for (std::size_t i = 0; i < grad_in.numel(); ++i) {
-    if (!mask_[i]) grad_in[i] = 0.0f;
+    g[i] = mask_[i] != 0 ? g[i] : 0.0f;
   }
   return grad_in;
 }

@@ -15,7 +15,7 @@ class ReLU final : public Layer {
   Shape output_shape(const Shape& in) const override { return in; }
 
  private:
-  std::vector<bool> mask_;  // true where input > 0
+  std::vector<unsigned char> mask_;  // 1 where input > 0 (train only)
   Shape cached_shape_;
 };
 

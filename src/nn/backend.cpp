@@ -199,6 +199,30 @@ std::string kernel_fingerprint(const ComputeBackend& backend) {
   digest.mix_bytes(c, sizeof c);
   gemm_at(at, b, c, kM, kK, kN, /*accumulate=*/false);
   digest.mix_bytes(c, sizeof c);
+
+  // The conv packers on a two-image group: stride 2 and a pad wider than
+  // half the kernel put padding taps on every side, the 4x5 outputs split
+  // panels mid-row and mid-image, and both packings end in partial panels.
+  ConvPackArgs conv;
+  conv.cnt = 2;
+  conv.in_c = 2;
+  conv.in_h = 5;
+  conv.in_w = 7;
+  conv.k_h = conv.k_w = 3;
+  conv.stride = 2;
+  conv.pad = 2;
+  conv.out_h = 4;
+  conv.out_w = 5;
+  float images[2 * 2 * 5 * 7];
+  for (float& v : images) v = next();
+  conv.images = images;
+  // pack_conv: 2 panels x 18 patch rows; pack_conv_bt: 1 panel x 40 pixels.
+  float panels[1 * kNr * 40];
+  static_assert(2 * kNr * 18 <= 1 * kNr * 40);
+  backend.gemm_kernels().pack_conv(conv, panels);
+  digest.mix_bytes(panels, 2 * kNr * 18 * sizeof(float));
+  backend.gemm_kernels().pack_conv_bt(conv, panels);
+  digest.mix_bytes(panels, 1 * kNr * 40 * sizeof(float));
   return digest.hex16();
 }
 

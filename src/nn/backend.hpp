@@ -25,9 +25,10 @@
 // whose probe-GEMM fingerprint differs from the coordinator's is running
 // genuinely different numerics and is rejected (dist/coordinator.cpp).
 //
-// ComputeBackend is the seam ROADMAP item 3 widens: today it owns the GEMM
-// kernel table; conv/quantize variants (and remote/GPU backends) slot in
-// beside it without touching call sites.
+// ComputeBackend is the seam further kernels slot into: today it owns the
+// GEMM kernel table, including the conv packers that lower an image group
+// straight into GEMM panels; quantize variants (and remote/GPU backends)
+// slot in beside it without touching call sites.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +58,21 @@ struct GemmArgs {
   const float* col_bias = nullptr;  // added per output column (Linear)
 };
 
+/// One group of conv images as a GEMM B operand: their patch matrix, with
+/// in_c * k_h * k_w rows in (c, kh, kw) order and cnt * out_h * out_w
+/// columns, image-major then (oh, ow). Plain fields only: a member
+/// function here would be inline code the variant TUs compile with their
+/// ISA flags (see GemmKernels), which is why this is not ConvGeom.
+struct ConvPackArgs {
+  const float* images = nullptr;  // cnt images [in_c, in_h, in_w], in a row
+  std::size_t cnt = 0;
+  std::size_t in_c = 0, in_h = 0, in_w = 0;
+  std::size_t k_h = 0, k_w = 0;
+  std::size_t stride = 1;
+  std::size_t pad = 0;
+  std::size_t out_h = 0, out_w = 0;
+};
+
 /// Per-variant kernel table. Plain function pointers on purpose: the
 /// variant translation units are compiled with ISA flags the host may not
 /// support, so nothing in them may be reachable except through this table
@@ -67,6 +83,15 @@ struct GemmKernels {
   void (*pack_b)(const float* b, std::size_t k, std::size_t n, float* packed);
   /// Same panels from B^T input, where B is stored [n x k] row-major.
   void (*pack_bt)(const float* b, std::size_t k, std::size_t n, float* packed);
+  /// The panels pack_b writes with the group's patch matrix as B[k x n],
+  /// read straight from the images: padding taps and panel tails are
+  /// zero-filled, so the bytes equal pack_b over nn/im2col's output. This
+  /// is the Conv2d forward operand.
+  void (*pack_conv)(const ConvPackArgs& args, float* packed);
+  /// The panels pack_bt writes with the same patch matrix as its [n x k]
+  /// input: the columns (image, pixel) become the reduction axis. This is
+  /// the Conv2d weight-gradient operand.
+  void (*pack_conv_bt)(const ConvPackArgs& args, float* packed);
   /// C rows [lo, hi) from row-major A; the dispatcher parallelizes over
   /// disjoint row ranges, so results are independent of the chunking.
   void (*run_rows)(const GemmArgs& args, std::size_t lo, std::size_t hi);
@@ -129,10 +154,11 @@ class ScopedBackend {
 
 /// Digest of the kernel *numerics*: a deterministic probe problem (shapes
 /// covering the unroll tail, partial row blocks and partial panels, both
-/// epilogues, all three entry points) run through `backend`, output bytes
-/// hashed. Identical across hosts and across conforming variants — the
-/// contract above — so a mismatch means genuinely different math, which is
-/// what the distributed handshake must refuse to merge.
+/// epilogues, all three entry points, and a padded stride-2 conv group
+/// through both conv packers) run through `backend`, output bytes hashed.
+/// Identical across hosts and across conforming variants — the contract
+/// above — so a mismatch means genuinely different math, which is what the
+/// distributed handshake must refuse to merge.
 std::string kernel_fingerprint(const ComputeBackend& backend);
 
 /// kernel_fingerprint(active()).

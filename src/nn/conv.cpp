@@ -35,17 +35,6 @@ std::size_t group_size(std::size_t hw, std::size_t batch) {
   return std::max<std::size_t>(1, std::min(batch, ceil_div(kMinGemmCols, hw)));
 }
 
-/// Unrolls images [n0, n0 + cnt) of the batch `x` side by side into one
-/// [patch_len x cnt * out_hw] matrix.
-void im2col_group(const float* x, const ConvGeom& g, std::size_t n0,
-                  std::size_t cnt, float* cols) {
-  const std::size_t image_len = g.in_c * g.in_h * g.in_w;
-  const std::size_t hw = g.out_hw();
-  for (std::size_t i = 0; i < cnt; ++i) {
-    im2col(x + (n0 + i) * image_len, g, cols + i * hw, cnt * hw);
-  }
-}
-
 /// [cnt, rows, hw] (image-major, as tensors store it) -> the row-major
 /// [rows, cnt * hw] GEMM operand of a lowered group, gathered into
 /// `scratch`. A single image already has that layout and is returned as is.
@@ -73,6 +62,23 @@ void from_gemm_layout(const float* src, std::size_t cnt, std::size_t rows,
 }
 
 }  // namespace
+
+backend::ConvPackArgs conv_pack_args(const ConvGeom& g, const float* images,
+                                     std::size_t cnt) {
+  backend::ConvPackArgs args;
+  args.images = images;
+  args.cnt = cnt;
+  args.in_c = g.in_c;
+  args.in_h = g.in_h;
+  args.in_w = g.in_w;
+  args.k_h = g.k_h;
+  args.k_w = g.k_w;
+  args.stride = g.stride;
+  args.pad = g.pad;
+  args.out_h = g.out_h();
+  args.out_w = g.out_w();
+  return args;
+}
 
 Conv2d::Conv2d(std::size_t in_c, std::size_t out_c, std::size_t kernel,
                std::size_t stride, std::size_t pad, Rng& rng, bool bias)
@@ -115,32 +121,35 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const std::size_t batch = x.dim(0);
   const std::size_t hw = g.out_hw();
   const std::size_t patch = g.patch_len();
+  const std::size_t image_len = in_c_ * g.in_h * g.in_w;
   const std::size_t per = group_size(hw, batch);
   Tensor out({batch, out_c_, g.out_h(), g.out_w()});
 
   const float* w = weight_.value.data();
   const float* b = has_bias_ ? bias_.value.data() : nullptr;
+  const backend::GemmKernels& kernels = backend::active().gemm_kernels();
   parallel_for_chunks(
       0, ceil_div(batch, per),
       [&](std::size_t lo, std::size_t hi) {
-        // Per-worker scratch: the group's im2col buffer (and the GEMM
+        // Per-worker scratch: the group's packed panels (and the GEMM
         // output it is scattered from) live in the thread-local arena and
         // are reused across every group of the chunk.
         ScratchArena& arena = ScratchArena::local();
         const ScratchArena::Frame frame(arena);
-        float* cols = arena.alloc(patch * per * hw);
+        float* packed = arena.alloc(packed_b_size(patch, per * hw));
         float* tmp = per > 1 ? arena.alloc(out_c_ * per * hw) : nullptr;
         for (std::size_t group = lo; group < hi; ++group) {
           const std::size_t n0 = group * per;
           const std::size_t cnt = std::min(per, batch - n0);
-          im2col_group(x.data(), g, n0, cnt, cols);
+          kernels.pack_conv(conv_pack_args(g, x.data() + n0 * image_len, cnt),
+                            packed);
           // A single image's GEMM output already has the tensor layout.
           float* out_n0 = out.data() + n0 * out_c_ * hw;
           float* dst = cnt == 1 ? out_n0 : tmp;
           // Bias (one per output channel = per GEMM row) fuses into the
           // kernel epilogue instead of a second pass over the output.
-          gemm(w, cols, dst, out_c_, patch, cnt * hw, /*accumulate=*/false,
-               /*row_bias=*/b);
+          gemm_packed(w, packed, dst, out_c_, patch, cnt * hw,
+                      /*accumulate=*/false, /*row_bias=*/b);
           if (cnt > 1) from_gemm_layout(tmp, cnt, out_c_, hw, out_n0);
         }
       },
@@ -193,6 +202,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // group over the concatenated (item, pixel) reduction axis. The kernel
   // loads the accumulator from C and reduces k in ascending order, so this
   // performs the same float operations as one accumulating call per item.
+  const backend::GemmKernels& kernels = backend::active().gemm_kernels();
   parallel_for(
       0, parts,
       [&](std::size_t part) {
@@ -202,16 +212,17 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         float* gb = gb_parts[part].data();
         ScratchArena& arena = ScratchArena::local();
         const ScratchArena::Frame frame(arena);
-        float* cols = arena.alloc(patch * per * hw);
+        float* packed = arena.alloc(packed_b_size(per * hw, patch));
         float* gout_group = per > 1 ? arena.alloc(out_len * per) : nullptr;
         for (std::size_t n0 = lo; n0 < hi; n0 += per) {
           const std::size_t cnt = std::min(per, hi - n0);
-          im2col_group(x.data(), g, n0, cnt, cols);
+          kernels.pack_conv_bt(
+              conv_pack_args(g, x.data() + n0 * image_len, cnt), packed);
           const float* gout = to_gemm_layout(grad_out.data() + n0 * out_len,
                                              cnt, out_c_, hw, gout_group);
           // dW += gout [outC x cols] * cols^T [cols x patch]
-          gemm_bt(gout, cols, gw, out_c_, cnt * hw, patch,
-                  /*accumulate=*/true);
+          gemm_packed(gout, packed, gw, out_c_, cnt * hw, patch,
+                      /*accumulate=*/true);
           if (has_bias_) {
             for (std::size_t n = n0; n < n0 + cnt; ++n) {
               const float* gout_n = grad_out.data() + n * out_len;

@@ -1,25 +1,33 @@
-// 2-D convolution layer (im2col + GEMM lowering).
+// 2-D convolution layer, lowered onto the packed GEMM.
 //
 // Each layer call lowers its batch in groups of
-// per = clamp(ceil(kMinGemmCols / out_hw), 1, batch) images: the group's
-// patches are unrolled side by side into one [patch x per * out_hw] matrix
-// and multiplied by the weights in a single GEMM, so layers with tiny
-// outputs (1x1, 2x2) fill the kernel's 32-column panels instead of padding
-// them. Large-output layers get per = 1, one GEMM per image.
+// per = clamp(ceil(kMinGemmCols / out_hw), 1, batch) images: the backend's
+// pack_conv writes the group's patches, side by side, straight into the
+// GEMM's kNr-wide B panels (no im2col matrix in between), and one GEMM
+// multiplies them by the weights, so layers with tiny outputs (1x1, 2x2)
+// fill the kernel's 32-column panels instead of padding them. Large-output
+// layers get per = 1, one GEMM per image.
 //
 // Backward keeps the weight gradient's fixed 8-part batch partition (the
 // thread-invariance contract); inside a part, each group's weight gradient
-// is one accumulating GEMM over the concatenated (image, pixel) axis, which
-// the kernel's ascending-k single-accumulator reduction makes bitwise equal
-// to one call per image. The input gradient is grouped like forward. Every
-// output, gradient and trained weight is therefore byte-identical to the
-// per-image lowering.
+// is one accumulating GEMM over the concatenated (image, pixel) axis, with
+// B^T packed straight from the images by pack_conv_bt. The kernel's
+// ascending-k single-accumulator reduction makes that bitwise equal to one
+// call per image. The input gradient is grouped like forward and scattered
+// back with col2im. Every output, gradient and trained weight is therefore
+// byte-identical to the per-image im2col lowering.
 #pragma once
 
+#include "nn/backend.hpp"
 #include "nn/im2col.hpp"
 #include "nn/layer.hpp"
 
 namespace safelight::nn {
+
+/// The conv packers' arguments for `cnt` images of geometry `g` stored back
+/// to back from `images`.
+backend::ConvPackArgs conv_pack_args(const ConvGeom& g, const float* images,
+                                     std::size_t cnt);
 
 class Conv2d final : public Layer {
  public:

@@ -95,11 +95,6 @@ static_assert(kRowGrain % backend::kMr == 0);
 
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
-/// Packed-panel buffer for B, sized for ceil(n / kNr) zero-padded panels.
-float* alloc_packed(ScratchArena& arena, std::size_t k, std::size_t n) {
-  return arena.alloc(ceil_div(n, backend::kNr) * backend::kNr * k);
-}
-
 /// Runs the row driver of `kernels` over all of C in parallel chunks.
 void run_parallel(const backend::GemmKernels& kernels,
                   const backend::GemmArgs& args, bool transposed_a) {
@@ -110,7 +105,26 @@ void run_parallel(const backend::GemmKernels& kernels,
       [&](std::size_t lo, std::size_t hi) { run(args, lo, hi); }, kRowGrain);
 }
 
+/// GemmArgs over an already packed B.
+backend::GemmArgs packed_args(const float* a, const float* packed, float* c,
+                              std::size_t m, std::size_t k, std::size_t n,
+                              bool accumulate) {
+  backend::GemmArgs args;
+  args.a = a;
+  args.packed = packed;
+  args.c = c;
+  args.m = m;
+  args.k = k;
+  args.n = n;
+  args.accumulate = accumulate;
+  return args;
+}
+
 }  // namespace
+
+std::size_t packed_b_size(std::size_t k, std::size_t n) {
+  return ceil_div(n, backend::kNr) * backend::kNr * k;
+}
 
 void gemm(const float* a, const float* b, float* c, std::size_t m,
           std::size_t k, std::size_t n, bool accumulate,
@@ -121,16 +135,9 @@ void gemm(const float* a, const float* b, float* c, std::size_t m,
   const GemmScope scope("gemm", active.name(), m, k, n);
   ScratchArena& arena = ScratchArena::local();
   const ScratchArena::Frame frame(arena);
-  float* packed = alloc_packed(arena, k, n);
+  float* packed = arena.alloc(packed_b_size(k, n));
   kernels.pack_b(b, k, n, packed);
-  backend::GemmArgs args;
-  args.a = a;
-  args.packed = packed;
-  args.c = c;
-  args.m = m;
-  args.k = k;
-  args.n = n;
-  args.accumulate = accumulate;
+  backend::GemmArgs args = packed_args(a, packed, c, m, k, n, accumulate);
   args.row_bias = row_bias;
   run_parallel(kernels, args, /*transposed_a=*/false);
 }
@@ -144,16 +151,9 @@ void gemm_bt(const float* a, const float* b, float* c, std::size_t m,
   const GemmScope scope("gemm_bt", active.name(), m, k, n);
   ScratchArena& arena = ScratchArena::local();
   const ScratchArena::Frame frame(arena);
-  float* packed = alloc_packed(arena, k, n);
+  float* packed = arena.alloc(packed_b_size(k, n));
   kernels.pack_bt(b, k, n, packed);
-  backend::GemmArgs args;
-  args.a = a;
-  args.packed = packed;
-  args.c = c;
-  args.m = m;
-  args.k = k;
-  args.n = n;
-  args.accumulate = accumulate;
+  backend::GemmArgs args = packed_args(a, packed, c, m, k, n, accumulate);
   args.col_bias = col_bias;
   run_parallel(kernels, args, /*transposed_a=*/false);
 }
@@ -166,17 +166,21 @@ void gemm_at(const float* a, const float* b, float* c, std::size_t m,
   const GemmScope scope("gemm_at", active.name(), m, k, n);
   ScratchArena& arena = ScratchArena::local();
   const ScratchArena::Frame frame(arena);
-  float* packed = alloc_packed(arena, k, n);
+  float* packed = arena.alloc(packed_b_size(k, n));
   kernels.pack_b(b, k, n, packed);
-  backend::GemmArgs args;
-  args.a = a;
-  args.packed = packed;
-  args.c = c;
-  args.m = m;
-  args.k = k;
-  args.n = n;
-  args.accumulate = accumulate;
-  run_parallel(kernels, args, /*transposed_a=*/true);
+  run_parallel(kernels, packed_args(a, packed, c, m, k, n, accumulate),
+               /*transposed_a=*/true);
+}
+
+void gemm_packed(const float* a, const float* packed, float* c,
+                 std::size_t m, std::size_t k, std::size_t n, bool accumulate,
+                 const float* row_bias) {
+  if (m == 0 || n == 0) return;
+  const backend::ComputeBackend& active = backend::active();
+  const GemmScope scope("gemm_packed", active.name(), m, k, n);
+  backend::GemmArgs args = packed_args(a, packed, c, m, k, n, accumulate);
+  args.row_bias = row_bias;
+  run_parallel(active.gemm_kernels(), args, /*transposed_a=*/false);
 }
 
 }  // namespace safelight::nn

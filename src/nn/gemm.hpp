@@ -1,9 +1,10 @@
 // Packed, register-tiled single-precision GEMM kernels.
 //
-// All convolution and fully-connected compute lowers onto these three
-// routines. B is packed into kNr-wide column panels held in the thread-local
-// scratch arena; a kMr x kNr register-blocked micro-kernel (unrolled by 4
-// over k) then streams the panels. The compute itself is dispatched at
+// All convolution and fully-connected compute lowers onto these routines.
+// B is packed into kNr-wide column panels held in the thread-local
+// scratch arena (Conv2d packs its panels straight from the images and
+// hands them to gemm_packed); a kMr x kNr register-blocked micro-kernel
+// (unrolled by 4 over k) then streams the panels. The compute itself is dispatched at
 // runtime through the compute-backend registry (nn/backend.hpp): one fat
 // binary carries scalar, AVX2 and AVX-512 variants of the kernel body and
 // picks the best one the host CPU supports (override with --backend /
@@ -42,5 +43,17 @@ void gemm_bt(const float* a, const float* b, float* c, std::size_t m,
 /// C[m x n] = A^T * B where A is [k x m], B is [k x n]. Row-major, no alias.
 void gemm_at(const float* a, const float* b, float* c, std::size_t m,
              std::size_t k, std::size_t n, bool accumulate = false);
+
+/// Floats of a packed B operand for a [k x n] GEMM: ceil(n / kNr)
+/// zero-padded panels of kNr x k (nn/backend.hpp).
+std::size_t packed_b_size(std::size_t k, std::size_t n);
+
+/// C[m x n] = A[m x k] * B (+ C when accumulate), with B already packed
+/// into packed_b_size(k, n) floats by one of the backend packers (Conv2d's
+/// pack_conv / pack_conv_bt). Row-major A and C, no alias; row_bias as for
+/// gemm. Counted and traced like the other entry points.
+void gemm_packed(const float* a, const float* packed, float* c,
+                 std::size_t m, std::size_t k, std::size_t n,
+                 bool accumulate = false, const float* row_bias = nullptr);
 
 }  // namespace safelight::nn

@@ -1,11 +1,15 @@
-// im2col / col2im lowering for 2-D convolution.
+// im2col / col2im lowering for 2-D convolution, and ConvGeom.
 //
-// Conv2d lowers a group of images at a time into one GEMM: each image of
-// the group is unrolled into its own out_hw-wide column block of a shared
-// [patch_len x cnt * out_hw] matrix (leading dimension `ld` = cnt * out_hw),
-// so deep layers with tiny outputs still hand the kernel wide panels.
-// Backward-to-input uses col2im to scatter patch gradients back, one image
-// per column block.
+// Conv2d no longer runs im2col: the backend's pack_conv / pack_conv_bt
+// (nn/gemm_variant.inl) write the GEMM's packed panels straight from the
+// images. im2col stays as their test reference, the way nn/gemm_ref is
+// kept for the GEMM: the patch matrix of a group of images, each unrolled
+// into its own out_hw-wide column block of a shared [patch_len x cnt *
+// out_hw] matrix (leading dimension `ld` = cnt * out_hw), then packed by
+// pack_b / pack_bt, must equal the direct panels byte for byte
+// (ConvPack.DirectPanelsMatchIm2colThenPackBitwise). scripts/check.sh fails
+// on an im2col( call anywhere else in src/. Backward-to-input still uses
+// col2im to scatter patch gradients back, one image per column block.
 #pragma once
 
 #include <cstddef>

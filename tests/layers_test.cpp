@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/dropout.hpp"
+#include "nn/gemm.hpp"
 #include "nn/gemm_ref.hpp"
 #include "nn/im2col.hpp"
 #include "nn/linear.hpp"
@@ -283,6 +286,79 @@ TEST(Conv2d, GroupedLoweringMatchesPerImageReferenceBitwise) {
   EXPECT_GE(checked, 1u);  // scalar at minimum
 }
 
+TEST(ConvPack, DirectPanelsMatchIm2colThenPackBitwise) {
+  // The census's hot shapes, then the geometry edges: padding taps on
+  // every side, strides 2 and 3, output rows wider than a panel, panels
+  // straddling two images and partial last panels.
+  struct Case {
+    const char* label;
+    std::size_t cnt, in_c, in_h, in_w, k_h, k_w, stride, pad;
+  };
+  const Case cases[] = {
+      {"1->6 28x28 k5 p0", 1, 1, 28, 28, 5, 5, 1, 0},
+      {"8ch 16x16 k3", 1, 8, 16, 16, 3, 3, 1, 1},
+      {"16ch 8x8 k3, 2 images", 2, 16, 8, 8, 3, 3, 1, 1},
+      {"64ch 2x2 k3, 32 images", 32, 64, 2, 2, 3, 3, 1, 1},
+      {"kernel wider than image", 3, 2, 2, 3, 5, 5, 1, 2},
+      {"stride 2", 4, 3, 9, 9, 3, 3, 2, 1},
+      {"stride 3", 3, 2, 10, 11, 3, 3, 3, 0},
+      {"pad > k/2", 2, 2, 5, 5, 3, 3, 1, 2},
+      {"out_w > kNr", 1, 1, 40, 40, 3, 3, 1, 1},
+      {"panels straddle images", 3, 3, 5, 5, 3, 3, 1, 1},
+      {"rectangular kernel, stride 2", 5, 2, 7, 6, 3, 2, 2, 1},
+  };
+  std::size_t checked = 0;
+  for (const backend::ComputeBackend* variant : backend::registered()) {
+    if (!variant->supported()) continue;
+    const backend::GemmKernels& kernels = variant->gemm_kernels();
+    for (const Case& c : cases) {
+      const ConvGeom g{c.in_c, c.in_h, c.in_w, c.k_h, c.k_w, c.stride, c.pad};
+      ASSERT_TRUE(g.valid()) << c.label;
+      const std::size_t hw = g.out_hw();
+      const std::size_t cols_n = c.cnt * hw;
+      const std::size_t patch = g.patch_len();
+      const std::size_t image_len = c.in_c * c.in_h * c.in_w;
+      Rng rng(11);
+      Tensor x = random_tensor({c.cnt, c.in_c, c.in_h, c.in_w}, rng);
+      x[0] = -0.0f;  // copied as is, unlike a zero-filled padding tap
+
+      std::vector<float> cols(patch * cols_n);
+      for (std::size_t i = 0; i < c.cnt; ++i) {
+        im2col(x.data() + i * image_len, g, cols.data() + i * hw, cols_n);
+      }
+      const backend::ConvPackArgs args = conv_pack_args(g, x.data(), c.cnt);
+      const std::string label = std::string(variant->name()) + " " + c.label;
+
+      // Both sides start from the same garbage, so a byte the direct
+      // packer leaves unwritten shows up as a mismatch.
+      const auto garbage = [](std::size_t len) {
+        std::vector<float> v(len);
+        std::memset(v.data(), 0xab, len * sizeof(float));
+        return v;
+      };
+      const std::size_t b_len = packed_b_size(patch, cols_n);
+      std::vector<float> want = garbage(b_len);
+      std::vector<float> got = garbage(b_len);
+      kernels.pack_b(cols.data(), patch, cols_n, want.data());
+      kernels.pack_conv(args, got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), b_len * sizeof(float)),
+                0)
+          << label << ": pack_conv";
+
+      const std::size_t bt_len = packed_b_size(cols_n, patch);
+      want = garbage(bt_len);
+      got = garbage(bt_len);
+      kernels.pack_bt(cols.data(), cols_n, patch, want.data());
+      kernels.pack_conv_bt(args, got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), bt_len * sizeof(float)),
+                0)
+          << label << ": pack_conv_bt";
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 1u);  // scalar at minimum
+}
+
 // ---------------------------------------------------------------- linear
 
 TEST(Linear, KnownValue) {
@@ -339,6 +415,24 @@ TEST(ReLU, BackwardMasksGradient) {
   const Tensor g = relu.backward(Tensor::from({5, 5}));
   EXPECT_FLOAT_EQ(g[0], 0.0f);
   EXPECT_FLOAT_EQ(g[1], 5.0f);
+}
+
+TEST(ReLU, NanAndNegativeZeroBecomePositiveZeroAndBackwardMasksThem) {
+  ReLU relu;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  Tensor x = Tensor::from({nan, -0.0f, 0.0f, -1.0f, 2.0f, inf, -inf, denorm});
+  const Tensor out = relu.forward(x, true);
+  const float want[] = {0.0f, 0.0f, 0.0f, 0.0f, 2.0f, inf, 0.0f, denorm};
+  ASSERT_EQ(out.numel(), std::size(want));
+  // Byte comparison: +0.0f only, never -0.0f or a NaN payload.
+  EXPECT_EQ(std::memcmp(out.data(), want, sizeof want), 0);
+  const Tensor g = relu.backward(Tensor::from({1, 1, 1, 1, 1, 1, 1, 1}));
+  for (std::size_t i = 0; i < out.numel(); ++i) {
+    EXPECT_EQ(g[i], out[i] > 0.0f ? 1.0f : 0.0f) << "element " << i;
+    EXPECT_FALSE(std::signbit(g[i])) << "element " << i;
+  }
 }
 
 TEST(Softmax2d, RowsSumToOne) {
