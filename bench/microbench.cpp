@@ -1,5 +1,6 @@
 // Substrate micro-benchmarks (google-benchmark): GEMM, convolution,
-// MR-bank transmission model, thermal solver, mapping and attack planning.
+// MR-bank transmission model, thermal solver, mapping, attack planning and
+// one training step per model.
 // These size the simulator itself, not the paper's results.
 
 #include <benchmark/benchmark.h>
@@ -12,11 +13,14 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/experiment_scale.hpp"
 #include "nn/backend.hpp"
 #include "nn/conv.hpp"
 #include "nn/gemm.hpp"
 #include "nn/gemm_ref.hpp"
+#include "nn/loss.hpp"
 #include "nn/models.hpp"
+#include "nn/optimizer.hpp"
 #include "photonics/mr_bank.hpp"
 #include "thermal/solver.hpp"
 
@@ -271,5 +275,33 @@ void BM_HotspotPlanning(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HotspotPlanning)->Arg(1)->Arg(5);
+
+// One default-scale training step of a zoo entry, as train_model runs it:
+// forward, loss, backward_params (no first-layer input gradient) and the
+// SGD update, on the first batch of the model's training set.
+void BM_TrainStep(benchmark::State& state, sl::nn::ModelId id) {
+  const sl::core::ExperimentSetup setup =
+      sl::core::experiment_setup(id, sl::Scale::kDefault);
+  auto model = sl::nn::make_model(id, setup.model_config);
+  const auto [images, labels] = sl::core::make_train_data(setup).batch(
+      0, setup.base_train.batch_size);
+  sl::nn::Sgd opt(model->params(),
+                  sl::nn::SgdConfig{setup.base_train.lr,
+                                    setup.base_train.momentum,
+                                    setup.base_train.weight_decay, false});
+  for (auto _ : state) {
+    const sl::nn::Tensor logits = model->forward(images, /*train=*/true);
+    const sl::nn::LossResult loss = sl::nn::cross_entropy(logits, labels);
+    model->backward_params(loss.grad);
+    opt.step();
+    opt.zero_grad();
+    benchmark::DoNotOptimize(loss.loss);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(labels.size()));
+}
+BENCHMARK_CAPTURE(BM_TrainStep, cnn1, sl::nn::ModelId::kCnn1);
+BENCHMARK_CAPTURE(BM_TrainStep, resnet18, sl::nn::ModelId::kResNet18);
+BENCHMARK_CAPTURE(BM_TrainStep, vgg16v, sl::nn::ModelId::kVgg16v);
 
 }  // namespace

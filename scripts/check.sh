@@ -18,22 +18,26 @@
 # 4. fresh-zoo determinism: `safelight run susceptibility` must emit a
 #    CSV byte-identical to run-all's (fresh zoo, so the equality is
 #    computational, not cache reuse).
-# 5. distributed smoke: `run --workers 2` (clean, then with --chaos plug
+# 5. thread-invariant training: cold default-scale resnet18 and vgg16v
+#    train (their layers fanned out over the pool) into fresh zoos at
+#    --threads 1 and --threads 4; the .slw files and the CSV must be
+#    byte-identical.
+# 6. distributed smoke: `run --workers 2` (clean, then with --chaos plug
 #    pulls inside the workers) must emit bytes identical to a
 #    single-process run from a fresh zoo — the coordinator/worker/merge
 #    stack proves itself end to end on every CI run; detection,
 #    campaign and an unpinned robust_compare (two planning rounds) shard
 #    too and must match their in-process CSVs, and the merged stores hold
 #    no key twice.
-# 6. telemetry smoke: the same 2-worker run armed with --trace/--metrics
+# 7. telemetry smoke: the same 2-worker run armed with --trace/--metrics
 #    must stay byte-identical, produce a parseable merged Chrome trace
 #    with coordinator + worker tracks, and a schema-valid metrics JSON;
 #    both land in the CI artifact bundle.
-# 7. serve smoke: `safelight list --json` schema check, then a daemon on
+# 8. serve smoke: `safelight list --json` schema check, then a daemon on
 #    an ephemeral port driven with curl — submit, NDJSON event stream,
 #    GET /result byte-identical to the run-all JSON document, 400 on an
 #    unknown spec field, cooperative DELETE, SIGTERM -> exit 130.
-# 8. perfbench smoke: the benchmark harness's self-tests, then its
+# 9. perfbench smoke: the benchmark harness's self-tests, then its
 #    serve-storm workload at smoke size, untraced and traced; each run must
 #    end in a result line with "correct": true and "failed": 0.
 # Ends with a per-phase wall-time summary. CI uploads $SMOKE_DIR/out as
@@ -203,6 +207,27 @@ SAFELIGHT_ZOO="$SMOKE_DIR/zoo_fresh" SAFELIGHT_OUT="$SMOKE_DIR/out_fresh" \
 cmp "$SMOKE_DIR/out/fig7_susceptibility.csv" \
     "$SMOKE_DIR/out_fresh/fig7_susceptibility.csv"
 echo "fresh-zoo run susceptibility CSV byte-identical to run-all"
+phase_end
+
+phase_start "thread-invariant training"
+# Training fans its GEMMs and element-wise layers out over the pool; the
+# trained bytes must not depend on how many threads there are. resnet18
+# covers BatchNorm and the residual blocks; at default scale vgg16v's ReLU
+# and MaxPool2d tensors are above the fan-out grain.
+for threads in 1 4; do
+  SAFELIGHT_ZOO="$SMOKE_DIR/zoo_threads$threads" \
+    SAFELIGHT_OUT="$SMOKE_DIR/out_threads$threads" \
+    "$SAFELIGHT" run susceptibility --model resnet18 --model vgg16v \
+    --scale default --seeds 1 --threads "$threads" \
+    >"$SMOKE_DIR/threads$threads.log"
+done
+ls "$SMOKE_DIR/zoo_threads1/"*.slw >/dev/null
+for model in "$SMOKE_DIR/zoo_threads1/"*.slw; do
+  cmp "$model" "$SMOKE_DIR/zoo_threads4/$(basename "$model")"
+done
+cmp "$SMOKE_DIR/out_threads1/fig7_susceptibility.csv" \
+    "$SMOKE_DIR/out_threads4/fig7_susceptibility.csv"
+echo "zoo entries and CSV byte-identical at --threads 1 and --threads 4"
 phase_end
 
 phase_start "distributed smoke (2 workers, clean + chaos, all sweep kinds)"

@@ -9,6 +9,7 @@
 #include "common/fault.hpp"
 #include "common/fingerprint.hpp"
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "nn/serialize.hpp"
 
 namespace safelight::core {
@@ -87,8 +88,15 @@ std::unique_ptr<nn::Sequential> ModelZoo::get_or_train(
   // once stress test asserts it stays at one per entry under contention.
   static metrics::Counter& trainings = metrics::counter("zoo.trainings");
   trainings.add();
+  trace::Span train_span("zoo", "zoo.train");
+  if (train_span.active()) {
+    train_span.arg("model", nn::to_string(setup.model))
+        .arg("variant", variant.name);
+  }
   const nn::Dataset train = make_train_data(setup);
-  const nn::Dataset test = make_test_data(setup);
+  // Only --verbose prints per-epoch test accuracy, so only it builds the
+  // test set; evaluating changes no weight.
+  const nn::Dataset test = verbose ? make_test_data(setup) : nn::Dataset{};
   nn::TrainConfig config = apply_variant(setup.base_train, variant);
   config.verbose = verbose;
   const nn::TrainHistory history = train_model(*model, train, test, config);

@@ -42,7 +42,12 @@ class ModelZoo {
   /// Loads the cached model or trains + caches it. The returned model is in
   /// its clean (un-conditioned, un-attacked) trained state. Safe to call
   /// concurrently; each entry trains at most once per process (the
-  /// "zoo.trainings" metrics counter counts actual trainings).
+  /// "zoo.trainings" metrics counter counts actual trainings). A cold
+  /// training is one `zoo.train` trace span (args: model, variant) and uses
+  /// every pool thread when called outside a parallel region; only
+  /// `verbose` builds the test set and evaluates it after each epoch. The
+  /// saved bytes are the same at any thread count and with or without
+  /// `verbose`.
   std::unique_ptr<nn::Sequential> get_or_train(const ExperimentSetup& setup,
                                                const VariantSpec& variant,
                                                bool verbose = false);

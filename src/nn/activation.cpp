@@ -4,22 +4,42 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace safelight::nn {
 
+void relu_inplace(float* x, std::size_t n, unsigned char* mask) {
+  parallel_for_chunks(
+      0, n,
+      [x, mask](std::size_t lo, std::size_t hi) {
+        // One branch-free select pass; the positive results are exactly
+        // the positive inputs.
+        for (std::size_t i = lo; i < hi; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
+        if (mask == nullptr) return;
+        for (std::size_t i = lo; i < hi; ++i) mask[i] = x[i] > 0.0f;
+      },
+      kElementGrain);
+}
+
+void relu_backward_inplace(float* g, const unsigned char* mask,
+                           std::size_t n) {
+  parallel_for_chunks(
+      0, n,
+      [g, mask](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          g[i] = mask[i] != 0 ? g[i] : 0.0f;
+        }
+      },
+      kElementGrain);
+}
+
 Tensor ReLU::forward(const Tensor& x, bool train) {
   Tensor out = x;
-  float* o = out.data();
-  const std::size_t n = out.numel();
-  // One branch-free select pass: `v > 0 ? v : 0` sends NaN and -0.0f to
-  // +0.0f, exactly like the compare-and-clear it replaces.
-  for (std::size_t i = 0; i < n; ++i) o[i] = o[i] > 0.0f ? o[i] : 0.0f;
   if (train) {
-    // The output is positive exactly where the input is.
-    mask_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) mask_[i] = o[i] > 0.0f;
+    mask_.resize(out.numel());
     cached_shape_ = x.shape();
   }
+  relu_inplace(out.data(), out.numel(), train ? mask_.data() : nullptr);
   return out;
 }
 
@@ -28,10 +48,7 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   require(grad_out.shape() == cached_shape_,
           "ReLU::backward: grad shape mismatch");
   Tensor grad_in = grad_out;
-  float* g = grad_in.data();
-  for (std::size_t i = 0; i < grad_in.numel(); ++i) {
-    g[i] = mask_[i] != 0 ? g[i] : 0.0f;
-  }
+  relu_backward_inplace(grad_in.data(), mask_.data(), grad_in.numel());
   return grad_in;
 }
 

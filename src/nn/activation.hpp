@@ -19,6 +19,17 @@ class ReLU final : public Layer {
   Shape cached_shape_;
 };
 
+/// ReLU in place over x[0, n): `v > 0 ? v : 0`, which sends NaN and -0.0f
+/// to +0.0f. With a non-null `mask`, also sets mask[i] = 1 where the result
+/// is positive and 0 elsewhere (backward's mask). Fans out over the pool in
+/// kElementGrain chunks; serial inside a parallel region.
+void relu_inplace(float* x, std::size_t n, unsigned char* mask);
+
+/// ReLU's backward in place: g[i] = mask[i] != 0 ? g[i] : 0. Chunked like
+/// relu_inplace.
+void relu_backward_inplace(float* g, const unsigned char* mask,
+                           std::size_t n);
+
 /// Row-wise softmax over the last dimension of a [N, C] tensor. Forward-only
 /// utility (the loss uses fused log-softmax); provided for examples that want
 /// class probabilities.

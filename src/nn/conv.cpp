@@ -164,6 +164,14 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
+  return backward_impl(grad_out, /*input_grad=*/true);
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  (void)backward_impl(grad_out, /*input_grad=*/false);
+}
+
+Tensor Conv2d::backward_impl(const Tensor& grad_out, bool input_grad) {
   require(!cached_input_.empty(),
           "Conv2d::backward called without forward(train=true)");
   const Tensor& x = cached_input_;
@@ -177,7 +185,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   require(grad_out.shape() == output_shape(x.shape()),
           "Conv2d::backward: grad shape mismatch");
 
-  Tensor grad_in(x.shape());
   const float* w = weight_.value.data();
 
   // Per-part gradient accumulators avoid data races. The batch splits
@@ -238,10 +245,17 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       },
       1);
 
+  for (std::size_t i = 0; i < parts; ++i) {
+    weight_.grad += gw_parts[i];
+    if (has_bias_) bias_.grad += gb_parts[i];
+  }
+  if (!input_grad) return Tensor();
+
   // dX: grouped like forward over the whole batch (each image's input
   // gradient is independent). dcols = W^T [patch x outC] * gout
   // [outC x cols], scattered back into the images of grad_in whose columns
   // sit at `dcols + i * hw`.
+  Tensor grad_in(x.shape());
   parallel_for_chunks(
       0, ceil_div(batch, per),
       [&](std::size_t lo, std::size_t hi) {
@@ -262,11 +276,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         }
       },
       1);
-
-  for (std::size_t i = 0; i < parts; ++i) {
-    weight_.grad += gw_parts[i];
-    if (has_bias_) bias_.grad += gb_parts[i];
-  }
   return grad_in;
 }
 

@@ -14,7 +14,8 @@
 // B^T packed straight from the images by pack_conv_bt. The kernel's
 // ascending-k single-accumulator reduction makes that bitwise equal to one
 // call per image. The input gradient is grouped like forward and scattered
-// back with col2im. Every output, gradient and trained weight is therefore
+// back with col2im; backward_params (the first layer in training) skips
+// it. Every output, gradient and trained weight is therefore
 // byte-identical to the per-image im2col lowering.
 #pragma once
 
@@ -38,6 +39,8 @@ class Conv2d final : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// backward without the input-gradient GEMM and col2im pass.
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   std::string name() const override;
   Shape output_shape(const Shape& in) const override;
@@ -53,6 +56,8 @@ class Conv2d final : public Layer {
 
  private:
   ConvGeom geom_for(const Shape& in) const;
+  /// The one backward body; returns dL/dx only when `input_grad`.
+  Tensor backward_impl(const Tensor& grad_out, bool input_grad);
 
   std::size_t in_c_, out_c_, kernel_, stride_, pad_;
   bool has_bias_;

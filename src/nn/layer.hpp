@@ -7,6 +7,12 @@
 // onto the CONV block's MRs), linear weights (FC block) and electronic-domain
 // parameters (biases, batch-norm — never mapped onto MRs, hence immune to MR
 // attacks, exactly as in the paper's weight-stationary mapping).
+//
+// Threading: a layer call made outside a parallel region (a training step)
+// fans its work out over the pool — GEMMs by tile or image group,
+// element-wise loops in kElementGrain chunks; the same call nested inside
+// one (the sweep's per-cell fan-out) runs serially. Both give the same
+// bytes.
 #pragma once
 
 #include <memory>
@@ -56,6 +62,13 @@ class Layer {
   /// accumulates into each Param::grad and returns dL/dx.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// backward for a layer whose input gradient nobody reads (the first
+  /// layer of a trained model): accumulates the same Param::grad bytes.
+  /// The default runs backward and drops dL/dx; Conv2d skips computing it.
+  virtual void backward_params(const Tensor& grad_out) {
+    (void)backward(grad_out);
+  }
+
   /// Trainable parameters (possibly empty). Pointers remain valid for the
   /// lifetime of the layer.
   virtual std::vector<Param*> params() { return {}; }
@@ -79,6 +92,15 @@ class Layer {
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
+
+/// Smallest chunk, in floats, an element-wise layer loop (ReLU, MaxPool2d,
+/// BatchNorm2d, BasicBlock's ReLUs and residual add) hands one pool thread
+/// through parallel_for_chunks; below two of them the loop runs serially.
+/// At 16K floats run-all tiny ran slower (pool hand-offs on tensors too
+/// small to pay for them); at 64K its wall time is level with serial. Each
+/// element (or channel) is computed by the same code whichever chunk holds
+/// it, so outputs and gradients are byte-identical at any thread count.
+inline constexpr std::size_t kElementGrain = std::size_t{1} << 16;
 
 /// Kaiming-He normal initialization: N(0, sqrt(2 / fan_in)).
 void kaiming_init(Tensor& w, std::size_t fan_in, Rng& rng);

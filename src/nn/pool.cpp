@@ -1,6 +1,9 @@
 #include "nn/pool.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace safelight::nn {
 
@@ -17,40 +20,49 @@ Shape MaxPool2d::output_shape(const Shape& in) const {
 
 Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   const Shape out_shape = output_shape(x.shape());
-  const std::size_t batch = x.dim(0), ch = x.dim(1), in_h = x.dim(2),
-                    in_w = x.dim(3);
+  const std::size_t in_w = x.dim(3);
+  const std::size_t in_hw = x.dim(2) * in_w;
   const std::size_t out_h = out_shape[2], out_w = out_shape[3];
+  const std::size_t out_hw = out_h * out_w;
   Tensor out(out_shape);
   if (train) {
-    argmax_.assign(out.numel(), 0);
+    argmax_.resize(out.numel());
     cached_in_shape_ = x.shape();
   }
-  std::size_t oi = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t c = 0; c < ch; ++c) {
-      const float* plane = x.data() + (n * ch + c) * in_h * in_w;
-      for (std::size_t oh = 0; oh < out_h; ++oh) {
-        for (std::size_t ow = 0; ow < out_w; ++ow, ++oi) {
-          float best = plane[(oh * window_) * in_w + ow * window_];
-          std::size_t best_idx = (oh * window_) * in_w + ow * window_;
-          for (std::size_t dy = 0; dy < window_; ++dy) {
-            for (std::size_t dx = 0; dx < window_; ++dx) {
-              const std::size_t idx =
-                  (oh * window_ + dy) * in_w + (ow * window_ + dx);
-              if (plane[idx] > best) {
-                best = plane[idx];
-                best_idx = idx;
+  const std::size_t win = window_;
+  const float* in = x.data();
+  float* o = out.data();
+  std::size_t* argmax = train ? argmax_.data() : nullptr;
+  // Planes are independent; a chunk spans at least kElementGrain inputs.
+  parallel_for_chunks(
+      0, x.dim(0) * x.dim(1),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t p = lo; p < hi; ++p) {
+          const float* plane = in + p * in_hw;
+          std::size_t oi = p * out_hw;
+          for (std::size_t oh = 0; oh < out_h; ++oh) {
+            for (std::size_t ow = 0; ow < out_w; ++ow, ++oi) {
+              const std::size_t first = (oh * win) * in_w + ow * win;
+              float best = plane[first];
+              std::size_t best_idx = first;
+              // Branch-free select (a branch here mispredicts on random
+              // data): the strict `>` keeps the first maximum, a later NaN
+              // never wins, and a NaN first value is never beaten.
+              for (std::size_t dy = 0; dy < win; ++dy) {
+                for (std::size_t dx = 0; dx < win; ++dx) {
+                  const std::size_t idx = first + dy * in_w + dx;
+                  const bool gt = plane[idx] > best;
+                  best = gt ? plane[idx] : best;
+                  best_idx = gt ? idx : best_idx;
+                }
               }
+              o[oi] = best;
+              if (argmax != nullptr) argmax[oi] = p * in_hw + best_idx;
             }
           }
-          out[oi] = best;
-          if (train) {
-            argmax_[oi] = (n * ch + c) * in_h * in_w + best_idx;
-          }
         }
-      }
-    }
-  }
+      },
+      std::max<std::size_t>(1, kElementGrain / in_hw));
   return out;
 }
 
@@ -60,9 +72,16 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
   require(grad_out.numel() == argmax_.size(),
           "MaxPool2d::backward: grad size mismatch");
   Tensor grad_in(cached_in_shape_);
-  for (std::size_t i = 0; i < grad_out.numel(); ++i) {
-    grad_in[argmax_[i]] += grad_out[i];
-  }
+  float* gi = grad_in.data();
+  const float* go = grad_out.data();
+  const std::size_t* argmax = argmax_.data();
+  // Windows do not overlap, so every output scatters into its own input.
+  parallel_for_chunks(
+      0, grad_out.numel(),
+      [gi, go, argmax](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) gi[argmax[i]] += go[i];
+      },
+      kElementGrain);
   return grad_in;
 }
 

@@ -1,6 +1,8 @@
 #include "nn/residual.hpp"
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
+#include "nn/activation.hpp"
 
 namespace safelight::nn {
 
@@ -62,29 +64,34 @@ Tensor BasicBlock::shortcut_backward(const Tensor& grad,
   return grad_in;
 }
 
+namespace {
+
+/// dst += src (the residual add), chunked like the block's ReLUs.
+void add_inplace(Tensor& dst, const Tensor& src) {
+  require(dst.shape() == src.shape(), "BasicBlock: residual shape mismatch");
+  float* d = dst.data();
+  const float* s = src.data();
+  parallel_for_chunks(
+      0, dst.numel(),
+      [d, s](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) d[i] += s[i];
+      },
+      kElementGrain);
+}
+
+}  // namespace
+
 Tensor BasicBlock::forward(const Tensor& x, bool train) {
   if (train) cached_in_shape_ = x.shape();
   Tensor h = conv1_.forward(x, train);
   h = bn1_.forward(h, train);
-  if (train) relu1_mask_.assign(h.numel(), false);
-  for (std::size_t i = 0; i < h.numel(); ++i) {
-    if (h[i] > 0.0f) {
-      if (train) relu1_mask_[i] = true;
-    } else {
-      h[i] = 0.0f;
-    }
-  }
+  if (train) relu1_mask_.resize(h.numel());
+  relu_inplace(h.data(), h.numel(), train ? relu1_mask_.data() : nullptr);
   h = conv2_.forward(h, train);
   h = bn2_.forward(h, train);
-  h += shortcut_forward(x);
-  if (train) relu2_mask_.assign(h.numel(), false);
-  for (std::size_t i = 0; i < h.numel(); ++i) {
-    if (h[i] > 0.0f) {
-      if (train) relu2_mask_[i] = true;
-    } else {
-      h[i] = 0.0f;
-    }
-  }
+  add_inplace(h, shortcut_forward(x));
+  if (train) relu2_mask_.resize(h.numel());
+  relu_inplace(h.data(), h.numel(), train ? relu2_mask_.data() : nullptr);
   return h;
 }
 
@@ -94,20 +101,15 @@ Tensor BasicBlock::backward(const Tensor& grad_out) {
   require(grad_out.numel() == relu2_mask_.size(),
           "BasicBlock::backward: grad size mismatch");
   Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.numel(); ++i) {
-    if (!relu2_mask_[i]) g[i] = 0.0f;
-  }
+  relu_backward_inplace(g.data(), relu2_mask_.data(), g.numel());
   // The post-ReLU gradient splits into the residual branch and the shortcut.
   Tensor g_main = bn2_.backward(g);
   g_main = conv2_.backward(g_main);
-  for (std::size_t i = 0; i < g_main.numel(); ++i) {
-    if (!relu1_mask_[i]) g_main[i] = 0.0f;
-  }
+  relu_backward_inplace(g_main.data(), relu1_mask_.data(), g_main.numel());
   g_main = bn1_.backward(g_main);
   g_main = conv1_.backward(g_main);
 
-  Tensor g_short = shortcut_backward(g, cached_in_shape_);
-  g_main += g_short;
+  add_inplace(g_main, shortcut_backward(g, cached_in_shape_));
   return g_main;
 }
 

@@ -34,8 +34,8 @@ class BasicBlock final : public Layer {
   BatchNorm2d bn1_;
   Conv2d conv2_;
   BatchNorm2d bn2_;
-  std::vector<bool> relu1_mask_;
-  std::vector<bool> relu2_mask_;
+  std::vector<unsigned char> relu1_mask_;  // 1 where the ReLU passed
+  std::vector<unsigned char> relu2_mask_;
   Shape cached_in_shape_;
 };
 

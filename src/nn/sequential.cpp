@@ -36,6 +36,15 @@ Tensor Sequential::backward(const Tensor& grad_out) {
   return g;
 }
 
+void Sequential::backward_params(const Tensor& grad_out) {
+  if (layers_.empty()) return;
+  Tensor g = grad_out;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i]->backward(g);
+  }
+  layers_.front()->backward_params(g);
+}
+
 std::vector<Param*> Sequential::params() {
   std::vector<Param*> out;
   for (auto& layer : layers_) {

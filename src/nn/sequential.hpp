@@ -35,6 +35,13 @@ class Sequential final : public Layer {
   Tensor forward_from(std::size_t begin_layer, const Tensor& h, bool train);
 
   Tensor backward(const Tensor& grad_out) override;
+
+  /// The training step's backward: every layer but the first runs
+  /// backward, and the first runs backward_params, so no one computes the
+  /// input gradient the trainer would drop. Param::grad bytes equal
+  /// backward's.
+  void backward_params(const Tensor& grad_out) override;
+
   std::vector<Param*> params() override;
   std::vector<Tensor*> state_tensors() override;
   std::string name() const override;

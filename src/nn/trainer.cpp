@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/trace.hpp"
 #include "nn/loss.hpp"
 
 namespace safelight::nn {
@@ -37,6 +38,7 @@ TrainHistory train_model(Sequential& model, const Dataset& train,
 
   TrainHistory history;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    trace::Span epoch_span("train", "train.epoch");
     if (config.lr_decay_every > 0 && epoch > 0 &&
         epoch % config.lr_decay_every == 0) {
       opt.set_lr(opt.lr() * config.lr_decay);
@@ -60,7 +62,8 @@ TrainHistory train_model(Sequential& model, const Dataset& train,
         opt.zero_grad();
         continue;
       }
-      model.backward(loss.grad);
+      // Nothing reads dL/dx of the first layer, so it is never computed.
+      model.backward_params(loss.grad);
       injector.restore(params);
       opt.step();
       opt.zero_grad();
@@ -70,6 +73,10 @@ TrainHistory train_model(Sequential& model, const Dataset& train,
     history.train_loss.push_back(
         batch_count == 0 ? std::numeric_limits<double>::quiet_NaN()
                          : loss_sum / static_cast<double>(batch_count));
+    if (epoch_span.active()) {
+      epoch_span.arg("epoch", static_cast<double>(epoch))
+          .arg("loss", history.train_loss.back());
+    }
     if (test.size() > 0) {
       history.test_acc.push_back(evaluate(model, test));
     }

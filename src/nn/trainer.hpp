@@ -36,7 +36,13 @@ struct TrainHistory {
 double evaluate(Sequential& model, const Dataset& data,
                 std::size_t batch_size = 64);
 
-/// Trains `model` in place; returns the per-epoch history.
+/// Trains `model` in place; returns the per-epoch history. Each epoch is a
+/// `train.epoch` trace span (args: epoch, loss). An empty `test` skips
+/// the per-epoch evaluation; eval-mode forwards change no model state
+/// (BatchNorm reads its running stats, Dropout draws nothing), so the
+/// trained weights are byte-identical either way. The backward pass runs
+/// through Sequential::backward_params, and the element-wise layers and
+/// conv GEMMs fan out over the pool with thread-invariant results.
 TrainHistory train_model(Sequential& model, const Dataset& train,
                          const Dataset& test, const TrainConfig& config);
 

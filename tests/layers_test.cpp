@@ -5,11 +5,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
 #include "nn/backend.hpp"
@@ -94,6 +96,77 @@ void check_gradients(Layer& layer, const Tensor& x, Rng& rng,
       close(p->grad[i], (up - down) / (2.0 * eps),
             p->name + " grad at " + std::to_string(i));
     }
+  }
+}
+
+/// Runs `fn` inside a parallel region, where every parallel_for it issues
+/// runs serially on one thread, as inside the sweep's claim fan-out.
+void run_nested(const std::function<void()>& fn) {
+  parallel_for(0, 2, [&](std::size_t i) {
+    if (i == 0) fn();
+  });
+}
+
+/// Everything one training step of `layer` leaves behind: the training
+/// output, the input gradient, every param gradient, every state tensor,
+/// and an eval-mode output after the state update.
+std::vector<Tensor> step_results(Layer& layer, const Tensor& x,
+                                 const Tensor& grad_out) {
+  std::vector<Tensor> results;
+  results.push_back(layer.forward(x, /*train=*/true));
+  results.push_back(layer.backward(grad_out));
+  for (Param* p : layer.params()) results.push_back(p->grad);
+  for (Tensor* t : layer.state_tensors()) results.push_back(*t);
+  results.push_back(layer.forward(x, /*train=*/false));
+  return results;
+}
+
+/// A fresh layer from `make` must give the same bytes run top-level, where
+/// its element-wise loops fan out over the pool (x spans at least two
+/// kElementGrain chunks), as run nested, where they are serial.
+void expect_pool_invariant(const std::function<LayerPtr()>& make,
+                           const Tensor& x, Rng& rng) {
+  ASSERT_GE(x.numel(), 2 * kElementGrain);
+  const LayerPtr top = make();
+  const Tensor grad_out = random_tensor(top->output_shape(x.shape()), rng);
+  const std::vector<Tensor> fanned = step_results(*top, x, grad_out);
+  const LayerPtr nested = make();
+  std::vector<Tensor> serial;
+  run_nested([&] { serial = step_results(*nested, x, grad_out); });
+  ASSERT_EQ(fanned.size(), serial.size());
+  for (std::size_t i = 0; i < fanned.size(); ++i) {
+    ASSERT_EQ(fanned[i].shape(), serial[i].shape()) << "result " << i;
+    EXPECT_EQ(std::memcmp(fanned[i].data(), serial[i].data(),
+                          fanned[i].numel() * sizeof(float)),
+              0)
+        << top->name() << ": result " << i
+        << " differs between the pool and the serial run";
+  }
+}
+
+/// backward_params must accumulate the same Param::grad bytes, over two
+/// steps, as backward on an identical layer.
+void expect_backward_params_match(const std::function<LayerPtr()>& make,
+                                  const Tensor& x, Rng& rng) {
+  const LayerPtr full = make();
+  const LayerPtr params_only = make();
+  for (int step = 0; step < 2; ++step) {
+    const Tensor grad_out = random_tensor(full->output_shape(x.shape()), rng);
+    (void)full->forward(x, /*train=*/true);
+    (void)full->backward(grad_out);
+    (void)params_only->forward(x, /*train=*/true);
+    params_only->backward_params(grad_out);
+  }
+  const std::vector<Param*> want = full->params();
+  const std::vector<Param*> got = params_only->params();
+  ASSERT_EQ(want.size(), got.size());
+  ASSERT_FALSE(want.empty());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i]->grad.shape(), got[i]->grad.shape());
+    EXPECT_EQ(std::memcmp(want[i]->grad.data(), got[i]->grad.data(),
+                          want[i]->grad.numel() * sizeof(float)),
+              0)
+        << "param " << i << " (" << want[i]->name << ")";
   }
 }
 
@@ -286,6 +359,24 @@ TEST(Conv2d, GroupedLoweringMatchesPerImageReferenceBitwise) {
   EXPECT_GE(checked, 1u);  // scalar at minimum
 }
 
+TEST(Conv2d, BackwardParamsMatchesBackwardBitwise) {
+  // A lone-image (16x16 output) and a grouped (2x2 output) lowering.
+  Rng rng(66);
+  expect_backward_params_match(
+      [] {
+        Rng init(5);
+        return std::make_unique<Conv2d>(3, 8, 3, 1, 1, init);
+      },
+      random_tensor({9, 3, 16, 16}, rng), rng);
+  expect_backward_params_match(
+      [] {
+        Rng init(6);
+        return std::make_unique<Conv2d>(4, 6, 3, 2, 1, init,
+                                        /*bias=*/false);
+      },
+      random_tensor({33, 4, 4, 4}, rng), rng);
+}
+
 TEST(ConvPack, DirectPanelsMatchIm2colThenPackBitwise) {
   // The census's hot shapes, then the geometry edges: padding taps on
   // every side, strides 2 and 3, output rows wider than a panel, panels
@@ -435,6 +526,15 @@ TEST(ReLU, NanAndNegativeZeroBecomePositiveZeroAndBackwardMasksThem) {
   }
 }
 
+TEST(ReLU, PoolFanOutMatchesNestedSerialBitwise) {
+  Rng rng(67);
+  Tensor x = random_tensor({4, 16, 48, 48}, rng);
+  for (std::size_t i = 0; i < x.numel(); i += 97) {
+    x[i] = i % 2 == 0 ? std::numeric_limits<float>::quiet_NaN() : -0.0f;
+  }
+  expect_pool_invariant([] { return std::make_unique<ReLU>(); }, x, rng);
+}
+
 TEST(Softmax2d, RowsSumToOne) {
   Tensor logits({2, 3}, {1, 2, 3, -1, 0, 1});
   const Tensor p = softmax2d(logits);
@@ -476,6 +576,38 @@ TEST(MaxPool2d, GradientCheck) {
   Rng rng(47);
   MaxPool2d pool(2);
   check_gradients(pool, random_tensor({2, 3, 4, 4}, rng), rng);
+}
+
+TEST(MaxPool2d, TiesKeepTheFirstIndexAndNanNeverWinsLater) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  MaxPool2d pool(2);
+  // Window 0: a four-way tie. Window 1: a NaN after the first element.
+  // Window 2: a NaN first, which no later element beats.
+  Tensor x({1, 1, 2, 6}, {3, 3, 1, nan, nan, 9,  //
+                          3, 3, 4, 2, 5, 7});
+  const Tensor out = pool.forward(x, /*train=*/true);
+  ASSERT_EQ(out.numel(), 3u);
+  EXPECT_EQ(out[0], 3.0f);
+  EXPECT_EQ(out[1], 4.0f);
+  EXPECT_TRUE(std::isnan(out[2]));
+  const Tensor g = pool.backward(Tensor({1, 1, 1, 3}, {1, 2, 3}));
+  const float want[] = {1, 0, 0, 0, 3, 0,  //
+                        0, 0, 2, 0, 0, 0};
+  ASSERT_EQ(g.numel(), std::size(want));
+  EXPECT_EQ(std::memcmp(g.data(), want, sizeof want), 0);
+}
+
+TEST(MaxPool2d, PoolFanOutMatchesNestedSerialBitwise) {
+  // Values on a coarse grid make ties common; NaNs sit at both the first
+  // and later window positions.
+  Rng rng(68);
+  Tensor x({8, 16, 64, 64});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(static_cast<int>(rng.uniform(0.0, 4.0)));
+    if (i % 101 == 0) x[i] = std::numeric_limits<float>::quiet_NaN();
+  }
+  expect_pool_invariant([] { return std::make_unique<MaxPool2d>(2); }, x,
+                        rng);
 }
 
 TEST(MaxPool2d, OddSizesTruncate) {
@@ -550,6 +682,14 @@ TEST(BatchNorm2d, GradientCheck) {
   Rng rng(52);
   BatchNorm2d bn(3);
   check_gradients(bn, random_tensor({3, 3, 2, 2}, rng), rng, 1e-2f, 4e-2f);
+}
+
+TEST(BatchNorm2d, PoolFanOutMatchesNestedSerialBitwise) {
+  // 8 images of 32x32 make 8192 floats per channel, so 32 channels split
+  // into 4 chunks of 8.
+  Rng rng(69);
+  expect_pool_invariant([] { return std::make_unique<BatchNorm2d>(32); },
+                        random_tensor({8, 32, 32, 32}, rng, -2.0, 3.0), rng);
 }
 
 TEST(BatchNorm2d, StateTensorsExposed) {
@@ -711,6 +851,22 @@ TEST(BasicBlock, GradientCheckDownsample) {
   EXPECT_LT(err_fine, err_coarse + 1e-6);  // converging toward analytic
 }
 
+TEST(BasicBlock, PoolFanOutMatchesNestedSerialBitwise) {
+  Rng rng(70);
+  expect_pool_invariant(
+      [] {
+        Rng init(8);
+        return std::make_unique<BasicBlock>(16, 16, 1, init);
+      },
+      random_tensor({8, 16, 32, 32}, rng), rng);
+  expect_pool_invariant(
+      [] {
+        Rng init(9);
+        return std::make_unique<BasicBlock>(8, 16, 2, init);
+      },
+      random_tensor({8, 8, 64, 64}, rng), rng);
+}
+
 // ---------------------------------------------------------------- sequential
 
 TEST(Sequential, ForwardChainsLayers) {
@@ -766,6 +922,26 @@ TEST(Sequential, SummaryListsLayers) {
   model.emplace<Linear>(2, 2, rng);
   const std::string s = model.summary();
   EXPECT_NE(s.find("Linear(2->2)"), std::string::npos);
+}
+
+TEST(Sequential, BackwardParamsMatchesBackwardBitwise) {
+  // Conv first (its input gradient is skipped), then every layer kind a
+  // paper model trains through.
+  Rng rng(75);
+  expect_backward_params_match(
+      [] {
+        Rng init(10);
+        auto model = std::make_unique<Sequential>();
+        model->emplace<Conv2d>(3, 8, 3, 1, 1, init);
+        model->emplace<BatchNorm2d>(8);
+        model->emplace<ReLU>();
+        model->emplace<BasicBlock>(8, 8, 1, init);
+        model->emplace<MaxPool2d>(2);
+        model->emplace<Flatten>();
+        model->emplace<Linear>(8 * 4 * 4, 5, init);
+        return model;
+      },
+      random_tensor({6, 3, 8, 8}, rng), rng);
 }
 
 TEST(Sequential, LayerAccessBoundsChecked) {

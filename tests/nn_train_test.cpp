@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
 
+#include "core/experiment_scale.hpp"
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
@@ -555,6 +557,37 @@ TEST(Trainer, DeterministicGivenSeed) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_FLOAT_EQ(max_abs_diff(a[i], b[i]), 0.0f);
+  }
+}
+
+TEST(Trainer, PerEpochEvaluationLeavesTheTrainedStateUnchanged) {
+  // ResNet18 carries BatchNorm running stats and VGG16v Dropout: an
+  // eval-mode pass must touch neither, so skipping the test set (as the
+  // zoo does unless --verbose) trains the same bytes.
+  for (const ModelId id : {ModelId::kResNet18, ModelId::kVgg16v}) {
+    const core::ExperimentSetup setup =
+        core::experiment_setup(id, Scale::kTiny);
+    const Dataset train = core::make_train_data(setup);
+    const Dataset test = core::make_test_data(setup);
+    auto evaluated = make_model(id, setup.model_config);
+    auto silent = make_model(id, setup.model_config);
+    const TrainHistory with_test =
+        train_model(*evaluated, train, test, setup.base_train);
+    const TrainHistory without_test =
+        train_model(*silent, train, Dataset{}, setup.base_train);
+    EXPECT_EQ(with_test.test_acc.size(), setup.base_train.epochs);
+    EXPECT_TRUE(without_test.test_acc.empty());
+    EXPECT_EQ(with_test.train_loss, without_test.train_loss);
+    const std::vector<Tensor> want = snapshot_state(*evaluated);
+    const std::vector<Tensor> got = snapshot_state(*silent);
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(want[i].shape(), got[i].shape());
+      EXPECT_EQ(std::memcmp(want[i].data(), got[i].data(),
+                            want[i].numel() * sizeof(float)),
+                0)
+          << to_string(id) << " tensor " << i;
+    }
   }
 }
 
