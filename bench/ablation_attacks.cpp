@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "attacks/adc_attack.hpp"
-#include "bench_util.hpp"
+#include "common/config.hpp"
 #include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "core/pipeline.hpp"
@@ -21,14 +21,14 @@
 namespace sl = safelight;
 
 int main() {
-  const sl::Scale scale = sl::bench::bench_scale();
-  sl::bench::banner("Ablations (CNN_1, " + sl::to_string(scale) + " scale)");
+  const sl::Scale scale = sl::config::scale();
+  sl::core::banner("Ablations (CNN_1, " + sl::to_string(scale) + " scale)");
   sl::core::ModelZoo zoo;
   const auto setup = sl::core::experiment_setup(sl::nn::ModelId::kCnn1, scale);
   // Train up front (verbose) so the pipeline sweeps below only load.
   zoo.get_or_train(setup, sl::core::variant_by_name("Original"),
                    /*verbose=*/true);
-  const std::size_t seeds = sl::bench::seed_count(3);
+  const std::size_t seeds = sl::config::seed_count(3);
 
   // Mean accuracy across placements for one ablated corruption config,
   // evaluated through the parallel scenario sweep on the CONV+FC target.
@@ -51,7 +51,7 @@ int main() {
                                  sl::core::variant_by_name(variant), grid))));
   };
 
-  sl::CsvWriter csv(sl::bench::out_dir() + "/ablation_attacks.csv",
+  sl::CsvWriter csv(sl::config::out_dir() + "/ablation_attacks.csv",
                     {"ablation", "knob", "value", "mean_accuracy"});
 
   // ---- A1: actuation park distance ---------------------------------
@@ -220,6 +220,6 @@ int main() {
   }
 
   std::printf("\nCSV written to %s/ablation_attacks.csv\n",
-              sl::bench::out_dir().c_str());
+              sl::config::out_dir().c_str());
   return 0;
 }

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "accel/energy.hpp"
-#include "bench_util.hpp"
+#include "common/config.hpp"
 #include "common/csv.hpp"
 #include "core/report.hpp"
 #include "nn/models.hpp"
@@ -27,7 +27,7 @@ struct ModelCase {
 }  // namespace
 
 int main() {
-  sl::bench::banner("Accelerator energy/latency accounting (paper-scale)");
+  sl::core::banner("Accelerator energy/latency accounting (paper-scale)");
 
   // Full-scale model shapes; VGG16_v uses a reduced classifier width to
   // avoid allocating 119.6M parameters just for MAC counting (the conv MACs
@@ -53,7 +53,7 @@ int main() {
   sl::core::TextTable table({"model", "input", "MACs (M)", "latency (us)",
                              "laser (uJ)", "tuning (uJ)", "converters (uJ)",
                              "total (uJ)", "MACs/nJ"});
-  sl::CsvWriter csv(sl::bench::out_dir() + "/energy_table.csv",
+  sl::CsvWriter csv(sl::config::out_dir() + "/energy_table.csv",
                     {"model", "macs", "latency_us", "laser_uj", "tuning_uj",
                      "converter_uj", "detector_uj", "total_uj"});
 
@@ -85,6 +85,6 @@ int main() {
       "trained weights: accelerator energy/latency above is identical for\n"
       "Original and robust variants, unlike hardware countermeasures.\n"
       "CSV written to %s/energy_table.csv\n",
-      sl::bench::out_dir().c_str());
+      sl::config::out_dir().c_str());
   return 0;
 }

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "attacks/hotspot.hpp"
-#include "bench_util.hpp"
+#include "common/config.hpp"
 #include "common/csv.hpp"
 #include "core/report.hpp"
 #include "thermal/heatmap.hpp"
@@ -17,7 +17,7 @@
 namespace sl = safelight;
 
 int main() {
-  sl::bench::banner("Fig. 6: CONV-block hotspot heatmap");
+  sl::core::banner("Fig. 6: CONV-block hotspot heatmap");
 
   const sl::accel::AcceleratorConfig config =
       sl::accel::AcceleratorConfig::crosslight();
@@ -41,7 +41,7 @@ int main() {
               plan.trojans.size(), attack.heater_overdrive_mw);
   std::printf("%s\n", sl::thermal::render_ascii_heatmap(state->grid).c_str());
 
-  const std::string csv_path = sl::bench::out_dir() + "/fig6_heatmap.csv";
+  const std::string csv_path = sl::config::out_dir() + "/fig6_heatmap.csv";
   sl::thermal::write_heatmap_csv(state->grid, csv_path);
 
   // Eq. 2 consequences at bank granularity.

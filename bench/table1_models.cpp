@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "accel/mapping.hpp"
-#include "bench_util.hpp"
+#include "common/config.hpp"
 #include "common/csv.hpp"
 #include "core/experiment_scale.hpp"
 #include "core/report.hpp"
@@ -41,7 +41,7 @@ struct PaperRow {
 }  // namespace
 
 int main() {
-  sl::bench::banner("Table I: CNN model parameters");
+  sl::core::banner("Table I: CNN model parameters");
 
   const sl::nn::ModelSpec specs[] = {sl::nn::spec_cnn1(),
                                      sl::nn::spec_resnet18(),
@@ -57,7 +57,7 @@ int main() {
                              "fc layers", "fc params (paper)",
                              "fc params (ours)", "total (paper)",
                              "total (ours)"});
-  sl::CsvWriter csv(sl::bench::out_dir() + "/table1_models.csv",
+  sl::CsvWriter csv(sl::config::out_dir() + "/table1_models.csv",
                     {"model", "dataset", "conv_layers", "conv_params",
                      "fc_layers", "fc_params", "total_params"});
   for (std::size_t i = 0; i < 3; ++i) {
@@ -90,13 +90,13 @@ int main() {
               fmt_count(slim.fc_params()).c_str(),
               fmt_count(slim.total_params()).c_str());
 
-  sl::bench::banner("Experiment-scale instances (this host)");
+  sl::core::banner("Experiment-scale instances (this host)");
   sl::core::TextTable reduced({"model", "scale", "image", "params",
                                "conv passes", "fc passes"});
   for (sl::nn::ModelId id : {sl::nn::ModelId::kCnn1,
                              sl::nn::ModelId::kResNet18,
                              sl::nn::ModelId::kVgg16v}) {
-    const auto setup = sl::core::experiment_setup(id, sl::bench::bench_scale());
+    const auto setup = sl::core::experiment_setup(id, sl::config::scale());
     auto model = sl::nn::make_model(id, setup.model_config);
     sl::accel::WeightStationaryMapping mapping(*model, setup.accelerator);
     reduced.add_row(
@@ -108,6 +108,6 @@ int main() {
   }
   std::printf("%s\n", reduced.render().c_str());
   std::printf("CSV written to %s/table1_models.csv\n",
-              sl::bench::out_dir().c_str());
+              sl::config::out_dir().c_str());
   return 0;
 }

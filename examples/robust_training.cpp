@@ -35,10 +35,8 @@ int main(int argc, char** argv) {
   auto robust =
       zoo.get_or_train(setup, sl::core::variant_by_name(variant_name), true);
 
-  sl::core::AttackEvaluator original_eval(setup, *original, "Original",
-                                          zoo.directory());
-  sl::core::AttackEvaluator robust_eval(setup, *robust, variant_name,
-                                        zoo.directory());
+  sl::core::AttackEvaluator original_eval(setup, *original, "Original", "");
+  sl::core::AttackEvaluator robust_eval(setup, *robust, variant_name, "");
 
   std::printf("\nbaselines: original %.2f%%, %s %.2f%%\n\n",
               original_eval.baseline_accuracy() * 100.0,

@@ -7,6 +7,8 @@
 #    (the one way to read SAFELIGHT_* knobs) and in the test seams
 #    dist/worker.hpp documents. im2col lint: `im2col(` appears in src/
 #    only in nn/im2col.*, the conv packers' test reference.
+#    result-store lint: a ResultStore is constructed in src/ only by the
+#    cell engine (core/pipeline.cpp) and the dist worker (dist/worker.cpp).
 # 1. configure + build (warnings-as-errors, Release; ccache-launched when
 #    ccache is on PATH, so cached CI runs rebuild in seconds)
 # 2. run the full ctest suite
@@ -105,6 +107,23 @@ STRAY_IM2COL="$(grep -rn 'im2col(' src \
 if [[ -n "$STRAY_IM2COL" ]]; then
   echo "error: im2col( outside nn/im2col.*; Conv2d packs through pack_conv" >&2
   echo "$STRAY_IM2COL" >&2
+  exit 1
+fi
+phase_end
+
+# One result cache: only the cell engine (core/pipeline.cpp) and the dist
+# worker that fills its cells (dist/worker.cpp) open a ResultStore; every
+# other layer computes and hands values to them.
+phase_start "result-store lint"
+STRAY_STORE="$(grep -rnE \
+    'make_(unique|shared)<(core::)?ResultStore>|(^|[^:[:alnum:]_])ResultStore[[:space:]]*[({]|\bResultStore[[:space:]]+[[:alpha:]_][[:alnum:]_]*[[:space:]]*[({=]' src \
+  | grep -vE '^src/core/(pipeline\.cpp|result_store\.(hpp|cpp)):' \
+  | grep -vE '^src/dist/worker\.cpp:' \
+  || true)"
+if [[ -n "$STRAY_STORE" ]]; then
+  echo "error: ResultStore constructed outside core/pipeline.cpp and" \
+       "dist/worker.cpp; persist results through the cell engine" >&2
+  echo "$STRAY_STORE" >&2
   exit 1
 fi
 phase_end

@@ -70,16 +70,6 @@ nn::Tensor OnnExecutor::walk(nn::Sequential& model, const nn::Tensor& h,
                              std::size_t end_layer) const {
   require(begin_layer <= end_layer && end_layer <= model.size(),
           "OnnExecutor::walk: layer window out of range");
-  if (!options_.quantize_activations && readout_hooks_.empty()) {
-    if (end_layer == model.size()) {
-      return model.forward_from(begin_layer, h, /*train=*/false);
-    }
-    nn::Tensor cur = h;
-    for (std::size_t i = begin_layer; i < end_layer; ++i) {
-      cur = model.layer(i).forward(cur, /*train=*/false);
-    }
-    return cur;
-  }
   const phot::Adc adc(phot::QuantizerConfig{config_.adc_bits, -1.0, 1.0});
   nn::Tensor cur = h;
   for (std::size_t i = begin_layer; i < end_layer; ++i) {

@@ -97,10 +97,9 @@ class OnnExecutor {
                        std::size_t batch_size = 64) const;
 
   /// Replaces the whole hook stack with one hook (or clears it, with
-  /// nullptr). While any hook is installed, forward() walks the model layer
-  /// by layer even when activation quantization is off. `kind` defaults to
-  /// kMutating (the safe assumption); register monitors that never modify
-  /// the tensor as kObserving so accuracy sweeps keep their
+  /// nullptr); hooks run on the read-out of every mapped layer. `kind`
+  /// defaults to kMutating (the safe assumption); register monitors that
+  /// never modify the tensor as kObserving so accuracy sweeps keep their
   /// prefix-activation cache.
   void set_readout_hook(ReadoutHook hook,
                         ReadoutHookKind kind = ReadoutHookKind::kMutating) {

@@ -1,21 +1,12 @@
 #include "core/evaluation.hpp"
 
 #include <cstring>
-#include <filesystem>
 
-#include "common/fingerprint.hpp"
+#include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "nn/serialize.hpp"
 
 namespace safelight::core {
-
-std::string weights_checksum(nn::Sequential& model) {
-  Fingerprint fp;
-  for (nn::Param* p : model.params()) {
-    fp.mix_bytes(p->value.data(), p->value.numel() * sizeof(float));
-  }
-  return fp.hex16();
-}
 
 namespace {
 
@@ -57,28 +48,22 @@ std::size_t PrefixCache::size() const {
 
 AttackEvaluator::AttackEvaluator(const ExperimentSetup& setup,
                                  nn::Sequential& model,
-                                 std::string variant_name,
-                                 std::string cache_dir,
+                                 const std::string& /*variant_name*/,
+                                 const std::string& cache_dir,
                                  attack::CorruptionConfig corruption,
                                  std::shared_ptr<PrefixCache> prefix_cache)
-    : setup_(setup), model_(model), variant_name_(std::move(variant_name)),
-      executor_(setup.accelerator),
+    : setup_(setup), model_(model), executor_(setup.accelerator),
       mapping_(executor_.condition_weights(model), setup.accelerator),
       clean_snapshot_(nn::snapshot_state(model)),
       corruption_(std::move(corruption)),
       prefix_cache_(prefix_cache ? std::move(prefix_cache)
                                  : std::make_shared<PrefixCache>()) {
-  std::string cache_path;
   if (!cache_dir.empty()) {
-    std::filesystem::create_directories(cache_dir);
-    // The corruption fingerprint is part of the file name so evaluators
-    // with ablated physics never read each other's entries.
-    cache_path = cache_dir + "/" + setup_.tag() + "_" + variant_name_ + "_" +
-                 weights_checksum(model_) + "_" +
-                 attack::config_fingerprint(corruption_) + ".csv";
+    fail_argument("AttackEvaluator: cache_dir '" + cache_dir +
+                  "' is not supported; the evaluator keeps no results, so "
+                  "persist them through the cell engine (core::sweep_cells "
+                  "with ExperimentSpec::cache_dir)");
   }
-  cache_ = std::make_unique<ResultStore>(cache_path);
-
   // Clean copies of every mapped parameter, grouped by layer in layer
   // order: the byte-comparison base for first_dirty_layer().
   for (std::size_t i = 0; i < model_.size(); ++i) {
@@ -89,10 +74,6 @@ AttackEvaluator::AttackEvaluator(const ExperimentSetup& setup,
     }
     if (!mapped.empty()) clean_mapped_.emplace_back(i, std::move(mapped));
   }
-}
-
-std::string AttackEvaluator::cache_key(const std::string& scenario_id) {
-  return scenario_id + "/n" + std::to_string(eval_data().size());
 }
 
 void AttackEvaluator::restore_clean() {
@@ -171,24 +152,15 @@ double AttackEvaluator::evaluate_attacked() {
 }
 
 double AttackEvaluator::baseline_accuracy() {
-  const std::string key = cache_key("baseline");
-  if (const auto cached = cache_->lookup(key)) return *cached;
   restore_clean();
-  const double accuracy = executor_.evaluate(model_, eval_data(), kEvalBatch);
-  cache_->put(key, accuracy);
-  return accuracy;
+  return executor_.evaluate(model_, eval_data(), kEvalBatch);
 }
 
 double AttackEvaluator::evaluate_scenario(
     const attack::AttackScenario& scenario) {
-  const std::string key = cache_key(scenario.id());
-  if (const auto cached = cache_->lookup(key)) return *cached;
-
   apply_scenario(scenario);
   const double accuracy = evaluate_attacked();
   restore_clean();
-
-  cache_->put(key, accuracy);
   return accuracy;
 }
 
@@ -208,14 +180,9 @@ attack::CorruptionStats AttackEvaluator::apply_composite(
 
 double AttackEvaluator::evaluate_composite(
     const attack::CompositeScenario& composite) {
-  const std::string key = cache_key(composite.id());
-  if (const auto cached = cache_->lookup(key)) return *cached;
-
   apply_composite(composite);
   const double accuracy = evaluate_attacked();
   restore_clean();
-
-  cache_->put(key, accuracy);
   return accuracy;
 }
 

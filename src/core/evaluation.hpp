@@ -7,10 +7,9 @@
 //   3. per scenario: restores the snapshot, applies the attack corruption
 //      through the weight-stationary mapping, and measures accuracy on the
 //      evaluation subset.
-// Sweeps persist results through the cell engine's store (core/pipeline.hpp)
-// and construct the evaluator with an empty cache_dir, so its own memo of
-// accuracies by scenario id stays in memory. A non-empty cache_dir still
-// persists that memo to a CSV keyed by a checksum of the trained weights.
+// The evaluator is pure compute: every call evaluates. Results are cached
+// only by the cell engine's stores (core/pipeline.hpp), which dedupe cells
+// before they reach an evaluator.
 //
 // Prefix-activation caching: apply_attack only mutates parameters of
 // MR-mapped layers, so for the fixed eval set the activations up to the
@@ -38,7 +37,6 @@
 #include "attacks/campaign.hpp"
 #include "attacks/corruption.hpp"
 #include "core/experiment_scale.hpp"
-#include "core/result_store.hpp"
 
 namespace safelight::core {
 
@@ -69,22 +67,24 @@ class PrefixCache {
 
 class AttackEvaluator {
  public:
-  /// `cache_dir` empty disables persistence (tests). The model reference
-  /// must outlive the evaluator; its weights are managed by the evaluator
-  /// from here on (conditioned, attacked, restored). `corruption` sets the
-  /// attack physics shared by every scenario this evaluator runs; it is
-  /// fingerprinted into the cache file name, so evaluators with different
-  /// physics never share cached accuracies. `prefix_cache` may be shared
-  /// by evaluators of the same weights and setup; null makes a private one.
+  /// The model reference must outlive the evaluator; its weights are
+  /// managed by the evaluator from here on (conditioned, attacked,
+  /// restored). `corruption` sets the attack physics shared by every
+  /// scenario this evaluator runs. `prefix_cache` may be shared by
+  /// evaluators of the same weights and setup; null makes a private one.
+  /// `variant_name` is ignored. `cache_dir` must be empty: a non-empty one
+  /// throws std::invalid_argument, because results persist only through
+  /// the cell engine's stores (core::sweep_cells).
   AttackEvaluator(const ExperimentSetup& setup, nn::Sequential& model,
-                  std::string variant_name, std::string cache_dir,
+                  const std::string& variant_name,
+                  const std::string& cache_dir,
                   attack::CorruptionConfig corruption = {},
                   std::shared_ptr<PrefixCache> prefix_cache = nullptr);
 
   /// Accuracy of the unattacked (conditioned) model on the eval subset.
   double baseline_accuracy();
 
-  /// Accuracy under one attack scenario (cached).
+  /// Accuracy under one attack scenario.
   double evaluate_scenario(const attack::AttackScenario& scenario);
 
   /// Applies `scenario` to the clean deployment and *leaves the model
@@ -94,13 +94,11 @@ class AttackEvaluator {
   attack::CorruptionStats apply_scenario(
       const attack::AttackScenario& scenario);
 
-  /// Accuracy under a composite scenario (cached by CompositeScenario::id,
-  /// which is component-order invariant — a reordered composite hits the
-  /// same entry). All components corrupt the deployment in one pass before
-  /// a single evaluation; the prefix cache resumes at the first layer any
-  /// component dirtied (first_dirty_layer spans the union of components,
-  /// because it byte-compares the whole mapped state against the clean
-  /// snapshot).
+  /// Accuracy under a composite scenario. All components corrupt the
+  /// deployment in one pass before a single evaluation; the prefix cache
+  /// resumes at the first layer any component dirtied (first_dirty_layer
+  /// spans the union of components, because it byte-compares the whole
+  /// mapped state against the clean snapshot).
   double evaluate_composite(const attack::CompositeScenario& composite);
 
   /// apply_scenario for a composite — the campaign sweep's entry point
@@ -109,7 +107,8 @@ class AttackEvaluator {
   attack::CorruptionStats apply_composite(
       const attack::CompositeScenario& composite);
 
-  /// Corruption statistics of the last *computed* (non-cached) scenario.
+  /// Corruption statistics of the most recently applied scenario or
+  /// composite.
   const attack::CorruptionStats& last_stats() const { return last_stats_; }
 
   /// Leaves the model in its clean conditioned state.
@@ -119,7 +118,6 @@ class AttackEvaluator {
   /// default; results are bitwise-identical either way, and tests A/B both
   /// paths).
   void set_prefix_cache(bool enabled) { prefix_cache_enabled_ = enabled; }
-  bool prefix_cache_enabled() const { return prefix_cache_enabled_; }
 
   /// Index of the first layer whose mapped parameters differ from the clean
   /// snapshot; model.size() when no corruption landed. Exposed for tests.
@@ -138,8 +136,6 @@ class AttackEvaluator {
   accel::OnnExecutor& executor() { return executor_; }
 
  private:
-  std::string cache_key(const std::string& scenario_id);
-
   /// Accuracy of the currently-attacked model, routed through the prefix
   /// cache when eligible, plain evaluation otherwise.
   double evaluate_attacked();
@@ -155,14 +151,12 @@ class AttackEvaluator {
 
   ExperimentSetup setup_;
   nn::Sequential& model_;
-  std::string variant_name_;
   accel::OnnExecutor executor_;
   accel::WeightStationaryMapping mapping_;
   std::vector<nn::Tensor> clean_snapshot_;
   std::optional<nn::Dataset> eval_data_;
   attack::CorruptionConfig corruption_;
   attack::CorruptionStats last_stats_{};
-  std::unique_ptr<ResultStore> cache_;  // in-memory when cache_dir was empty
 
   /// Per-layer clean copies of the MR-mapped parameter tensors, in layer
   /// order (only layers that own mapped parameters appear).
@@ -173,8 +167,5 @@ class AttackEvaluator {
   bool prefix_cache_enabled_ = true;
   std::size_t prefix_hits_ = 0;
 };
-
-/// FNV-1a checksum over all parameter bytes (cache invalidation key).
-std::string weights_checksum(nn::Sequential& model);
 
 }  // namespace safelight::core

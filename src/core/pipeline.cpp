@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "common/error.hpp"
+#include "common/fingerprint.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
@@ -61,6 +62,14 @@ Deployment::Deployment(const ExperimentSpec& spec,
   suite.emplace(setup, spec.suite);
   suite->calibrate({*model, evaluator.executor(), nullptr,
                     seed_combine(spec.base_seed, 0xCA11B)});
+}
+
+std::string weights_checksum(nn::Sequential& model) {
+  Fingerprint fp;
+  for (nn::Param* p : model.params()) {
+    fp.mix_bytes(p->value.data(), p->value.numel() * sizeof(float));
+  }
+  return fp.hex16();
 }
 
 std::string sweep_store_name(const ExperimentSetup& setup,

@@ -107,6 +107,10 @@ struct Deployment {
   std::optional<defense::DetectorSuite> suite;
 };
 
+/// FNV-1a checksum over all parameter bytes: the store name's key on the
+/// trained weights.
+std::string weights_checksum(nn::Sequential& model);
+
 /// File name of the store of `sweep`, the one the engine, the dist planner
 /// and its workers all use: setup tag, variant, weights checksum (retrained
 /// weights never read stale entries), corruption fingerprint and suffix.

@@ -39,7 +39,6 @@ class StoreWriterLock {
   StoreWriterLock& operator=(const StoreWriterLock&) = delete;
 
   bool engaged() const { return !lock_path_.empty(); }
-  const std::string& lock_path() const { return lock_path_; }
 
  private:
   std::string lock_path_;  // empty = disengaged

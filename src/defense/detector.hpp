@@ -81,7 +81,6 @@ class Detector {
 
   /// Decision threshold on the score; check() flags when score > threshold.
   double threshold() const { return threshold_; }
-  void set_threshold(double threshold) { threshold_ = threshold; }
 
  protected:
   explicit Detector(double default_threshold)

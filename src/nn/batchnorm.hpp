@@ -20,9 +20,6 @@ class BatchNorm2d final : public Layer {
   Shape output_shape(const Shape& in) const override;
 
   const Tensor& running_mean() const { return running_mean_; }
-  const Tensor& running_var() const { return running_var_; }
-  Tensor& mutable_running_mean() { return running_mean_; }
-  Tensor& mutable_running_var() { return running_var_; }
 
  private:
   std::size_t channels_;

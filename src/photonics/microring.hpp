@@ -67,7 +67,6 @@ class Microring {
 
   /// Applies a temperature delta; resonance shifts per Eq. 2.
   void set_temperature_delta(double delta_kelvin);
-  double temperature_delta() const { return delta_kelvin_; }
 
   /// Eq. 2 shift for a given delta-T [nm].
   double thermal_shift_nm(double delta_kelvin) const;

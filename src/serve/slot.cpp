@@ -182,7 +182,6 @@ Slot::Slot(int index, std::string store_dir)
 }
 
 void Slot::run(Job& job, core::ModelZoo& zoo) {
-  jobs_run_.fetch_add(1);
   job.mark_running(index_);
 
   // Per-slot store binding is the multi-tenant isolation seam: the spec's

@@ -65,7 +65,6 @@ class Job {
   /// slot thread. Setting it is a request; the terminal state lands when
   /// the sweep actually aborts between work units.
   std::atomic<bool>& cancel_flag() { return cancel_; }
-  bool cancel_requested() const { return cancel_.load(); }
 
   bool terminal() const;
 
@@ -110,7 +109,6 @@ class Slot {
 
   int index() const { return index_; }
   const std::string& store_dir() const { return store_dir_; }
-  std::size_t jobs_run() const { return jobs_run_.load(); }
 
   /// Runs `job` to a terminal state: binds the spec to this slot's store
   /// dir, wires progress/cancel into a RunContext over `zoo`, executes
@@ -121,7 +119,6 @@ class Slot {
  private:
   const int index_;
   const std::string store_dir_;
-  std::atomic<std::size_t> jobs_run_{0};
 };
 
 /// Event-line encoders (exposed for tests; all end with '\n').

@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "core/evaluation.hpp"
 #include "core/experiment.hpp"
+#include "core/pipeline.hpp"
 #include "core/zoo.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
@@ -326,7 +327,7 @@ TEST(CompositeEvaluation, OrderInvariantAndAtLeastWorstComponent) {
   std::swap(reordered.components[0], reordered.components[1]);
 
   // One-pass application is order-invariant down to the weight bytes
-  // (canonical component order), not just in the cached accuracy.
+  // (canonical component order), not just in the accuracy.
   evaluator.apply_composite(composite);
   const std::string checksum_a = core::weights_checksum(*model);
   EXPECT_LT(evaluator.first_dirty_layer(), model->size());

@@ -1,12 +1,14 @@
 // Tests for the SafeLight core: experiment scaling, variants, zoo,
-// evaluation cache, mitigation-report selection and report rendering.
+// attack evaluator, mitigation-report selection and report rendering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <stdexcept>
 
 #include "core/evaluation.hpp"
 #include "core/mitigation.hpp"
+#include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "core/zoo.hpp"
 #include "nn/serialize.hpp"
@@ -208,30 +210,40 @@ TEST(Evaluator, BaselineStableAndScenarioDegrades) {
   EXPECT_NEAR(evaluator.baseline_accuracy(), baseline, 1e-12);
 }
 
-TEST(Evaluator, CachePersistsAcrossInstances) {
-  TempDir dir("eval_cache");
+TEST(Evaluator, LastStatsDescribeTheMostRecentCall) {
+  TempDir dir("eval_stats");
   const ExperimentSetup setup =
       experiment_setup(nn::ModelId::kCnn1, Scale::kTiny);
   ModelZoo zoo(dir.path());
   auto model = zoo.get_or_train(setup, variant_by_name("Original"));
+  AttackEvaluator evaluator(setup, *model, "Original", "");
 
-  attack::AttackScenario scenario;
-  scenario.vector = attack::AttackVector::kActuation;
-  scenario.target = attack::AttackTarget::kConvBlock;
-  scenario.fraction = 0.05;
-  scenario.seed = 2;
+  attack::AttackScenario hot;
+  hot.vector = attack::AttackVector::kHotspot;
+  hot.target = attack::AttackTarget::kBothBlocks;
+  hot.fraction = 0.10;
+  hot.seed = 5;
+  attack::AttackScenario none = hot;
+  none.fraction = 0.0;
 
-  double first_result = 0.0;
-  {
-    AttackEvaluator evaluator(setup, *model, "Original", dir.path());
-    first_result = evaluator.evaluate_scenario(scenario);
-  }
-  // Second evaluator on a freshly loaded model reads the cached value.
-  auto model2 = zoo.get_or_train(setup, variant_by_name("Original"));
-  AttackEvaluator evaluator2(setup, *model2, "Original", dir.path());
-  EXPECT_DOUBLE_EQ(evaluator2.evaluate_scenario(scenario), first_result);
-  // The second call computed nothing: stats stay default.
-  EXPECT_EQ(evaluator2.last_stats().corrupted_weights, 0u);
+  const double first = evaluator.evaluate_scenario(hot);
+  ASSERT_GT(evaluator.last_stats().corrupted_weights, 0u);
+  evaluator.evaluate_scenario(none);
+  EXPECT_EQ(evaluator.last_stats().corrupted_weights, 0u);
+  // Repeating a scenario evaluates it again: its stats replace the last
+  // call's, and the accuracy matches the first evaluation.
+  EXPECT_EQ(evaluator.evaluate_scenario(hot), first);
+  EXPECT_GT(evaluator.last_stats().corrupted_weights, 0u);
+}
+
+TEST(Evaluator, RejectsCacheDir) {
+  TempDir dir("eval_cache_dir");
+  const ExperimentSetup setup =
+      experiment_setup(nn::ModelId::kCnn1, Scale::kTiny);
+  auto model = nn::make_model(setup.model, setup.model_config);
+  // Results persist only through the cell engine's stores.
+  EXPECT_THROW(AttackEvaluator(setup, *model, "Original", dir.path()),
+               std::invalid_argument);
 }
 
 TEST(Evaluator, ChecksumChangesWithWeights) {

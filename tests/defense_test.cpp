@@ -183,7 +183,6 @@ TEST(ObservingHooks, KeepPrefixCacheAndResults) {
   auto baseline_model =
       zoo.get_or_train(setup, core::variant_by_name("Original"));
   core::AttackEvaluator baseline(setup, *baseline_model, "Original", "");
-  baseline.set_prefix_cache(true);
   const double expected = baseline.evaluate_scenario(scenario);
   ASSERT_GT(baseline.prefix_hits(), 0u);
 
@@ -192,7 +191,6 @@ TEST(ObservingHooks, KeepPrefixCacheAndResults) {
   auto observed_model =
       zoo.get_or_train(setup, core::variant_by_name("Original"));
   core::AttackEvaluator observed(setup, *observed_model, "Original", "");
-  observed.set_prefix_cache(true);
   std::size_t hook_calls = 0;
   observed.executor().set_readout_hook(
       [&hook_calls](nn::Tensor&, accel::BlockKind, float) { ++hook_calls; },
@@ -208,7 +206,6 @@ TEST(ObservingHooks, KeepPrefixCacheAndResults) {
   auto mutating_model =
       zoo.get_or_train(setup, core::variant_by_name("Original"));
   core::AttackEvaluator mutating(setup, *mutating_model, "Original", "");
-  mutating.set_prefix_cache(true);
   mutating.executor().set_readout_hook(
       [](nn::Tensor&, accel::BlockKind, float) {});
   EXPECT_TRUE(mutating.executor().has_mutating_readout_hook());

@@ -67,7 +67,7 @@ TEST_F(IntegrationFixture, UnattackedExecutorMatchesSoftwareInference) {
 TEST_F(IntegrationFixture, AttackDegradationMonotoneInIntensity) {
   core::ModelZoo zoo(dir_);
   auto model = zoo.get_or_train(setup_, core::variant_by_name("Original"));
-  core::AttackEvaluator evaluator(setup_, *model, "Original", dir_);
+  core::AttackEvaluator evaluator(setup_, *model, "Original", "");
   const double baseline = evaluator.baseline_accuracy();
 
   for (auto vector : {attack::AttackVector::kActuation,
@@ -98,8 +98,8 @@ TEST_F(IntegrationFixture, TrainAttackMitigateRecovers) {
   auto original = zoo.get_or_train(setup_, core::variant_by_name("Original"));
   auto robust = zoo.get_or_train(setup_, core::variant_by_name("l2+n3"));
 
-  core::AttackEvaluator original_eval(setup_, *original, "Original", dir_);
-  core::AttackEvaluator robust_eval(setup_, *robust, "l2+n3", dir_);
+  core::AttackEvaluator original_eval(setup_, *original, "Original", "");
+  core::AttackEvaluator robust_eval(setup_, *robust, "l2+n3", "");
 
   // Across several hotspot placements, the robust variant should not be
   // (meaningfully) worse on average.
