@@ -73,9 +73,10 @@ int main(int argc, char** argv) {
   scenario.target = sl::attack::AttackTarget::kBothBlocks;
   scenario.fraction = 0.10;
   scenario.seed = 1234;
-  sl::attack::apply_attack(mapping, scenario, {});
+  // The attack returns the thermal field it solved: the die state the
+  // thermal sentinel's on-chip sensors read.
   const auto telemetry =
-      sl::defense::scenario_telemetry(setup.accelerator, scenario);
+      sl::attack::apply_attack(mapping, scenario, {}).thermal;
 
   std::printf("== under 10%% hotspot attack (%s) ==\n",
               scenario.id().c_str());

@@ -9,6 +9,9 @@
 #    only in nn/im2col.*, the conv packers' test reference.
 #    result-store lint: a ResultStore is constructed in src/ only by the
 #    cell engine (core/pipeline.cpp) and the dist worker (dist/worker.cpp).
+#    thermal-plan lint: `plan_hotspot_attack(` appears in src/ only in
+#    attacks/ and defense/suite.cpp, `scenario_telemetry(` only in
+#    defense/suite.*; detectors read the field the attack returned.
 # 1. configure + build (warnings-as-errors, Release; ccache-launched when
 #    ccache is on PATH, so cached CI runs rebuild in seconds)
 # 2. run the full ctest suite
@@ -124,6 +127,23 @@ if [[ -n "$STRAY_STORE" ]]; then
   echo "error: ResultStore constructed outside core/pipeline.cpp and" \
        "dist/worker.cpp; persist results through the cell engine" >&2
   echo "$STRAY_STORE" >&2
+  exit 1
+fi
+phase_end
+
+# One thermal plan per attacked deployment: the attack returns the field it
+# solved (attack::CorruptionStats::thermal), and no other layer re-plans a
+# hotspot to recover it. scenario_telemetry stays only for the perfbench
+# probe.
+phase_start "thermal-plan lint"
+STRAY_PLAN="$(grep -rnE 'scenario_telemetry\(|plan_hotspot_attack\(' src \
+  | grep -vE '^src/defense/suite\.(hpp|cpp):[0-9]+:.*scenario_telemetry\(' \
+  | grep -vE '^src/(attacks/[^:]*|defense/suite\.cpp):[0-9]+:.*plan_hotspot_attack\(' \
+  || true)"
+if [[ -n "$STRAY_PLAN" ]]; then
+  echo "error: hotspot re-planned outside attacks/ and defense/suite.*;" \
+       "read attack::CorruptionStats::thermal instead" >&2
+  echo "$STRAY_PLAN" >&2
   exit 1
 fi
 phase_end

@@ -1,6 +1,7 @@
 #include "attacks/campaign.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
@@ -56,19 +57,56 @@ std::string CompositeScenario::id() const {
          (placement == PlacementPolicy::kOverlapping ? "ov" : "dj");
 }
 
+namespace {
+
+/// Adds one component's solved block field to `merged`. The steady-state
+/// heat equation is linear in its power sources, so summing the per-cell
+/// temperature rises (and per-bank delta-Ts) of concurrent hotspot
+/// components is the exact field a die under all of them shows.
+void superpose(std::vector<BlockThermalState>& merged,
+               BlockThermalState state) {
+  BlockThermalState* existing = nullptr;
+  for (BlockThermalState& m : merged) {
+    if (m.block == state.block) existing = &m;
+  }
+  if (existing == nullptr) {
+    merged.push_back(std::move(state));
+    return;
+  }
+  SAFELIGHT_ASSERT(existing->bank_delta_t.size() == state.bank_delta_t.size() &&
+                       existing->grid.rows() == state.grid.rows() &&
+                       existing->grid.cols() == state.grid.cols(),
+                   "apply_composite: component grids disagree on block dims");
+  for (std::size_t i = 0; i < state.bank_delta_t.size(); ++i) {
+    existing->bank_delta_t[i] += state.bank_delta_t[i];
+  }
+  for (std::size_t r = 0; r < state.grid.rows(); ++r) {
+    for (std::size_t c = 0; c < state.grid.cols(); ++c) {
+      existing->grid.set_temperature_k(
+          r, c, existing->grid.temperature_k(r, c) + state.grid.delta_t(r, c));
+      existing->grid.add_power_mw(r, c, state.grid.power_mw(r, c));
+    }
+  }
+}
+
+}  // namespace
+
 CorruptionStats apply_composite(accel::WeightStationaryMapping& mapping,
                                 const CompositeScenario& composite,
                                 const CorruptionConfig& config) {
   composite.validate();
   CorruptionStats total;
   for (const AttackScenario& component : composite.canonical_components()) {
-    const CorruptionStats stats = apply_attack(mapping, component, config);
+    CorruptionStats stats = apply_attack(mapping, component, config);
     total.trojan_count += stats.trojan_count;
     total.attacked_mrs += stats.attacked_mrs;
     total.attacked_banks += stats.attacked_banks;
     total.thermally_hit_banks += stats.thermally_hit_banks;
     total.quarantined_banks += stats.quarantined_banks;
     total.corrupted_weights += stats.corrupted_weights;
+    for (BlockThermalState& state : stats.thermal) {
+      superpose(total.thermal, std::move(state));
+    }
   }
   return total;
 }

@@ -65,8 +65,9 @@ struct CompositeScenario {
 
 /// Applies every component of `composite` to `mapping`'s model in one pass,
 /// in canonical component order, and returns the aggregated corruption
-/// statistics (field-wise sums over the components). Deterministic in the
-/// component seeds; validates the composite first.
+/// statistics (field-wise sums over the components; the components'
+/// thermal fields superposed per block). Deterministic in the component
+/// seeds; validates the composite first.
 CorruptionStats apply_composite(accel::WeightStationaryMapping& mapping,
                                 const CompositeScenario& composite,
                                 const CorruptionConfig& config = {});

@@ -64,7 +64,7 @@ CorruptionStats apply_hotspot(accel::WeightStationaryMapping& mapping,
                               const AttackScenario& scenario,
                               const CorruptionConfig& config) {
   const accel::AcceleratorConfig& accel_config = mapping.config();
-  const HotspotPlan plan =
+  HotspotPlan plan =
       plan_hotspot_attack(accel_config, scenario, config.hotspot);
 
   CorruptionStats stats;
@@ -115,11 +115,11 @@ CorruptionStats apply_hotspot(accel::WeightStationaryMapping& mapping,
 
     for (std::size_t flat = 0; flat < dims.bank_count(); ++flat) {
       if (quarantined.count(flat) != 0) continue;
-      const double delta_t = std::max(
-          0.0, state.bank_delta_t[flat] - config.hotspot.tuning_compensation_k);
+      const accel::BankAddress addr = accel::bank_from_flat(dims, kind, flat);
+      const double delta_t = plan.effective_delta_t(
+          addr, config.hotspot.tuning_compensation_k);
       if (delta_t < min_delta_t) continue;
 
-      const accel::BankAddress addr = accel::bank_from_flat(dims, kind, flat);
       const auto pass_groups = mapping.bank_weights(addr);
       if (pass_groups.empty()) continue;  // no weights live on this bank
       ++stats.thermally_hit_banks;
@@ -153,6 +153,7 @@ CorruptionStats apply_hotspot(accel::WeightStationaryMapping& mapping,
       }
     }
   }
+  stats.thermal = std::move(plan.block_states);
   return stats;
 }
 

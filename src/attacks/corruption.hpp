@@ -49,6 +49,10 @@ struct CorruptionStats {
   std::size_t thermally_hit_banks = 0;  // victims + heated neighbors
   std::size_t quarantined_banks = 0;  // rescued by the hardware mitigation
   std::size_t corrupted_weights = 0;  // weight scalars actually changed
+  /// The solved thermal field of every block the attack heated — the die
+  /// state on-chip sensors read (defense::DeploymentView::thermal). Empty
+  /// for actuation and no-op scenarios: every sensor at ambient.
+  std::vector<BlockThermalState> thermal;
 };
 
 /// Applies `scenario` to `model` (in place) through its mapping.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 
 namespace safelight::attack {
 
@@ -79,6 +80,8 @@ const BlockThermalState* HotspotPlan::state_for(
 HotspotPlan plan_hotspot_attack(const accel::AcceleratorConfig& config,
                                 const AttackScenario& scenario,
                                 const HotspotConfig& attack) {
+  static metrics::Counter& plans = metrics::counter("attack.hotspot_plans");
+  plans.add();
   scenario.validate();
   require(scenario.vector == AttackVector::kHotspot,
           "plan_hotspot_attack: scenario is not a hotspot attack");

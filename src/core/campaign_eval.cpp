@@ -54,8 +54,7 @@ void measure_accuracy(Deployment& deployment,
 /// dormant phase runs clean.
 void check_phase(Deployment& deployment,
                  const attack::CampaignSchedule& schedule,
-                 std::size_t phase_index,
-                 const attack::CorruptionConfig& corruption, bool verbose,
+                 std::size_t phase_index, bool verbose,
                  ResultStore& store) {
   const attack::CampaignPhase& phase = schedule.phases[phase_index];
   const std::string campaign_id = schedule.id();
@@ -66,19 +65,16 @@ void check_phase(Deployment& deployment,
         .arg("active", static_cast<double>(phase.active()));
   }
   AttackEvaluator& evaluator = deployment.evaluator;
-  std::vector<attack::BlockThermalState> telemetry;
+  const std::vector<attack::BlockThermalState>* thermal = nullptr;
   if (phase.active()) {
-    evaluator.apply_composite(phase.attack);
-    telemetry = defense::composite_telemetry(evaluator.setup().accelerator,
-                                             phase.attack, corruption);
+    thermal = &evaluator.apply_composite(phase.attack).thermal;
   } else {
     evaluator.restore_clean();
   }
   std::vector<std::pair<std::string, double>> rows;
   for (std::size_t check = 0; check < phase.checks; ++check) {
     const defense::DeploymentView view{
-        *deployment.model, evaluator.executor(),
-        telemetry.empty() ? nullptr : &telemetry,
+        *deployment.model, evaluator.executor(), thermal,
         defense::probe_seed_of(
             score_key(campaign_id, phase_index, check, "suite"))};
     for (const defense::DetectionResult& r :
@@ -222,10 +218,9 @@ std::vector<CellSweep> campaign_sweeps(const ExperimentSpec& spec) {
       }
       cells.push_back(std::move(cell));
       evaluations->push_back(
-          [campaigns, ci, pi, corruption = spec.corruption,
-           verbose = spec.verbose](Deployment& deployment, ResultStore& store) {
-            check_phase(deployment, (*campaigns)[ci], pi, corruption, verbose,
-                        store);
+          [campaigns, ci, pi, verbose = spec.verbose](Deployment& deployment,
+                                                      ResultStore& store) {
+            check_phase(deployment, (*campaigns)[ci], pi, verbose, store);
           });
     }
   }

@@ -183,10 +183,9 @@ std::vector<RunSpec> detection_runs(const ExperimentSpec& spec) {
 }
 
 /// Evaluates the cell of `run`: checks every detector against the run's
-/// deployment — clean, or compromised by the scenario with its thermal
-/// telemetry — and stores (score, probes, latency) per detector.
-void check_run(Deployment& deployment, const RunSpec& run,
-               const attack::CorruptionConfig& corruption, bool verbose,
+/// deployment — clean, or compromised by the scenario with the thermal
+/// field the attack solved — and stores (score, probes, latency) per detector.
+void check_run(Deployment& deployment, const RunSpec& run, bool verbose,
                ResultStore& store) {
   static metrics::Counter& checks = metrics::counter("detect.checks");
   checks.add();
@@ -195,18 +194,14 @@ void check_run(Deployment& deployment, const RunSpec& run,
     run_span.arg("run", run.id).arg("clean", static_cast<double>(run.clean));
   }
   AttackEvaluator& evaluator = deployment.evaluator;
-  std::vector<attack::BlockThermalState> telemetry;
+  const std::vector<attack::BlockThermalState>* thermal = nullptr;
   if (run.clean) {
     evaluator.restore_clean();
   } else {
-    evaluator.apply_scenario(run.scenario);
-    telemetry = defense::scenario_telemetry(evaluator.setup().accelerator,
-                                            run.scenario, corruption);
+    thermal = &evaluator.apply_scenario(run.scenario).thermal;
   }
-  const defense::DeploymentView view{
-      *deployment.model, evaluator.executor(),
-      telemetry.empty() ? nullptr : &telemetry,
-      defense::probe_seed_of(run.id)};
+  const defense::DeploymentView view{*deployment.model, evaluator.executor(),
+                                     thermal, defense::probe_seed_of(run.id)};
   const std::vector<defense::DetectionResult> results =
       deployment.suite->check_all(view);
   evaluator.restore_clean();
@@ -259,9 +254,9 @@ std::vector<CellSweep> detection_sweeps(const ExperimentSpec& spec) {
   suffix += defense::config_fingerprint(spec.suite) + ".detect.csv";
   return {{spec.resolved_variant(), suffix, std::move(cells),
            /*detectors=*/true,
-           [runs, corruption = spec.corruption, verbose = spec.verbose](
-               Deployment& deployment, std::size_t i, ResultStore& store) {
-             check_run(deployment, (*runs)[i], corruption, verbose, store);
+           [runs, verbose = spec.verbose](Deployment& deployment,
+                                          std::size_t i, ResultStore& store) {
+             check_run(deployment, (*runs)[i], verbose, store);
            }}};
 }
 

@@ -164,14 +164,14 @@ double AttackEvaluator::evaluate_scenario(
   return accuracy;
 }
 
-attack::CorruptionStats AttackEvaluator::apply_scenario(
+const attack::CorruptionStats& AttackEvaluator::apply_scenario(
     const attack::AttackScenario& scenario) {
   restore_clean();
   last_stats_ = attack::apply_attack(mapping_, scenario, corruption_);
   return last_stats_;
 }
 
-attack::CorruptionStats AttackEvaluator::apply_composite(
+const attack::CorruptionStats& AttackEvaluator::apply_composite(
     const attack::CompositeScenario& composite) {
   restore_clean();
   last_stats_ = attack::apply_composite(mapping_, composite, corruption_);

@@ -90,8 +90,9 @@ class AttackEvaluator {
   /// Applies `scenario` to the clean deployment and *leaves the model
   /// attacked* — the detection sweep's entry point for checking detectors
   /// against a compromised deployment. Call restore_clean() when done.
-  /// Returns the corruption stats (also latched in last_stats()).
-  attack::CorruptionStats apply_scenario(
+  /// Returns the corruption stats latched in last_stats(), thermal field
+  /// included.
+  const attack::CorruptionStats& apply_scenario(
       const attack::AttackScenario& scenario);
 
   /// Accuracy under a composite scenario. All components corrupt the
@@ -103,8 +104,8 @@ class AttackEvaluator {
 
   /// apply_scenario for a composite — the campaign sweep's entry point
   /// for checking detectors against a composite-compromised deployment.
-  /// Returns the aggregated corruption stats.
-  attack::CorruptionStats apply_composite(
+  /// Returns the aggregated corruption stats latched in last_stats().
+  const attack::CorruptionStats& apply_composite(
       const attack::CompositeScenario& composite);
 
   /// Corruption statistics of the most recently applied scenario or

@@ -99,44 +99,4 @@ std::vector<attack::BlockThermalState> scenario_telemetry(
   return std::move(plan.block_states);
 }
 
-std::vector<attack::BlockThermalState> composite_telemetry(
-    const accel::AcceleratorConfig& accel,
-    const attack::CompositeScenario& composite,
-    const attack::CorruptionConfig& corruption) {
-  std::vector<attack::BlockThermalState> merged;
-  for (const attack::AttackScenario& component :
-       composite.canonical_components()) {
-    for (attack::BlockThermalState& state :
-         scenario_telemetry(accel, component, corruption)) {
-      attack::BlockThermalState* existing = nullptr;
-      for (attack::BlockThermalState& m : merged) {
-        if (m.block == state.block) existing = &m;
-      }
-      if (existing == nullptr) {
-        merged.push_back(std::move(state));
-        continue;
-      }
-      // Superpose onto the block's already-merged field (linearity of the
-      // steady-state heat equation in its power sources).
-      SAFELIGHT_ASSERT(
-          existing->bank_delta_t.size() == state.bank_delta_t.size() &&
-              existing->grid.rows() == state.grid.rows() &&
-              existing->grid.cols() == state.grid.cols(),
-          "composite_telemetry: component grids disagree on block dims");
-      for (std::size_t i = 0; i < state.bank_delta_t.size(); ++i) {
-        existing->bank_delta_t[i] += state.bank_delta_t[i];
-      }
-      for (std::size_t r = 0; r < state.grid.rows(); ++r) {
-        for (std::size_t c = 0; c < state.grid.cols(); ++c) {
-          existing->grid.set_temperature_k(
-              r, c,
-              existing->grid.temperature_k(r, c) + state.grid.delta_t(r, c));
-          existing->grid.add_power_mw(r, c, state.grid.power_mw(r, c));
-        }
-      }
-    }
-  }
-  return merged;
-}
-
 }  // namespace safelight::defense

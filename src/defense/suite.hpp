@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "attacks/campaign.hpp"
 #include "attacks/corruption.hpp"
 #include "core/experiment_scale.hpp"
 #include "defense/canary.hpp"
@@ -59,24 +58,14 @@ class DetectorSuite {
   std::vector<std::unique_ptr<Detector>> detectors_;
 };
 
-/// On-die thermal telemetry a deployed accelerator would expose under
-/// `scenario`: the solved per-block thermal states for hotspot scenarios
-/// (re-planned deterministically from the scenario seed — the exact field
-/// the corruption path used), empty (all sensors at ambient) for clean
-/// deployments and for electro-optic actuation attacks.
+/// The thermal field `scenario` leaves on the die, re-planned from the
+/// scenario seed: a second plan_hotspot_attack (victim sampling plus the
+/// thermal solve) for a field the attack already returned — read
+/// attack::CorruptionStats::thermal instead. Empty for no-op and actuation
+/// scenarios. Kept only for the perfbench probe, which times it.
 std::vector<attack::BlockThermalState> scenario_telemetry(
     const accel::AcceleratorConfig& accel,
     const attack::AttackScenario& scenario,
-    const attack::CorruptionConfig& corruption = {});
-
-/// Telemetry of a composite scenario: per-component scenario_telemetry,
-/// superposed per block. The steady-state heat equation is linear in its
-/// sources, so summing the solved per-cell temperature rises (and per-bank
-/// delta-Ts) of concurrent hotspot components is the exact field a die
-/// under both attacks would show. Empty for all-actuation composites.
-std::vector<attack::BlockThermalState> composite_telemetry(
-    const accel::AcceleratorConfig& accel,
-    const attack::CompositeScenario& composite,
     const attack::CorruptionConfig& corruption = {});
 
 }  // namespace safelight::defense

@@ -17,6 +17,7 @@
 #include "core/pipeline.hpp"
 #include "core/zoo.hpp"
 #include "nn/linear.hpp"
+#include "nn/models.hpp"
 #include "nn/pool.hpp"
 #include "test_util.hpp"
 
@@ -311,6 +312,78 @@ TEST(CampaignResult, DormantFlagIsFalsePositiveNotDetection) {
   }
   EXPECT_DOUBLE_EQ(result.evasion_rate("d1"), 0.5);
   EXPECT_EQ(result.detection_latency_checks("d1"), 3u);
+}
+
+// ---------------------------------------------------- composite thermal
+
+/// An untrained tiny cnn1 mapped onto its accelerator: apply_composite's
+/// thermal field depends only on the placements, never on the weights.
+struct TinyMapping {
+  core::ExperimentSetup setup = tiny_setup();
+  std::unique_ptr<nn::Sequential> model =
+      nn::make_model(setup.model, setup.model_config);
+  accel::WeightStationaryMapping mapping{*model, setup.accelerator};
+};
+
+TEST(CompositeThermal, OverlappingHotspotsInOneBlockSumTheirFields) {
+  TinyMapping tiny;
+  CompositeScenario composite;
+  composite.components = {
+      {AttackVector::kHotspot, AttackTarget::kConvBlock, 0.10, 7},
+      {AttackVector::kHotspot, AttackTarget::kConvBlock, 0.15, 8}};
+  const std::vector<AttackScenario> order = composite.canonical_components();
+  const auto first = attack::apply_attack(tiny.mapping, order[0]).thermal;
+  const auto second = attack::apply_attack(tiny.mapping, order[1]).thermal;
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+
+  const auto merged =
+      attack::apply_composite(tiny.mapping, composite).thermal;
+  ASSERT_EQ(merged.size(), 1u);
+  const attack::BlockThermalState& a = first[0];
+  const attack::BlockThermalState& b = second[0];
+  const attack::BlockThermalState& sum = merged[0];
+  EXPECT_EQ(sum.block, accel::BlockKind::kConv);
+  ASSERT_EQ(sum.bank_delta_t.size(), a.bank_delta_t.size());
+  for (std::size_t i = 0; i < sum.bank_delta_t.size(); ++i) {
+    EXPECT_EQ(sum.bank_delta_t[i], a.bank_delta_t[i] + b.bank_delta_t[i]);
+  }
+  for (std::size_t r = 0; r < sum.grid.rows(); ++r) {
+    for (std::size_t c = 0; c < sum.grid.cols(); ++c) {
+      EXPECT_EQ(sum.grid.temperature_k(r, c),
+                a.grid.temperature_k(r, c) + b.grid.delta_t(r, c));
+      EXPECT_EQ(sum.grid.power_mw(r, c),
+                a.grid.power_mw(r, c) + b.grid.power_mw(r, c));
+    }
+  }
+  // The sum is hotter than either component wherever both heat.
+  EXPECT_GT(sum.grid.max_temperature_k(), a.grid.max_temperature_k());
+  EXPECT_GT(sum.grid.max_temperature_k(), b.grid.max_temperature_k());
+}
+
+TEST(CompositeThermal, CrossBlockHotspotsGiveOneFieldPerBlock) {
+  TinyMapping tiny;
+  CompositeScenario composite;
+  composite.placement = PlacementPolicy::kDisjointBlocks;
+  composite.components = {
+      {AttackVector::kHotspot, AttackTarget::kFcBlock, 0.10, 9},
+      {AttackVector::kHotspot, AttackTarget::kConvBlock, 0.10, 10}};
+  const auto merged =
+      attack::apply_composite(tiny.mapping, composite).thermal;
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_NE(merged[0].block, merged[1].block);
+}
+
+TEST(CompositeThermal, AllActuationCompositeLeavesNoField) {
+  TinyMapping tiny;
+  CompositeScenario composite;
+  composite.components = {
+      {AttackVector::kActuation, AttackTarget::kConvBlock, 0.10, 11},
+      {AttackVector::kActuation, AttackTarget::kBothBlocks, 0.05, 12}};
+  const attack::CorruptionStats stats =
+      attack::apply_composite(tiny.mapping, composite);
+  EXPECT_GT(stats.corrupted_weights, 0u);
+  EXPECT_TRUE(stats.thermal.empty());
 }
 
 // -------------------------------------------------- composite evaluation

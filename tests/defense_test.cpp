@@ -4,6 +4,7 @@
 // sweep (zero false positives, AUC, latency, caching and resume).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -55,8 +56,8 @@ class Deployment {
     return defense::DeploymentView{*model_, executor_, thermal, probe_seed};
   }
 
-  void attack(const attack::AttackScenario& scenario) {
-    attack::apply_attack(mapping_, scenario, {});
+  attack::CorruptionStats attack(const attack::AttackScenario& scenario) {
+    return attack::apply_attack(mapping_, scenario, {});
   }
 
   void restore() { nn::restore_state(*model_, clean_snapshot_); }
@@ -125,9 +126,7 @@ TEST(Detectors, SentinelFlagsHotspotTelemetry) {
 
   const auto scenario =
       scenario_of(attack::AttackVector::kHotspot, 0.10, 2001);
-  deployment.attack(scenario);
-  const auto telemetry = defense::scenario_telemetry(
-      deployment.setup().accelerator, scenario);
+  const auto telemetry = deployment.attack(scenario).thermal;
   ASSERT_FALSE(telemetry.empty());
 
   const auto results = suite.check_all(deployment.view(&telemetry, 9));
@@ -155,15 +154,59 @@ TEST(Detectors, ChecksDeterministicInProbeSeed) {
   EXPECT_NE(a[2].score, c[2].score);
 }
 
+/// Byte equality of two thermal fields: block, bank rises and solved grid.
+void expect_same_field(const std::vector<attack::BlockThermalState>& a,
+                       const std::vector<attack::BlockThermalState>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  auto same_bytes = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].block, b[i].block);
+    EXPECT_EQ(a[i].banks_per_unit, b[i].banks_per_unit);
+    EXPECT_TRUE(same_bytes(a[i].bank_delta_t, b[i].bank_delta_t));
+    EXPECT_TRUE(same_bytes(a[i].grid.temperatures(), b[i].grid.temperatures()));
+    EXPECT_TRUE(same_bytes(a[i].grid.powers(), b[i].grid.powers()));
+  }
+}
+
 TEST(Detectors, TelemetryEmptyForCleanAndActuation) {
   const auto setup = tiny_setup();
-  EXPECT_TRUE(defense::scenario_telemetry(
-                  setup.accelerator,
-                  scenario_of(attack::AttackVector::kActuation, 0.10, 1))
-                  .empty());
+  auto model = nn::make_model(setup.model, setup.model_config);
+  accel::WeightStationaryMapping mapping(*model, setup.accelerator);
+  // A partial trigger draws from the scenario's RNG too, so the field the
+  // attack returns equals the re-planned one only if both draw alike.
+  attack::CorruptionConfig corruption;
+  corruption.hotspot.trigger.trigger_probability = 0.6;
+
   attack::AttackScenario none;
   none.fraction = 0.0;
-  EXPECT_TRUE(defense::scenario_telemetry(setup.accelerator, none).empty());
+  const auto actuation =
+      scenario_of(attack::AttackVector::kActuation, 0.10, 1);
+  for (const attack::AttackScenario& quiet : {none, actuation}) {
+    SCOPED_TRACE(quiet.id());
+    EXPECT_TRUE(defense::scenario_telemetry(setup.accelerator, quiet,
+                                            corruption)
+                    .empty());
+    EXPECT_TRUE(attack::apply_attack(mapping, quiet, corruption)
+                    .thermal.empty());
+  }
+
+  for (const attack::AttackTarget target :
+       {attack::AttackTarget::kConvBlock, attack::AttackTarget::kFcBlock,
+        attack::AttackTarget::kBothBlocks}) {
+    auto hotspot = scenario_of(attack::AttackVector::kHotspot, 0.10, 2002);
+    hotspot.target = target;
+    SCOPED_TRACE(hotspot.id());
+    const auto planned =
+        defense::scenario_telemetry(setup.accelerator, hotspot, corruption);
+    ASSERT_EQ(planned.size(),
+              target == attack::AttackTarget::kBothBlocks ? 2u : 1u);
+    expect_same_field(
+        attack::apply_attack(mapping, hotspot, corruption).thermal, planned);
+  }
 }
 
 // ------------------------------------------- observing hooks vs the cache

@@ -569,6 +569,77 @@ TEST(Pipeline, AdversarialOrderIsDeterministicAndBuildsEachBoundaryOnce) {
   metrics::reset();
 }
 
+TEST(Pipeline, EachAttackedDeploymentPlansItsHotspotsOnce) {
+  // The detectors read the thermal field the attack solved; nothing plans
+  // a hotspot a second time to recover it.
+  TempDir dir("pipeline_hotspot_plans");
+  ModelZoo zoo(dir.path());
+  RunContext context(zoo);
+  const auto& registry = ExperimentRegistry::global();
+  metrics::arm_collection();
+  metrics::Counter& plans = metrics::counter("attack.hotspot_plans");
+
+  // Detection: one plan per hotspot run with fraction > 0.
+  ExperimentSpec detection = registry.default_spec("detection");
+  detection.model = nn::ModelId::kCnn1;
+  detection.scale = Scale::kTiny;
+  detection.seed_count = 1;
+  detection.cache_dir = "";
+  detection.max_workers = 2;
+  std::uint64_t before = plans.value();
+  const auto report =
+      registry.run(detection, context).as<DetectionReport>();
+  std::set<std::string> hotspot_runs;
+  for (const DetectionRow& row : report.rows) {
+    if (!row.clean && row.scenario.vector == attack::AttackVector::kHotspot &&
+        row.scenario.fraction > 0.0) {
+      hotspot_runs.insert(row.run_id);
+    }
+  }
+  ASSERT_FALSE(hotspot_runs.empty());
+  EXPECT_EQ(plans.value() - before, hotspot_runs.size());
+
+  // Campaign: one plan per hotspot component of each distinct composite's
+  // accuracy cell and of each active phase's checks.
+  attack::CompositeScenario composite;
+  composite.components = {
+      {attack::AttackVector::kHotspot, attack::AttackTarget::kConvBlock, 0.10,
+       21},
+      {attack::AttackVector::kActuation, attack::AttackTarget::kBothBlocks,
+       0.05, 22},
+      {attack::AttackVector::kHotspot, attack::AttackTarget::kFcBlock, 0.10,
+       23}};
+  ExperimentSpec campaign = registry.default_spec("campaign");
+  campaign.model = nn::ModelId::kCnn1;
+  campaign.scale = Scale::kTiny;
+  campaign.seed_count = 1;
+  campaign.cache_dir = "";
+  campaign.max_workers = 2;
+  campaign.campaigns = {
+      attack::ramp_campaign("plans", composite, {0.5, 1.0}, 2),
+      attack::burst_campaign("plans-burst", composite, 1, 1, 2)};
+  std::size_t expected = 0;
+  std::set<std::string> composites;
+  for (const attack::CampaignSchedule& schedule : campaign.campaigns) {
+    for (const attack::CampaignPhase& phase : schedule.phases) {
+      if (!phase.active()) continue;
+      const std::size_t hotspots = static_cast<std::size_t>(std::count_if(
+          phase.attack.components.begin(), phase.attack.components.end(),
+          [](const attack::AttackScenario& component) {
+            return component.vector == attack::AttackVector::kHotspot;
+          }));
+      expected += hotspots;  // the phase cell
+      if (composites.insert(phase.attack.id()).second) {
+        expected += hotspots;  // the composite's accuracy cell
+      }
+    }
+  }
+  before = plans.value();
+  registry.run(campaign, context);
+  EXPECT_EQ(plans.value() - before, expected);
+  metrics::reset();
+}
+
 TEST(Pipeline, CancelMidSweepKeepsCompleteRowsAndResumesIdentically) {
   // Every cell sweep polls the cancel flag at its cell boundaries: the
   // scenario sweep, the detection sweep and the campaign sweep alike.
