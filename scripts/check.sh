@@ -36,8 +36,9 @@
 #    no key twice.
 # 7. telemetry smoke: the same 2-worker run armed with --trace/--metrics
 #    must stay byte-identical, produce a parseable merged Chrome trace
-#    with coordinator + worker tracks, and a schema-valid metrics JSON;
-#    both land in the CI artifact bundle.
+#    with coordinator + worker tracks, and a schema-valid metrics JSON
+#    counting exactly one dispatch per planned task; both land in the CI
+#    artifact bundle.
 # 8. serve smoke: `safelight list --json` schema check, then a daemon on
 #    an ephemeral port driven with curl — submit, NDJSON event stream,
 #    GET /result byte-identical to the run-all JSON document, 400 on an
@@ -335,8 +336,9 @@ cmp "$SMOKE_DIR/out_dist_ref/fig7_susceptibility.csv" \
     "$SMOKE_DIR/out_dist_traced/fig7_susceptibility.csv"
 echo "traced distributed CSV byte-identical to single-process reference"
 if command -v python3 >/dev/null; then
-  python3 - "$SMOKE_DIR/trace.json" "$SMOKE_DIR/metrics.json" <<'EOF'
-import json, sys
+  python3 - "$SMOKE_DIR/trace.json" "$SMOKE_DIR/metrics.json" \
+    "$SMOKE_DIR/dist_traced.log" <<'EOF'
+import json, re, sys
 trace = json.load(open(sys.argv[1]))
 spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
 tracks = {e["pid"]: e["args"]["name"]
@@ -347,7 +349,12 @@ assert any(n.startswith("worker w") for p, n in tracks.items() if p >= 2), track
 assert {"dist.dispatch", "dist.merge", "worker.task"} <= names, sorted(names)
 metrics = json.load(open(sys.argv[2]))
 assert metrics["schema"] == "safelight.metrics.v1", metrics.get("schema")
-assert metrics["counters"]["dist.dispatches"] > 0, metrics["counters"]
+# One owner per task on a healthy fleet: exactly one dispatch per planned
+# task (tasks= of the [dist] summary line).
+tasks = sum(int(m) for m in re.findall(r"^\[dist\] summary:.* tasks=(\d+)",
+                                       open(sys.argv[3]).read(), re.M))
+assert metrics["counters"]["dist.dispatches"] == tasks, (
+    tasks, metrics["counters"])
 print(f"merged trace: {len(spans)} spans on {len(tracks)} tracks; "
       f"{len(metrics['counters'])} fleet counters")
 EOF

@@ -95,8 +95,11 @@ struct WorkerSlot {
   int task_fd = -1;   // write end: coordinator -> worker stdin
   int event_fd = -1;  // read end:  worker stdout -> coordinator
   bool alive = false;
-  bool idle = false;
+  // The in-flight task, whose only owner this slot is; empty when idle.
   std::optional<std::uint64_t> current_task;
+  // Trace start of current_task: the dispatch->done "dist.task" span
+  // crosses event-loop iterations.
+  std::uint64_t dispatch_ns = 0;
   std::string buffer;  // partial protocol line
   Clock::time_point last_heard{};
 };
@@ -106,14 +109,8 @@ struct TaskState {
   std::size_t failures = 0;
   std::string last_error;
   Clock::time_point eligible_at{};  // backoff gate for re-dispatch
-  std::size_t assigned = 0;         // live workers running this task
-  bool speculated = false;          // one work-stealing duplicate max
   bool completed = false;
   bool quarantined = false;
-  // Trace bookkeeping: the dispatch->done "dist.task" span crosses event-
-  // loop iterations, so its start is parked here.
-  std::uint64_t dispatch_ns = 0;
-  int dispatch_slot = -1;
 };
 
 class Coordinator {
@@ -184,13 +181,12 @@ class Coordinator {
     summary_.wall_seconds = seconds_between(start, Clock::now());
     std::printf(
         "[dist] summary: workers=%zu tasks=%zu completed=%zu retries=%zu "
-        "steals=%zu hang_kills=%zu crashes=%zu quarantined=%zu rounds=%zu "
+        "hang_kills=%zu crashes=%zu quarantined=%zu rounds=%zu "
         "merged_rows=%zu merge_duplicates=%zu wall=%.2fs\n",
         summary_.workers, summary_.tasks, summary_.completed,
-        summary_.retries, summary_.steals, summary_.hang_kills,
-        summary_.crashes, summary_.quarantined.size(), summary_.rounds,
-        summary_.merged_rows, summary_.merge_duplicates,
-        summary_.wall_seconds);
+        summary_.retries, summary_.hang_kills, summary_.crashes,
+        summary_.quarantined.size(), summary_.rounds, summary_.merged_rows,
+        summary_.merge_duplicates, summary_.wall_seconds);
     std::fflush(stdout);
     return status;
   }
@@ -277,7 +273,6 @@ class Coordinator {
     slot.task_fd = task_pipe[1];
     slot.event_fd = event_pipe[0];
     slot.alive = true;
-    slot.idle = true;
     slot.current_task.reset();
     slot.buffer.clear();
     slot.last_heard = Clock::now();
@@ -293,7 +288,6 @@ class Coordinator {
     slot.task_fd = -1;
     slot.event_fd = -1;
     slot.alive = false;
-    slot.idle = false;
     slot.buffer.clear();
   }
 
@@ -338,10 +332,7 @@ class Coordinator {
     }
     if (!task_id) return;
     TaskState& state = tasks_.at(*task_id);
-    if (state.assigned > 0) --state.assigned;
-    if (!state.completed && !state.quarantined && state.assigned == 0) {
-      fail_task(state, error);
-    }
+    if (!state.completed && !state.quarantined) fail_task(state, error);
   }
 
   /// Reaps any slot whose process has exited (crash or injected kill).
@@ -389,7 +380,6 @@ class Coordinator {
   void fail_task(TaskState& state, const std::string& error) {
     ++state.failures;
     state.last_error = error;
-    state.speculated = false;
     if (state.failures > options_.max_task_retries) {
       quarantine(state);
       return;
@@ -459,11 +449,10 @@ class Coordinator {
 
   void dispatch() {
     for (WorkerSlot& slot : slots_) {
-      if (!slot.alive || !slot.idle) continue;
+      if (!slot.alive || slot.current_task) continue;
       const Clock::time_point now = Clock::now();
 
       std::optional<std::uint64_t> chosen;
-      bool speculative = false;
       for (auto it = pending_.begin(); it != pending_.end(); ++it) {
         if (tasks_.at(*it).eligible_at <= now) {
           chosen = *it;
@@ -471,51 +460,20 @@ class Coordinator {
           break;
         }
       }
-      if (!chosen && pending_.empty()) {
-        // Work-stealing: duplicate the oldest in-flight task once. A
-        // straggler (or a worker about to die) no longer gates the round.
-        for (auto& [id, state] : tasks_) {
-          if (!state.completed && !state.quarantined && state.assigned > 0 &&
-              !state.speculated) {
-            chosen = id;
-            speculative = true;
-            break;
-          }
-        }
-      }
       if (!chosen) continue;
 
-      TaskState& state = tasks_.at(*chosen);
-      if (!send_task(slot, state.task)) {
-        if (!speculative && !state.completed && !state.quarantined) {
-          pending_.push_front(*chosen);  // never dispatched; not a failure
-        }
+      if (!send_task(slot, tasks_.at(*chosen).task)) {
+        pending_.push_front(*chosen);  // never dispatched; not a failure
         continue;
       }
-      ++state.assigned;
       static metrics::Counter& dispatches =
           metrics::counter("dist.dispatches");
       dispatches.add();
-      state.dispatch_ns = trace::now_ns();
-      state.dispatch_slot = slot.slot;
       trace::Span("dist", "dist.dispatch")
-          .arg("task", static_cast<double>(state.task.id))
+          .arg("task", static_cast<double>(*chosen))
           .arg("worker", static_cast<double>(slot.slot));
-      if (speculative) {
-        state.speculated = true;
-        ++summary_.steals;
-        static metrics::Counter& steals = metrics::counter("dist.steals");
-        steals.add();
-        trace::Span("dist", "dist.steal")
-            .arg("task", static_cast<double>(state.task.id))
-            .arg("worker", static_cast<double>(slot.slot));
-        if (options_.verbose) {
-          log::info("dist", "task %llu speculatively duplicated on w%d",
-                    static_cast<unsigned long long>(*chosen), slot.slot);
-        }
-      }
       slot.current_task = *chosen;
-      slot.idle = false;
+      slot.dispatch_ns = trace::now_ns();
     }
   }
 
@@ -551,11 +509,9 @@ class Coordinator {
 
   void on_done(WorkerSlot& slot, const EventMessage& event) {
     slot.current_task.reset();
-    slot.idle = true;
     const auto it = tasks_.find(event.task_id);
     if (it == tasks_.end()) return;
     TaskState& state = it->second;
-    if (state.assigned > 0) --state.assigned;
     if (state.completed || state.quarantined) return;
     state.completed = true;
     ++summary_.completed;
@@ -567,12 +523,11 @@ class Coordinator {
       trace::RawEvent span;
       span.name = "dist.task";
       span.cat = "dist";
-      span.start_ns = state.dispatch_ns;
-      span.dur_ns = trace::now_ns() - state.dispatch_ns;
+      span.start_ns = slot.dispatch_ns;
+      span.dur_ns = trace::now_ns() - slot.dispatch_ns;
       span.num_args.emplace_back("task",
                                  static_cast<double>(state.task.id));
-      span.num_args.emplace_back("worker",
-                                 static_cast<double>(state.dispatch_slot));
+      span.num_args.emplace_back("worker", static_cast<double>(slot.slot));
       span.num_args.emplace_back("evaluated",
                                  static_cast<double>(event.evaluated));
       span.num_args.emplace_back("cached",
@@ -583,12 +538,10 @@ class Coordinator {
 
   void on_fatal(WorkerSlot& slot, const EventMessage& event) {
     slot.current_task.reset();
-    slot.idle = true;
     const auto it = tasks_.find(event.task_id);
     if (it == tasks_.end()) return;
     TaskState& state = it->second;
-    if (state.assigned > 0) --state.assigned;
-    if (!state.completed && !state.quarantined && state.assigned == 0) {
+    if (!state.completed && !state.quarantined) {
       fail_task(state, "worker reported: " + event.message);
     }
   }
@@ -796,7 +749,7 @@ class Coordinator {
   std::string expected_kernel_;
   std::string dist_dir_;
   std::vector<WorkerSlot> slots_;
-  std::map<std::uint64_t, TaskState> tasks_;  // ordered: oldest-first steal
+  std::map<std::uint64_t, TaskState> tasks_;
   std::deque<std::uint64_t> pending_;
   std::size_t round_total_ = 0;
   std::size_t round_finished_ = 0;

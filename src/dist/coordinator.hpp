@@ -13,10 +13,9 @@
 //     max_task_retries + 1 failures the task is quarantined: the sweep
 //     completes without it, the report names every lost cell, and the run
 //     exits nonzero instead of pretending to be complete.
-// Work-stealing: when the queue drains, an idle worker speculatively
-// duplicates the oldest in-flight task (once per task). Evaluation is
-// deterministic, so a duplicate's rows merge as byte-identical duplicates —
-// speculation can only hide stragglers, never corrupt results.
+// Each task has exactly one owner at a time: the slot it was dispatched
+// to. A slow worker is simply waited for; only one of the failures above
+// puts its task back in the queue.
 //
 // After each round the per-slot stores are folded into the canonical ones
 // (dist/store_merge.hpp), and the caller replays the experiment in-process
@@ -85,7 +84,6 @@ struct DistSummary {
   std::size_t retries = 0;    // requeues after a failure
   std::size_t crashes = 0;    // worker deaths (incl. injected plug pulls)
   std::size_t hang_kills = 0; // heartbeat-timeout SIGKILLs
-  std::size_t steals = 0;     // work-stealing speculative duplicates sent
   std::size_t rounds = 0;
   std::size_t merged_rows = 0;
   std::size_t merge_duplicates = 0;

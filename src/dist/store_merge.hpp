@@ -6,8 +6,9 @@
 // two writers' outputs meet, so this is where the multi-writer invariants
 // are enforced:
 //   * duplicate keys with byte-identical values deduplicate silently
-//     (evaluation is deterministic, so speculative/retried tasks produce
-//     exactly the same bytes);
+//     (evaluation is deterministic, so a retried task recomputing cells a
+//     dead worker already wrote, or a slot store re-merged by a later round
+//     or fleet, produces exactly the same bytes);
 //   * duplicate keys with differing value bytes are a hard error — that can
 //     only mean non-deterministic evaluation or store corruption, and
 //     either must stop the run before the canonical cache is poisoned;
