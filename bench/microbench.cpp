@@ -17,11 +17,12 @@
 #include "nn/backend.hpp"
 #include "nn/conv.hpp"
 #include "nn/gemm.hpp"
-#include "nn/gemm_ref.hpp"
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
 #include "photonics/mr_bank.hpp"
+#include "support/gemm_ref.hpp"
+#include "support/im2col.hpp"
 #include "thermal/solver.hpp"
 
 namespace sl = safelight;
@@ -43,10 +44,10 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
-// The kept naive reference kernel (nn/gemm_ref.hpp): the denominator of the
-// packed-kernel speedup ratio. It matches the original scalar kernel's
-// structure, so BM_Gemm / BM_GemmRef tracks the packed kernel's win on
-// whatever host runs it.
+// The naive reference kernel (tests/support/gemm_ref.hpp): the denominator
+// of the packed-kernel speedup ratio. It matches the original scalar
+// kernel's structure, so BM_Gemm / BM_GemmRef tracks the packed kernel's
+// win on whatever host runs it.
 void BM_GemmRef(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sl::Rng rng(1);

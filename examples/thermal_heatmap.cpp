@@ -7,7 +7,7 @@
 #include <cstdlib>
 
 #include "attacks/hotspot.hpp"
-#include "photonics/constants.hpp"
+#include "photonics/microring.hpp"
 #include "thermal/heatmap.hpp"
 
 namespace sl = safelight;
@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   std::printf("%s\n", sl::thermal::render_ascii_heatmap(grid).c_str());
 
   const double peak_dt = grid.max_temperature_k() - grid.config().ambient_k;
-  const double shift = sl::phot::thermal_shift_per_kelvin_nm() * peak_dt;
   const sl::phot::Microring ring(config.conv_mr, config.center_wavelength_nm);
+  const double shift = ring.thermal_shift_nm(peak_dt);
   std::printf(
       "peak rise: %.1f K -> Eq.2 resonance shift %.3f nm (%.1f channel "
       "spacings, FWHM %.3f nm)\n",

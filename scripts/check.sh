@@ -5,15 +5,20 @@
 #
 # 0. env-knob lint: `getenv(` appears in src/ only in common/config.cpp
 #    (the one way to read SAFELIGHT_* knobs) and in the test seams
-#    dist/worker.hpp documents. im2col lint: `im2col(` appears in src/
-#    only in nn/im2col.*, the conv packers' test reference.
+#    dist/worker.hpp documents. reference lint: the test references in
+#    tests/support (`im2col(`, `gemm_ref`, `reference_fc_forward`,
+#    `VdpUnit`) appear nowhere in src/ outside comments.
 #    result-store lint: a ResultStore is constructed in src/ only by the
 #    cell engine (core/pipeline.cpp) and the dist worker (dist/worker.cpp).
 #    thermal-plan lint: `plan_hotspot_attack(` appears in src/ only in
 #    attacks/ and defense/suite.cpp, `scenario_telemetry(` only in
 #    defense/suite.*; detectors read the field the attack returned.
 # 1. configure + build (warnings-as-errors, Release; ccache-launched when
-#    ccache is on PATH, so cached CI runs rebuild in seconds)
+#    ccache is on PATH, so cached CI runs rebuild in seconds), then the
+#    link audit: link the CLI's main.cpp.o against the library's objects
+#    with a link map; every object under src/ must link into `safelight`
+#    except an exact allowlist, and an allowlisted object that links fails
+#    too, so the list only shrinks.
 # 2. run the full ctest suite
 # 3. smoke the `safelight` CLI end to end at tiny scale: `list` must show
 #    the five registered experiments, `run-all` must complete in one
@@ -102,15 +107,18 @@ if [[ -n "$STRAY_GETENV" ]]; then
 fi
 phase_end
 
-# im2col is the test reference of the conv packers (nn/gemm_variant.inl);
-# no hot path may lower through it again.
-phase_start "im2col lint"
-STRAY_IM2COL="$(grep -rn 'im2col(' src \
-  | grep -vE '^src/nn/im2col\.(hpp|cpp):' \
-  || true)"
-if [[ -n "$STRAY_IM2COL" ]]; then
-  echo "error: im2col( outside nn/im2col.*; Conv2d packs through pack_conv" >&2
-  echo "$STRAY_IM2COL" >&2
+# The test references (tests/support) hold the production paths to a plain
+# implementation; production code must never call them: Conv2d packs
+# through pack_conv, not im2col, and the experiments corrupt weights
+# through the mapping, not the device-level VDP model.
+phase_start "reference lint"
+REFERENCE_NAMES='im2col\(|gemm_(at_|bt_)?ref|reference_fc_forward|VdpUnit'
+STRAY_REFERENCE="$(grep -rnE --include='*.[ch]pp' --include='*.inl' \
+    "$REFERENCE_NAMES" src \
+  | sed -E 's#//.*$##' | grep -E "$REFERENCE_NAMES" || true)"
+if [[ -n "$STRAY_REFERENCE" ]]; then
+  echo "error: test reference named in src/; it lives in tests/support" >&2
+  echo "$STRAY_REFERENCE" >&2
   exit 1
 fi
 phase_end
@@ -156,6 +164,55 @@ phase_end
 
 phase_start "build"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
+phase_end
+
+# Every library object must be code the `safelight` binary (CLI, daemon,
+# dist worker) runs. The archive names members by file name only (two
+# metrics.cpp.o, two slot.cpp.o), so the audit links a thin archive of the
+# same objects, one per src/**/*.cpp as src/CMakeLists.txt globs them, and
+# reads each member's source path from the link map. Each allowlisted
+# object names its one non-test user.
+phase_start "link audit"
+UNLINKED_ALLOWLIST=(
+  accel/energy        # bench/energy_table
+  attacks/adc_attack  # bench/ablation_attacks, until it runs through the registry
+  nn/metrics          # examples/quickstart
+  nn/model_spec       # bench/table1_models
+  thermal/heatmap     # bench/fig6_heatmap
+)
+AUDIT_DIR="$(cd "$BUILD_DIR" && pwd)/link_audit"
+rm -rf "$AUDIT_DIR" && mkdir -p "$AUDIT_DIR"
+OBJ_DIR="$(cd "$BUILD_DIR" && pwd)/src/CMakeFiles/safelight.dir"
+AUDIT_OBJECTS=()
+while IFS= read -r source; do
+  AUDIT_OBJECTS+=("$OBJ_DIR/${source#src/}.o")
+done < <(find src -name '*.cpp' ! -path src/cli/main.cpp | sort)
+ar rcT "$AUDIT_DIR/audit.a" "${AUDIT_OBJECTS[@]}"
+AUDIT_CXX="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt")"
+AUDIT_FLAGS=(-pthread)
+if [[ "$SANITIZE" == "ON" ]]; then
+  AUDIT_FLAGS+=(-fsanitize=address,undefined)
+fi
+"$AUDIT_CXX" "${AUDIT_FLAGS[@]}" -o "$AUDIT_DIR/safelight" \
+  "$OBJ_DIR/../safelight_cli.dir/cli/main.cpp.o" "$AUDIT_DIR/audit.a" \
+  -Wl,-Map,"$AUDIT_DIR/safelight.map"
+# Object path -> source path without extension (nn/metrics).
+audit_key() { sed "s#^$OBJ_DIR/##; s#\.cpp\.o\$##" | sort -u; }
+grep -o "$OBJ_DIR/[^ ()]*\.cpp\.o" "$AUDIT_DIR/safelight.map" \
+  | audit_key >"$AUDIT_DIR/linked"
+UNLINKED="$(printf '%s\n' "${AUDIT_OBJECTS[@]}" | audit_key \
+  | comm -23 - "$AUDIT_DIR/linked")"
+echo "objects safelight never links:"
+sed 's/^/  /' <<<"$UNLINKED"
+EXPECTED="$(printf '%s\n' "${UNLINKED_ALLOWLIST[@]}" | sort -u)"
+if [[ "$UNLINKED" != "$EXPECTED" ]]; then
+  echo "error: unlinked library objects differ from the allowlist" \
+       "(+ never linked, delete or move it; - now links, drop it from" \
+       "the allowlist):" >&2
+  diff <(echo "$EXPECTED") <(echo "$UNLINKED") | grep '^[<>]' \
+    | sed 's/^</-/; s/^>/+/' >&2 || true
+  exit 1
+fi
 phase_end
 
 # The suite runs as labelled shards (labels assigned per test binary in

@@ -85,8 +85,9 @@ struct GemmKernels {
   void (*pack_bt)(const float* b, std::size_t k, std::size_t n, float* packed);
   /// The panels pack_b writes with the group's patch matrix as B[k x n],
   /// read straight from the images: padding taps and panel tails are
-  /// zero-filled, so the bytes equal pack_b over nn/im2col's output. This
-  /// is the Conv2d forward operand.
+  /// zero-filled, so the bytes equal pack_b over the output of the im2col
+  /// test reference (tests/support/im2col.hpp). This is the Conv2d forward
+  /// operand.
   void (*pack_conv)(const ConvPackArgs& args, float* packed);
   /// The panels pack_bt writes with the same patch matrix as its [n x k]
   /// input: the columns (image, pixel) become the reduction axis. This is

@@ -16,7 +16,8 @@
 // call per image. The input gradient is grouped like forward and scattered
 // back with col2im; backward_params (the first layer in training) skips
 // it. Every output, gradient and trained weight is therefore
-// byte-identical to the per-image im2col lowering.
+// byte-identical to the per-image im2col lowering (the test reference
+// tests/support/im2col.hpp).
 #pragma once
 
 #include "nn/backend.hpp"

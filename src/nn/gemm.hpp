@@ -13,8 +13,8 @@
 // Numerics contract: every output element is reduced over k in ascending
 // order through a single accumulator, with FMA contraction disabled, so
 // results are bitwise-identical to the naive reference kernels in
-// nn/gemm_ref.hpp regardless of tile shape, thread count, host ISA or
-// backend choice (enforced per compiled-in variant by
+// tests/support/gemm_ref.hpp regardless of tile shape, thread count, host
+// ISA or backend choice (enforced per compiled-in variant by
 // tests/gemm_equivalence_test.cpp).
 //
 // The optional fused bias is added once per output element after the

@@ -1,15 +1,10 @@
-// im2col / col2im lowering for 2-D convolution, and ConvGeom.
+// Conv lowering geometry (ConvGeom) and col2im for 2-D convolution.
 //
-// Conv2d no longer runs im2col: the backend's pack_conv / pack_conv_bt
-// (nn/gemm_variant.inl) write the GEMM's packed panels straight from the
-// images. im2col stays as their test reference, the way nn/gemm_ref is
-// kept for the GEMM: the patch matrix of a group of images, each unrolled
-// into its own out_hw-wide column block of a shared [patch_len x cnt *
-// out_hw] matrix (leading dimension `ld` = cnt * out_hw), then packed by
-// pack_b / pack_bt, must equal the direct panels byte for byte
-// (ConvPack.DirectPanelsMatchIm2colThenPackBitwise). scripts/check.sh fails
-// on an im2col( call anywhere else in src/. Backward-to-input still uses
-// col2im to scatter patch gradients back, one image per column block.
+// Conv2d packs the GEMM's panels straight from the images through the
+// backend's pack_conv / pack_conv_bt (nn/gemm_variant.inl); the patch
+// matrix they stand for is built only by the test reference
+// tests/support/im2col.hpp. Backward-to-input scatters patch gradients
+// back with col2im, one image per column block.
 #pragma once
 
 #include <cstddef>
@@ -36,16 +31,15 @@ struct ConvGeom {
   }
 };
 
-/// Unrolls a single image [C,H,W] into columns [patch_len x out_hw] whose
-/// rows sit `ld` floats apart (ld >= out_hw). Out-of-bounds (padding) taps
-/// contribute zeros; columns [out_hw, ld) of each row are left untouched.
-void im2col(const float* image, const ConvGeom& g, float* columns,
-            std::size_t ld);
-
-/// im2col with densely packed rows (ld = out_hw).
-inline void im2col(const float* image, const ConvGeom& g, float* columns) {
-  im2col(image, g, columns, g.out_hw());
-}
+/// Output positions [lo, hi) whose tap at kernel offset `k` lands inside an
+/// input of extent `in` (0 <= o * stride + k - pad < in); the rest read
+/// padding. Shared by col2im and the im2col test reference so both walk
+/// the same taps.
+struct ValidSpan {
+  std::size_t lo, hi;
+};
+ValidSpan valid_span(std::size_t k, std::size_t pad, std::size_t stride,
+                     std::size_t in, std::size_t out);
 
 /// Scatters columns [patch_len x out_hw] (rows `ld` floats apart) back into
 /// an image [C,H,W], accumulating overlapping contributions. `image` must be

@@ -8,12 +8,6 @@
 
 namespace safelight::phot {
 
-/// Speed of light [m/s].
-inline constexpr double kSpeedOfLight = 299'792'458.0;
-
-/// C-band operating wavelength [nm].
-inline constexpr double kDefaultWavelengthNm = 1550.0;
-
 /// Group refractive index of the MR waveguide (paper Eq. 2, n_g).
 inline constexpr double kGroupIndex = 4.2;
 
@@ -39,12 +33,5 @@ inline constexpr double kHighQ = 150'000.0;
 
 /// On-resonance through-port transmission floor (extinction limit).
 inline constexpr double kDefaultTmin = 0.02;
-
-/// Thermo-optic resonance shift per Kelvin [nm/K] for the defaults above:
-/// Gamma_Si * (dn_Si/dT) * lambda / n_g  (paper Eq. 2).
-double thermal_shift_per_kelvin_nm(double wavelength_nm = kDefaultWavelengthNm,
-                                   double group_index = kGroupIndex,
-                                   double confinement = kConfinementSi,
-                                   double thermo_optic = kThermoOpticSi);
 
 }  // namespace safelight::phot

@@ -36,12 +36,8 @@ Microring::Microring(const MrGeometry& geometry, double target_nm)
 }
 
 double Microring::resonance_nm() const {
-  return natural_resonance_nm_ + trim_nm_ + detuning_nm_ + fab_offset_nm_ +
+  return natural_resonance_nm_ + trim_nm_ + detuning_nm_ +
          thermal_shift_nm(delta_kelvin_);
-}
-
-void Microring::set_fabrication_offset_nm(double offset_nm) {
-  fab_offset_nm_ = offset_nm;
 }
 
 double Microring::fsr_nm() const {

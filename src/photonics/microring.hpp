@@ -60,11 +60,6 @@ class Microring {
   void set_detuning_nm(double detuning_nm);
   double detuning_nm() const { return detuning_nm_; }
 
-  /// Residual fabrication offset after process-variation trimming [nm]
-  /// (see photonics/variation.hpp). Adds to the effective resonance.
-  void set_fabrication_offset_nm(double offset_nm);
-  double fabrication_offset_nm() const { return fab_offset_nm_; }
-
   /// Applies a temperature delta; resonance shifts per Eq. 2.
   void set_temperature_delta(double delta_kelvin);
 
@@ -87,7 +82,6 @@ class Microring {
   double natural_resonance_nm_;   // Eq. 1 output
   double trim_nm_;                // fabrication trim to hit the carrier
   double detuning_nm_ = 0.0;      // weight imprint / actuation offset
-  double fab_offset_nm_ = 0.0;    // residual process-variation offset
   double delta_kelvin_ = 0.0;     // thermal state
 };
 

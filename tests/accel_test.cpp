@@ -7,7 +7,6 @@
 #include "accel/energy.hpp"
 #include "accel/executor.hpp"
 #include "accel/mapping.hpp"
-#include "accel/vdp.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
@@ -15,6 +14,7 @@
 #include "nn/pool.hpp"
 #include "nn/serialize.hpp"
 #include "nn/synthetic.hpp"
+#include "support/vdp.hpp"
 
 namespace safelight::accel {
 namespace {

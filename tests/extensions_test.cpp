@@ -1,8 +1,6 @@
 // Tests for the extension attack surfaces: compromised-ADC read-out attacks
-// (paper §II.C) and process-variation residual offsets.
+// (paper §II.C) and the hotspot quarantine.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "accel/executor.hpp"
 #include "attacks/adc_attack.hpp"
@@ -12,7 +10,6 @@
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
 #include "nn/serialize.hpp"
-#include "photonics/variation.hpp"
 
 namespace safelight {
 namespace {
@@ -154,79 +151,6 @@ TEST(AdcAttack, PayloadNames) {
             "stuck-full-scale");
   EXPECT_EQ(attack::to_string(attack::AdcPayload::kSignFlip), "sign-flip");
   EXPECT_EQ(attack::to_string(attack::AdcPayload::kMsbFlip), "msb-flip");
-}
-
-// ---------------------------------------------------------------- pv
-
-TEST(ProcessVariation, FullyTrimmedWhenWithinBudget) {
-  Rng rng(5);
-  phot::ProcessVariation pv;
-  pv.sigma_nm = 0.1;
-  pv.trim_range_nm = 10.0;  // everything trims
-  const auto residuals = phot::sample_residual_offsets(500, pv, rng);
-  for (double r : residuals) EXPECT_DOUBLE_EQ(r, 0.0);
-}
-
-TEST(ProcessVariation, ZeroTrimLeavesRawOffsets) {
-  Rng rng(5);
-  phot::ProcessVariation pv;
-  pv.sigma_nm = 0.4;
-  pv.trim_range_nm = 0.0;
-  const auto residuals = phot::sample_residual_offsets(4000, pv, rng);
-  double sq = 0.0;
-  for (double r : residuals) sq += r * r;
-  EXPECT_NEAR(std::sqrt(sq / 4000.0), 0.4, 0.05);
-}
-
-TEST(ProcessVariation, PartialTrimShrinksTail) {
-  Rng rng(5);
-  phot::ProcessVariation pv;
-  pv.sigma_nm = 0.5;
-  pv.trim_range_nm = 0.5;  // one sigma of budget
-  const auto residuals = phot::sample_residual_offsets(4000, pv, rng);
-  std::size_t nonzero = 0;
-  for (double r : residuals) {
-    if (r != 0.0) ++nonzero;
-  }
-  // P(|x| > sigma) ~ 32%: most rings trim fully, a tail survives.
-  EXPECT_NEAR(static_cast<double>(nonzero) / 4000.0, 0.317, 0.05);
-}
-
-TEST(ProcessVariation, BankFidelityDegradesWithUntrimmedPv) {
-  phot::MrGeometry geometry;
-  const phot::Microring reference(geometry, 1550.0);
-  const phot::WdmGrid grid(8, 1550.0, reference.fsr_nm());
-
-  auto fidelity_with = [&](double trim_range) {
-    phot::MrBank bank(geometry, grid);
-    std::vector<double> weights(8, 0.5);
-    bank.set_weights(weights);
-    Rng rng(9);
-    phot::ProcessVariation pv;
-    pv.sigma_nm = 0.15;
-    pv.trim_range_nm = trim_range;
-    phot::apply_process_variation(bank, pv, rng);
-    bank.set_weights(weights);  // re-imprint on the offset rings
-    double err = 0.0;
-    for (double w : bank.effective_weights()) err += std::abs(w - 0.5);
-    return err;
-  };
-  EXPECT_GT(fidelity_with(0.0), fidelity_with(1.0) + 1e-6);
-}
-
-TEST(ProcessVariation, ValidationRejectsNegatives) {
-  phot::ProcessVariation pv;
-  pv.sigma_nm = -1.0;
-  EXPECT_THROW(pv.validate(), std::invalid_argument);
-}
-
-TEST(ProcessVariation, FabricationOffsetShiftsResonance) {
-  phot::MrGeometry geometry;
-  phot::Microring ring(geometry, 1550.0);
-  const double base = ring.resonance_nm();
-  ring.set_fabrication_offset_nm(0.2);
-  EXPECT_NEAR(ring.resonance_nm(), base + 0.2, 1e-12);
-  EXPECT_DOUBLE_EQ(ring.fabrication_offset_nm(), 0.2);
 }
 
 // ---------------------------------------------------------------- quarantine

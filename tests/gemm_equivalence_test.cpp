@@ -15,7 +15,7 @@
 #include "common/scratch.hpp"
 #include "nn/backend.hpp"
 #include "nn/gemm.hpp"
-#include "nn/gemm_ref.hpp"
+#include "support/gemm_ref.hpp"
 
 namespace safelight::nn {
 namespace {

@@ -11,13 +11,13 @@
 
 #include <filesystem>
 
-#include "accel/vdp.hpp"
-#include "attacks/reference_exec.hpp"
 #include "core/evaluation.hpp"
 #include "core/experiment.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
 #include "nn/serialize.hpp"
+#include "support/reference_exec.hpp"
+#include "support/vdp.hpp"
 
 namespace safelight {
 namespace {

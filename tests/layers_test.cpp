@@ -19,13 +19,14 @@
 #include "nn/conv.hpp"
 #include "nn/dropout.hpp"
 #include "nn/gemm.hpp"
-#include "nn/gemm_ref.hpp"
 #include "nn/im2col.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
 #include "nn/sequential.hpp"
 #include "nn/tensor.hpp"
+#include "support/gemm_ref.hpp"
+#include "support/im2col.hpp"
 
 namespace safelight::nn {
 namespace {

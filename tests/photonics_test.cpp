@@ -4,13 +4,11 @@
 
 #include <cmath>
 
+#include "common/rng.hpp"
 #include "photonics/constants.hpp"
 #include "photonics/converters.hpp"
-#include "photonics/laser.hpp"
 #include "photonics/microring.hpp"
 #include "photonics/mr_bank.hpp"
-#include "photonics/photodetector.hpp"
-#include "photonics/tuning.hpp"
 #include "photonics/wdm.hpp"
 
 namespace safelight::phot {
@@ -88,7 +86,6 @@ TEST(Microring, Eq2ThermalShift) {
   EXPECT_NEAR(ring.thermal_shift_nm(1.0), expected_per_k, 1e-9);
   EXPECT_NEAR(ring.thermal_shift_nm(10.0), 10.0 * expected_per_k, 1e-9);
   EXPECT_NEAR(expected_per_k, 0.0549, 5e-4);  // ~0.055 nm/K
-  EXPECT_NEAR(thermal_shift_per_kelvin_nm(), expected_per_k, 1e-12);
 }
 
 TEST(Microring, TemperatureShiftsResonance) {
@@ -122,37 +119,6 @@ TEST(Microring, DetuningForTransmissionClosedForm) {
             Microring::detuning_for_transmission(0.9, fwhm, t_min));
   EXPECT_THROW(Microring::detuning_for_transmission(1.0, fwhm, t_min),
                std::invalid_argument);
-}
-
-// ---------------------------------------------------------------- tuning
-
-TEST(Tuning, EoParameters) {
-  const TuningCircuit eo = eo_tuning();
-  EXPECT_EQ(eo.method, TuningMethod::kElectroOptic);
-  EXPECT_NEAR(eo.power_mw(1.0 * eo.max_range_nm),
-              4e-3 * eo.max_range_nm, 1e-9);  // ~4 uW/nm
-  EXPECT_LT(eo.settle_latency_ns(), 10.0);    // ns-class
-  EXPECT_TRUE(eo.can_reach(0.5));
-  EXPECT_FALSE(eo.can_reach(5.0));
-  EXPECT_THROW(eo.power_mw(5.0), std::invalid_argument);
-}
-
-TEST(Tuning, ToParameters) {
-  const double fsr = 18.2;
-  const TuningCircuit to = to_tuning(fsr);
-  EXPECT_EQ(to.method, TuningMethod::kThermoOptic);
-  EXPECT_NEAR(to.power_mw(fsr), 27.0, 1e-9);  // 27 mW per FSR
-  EXPECT_GT(to.settle_latency_ns(), 100.0);   // us-class
-  EXPECT_TRUE(to.can_reach(fsr));
-  EXPECT_THROW(to_tuning(0.0), std::invalid_argument);
-}
-
-TEST(Tuning, EoFasterButWeakerThanTo) {
-  const TuningCircuit eo = eo_tuning();
-  const TuningCircuit to = to_tuning(18.2);
-  EXPECT_LT(eo.settle_latency_ns(), to.settle_latency_ns());
-  EXPECT_LT(eo.max_range_nm, to.max_range_nm);
-  EXPECT_LT(eo.power_per_nm_mw, to.power_per_nm_mw);
 }
 
 // ---------------------------------------------------------------- wdm
@@ -332,38 +298,6 @@ TEST(MrBank, EncodingFloorMustCoverDevice) {
   WeightEncoding enc;
   enc.t_min = 0.02;  // below the device's extinction floor
   EXPECT_THROW(MrBank(g, grid, enc), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------- laser/pd
-
-TEST(Laser, PowerAccounting) {
-  const WdmGrid grid(10, 1550.0, 18.0);
-  LaserSource laser(grid, 1.0, 0.2);
-  EXPECT_DOUBLE_EQ(laser.total_optical_power_mw(), 10.0);
-  EXPECT_DOUBLE_EQ(laser.electrical_power_mw(), 50.0);
-  laser.apply_loss_db(3.0);
-  EXPECT_NEAR(laser.total_optical_power_mw(), 5.01, 0.02);  // -3 dB ~ half
-  EXPECT_THROW(laser.apply_loss_db(-1.0), std::invalid_argument);
-}
-
-TEST(Laser, RejectsBadConfig) {
-  const WdmGrid grid(2, 1550.0, 18.0);
-  EXPECT_THROW(LaserSource(grid, 0.0), std::invalid_argument);
-  EXPECT_THROW(LaserSource(grid, 1.0, 1.5), std::invalid_argument);
-}
-
-TEST(Photodetector, SumsChannels) {
-  Photodetector pd(PhotodetectorConfig{2.0, 0.0, 1});
-  EXPECT_DOUBLE_EQ(pd.detect_ma({1.0, 2.0, 3.0}), 12.0);
-  EXPECT_THROW(pd.detect_ma({-1.0}), std::invalid_argument);
-}
-
-TEST(Photodetector, NoiseIsZeroMeanGaussian) {
-  Photodetector pd(PhotodetectorConfig{1.0, 0.5, 42});
-  double sum = 0;
-  const int n = 5000;
-  for (int i = 0; i < n; ++i) sum += pd.detect_ma({1.0}) - 1.0;
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
 }
 
 // ---------------------------------------------------------------- converters

@@ -1,6 +1,6 @@
-// Deeper cross-cutting checks: crosstalk scaling, linearity, composition of
-// process variation with attacks, executor quantization sweeps, energy
-// model block concurrency, and assorted edge cases.
+// Deeper cross-cutting checks: crosstalk scaling, linearity, executor
+// quantization sweeps, energy model block concurrency, and assorted edge
+// cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,9 +14,7 @@
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "nn/pool.hpp"
-#include "photonics/laser.hpp"
 #include "photonics/mr_bank.hpp"
-#include "photonics/variation.hpp"
 #include "thermal/heatmap.hpp"
 #include "thermal/solver.hpp"
 
@@ -69,34 +67,6 @@ TEST(BankPhysics, DotProductLinearInActivations) {
   std::vector<double> a2(a);
   for (auto& v : a2) v *= 2.0;
   EXPECT_NEAR(bank.dot_product(a2), 2.0 * bank.dot_product(a), 1e-9);
-}
-
-TEST(BankPhysics, PvComposesWithThermalAttack) {
-  // Residual PV offsets plus a hotspot shift: results stay deterministic
-  // and finite, and the attack still dominates the corruption.
-  phot::MrGeometry geometry;
-  const phot::Microring reference(geometry, 1550.0);
-  const phot::WdmGrid grid(8, 1550.0, reference.fsr_nm());
-  phot::MrBank bank(geometry, grid);
-  std::vector<double> weights(8, 0.5);
-  bank.set_weights(weights);
-  Rng rng(21);
-  phot::ProcessVariation pv;
-  pv.sigma_nm = 1.2;
-  pv.trim_range_nm = 1.0;
-  phot::apply_process_variation(bank, pv, rng);
-  for (std::size_t i = 0; i < 8; ++i) bank.set_temperature_delta(i, 20.0);
-  const auto a = bank.effective_weights();
-  phot::MrBank bank2(geometry, grid);
-  bank2.set_weights(weights);
-  Rng rng2(21);
-  phot::apply_process_variation(bank2, pv, rng2);
-  for (std::size_t i = 0; i < 8; ++i) bank2.set_temperature_delta(i, 20.0);
-  const auto b = bank2.effective_weights();
-  for (std::size_t c = 0; c < 8; ++c) {
-    EXPECT_TRUE(std::isfinite(a[c]));
-    EXPECT_NEAR(a[c], b[c], 1e-12);  // deterministic
-  }
 }
 
 // ------------------------------------------------------- executor sweep
@@ -279,12 +249,6 @@ TEST(CorruptionDepth, BiasesAndBatchNormAlwaysUntouched) {
 }
 
 // ------------------------------------------------------- misc edges
-
-TEST(MiscEdges, LaserDbConversions) {
-  EXPECT_NEAR(phot::db_to_linear(0.0), 1.0, 1e-12);
-  EXPECT_NEAR(phot::db_to_linear(10.0), 0.1, 1e-12);
-  EXPECT_NEAR(phot::db_to_linear(3.0), 0.501, 1e-3);
-}
 
 TEST(MiscEdges, BoxStatsTwoElements) {
   const BoxStats s = box_stats({1.0, 3.0});

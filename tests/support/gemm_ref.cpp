@@ -1,4 +1,4 @@
-#include "nn/gemm_ref.hpp"
+#include "support/gemm_ref.hpp"
 
 namespace safelight::nn {
 

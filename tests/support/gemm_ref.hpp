@@ -4,8 +4,9 @@
 // reproduce bit for bit: per output element, terms are accumulated over k in
 // ascending order through one accumulator, and the optional bias is added
 // last. They run serially with no blocking, packing or vector-width
-// assumptions, so they double as an always-correct fallback and as the
-// baseline side of the microbench's kernel-speedup ratio (BM_GemmRef).
+// assumptions, so they serve as the golden of tests/gemm_equivalence_test
+// and as the baseline side of the microbench's kernel-speedup ratio
+// (BM_GemmRef).
 #pragma once
 
 #include <cstddef>

@@ -1,4 +1,4 @@
-#include "attacks/reference_exec.hpp"
+#include "support/reference_exec.hpp"
 
 #include <algorithm>
 #include <cmath>

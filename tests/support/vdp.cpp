@@ -1,4 +1,4 @@
-#include "accel/vdp.hpp"
+#include "support/vdp.hpp"
 
 #include "common/error.hpp"
 

@@ -4,8 +4,7 @@
 // bank computes one dot product of length mrs_per_bank and a photodetector
 // per bank sums the WDM channels (paper Fig. 3). This class is the
 // device-level reference model: integration tests validate that the fast
-// experiment path (direct weight-tensor corruption) agrees with it, and the
-// examples use it to demonstrate the attack mechanics of Figs. 4 and 5.
+// experiment path (direct weight-tensor corruption) agrees with it.
 #pragma once
 
 #include <vector>

@@ -10,6 +10,7 @@
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
 #include "nn/tensor.hpp"
+#include "support/im2col.hpp"
 
 namespace safelight::nn {
 namespace {
