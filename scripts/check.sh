@@ -9,7 +9,9 @@
 #    tests/support (`im2col(`, `gemm_ref`, `reference_fc_forward`,
 #    `VdpUnit`) appear nowhere in src/ outside comments.
 #    result-store lint: a ResultStore is constructed in src/ only by the
-#    cell engine (core/pipeline.cpp) and the dist worker (dist/worker.cpp).
+#    cell engine (core/pipeline.cpp) and the dist coordinator
+#    (dist/coordinator.cpp), the only writer of the canonical stores under
+#    --workers.
 #    thermal-plan lint: `plan_hotspot_attack(` appears in src/ only in
 #    attacks/ and defense/suite.cpp, `scenario_telemetry(` only in
 #    defense/suite.*; detectors read the field the attack returned.
@@ -34,11 +36,12 @@
 #    byte-identical.
 # 6. distributed smoke: `run --workers 2` (clean, then with --chaos plug
 #    pulls inside the workers) must emit bytes identical to a
-#    single-process run from a fresh zoo — the coordinator/worker/merge
-#    stack proves itself end to end on every CI run; detection,
-#    campaign and an unpinned robust_compare (two planning rounds) shard
-#    too and must match their in-process CSVs, and the merged stores hold
-#    no key twice.
+#    single-process run from a fresh zoo — the coordinator/worker stack
+#    proves itself end to end on every CI run; detection, campaign and an
+#    unpinned robust_compare (two planning rounds) shard too and must match
+#    their in-process CSVs; the canonical stores the coordinator wrote (the
+#    chaos run's included) hold no key twice, and no per-worker dist/w*
+#    store directory exists.
 # 7. telemetry smoke: the same 2-worker run armed with --trace/--metrics
 #    must stay byte-identical, produce a parseable merged Chrome trace
 #    with coordinator + worker tracks, and a schema-valid metrics JSON
@@ -124,17 +127,17 @@ fi
 phase_end
 
 # One result cache: only the cell engine (core/pipeline.cpp) and the dist
-# worker that fills its cells (dist/worker.cpp) open a ResultStore; every
-# other layer computes and hands values to them.
+# coordinator that appends the rows its workers send (dist/coordinator.cpp)
+# open a ResultStore; every other layer computes and hands values to them.
 phase_start "result-store lint"
 STRAY_STORE="$(grep -rnE \
     'make_(unique|shared)<(core::)?ResultStore>|(^|[^:[:alnum:]_])ResultStore[[:space:]]*[({]|\bResultStore[[:space:]]+[[:alpha:]_][[:alnum:]_]*[[:space:]]*[({=]' src \
   | grep -vE '^src/core/(pipeline\.cpp|result_store\.(hpp|cpp)):' \
-  | grep -vE '^src/dist/worker\.cpp:' \
+  | grep -vE '^src/dist/coordinator\.cpp:' \
   || true)"
 if [[ -n "$STRAY_STORE" ]]; then
   echo "error: ResultStore constructed outside core/pipeline.cpp and" \
-       "dist/worker.cpp; persist results through the cell engine" >&2
+       "dist/coordinator.cpp; persist results through the cell engine" >&2
   echo "$STRAY_STORE" >&2
   exit 1
 fi
@@ -329,7 +332,7 @@ phase_end
 
 phase_start "distributed smoke (2 workers, clean + chaos, all sweep kinds)"
 # The coordinator shards the sweep across 2 worker subprocesses from a
-# fresh zoo; the merged result must be byte-identical to a single-process
+# fresh zoo; the result must be byte-identical to a single-process
 # run (also fresh, so the equality is computational). cnn1-only keeps the
 # phase cheap; the dist ctest shard covers the full semantics.
 SAFELIGHT_ZOO="$SMOKE_DIR/zoo_dist_ref" SAFELIGHT_OUT="$SMOKE_DIR/out_dist_ref" \
@@ -349,14 +352,16 @@ SAFELIGHT_ZOO="$SMOKE_DIR/zoo_dist_scalar" SAFELIGHT_OUT="$SMOKE_DIR/out_dist_sc
   >"$SMOKE_DIR/dist_scalar.log"
 cmp "$SMOKE_DIR/out_dist_ref/fig7_susceptibility.csv" \
     "$SMOKE_DIR/out_dist_scalar/fig7_susceptibility.csv"
-# Chaos leg: PR 6 plug pulls armed inside the workers (crash on ~20% of
-# durable writes); retries must still converge on the same bytes.
+# Chaos leg: plug pulls armed inside the workers (crash on ~20% of cells,
+# just before their rows are sent); retries must still converge on the
+# same bytes, and the coordinator must append every key once.
 SAFELIGHT_ZOO="$SMOKE_DIR/zoo_dist_chaos" SAFELIGHT_OUT="$SMOKE_DIR/out_dist_chaos" \
   "$SAFELIGHT" run susceptibility --model cnn1 --workers 2 --chaos 0.2 \
   --max-task-retries 1000 >"$SMOKE_DIR/dist_chaos.log"
 grep '\[dist\] summary:' "$SMOKE_DIR/dist_chaos.log"
 cmp "$SMOKE_DIR/out_dist_ref/fig7_susceptibility.csv" \
     "$SMOKE_DIR/out_dist_chaos/fig7_susceptibility.csv"
+check_store_keys_unique "$SMOKE_DIR/zoo_dist_chaos"
 # The detector sweeps shard through their declared cells too; each
 # distributed run must plan tasks and match its in-process CSVs.
 # robust_compare runs unpinned: the planner shards the mitigation selection
@@ -374,6 +379,14 @@ for experiment in detection campaign robust_compare; do
 done
 grep -E '\[dist\] summary: .* rounds=2 ' "$SMOKE_DIR/dist_robust_compare.log"
 check_store_keys_unique "$SMOKE_DIR/zoo_dist"
+# Workers write no store: the coordinator is the canonical stores' only
+# writer, so no per-worker store directory may appear.
+STRAY_WORKER_STORES="$(find "$SMOKE_DIR" -path '*/dist/w*' -type d)"
+if [[ -n "$STRAY_WORKER_STORES" ]]; then
+  echo "error: per-worker store directories exist:" >&2
+  echo "$STRAY_WORKER_STORES" >&2
+  exit 1
+fi
 for csv in fig_detection fig_detection_roc fig_campaign_phases fig_campaign \
            fig9_robust; do
   cmp "$SMOKE_DIR/out_dist_ref/$csv.csv" "$SMOKE_DIR/out_dist/$csv.csv"
@@ -403,7 +416,7 @@ tracks = {e["pid"]: e["args"]["name"]
 names = {e["name"] for e in spans}
 assert tracks.get(1) == "coordinator", tracks
 assert any(n.startswith("worker w") for p, n in tracks.items() if p >= 2), tracks
-assert {"dist.dispatch", "dist.merge", "worker.task"} <= names, sorted(names)
+assert {"dist.dispatch", "dist.append", "worker.task"} <= names, sorted(names)
 metrics = json.load(open(sys.argv[2]))
 assert metrics["schema"] == "safelight.metrics.v1", metrics.get("schema")
 # One owner per task on a healthy fleet: exactly one dispatch per planned
@@ -498,8 +511,9 @@ phase_end
 if [[ -n "${SAFELIGHT_ARTIFACT_DIR:-}" ]]; then
   mkdir -p "$SAFELIGHT_ARTIFACT_DIR"
   cp "$SMOKE_DIR/out/"*.csv "$SMOKE_DIR/out/"*.json "$SAFELIGHT_ARTIFACT_DIR/"
-  # Merged canonical stores from the chaos'd distributed run: the artifact
-  # a reviewer diffs against the clean run's stores to audit the merge.
+  # Canonical stores the coordinator wrote in the chaos'd distributed run:
+  # the artifact a reviewer diffs against the clean run's stores to audit
+  # that crashes and retries left every row intact and appended once.
   mkdir -p "$SAFELIGHT_ARTIFACT_DIR/dist_store"
   cp "$SMOKE_DIR/zoo_dist_chaos/"*.sweep.csv "$SAFELIGHT_ARTIFACT_DIR/dist_store/"
   cp "$SMOKE_DIR/dist.log" "$SMOKE_DIR/dist_chaos.log" "$SAFELIGHT_ARTIFACT_DIR/dist_store/"

@@ -43,8 +43,8 @@ constexpr const char* kUsage =
     "                       ExperimentSpec JSON over HTTP, stream NDJSON\n"
     "                       progress (docs/architecture.md \"Serving\")\n"
     "  worker               internal: distributed sweep worker (spawned by\n"
-    "                       'run --workers N', speaks NDJSON on stdin/stdout);\n"
-    "                       takes the flags below plus --store-dir <dir>\n"
+    "                       'run --workers N', speaks NDJSON on stdin/stdout;\n"
+    "                       takes the flags below)\n"
     "  help                 this text\n"
     "\n"
     "flags (precedence: flag > SAFELIGHT_* env > default):\n"
@@ -75,7 +75,7 @@ constexpr const char* kUsage =
     "  --heartbeat-timeout <s>   worker silence before a kill + retry\n"
     "  --max-task-retries <N>    task failures tolerated before quarantine\n"
     "  --chaos <p>          arm fault injection inside the workers with\n"
-    "                       per-write crash probability p (chaos testing;\n"
+    "                       per-cell crash probability p (chaos testing;\n"
     "                       needs --workers)\n"
     "\n"
     "observability (docs/architecture.md \"Observability\"):\n"
@@ -100,8 +100,7 @@ struct CliOptions {
   std::vector<nn::ModelId> models;  // resolved; paper models when no --model
   bool json = false;
   bool verbose = false;
-  double chaos = 0.0;     // worker-side per-write crash probability
-  std::string store_dir;  // `safelight worker` only: its private stores
+  double chaos = 0.0;  // worker-side per-cell crash probability
 };
 
 using core::banner;
@@ -175,8 +174,8 @@ double number(const std::string& flag, const std::string& value, Valid valid,
 /// Parses flags into (config overrides, CLI options), consumes all args
 /// after the command word, then arms fault injection, telemetry and the
 /// compute backend from the result. Every command goes through here, the
-/// coordinator-spawned `worker` too: it alone accepts --store-dir, and its
-/// --trace/--metrics buffer for the event pipe instead of writing files.
+/// coordinator-spawned `worker` too, whose --trace/--metrics buffer for the
+/// event pipe instead of writing files.
 /// Throws std::invalid_argument on unknown flags.
 CliOptions parse_flags(const std::vector<std::string>& args,
                        std::size_t begin, bool worker) {
@@ -257,8 +256,6 @@ CliOptions parse_flags(const std::vector<std::string>& args,
       options.json = true;
     } else if (flag == "--verbose") {
       options.verbose = true;
-    } else if (flag == "--store-dir" && worker) {
-      options.store_dir = value();
     } else {
       fail_argument("unknown flag '" + flag + "' (see 'safelight help')");
     }
@@ -652,11 +649,9 @@ int cmd_serve(const CliOptions& options) {
 /// carries task commands, the *original* stdout carries events; stdout is
 /// re-pointed at stderr immediately so stray prints from experiment code
 /// cannot corrupt the event stream.
-int cmd_worker(const CliOptions& options) {
-  require(!options.store_dir.empty(), "'safelight worker' needs --store-dir");
+int cmd_worker() {
   dist::WorkerOptions worker;
   worker.zoo_dir = config::zoo_dir();
-  worker.store_dir = options.store_dir;
   worker.protocol_in = 0;
   worker.protocol_out = ::dup(1);
   require(worker.protocol_out >= 0, "worker: dup(stdout) failed");
@@ -725,7 +720,8 @@ int run(const std::vector<std::string>& args) {
       return cmd_run(core::ExperimentRegistry::global().names(), options);
     }
     if (command == "worker") {
-      return cmd_worker(parse_flags(args, 1, /*worker=*/true));
+      parse_flags(args, 1, /*worker=*/true);
+      return cmd_worker();
     }
     fail_argument("unknown command '" + command +
                   "' (see 'safelight help')");

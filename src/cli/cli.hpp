@@ -6,8 +6,7 @@
 //   safelight run <experiment> [...]   one experiment, paper models
 //   safelight run-all [...]            every experiment, one process,
 //                                      shared zoo/caches
-//   safelight worker --store-dir <d> [...]
-//                                      internal: distributed sweep worker
+//   safelight worker [...]             internal: distributed sweep worker
 //                                      (spawned by 'run --workers N', which
 //                                      passes every setting as a flag)
 //
@@ -27,7 +26,7 @@
 //   --heartbeat-timeout <s>          worker silence before kill + retry
 //   --max-task-retries <N>           failures before a task is quarantined
 //   --chaos <p>                      arm fault injection inside workers
-//                                    with per-write crash probability p
+//                                    with per-cell crash probability p
 //                                    (a usage error without --workers)
 //   --fault-mode <m>                 fault injection: none | independent |
 //                                    run_length | uniform_over_run

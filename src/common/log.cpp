@@ -56,13 +56,6 @@ void set_level(Level level) {
 
 void reset() { level_cell().store(kUnset, std::memory_order_relaxed); }
 
-void message(Level l, const char* tag, const char* fmt, ...) {
-  std::va_list args;
-  va_start(args, fmt);
-  vmessage(l, tag, fmt, args);
-  va_end(args);
-}
-
 void error(const char* tag, const char* fmt, ...) {
   std::va_list args;
   va_start(args, fmt);
@@ -81,13 +74,6 @@ void info(const char* tag, const char* fmt, ...) {
   std::va_list args;
   va_start(args, fmt);
   vmessage(Level::kInfo, tag, fmt, args);
-  va_end(args);
-}
-
-void debug(const char* tag, const char* fmt, ...) {
-  std::va_list args;
-  va_start(args, fmt);
-  vmessage(Level::kDebug, tag, fmt, args);
   va_end(args);
 }
 

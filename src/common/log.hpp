@@ -10,9 +10,8 @@
 //
 // The level comes from config::log_level() (SAFELIGHT_LOG_LEVEL: "error" |
 // "warn" | "info" | "debug", default "info"), read once on first use;
-// set_level() overrides it (tests, or a future --log-level flag). debug is
-// for messages that were previously compiled out or hidden behind verbose
-// gates.
+// set_level() overrides it (tests, or a future --log-level flag). No
+// emitter writes at debug; the level only makes enabled(kDebug) true.
 #pragma once
 
 #include <cstdarg>
@@ -36,19 +35,11 @@ inline bool enabled(Level l) {
   return static_cast<int>(l) <= static_cast<int>(level());
 }
 
-/// Core emitter: "[<tag>] <printf(fmt, ...)>\n" to stderr when `l` is
-/// enabled. A null tag drops the "[tag] " prefix (messages whose historical
-/// bytes carry none, e.g. the CLI resume hint).
-void message(Level l, const char* tag, const char* fmt, ...)
-    __attribute__((format(printf, 3, 4)));
-
 void error(const char* tag, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 void warn(const char* tag, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 void info(const char* tag, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-void debug(const char* tag, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
 }  // namespace safelight::log

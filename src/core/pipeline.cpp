@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -62,6 +63,22 @@ Deployment::Deployment(const ExperimentSpec& spec,
   suite.emplace(setup, spec.suite);
   suite->calibrate({*model, evaluator.executor(), nullptr,
                     seed_combine(spec.base_seed, 0xCA11B)});
+}
+
+std::vector<std::pair<std::string, double>> evaluate_cell_rows(
+    const CellSweep& sweep, Deployment& deployment, std::size_t i) {
+  ResultStore staging("");
+  sweep.evaluate(deployment, i, staging);
+  std::vector<std::pair<std::string, double>> rows;
+  for (const std::string& key : sweep.cells[i].keys) {
+    const auto value = staging.lookup(key);
+    if (!value) {
+      throw std::runtime_error("sweep: cell '" + sweep.cells[i].id +
+                               "' left key '" + key + "' unset");
+    }
+    rows.emplace_back(key, *value);
+  }
+  return rows;
 }
 
 std::string weights_checksum(nn::Sequential& model) {

@@ -26,9 +26,10 @@
 //     whether this sweep evaluated the cell or read it from the store.
 // Results never depend on execution order, so a sweep is deterministic in
 // (spec, variant, cells) and identical between serial and parallel runs.
-// The distributed layer (src/dist) fills subsets of the same declarations
-// in worker processes on the same Deployment, so both paths agree on
-// cells, keys, store names and how a variant is deployed.
+// The distributed layer (src/dist) evaluates subsets of the same
+// declarations in worker processes on the same Deployment
+// (evaluate_cell_rows) and appends their rows to the same stores, so both
+// paths agree on cells, keys, store names and how a variant is deployed.
 //
 // scenario_sweep() declares the scenario sweep on top of it: a variant's
 // clean baseline plus one accuracy per scenario of a grid, read back in
@@ -39,6 +40,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/corruption.hpp"
@@ -106,6 +108,13 @@ struct Deployment {
   AttackEvaluator evaluator;
   std::optional<defense::DetectorSuite> suite;
 };
+
+/// Evaluates sweep.cells[i] on `deployment` into a private in-memory store
+/// and returns the cell's rows, one (key, value) per declared key in key
+/// order: what a dist worker sends the coordinator. Throws
+/// std::runtime_error when the evaluation left a declared key unset.
+std::vector<std::pair<std::string, double>> evaluate_cell_rows(
+    const CellSweep& sweep, Deployment& deployment, std::size_t i);
 
 /// FNV-1a checksum over all parameter bytes: the store name's key on the
 /// trained weights.

@@ -55,8 +55,7 @@ void sweep_orphaned_temp_files(const std::filesystem::path& directory) {
 
 /// Splits one CSV line into (key, raw value bytes) when it is a complete,
 /// well-formed store row; nullopt for headers, blanks and malformed rows.
-/// The value must parse as a full double but is returned unparsed — the
-/// multi-writer merge compares value *bytes*.
+/// The value must parse as a full double but is returned unparsed.
 std::optional<RawStoreEntry> parse_store_line(std::string line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
   if (line.empty() || line == "key,accuracy") return std::nullopt;
@@ -68,6 +67,25 @@ std::optional<RawStoreEntry> parse_store_line(std::string line) {
   (void)value;
   if (value_end == value_begin || *value_end != '\0') return std::nullopt;
   return RawStoreEntry{line.substr(0, comma), line.substr(comma + 1)};
+}
+
+/// Cuts a result-store CSV back to its last complete ('\n'-terminated)
+/// row. Every complete row ends with '\n', so an unterminated tail is a
+/// tear left by a writer killed mid-append, and a later append must not
+/// extend it into a corrupt row. A missing file is left alone.
+void truncate_torn_tail(const std::string& csv_path) {
+  std::ifstream in(csv_path, std::ios::binary);
+  if (!in) return;
+  const std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  in.close();
+  const std::size_t last_newline = content.rfind('\n');
+  const std::size_t keep =
+      last_newline == std::string::npos ? 0 : last_newline + 1;
+  if (keep != content.size()) {
+    std::error_code ec;
+    std::filesystem::resize_file(csv_path, keep, ec);
+  }
 }
 
 }  // namespace
@@ -166,21 +184,6 @@ std::vector<RawStoreEntry> read_store_entries(const std::string& csv_path) {
   return entries;
 }
 
-void truncate_torn_tail(const std::string& csv_path) {
-  std::ifstream in(csv_path, std::ios::binary);
-  if (!in) return;
-  const std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  in.close();
-  const std::size_t last_newline = content.rfind('\n');
-  const std::size_t keep =
-      last_newline == std::string::npos ? 0 : last_newline + 1;
-  if (keep != content.size()) {
-    std::error_code ec;
-    std::filesystem::resize_file(csv_path, keep, ec);
-  }
-}
-
 ResultStore::ResultStore(std::string csv_path)
     : csv_path_(std::move(csv_path)) {
   if (csv_path_.empty()) return;
@@ -202,12 +205,10 @@ std::optional<double> ResultStore::lookup(const std::string& key) const {
   static metrics::Counter& hits = metrics::counter("store.lookup_hits");
   static metrics::Counter& misses = metrics::counter("store.lookup_misses");
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (auto it = entries_.find(key); it != entries_.end()) {
-    hits.add();
-    return it->second;
-  }
-  misses.add();
-  return std::nullopt;
+  const auto it = entries_.find(key);
+  if (!csv_path_.empty()) (it != entries_.end() ? hits : misses).add();
+  if (it == entries_.end()) return std::nullopt;
+  return it->second;
 }
 
 bool ResultStore::contains(const std::string& key) const {
@@ -226,8 +227,6 @@ void ResultStore::put(const std::string& key, double value) {
 
 void ResultStore::put(
     const std::vector<std::pair<std::string, double>>& entries) {
-  static metrics::Counter& appends = metrics::counter("store.appends");
-  appends.add(entries.size());
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [key, value] : entries) entries_[key] = value;
 
@@ -235,6 +234,8 @@ void ResultStore::put(
   // hit; the mid-row flushes that make the torn state real are taken only
   // when injection is armed, so the normal path keeps its single flush.
   if (csv_path_.empty() || entries.empty()) return;
+  static metrics::Counter& appends = metrics::counter("store.appends");
+  appends.add(entries.size());
   const bool fresh = !std::filesystem::exists(csv_path_);
   std::ofstream out(csv_path_, std::ios::app);
   if (!out) return;

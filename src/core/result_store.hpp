@@ -44,9 +44,8 @@ class StoreWriterLock {
   std::string lock_path_;  // empty = disengaged
 };
 
-/// One raw store row: the key and the value bytes exactly as written.
-/// Multi-writer merging compares raw value bytes (a byte mismatch on the
-/// same key is a conflict), so the value is not parsed here.
+/// One raw store row: the key and the value bytes exactly as written (the
+/// value is not parsed here).
 struct RawStoreEntry {
   std::string key;
   std::string value;
@@ -60,18 +59,13 @@ struct RawStoreEntry {
 /// process owns.
 std::vector<RawStoreEntry> read_store_entries(const std::string& csv_path);
 
-/// Cuts a result-store CSV back to its last complete ('\n'-terminated)
-/// row. Every complete row ends with '\n', so an unterminated tail is a
-/// tear left by a writer killed mid-append, and a later append must not
-/// extend it into a corrupt row. Writers call this before appending
-/// (ResultStore on open, dist's store merge); a missing file is left alone.
-void truncate_torn_tail(const std::string& csv_path);
-
 /// Append-only result cache shared by the pipeline's worker threads.
 ///
 /// All members are safe to call concurrently. Persistence is optional:
 /// an empty `csv_path` keeps the store purely in memory (tests, ablations
-/// whose corruption config changes per run).
+/// whose corruption config changes per run, a dist worker staging one
+/// cell's rows). The store.* metrics count persisted stores only, so a
+/// fleet's counters match an in-process run's.
 class ResultStore {
  public:
   /// Opens the store. When `csv_path` names an existing file written by a

@@ -8,16 +8,6 @@
 
 namespace safelight::core {
 
-const RobustComparisonCell& RobustComparisonReport::cell(
-    attack::AttackVector vector, double fraction) const {
-  for (const auto& c : cells) {
-    if (c.vector == vector && std::abs(c.fraction - fraction) < 1e-12) {
-      return c;
-    }
-  }
-  fail_argument("RobustComparisonReport::cell: no such cell");
-}
-
 ExperimentSpec robust_compare_selection_spec(const ExperimentSpec& spec) {
   // Mitigation's own defaults keep its paper seed count (3); only the
   // settings that define "the same experiment" carry over. The selection

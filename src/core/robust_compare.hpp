@@ -31,10 +31,6 @@ struct RobustComparisonReport {
   double original_baseline = 0.0;
   double robust_baseline = 0.0;
   std::vector<RobustComparisonCell> cells;  // 2 vectors x 3 fractions
-
-  /// Cell lookup; throws when the (vector, fraction) pair was not swept.
-  const RobustComparisonCell& cell(attack::AttackVector vector,
-                                   double fraction) const;
 };
 
 /// The inner mitigation spec robust_compare uses to select its robust

@@ -74,10 +74,7 @@ std::unique_ptr<nn::Sequential> ModelZoo::get_or_train(
   // first one through trains and saves; the rest block here and then take
   // the cache-hit branch. Distinct entries proceed in parallel.
   std::lock_guard<std::mutex> train_once(entry_lock(path));
-  if (nn::model_file_matches(*model, path)) {
-    nn::load_model(*model, path);
-    return model;
-  }
+  if (nn::try_load_model(*model, path)) return model;
 
   if (verbose) {
     std::printf("[zoo] training %s / %s ...\n", setup.tag().c_str(),

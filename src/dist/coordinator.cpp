@@ -15,6 +15,7 @@
 #include <deque>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -26,11 +27,11 @@
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "core/zoo.hpp"
 #include "common/config.hpp"
+#include "core/result_store.hpp"
+#include "core/zoo.hpp"
 #include "dist/plan.hpp"
 #include "dist/protocol.hpp"
-#include "dist/store_merge.hpp"
 #include "nn/backend.hpp"
 
 namespace safelight::dist {
@@ -49,8 +50,9 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 constexpr double kRetryBaseS = 0.2;
 constexpr double kRetryCapS = 5.0;
 
-/// Round-trip exact decimal text of a double flag value.
-std::string flag_number(double value) {
+/// Round-trip exact decimal text of a double: flag values, and the value
+/// bytes the result store writes.
+std::string exact_decimal(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.17g", value);
   return buffer;
@@ -105,7 +107,10 @@ struct WorkerSlot {
 };
 
 struct TaskState {
+  /// task.cells holds only the cells whose rows have not arrived yet, so a
+  /// requeued task resumes where its dead worker stopped.
   TaskMessage task;
+  std::vector<std::vector<std::string>> keys;  // declared keys of task.cells
   std::size_t failures = 0;
   std::string last_error;
   Clock::time_point eligible_at{};  // backoff gate for re-dispatch
@@ -129,12 +134,11 @@ class Coordinator {
     expected_kernel_ = nn::backend::kernel_fingerprint();
     binary_ = config::dist_bin();
 
-    dist_dir_ = spec_.cache_dir + "/dist";
-    std::filesystem::create_directories(dist_dir_ + "/logs");
+    log_dir_ = spec_.cache_dir + "/dist/logs";
+    std::filesystem::create_directories(log_dir_);
     slots_.resize(options_.workers);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       slots_[i].slot = static_cast<int>(i);
-      std::filesystem::create_directories(slot_store_dir(slots_[i]));
     }
   }
 
@@ -182,33 +186,28 @@ class Coordinator {
     std::printf(
         "[dist] summary: workers=%zu tasks=%zu completed=%zu retries=%zu "
         "hang_kills=%zu crashes=%zu quarantined=%zu rounds=%zu "
-        "merged_rows=%zu merge_duplicates=%zu wall=%.2fs\n",
+        "wall=%.2fs\n",
         summary_.workers, summary_.tasks, summary_.completed,
         summary_.retries, summary_.hang_kills, summary_.crashes,
-        summary_.quarantined.size(), summary_.rounds, summary_.merged_rows,
-        summary_.merge_duplicates, summary_.wall_seconds);
+        summary_.quarantined.size(), summary_.rounds, summary_.wall_seconds);
     std::fflush(stdout);
     return status;
   }
 
  private:
-  std::string slot_store_dir(const WorkerSlot& slot) const {
-    return dist_dir_ + "/w" + std::to_string(slot.slot);
-  }
-
   // ---- process management -------------------------------------------------
 
   /// A worker's whole configuration, as flags: under flag > env precedence
   /// no SAFELIGHT_* value the worker inherits can override them.
   std::vector<std::string> worker_args(const WorkerSlot& slot) const {
     std::vector<std::string> args = {
-        binary_, "worker", "--store-dir", slot_store_dir(slot), "--zoo",
-        zoo_.directory(), "--threads", std::to_string(config::threads()),
+        binary_, "worker", "--zoo", zoo_.directory(), "--threads",
+        std::to_string(config::threads()),
         // "auto" stays "auto": each node picks the best variant its own CPU
         // supports, which is safe because conforming variants are bitwise-
         // identical (and the hello handshake enforces "conforming").
         "--backend", config::backend(), "--heartbeat-timeout",
-        flag_number(options_.heartbeat_timeout_s),
+        exact_decimal(options_.heartbeat_timeout_s),
         // In a worker a telemetry path only arms buffering: spans and
         // metrics ship home over the pipe, and the coordinator alone writes
         // the files. An empty path keeps the worker disarmed.
@@ -222,7 +221,7 @@ class Coordinator {
           static_cast<std::uint64_t>(slot.generation);
       args.insert(args.end(),
                   {"--fault-mode", "independent", "--fault-point", "",
-                   "--fault-prob", flag_number(options_.chaos_kill_prob),
+                   "--fault-prob", exact_decimal(options_.chaos_kill_prob),
                    "--fault-seed", std::to_string(seed)});
     }
     return args;
@@ -242,7 +241,7 @@ class Coordinator {
     }
 
     const std::string log_path =
-        dist_dir_ + "/logs/w" + std::to_string(slot.slot) + ".log";
+        log_dir_ + "/w" + std::to_string(slot.slot) + ".log";
     std::vector<std::string> args = worker_args(slot);
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
@@ -291,10 +290,10 @@ class Coordinator {
     slot.buffer.clear();
   }
 
-  /// Non-blocking drain of a dead worker's event pipe: a done/fatal line it
-  /// managed to write before dying must be processed before the death
-  /// accounting (a completed task is not requeued just because its worker
-  /// exited afterwards).
+  /// Non-blocking drain of a dead worker's event pipe: the cell, done and
+  /// fatal lines it managed to write before dying must be processed before
+  /// the death accounting (rows that arrived are never recomputed, and a
+  /// completed task is not requeued just because its worker exited).
   void drain_events(WorkerSlot& slot) {
     if (slot.event_fd < 0) return;
     const int flags = ::fcntl(slot.event_fd, F_GETFL);
@@ -332,7 +331,19 @@ class Coordinator {
     }
     if (!task_id) return;
     TaskState& state = tasks_.at(*task_id);
-    if (!state.completed && !state.quarantined) fail_task(state, error);
+    settle(state, error);
+  }
+
+  /// A failed attempt of a task that is not finished: requeue the cells
+  /// whose rows never arrived — or, when every row arrived and only the
+  /// done line was lost, complete the task with nothing to redo.
+  void settle(TaskState& state, const std::string& error) {
+    if (state.completed || state.quarantined) return;
+    if (state.task.cells.empty()) {
+      complete(state);
+    } else {
+      fail_task(state, error);
+    }
   }
 
   /// Reaps any slot whose process has exited (crash or injected kill).
@@ -399,9 +410,12 @@ class Coordinator {
                            std::chrono::duration<double>(delay));
     pending_.push_back(state.task.id);
     if (options_.verbose) {
-      log::info("dist", "task %llu requeued (failure %zu, backoff %.2fs): %s",
+      log::info("dist",
+                "task %llu requeued with %zu cell(s) left (failure %zu, "
+                "backoff %.2fs): %s",
                 static_cast<unsigned long long>(state.task.id),
-                state.failures, delay, error.c_str());
+                state.task.cells.size(), state.failures, delay,
+                error.c_str());
     }
   }
 
@@ -471,7 +485,9 @@ class Coordinator {
       dispatches.add();
       trace::Span("dist", "dist.dispatch")
           .arg("task", static_cast<double>(*chosen))
-          .arg("worker", static_cast<double>(slot.slot));
+          .arg("worker", static_cast<double>(slot.slot))
+          .arg("cells",
+               static_cast<double>(tasks_.at(*chosen).task.cells.size()));
       slot.current_task = *chosen;
       slot.dispatch_ns = trace::now_ns();
     }
@@ -480,7 +496,7 @@ class Coordinator {
   /// Startup handshake: a worker advertising different kernel numerics is
   /// a hard error before any task reaches it. Retrying would fail the same
   /// way (the mismatch is a property of the binary, not the task), and
-  /// letting it run would merge store rows computed with different math —
+  /// letting it run would append store rows computed with different math —
   /// so this throws out of the event loop instead of going through the
   /// requeue machinery.
   void check_hello(const WorkerSlot& slot, const EventMessage& event) {
@@ -501,10 +517,73 @@ class Coordinator {
         ") advertises " + advertised + " but the coordinator expects kernel " +
         expected_kernel_ +
         "; SAFELIGHT_DIST_BIN points at a binary whose GEMM numerics "
-        "differ, and merging its results would poison the stores — rebuild "
-        "the worker binary from the same sources";
+        "differ, and appending its results would poison the stores — "
+        "rebuild the worker binary from the same sources";
     log::error("dist", "%s", message.c_str());
     throw std::runtime_error(message);
+  }
+
+  /// Appends one cell's rows to its canonical store. Worker rows are
+  /// outside input headed for a durable file: only the declared keys, in
+  /// declared order, of a cell the slot's task still holds are accepted,
+  /// and a key already stored with different value bytes stops the run —
+  /// either means non-deterministic evaluation or a corrupt store, and the
+  /// canonical cache must not be poisoned. A key stored with the same
+  /// bytes (a torn earlier append of the cell) is skipped, so no key is
+  /// appended twice.
+  void on_cell(WorkerSlot& slot, const EventMessage& event) {
+    TaskState* state = nullptr;
+    std::size_t j = 0;
+    if (slot.current_task == event.task_id) {
+      state = &tasks_.at(event.task_id);
+      const std::vector<std::string>& cells = state->task.cells;
+      j = static_cast<std::size_t>(
+          std::find(cells.begin(), cells.end(), event.cell) - cells.begin());
+    }
+    std::vector<std::string> sent;
+    for (const auto& row : event.rows) sent.push_back(row.first);
+    if (state == nullptr || j == state->keys.size() || sent != state->keys[j]) {
+      throw std::runtime_error(
+          "safelight: worker w" + std::to_string(slot.slot) +
+          " sent rows for cell '" + event.cell + "' of task " +
+          std::to_string(event.task_id) +
+          " that are not the declared keys of a cell its task still holds; "
+          "refusing to write them to the canonical store");
+    }
+
+    trace::Span append_span("dist", "dist.append");
+    core::ResultStore& store = *stores_.at(state->task.store);
+    std::vector<std::pair<std::string, double>> fresh;
+    for (const auto& [key, value] : event.rows) {
+      if (!store.contains(key)) {
+        fresh.emplace_back(key, value);
+        continue;
+      }
+      const std::string stored = exact_decimal(*store.lookup(key));
+      if (stored != exact_decimal(value)) {
+        throw std::runtime_error(
+            "safelight: store conflict on key '" + key + "': '" +
+            store.csv_path() + "' has value " + stored + " but worker w" +
+            std::to_string(slot.slot) + " sent " + exact_decimal(value) +
+            " (evaluation must be deterministic; refusing to poison the "
+            "canonical store)");
+      }
+    }
+    store.put(fresh);
+    append_span.arg("task", static_cast<double>(event.task_id))
+        .arg("rows", static_cast<double>(fresh.size()));
+    const auto at = static_cast<std::ptrdiff_t>(j);
+    state->task.cells.erase(state->task.cells.begin() + at);
+    state->keys.erase(state->keys.begin() + at);
+  }
+
+  void complete(TaskState& state) {
+    state.completed = true;
+    ++summary_.completed;
+    ++round_finished_;
+    static metrics::Counter& completed =
+        metrics::counter("dist.tasks_completed");
+    completed.add();
   }
 
   void on_done(WorkerSlot& slot, const EventMessage& event) {
@@ -513,12 +592,13 @@ class Coordinator {
     if (it == tasks_.end()) return;
     TaskState& state = it->second;
     if (state.completed || state.quarantined) return;
-    state.completed = true;
-    ++summary_.completed;
-    ++round_finished_;
-    static metrics::Counter& completed =
-        metrics::counter("dist.tasks_completed");
-    completed.add();
+    if (!state.task.cells.empty()) {
+      fail_task(state, "worker reported done with " +
+                           std::to_string(state.task.cells.size()) +
+                           " cell(s) never sent");
+      return;
+    }
+    complete(state);
     if (trace::armed()) {
       trace::RawEvent span;
       span.name = "dist.task";
@@ -530,8 +610,6 @@ class Coordinator {
       span.num_args.emplace_back("worker", static_cast<double>(slot.slot));
       span.num_args.emplace_back("evaluated",
                                  static_cast<double>(event.evaluated));
-      span.num_args.emplace_back("cached",
-                                 static_cast<double>(event.cached));
       trace::record(std::move(span));
     }
   }
@@ -540,10 +618,7 @@ class Coordinator {
     slot.current_task.reset();
     const auto it = tasks_.find(event.task_id);
     if (it == tasks_.end()) return;
-    TaskState& state = it->second;
-    if (!state.completed && !state.quarantined) {
-      fail_task(state, "worker reported: " + event.message);
-    }
+    settle(it->second, "worker reported: " + event.message);
   }
 
   void process_lines(WorkerSlot& slot) {
@@ -567,6 +642,9 @@ class Coordinator {
           break;
         case EventMessage::Type::kHeartbeat:
           break;  // last_heard was updated by the read itself
+        case EventMessage::Type::kCell:
+          on_cell(slot, event);
+          break;
         case EventMessage::Type::kDone:
           on_done(slot, event);
           break;
@@ -622,23 +700,28 @@ class Coordinator {
 
   // ---- rounds -------------------------------------------------------------
 
-  void run_round(const std::vector<TaskMessage>& round_tasks) {
+  void run_round(const std::vector<PlannedTask>& round_tasks) {
     summary_.tasks += round_tasks.size();
     round_total_ = round_tasks.size();
     round_finished_ = 0;
-    std::vector<std::string> stores;
-    for (const TaskMessage& task : round_tasks) {
-      if (std::find(stores.begin(), stores.end(), task.store) ==
-          stores.end()) {
-        stores.push_back(task.store);
+    // The coordinator is the only writer of the canonical stores: it opens
+    // this round's stores before the first dispatch and closes them before
+    // the next plan (robust_compare's round-2 resolve opens them itself).
+    for (const PlannedTask& planned : round_tasks) {
+      std::unique_ptr<core::ResultStore>& store =
+          stores_[planned.message.store];
+      if (!store) {
+        store = std::make_unique<core::ResultStore>(spec_.cache_dir + "/" +
+                                                    planned.message.store);
       }
       TaskState state;
-      state.task = task;
-      pending_.push_back(task.id);
-      tasks_.emplace(task.id, std::move(state));
+      state.task = planned.message;
+      state.keys = planned.keys;
+      pending_.push_back(state.task.id);
+      tasks_.emplace(state.task.id, std::move(state));
     }
-    // The planner may have spent a while training/merging since the last
-    // event read; do not count that silence against the workers.
+    // The planner may have spent a while training since the last event
+    // read; do not count that silence against the workers.
     const Clock::time_point round_start = Clock::now();
     for (WorkerSlot& slot : slots_) {
       if (slot.alive) slot.last_heard = round_start;
@@ -657,31 +740,11 @@ class Coordinator {
       poll_events(/*timeout_ms=*/100);
     }
 
+    // Rows still in flight are appended while the workers drain, so the
+    // partial results of a cancelled round stay cached.
     if (cancelled) shutdown_workers();
-    merge_round(stores);  // partial results survive a cancel
+    stores_.clear();
     if (cancelled) throw core::ExperimentCancelled(spec_.experiment);
-  }
-
-  /// Folds every slot's copy of each store file into the canonical one.
-  void merge_round(const std::vector<std::string>& stores) {
-    trace::Span merge_span("dist", "dist.merge");
-    merge_span.arg("stores", static_cast<double>(stores.size()));
-    static metrics::Counter& merged_rows =
-        metrics::counter("dist.merged_rows");
-    static metrics::Counter& merge_duplicates =
-        metrics::counter("dist.merge_duplicates");
-    for (const std::string& store : stores) {
-      std::vector<std::string> sources;
-      for (const WorkerSlot& slot : slots_) {
-        sources.push_back(slot_store_dir(slot) + "/" + store);
-      }
-      const MergeStats stats =
-          merge_stores(sources, spec_.cache_dir + "/" + store);
-      summary_.merged_rows += stats.appended;
-      summary_.merge_duplicates += stats.duplicates;
-      merged_rows.add(stats.appended);
-      merge_duplicates.add(stats.duplicates);
-    }
   }
 
   void shutdown_workers() {
@@ -747,8 +810,10 @@ class Coordinator {
   DistPlanner planner_;
   std::string binary_;
   std::string expected_kernel_;
-  std::string dist_dir_;
+  std::string log_dir_;
   std::vector<WorkerSlot> slots_;
+  // This round's canonical stores by file name; empty between rounds.
+  std::map<std::string, std::unique_ptr<core::ResultStore>> stores_;
   std::map<std::uint64_t, TaskState> tasks_;
   std::deque<std::uint64_t> pending_;
   std::size_t round_total_ = 0;

@@ -3,10 +3,11 @@
 // Spawns N `safelight worker` subprocesses, streams the DistPlanner's task
 // rounds to them over NDJSON pipes, and survives everything a worker can do
 // wrong:
-//   * crash (any exit, including PR 6's injected std::_Exit(42) plug pulls)
-//     -> the in-flight task is requeued with capped exponential backoff and
-//        the slot is respawned; the replacement resumes from the slot's own
-//        store, so progress is monotone even under high kill probability;
+//   * crash (any exit, including the injected std::_Exit(42) plug pulls)
+//     -> the in-flight task is requeued with capped exponential backoff,
+//        holding only the cells whose rows never arrived, and the slot is
+//        respawned; a retry on any slot resumes where the dead worker
+//        stopped, so progress is monotone even under high kill probability;
 //   * hang (SIGSTOP, livelock) -> heartbeat silence past the timeout gets
 //     the process SIGKILLed and handled like a crash;
 //   * poison task (fails deterministically every time) -> after
@@ -17,10 +18,15 @@
 // to. A slow worker is simply waited for; only one of the failures above
 // puts its task back in the queue.
 //
-// After each round the per-slot stores are folded into the canonical ones
-// (dist/store_merge.hpp), and the caller replays the experiment in-process
-// against the warmed cache — distributed output is therefore byte-identical
-// to a single-process run by construction.
+// The coordinator is the only writer of the canonical stores. A worker
+// sends each evaluated cell's rows as a `cell` event (dist/protocol.hpp);
+// the coordinator appends them through one core::ResultStore per store,
+// opened for the round before the first dispatch and closed before the
+// next plan. It accepts only the declared keys of an outstanding cell of
+// the sending slot's task, and a key already stored with different value
+// bytes is a hard error. After the last round the caller replays the
+// experiment in-process against the warmed cache — distributed output is
+// therefore byte-identical to a single-process run by construction.
 //
 // A worker is configured by its command line alone: the coordinator passes
 // its resolved --zoo, --threads, --backend, --heartbeat-timeout, --trace and
@@ -63,8 +69,9 @@ struct DistOptions {
   double chaos_kill_prob = 0.0;
   std::uint64_t chaos_seed = 1;
   bool verbose = false;
-  /// Cooperative cancel: workers are shut down, the partial round is merged
-  /// (completed cells stay cached), then ExperimentCancelled is thrown.
+  /// Cooperative cancel: workers are shut down (rows still in flight are
+  /// appended, so completed cells stay cached), then ExperimentCancelled is
+  /// thrown.
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -72,7 +79,7 @@ struct DistOptions {
 struct QuarantinedTask {
   std::uint64_t id = 0;
   std::string store;               // store file the cells belong to
-  std::vector<std::string> cells;  // cell ids lost
+  std::vector<std::string> cells;  // ids of the cells whose rows never came
   std::size_t failures = 0;
   std::string last_error;
 };
@@ -85,8 +92,6 @@ struct DistSummary {
   std::size_t crashes = 0;    // worker deaths (incl. injected plug pulls)
   std::size_t hang_kills = 0; // heartbeat-timeout SIGKILLs
   std::size_t rounds = 0;
-  std::size_t merged_rows = 0;
-  std::size_t merge_duplicates = 0;
   std::vector<QuarantinedTask> quarantined;
   double wall_seconds = 0.0;
 };
@@ -101,8 +106,9 @@ enum class DistStatus {
 /// options.workers subprocesses (config::dist_bin(): SAFELIGHT_DIST_BIN,
 /// else this binary), warming spec.cache_dir's stores. Prints a one-line
 /// machine-parsable summary ("[dist] summary: ...") on completion. Throws
-/// core::ExperimentCancelled on cancel, std::runtime_error on a store-merge
-/// conflict or spawn failure.
+/// core::ExperimentCancelled on cancel, std::runtime_error on refused
+/// worker rows (a store conflict, an undeclared key or cell) or a spawn
+/// failure.
 DistStatus run_distributed(const core::ExperimentSpec& spec,
                            core::ModelZoo& zoo, const DistOptions& options,
                            DistSummary& summary);

@@ -15,7 +15,7 @@ DistPlanner::DistPlanner(core::ExperimentSpec spec) : spec_(std::move(spec)) {
           "warming the persistent result stores)");
 }
 
-std::vector<TaskMessage> DistPlanner::plan(core::ModelZoo& zoo,
+std::vector<PlannedTask> DistPlanner::plan(core::ModelZoo& zoo,
                                            const core::ExperimentSpec& spec,
                                            std::size_t workers) {
   const core::ExperimentInfo& info =
@@ -24,7 +24,7 @@ std::vector<TaskMessage> DistPlanner::plan(core::ModelZoo& zoo,
   const core::ExperimentSetup setup = spec.resolved_setup();
   const std::string shipped_spec = core::spec_to_json(spec);
 
-  std::vector<TaskMessage> whole;  // one unchunked task per pending sweep
+  std::vector<PlannedTask> whole;  // one unchunked task per pending sweep
   std::size_t total_pending = 0;
   for (std::size_t s = 0; s < sweeps.size(); ++s) {
     const core::CellSweep& sweep = sweeps[s];
@@ -32,46 +32,51 @@ std::vector<TaskMessage> DistPlanner::plan(core::ModelZoo& zoo,
     // zoo entry would duplicate minutes of work per collision.
     const std::string checksum = core::weights_checksum(
         *zoo.get_or_train(setup, sweep.variant, spec.verbose));
-    TaskMessage task{0, spec.experiment, shipped_spec, s,
-                     core::sweep_store_name(setup, spec.corruption, sweep,
-                                            checksum),
+    PlannedTask task{{0, spec.experiment, shipped_spec, s,
+                      core::sweep_store_name(setup, spec.corruption, sweep,
+                                             checksum),
+                      {}},
                      {}};
     // Read-only: the planner must not lock or truncate a store the
-    // assembly run will open later.
+    // coordinator and the assembly run will open later.
     std::unordered_set<std::string> cached;
     for (auto& entry :
-         core::read_store_entries(spec.cache_dir + "/" + task.store)) {
+         core::read_store_entries(spec.cache_dir + "/" + task.message.store)) {
       cached.insert(std::move(entry.key));
     }
     for (const std::size_t i : core::pending_cells(
              sweep.cells,
              [&](const std::string& key) { return cached.count(key) > 0; })) {
-      task.cells.push_back(sweep.cells[i].id);
+      task.message.cells.push_back(sweep.cells[i].id);
+      task.keys.push_back(sweep.cells[i].keys);
     }
-    total_pending += task.cells.size();
-    if (!task.cells.empty()) whole.push_back(std::move(task));
+    total_pending += task.keys.size();
+    if (!task.keys.empty()) whole.push_back(std::move(task));
   }
 
   const std::size_t chunk = std::clamp<std::size_t>(
       total_pending / (std::max<std::size_t>(workers, 1) * 4), 1, 32);
-  std::vector<TaskMessage> tasks;
-  for (const TaskMessage& sweep_task : whole) {
-    const auto& cells = sweep_task.cells;
-    for (std::size_t begin = 0; begin < cells.size(); begin += chunk) {
-      TaskMessage task = sweep_task;
-      task.id = next_task_id_++;
-      task.cells.assign(cells.begin() + begin,
-                        cells.begin() + std::min(begin + chunk, cells.size()));
+  std::vector<PlannedTask> tasks;
+  for (const PlannedTask& sweep_task : whole) {
+    const std::size_t cells = sweep_task.keys.size();
+    for (std::size_t begin = 0; begin < cells; begin += chunk) {
+      const std::size_t end = std::min(begin + chunk, cells);
+      PlannedTask task{sweep_task.message, {}};
+      task.message.id = next_task_id_++;
+      task.message.cells.assign(sweep_task.message.cells.begin() + begin,
+                                sweep_task.message.cells.begin() + end);
+      task.keys.assign(sweep_task.keys.begin() + begin,
+                       sweep_task.keys.begin() + end);
       tasks.push_back(std::move(task));
     }
   }
   return tasks;
 }
 
-std::optional<std::vector<TaskMessage>> DistPlanner::next_round(
+std::optional<std::vector<PlannedTask>> DistPlanner::next_round(
     core::ModelZoo& zoo, std::size_t workers) {
   // robust_compare without a pinned variant: round 1 warms the mitigation
-  // selection sweeps, round 2 (after the selection ran against the merged
+  // selection sweeps, round 2 (after the selection ran against the warmed
   // cache) warms the comparison sweeps with the selected variant pinned.
   const bool select =
       spec_.experiment == "robust_compare" && spec_.robust_variant.empty();

@@ -7,11 +7,12 @@
 // experiment's own declarations (core::ExperimentInfo::sweeps), store names
 // (core::sweep_store_name) and pending rule (core::pending_cells), so the
 // planner and the in-process run agree on cells, keys and stores by
-// construction. The pending cell ids are chunked into TaskMessages; once
-// the workers have filled them and the coordinator has merged the
-// per-worker stores, the ordinary registry run replays the experiment with
-// every lookup hitting cache, so the distributed output is byte-identical
-// to a single-process run by construction.
+// construction. The pending cells are chunked into tasks, each with the
+// store keys its cells declare; once the workers have sent every cell's
+// rows and the coordinator has appended them to the canonical stores, the
+// ordinary registry run replays the experiment with every lookup hitting
+// cache, so the distributed output is byte-identical to a single-process
+// run by construction.
 //
 // Rounds exist because robust_compare declares its comparison sweeps only
 // once its robust variant is pinned. Unpinned, round 1 shards the mitigation
@@ -23,12 +24,21 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "dist/protocol.hpp"
 
 namespace safelight::dist {
+
+/// One planned task: the message a worker receives, plus the store keys
+/// each of its cells declares (keys[j] belongs to message.cells[j]) — the
+/// only rows the coordinator accepts for it.
+struct PlannedTask {
+  TaskMessage message;
+  std::vector<std::vector<std::string>> keys;
+};
 
 class DistPlanner {
  public:
@@ -43,11 +53,11 @@ class DistPlanner {
   /// clamp(pending / (workers * 4), 1, 32) per task — a lost task forfeits
   /// little work, per-task overhead stays amortized. An empty vector is a
   /// valid round (all cached); nullopt means planning is finished.
-  std::optional<std::vector<TaskMessage>> next_round(core::ModelZoo& zoo,
+  std::optional<std::vector<PlannedTask>> next_round(core::ModelZoo& zoo,
                                                      std::size_t workers);
 
  private:
-  std::vector<TaskMessage> plan(core::ModelZoo& zoo,
+  std::vector<PlannedTask> plan(core::ModelZoo& zoo,
                                 const core::ExperimentSpec& spec,
                                 std::size_t workers);
 

@@ -32,6 +32,7 @@ const char* event_type_name(EventMessage::Type type) {
   switch (type) {
     case EventMessage::Type::kHello: return "hello";
     case EventMessage::Type::kHeartbeat: return "heartbeat";
+    case EventMessage::Type::kCell: return "cell";
     case EventMessage::Type::kDone: return "done";
     case EventMessage::Type::kTrace: return "trace";
     case EventMessage::Type::kMetrics: return "metrics";
@@ -192,10 +193,18 @@ std::string encode_event(const EventMessage& event) {
       break;
     case EventMessage::Type::kHeartbeat:
       break;
+    case EventMessage::Type::kCell:
+      json.key("id").value(event.task_id);
+      json.key("cell").value(event.cell);
+      json.key("rows").begin_array();
+      for (const auto& [key, value] : event.rows) {
+        json.begin_array().value(key).value(double_to_wire(value)).end_array();
+      }
+      json.end_array();
+      break;
     case EventMessage::Type::kDone:
       json.key("id").value(event.task_id);
       json.key("evaluated").value(event.evaluated);
-      json.key("cached").value(event.cached);
       break;
     case EventMessage::Type::kFatal:
       json.key("id").value(event.task_id);
@@ -230,11 +239,25 @@ EventMessage decode_event(const std::string& line) {
     if (doc.has("kernel")) event.kernel = doc.at("kernel").as_string();
   } else if (type == "heartbeat") {
     event.type = EventMessage::Type::kHeartbeat;
+  } else if (type == "cell") {
+    event.type = EventMessage::Type::kCell;
+    event.task_id = doc.at("id").as_uint();
+    event.cell = doc.at("cell").as_string();
+    for (const JsonValue& row : doc.at("rows").as_array()) {
+      const auto& pair = row.as_array();
+      require(pair.size() == 2,
+              "dist protocol: a cell row must be [key, value]");
+      const std::string& text = pair[1].as_string();
+      const double value = double_from_wire(text);
+      require(double_to_wire(value) == text,
+              "dist protocol: row value '" + text +
+                  "' is not the %.17g form of a double");
+      event.rows.emplace_back(pair[0].as_string(), value);
+    }
   } else if (type == "done") {
     event.type = EventMessage::Type::kDone;
     event.task_id = doc.at("id").as_uint();
     event.evaluated = doc.at("evaluated").as_uint();
-    event.cached = doc.at("cached").as_uint();
   } else if (type == "fatal") {
     event.type = EventMessage::Type::kFatal;
     event.task_id = doc.at("id").as_uint();

@@ -24,11 +24,18 @@
 // Worker -> coordinator events:
 //   {"type":"hello","pid":N,"backend":"avx512","kernel":"<16-hex digest>"}
 //   {"type":"heartbeat"}
-//   {"type":"done","id":N,"evaluated":K,"cached":M}
+//   {"type":"cell","id":N,"cell":"hotspot/CONV+FC/f0.05/s1003",
+//    "rows":[["hotspot/CONV+FC/f0.05/s1003/n64","0.59375"], ...]}
+//   {"type":"done","id":N,"evaluated":K}
 //   {"type":"fatal","id":N,"message":"..."}
 //   {"type":"trace","spans":[{"name":"...","cat":"...","start_ns":N,
 //    "dur_ns":N,"tid":N,"num":{...},"str":{...}}, ...]}
 //   {"type":"metrics","counters":{...},"gauges":{...},"histograms":{...}}
+//
+// A cell event carries one evaluated cell's store rows, value as the %.17g
+// text the result store writes; the coordinator, the only writer of the
+// canonical stores, appends them. A worker sends one per cell as soon as
+// the cell is evaluated, so a crash loses at most the cell in flight.
 //
 // Telemetry events exist so an armed coordinator can merge the whole
 // fleet's observability into one Chrome trace / one metrics registry: a
@@ -40,6 +47,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -47,10 +55,9 @@
 
 namespace safelight::dist {
 
-/// One shard of sweep work: fill `cells` of sweep `sweep` of
-/// `experiment` under `spec`, recording results in the worker's own copy
-/// of the store file `store`, under exactly the keys the in-process run
-/// uses.
+/// One shard of sweep work: evaluate `cells` of sweep `sweep` of
+/// `experiment` under `spec` and send their rows back, under exactly the
+/// keys and for exactly the store file `store` the in-process run uses.
 struct TaskMessage {
   std::uint64_t id = 0;
   std::string experiment;  // registry key
@@ -62,21 +69,27 @@ struct TaskMessage {
 
 /// Worker -> coordinator event.
 struct EventMessage {
-  enum class Type { kHello, kHeartbeat, kDone, kFatal, kTrace, kMetrics };
+  enum class Type {
+    kHello, kHeartbeat, kCell, kDone, kFatal, kTrace, kMetrics
+  };
   Type type = Type::kHeartbeat;
   std::uint64_t pid = 0;        // kHello
   /// kHello: the worker's selected compute backend and its kernel-numerics
   /// fingerprint (nn::backend::kernel_fingerprint). The coordinator refuses
   /// a worker whose fingerprint differs from its own — a mismatched
-  /// SAFELIGHT_DIST_BIN binary must fail the handshake, not merge results
+  /// SAFELIGHT_DIST_BIN binary must fail the handshake, not send results
   /// computed with different math. Decoded leniently (empty when absent)
   /// so a pre-registry binary's hello still parses and is rejected with an
   /// actionable error instead of the undecodable-line warn path.
   std::string backend;          // kHello
   std::string kernel;           // kHello
-  std::uint64_t task_id = 0;    // kDone / kFatal
-  std::uint64_t evaluated = 0;  // kDone: cells computed fresh
-  std::uint64_t cached = 0;     // kDone: already present in the worker store
+  std::uint64_t task_id = 0;    // kCell / kDone / kFatal
+  std::string cell;             // kCell: the evaluated cell's id
+  /// kCell: the cell's (store key, value) rows. The decoder accepts a value
+  /// only in the exact %.17g spelling of a double, so the text the worker
+  /// sent is the text the coordinator's store writes.
+  std::vector<std::pair<std::string, double>> rows;
+  std::uint64_t evaluated = 0;  // kDone: cells the task evaluated
   std::string message;          // kFatal: exception text
   std::vector<trace::RawEvent> spans;  // kTrace: drained span buffer
   metrics::Snapshot metrics;           // kMetrics: worker registry snapshot

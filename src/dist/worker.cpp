@@ -9,7 +9,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,12 +17,12 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/fault.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "core/evaluation.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
-#include "core/result_store.hpp"
 #include "core/zoo.hpp"
 #include "dist/protocol.hpp"
 #include "nn/backend.hpp"
@@ -185,28 +184,19 @@ void apply_seams(const Seams& seams, const std::string& cell_id) {
 struct KeptSweep {
   KeptSweep(const core::ExperimentSpec& spec,
             const core::ExperimentSetup& setup, core::CellSweep declared,
-            std::unique_ptr<nn::Sequential> weights, std::string store_file,
-            core::ResultStore& sweep_store)
+            std::unique_ptr<nn::Sequential> weights, std::string store_file)
       : sweep(std::move(declared)),
         store_name(std::move(store_file)),
-        store(&sweep_store),
         deployment(spec, setup, sweep, std::move(weights),
                    std::make_shared<core::PrefixCache>()) {}
 
   core::CellSweep sweep;
   std::string store_name;
-  core::ResultStore* store;  // owned by the worker's store map
   core::Deployment deployment;
 };
 
-/// Private stores by file name: sweeps writing one file (robust_compare's
-/// Original sweep in both rounds) share its single writer.
-using StoreMap = std::map<std::string, std::unique_ptr<core::ResultStore>>;
-
 std::unique_ptr<KeptSweep> deploy(const TaskMessage& task,
-                                  core::ModelZoo& zoo,
-                                  const std::string& store_dir,
-                                  StoreMap& stores) {
+                                  core::ModelZoo& zoo) {
   const core::ExperimentSpec spec = core::spec_from_json(task.spec);
   require(spec.experiment == task.experiment,
           "worker: task experiment '" + task.experiment +
@@ -225,17 +215,15 @@ std::unique_ptr<KeptSweep> deploy(const TaskMessage& task,
   auto model = zoo.get_or_train(setup, sweep.variant, /*verbose=*/false);
   std::string store_name = core::sweep_store_name(
       setup, spec.corruption, sweep, core::weights_checksum(*model));
-  auto& store = stores[store_name];
-  if (!store) {
-    store = std::make_unique<core::ResultStore>(store_dir + "/" + store_name);
-  }
   return std::make_unique<KeptSweep>(spec, setup, std::move(sweep),
-                                     std::move(model), std::move(store_name),
-                                     *store);
+                                     std::move(model), std::move(store_name));
 }
 
+/// Evaluates every cell of `task` in order and sends each cell's rows the
+/// moment it is done, so a crash loses only the cell in flight.
 void run_task(const TaskMessage& task, KeptSweep& kept, const Seams& seams,
-              const std::atomic<bool>* cancel, EventMessage& done) {
+              const std::atomic<bool>* cancel, ProtocolWriter& writer,
+              EventMessage& done) {
   // The store name carries the weights checksum and the corruption and
   // suite fingerprints: a coordinator and worker that disagree on any of
   // them would cache wrong values under keys the assembly run trusts.
@@ -246,8 +234,6 @@ void run_task(const TaskMessage& task, KeptSweep& kept, const Seams& seams,
         "); coordinator and worker disagree on weights or physics");
   }
   const core::CellSweep& sweep = kept.sweep;
-  std::vector<std::size_t> cells;
-  std::vector<core::SweepCell> task_cells;  // cells[j]'s declaration
   for (const std::string& id : task.cells) {
     const auto it = std::find_if(
         sweep.cells.begin(), sweep.cells.end(),
@@ -258,22 +244,19 @@ void run_task(const TaskMessage& task, KeptSweep& kept, const Seams& seams,
                                std::to_string(task.sweep) + " of '" +
                                task.experiment + "'");
     }
-    cells.push_back(static_cast<std::size_t>(it - sweep.cells.begin()));
-    task_cells.push_back(*it);
-  }
-  // The engine's pending rule over the task's cells, so worker, planner
-  // and engine agree on what is cached (and on one id per key).
-  core::ResultStore& store = *kept.store;
-  const std::vector<std::size_t> pending = core::pending_cells(
-      task_cells, [&](const std::string& key) { return store.contains(key); });
-  done.cached += cells.size() - pending.size();
-  for (const std::size_t p : pending) {
     if (cancel != nullptr && cancel->load()) {
       throw core::ExperimentCancelled("worker");
     }
-    const std::size_t i = cells[p];
-    apply_seams(seams, sweep.cells[i].id);
-    sweep.evaluate(kept.deployment, i, store);
+    apply_seams(seams, id);
+    EventMessage cell;
+    cell.type = EventMessage::Type::kCell;
+    cell.task_id = task.id;
+    cell.cell = id;
+    cell.rows = core::evaluate_cell_rows(
+        sweep, kept.deployment,
+        static_cast<std::size_t>(it - sweep.cells.begin()));
+    fault::ptp("dist.worker.cell");  // crash: this cell's rows never sent
+    writer.send(cell);
     ++done.evaluated;
   }
 }
@@ -309,10 +292,8 @@ int run_worker(const WorkerOptions& options) {
   writer.send(hello);
 
   HeartbeatThread heartbeat(writer, options.heartbeat_interval_s);
-  std::filesystem::create_directories(options.store_dir);
   core::ModelZoo zoo(options.zoo_dir);
   const Seams seams = read_seams();
-  StoreMap stores;
   // Keyed by (experiment, spec document, sweep index).
   std::map<std::string, std::unique_ptr<KeptSweep>> kept_sweeps;
 
@@ -328,13 +309,12 @@ int run_worker(const WorkerOptions& options) {
       std::unique_ptr<KeptSweep>& kept =
           kept_sweeps[task.experiment + '\n' + task.spec + '\n' +
                       std::to_string(task.sweep)];
-      if (!kept) kept = deploy(task, zoo, options.store_dir, stores);
+      if (!kept) kept = deploy(task, zoo);
       {
         trace::Span task_span("dist", "worker.task");
         task_span.arg("task", static_cast<double>(task.id));
-        run_task(task, *kept, seams, options.cancel, done);
-        task_span.arg("evaluated", static_cast<double>(done.evaluated))
-            .arg("cached", static_cast<double>(done.cached));
+        run_task(task, *kept, seams, options.cancel, writer, done);
+        task_span.arg("evaluated", static_cast<double>(done.evaluated));
       }
       writer.send(done);
     } catch (const core::ExperimentCancelled&) {

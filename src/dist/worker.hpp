@@ -3,18 +3,19 @@
 // A worker is the `safelight worker` subcommand, spawned by the
 // coordinator with its stdin/stdout turned into the NDJSON protocol pipes
 // (stderr goes to a per-slot log file). Its command line is its whole
-// configuration: --store-dir, --zoo, --threads, --backend,
-// --heartbeat-timeout, --trace/--metrics (which arm buffering for the pipe,
-// never a file) and, under --chaos, the --fault-* flags; the CLI parses
-// them with the flag parser every command uses. Each task names an
-// experiment, a spec and one of the sweeps the experiment declares
-// (core::ExperimentInfo::sweeps); the worker rebuilds that declaration and
-// fills exactly the task's cells through its own evaluate, appending to its
-// *own* store directory — never to the canonical stores — under exactly
-// the keys and store file name the in-process run uses. Incremental resume
-// comes for free: a respawned worker (same slot, next generation) reopens
-// its slot's stores, takes over the crashed predecessor's stale writer
-// locks, and skips every cell already durable there.
+// configuration: --zoo, --threads, --backend, --heartbeat-timeout,
+// --trace/--metrics (which arm buffering for the pipe, never a file) and,
+// under --chaos, the --fault-* flags; the CLI parses them with the flag
+// parser every command uses. Each task names an experiment, a spec and one
+// of the sweeps the experiment declares (core::ExperimentInfo::sweeps); the
+// worker rebuilds that declaration, evaluates exactly the task's cells
+// through its own evaluate and sends each cell's rows to the coordinator
+// (core::evaluate_cell_rows) under exactly the keys and store file name
+// the in-process run uses. A worker writes no durable file: the
+// coordinator is the only writer of the canonical stores, and a retried
+// task holds only the cells whose rows it never received. Under --chaos
+// the fault point `dist.worker.cell`, just before a cell's rows are sent,
+// is where the plug is pulled.
 //
 // A heartbeat thread writes {"type":"heartbeat"} every interval (a quarter
 // of the --heartbeat-timeout, clamped to [0.02, 1] s) so the coordinator can
@@ -37,14 +38,12 @@
 #pragma once
 
 #include <atomic>
-
 #include <string>
 
 namespace safelight::dist {
 
 struct WorkerOptions {
-  std::string zoo_dir;    // shared model zoo (entries pre-trained)
-  std::string store_dir;  // this worker's private store directory
+  std::string zoo_dir;  // shared model zoo (entries pre-trained)
   int protocol_in = 0;    // fd carrying coordinator commands
   int protocol_out = 1;   // fd carrying worker events
   double heartbeat_interval_s = 1.0;

@@ -194,6 +194,16 @@ void load_model(Sequential& model, const std::string& path) {
   }
 }
 
+bool try_load_model(Sequential& model, const std::string& path) {
+  if (!std::filesystem::exists(path)) return false;
+  try {
+    load_model(model, path);  // validates fully before writing any tensor
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
 std::vector<Tensor> snapshot_state(Sequential& model) {
   std::vector<Tensor> out;
   const auto slots = collect(model);

@@ -33,6 +33,11 @@ void load_model(Sequential& model, const std::string& path);
 /// structurally matches `model`.
 bool model_file_matches(Sequential& model, const std::string& path);
 
+/// load_model for a cache: parses and validates `path` once and, when it
+/// matches, loads it and returns true. A missing, corrupt or mismatched
+/// file returns false and leaves `model` untouched.
+bool try_load_model(Sequential& model, const std::string& path);
+
 /// In-memory snapshot of parameters + state tensors (attack experiments
 /// restore the clean model between scenarios instead of cloning it).
 std::vector<Tensor> snapshot_state(Sequential& model);

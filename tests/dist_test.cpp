@@ -1,13 +1,14 @@
-// Distributed sweep sharding: the planner's spec -> task invariant,
-// multi-writer store merge, and the coordinator/worker chaos harness (the
-// wire protocol itself is covered by protocol_test.cpp, in the unit shard).
+// Distributed sweep sharding: the planner's spec -> task invariant, the
+// coordinator as the one writer of the canonical stores, and the
+// coordinator/worker chaos harness (the wire protocol itself is covered by
+// protocol_test.cpp, in the unit shard).
 //
 // The end-to-end tests spawn the real `safelight` binary (the coordinator
 // re-execs it as workers via /proc/self/exe) on the tiniest deterministic
 // sweep and assert the one property the whole dist layer exists for:
 // *distributed output is bitwise-identical to a single-process run* — with
-// healthy workers, under injected crashes (PR 6 plug pulls armed inside
-// the workers via --chaos), and across hung-worker kills. Worker-failure
+// healthy workers, under injected crashes (plug pulls armed inside the
+// workers via --chaos), and across hung-worker kills. Worker-failure
 // semantics (heartbeat-timeout reassignment, retry accounting, poison-task
 // quarantine with nonzero exit and a named report) are asserted against
 // the machine-parsable "[dist] summary:" line and stderr.
@@ -17,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -38,7 +41,6 @@
 #include "dist/coordinator.hpp"
 #include "dist/plan.hpp"
 #include "dist/protocol.hpp"
-#include "dist/store_merge.hpp"
 #include "nn/models.hpp"
 #include "nn/serialize.hpp"
 #include "test_util.hpp"
@@ -48,22 +50,14 @@ namespace {
 
 using dist::TaskMessage;
 
-// ---------------------------------------------------------------------------
-// Multi-writer store merge
-// ---------------------------------------------------------------------------
-
-void write_store(const std::string& path, const std::string& body) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << body;
-}
-
 // The spec is the whole run: every task the planner sends, decoded and
 // rebuilt the way a worker rebuilds it (dist/worker.cpp deploy: parse the
 // shipped spec, take the named sweep of the named experiment, load its
 // variant, name its store), must name the store the planner read and
 // deploy the variant the in-process run declares. Together the tasks must
 // cover exactly the cells core::pending_cells leaves over the experiment's
-// declared sweeps — here with one cell per store already cached.
+// declared sweeps — here with one cell per store already cached — each with
+// the keys its declaration lists, the only rows the coordinator accepts.
 TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
   TempDir dir("dist_plan_invariant");
   core::ModelZoo zoo(dir.path() + "/zoo");
@@ -123,9 +117,9 @@ TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
         // Like a worker, rebuild once per (spec document, sweep).
         std::map<std::pair<std::string, std::size_t>, std::string> rebuilt;
         while (const auto round = planner.next_round(zoo, 2)) {
-          for (const TaskMessage& sent : *round) {
+          for (const dist::PlannedTask& planned_task : *round) {
             const TaskMessage task =
-                dist::decode_task(dist::encode_task(sent));
+                dist::decode_task(dist::encode_task(planned_task.message));
             EXPECT_EQ(task.experiment, experiment);
             ASSERT_LT(task.sweep, declared.size());
             std::string& store = rebuilt[{task.spec, task.sweep}];
@@ -151,9 +145,17 @@ TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
             }
             EXPECT_EQ(store, task.store);
             EXPECT_EQ(task.store, store_names[task.sweep]);
-            for (const std::string& id : task.cells) {
+            ASSERT_EQ(planned_task.keys.size(), task.cells.size());
+            for (std::size_t j = 0; j < task.cells.size(); ++j) {
+              const std::string& id = task.cells[j];
               EXPECT_TRUE(planned[task.sweep].insert(id).second)
                   << "cell " << id << " planned twice";
+              const auto& cells = declared[task.sweep].cells;
+              const auto cell = std::find_if(
+                  cells.begin(), cells.end(),
+                  [&](const core::SweepCell& c) { return c.id == id; });
+              ASSERT_NE(cell, cells.end()) << id;
+              EXPECT_EQ(planned_task.keys[j], cell->keys) << id;
             }
           }
         }
@@ -177,84 +179,6 @@ TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
       }
     }
   }
-}
-
-TEST(StoreMerge, DedupsIdenticalRowsAndAppendsFreshOnes) {
-  TempDir dir("merge_dedup");
-  const std::string w0 = dir.path() + "/w0.csv";
-  const std::string w1 = dir.path() + "/w1.csv";
-  const std::string dest = dir.path() + "/dest.csv";
-  // A retried task recomputes cells its dead worker already wrote, so
-  // byte-identical duplicates across workers are a normal case.
-  write_store(w0, "key,accuracy\na/n300,0.5\nb/n300,0.25\n");
-  write_store(w1, "key,accuracy\nb/n300,0.25\nc/n300,0.75\n");
-
-  const dist::MergeStats stats = dist::merge_stores({w0, w1}, dest);
-  EXPECT_EQ(stats.sources, 2u);
-  EXPECT_EQ(stats.appended, 3u);
-  EXPECT_EQ(stats.duplicates, 1u);
-  EXPECT_EQ(read_file_bytes(dest),
-            "key,accuracy\na/n300,0.5\nb/n300,0.25\nc/n300,0.75\n");
-
-  // Re-merging the same sources is a no-op (idempotent resume).
-  const dist::MergeStats again = dist::merge_stores({w0, w1}, dest);
-  EXPECT_EQ(again.appended, 0u);
-  EXPECT_EQ(again.duplicates, 4u);
-}
-
-TEST(StoreMerge, ByteConflictOnOneKeyIsAHardError) {
-  TempDir dir("merge_conflict");
-  const std::string w0 = dir.path() + "/w0.csv";
-  const std::string w1 = dir.path() + "/w1.csv";
-  const std::string dest = dir.path() + "/dest.csv";
-  write_store(w0, "key,accuracy\na/n300,0.5\n");
-  write_store(w1, "key,accuracy\na/n300,0.5000001\n");
-
-  try {
-    dist::merge_stores({w0, w1}, dest);
-    FAIL() << "conflicting values must not merge silently";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("merge conflict"), std::string::npos) << what;
-    EXPECT_NE(what.find("a/n300"), std::string::npos) << what;
-    EXPECT_NE(what.find("0.5000001"), std::string::npos) << what;
-  }
-}
-
-TEST(StoreMerge, MissingEmptyAndTornWorkerStoresAreHandled) {
-  TempDir dir("merge_torn");
-  const std::string missing = dir.path() + "/never_written.csv";
-  const std::string empty = dir.path() + "/empty.csv";
-  const std::string torn = dir.path() + "/torn.csv";
-  const std::string dest = dir.path() + "/dest.csv";
-  write_store(empty, "");
-  // A chaos kill mid-append leaves a torn final row; it must be skipped,
-  // not merged as a mangled value.
-  write_store(torn, "key,accuracy\na/n300,0.5\nb/n300,0.2");
-
-  const dist::MergeStats stats =
-      dist::merge_stores({missing, empty, torn}, dest);
-  EXPECT_EQ(stats.sources, 2u);  // the missing file is not an error
-  EXPECT_EQ(stats.appended, 1u);
-  EXPECT_EQ(read_file_bytes(dest), "key,accuracy\na/n300,0.5\n");
-}
-
-TEST(StoreMerge, MergedFileIsALoadableResultStore) {
-  TempDir dir("merge_loadable");
-  const std::string w0 = dir.path() + "/w0.csv";
-  const std::string dest = dir.path() + "/dest.csv";
-  // Rows written by a real ResultStore (the %.17g format the pipeline
-  // uses), merged, must load back bit-exactly.
-  {
-    core::ResultStore source(w0);
-    source.put("a/n300", 1.0 / 3.0);
-    source.put("baseline/n300", 0.9375);
-  }
-  dist::merge_stores({w0}, dest);
-  core::ResultStore merged(dest);
-  EXPECT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged.lookup("a/n300"), 1.0 / 3.0);
-  EXPECT_EQ(merged.lookup("baseline/n300"), 0.9375);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,13 +286,18 @@ TEST(DistRun, TwoWorkersMatchSingleProcessBitwise) {
   EXPECT_EQ(summary_count(run, "completed"), summary_count(run, "tasks"));
   EXPECT_EQ(run.csv_bytes, reference_csv());
   EXPECT_EQ(run.json_bytes, reference_json());
+  // Workers write no durable file: no per-slot store directory exists.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir.path() + "/zoo/dist")) {
+    EXPECT_EQ(entry.path().filename(), "logs") << entry.path();
+  }
 }
 
 TEST(DistRun, MismatchedKernelFingerprintFailsTheHandshake) {
   // A worker advertising different kernel numerics (here: the test seam
   // that fakes the hello fingerprint, standing in for a SAFELIGHT_DIST_BIN
   // binary built with different math) must be refused before any task is
-  // dispatched — merging its store rows would silently mix numerics.
+  // dispatched — appending its store rows would silently mix numerics.
   TempDir dir("dist_bad_kernel");
   const DistRunResult run =
       run_experiment("susceptibility", dir.path(), {"--workers", "1"},
@@ -418,7 +347,7 @@ TEST(DistRun, TracedTwoWorkerRunMergesFleetTraceAndStaysBitwise) {
   EXPECT_EQ(tracks[3], "worker w1");
   EXPECT_TRUE(spans_by_pid[1].count("dist.dispatch")) << run.proc.stderr_text;
   EXPECT_TRUE(spans_by_pid[1].count("dist.task"));
-  EXPECT_TRUE(spans_by_pid[1].count("dist.merge"));
+  EXPECT_TRUE(spans_by_pid[1].count("dist.append"));
   bool worker_task = false;
   bool worker_beat = false;
   for (const auto& [pid, names] : spans_by_pid) {
@@ -462,10 +391,11 @@ TEST(DistRun, SecondRunIsFullyCachedAndPlansNoTasks) {
 }
 
 TEST(DistRun, ChaosKillsAreRetriedToBitwiseIdenticalOutput) {
-  // PR 6 plug pulls armed *inside the workers*: every durable worker write
-  // may _Exit(42) with p = 0.25. The coordinator must respawn, retry and
-  // still converge on the exact reference bytes (workers resume from their
-  // own stores, so progress is monotone and termination guaranteed).
+  // Plug pulls armed *inside the workers*: each cell may _Exit(42) with
+  // p = 0.25 just before its rows are sent. The coordinator must respawn,
+  // retry and still converge on the exact reference bytes (a retry holds
+  // only the cells whose rows never arrived, so progress is monotone and
+  // termination guaranteed).
   TempDir dir("dist_chaos");
   const DistRunResult run = run_experiment(
       "susceptibility", dir.path(),
@@ -498,6 +428,172 @@ TEST(DistRun, HungWorkerIsKilledByHeartbeatTimeoutAndWorkReassigned) {
   EXPECT_NE(run.proc.stderr_text.find("silent for"), std::string::npos)
       << run.proc.stderr_text;
   EXPECT_EQ(run.csv_bytes, reference_csv());
+}
+
+/// Data rows of a store file that repeat an earlier row's key.
+std::vector<std::string> repeated_keys(const std::string& csv_path) {
+  std::istringstream lines(read_file_bytes(csv_path));
+  std::string line;
+  std::set<std::string> seen;
+  std::vector<std::string> repeated;
+  std::getline(lines, line);  // header
+  while (std::getline(lines, line)) {
+    const std::string key = line.substr(0, line.rfind(','));
+    if (!seen.insert(key).second) repeated.push_back(key);
+  }
+  return repeated;
+}
+
+TEST(DistRun, RequeuedTaskHoldsOnlyTheCellsWhoseRowsNeverArrived) {
+  // One worker, so the first task runs its cells in declaration order: the
+  // baseline, then cell 1, where the worker SIGSTOPs itself (one-shot). The
+  // baseline's rows have reached the coordinator by then, so the task the
+  // heartbeat kill requeues must hold every cell but the baseline, and the
+  // retry must evaluate exactly those.
+  const auto& registry = core::ExperimentRegistry::global();
+  core::ExperimentSpec spec = registry.default_spec("susceptibility");
+  spec.model = nn::ModelId::kCnn1;
+  spec.scale = Scale::kTiny;
+  spec.seed_count = 2;
+  const std::vector<core::CellSweep> sweeps =
+      registry.info("susceptibility").sweeps(spec);
+  ASSERT_EQ(sweeps.size(), 1u);
+  const std::string hang_cell = sweeps[0].cells.at(1).id;
+  ASSERT_EQ(std::count_if(sweeps[0].cells.begin(), sweeps[0].cells.end(),
+                          [&](const core::SweepCell& cell) {
+                            return cell.id.find(hang_cell) !=
+                                   std::string::npos;
+                          }),
+            1)
+      << "the hang seam must match one cell only";
+
+  TempDir dir("dist_requeue");
+  const std::string trace_path = dir.path() + "/trace.json";
+  const DistRunResult run = run_experiment(
+      "susceptibility", dir.path(),
+      {"--workers", "1", "--heartbeat-timeout", "1", "--trace", trace_path},
+      {"SAFELIGHT_DIST_HANG=" + hang_cell,
+       "SAFELIGHT_DIST_HANG_ONCE=" + dir.path() + "/hang_sentinel"});
+  ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
+  EXPECT_EQ(summary_count(run, "hang_kills"), 1u) << run.proc.stdout_text;
+  EXPECT_EQ(summary_count(run, "retries"), 1u) << run.proc.stdout_text;
+  EXPECT_EQ(run.csv_bytes, reference_csv());
+
+  // Per task: the cells of each dispatch (in dispatch order), the cells
+  // appended on the coordinator, and what each finished worker attempt
+  // evaluated (the hung attempt ships no spans).
+  std::map<std::uint64_t, std::vector<std::uint64_t>> dispatched;
+  std::map<std::uint64_t, std::uint64_t> appended;
+  std::map<std::uint64_t, std::vector<std::uint64_t>> evaluated;
+  std::vector<std::uint64_t> retried;
+  std::vector<std::pair<double, const JsonValue*>> events;
+  const JsonValue doc = JsonValue::parse(read_file_bytes(trace_path));
+  for (const JsonValue& event : doc.at("traceEvents").as_array()) {
+    if (event.at("ph").as_string() == "X") {
+      events.emplace_back(event.at("ts").as_number(), &event);
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [ts, event] : events) {
+    const std::string& name = event->at("name").as_string();
+    if (name == "dist.dispatch") {
+      dispatched[event->at("args").at("task").as_uint()].push_back(
+          event->at("args").at("cells").as_uint());
+    } else if (name == "dist.append") {
+      ++appended[event->at("args").at("task").as_uint()];
+    } else if (name == "dist.retry") {
+      retried.push_back(event->at("args").at("task").as_uint());
+    } else if (name == "worker.task") {
+      evaluated[event->at("args").at("task").as_uint()].push_back(
+          event->at("args").at("evaluated").as_uint());
+    }
+  }
+  ASSERT_EQ(retried.size(), 1u);
+  const std::uint64_t task = retried[0];
+  ASSERT_EQ(dispatched[task].size(), 2u);
+  const std::uint64_t planned = dispatched[task][0];
+  ASSERT_GE(planned, 2u) << "the hang cell must not open its task";
+  EXPECT_EQ(dispatched[task][1], planned - 1)
+      << "the requeued task must hold only the cells whose rows never "
+         "arrived";
+  EXPECT_EQ(evaluated[task], std::vector<std::uint64_t>{planned - 1});
+  std::uint64_t total_planned = 0;
+  for (const auto& [id, cells] : dispatched) {
+    total_planned += cells.front();
+    EXPECT_EQ(appended[id], cells.front()) << "task " << id;
+  }
+  EXPECT_EQ(total_planned, sweeps[0].cells.size());
+
+  // The coordinator appended every key once.
+  std::size_t stores = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir.path() + "/zoo")) {
+    if (entry.path().extension() != ".csv") continue;
+    ++stores;
+    EXPECT_EQ(repeated_keys(entry.path()), std::vector<std::string>{})
+        << entry.path();
+  }
+  EXPECT_EQ(stores, 1u);
+}
+
+TEST(DistRun, ByteConflictOnOneKeyIsAHardError) {
+  // A cell whose rows reach the coordinator with a key the canonical store
+  // already holds under different value bytes means non-deterministic
+  // evaluation or a corrupt store: the run must stop before the store is
+  // touched. Set up: a finished detection store, edited so one clean cell
+  // misses its `probes` row (so the planner re-plans the cell) and holds a
+  // perturbed `score` (so the worker's row conflicts).
+  TempDir dir("dist_conflict");
+  const DistRunResult first =
+      run_experiment("detection", dir.path(), {"--workers", "1"}, {});
+  ASSERT_EQ(first.proc.exit_code, 0) << first.proc.stderr_text;
+
+  std::string store;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir.path() + "/zoo")) {
+    if (entry.path().string().ends_with(".detect.csv")) store = entry.path();
+  }
+  ASSERT_FALSE(store.empty());
+  std::string score_key;
+  std::string probes_key;
+  std::string perturbed;
+  std::string edited = "key,accuracy\n";
+  bool dropped = false;
+  for (const core::RawStoreEntry& entry : core::read_store_entries(store)) {
+    if (score_key.empty() && entry.key.starts_with("clean/c0/") &&
+        entry.key.ends_with("/score")) {
+      score_key = entry.key;
+      probes_key = score_key.substr(0, score_key.size() - 6) + "/probes";
+      char text[32];
+      std::snprintf(text, sizeof text, "%.17g",
+                    std::stod(entry.value) + 0.25);
+      perturbed = text;
+      edited += entry.key + "," + perturbed + "\n";
+    } else if (entry.key == probes_key) {
+      dropped = true;
+    } else {
+      edited += entry.key + "," + entry.value + "\n";
+    }
+  }
+  ASSERT_FALSE(score_key.empty());
+  ASSERT_TRUE(dropped) << probes_key;
+  {
+    std::ofstream out(store, std::ios::binary | std::ios::trunc);
+    out << edited;
+  }
+
+  const DistRunResult second =
+      run_experiment("detection", dir.path(), {"--workers", "1"}, {});
+  EXPECT_EQ(second.proc.exit_code, 1) << second.proc.stderr_text;
+  const std::string& err = second.proc.stderr_text;
+  EXPECT_NE(err.find("store conflict"), std::string::npos) << err;
+  EXPECT_NE(err.find(score_key), std::string::npos) << err;
+  EXPECT_NE(err.find(perturbed), std::string::npos) << err;
+  // Refused whole: the cell's missing row was not appended either, and the
+  // coordinator released the store's writer lock on the way out.
+  EXPECT_EQ(read_file_bytes(store), edited);
+  EXPECT_FALSE(std::filesystem::exists(store + ".lock"));
 }
 
 TEST(DistRun, PoisonTaskIsQuarantinedAfterCappedRetriesWithNonzeroExit) {

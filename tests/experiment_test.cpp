@@ -313,7 +313,7 @@ TEST(CliErrorPaths, UsageErrorsExitTwoWithTheDocumentedMessages) {
             "safelight: flag --chaos needs --workers N (N >= 1): it arms "
             "fault injection inside the dist workers only\n");
 
-  // --store-dir is the worker's own flag; every other command rejects it.
+  // Workers write no store of their own: --store-dir is no flag at all.
   const CapturedCli store_dir =
       run_cli_captured({"run", "susceptibility", "--store-dir", "stores"});
   EXPECT_EQ(store_dir.exit_code, 2);

@@ -413,6 +413,14 @@ TEST(Serialize, ChecksumDetectsCorruption) {
   Sequential b = make_small_model(2);
   EXPECT_THROW(load_model(b, path), std::runtime_error);
   EXPECT_FALSE(model_file_matches(b, path));
+  // The zoo's load: a corrupt entry is a miss, and the model is untouched.
+  const std::vector<Tensor> before = snapshot_state(b);
+  EXPECT_FALSE(try_load_model(b, path));
+  const std::vector<Tensor> after = snapshot_state(b);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_FLOAT_EQ(max_abs_diff(after[i], before[i]), 0.0f);
+  }
   std::filesystem::remove(path);
 }
 
@@ -425,6 +433,16 @@ TEST(Serialize, ArchitectureMismatchRejected) {
   different.emplace<Linear>(4, 2, rng);
   EXPECT_THROW(load_model(different, path), std::runtime_error);
   EXPECT_FALSE(model_file_matches(different, path));
+  EXPECT_FALSE(try_load_model(different, path));
+  // The matching architecture loads through the same single-parse call.
+  Sequential same = make_small_model(7);
+  EXPECT_TRUE(try_load_model(same, path));
+  Tensor x({2, 1, 4, 4});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(i % 5) * 0.25f;
+  }
+  EXPECT_FLOAT_EQ(max_abs_diff(a.forward(x, false), same.forward(x, false)),
+                  0.0f);
   std::filesystem::remove(path);
 }
 
@@ -433,6 +451,7 @@ TEST(Serialize, MissingFile) {
   EXPECT_THROW(load_model(a, "/tmp/safelight_no_such_file.slw"),
                std::runtime_error);
   EXPECT_FALSE(model_file_matches(a, "/tmp/safelight_no_such_file.slw"));
+  EXPECT_FALSE(try_load_model(a, "/tmp/safelight_no_such_file.slw"));
 }
 
 TEST(Serialize, SnapshotRestoreRoundTrip) {

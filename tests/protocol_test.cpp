@@ -1,11 +1,13 @@
 // The coordinator <-> worker wire (dist/protocol.hpp) and the spec
 // document a task ships (core::spec_to_json / spec_from_json): bit-exact
-// round trips, strict rejection of malformed lines, and a seeded mutation
-// suite over the task decoder. Pure parsing, no processes — this file runs
+// round trips, strict rejection of malformed lines, and seeded mutation
+// suites over the task decoder and the cell-event decoder. Pure parsing, no processes — this file runs
 // in the unit shard (and so under the ASan/UBSan CI job).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -148,16 +150,47 @@ TEST(DistProtocol, EventsRoundTrip) {
   EXPECT_EQ(hello2.type, EventMessage::Type::kHello);
   EXPECT_EQ(hello2.pid, 12345u);
 
+  // Cell rows carry doubles as %.17g text: decimal-inexact values, zero
+  // and non-finite values all come back bit for bit, ids and keys intact.
+  EventMessage cell;
+  cell.type = EventMessage::Type::kCell;
+  cell.task_id = 11;
+  cell.cell = "odd \"id\" \\ with\nnewline";
+  cell.rows = {{"hotspot/CONV+FC/f0.05/s1003/n64", 1.0 / 3.0},
+               {"clean/c0/b1000/thermal/score", -0.0},
+               {"clean/c0/b1000/thermal/latency", 1e300},
+               {"k,with,commas", std::numeric_limits<double>::infinity()}};
+  const std::string cell_line = dist::encode_event(cell);
+  ASSERT_EQ(cell_line.find('\n'), cell_line.size() - 1);
+  const EventMessage cell2 = dist::decode_event(cell_line);
+  EXPECT_EQ(cell2.type, EventMessage::Type::kCell);
+  EXPECT_EQ(cell2.task_id, 11u);
+  EXPECT_EQ(cell2.cell, cell.cell);
+  ASSERT_EQ(cell2.rows.size(), cell.rows.size());
+  for (std::size_t r = 0; r < cell.rows.size(); ++r) {
+    EXPECT_EQ(cell2.rows[r].first, cell.rows[r].first);
+    EXPECT_EQ(std::memcmp(&cell2.rows[r].second, &cell.rows[r].second,
+                          sizeof(double)),
+              0)
+        << cell.rows[r].first;
+  }
+  // A value in any spelling but the exact %.17g one is malformed: the text
+  // the worker sends is the text the coordinator's store writes.
+  EXPECT_THROW(dist::decode_event("{\"type\":\"cell\",\"id\":1,\"cell\":\"c\","
+                                  "\"rows\":[[\"k\",\"0.50\"]]}"),
+               std::invalid_argument);
+  EXPECT_THROW(dist::decode_event("{\"type\":\"cell\",\"id\":1,\"cell\":\"c\","
+                                  "\"rows\":[[\"k\",\"0.5\",\"0.5\"]]}"),
+               std::invalid_argument);
+
   EventMessage done;
   done.type = EventMessage::Type::kDone;
   done.task_id = 7;
   done.evaluated = 3;
-  done.cached = 2;
   const EventMessage done2 = dist::decode_event(dist::encode_event(done));
   EXPECT_EQ(done2.type, EventMessage::Type::kDone);
   EXPECT_EQ(done2.task_id, 7u);
   EXPECT_EQ(done2.evaluated, 3u);
-  EXPECT_EQ(done2.cached, 2u);
 
   EventMessage fatal;
   fatal.type = EventMessage::Type::kFatal;
@@ -242,14 +275,14 @@ TEST(DistProtocol, ShutdownIsRecognizedAndMalformedLinesThrow) {
                std::invalid_argument);
 }
 
-/// What the worker does with a line off its pipe: decode the task, then
-/// parse the spec it carries. Anything malformed must surface as
+/// Runs `decode` on `line`. Anything malformed must surface as
 /// std::invalid_argument; any other exception fails the test (a crash or a
 /// sanitizer report fails it too).
-void decode_like_a_worker(const std::string& line) {
+template <typename Decode>
+void decodes_or_throws_invalid_argument(const std::string& line,
+                                        const Decode& decode) {
   try {
-    const TaskMessage task = dist::decode_task(line);
-    core::spec_from_json(task.spec);
+    decode(line);
   } catch (const std::invalid_argument&) {
   } catch (const std::exception& error) {
     ADD_FAILURE() << "non-invalid_argument exception (" << error.what()
@@ -257,6 +290,21 @@ void decode_like_a_worker(const std::string& line) {
   } catch (...) {
     ADD_FAILURE() << "non-standard exception for input: " << line;
   }
+}
+
+/// What the worker does with a line off its pipe: decode the task, then
+/// parse the spec it carries.
+void decode_like_a_worker(const std::string& line) {
+  decodes_or_throws_invalid_argument(line, [](const std::string& text) {
+    core::spec_from_json(dist::decode_task(text).spec);
+  });
+}
+
+/// What the coordinator does with a line off a worker's pipe: decode the
+/// event, whose cell rows head for a durable store.
+void decode_like_a_coordinator(const std::string& line) {
+  decodes_or_throws_invalid_argument(
+      line, [](const std::string& text) { dist::decode_event(text); });
 }
 
 /// Every truncation of `text`, then `count` seeded single-byte flips,
@@ -310,6 +358,21 @@ TEST(DistProtocol, MutatedTaskLinesDecodeOrThrowInvalidArgument) {
     carrier.spec = mutated_spec;
     decode_like_a_worker(dist::encode_task(carrier));
   });
+}
+
+TEST(DistProtocol, MutatedCellEventLinesDecodeOrThrowInvalidArgument) {
+  EventMessage cell;
+  cell.type = EventMessage::Type::kCell;
+  cell.task_id = 7;
+  cell.cell = "hotspot/CONV+FC/f0.1/s1001";
+  cell.rows = {{"hotspot/CONV+FC/f0.1/s1001/thermal/score", 0.8125},
+               {"hotspot/CONV+FC/f0.1/s1001/thermal/probes", 12.0},
+               {"hotspot/CONV+FC/f0.1/s1001/thermal/latency", 1.0 / 3.0}};
+  std::string line = dist::encode_event(cell);
+  line.pop_back();  // the coordinator strips the terminator
+  // The unmutated line is valid.
+  EXPECT_EQ(dist::decode_event(line).rows.size(), 3u);
+  mutate(line, 3u, 3000, decode_like_a_coordinator);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -27,7 +28,6 @@
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"
 #include "core/zoo.hpp"
-#include "dist/store_merge.hpp"
 #include "gtest/gtest.h"
 #include "serve/http.hpp"
 #include "serve/server.hpp"
@@ -521,18 +521,14 @@ TEST(SlotStores, ConcurrentIdenticalJobsStayIsolatedAndMergeCleanly) {
   const auto rows0 = core::read_store_entries(slot0.front());
   const auto rows1 = core::read_store_entries(slot1.front());
   ASSERT_FALSE(rows0.empty());
-  EXPECT_EQ(rows0.size(), rows1.size());
-
-  // The per-slot stores merge into one without conflicts: identical rows
-  // dedupe, nothing is lost (the dist-layer multi-writer contract).
-  std::vector<std::string> sources = slot0;
-  sources.insert(sources.end(), slot1.begin(), slot1.end());
-  const std::string merged_csv = dir.path() + "/merged.csv";
-  const dist::MergeStats stats = dist::merge_stores(sources, merged_csv);
-  EXPECT_EQ(stats.sources, sources.size());
-  EXPECT_EQ(stats.appended, rows0.size());
-  EXPECT_EQ(stats.duplicates, rows1.size());
-  EXPECT_EQ(core::read_store_entries(merged_csv).size(), rows0.size());
+  // Deterministic evaluation: both slots stored the same rows, byte for byte.
+  const auto sorted = [](const std::vector<core::RawStoreEntry>& rows) {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto& row : rows) out.emplace_back(row.key, row.value);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(sorted(rows0), sorted(rows1));
   manager.drain();
 }
 
