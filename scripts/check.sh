@@ -8,10 +8,10 @@
 #    dist/worker.hpp documents. reference lint: the test references in
 #    tests/support (`im2col(`, `gemm_ref`, `reference_fc_forward`,
 #    `VdpUnit`) appear nowhere in src/ outside comments.
-#    result-store lint: a ResultStore is constructed in src/ only by the
-#    cell engine (core/pipeline.cpp) and the dist coordinator
-#    (dist/coordinator.cpp), the only writer of the canonical stores under
-#    --workers.
+#    result-store lint: a ResultStore is opened (ResultStore::open) or
+#    constructed in src/ only by the cell engine (core/pipeline.cpp) and
+#    the dist coordinator (dist/coordinator.cpp), the only writer of the
+#    canonical stores under --workers.
 #    thermal-plan lint: `plan_hotspot_attack(` appears in src/ only in
 #    attacks/ and defense/suite.cpp, `scenario_telemetry(` only in
 #    defense/suite.*; detectors read the field the attack returned.
@@ -49,8 +49,10 @@
 #    artifact bundle.
 # 8. serve smoke: `safelight list --json` schema check, then a daemon on
 #    an ephemeral port driven with curl — submit, NDJSON event stream,
-#    GET /result byte-identical to the run-all JSON document, 400 on an
-#    unknown spec field, cooperative DELETE, SIGTERM -> exit 130.
+#    GET /result byte-identical to the run-all JSON document with no store
+#    row appended (run-all warmed the zoo's stores the daemon shares), 400
+#    on an unknown spec field, cooperative DELETE, SIGTERM -> exit 130, no
+#    key twice in a store and no <zoo>/serve directory.
 # 9. perfbench smoke: the benchmark harness's self-tests, then its
 #    serve-storm workload at smoke size, untraced and traced; each run must
 #    end in a result line with "correct": true and "failed": 0.
@@ -128,15 +130,16 @@ phase_end
 
 # One result cache: only the cell engine (core/pipeline.cpp) and the dist
 # coordinator that appends the rows its workers send (dist/coordinator.cpp)
-# open a ResultStore; every other layer computes and hands values to them.
+# open (ResultStore::open) or construct a ResultStore; every other layer
+# computes and hands values to them.
 phase_start "result-store lint"
 STRAY_STORE="$(grep -rnE \
-    'make_(unique|shared)<(core::)?ResultStore>|(^|[^:[:alnum:]_])ResultStore[[:space:]]*[({]|\bResultStore[[:space:]]+[[:alpha:]_][[:alnum:]_]*[[:space:]]*[({=]' src \
+    'make_(unique|shared)<(core::)?ResultStore>|ResultStore::open[[:space:]]*\(|(^|[^:[:alnum:]_])ResultStore[[:space:]]*[({]|\bResultStore[[:space:]]+[[:alpha:]_][[:alnum:]_]*[[:space:]]*[({=]' src \
   | grep -vE '^src/core/(pipeline\.cpp|result_store\.(hpp|cpp)):' \
   | grep -vE '^src/dist/coordinator\.cpp:' \
   || true)"
 if [[ -n "$STRAY_STORE" ]]; then
-  echo "error: ResultStore constructed outside core/pipeline.cpp and" \
+  echo "error: ResultStore opened outside core/pipeline.cpp and" \
        "dist/coordinator.cpp; persist results through the cell engine" >&2
   echo "$STRAY_STORE" >&2
   exit 1
@@ -480,6 +483,16 @@ if command -v curl >/dev/null; then
   curl -fsS "$BASE/v1/jobs/$JOB/result" >"$SMOKE_DIR/serve_result.json"
   cmp "$SMOKE_DIR/serve_result.json" "$SMOKE_DIR/out/susceptibility_cnn1.json"
   echo "serve result byte-identical to run --json output"
+  # One cache for every tenant: the daemon sweeps the zoo's stores, which
+  # run-all already warmed, so the job read every key (hits) and appended
+  # no row (store.appends is 0, or absent while nothing was appended).
+  METRICS_NOW=$(curl -fsS "$BASE/metrics" | tr -d '\n')
+  grep -q '"store\.lookup_hits": [1-9]' <<<"$METRICS_NOW"
+  APPENDS=$(sed -n 's/.*"store\.appends": \([0-9]*\).*/\1/p' <<<"$METRICS_NOW")
+  if [[ -n "$APPENDS" && "$APPENDS" != "0" ]]; then
+    echo "error: serve job on a warmed zoo appended $APPENDS store row(s)" >&2
+    exit 1
+  fi
 
   # Second tenant: submit + cooperative DELETE must terminalize the job.
   JOB2=$(curl -fsS -X POST "$BASE/v1/jobs" -d '{"experiment":"campaign"}' \
@@ -501,6 +514,12 @@ if command -v curl >/dev/null; then
   [[ "$SERVE_RC" == "130" ]]
   grep -q '\[serve\] stopped' "$SMOKE_DIR/serve.log"
   echo "daemon drained on SIGTERM (exit $SERVE_RC)"
+  # Slots write the zoo's stores, never a store directory of their own.
+  check_store_keys_unique "$SMOKE_DIR/zoo"
+  if [[ -e "$SMOKE_DIR/zoo/serve" ]]; then
+    echo "error: the daemon created $SMOKE_DIR/zoo/serve" >&2
+    exit 1
+  fi
 else
   echo "curl missing: serve HTTP smoke skipped"
 fi

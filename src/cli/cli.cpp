@@ -73,7 +73,8 @@ constexpr const char* kUsage =
     "  --workers <N>        shard sweeps across N worker subprocesses\n"
     "                       (0 = in-process, the default)\n"
     "  --heartbeat-timeout <s>   worker silence before a kill + retry\n"
-    "  --max-task-retries <N>    task failures tolerated before quarantine\n"
+    "  --max-task-retries <N>    failed attempts of a task in a row (no\n"
+    "                       rows delivered) tolerated before quarantine\n"
     "  --chaos <p>          arm fault injection inside the workers with\n"
     "                       per-cell crash probability p (chaos testing;\n"
     "                       needs --workers)\n"

@@ -257,7 +257,7 @@ class ExperimentRegistry {
 /// SAFELIGHT_* env / CLI-override chain — so a spec submitted over HTTP to a
 /// daemon started under the same environment produces a byte-identical
 /// result document. cache_dir is deliberately NOT accepted: the caller
-/// (serve's Slot, the CLI) owns store placement.
+/// (serve's run_job, the CLI) owns store placement.
 ///
 /// Strict by design: a malformed document, an unknown field, a type
 /// mismatch, an unknown experiment/model/scale/variant name or an invalid

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
@@ -122,7 +123,10 @@ std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
     store_path = spec.cache_dir + "/" +
                  sweep_store_name(setup, spec.corruption, sweep, checksum);
   }
-  ResultStore store(store_path);
+  // One instance per file, shared with every other writer of this process
+  // (a concurrent serve tenant, the dist coordinator).
+  const std::shared_ptr<ResultStore> shared = ResultStore::open(store_path);
+  ResultStore& store = *shared;
 
   const std::vector<SweepCell>& cells = sweep.cells;
   const std::vector<std::size_t> pending = pending_cells(
@@ -150,6 +154,18 @@ std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
   // Assemble in declaration order: execution order never leaks out.
   std::vector<SweptCell> swept(cells.size());
   for (const std::size_t i : pending) swept[i].fresh = true;
+  if (!store_path.empty()) {
+    // One hit per key of a distinct cell read from the store, one miss per
+    // key of a cell evaluated; the read-back below counts nothing.
+    static metrics::Counter& hits = metrics::counter("store.lookup_hits");
+    static metrics::Counter& misses = metrics::counter("store.lookup_misses");
+    std::unordered_set<std::string> seen;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (seen.insert(cells[i].id).second) {
+        (swept[i].fresh ? misses : hits).add(cells[i].keys.size());
+      }
+    }
+  }
   for (std::size_t i = 0; i < cells.size(); ++i) {
     for (const std::string& key : cells[i].keys) {
       const auto value = store.lookup(key);

@@ -7,9 +7,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <stdexcept>
 
 #include "common/fault.hpp"
@@ -26,31 +28,6 @@ std::string format_value(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
-}
-
-/// Deletes every `*.tmp` file in `directory` with a warning line. Writers
-/// in the cache directory (nn::save_model and friends) stage durable files
-/// as `<target>.tmp` + atomic rename; a crash between the two leaves the
-/// orphan behind, and nothing would ever reclaim it. Cache directories have
-/// a single live writer by contract (sharding will need liveness checks
-/// here), so any `.tmp` present at open time is dead.
-void sweep_orphaned_temp_files(const std::filesystem::path& directory) {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(directory, ec);
-  if (ec) return;  // directory missing/unreadable: nothing to sweep
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file(ec) || entry.path().extension() != ".tmp") {
-      continue;
-    }
-    std::error_code remove_ec;
-    std::filesystem::remove(entry.path(), remove_ec);
-    if (!remove_ec) {
-      log::warn("store",
-                "removed orphaned temp file %s (left by an "
-                "interrupted writer)",
-                entry.path().c_str());
-    }
-  }
 }
 
 /// Splits one CSV line into (key, raw value bytes) when it is a complete,
@@ -88,6 +65,20 @@ void truncate_torn_tail(const std::string& csv_path) {
   }
 }
 
+/// The live stores of this process by path. An entry is erased, under
+/// `mutex`, by the deleter of its last shared_ptr after the store (and its
+/// lock file) is gone, so an open never races a closing instance.
+struct OpenStores {
+  std::mutex mutex;
+  std::condition_variable closed;
+  std::map<std::string, std::weak_ptr<ResultStore>> live;
+};
+
+OpenStores& open_stores() {
+  static OpenStores* stores = new OpenStores;  // outlives static teardown
+  return *stores;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -95,6 +86,7 @@ void truncate_torn_tail(const std::string& csv_path) {
 // ---------------------------------------------------------------------------
 
 StoreWriterLock::StoreWriterLock(const std::string& store_path) {
+  if (store_path.empty()) return;
   const std::string path = store_path + ".lock";
   // Two attempts: the second runs only after a stale lock was removed, so
   // a live competitor racing us between unlink and reopen still wins.
@@ -143,23 +135,6 @@ StoreWriterLock::~StoreWriterLock() {
   std::filesystem::remove(lock_path_, ec);
 }
 
-StoreWriterLock::StoreWriterLock(StoreWriterLock&& other) noexcept
-    : lock_path_(std::move(other.lock_path_)) {
-  other.lock_path_.clear();
-}
-
-StoreWriterLock& StoreWriterLock::operator=(StoreWriterLock&& other) noexcept {
-  if (this != &other) {
-    if (!lock_path_.empty()) {
-      std::error_code ec;
-      std::filesystem::remove(lock_path_, ec);
-    }
-    lock_path_ = std::move(other.lock_path_);
-    other.lock_path_.clear();
-  }
-  return *this;
-}
-
 std::vector<RawStoreEntry> read_store_entries(const std::string& csv_path) {
   std::vector<RawStoreEntry> entries;
   std::ifstream in(csv_path, std::ios::binary);
@@ -184,14 +159,30 @@ std::vector<RawStoreEntry> read_store_entries(const std::string& csv_path) {
   return entries;
 }
 
+std::shared_ptr<ResultStore> ResultStore::open(const std::string& csv_path) {
+  if (csv_path.empty()) return std::make_shared<ResultStore>("");
+  OpenStores& stores = open_stores();
+  std::unique_lock<std::mutex> lock(stores.mutex);
+  while (true) {
+    const auto it = stores.live.find(csv_path);
+    if (it == stores.live.end()) break;
+    if (auto store = it->second.lock()) return store;
+    stores.closed.wait(lock);  // the last holder is closing it right now
+  }
+  std::shared_ptr<ResultStore> store(
+      new ResultStore(csv_path), [&stores](ResultStore* closing) {
+        const std::lock_guard<std::mutex> guard(stores.mutex);
+        stores.live.erase(closing->csv_path());
+        delete closing;
+        stores.closed.notify_all();
+      });
+  stores.live.emplace(csv_path, store);
+  return store;
+}
+
 ResultStore::ResultStore(std::string csv_path)
-    : csv_path_(std::move(csv_path)) {
+    : csv_path_(std::move(csv_path)), lock_(csv_path_) {
   if (csv_path_.empty()) return;
-  // Writer exclusivity first: everything below mutates the directory.
-  lock_ = StoreWriterLock(csv_path_);
-  const std::filesystem::path parent =
-      std::filesystem::path(csv_path_).parent_path();
-  sweep_orphaned_temp_files(parent.empty() ? "." : parent);
   // An interrupted run may leave a torn final row, which must not prevent
   // the resume it exists to enable: the tear is cut off and its cell simply
   // re-evaluates. Other malformed rows are skipped by the tolerant reader.
@@ -202,11 +193,8 @@ ResultStore::ResultStore(std::string csv_path)
 }
 
 std::optional<double> ResultStore::lookup(const std::string& key) const {
-  static metrics::Counter& hits = metrics::counter("store.lookup_hits");
-  static metrics::Counter& misses = metrics::counter("store.lookup_misses");
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
-  if (!csv_path_.empty()) (it != entries_.end() ? hits : misses).add();
   if (it == entries_.end()) return std::nullopt;
   return it->second;
 }
@@ -221,41 +209,54 @@ std::size_t ResultStore::size() const {
   return entries_.size();
 }
 
-void ResultStore::put(const std::string& key, double value) {
-  put({{key, value}});
-}
-
-void ResultStore::put(
+std::size_t ResultStore::put(
     const std::vector<std::pair<std::string, double>>& entries) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, value] : entries) entries_[key] = value;
+  std::vector<const std::pair<std::string, double>*> rows;  // to append
+  for (const auto& entry : entries) {
+    const auto [it, inserted] = entries_.emplace(entry);
+    if (inserted) {
+      rows.push_back(&entry);
+      continue;
+    }
+    const std::string held = format_value(it->second);
+    const std::string sent = format_value(entry.second);
+    if (held == sent) continue;  // already stored: written once
+    for (const auto* row : rows) entries_.erase(row->first);
+    throw std::runtime_error(
+        "safelight: store conflict on key '" + entry.first + "': '" +
+        (csv_path_.empty() ? "<in-memory>" : csv_path_) + "' has value " +
+        held + " but a put sent " + sent +
+        " (evaluation must be deterministic; refusing to poison the store)");
+  }
 
   // The fault::ptp points sit at the nastiest byte boundaries a crash can
   // hit; the mid-row flushes that make the torn state real are taken only
   // when injection is armed, so the normal path keeps its single flush.
-  if (csv_path_.empty() || entries.empty()) return;
+  if (csv_path_.empty() || rows.empty()) return rows.size();
   static metrics::Counter& appends = metrics::counter("store.appends");
-  appends.add(entries.size());
+  appends.add(rows.size());
   const bool fresh = !std::filesystem::exists(csv_path_);
   std::ofstream out(csv_path_, std::ios::app);
-  if (!out) return;
+  if (!out) return rows.size();
   if (fresh) {
     out << "key,accuracy\n";
     if (fault::armed()) out.flush();
     fault::ptp("store.csv.create");  // crash: header-only file
   }
-  for (std::size_t r = 0; r < entries.size(); ++r) {
-    out << entries[r].first << ',';
-    if (r + 1 == entries.size()) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    out << rows[r]->first << ',';
+    if (r + 1 == rows.size()) {
       if (fault::armed()) out.flush();
       fault::ptp("store.csv.append");  // crash: torn row (key, no value)
     }
-    out << format_value(entries[r].second) << '\n';
+    out << format_value(rows[r]->second) << '\n';
   }
   out.flush();
   fault::ptp("store.csv.flush");  // crash: every row fully durable
   static metrics::Counter& flushes = metrics::counter("store.flushes");
-  flushes.add(entries.size());  // rows made durable
+  flushes.add(rows.size());  // rows made durable
+  return rows.size();
 }
 
 }  // namespace safelight::core

@@ -4,9 +4,12 @@
 // scenario, AttackScenario::id() plus the evaluation subset size),
 // mirroring the ModelZoo's on-disk cache discipline: entries are appended
 // to a CSV file and flushed immediately, so an interrupted sweep resumes
-// from whatever made it to disk instead of restarting.
+// from whatever made it to disk instead of restarting. Every writer of a
+// process (the sweeps, the dist coordinator, the serve slots) shares one
+// instance per file through ResultStore::open, under one put() rule.
 #pragma once
 
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -26,19 +29,12 @@ namespace safelight::core {
 /// recycled pid can hold a takeover back until that process exits.
 class StoreWriterLock {
  public:
-  /// Disengaged (no file, nothing released on destruction).
-  StoreWriterLock() = default;
   /// Acquires `<store_path>.lock`; throws std::runtime_error when another
-  /// live process holds it.
+  /// live process holds it. An empty path takes no lock.
   explicit StoreWriterLock(const std::string& store_path);
   ~StoreWriterLock();
-
-  StoreWriterLock(StoreWriterLock&& other) noexcept;
-  StoreWriterLock& operator=(StoreWriterLock&& other) noexcept;
   StoreWriterLock(const StoreWriterLock&) = delete;
   StoreWriterLock& operator=(const StoreWriterLock&) = delete;
-
-  bool engaged() const { return !lock_path_.empty(); }
 
  private:
   std::string lock_path_;  // empty = disengaged
@@ -53,13 +49,14 @@ struct RawStoreEntry {
 
 /// Tolerant read of a result-store CSV written by ResultStore (or a crashed
 /// one): header, malformed and torn-tail rows are skipped, later duplicates
-/// of a key win (matching ResultStore's overwrite semantics). Returns rows
+/// of a key win (files from before the write-once rule may hold them; a
+/// ResultStore loads them the same way). Returns rows
 /// in (deduplicated) file order; a missing file reads as empty. Read-only —
 /// never truncates or locks, so coordinators can inspect a store another
 /// process owns.
 std::vector<RawStoreEntry> read_store_entries(const std::string& csv_path);
 
-/// Append-only result cache shared by the pipeline's worker threads.
+/// Append-only result cache shared by every writer of one store file.
 ///
 /// All members are safe to call concurrently. Persistence is optional:
 /// an empty `csv_path` keeps the store purely in memory (tests, ablations
@@ -68,15 +65,20 @@ std::vector<RawStoreEntry> read_store_entries(const std::string& csv_path);
 /// fleet's counters match an in-process run's.
 class ResultStore {
  public:
-  /// Opens the store. When `csv_path` names an existing file written by a
-  /// previous (possibly interrupted) run, its rows are loaded so lookups
-  /// hit instead of re-evaluating; malformed rows (e.g. a torn final line
-  /// from a mid-write kill) are skipped, not fatal. Opening also
-  /// sweeps (deletes, with a warning) orphaned `*.tmp` staging files a
-  /// crashed writer left in the store's directory — cache directories have
-  /// one live writer by contract. Every durable write carries fault::ptp
-  /// crash points (see common/fault.hpp); the resume-after-any-crash
-  /// contract is proven by tests/fault_injection_test.cpp.
+  /// The process's live store for `csv_path`: while anyone holds one,
+  /// every open of the path returns that instance (one writer lock, one
+  /// row map, one file); after the last release a later open reads the
+  /// file afresh. An empty path gets a private in-memory store.
+  static std::shared_ptr<ResultStore> open(const std::string& csv_path);
+
+  /// Opens a private instance (writers share one through open()). When
+  /// `csv_path` names an existing file written by a previous (possibly
+  /// interrupted) run, its rows are loaded so lookups hit instead of
+  /// re-evaluating; malformed rows (e.g. a torn final line from a
+  /// mid-write kill) are skipped, not fatal. Every durable write carries
+  /// fault::ptp crash points (see common/fault.hpp); the
+  /// resume-after-any-crash contract is proven by
+  /// tests/fault_injection_test.cpp.
   explicit ResultStore(std::string csv_path);
 
   /// Value stored under `key`, or nullopt when missing.
@@ -85,16 +87,20 @@ class ResultStore {
   /// True when `key` has a stored value.
   bool contains(const std::string& key) const;
 
-  /// Inserts (or overwrites) `key` and appends the entry to the backing
-  /// CSV file, flushing so the entry survives an interrupt.
+  /// Stores `key` and appends the entry to the backing CSV file, flushing
+  /// so the entry survives an interrupt. A key already held with the same
+  /// value bytes is not appended again; one held with different bytes
+  /// throws std::runtime_error naming the key, the store and both values.
   /// Disk write failures are swallowed: the store is an optimization and
   /// must never fail an experiment.
-  void put(const std::string& key, double value);
+  void put(const std::string& key, double value) { put({{key, value}}); }
 
-  /// Puts every entry as one durable append: a crash leaves complete
-  /// leading rows plus at most a torn last row. A cell filling many keys
-  /// puts them this way, so crash-retry costs one write per cell, not key.
-  void put(const std::vector<std::pair<std::string, double>>& entries);
+  /// Puts every entry, by the same rule, as one durable append: a crash
+  /// leaves complete leading rows plus at most a torn last row. A cell
+  /// filling many keys puts them this way, so crash-retry costs one write
+  /// per cell, not key. A conflict on any entry stores none of them.
+  /// Returns how many entries were new (rows appended; held keys are not).
+  std::size_t put(const std::vector<std::pair<std::string, double>>& entries);
 
   /// Number of entries currently held (loaded + inserted).
   std::size_t size() const;
@@ -104,7 +110,7 @@ class ResultStore {
  private:
   mutable std::mutex mutex_;
   std::string csv_path_;  // empty = in-memory only
-  StoreWriterLock lock_;  // engaged while csv_path_ is non-empty
+  StoreWriterLock lock_;  // held while csv_path_ is non-empty
   std::unordered_map<std::string, double> entries_;
 };
 

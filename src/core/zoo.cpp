@@ -8,15 +8,45 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/fingerprint.hpp"
+#include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "nn/serialize.hpp"
 
 namespace safelight::core {
 
+namespace {
+
+/// Deletes every `*.tmp` file in `directory` with a warning line.
+/// nn::save_model stages each entry as `<entry>.tmp` + atomic rename; a
+/// crash between the two leaves the orphan behind, and nothing else would
+/// ever reclaim it. Run once per zoo, before anything in this process
+/// trains into the directory.
+void sweep_orphaned_temp_files(const std::string& directory) {
+  std::error_code ec;
+  std::filesystem::directory_iterator it(directory, ec);
+  if (ec) return;  // directory unreadable: nothing to sweep
+  for (const auto& entry : it) {
+    if (!entry.is_regular_file(ec) || entry.path().extension() != ".tmp") {
+      continue;
+    }
+    std::error_code remove_ec;
+    std::filesystem::remove(entry.path(), remove_ec);
+    if (!remove_ec) {
+      log::warn("zoo",
+                "removed orphaned temp file %s (left by an "
+                "interrupted writer)",
+                entry.path().c_str());
+    }
+  }
+}
+
+}  // namespace
+
 ModelZoo::ModelZoo(std::string directory) : directory_(std::move(directory)) {
   if (directory_.empty()) directory_ = config::zoo_dir();
   std::filesystem::create_directories(directory_);
+  sweep_orphaned_temp_files(directory_);
 }
 
 namespace {

@@ -30,7 +30,11 @@ namespace safelight::core {
 class ModelZoo {
  public:
   /// Uses SAFELIGHT_ZOO (or ./safelight_zoo) when `directory` is empty.
-  /// Creates the directory when missing.
+  /// Creates the directory when missing, and deletes (with a warning) the
+  /// orphaned `*.tmp` files a crashed save_model left in it. Build the zoo
+  /// before anything in the process trains into the directory: the CLI,
+  /// the daemon (before its slot threads start) and a dist worker (at
+  /// start-up; no worker runs while its coordinator trains) all do.
   explicit ModelZoo(std::string directory = "");
 
   const std::string& directory() const { return directory_; }

@@ -68,10 +68,10 @@ class RangeMonitorDetector : public Detector {
   std::vector<ReadoutStats> batch_stats(const DeploymentView& view,
                                         std::size_t batch_index) const;
 
+ private:
   /// Number of probe batches the calibration stream splits into.
   std::size_t batch_count() const;
 
- private:
   /// Calibrated [lo, hi] per metric of one mapped layer, pre-widening.
   struct Envelope {
     double lo[3] = {0.0, 0.0, 0.0};

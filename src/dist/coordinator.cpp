@@ -50,8 +50,7 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 constexpr double kRetryBaseS = 0.2;
 constexpr double kRetryCapS = 5.0;
 
-/// Round-trip exact decimal text of a double: flag values, and the value
-/// bytes the result store writes.
+/// Round-trip exact decimal text of a double flag value.
 std::string exact_decimal(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.17g", value);
@@ -111,7 +110,7 @@ struct TaskState {
   /// requeued task resumes where its dead worker stopped.
   TaskMessage task;
   std::vector<std::vector<std::string>> keys;  // declared keys of task.cells
-  std::size_t failures = 0;
+  std::size_t failures = 0;  // failed attempts since rows last arrived
   std::string last_error;
   Clock::time_point eligible_at{};  // backoff gate for re-dispatch
   bool completed = false;
@@ -525,12 +524,11 @@ class Coordinator {
 
   /// Appends one cell's rows to its canonical store. Worker rows are
   /// outside input headed for a durable file: only the declared keys, in
-  /// declared order, of a cell the slot's task still holds are accepted,
-  /// and a key already stored with different value bytes stops the run —
-  /// either means non-deterministic evaluation or a corrupt store, and the
-  /// canonical cache must not be poisoned. A key stored with the same
-  /// bytes (a torn earlier append of the cell) is skipped, so no key is
-  /// appended twice.
+  /// declared order, of a cell the slot's task still holds are accepted.
+  /// ResultStore::put does the rest: a key already stored with the same
+  /// bytes (a torn earlier append of the cell) is not appended again, and
+  /// one stored with different bytes stops the run. Rows arriving mean the
+  /// attempt made progress, so the task's failure count starts over.
   void on_cell(WorkerSlot& slot, const EventMessage& event) {
     TaskState* state = nullptr;
     std::size_t j = 0;
@@ -552,29 +550,13 @@ class Coordinator {
     }
 
     trace::Span append_span("dist", "dist.append");
-    core::ResultStore& store = *stores_.at(state->task.store);
-    std::vector<std::pair<std::string, double>> fresh;
-    for (const auto& [key, value] : event.rows) {
-      if (!store.contains(key)) {
-        fresh.emplace_back(key, value);
-        continue;
-      }
-      const std::string stored = exact_decimal(*store.lookup(key));
-      if (stored != exact_decimal(value)) {
-        throw std::runtime_error(
-            "safelight: store conflict on key '" + key + "': '" +
-            store.csv_path() + "' has value " + stored + " but worker w" +
-            std::to_string(slot.slot) + " sent " + exact_decimal(value) +
-            " (evaluation must be deterministic; refusing to poison the "
-            "canonical store)");
-      }
-    }
-    store.put(fresh);
+    const auto appended = stores_.at(state->task.store)->put(event.rows);
     append_span.arg("task", static_cast<double>(event.task_id))
-        .arg("rows", static_cast<double>(fresh.size()));
+        .arg("rows", static_cast<double>(appended));
     const auto at = static_cast<std::ptrdiff_t>(j);
     state->task.cells.erase(state->task.cells.begin() + at);
     state->keys.erase(state->keys.begin() + at);
+    state->failures = 0;
   }
 
   void complete(TaskState& state) {
@@ -704,15 +686,16 @@ class Coordinator {
     summary_.tasks += round_tasks.size();
     round_total_ = round_tasks.size();
     round_finished_ = 0;
-    // The coordinator is the only writer of the canonical stores: it opens
-    // this round's stores before the first dispatch and closes them before
-    // the next plan (robust_compare's round-2 resolve opens them itself).
+    // The coordinator writes the workers' rows through the process's one
+    // instance of each store, opened before the first dispatch; an
+    // in-process sweep of the same file (robust_compare's round-2 resolve)
+    // shares it.
     for (const PlannedTask& planned : round_tasks) {
-      std::unique_ptr<core::ResultStore>& store =
+      std::shared_ptr<core::ResultStore>& store =
           stores_[planned.message.store];
       if (!store) {
-        store = std::make_unique<core::ResultStore>(spec_.cache_dir + "/" +
-                                                    planned.message.store);
+        store = core::ResultStore::open(spec_.cache_dir + "/" +
+                                        planned.message.store);
       }
       TaskState state;
       state.task = planned.message;
@@ -743,7 +726,6 @@ class Coordinator {
     // Rows still in flight are appended while the workers drain, so the
     // partial results of a cancelled round stay cached.
     if (cancelled) shutdown_workers();
-    stores_.clear();
     if (cancelled) throw core::ExperimentCancelled(spec_.experiment);
   }
 
@@ -812,8 +794,8 @@ class Coordinator {
   std::string expected_kernel_;
   std::string log_dir_;
   std::vector<WorkerSlot> slots_;
-  // This round's canonical stores by file name; empty between rounds.
-  std::map<std::string, std::unique_ptr<core::ResultStore>> stores_;
+  // The canonical stores of every round so far, by file name.
+  std::map<std::string, std::shared_ptr<core::ResultStore>> stores_;
   std::map<std::uint64_t, TaskState> tasks_;
   std::deque<std::uint64_t> pending_;
   std::size_t round_total_ = 0;

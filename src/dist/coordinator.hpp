@@ -8,23 +8,26 @@
 //        holding only the cells whose rows never arrived, and the slot is
 //        respawned; a retry on any slot resumes where the dead worker
 //        stopped, so progress is monotone even under high kill probability;
+//        backoff and quarantine count only consecutive failed attempts
+//        that delivered no rows (a cell's rows arriving resets the count);
 //   * hang (SIGSTOP, livelock) -> heartbeat silence past the timeout gets
 //     the process SIGKILLed and handled like a crash;
 //   * poison task (fails deterministically every time) -> after
-//     max_task_retries + 1 failures the task is quarantined: the sweep
-//     completes without it, the report names every lost cell, and the run
-//     exits nonzero instead of pretending to be complete.
+//     max_task_retries + 1 such failures the task is quarantined: the
+//     sweep completes without it, the report names every lost cell, and
+//     the run exits nonzero instead of pretending to be complete.
 // Each task has exactly one owner at a time: the slot it was dispatched
 // to. A slow worker is simply waited for; only one of the failures above
 // puts its task back in the queue.
 //
 // The coordinator is the only writer of the canonical stores. A worker
 // sends each evaluated cell's rows as a `cell` event (dist/protocol.hpp);
-// the coordinator appends them through one core::ResultStore per store,
-// opened for the round before the first dispatch and closed before the
-// next plan. It accepts only the declared keys of an outstanding cell of
-// the sending slot's task, and a key already stored with different value
-// bytes is a hard error. After the last round the caller replays the
+// the coordinator appends them through the process's one instance of each
+// store (core::ResultStore::open), opened before a round's first dispatch
+// and held until the run ends. It accepts only the declared keys of an
+// outstanding cell of the sending slot's task; ResultStore::put skips a
+// key already stored with the same bytes and makes one stored with
+// different bytes a hard error. After the last round the caller replays the
 // experiment in-process against the warmed cache — distributed output is
 // therefore byte-identical to a single-process run by construction.
 //
@@ -61,7 +64,8 @@ struct DistOptions {
   /// Heartbeat silence that declares a worker hung (SIGKILL + requeue).
   double heartbeat_timeout_s = 10.0;
   /// Re-dispatches of one task before it is quarantined (i.e. a task is
-  /// given up after max_task_retries + 1 failures).
+  /// given up after max_task_retries + 1 failed attempts in a row that
+  /// delivered no rows).
   std::size_t max_task_retries = 3;
   /// > 0 arms fault injection *inside the workers only* (independent mode,
   /// every fault point, per-slot/generation seeds derived from chaos_seed)
@@ -80,7 +84,7 @@ struct QuarantinedTask {
   std::uint64_t id = 0;
   std::string store;               // store file the cells belong to
   std::vector<std::string> cells;  // ids of the cells whose rows never came
-  std::size_t failures = 0;
+  std::size_t failures = 0;  // consecutive attempts that delivered no rows
   std::string last_error;
 };
 

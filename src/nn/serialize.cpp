@@ -83,7 +83,7 @@ void save_model(Sequential& model, const std::string& path) {
 
   // Stage-and-rename: a crash anywhere before the rename leaves `path`
   // untouched (either absent or the previous valid file) plus a `.tmp`
-  // orphan that ResultStore's open sweep reclaims; a crash after the rename
+  // orphan that the next ModelZoo open sweeps; a crash after the rename
   // leaves the complete new file. No crash point can leave a half-written
   // model under `path` — load_model's checksum is the backstop, not the
   // first line of defense. The fault::ptp points pin each boundary (see

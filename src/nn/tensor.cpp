@@ -57,18 +57,6 @@ std::size_t Tensor::dim(std::size_t i) const {
   return shape_[i];
 }
 
-float& Tensor::at_flat(std::size_t flat) {
-  if (flat >= data_.size()) {
-    throw std::out_of_range("Tensor::at_flat: " + std::to_string(flat) +
-                            " >= " + std::to_string(data_.size()));
-  }
-  return data_[flat];
-}
-
-float Tensor::at_flat(std::size_t flat) const {
-  return const_cast<Tensor*>(this)->at_flat(flat);
-}
-
 namespace {
 
 std::size_t flatten_index(const Shape& shape,

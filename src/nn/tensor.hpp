@@ -55,10 +55,6 @@ class Tensor {
   float& operator[](std::size_t flat) { return data_[flat]; }
   float operator[](std::size_t flat) const { return data_[flat]; }
 
-  /// Bounds-checked flat access.
-  float& at_flat(std::size_t flat);
-  float at_flat(std::size_t flat) const;
-
   /// Multi-dimensional access (bounds-checked, rank-checked).
   float& at(std::initializer_list<std::size_t> idx);
   float at(std::initializer_list<std::size_t> idx) const;

@@ -60,7 +60,6 @@ Server::Server(const ServeOptions& options)
         SlotManagerOptions manager_options;
         manager_options.slots = options.slots;
         manager_options.queue_depth = options.queue_depth;
-        manager_options.root_dir = options.root_dir;
         manager_options.zoo_dir = options.zoo_dir;
         return manager_options;
       }()),

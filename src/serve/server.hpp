@@ -38,9 +38,7 @@ struct ServeOptions {
   std::uint16_t port = 8080;
   std::size_t slots = 2;
   std::size_t queue_depth = 4;
-  /// Per-slot store root; empty = "<zoo>/serve".
-  std::string root_dir;
-  /// Shared zoo directory; empty = config::zoo_dir().
+  /// Shared zoo and result-store directory; empty = config::zoo_dir().
   std::string zoo_dir;
   /// Stop flag polled by the serve loop (the CLI wires its SIGINT/SIGTERM
   /// cancellation flag here). nullptr = run until the process dies.

@@ -1,7 +1,6 @@
 #include "serve/slot.hpp"
 
 #include <chrono>
-#include <filesystem>
 
 #include "common/json.hpp"
 #include "common/log.hpp"
@@ -173,24 +172,18 @@ void Job::mark_cancelled() {
 }
 
 // ---------------------------------------------------------------------------
-// Slot
+// Slot execution
 // ---------------------------------------------------------------------------
 
-Slot::Slot(int index, std::string store_dir)
-    : index_(index), store_dir_(std::move(store_dir)) {
-  std::filesystem::create_directories(store_dir_);
-}
+void run_job(int slot, Job& job, core::ModelZoo& zoo) {
+  job.mark_running(slot);
 
-void Slot::run(Job& job, core::ModelZoo& zoo) {
-  job.mark_running(index_);
-
-  // Per-slot store binding is the multi-tenant isolation seam: the spec's
-  // cache_dir points at this slot's directory, so two slots running the
-  // same (experiment, scale) never contend on one store's writer lock and
-  // can never interleave rows in one file. The zoo stays shared (train-once
-  // under ModelZoo's entry locks).
+  // The zoo's stores, as `safelight run` binds them: a result computed once
+  // serves every tenant and every CLI run on this zoo. Two slots sweeping
+  // one store share its instance, and evaluation is deterministic, so
+  // their puts agree byte for byte and each key is written once.
   core::ExperimentSpec spec = job.spec();
-  spec.cache_dir = store_dir_;
+  spec.cache_dir = zoo.directory();
 
   core::RunContext context(zoo);
   context.cancel = &job.cancel_flag();
@@ -208,7 +201,7 @@ void Slot::run(Job& job, core::ModelZoo& zoo) {
   span.arg("job", job.id())
       .arg("experiment", spec.experiment)
       .arg("model", nn::to_string(spec.model))
-      .arg("slot", static_cast<double>(index_));
+      .arg("slot", static_cast<double>(slot));
 
   try {
     const core::ExperimentResult result =

@@ -1,9 +1,11 @@
 // Per-job state and per-slot execution of the `safelight serve` daemon.
 //
-// Modeled on llama.rn's slot architecture (rn-slot.cpp): a Slot owns the
-// resources of one concurrent experiment — its result-store directory and
-// the job currently bound to it — while the SlotManager schedules jobs onto
-// slots. A Job carries everything one submitted experiment accumulates:
+// Modeled on llama.rn's slot architecture (rn-slot.cpp): a slot is one
+// concurrent experiment — an index and the job currently bound to it —
+// while the SlotManager schedules jobs onto slots. Slots own no storage:
+// every job runs against the daemon's zoo and the result stores in it,
+// the same files a CLI run on that zoo reads and writes. A Job carries
+// everything one submitted experiment accumulates:
 // the parsed spec, a monotonically growing NDJSON event log (progress
 // streamed to any number of watchers), the cooperative cancel flag wired
 // into RunContext, and the final result payload.
@@ -99,27 +101,13 @@ class Job {
   std::vector<std::string> events_;
 };
 
-/// One concurrent experiment slot: a stable index, its own result-store
-/// directory (two slots running the same spec must never contend on one
-/// store's writer lock), and the run loop body executing a job against the
-/// shared zoo.
-class Slot {
- public:
-  Slot(int index, std::string store_dir);
-
-  int index() const { return index_; }
-  const std::string& store_dir() const { return store_dir_; }
-
-  /// Runs `job` to a terminal state: binds the spec to this slot's store
-  /// dir, wires progress/cancel into a RunContext over `zoo`, executes
-  /// through the global ExperimentRegistry and appends the terminal event.
-  /// Never throws — failures land in the job as kFailed.
-  void run(Job& job, core::ModelZoo& zoo);
-
- private:
-  const int index_;
-  const std::string store_dir_;
-};
+/// Runs `job` on slot `slot` to a terminal state: binds the spec to the
+/// zoo's result stores (as `safelight run` does, so concurrent tenants of
+/// one store share its one instance), wires progress/cancel into a
+/// RunContext over `zoo`, executes through the global ExperimentRegistry
+/// and appends the terminal event. Never throws — failures land in the job
+/// as kFailed.
+void run_job(int slot, Job& job, core::ModelZoo& zoo);
 
 /// Event-line encoders (exposed for tests; all end with '\n').
 std::string encode_queued_event(const Job& job, std::size_t position);

@@ -30,16 +30,9 @@ metrics::Gauge& busy_gauge() {
 SlotManager::SlotManager(const SlotManagerOptions& options)
     : options_(options),
       zoo_(options.zoo_dir.empty() ? config::zoo_dir() : options.zoo_dir) {
-  const std::string root =
-      options_.root_dir.empty() ? zoo_.directory() + "/serve" :
-                                  options_.root_dir;
+  // The zoo (and its orphan sweep) exists before any slot thread starts.
   const std::size_t slot_count = options_.slots == 0 ? 1 : options_.slots;
-  slots_.reserve(slot_count);
   threads_.reserve(slot_count);
-  for (std::size_t i = 0; i < slot_count; ++i) {
-    slots_.push_back(std::make_unique<Slot>(
-        static_cast<int>(i), root + "/slot" + std::to_string(i)));
-  }
   for (std::size_t i = 0; i < slot_count; ++i) {
     threads_.emplace_back([this, i] { slot_loop(i); });
   }
@@ -55,10 +48,10 @@ std::shared_ptr<Job> SlotManager::submit(const core::ExperimentSpec& spec) {
   }
   // Admission: the queue bounds *waiting* jobs only — a job headed straight
   // for a free slot never counts against the depth.
-  if (busy_ >= slots_.size() && queue_.size() >= options_.queue_depth) {
+  if (busy_ >= slot_count() && queue_.size() >= options_.queue_depth) {
     rejected_counter().add();
     throw AdmissionError(
-        429, "serve: all " + std::to_string(slots_.size()) +
+        429, "serve: all " + std::to_string(slot_count()) +
                  " slot(s) busy and the queue is full (" +
                  std::to_string(options_.queue_depth) +
                  " waiting); retry later");
@@ -142,7 +135,7 @@ void SlotManager::slot_loop(std::size_t slot_index) {
       queue_gauge().set(static_cast<double>(queue_.size()));
       busy_gauge().set(static_cast<double>(busy_));
     }
-    slots_[slot_index]->run(*job, zoo_);
+    run_job(static_cast<int>(slot_index), *job, zoo_);
     {
       std::lock_guard<std::mutex> guard(mutex_);
       --busy_;
@@ -174,9 +167,8 @@ void SlotManager::drain() {
   for (std::thread& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
-  threads_.clear();
   log::info("serve", "drained: %zu job(s) total, %zu slot(s)", jobs().size(),
-            slots_.size());
+            slot_count());
 }
 
 }  // namespace safelight::serve

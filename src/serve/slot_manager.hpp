@@ -1,9 +1,10 @@
 // Slot-based admission and scheduling of the `safelight serve` daemon.
 //
 // Modeled on llama.rn's rn-slot-manager.cpp: a fixed pool of N experiment
-// slots (each a worker thread bound to one Slot), a FIFO queue with a
-// bounded depth in front of them, and a drain path that turns the whole
-// thing off without corrupting any tenant's results.
+// slots (each a worker thread with a stable slot index), a FIFO queue with
+// a bounded depth in front of them, and a drain path that turns the whole
+// thing off without corrupting any tenant's results. Every slot runs
+// against one zoo and its result stores (serve/slot.hpp, run_job).
 //
 // Admission rules (the backpressure contract, tested in serve_test):
 //   * a slot is free           -> the job starts immediately;
@@ -53,9 +54,8 @@ struct SlotManagerOptions {
   /// Jobs allowed to wait beyond the running ones; 0 means "no queue"
   /// (admission only while a slot is free).
   std::size_t queue_depth = 4;
-  /// Root of the per-slot result-store directories (<root>/slot<i>).
-  std::string root_dir;
-  /// Shared model zoo directory (empty = config::zoo_dir()).
+  /// Shared model zoo and result-store directory (empty =
+  /// config::zoo_dir()).
   std::string zoo_dir;
 };
 
@@ -83,7 +83,7 @@ class SlotManager {
   /// job returns true without effect (idempotent DELETE).
   bool cancel(const std::string& id);
 
-  std::size_t slot_count() const { return slots_.size(); }
+  std::size_t slot_count() const { return threads_.size(); }
   std::size_t queue_depth() const { return options_.queue_depth; }
   std::size_t busy_slots() const;
   std::size_t queued_jobs() const;
@@ -101,7 +101,6 @@ class SlotManager {
 
   const SlotManagerOptions options_;
   core::ModelZoo zoo_;
-  std::vector<std::unique_ptr<Slot>> slots_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
@@ -112,7 +111,7 @@ class SlotManager {
   std::atomic<bool> draining_{false};
   bool stop_ = false;                                // joins the slot loops
 
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> threads_;  // one per slot; joined by drain()
 };
 
 }  // namespace safelight::serve

@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 
 #include "core/evaluation.hpp"
 #include "core/mitigation.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "core/result_store.hpp"
 #include "core/zoo.hpp"
 #include "nn/serialize.hpp"
 #include "test_util.hpp"
@@ -182,6 +184,42 @@ TEST(Zoo, VariantsCachedSeparately) {
   EXPECT_FALSE(zoo.has_entry(setup, variant_by_name("L2_reg")));
   EXPECT_NE(zoo.entry_path(setup, variant_by_name("Original")),
             zoo.entry_path(setup, variant_by_name("L2_reg")));
+}
+
+TEST(Zoo, OpenSweepsOrphanedTempFilesWithAWarning) {
+  // A crash between nn::save_model's tmp write and its atomic rename
+  // leaves `<entry>.tmp` behind; nothing else ever reclaims it. Building a
+  // zoo over the directory (before anything in the process trains into
+  // it) must delete exactly the orphans, warn about each, and leave real
+  // files alone.
+  TempDir dir("zoo_orphans");
+  const std::string orphan = dir.path() + "/model.slw.tmp";
+  const std::string keeper = dir.path() + "/model.slw";
+  const std::string decoy_dir = dir.path() + "/subdir.tmp";
+  { std::ofstream(orphan) << "half-written weights"; }
+  { std::ofstream(keeper) << "committed weights"; }
+  std::filesystem::create_directories(decoy_dir);  // not a regular file
+
+  testing::internal::CaptureStderr();
+  { ModelZoo zoo(dir.path()); }
+  const std::string warning = testing::internal::GetCapturedStderr();
+
+  EXPECT_FALSE(std::filesystem::exists(orphan));
+  EXPECT_TRUE(std::filesystem::exists(keeper));
+  EXPECT_TRUE(std::filesystem::exists(decoy_dir));
+  EXPECT_EQ(warning, "[zoo] removed orphaned temp file " + orphan +
+                         " (left by an interrupted writer)\n");
+
+  // A second open has nothing left to sweep.
+  testing::internal::CaptureStderr();
+  ModelZoo reopened(dir.path());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  // Opening a result store in the zoo sweeps nothing: a concurrent tenant
+  // may be training into a `.slw.tmp` right now.
+  { std::ofstream(orphan) << "another tenant's staging file"; }
+  { const auto store = ResultStore::open(dir.path() + "/store.csv"); }
+  EXPECT_TRUE(std::filesystem::exists(orphan));
 }
 
 // ---------------------------------------------------------------- evaluator

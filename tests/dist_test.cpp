@@ -616,6 +616,38 @@ TEST(DistRun, PoisonTaskIsQuarantinedAfterCappedRetriesWithNonzeroExit) {
   EXPECT_NE(err.find("skipping report assembly"), std::string::npos) << err;
 }
 
+TEST(DistRun, AttemptsThatDeliverRowsDoNotCountTowardQuarantine) {
+  // Backoff and quarantine count only attempts in a row that delivered no
+  // rows. Under this chaos seed, one worker and --max-task-retries 1, task
+  // 2 dies twice, but its second attempt sends 3 of its 8 cells first:
+  // counting every failure would quarantine it (exit 3) though it was
+  // making progress; counting only failures without progress retries it
+  // to completion and the reference bytes.
+  TempDir reference_dir("dist_progress_ref");
+  const DistRunResult reference = run_experiment(
+      "susceptibility", reference_dir.path(), {"--base-seed", "5"}, {});
+  ASSERT_EQ(reference.proc.exit_code, 0) << reference.proc.stderr_text;
+
+  TempDir dir("dist_progress");
+  const DistRunResult run = run_experiment(
+      "susceptibility", dir.path(),
+      {"--base-seed", "5", "--workers", "1", "--chaos", "0.05",
+       "--max-task-retries", "1", "--verbose"},
+      {});
+  ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
+  EXPECT_EQ(summary_count(run, "quarantined"), 0u);
+  EXPECT_EQ(summary_count(run, "crashes"), 2u) << run.proc.stdout_text;
+  const std::string& err = run.proc.stderr_text;
+  EXPECT_NE(err.find("task 2 requeued with 8 cell(s) left (failure 1,"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("task 2 requeued with 5 cell(s) left (failure 1,"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(run.csv_bytes, reference.csv_bytes);
+  EXPECT_EQ(run.json_bytes, reference.json_bytes);
+}
+
 TEST(DistRun, SigtermExitsGracefullyWith130AndResumeHint) {
   TempDir dir("dist_sigterm");
   // Enough scenarios that SIGTERM lands mid-sweep; the handler must treat

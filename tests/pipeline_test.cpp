@@ -1,5 +1,6 @@
 // Tests for the cell-sweep engine, the scenario sweep on top of it and the
-// result store: fan-out determinism (parallel == serial == repeated run,
+// result store (its write-once put rule and the one live instance per
+// path that ResultStore::open shares): fan-out determinism (parallel == serial == repeated run,
 // under any grid order), one clean prefix build per boundary per sweep,
 // resume-after-interrupt, mid-sweep cancellation of every cell sweep
 // through the persistent store, per-key pending and per-id dedup, one
@@ -16,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -327,33 +329,116 @@ TEST(ResultStore, PropertyResumesFromEveryTruncationOffset) {
   }
 }
 
-TEST(ResultStore, OpenSweepsOrphanedTempFilesWithAWarning) {
-  // A crash between nn::save_model's tmp write and its atomic rename
-  // leaves `<target>.tmp` behind; nothing else ever reclaims it. Opening a
-  // store in that directory (one live writer by contract) must delete
-  // exactly the orphans, warn about each, and leave real files alone.
-  TempDir dir("result_store_orphans");
-  const std::string orphan = dir.path() + "/model.slw.tmp";
-  const std::string keeper = dir.path() + "/model.slw";
-  const std::string decoy_dir = dir.path() + "/subdir.tmp";
-  { std::ofstream(orphan) << "half-written weights"; }
-  { std::ofstream(keeper) << "committed weights"; }
-  std::filesystem::create_directories(decoy_dir);  // not a regular file
+TEST(ResultStore, PuttingAnEqualValueAppendsNothing) {
+  // One rule for every writer: a key is written once. Re-putting the bytes
+  // a store already holds (a second tenant evaluating the same cell, a
+  // re-evaluated cell with a torn row) appends no row.
+  TempDir dir("result_store_equal");
+  const std::string path = dir.path() + "/store.csv";
+  metrics::reset();
+  metrics::arm_collection();
+  metrics::Counter& appends = metrics::counter("store.appends");
+  ResultStore store(path);
+  store.put("k", 0.5);
+  const std::string once = read_file_bytes(path);
+  store.put("k", 0.5);
+  EXPECT_EQ(read_file_bytes(path), once);
+  store.put({{"k", 0.5}, {"j", 0.25}, {"j", 0.25}});
+  EXPECT_EQ(read_file_bytes(path), once + "j,0.25\n");
+  EXPECT_EQ(appends.value(), 2u);
+  EXPECT_EQ(store.size(), 2u);
+  metrics::reset();
+}
 
+TEST(ResultStore, PuttingDifferentBytesThrowsAndStoresNothing) {
+  TempDir dir("result_store_conflict");
+  const std::string path = dir.path() + "/store.csv";
+  ResultStore store(path);
+  store.put("k", 0.5);
+  const std::string before = read_file_bytes(path);
+  try {
+    store.put({{"fresh", 0.125}, {"k", 0.75}});
+    FAIL() << "a second value for a stored key must throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("store conflict on key 'k'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("0.5"), std::string::npos) << what;
+    EXPECT_NE(what.find("0.75"), std::string::npos) << what;
+  }
+  // Refused whole: neither the conflicting key nor its fresh sibling.
+  EXPECT_EQ(read_file_bytes(path), before);
+  EXPECT_FALSE(store.contains("fresh"));
+  EXPECT_EQ(*store.lookup("k"), 0.5);
+  // -0 and 0 compare equal as doubles but are different bytes.
+  store.put("zero", 0.0);
+  EXPECT_THROW(store.put("zero", -0.0), std::runtime_error);
+  // In-memory stores follow the same rule.
+  ResultStore memory("");
+  memory.put("k", 1.0);
+  memory.put("k", 1.0);
+  EXPECT_THROW(memory.put("k", 2.0), std::runtime_error);
+}
+
+TEST(ResultStore, OpenSharesTheLiveInstanceUntilReleased) {
+  TempDir dir("result_store_open");
+  const std::string path = dir.path() + "/store.csv";
+  std::shared_ptr<ResultStore> first = ResultStore::open(path);
+  std::shared_ptr<ResultStore> second = ResultStore::open(path);
+  EXPECT_EQ(first.get(), second.get());  // one lock, one row map, one file
+  EXPECT_TRUE(std::filesystem::exists(path + ".lock"));
+  first->put("k", 0.5);
+  EXPECT_EQ(*second->lookup("k"), 0.5);
+
+  first.reset();
+  EXPECT_TRUE(std::filesystem::exists(path + ".lock"));  // still held
+  second.reset();
+  EXPECT_FALSE(std::filesystem::exists(path + ".lock"));
+
+  // A fresh instance after the release, reading what the last one wrote.
   testing::internal::CaptureStderr();
-  { ResultStore store(dir.path() + "/store.csv"); }
-  const std::string warning = testing::internal::GetCapturedStderr();
+  const std::shared_ptr<ResultStore> reopened = ResultStore::open(path);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");  // no takeover
+  EXPECT_EQ(*reopened->lookup("k"), 0.5);
+  EXPECT_EQ(reopened->size(), 1u);
 
-  EXPECT_FALSE(std::filesystem::exists(orphan));
-  EXPECT_TRUE(std::filesystem::exists(keeper));
-  EXPECT_TRUE(std::filesystem::exists(decoy_dir));
-  EXPECT_EQ(warning, "[store] removed orphaned temp file " + orphan +
-                         " (left by an interrupted writer)\n");
+  // An empty path is a private in-memory store each time.
+  const auto a = ResultStore::open("");
+  const auto b = ResultStore::open("");
+  EXPECT_NE(a.get(), b.get());
+  a->put("k", 1.0);
+  EXPECT_FALSE(b->contains("k"));
+}
 
-  // A second open has nothing left to sweep.
-  testing::internal::CaptureStderr();
-  ResultStore reopened(dir.path() + "/store.csv");
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+TEST(ResultStore, ConcurrentOpensAndReleasesNeverContendOnTheLock) {
+  // A release racing an open must not leave the opener facing the closing
+  // instance's lock file (which names this very process as a live owner).
+  TempDir dir("result_store_open_race");
+  const std::string path = dir.path() + "/store.csv";
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      std::string key = "k";  // two-step: GCC 12's -Wrestrict misfires on
+      key += std::to_string(t);  // `"k" + std::to_string(t)` here
+      for (int i = 0; i < 5000; ++i) {
+        try {
+          const auto store = ResultStore::open(path);
+          store->put(key, static_cast<double>(t));
+        } catch (const std::exception&) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_FALSE(std::filesystem::exists(path + ".lock"));
+  EXPECT_EQ(read_store_entries(path).size(), 8u);
+  const std::string bytes = read_file_bytes(path);
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\n'), 9)
+      << bytes;  // the header and each key once
 }
 
 // ---------------------------------------------------------------- pipeline
@@ -799,6 +884,35 @@ TEST_F(CellSweep, RerunsACellMissingOneOfItsKeys) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     EXPECT_EQ(second[i].values, first[i].values) << cells[i].id;
   }
+}
+
+TEST_F(CellSweep, CountsAHitPerStoredKeyAndAMissPerEvaluatedKey) {
+  // A half-cached store: cells a and b were swept before, c was not. The
+  // rerun reads a's and b's keys (3 hits) and evaluates c's (3 misses);
+  // the read-back of the evaluated cell counts nothing.
+  const ExperimentSpec spec = tiny_spec(dir_->path() + "/half_cached");
+  const std::vector<SweepCell> cached = {{"a", {"a/0", "a/1"}},
+                                         {"b", {"b/0"}}};
+  sweep(cached, spec);
+  std::vector<SweepCell> cells = cached;
+  cells.push_back({"c", {"c/0", "c/1", "c/2"}});
+  cells.push_back({"a", {"a/0", "a/1"}});  // a repeated id counts once
+
+  metrics::reset();
+  metrics::arm_collection();
+  evaluated_.clear();
+  sweep(cells, spec);
+  EXPECT_EQ(evaluated_, std::vector<std::string>{"c"});
+  EXPECT_EQ(metrics::counter("store.lookup_hits").value(), 3u);
+  EXPECT_EQ(metrics::counter("store.lookup_misses").value(), 3u);
+  EXPECT_EQ(metrics::counter("store.appends").value(), 3u);
+
+  // In-memory sweeps count nothing: the store.* metrics count persisted
+  // stores only.
+  sweep(cells, tiny_spec());
+  EXPECT_EQ(metrics::counter("store.lookup_hits").value(), 3u);
+  EXPECT_EQ(metrics::counter("store.lookup_misses").value(), 3u);
+  metrics::reset();
 }
 
 TEST_F(CellSweep, EvaluatesARepeatedIdOnce) {

@@ -1,6 +1,7 @@
 // Tests for the `safelight serve` subsystem: HTTP parsing, spec ingestion,
 // registry listing, zoo train-once contention, slot admission/cancellation,
-// per-slot store isolation, and the daemon end to end over real sockets.
+// slots sharing the zoo's result stores, and the daemon end to end over
+// real sockets.
 //
 // The end-to-end suite pins the serving contract of the paper sweeps: the
 // bytes GET /v1/jobs/<id>/result returns are byte-identical to the JSON
@@ -8,14 +9,19 @@
 // environment (the child-process comparison below).
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -350,7 +356,6 @@ TEST(SlotManagerAdmission, QueueFullRejectsWith429) {
   SlotManagerOptions options;
   options.slots = 1;
   options.queue_depth = 1;
-  options.root_dir = dir.path() + "/slots";
   options.zoo_dir = dir.path() + "/zoo";
   SlotManager manager(options);
 
@@ -407,7 +412,6 @@ TEST(SlotManagerAdmission, JobEventsRecordTheLifecycle) {
   SlotManagerOptions options;
   options.slots = 1;
   options.queue_depth = 1;
-  options.root_dir = dir.path() + "/slots";
   options.zoo_dir = dir.path() + "/zoo";
   SlotManager manager(options);
 
@@ -449,7 +453,6 @@ TEST(SlotManagerAdmission, DrainCancelsQueuedAndRunningJobs) {
   SlotManagerOptions options;
   options.slots = 1;
   options.queue_depth = 2;
-  options.root_dir = dir.path() + "/slots";
   options.zoo_dir = dir.path() + "/zoo";
   SlotManager manager(options);
 
@@ -467,7 +470,7 @@ TEST(SlotManagerAdmission, DrainCancelsQueuedAndRunningJobs) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-slot result-store isolation (satellite 3)
+// One result cache for every tenant: slots use the zoo's stores
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> csv_files_under(const std::string& dir) {
@@ -481,16 +484,33 @@ std::vector<std::string> csv_files_under(const std::string& dir) {
   return out;
 }
 
-TEST(SlotStores, ConcurrentIdenticalJobsStayIsolatedAndMergeCleanly) {
+/// Data rows of a store file, key by key, in file order.
+std::vector<std::string> stored_keys(const std::string& csv_path) {
+  std::vector<std::string> keys;
+  std::istringstream lines(read_file_bytes(csv_path));
+  std::string line;
+  std::getline(lines, line);  // header
+  while (std::getline(lines, line)) {
+    keys.push_back(line.substr(0, line.rfind(',')));
+  }
+  return keys;
+}
+
+std::uint64_t counter_value(const char* name) {
+  return metrics::counter(name).value();
+}
+
+TEST(SlotStores, ConcurrentIdenticalJobsShareOneStoreAndWriteEachKeyOnce) {
   config::Overrides overrides;
   overrides.scale = Scale::kTiny;
   config::ScopedOverrides scoped(overrides);
+  metrics::reset();
+  metrics::arm_collection();
 
   TempDir dir("serve_stores");
   SlotManagerOptions options;
   options.slots = 2;
   options.queue_depth = 2;
-  options.root_dir = dir.path() + "/slots";
   options.zoo_dir = dir.path() + "/zoo";
   SlotManager manager(options);
 
@@ -499,37 +519,149 @@ TEST(SlotStores, ConcurrentIdenticalJobsStayIsolatedAndMergeCleanly) {
   spec.scale = Scale::kTiny;
   spec.seed_count = 1;
 
-  // Two identical tenants run concurrently: same spec, same zoo entry,
-  // but each slot writes its own store directory.
+  // Two identical tenants run concurrently on the two slots: same spec,
+  // same zoo entry, the same store file — one shared instance of it.
   const auto first = manager.submit(spec);
   const auto second = manager.submit(spec);
   ASSERT_TRUE(wait_until(
       [&] { return first->terminal() && second->terminal(); }, 300.0));
   ASSERT_EQ(first->state(), JobState::kDone) << first->error();
   ASSERT_EQ(second->state(), JobState::kDone) << second->error();
-
-  // Determinism across slots: both tenants got the same result bytes.
   ASSERT_FALSE(first->result_json().empty());
   EXPECT_EQ(first->result_json(), second->result_json());
 
-  // Isolation: each slot produced its own sweep store; the writer-lock
-  // seam was never shared (a shared store would have interleaved one CSV).
-  const auto slot0 = csv_files_under(options.root_dir + "/slot0");
-  const auto slot1 = csv_files_under(options.root_dir + "/slot1");
-  ASSERT_FALSE(slot0.empty());
-  ASSERT_FALSE(slot1.empty());
-  const auto rows0 = core::read_store_entries(slot0.front());
-  const auto rows1 = core::read_store_entries(slot1.front());
-  ASSERT_FALSE(rows0.empty());
-  // Deterministic evaluation: both slots stored the same rows, byte for byte.
-  const auto sorted = [](const std::vector<core::RawStoreEntry>& rows) {
-    std::vector<std::pair<std::string, std::string>> out;
-    for (const auto& row : rows) out.emplace_back(row.key, row.value);
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  EXPECT_EQ(sorted(rows0), sorted(rows1));
+  // One store file, in the zoo, with each key on one row: the second
+  // tenant's puts of a key the first already wrote (same bytes, since
+  // evaluation is deterministic) appended nothing.
+  EXPECT_FALSE(std::filesystem::exists(options.zoo_dir + "/serve"));
+  const auto stores = csv_files_under(options.zoo_dir);
+  ASSERT_EQ(stores.size(), 1u);
+  EXPECT_EQ(std::filesystem::path(stores[0]).parent_path(),
+            std::filesystem::path(options.zoo_dir));
+  const std::vector<std::string> keys = stored_keys(stores[0]);
+  ASSERT_FALSE(keys.empty());
+  EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+            keys.size());
+  EXPECT_EQ(counter_value("store.appends"), keys.size());
+  EXPECT_FALSE(std::filesystem::exists(stores[0] + ".lock"));
+
+  // A third identical job evaluates nothing: every key is a hit.
+  const std::uint64_t appends = counter_value("store.appends");
+  const std::uint64_t misses = counter_value("store.lookup_misses");
+  const std::uint64_t hits = counter_value("store.lookup_hits");
+  const auto third = manager.submit(spec);
+  ASSERT_TRUE(wait_until([&] { return third->terminal(); }, 300.0));
+  ASSERT_EQ(third->state(), JobState::kDone) << third->error();
+  EXPECT_EQ(third->result_json(), first->result_json());
+  EXPECT_EQ(counter_value("store.appends"), appends);
+  EXPECT_EQ(counter_value("store.lookup_misses"), misses);
+  EXPECT_EQ(counter_value("store.lookup_hits"), hits + keys.size());
   manager.drain();
+  metrics::reset();
+}
+
+TEST(SlotStores, JobOnAZooACliRunWarmedAppendsNothing) {
+  // The daemon reads what `safelight run` cached on the same zoo (and the
+  // reverse): one cache for every path.
+  TempDir dir("serve_cli_warmed");
+  const std::string zoo = dir.path() + "/zoo";
+  const ProcessResult cli = run_process(
+      {SAFELIGHT_CLI_BIN, "run", "susceptibility", "--model", "cnn1",
+       "--json"},
+      {"SAFELIGHT_SCALE=tiny", "SAFELIGHT_SEEDS=1", "SAFELIGHT_ZOO=" + zoo,
+       "SAFELIGHT_OUT=" + dir.path() + "/out"},
+      dir.path(), 300.0);
+  ASSERT_EQ(cli.exit_code, 0) << cli.stderr_text;
+  const auto stores = csv_files_under(zoo);
+  ASSERT_EQ(stores.size(), 1u);
+  const std::string warmed = read_file_bytes(stores[0]);
+
+  config::Overrides overrides;
+  overrides.scale = Scale::kTiny;
+  overrides.seed_count = 1;
+  config::ScopedOverrides scoped(overrides);
+  metrics::reset();
+  metrics::arm_collection();
+  SlotManagerOptions options;
+  options.slots = 1;
+  options.zoo_dir = zoo;
+  SlotManager manager(options);
+  const auto job = manager.submit(core::spec_from_json(
+      "{\"experiment\": \"susceptibility\", \"model\": \"cnn1\"}"));
+  ASSERT_TRUE(wait_until([&] { return job->terminal(); }, 300.0));
+  ASSERT_EQ(job->state(), JobState::kDone) << job->error();
+  manager.drain();
+
+  EXPECT_EQ(counter_value("store.appends"), 0u);
+  EXPECT_EQ(counter_value("store.lookup_misses"), 0u);
+  EXPECT_GT(counter_value("store.lookup_hits"), 0u);
+  EXPECT_EQ(read_file_bytes(stores[0]), warmed);
+  EXPECT_EQ(job->result_json(),
+            read_file_bytes(dir.path() + "/out/susceptibility_cnn1.json"));
+  metrics::reset();
+}
+
+TEST(SlotStores, JobOnAStoreAnotherProcessHoldsFailsOnTheLock) {
+  // Slots share one store instance per file within the daemon; across
+  // processes each store keeps its writer lock. So one process at a time
+  // writes a zoo's stores: a job whose store another live process holds
+  // (say, a `safelight run` sweeping the same zoo) fails on the lock.
+  config::Overrides overrides;
+  overrides.scale = Scale::kTiny;
+  overrides.seed_count = 1;
+  config::ScopedOverrides scoped(overrides);
+  metrics::reset();
+  TempDir dir("serve_store_locked");
+  SlotManagerOptions options;
+  options.slots = 1;
+  options.zoo_dir = dir.path() + "/zoo";
+  SlotManager manager(options);
+  const core::ExperimentSpec spec = core::spec_from_json(
+      "{\"experiment\": \"susceptibility\", \"model\": \"cnn1\"}");
+
+  const auto warm = manager.submit(spec);
+  ASSERT_TRUE(wait_until([&] { return warm->terminal(); }, 300.0));
+  ASSERT_EQ(warm->state(), JobState::kDone) << warm->error();
+  const auto stores = csv_files_under(options.zoo_dir);
+  ASSERT_EQ(stores.size(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(stores[0] + ".lock"));
+
+  // A live writer of another process; reaped on every exit path.
+  struct Holder {
+    pid_t pid = ::fork();
+    void reap() {
+      if (pid <= 0) return;
+      ::kill(pid, SIGKILL);
+      int status = 0;
+      ::waitpid(pid, &status, 0);
+      pid = -1;
+    }
+    ~Holder() { reap(); }
+  } holder;
+  if (holder.pid == 0) {
+    for (;;) pause();
+  }
+  ASSERT_GT(holder.pid, 0);
+  const pid_t holder_pid = holder.pid;
+  { std::ofstream(stores[0] + ".lock") << holder_pid << "\n"; }
+
+  const auto blocked = manager.submit(spec);
+  ASSERT_TRUE(wait_until([&] { return blocked->terminal(); }, 300.0));
+  EXPECT_EQ(blocked->state(), JobState::kFailed);
+  EXPECT_NE(blocked->error().find("locked by live process " +
+                                  std::to_string(holder_pid)),
+            std::string::npos)
+      << blocked->error();
+
+  // Once that writer is gone its lock is stale: the next job takes it
+  // over and reads the store.
+  holder.reap();
+  const auto after = manager.submit(spec);
+  ASSERT_TRUE(wait_until([&] { return after->terminal(); }, 300.0));
+  ASSERT_EQ(after->state(), JobState::kDone) << after->error();
+  EXPECT_EQ(after->result_json(), warm->result_json());
+  manager.drain();
+  metrics::reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -611,7 +743,6 @@ class ServerFixture {
     options.port = 0;
     options.slots = slots;
     options.queue_depth = queue_depth;
-    options.root_dir = root + "/slots";
     options.zoo_dir = root + "/zoo";
     options.stop = &stop_;
     server_ = std::make_unique<serve::Server>(options);
@@ -729,7 +860,15 @@ TEST(ServeEndToEnd, ResultBytesMatchTheCliRun) {
 
   // The serving contract: HTTP result bytes == the JSON document
   // `safelight run --json` writes for the same spec under the same
-  // environment (same zoo, so the child loads the cached model).
+  // environment. The child loads the cached model from the same zoo, but
+  // the daemon's result stores are deleted first, so it evaluates every
+  // cell itself instead of replaying the daemon's values.
+  const std::vector<std::string> daemon_stores =
+      csv_files_under(dir.path() + "/zoo");
+  ASSERT_FALSE(daemon_stores.empty());
+  for (const std::string& store : daemon_stores) {
+    ASSERT_TRUE(std::filesystem::remove(store)) << store;
+  }
   const ProcessResult cli = run_process(
       {SAFELIGHT_CLI_BIN, "run", "susceptibility", "--model", "cnn1",
        "--json"},
@@ -738,6 +877,9 @@ TEST(ServeEndToEnd, ResultBytesMatchTheCliRun) {
        "SAFELIGHT_OUT=" + dir.path() + "/out"},
       dir.path(), 300.0);
   ASSERT_EQ(cli.exit_code, 0) << cli.stderr_text;
+  for (const std::string& store : daemon_stores) {
+    EXPECT_TRUE(std::filesystem::exists(store)) << store;  // re-evaluated
+  }
   const std::string cli_bytes =
       read_file_bytes(dir.path() + "/out/susceptibility_cnn1.json");
   ASSERT_FALSE(cli_bytes.empty());
@@ -819,7 +961,7 @@ TEST(ServeEndToEnd, ConcurrentMixedClientsAllReachResult) {
   config::ScopedOverrides scoped(overrides);
 
   // Six tenants at once, two per experiment, queueing behind two slots on
-  // one cold zoo: admission, train-once contention and per-slot stores.
+  // one cold zoo: admission, train-once contention and shared stores.
   const std::vector<std::string> experiments = {"susceptibility", "detection",
                                                 "campaign"};
   constexpr std::size_t kClients = 6;
@@ -870,7 +1012,8 @@ TEST(ServeEndToEnd, ConcurrentMixedClientsAllReachResult) {
         << "client " << i;
     ASSERT_EQ(run.result.status, 200) << "client " << i;
     EXPECT_FALSE(run.result.body.empty()) << "client " << i;
-    // Same spec, same bytes, whichever slot and store served it.
+    // Same spec, same bytes, whichever slot served it and whether it
+    // evaluated the cells or read them from the shared store.
     EXPECT_EQ(run.result.body, runs[i % experiments.size()].result.body)
         << "client " << i;
   }

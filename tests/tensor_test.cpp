@@ -49,7 +49,6 @@ TEST(Tensor, IndexingBoundsChecked) {
   Tensor t({2, 3});
   EXPECT_THROW(t.at({2, 0}), std::out_of_range);
   EXPECT_THROW(t.at({0, 0, 0}), std::invalid_argument);  // rank mismatch
-  EXPECT_THROW(t.at_flat(6), std::out_of_range);
   EXPECT_THROW(t.dim(2), std::out_of_range);
 }
 
