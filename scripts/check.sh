@@ -9,9 +9,8 @@
 #    tests/support (`im2col(`, `gemm_ref`, `reference_fc_forward`,
 #    `VdpUnit`) appear nowhere in src/ outside comments.
 #    result-store lint: a ResultStore is opened (ResultStore::open) or
-#    constructed in src/ only by the cell engine (core/pipeline.cpp) and
-#    the dist coordinator (dist/coordinator.cpp), the only writer of the
-#    canonical stores under --workers.
+#    constructed in src/ only by the cell engine (core/pipeline.cpp); the
+#    dist fleet appends worker rows into the stores the engine prepared.
 #    thermal-plan lint: `plan_hotspot_attack(` appears in src/ only in
 #    attacks/ and defense/suite.cpp, `scenario_telemetry(` only in
 #    defense/suite.*; detectors read the field the attack returned.
@@ -38,10 +37,11 @@
 #    pulls inside the workers) must emit bytes identical to a
 #    single-process run from a fresh zoo — the coordinator/worker stack
 #    proves itself end to end on every CI run; detection, campaign and an
-#    unpinned robust_compare (two planning rounds) shard too and must match
-#    their in-process CSVs; the canonical stores the coordinator wrote (the
-#    chaos run's included) hold no key twice, and no per-worker dist/w*
-#    store directory exists.
+#    unpinned robust_compare (two evaluate hand-offs: the selection's
+#    mitigation sweeps, then the comparison) run on the fleet too and must
+#    match their in-process CSVs; the canonical stores the coordinator
+#    wrote (the chaos run's included) hold no key twice, and no per-worker
+#    dist/w* store directory exists.
 # 7. telemetry smoke: the same 2-worker run armed with --trace/--metrics
 #    must stay byte-identical, produce a parseable merged Chrome trace
 #    with coordinator + worker tracks, and a schema-valid metrics JSON
@@ -50,7 +50,8 @@
 # 8. serve smoke: `safelight list --json` schema check, then a daemon on
 #    an ephemeral port driven with curl — submit, NDJSON event stream,
 #    GET /result byte-identical to the run-all JSON document with no store
-#    row appended (run-all warmed the zoo's stores the daemon shares), 400
+#    row appended (run-all warmed the zoo's stores the daemon shares, and
+#    /metrics reports "store.appends": 0), 400
 #    on an unknown spec field, cooperative DELETE, SIGTERM -> exit 130, no
 #    key twice in a store and no <zoo>/serve directory.
 # 9. perfbench smoke: the benchmark harness's self-tests, then its
@@ -128,19 +129,18 @@ if [[ -n "$STRAY_REFERENCE" ]]; then
 fi
 phase_end
 
-# One result cache: only the cell engine (core/pipeline.cpp) and the dist
-# coordinator that appends the rows its workers send (dist/coordinator.cpp)
-# open (ResultStore::open) or construct a ResultStore; every other layer
-# computes and hands values to them.
+# One result cache: only the cell engine (core/pipeline.cpp) opens
+# (ResultStore::open) or constructs a ResultStore; every other layer
+# computes and hands values to it, the dist fleet included, which appends
+# its workers' rows into the stores the engine's prepare stage opened.
 phase_start "result-store lint"
 STRAY_STORE="$(grep -rnE \
     'make_(unique|shared)<(core::)?ResultStore>|ResultStore::open[[:space:]]*\(|(^|[^:[:alnum:]_])ResultStore[[:space:]]*[({]|\bResultStore[[:space:]]+[[:alpha:]_][[:alnum:]_]*[[:space:]]*[({=]' src \
   | grep -vE '^src/core/(pipeline\.cpp|result_store\.(hpp|cpp)):' \
-  | grep -vE '^src/dist/coordinator\.cpp:' \
   || true)"
 if [[ -n "$STRAY_STORE" ]]; then
-  echo "error: ResultStore opened outside core/pipeline.cpp and" \
-       "dist/coordinator.cpp; persist results through the cell engine" >&2
+  echo "error: ResultStore opened outside core/pipeline.cpp;" \
+       "persist results through the cell engine" >&2
   echo "$STRAY_STORE" >&2
   exit 1
 fi
@@ -365,11 +365,11 @@ grep '\[dist\] summary:' "$SMOKE_DIR/dist_chaos.log"
 cmp "$SMOKE_DIR/out_dist_ref/fig7_susceptibility.csv" \
     "$SMOKE_DIR/out_dist_chaos/fig7_susceptibility.csv"
 check_store_keys_unique "$SMOKE_DIR/zoo_dist_chaos"
-# The detector sweeps shard through their declared cells too; each
-# distributed run must plan tasks and match its in-process CSVs.
-# robust_compare runs unpinned: the planner shards the mitigation selection
-# in round 1 and, after resolving the variant through the experiment's own
-# resolve, the comparison in round 2.
+# The detector sweeps run on the fleet through their declared cells too;
+# each distributed run must dispatch tasks and match its in-process CSVs.
+# robust_compare runs unpinned: its resolve runs the mitigation selection
+# through the registry, whose sweeps the fleet evaluates in one hand-off,
+# and the comparison sweeps follow in a second (rounds=2).
 for experiment in detection campaign robust_compare; do
   SAFELIGHT_ZOO="$SMOKE_DIR/zoo_dist_ref" \
     SAFELIGHT_OUT="$SMOKE_DIR/out_dist_ref" "$SAFELIGHT" run "$experiment" \
@@ -485,12 +485,13 @@ if command -v curl >/dev/null; then
   echo "serve result byte-identical to run --json output"
   # One cache for every tenant: the daemon sweeps the zoo's stores, which
   # run-all already warmed, so the job read every key (hits) and appended
-  # no row (store.appends is 0, or absent while nothing was appended).
+  # no row (store.appends is reported, and is 0).
   METRICS_NOW=$(curl -fsS "$BASE/metrics" | tr -d '\n')
   grep -q '"store\.lookup_hits": [1-9]' <<<"$METRICS_NOW"
-  APPENDS=$(sed -n 's/.*"store\.appends": \([0-9]*\).*/\1/p' <<<"$METRICS_NOW")
-  if [[ -n "$APPENDS" && "$APPENDS" != "0" ]]; then
-    echo "error: serve job on a warmed zoo appended $APPENDS store row(s)" >&2
+  if ! grep -qE '"store\.appends": 0([^0-9.]|$)' <<<"$METRICS_NOW"; then
+    echo "error: serve job on a warmed zoo did not report" \
+         '"store.appends": 0' >&2
+    echo "$METRICS_NOW" >&2
     exit 1
   fi
 

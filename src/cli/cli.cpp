@@ -491,6 +491,25 @@ int cmd_run(const std::vector<std::string>& experiments,
     std::printf("  . %s\n", stage.c_str());
     std::fflush(stdout);
   };
+  // --workers N: one fleet for the whole invocation takes the evaluate
+  // stage of every registry run; everything else runs exactly as in
+  // process, so the output is byte-identical to a single-process run.
+  std::unique_ptr<dist::Fleet> fleet;
+  if (config::workers() > 0) {
+    dist::DistOptions dist_options;
+    dist_options.workers = config::workers();
+    dist_options.heartbeat_timeout_s = config::heartbeat_timeout_s();
+    dist_options.max_task_retries = config::max_task_retries();
+    dist_options.chaos_kill_prob = options.chaos;
+    dist_options.chaos_seed = base_seed;
+    dist_options.verbose = options.verbose;
+    dist_options.cancel = &g_cancel_requested;
+    fleet = std::make_unique<dist::Fleet>(zoo, dist_options);
+    context.evaluate = [&fleet](const core::ExperimentSpec& spec,
+                                const std::vector<core::PreparedSweep>& sweeps) {
+      fleet->evaluate(spec, sweeps);
+    };
+  }
 
   struct ExperimentTiming {
     std::string experiment;
@@ -526,37 +545,21 @@ int cmd_run(const std::vector<std::string>& experiments,
                   spec.resolved_setup().dataset_family.c_str());
       std::fflush(stdout);
 
-      if (config::workers() > 0) {
-        // Distributed phase: workers warm the result stores; the ordinary
-        // registry.run below then assembles the report with every lookup
-        // hitting cache, so its output is byte-identical to an in-process
-        // run of the same spec.
-        dist::DistOptions dist_options;
-        dist_options.workers = config::workers();
-        dist_options.heartbeat_timeout_s = config::heartbeat_timeout_s();
-        dist_options.max_task_retries = config::max_task_retries();
-        dist_options.chaos_kill_prob = options.chaos;
-        dist_options.chaos_seed = spec.base_seed;
-        dist_options.verbose = options.verbose;
-        dist_options.cancel = &g_cancel_requested;
-        dist::DistSummary dist_summary;
-        const dist::DistStatus status =
-            dist::run_distributed(spec, zoo, dist_options, dist_summary);
-        if (status == dist::DistStatus::kQuarantined) {
-          log::error("dist",
-                     "%s/%s incomplete: %zu task(s) quarantined; "
-                     "skipping report assembly for this model",
-                     name.c_str(), nn::to_string(model).c_str(),
-                     dist_summary.quarantined.size());
-          any_quarantine = true;
-          continue;
-        }
-      }
-
       trace::Span run_span("experiment", name);
       run_span.arg("model", nn::to_string(model))
           .arg("scale", to_string(scale));
-      const core::ExperimentResult result = registry.run(spec, context);
+      core::ExperimentResult result;
+      try {
+        result = registry.run(spec, context);
+      } catch (const dist::QuarantinedError& error) {
+        log::error("dist",
+                   "%s/%s incomplete: %zu task(s) quarantined; "
+                   "skipping report assembly for this model",
+                   name.c_str(), nn::to_string(model).c_str(),
+                   error.tasks.size());
+        any_quarantine = true;
+        continue;
+      }
       run_span.arg("wall_seconds", result.wall_seconds);
       experiment_seconds += result.wall_seconds;
       print_timing(result);
@@ -614,6 +617,7 @@ int cmd_run(const std::vector<std::string>& experiments,
     timings.push_back({name, experiment_seconds});
   }
 
+  if (fleet) fleet->finish();
   if (experiments.size() > 1) {
     banner("run summary");
     core::TextTable summary({"experiment", "wall seconds"});
@@ -630,7 +634,7 @@ int cmd_run(const std::vector<std::string>& experiments,
 /// `safelight serve`: the resident multi-tenant daemon. One shared zoo,
 /// N slots, an HTTP/NDJSON front end (src/serve); SIGINT/SIGTERM drain
 /// gracefully through the same ScopedCancelScope flag the sweeps poll.
-int cmd_serve(const CliOptions& options) {
+int cmd_serve() {
   // GET /metrics must answer even without --metrics <file>: arm bare
   // collection, but never clobber an output file the flags installed.
   if (!metrics::armed()) metrics::arm_collection();
@@ -640,7 +644,6 @@ int cmd_serve(const CliOptions& options) {
   serve_options.queue_depth = config::serve_queue_depth();
   serve_options.zoo_dir = config::zoo_dir();
   serve_options.stop = &g_cancel_requested;
-  serve_options.verbose = options.verbose;
   serve::Server server(serve_options);
   return server.serve();
 }
@@ -706,8 +709,8 @@ int run(const std::vector<std::string>& args) {
       return cmd_list(args.size() == 2);
     }
     if (command == "serve") {
-      const CliOptions options = parse_flags(args, 1, /*worker=*/false);
-      return cmd_serve(options);
+      parse_flags(args, 1, /*worker=*/false);
+      return cmd_serve();
     }
     if (command == "run") {
       require(args.size() >= 2 && args[1].rfind("--", 0) != 0,

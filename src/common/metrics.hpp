@@ -20,8 +20,8 @@
 // recorded values regardless of thread interleaving, and snapshots merge by
 // adding bucket counts. That mergeability is what lets dist workers ship
 // their registries over the NDJSON pipe (collection mode, armed by the
-// --metrics path the coordinator passes them) for the coordinator to
-// ingest() into one fleet-wide registry.
+// --metrics path the coordinator passes them), one delta per evaluated
+// cell, for the coordinator to ingest() into one fleet-wide registry.
 //
 // The JSON file has a fixed schema (sorted keys, fixed per-type fields) so
 // tooling — perfbench/lib/layers.py — reads it instead of re-parsing logs;

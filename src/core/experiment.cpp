@@ -365,20 +365,30 @@ ExperimentResult ExperimentRegistry::run(const ExperimentSpec& spec,
   const ExperimentSpec resolved =
       entry.resolve ? entry.resolve(spec, context) : spec;
   const std::vector<CellSweep> sweeps = entry.sweeps(resolved);
-  // ExperimentSetup::tag() without building the setup, which costs a model.
-  const std::string tag =
-      nn::to_string(resolved.model) + "_" + to_string(resolved.scale);
-  std::vector<std::vector<SweptCell>> swept;
-  swept.reserve(sweeps.size());
-  for (const CellSweep& sweep : sweeps) {
+  const ExperimentSetup setup = resolved.resolved_setup();
+  std::vector<PreparedSweep> prepared;
+  prepared.reserve(sweeps.size());
+  for (std::size_t s = 0; s < sweeps.size(); ++s) {
     context.throw_if_cancelled(spec.experiment);
-    const std::string stage = tag + " / " + sweep.variant.name;
+    const std::string stage = setup.tag() + " / " + sweeps[s].variant.name;
     context.note(spec.experiment + ": sweep " + stage);
     if (resolved.verbose) {
       std::printf("[%s] %s\n", spec.experiment.c_str(), stage.c_str());
       std::fflush(stdout);
     }
-    swept.push_back(sweep_cells(resolved, context, sweep));
+    prepared.push_back(prepare_sweep(resolved, setup, context, sweeps[s], s));
+  }
+  if (context.evaluate) {
+    context.evaluate(resolved, prepared);
+  } else {
+    for (const PreparedSweep& sweep : prepared) {
+      evaluate_pending(resolved, setup, context, sweep);
+    }
+  }
+  std::vector<std::vector<SweptCell>> swept;
+  swept.reserve(prepared.size());
+  for (const PreparedSweep& sweep : prepared) {
+    swept.push_back(collect_sweep(sweep));
   }
 
   ExperimentResult result;

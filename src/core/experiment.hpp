@@ -1,13 +1,15 @@
 // Unified experiment API: one spec, one registry, one result shape.
 //
-// This is the only way to run a SafeLight sweep; the `safelight` CLI, the
-// serve daemon, the dist planner and library callers all go through it:
+// This is the only way to run a SafeLight sweep; the `safelight` CLI (with
+// or without `--workers`), the serve daemon and library callers all go
+// through it:
 //
 //   ExperimentSpec      — every setting of one run, validated (no silent
 //                         clamps) and serializable into the result metadata.
 //   RunContext          — what every run needs besides the spec: the shared
-//                         ModelZoo, an optional progress callback and an
-//                         optional cooperative cancellation flag.
+//                         ModelZoo, an optional progress callback, an
+//                         optional cooperative cancellation flag and an
+//                         optional hook that takes the evaluate stage.
 //   ExperimentResult    — the typed report payload plus uniform CSV and
 //                         JSON serialization (golden-pinned).
 //   ExperimentRegistry  — name -> experiment ("susceptibility",
@@ -15,8 +17,9 @@
 //                         "campaign"). An experiment is its declared cell
 //                         sweeps plus an assembly of the swept cells into
 //                         its report; the registry is the only code that
-//                         runs the sweeps (resolve -> sweeps -> sweep_cells
-//                         -> assemble).
+//                         runs an experiment's sweeps (resolve -> sweeps ->
+//                         prepare each -> evaluate all pending cells ->
+//                         collect each -> assemble; core/pipeline.hpp).
 #pragma once
 
 #include <atomic>
@@ -103,12 +106,16 @@ class ExperimentCancelled : public std::runtime_error {
                            "' cancelled") {}
 };
 
+struct PreparedSweep;  // core/pipeline.hpp
+
 /// Everything an experiment run needs besides the spec. The zoo is shared
 /// across experiments of one session (run-all trains each variant exactly
-/// once); progress and cancellation are optional cooperative hooks.
+/// once); progress, cancellation and evaluation are optional hooks.
 class RunContext {
  public:
   using ProgressFn = std::function<void(const std::string& stage)>;
+  using EvaluateFn = std::function<void(const ExperimentSpec& resolved,
+                                        const std::vector<PreparedSweep>&)>;
 
   explicit RunContext(ModelZoo& zoo) : zoo_(&zoo) {}
 
@@ -119,6 +126,11 @@ class RunContext {
   /// When non-null, experiments poll it between coarse work units and
   /// abort via ExperimentCancelled.
   const std::atomic<bool>* cancel = nullptr;
+  /// When set, takes the evaluate stage of every registry run: fills every
+  /// pending key of all the run's prepared sweeps (declared from
+  /// `resolved`, PreparedSweep::index naming each) into their stores. The
+  /// dist fleet under `--workers`; unset, the engine evaluates in process.
+  EvaluateFn evaluate;
 
   void note(const std::string& stage) const {
     if (progress) progress(stage);
@@ -179,8 +191,8 @@ struct SweptCell;  // core/pipeline.hpp
 
 /// One registered experiment: the cell sweeps it evaluates, declared as
 /// data, plus the assembly of its report from the swept cells. The
-/// registry runs the sweeps; the dist planner and its workers shard the
-/// same declarations, so every path evaluates exactly the same cells.
+/// registry runs the sweeps; dist workers rebuild the same declarations
+/// from the shipped spec, so every path evaluates exactly the same cells.
 struct ExperimentInfo {
   std::string name;
   /// One-line summary shown by `safelight list`.
@@ -232,9 +244,10 @@ class ExperimentRegistry {
   ExperimentSpec default_spec(const std::string& name) const;
 
   /// Validates the spec (including the experiment name), resolves it,
-  /// runs each declared sweep through sweep_cells and assembles the
-  /// report, stamping wall_seconds over the whole run. result.spec is the
-  /// caller's spec.
+  /// prepares each declared sweep, evaluates their pending cells (through
+  /// context.evaluate when set, else in process), collects each and
+  /// assembles the report, stamping wall_seconds over the whole run.
+  /// result.spec is the caller's spec.
   ExperimentResult run(const ExperimentSpec& spec, RunContext& context) const;
 
  private:
@@ -299,8 +312,8 @@ ExperimentResult::Payload assemble_campaign(
     const ExperimentSpec& spec, const std::vector<CellSweep>& sweeps,
     const std::vector<std::vector<SweptCell>>& swept);
 
-/// Pins spec.robust_variant, when empty, to the best robust variant of the
-/// robust_compare_selection_spec(spec) mitigation run.
+/// Pins spec.robust_variant, when empty, to the best robust variant of a
+/// mitigation run of the same model through the registry with `context`.
 ExperimentSpec resolve_robust_compare(const ExperimentSpec& spec,
                                       RunContext& context);
 

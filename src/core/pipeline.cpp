@@ -98,9 +98,37 @@ std::string sweep_store_name(const ExperimentSetup& setup,
          "_" + attack::config_fingerprint(corruption) + sweep.store_suffix;
 }
 
-std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
-                                   const RunContext& context,
-                                   const CellSweep& sweep) {
+PreparedSweep prepare_sweep(const ExperimentSpec& spec,
+                            const ExperimentSetup& setup,
+                            const RunContext& context, const CellSweep& sweep,
+                            std::size_t index) {
+  PreparedSweep prepared;
+  prepared.sweep = &sweep;
+  prepared.index = index;
+  // Train (or load) on the calling thread so evaluators only ever load the
+  // finished zoo entry — never race on training it.
+  prepared.store_name = sweep_store_name(
+      setup, spec.corruption, sweep,
+      weights_checksum(
+          *context.zoo().get_or_train(setup, sweep.variant, spec.verbose)));
+  std::string store_path;
+  if (!spec.cache_dir.empty()) {
+    std::filesystem::create_directories(spec.cache_dir);
+    store_path = spec.cache_dir + "/" + prepared.store_name;
+  }
+  // One instance per file, shared with every other writer of this process
+  // (a concurrent serve tenant, the dist fleet appending worker rows).
+  prepared.store = ResultStore::open(store_path);
+  prepared.pending = pending_cells(
+      sweep.cells,
+      [&](const std::string& key) { return prepared.store->contains(key); });
+  return prepared;
+}
+
+void evaluate_pending(const ExperimentSpec& spec, const ExperimentSetup& setup,
+                      const RunContext& context,
+                      const PreparedSweep& prepared) {
+  const CellSweep& sweep = *prepared.sweep;
   // Detector sweeps run no scenario.evaluate spans, so they get their own
   // name and pipeline.sweep stays the denominator of the scenario busy
   // ratio.
@@ -110,32 +138,13 @@ std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
     sweep_span.arg("variant", sweep.variant.name)
         .arg("cells", static_cast<double>(sweep.cells.size()));
   }
-  const ExperimentSetup setup = spec.resolved_setup();
   ModelZoo& zoo = context.zoo();
-
-  // Train (or load) on the calling thread so workers only ever load the
-  // finished zoo entry — never race on training it.
-  const std::string checksum = weights_checksum(
-      *zoo.get_or_train(setup, sweep.variant, spec.verbose));
-  std::string store_path;
-  if (!spec.cache_dir.empty()) {
-    std::filesystem::create_directories(spec.cache_dir);
-    store_path = spec.cache_dir + "/" +
-                 sweep_store_name(setup, spec.corruption, sweep, checksum);
-  }
-  // One instance per file, shared with every other writer of this process
-  // (a concurrent serve tenant, the dist coordinator).
-  const std::shared_ptr<ResultStore> shared = ResultStore::open(store_path);
-  ResultStore& store = *shared;
-
-  const std::vector<SweepCell>& cells = sweep.cells;
-  const std::vector<std::size_t> pending = pending_cells(
-      cells, [&](const std::string& key) { return store.contains(key); });
-  // One clean-prefix cache per run, shared by its deployments: each
+  ResultStore& store = *prepared.store;
+  // One clean-prefix cache per sweep, shared by its deployments: each
   // boundary is built once, by whichever thread needs it first.
   const auto prefix = std::make_shared<PrefixCache>();
   parallel_claim<Deployment>(
-      pending.size(), spec.max_workers,
+      prepared.pending.size(), spec.max_workers,
       // Evaluation corrupts and restores model weights, so every thread
       // deploys a private copy (cheap: a zoo cache load).
       [&] {
@@ -148,13 +157,27 @@ std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
         // evaluated is persisted, so stopping here loses no work.
         // parallel_claim rethrows this on the caller.
         context.throw_if_cancelled(spec.experiment);
-        sweep.evaluate(deployment, pending[p], store);
+        // A cell filled since the prepare stage — by an earlier sweep of
+        // the run over the same store, or a concurrent serve tenant — is
+        // not evaluated twice.
+        const std::size_t i = prepared.pending[p];
+        const std::vector<std::string>& keys = sweep.cells[i].keys;
+        if (std::all_of(keys.begin(), keys.end(), [&](const std::string& key) {
+              return store.contains(key);
+            })) {
+          return;
+        }
+        sweep.evaluate(deployment, i, store);
       });
+}
 
+std::vector<SweptCell> collect_sweep(const PreparedSweep& prepared) {
+  const std::vector<SweepCell>& cells = prepared.sweep->cells;
+  const ResultStore& store = *prepared.store;
   // Assemble in declaration order: execution order never leaks out.
   std::vector<SweptCell> swept(cells.size());
-  for (const std::size_t i : pending) swept[i].fresh = true;
-  if (!store_path.empty()) {
+  for (const std::size_t i : prepared.pending) swept[i].fresh = true;
+  if (!store.csv_path().empty()) {
     // One hit per key of a distinct cell read from the store, one miss per
     // key of a cell evaluated; the read-back below counts nothing.
     static metrics::Counter& hits = metrics::counter("store.lookup_hits");
@@ -171,11 +194,20 @@ std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
       const auto value = store.lookup(key);
       SAFELIGHT_ASSERT(value.has_value(), "sweep: cell '" + cells[i].id +
                                               "' missing '" + key +
-                                              "' after fan-out");
+                                              "' after evaluation");
       swept[i].values.push_back(*value);
     }
   }
   return swept;
+}
+
+std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
+                                   const RunContext& context,
+                                   const CellSweep& sweep) {
+  const ExperimentSetup setup = spec.resolved_setup();
+  const PreparedSweep prepared = prepare_sweep(spec, setup, context, sweep, 0);
+  evaluate_pending(spec, setup, context, prepared);
+  return collect_sweep(prepared);
 }
 
 CellSweep scenario_sweep(const ExperimentSpec& spec,

@@ -5,31 +5,27 @@
 // variant, fill a set of store keys per cell, assemble a report". A cell is
 // a stable id plus the ResultStore keys its evaluation fills. An experiment
 // declares its sweeps as data (CellSweep: variant, store suffix, cells,
-// whether its deployments carry a detector suite, evaluate), the registry
-// (ExperimentRegistry::run) hands each one to sweep_cells, and the engine
-// owns the whole shape once:
-//   * the variant is trained (or loaded) through the ModelZoo on the calling
-//     thread, so fan-out threads only ever load the finished entry;
-//   * the sweep's ResultStore is opened under the spec's cache_dir, named by
-//     sweep_store_name;
-//   * cells are deduplicated by id, and a cell is pending when any of its
-//     keys is missing (an interrupt can land between a cell's flushes);
-//     one key listed under two different ids is a declaration bug;
-//   * pending cells fan out over safelight::parallel_claim: threads claim
-//     cells one at a time, each on a private Deployment around its own
-//     model copy (evaluation mutates weights, so threads never share one);
-//     the deployments of one run share one clean-prefix cache, freed when
-//     the run returns;
-//   * the RunContext's cancel flag is checked at every cell boundary —
-//     everything evaluated so far is persisted, so a rerun resumes;
-//   * values come back per cell in declaration order, with a flag saying
-//     whether this sweep evaluated the cell or read it from the store.
+// whether its deployments carry a detector suite, evaluate), and the
+// registry (ExperimentRegistry::run) takes all of a run's sweeps through
+// the engine's three stages:
+//   * prepare: the variant is trained (or loaded) on the calling thread;
+//     the ResultStore named by sweep_store_name is opened under the spec's
+//     cache_dir; cells are deduplicated by id, and a cell is pending when
+//     any of its keys is missing (an interrupt can land between a cell's
+//     flushes); one key listed under two different ids is a declaration bug;
+//   * evaluate: in process, pending cells fan out over parallel_claim, each
+//     thread on a private Deployment around its own model copy (evaluation
+//     mutates weights), the deployments of a sweep sharing one clean-prefix
+//     cache, with the cancel flag checked at every cell boundary (all that
+//     was evaluated is persisted, so a rerun resumes). A RunContext
+//     evaluate hook (the dist fleet) takes this stage for all the sweeps of
+//     a run at once instead; its workers evaluate on the same Deployment
+//     (evaluate_cell_rows) and the fleet appends their rows to the stores;
+//   * collect: values come back per cell in declaration order, with a flag
+//     saying whether the run evaluated the cell or read it from the store.
 // Results never depend on execution order, so a sweep is deterministic in
-// (spec, variant, cells) and identical between serial and parallel runs.
-// The distributed layer (src/dist) evaluates subsets of the same
-// declarations in worker processes on the same Deployment
-// (evaluate_cell_rows) and appends their rows to the same stores, so both
-// paths agree on cells, keys, store names and how a variant is deployed.
+// (spec, variant, cells) and identical between serial, parallel and
+// distributed runs.
 //
 // scenario_sweep() declares the scenario sweep on top of it: a variant's
 // clean baseline plus one accuracy per scenario of a grid, read back in
@@ -68,10 +64,9 @@ struct SweptCell {
 };
 
 /// Indices of the cells a sweep must evaluate, in declaration order: the
-/// first cell of each id that has a key `stored` does not report. Shared
-/// by the engine and the distributed planner, so both agree on what is
-/// cached by construction. Throws std::logic_error when one key is listed
-/// under two different ids (two cells would race to append it).
+/// first cell of each id that has a key `stored` does not report. Throws
+/// std::logic_error when one key is listed under two different ids (two
+/// cells would race to append it).
 std::vector<std::size_t> pending_cells(
     const std::vector<SweepCell>& cells,
     const std::function<bool(const std::string&)>& stored);
@@ -120,21 +115,47 @@ std::vector<std::pair<std::string, double>> evaluate_cell_rows(
 /// trained weights.
 std::string weights_checksum(nn::Sequential& model);
 
-/// File name of the store of `sweep`, the one the engine, the dist planner
-/// and its workers all use: setup tag, variant, weights checksum (retrained
+/// File name of the store of `sweep`, the one the engine and the dist
+/// workers both use: setup tag, variant, weights checksum (retrained
 /// weights never read stale entries), corruption fingerprint and suffix.
 std::string sweep_store_name(const ExperimentSetup& setup,
                              const attack::CorruptionConfig& corruption,
                              const CellSweep& sweep,
                              const std::string& weights_checksum);
 
-/// Runs one declared sweep under `spec` (setup, cache_dir, max_workers)
-/// and `context` (zoo, cancel flag). The store is
-/// `<spec.cache_dir>/<sweep_store_name>`, in memory when cache_dir is
-/// empty. Throws ExperimentCancelled at the first cell boundary after
-/// context.cancel flips. The whole call, training included, runs in one
-/// trace span: `defense.sweep` for detector sweeps, `pipeline.sweep` for
-/// the others.
+/// One declared sweep after the prepare stage.
+struct PreparedSweep {
+  const CellSweep* sweep = nullptr;  // the declaration, owned by the caller
+  std::size_t index = 0;   // its position in the experiment's sweeps(spec)
+  std::string store_name;  // sweep_store_name, also when not persisted
+  std::shared_ptr<ResultStore> store;  // the process's one instance
+  std::vector<std::size_t> pending;    // pending_cells, declaration order
+};
+
+/// Prepare stage of declared sweep `index` (`setup` is
+/// spec.resolved_setup()): trains or loads its variant through
+/// context.zoo(), opens `<spec.cache_dir>/<sweep_store_name>` (in memory
+/// when cache_dir is empty) and computes its pending cells.
+PreparedSweep prepare_sweep(const ExperimentSpec& spec,
+                            const ExperimentSetup& setup,
+                            const RunContext& context, const CellSweep& sweep,
+                            std::size_t index);
+
+/// Evaluate stage in process: fans the pending cells out over
+/// spec.max_workers threads into the store. Throws ExperimentCancelled at
+/// the first cell boundary after context.cancel flips. One trace span:
+/// `defense.sweep` for detector sweeps, `pipeline.sweep` for the others.
+void evaluate_pending(const ExperimentSpec& spec, const ExperimentSetup& setup,
+                      const RunContext& context,
+                      const PreparedSweep& prepared);
+
+/// Collect stage: one store.lookup_misses per key of a distinct pending
+/// cell, one store.lookup_hits per key of a distinct stored one (persisted
+/// stores only), then every cell read back in declaration order.
+std::vector<SweptCell> collect_sweep(const PreparedSweep& prepared);
+
+/// One standalone sweep through the three stages, in process whatever hook
+/// `context` carries (ablations, tests).
 std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
                                    const RunContext& context,
                                    const CellSweep& sweep);

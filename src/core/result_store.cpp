@@ -183,6 +183,10 @@ std::shared_ptr<ResultStore> ResultStore::open(const std::string& csv_path) {
 ResultStore::ResultStore(std::string csv_path)
     : csv_path_(std::move(csv_path)), lock_(csv_path_) {
   if (csv_path_.empty()) return;
+  // Registered up front, so a process that opened a persisted store
+  // reports its writes as 0 rather than leaving the counters out.
+  metrics::counter("store.appends");
+  metrics::counter("store.flushes");
   // An interrupted run may leave a torn final row, which must not prevent
   // the resume it exists to enable: the tear is cut off and its cell simply
   // re-evaluates. Other malformed rows are skipped by the tolerant reader.

@@ -8,11 +8,14 @@
 
 namespace safelight::core {
 
+namespace {
+
+/// The inner mitigation spec robust_compare selects its robust variant
+/// with when `spec.robust_variant` is empty. Mitigation's own defaults keep
+/// its paper seed count (3); only the settings that define "the same
+/// experiment" carry over. The selection must rank variants under the same
+/// attack model the comparison uses, hence the corruption copy.
 ExperimentSpec robust_compare_selection_spec(const ExperimentSpec& spec) {
-  // Mitigation's own defaults keep its paper seed count (3); only the
-  // settings that define "the same experiment" carry over. The selection
-  // must rank variants under the same attack model the comparison uses,
-  // hence the corruption copy.
   ExperimentSpec mitigation_spec =
       ExperimentRegistry::global().default_spec("mitigation");
   mitigation_spec.model = spec.model;
@@ -25,8 +28,6 @@ ExperimentSpec robust_compare_selection_spec(const ExperimentSpec& spec) {
   mitigation_spec.corruption = spec.corruption;
   return mitigation_spec;
 }
-
-namespace {
 
 /// The comparison grid robust_compare sweeps for Original and the robust
 /// variant: one combined grid (2 vectors x CONV+FC x {1, 5, 10} % x

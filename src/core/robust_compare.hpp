@@ -33,13 +33,4 @@ struct RobustComparisonReport {
   std::vector<RobustComparisonCell> cells;  // 2 vectors x 3 fractions
 };
 
-/// The inner mitigation spec robust_compare uses to select its robust
-/// variant when `spec.robust_variant` is empty: mitigation's own defaults
-/// (notably its paper seed count) with the comparison's model/scale/seed/
-/// corruption settings copied over. Exposed so the distributed planner can
-/// shard the selection sweeps with exactly the cache keys the in-process
-/// run will look up.
-struct ExperimentSpec;
-ExperimentSpec robust_compare_selection_spec(const ExperimentSpec& spec);
-
 }  // namespace safelight::core

@@ -28,9 +28,9 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "common/config.hpp"
+#include "core/pipeline.hpp"
 #include "core/result_store.hpp"
 #include "core/zoo.hpp"
-#include "dist/plan.hpp"
 #include "dist/protocol.hpp"
 #include "nn/backend.hpp"
 
@@ -105,11 +105,24 @@ struct WorkerSlot {
   Clock::time_point last_heard{};
 };
 
+struct DistSummary {
+  std::size_t workers = 0;
+  std::size_t tasks = 0;      // tasks dispatched across all hand-offs
+  std::size_t completed = 0;  // tasks finished (done event received)
+  std::size_t retries = 0;    // requeues after a failure
+  std::size_t crashes = 0;    // worker deaths (incl. injected plug pulls)
+  std::size_t hang_kills = 0; // heartbeat-timeout SIGKILLs
+  std::size_t rounds = 0;     // evaluate hand-offs (registry runs)
+  std::vector<QuarantinedTask> quarantined;
+  double wall_seconds = 0.0;  // spent inside evaluate hand-offs
+};
+
 struct TaskState {
   /// task.cells holds only the cells whose rows have not arrived yet, so a
   /// requeued task resumes where its dead worker stopped.
   TaskMessage task;
   std::vector<std::vector<std::string>> keys;  // declared keys of task.cells
+  std::shared_ptr<core::ResultStore> store;   // the prepared store
   std::size_t failures = 0;  // failed attempts since rows last arrived
   std::string last_error;
   Clock::time_point eligible_at{};  // backoff gate for re-dispatch
@@ -117,27 +130,34 @@ struct TaskState {
   bool quarantined = false;
 };
 
+}  // namespace
+
 class Coordinator {
  public:
-  Coordinator(const core::ExperimentSpec& spec, core::ModelZoo& zoo,
-              const DistOptions& options, DistSummary& summary)
-      : spec_(spec),
-        zoo_(zoo),
-        options_(options),
-        summary_(summary),
-        planner_(spec) {
-    require(options_.workers >= 1, "run_distributed: workers must be >= 1");
+  Coordinator(core::ModelZoo& zoo, const DistOptions& options)
+      : zoo_(zoo), options_(options) {
+    require(options_.workers >= 1, "dist::Fleet: workers must be >= 1");
     // The fingerprint every worker hello must match: identical across
     // hosts and backend variants for a conforming binary, different only
     // when the kernel math differs (nn/backend.hpp).
     expected_kernel_ = nn::backend::kernel_fingerprint();
     binary_ = config::dist_bin();
-
-    log_dir_ = spec_.cache_dir + "/dist/logs";
-    std::filesystem::create_directories(log_dir_);
+    log_dir_ = zoo_.directory() + "/dist/logs";
     slots_.resize(options_.workers);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       slots_[i].slot = static_cast<int>(i);
+    }
+    summary_.workers = options_.workers;
+    if (trace::armed()) {
+      // One merged fleet trace: the coordinator's own spans are pid 1, each
+      // worker slot gets a stable pid (respawns keep their predecessor's
+      // track — the slot, not the generation, is the unit of scheduling).
+      trace::set_track_name(1, "coordinator");
+      for (const WorkerSlot& slot : slots_) {
+        trace::set_track_name(
+            2 + static_cast<std::uint32_t>(slot.slot),
+            "worker w" + std::to_string(slot.slot));
+      }
     }
   }
 
@@ -154,34 +174,76 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  DistStatus run() {
+  void evaluate(const core::ExperimentSpec& spec,
+                const std::vector<core::PreparedSweep>& sweeps) {
+    ++summary_.rounds;
+    std::size_t total_pending = 0;
+    for (const core::PreparedSweep& prepared : sweeps) {
+      total_pending += prepared.pending.size();
+    }
+    if (total_pending == 0) return;
     const Clock::time_point start = Clock::now();
-    if (trace::armed()) {
-      // One merged fleet trace: the coordinator's own spans are pid 1, each
-      // worker slot gets a stable pid (respawns keep their predecessor's
-      // track — the slot, not the generation, is the unit of scheduling).
-      trace::set_track_name(1, "coordinator");
-      for (const WorkerSlot& slot : slots_) {
-        trace::set_track_name(
-            2 + static_cast<std::uint32_t>(slot.slot),
-            "worker w" + std::to_string(slot.slot));
+    // Every sweep of the run in one hand-off, chunked by one rule: the
+    // fleet never idles between the sweeps of an experiment.
+    const std::size_t chunk = std::clamp<std::size_t>(
+        total_pending / (options_.workers * 4), 1, 32);
+    const std::string shipped_spec = core::spec_to_json(spec);
+    for (const core::PreparedSweep& prepared : sweeps) {
+      const std::vector<core::SweepCell>& cells = prepared.sweep->cells;
+      for (std::size_t begin = 0; begin < prepared.pending.size();
+           begin += chunk) {
+        TaskState state;
+        state.task = {next_task_id_++, spec.experiment, shipped_spec,
+                      prepared.index, prepared.store_name, {}};
+        state.store = prepared.store;
+        const std::size_t end =
+            std::min(begin + chunk, prepared.pending.size());
+        for (std::size_t p = begin; p < end; ++p) {
+          const core::SweepCell& cell = cells[prepared.pending[p]];
+          state.task.cells.push_back(cell.id);
+          state.keys.push_back(cell.keys);
+        }
+        pending_.push_back(state.task.id);
+        tasks_.emplace(state.task.id, std::move(state));
       }
     }
-    DistStatus status = DistStatus::kComplete;
-    while (auto tasks = planner_.next_round(zoo_, options_.workers)) {
-      ++summary_.rounds;
-      if (tasks->empty()) continue;
-      run_round(*tasks);
-      if (!summary_.quarantined.empty()) {
-        // A later round planned on top of a quarantined one would silently
-        // recompute the lost cells in-process; stop loudly instead.
-        status = DistStatus::kQuarantined;
+    summary_.tasks += tasks_.size();
+    const std::size_t quarantined_before = summary_.quarantined.size();
+    finished_ = 0;
+    // The coordinator may have spent a while training since the last event
+    // read; do not count that silence against the workers.
+    for (WorkerSlot& slot : slots_) {
+      if (slot.alive) slot.last_heard = start;
+    }
+    bool cancelled = false;
+    while (finished_ < tasks_.size()) {
+      if (options_.cancel != nullptr && options_.cancel->load()) {
+        cancelled = true;
         break;
       }
+      reap_exited();
+      check_heartbeats();
+      respawn_dead();
+      dispatch();
+      poll_events(/*timeout_ms=*/100);
     }
+    // Rows still in flight are appended while the workers drain, so the
+    // partial results of a cancelled run stay cached.
+    if (cancelled) shutdown_workers();
+    if (cancelled) throw core::ExperimentCancelled(spec.experiment);
+    // Every task finished; release the stores they hold.
+    tasks_.clear();
+    summary_.wall_seconds += seconds_between(start, Clock::now());
+    if (summary_.quarantined.size() > quarantined_before) {
+      throw QuarantinedError(
+          {summary_.quarantined.begin() +
+               static_cast<std::ptrdiff_t>(quarantined_before),
+           summary_.quarantined.end()});
+    }
+  }
+
+  void finish() {
     shutdown_workers();
-    summary_.workers = options_.workers;
-    summary_.wall_seconds = seconds_between(start, Clock::now());
     std::printf(
         "[dist] summary: workers=%zu tasks=%zu completed=%zu retries=%zu "
         "hang_kills=%zu crashes=%zu quarantined=%zu rounds=%zu "
@@ -190,7 +252,6 @@ class Coordinator {
         summary_.retries, summary_.hang_kills, summary_.crashes,
         summary_.quarantined.size(), summary_.rounds, summary_.wall_seconds);
     std::fflush(stdout);
-    return status;
   }
 
  private:
@@ -239,6 +300,7 @@ class Coordinator {
                                std::strerror(errno));
     }
 
+    std::filesystem::create_directories(log_dir_);
     const std::string log_path =
         log_dir_ + "/w" + std::to_string(slot.slot) + ".log";
     std::vector<std::string> args = worker_args(slot);
@@ -379,7 +441,7 @@ class Coordinator {
   }
 
   void respawn_dead() {
-    if (round_finished_ >= round_total_) return;
+    if (finished_ >= tasks_.size()) return;
     for (WorkerSlot& slot : slots_) {
       if (!slot.alive) spawn(slot);
     }
@@ -420,7 +482,7 @@ class Coordinator {
 
   void quarantine(TaskState& state) {
     state.quarantined = true;
-    ++round_finished_;
+    ++finished_;
     QuarantinedTask record{state.task.id, state.task.store, state.task.cells,
                            state.failures, state.last_error};
     std::string joined;
@@ -550,7 +612,7 @@ class Coordinator {
     }
 
     trace::Span append_span("dist", "dist.append");
-    const auto appended = stores_.at(state->task.store)->put(event.rows);
+    const auto appended = state->store->put(event.rows);
     append_span.arg("task", static_cast<double>(event.task_id))
         .arg("rows", static_cast<double>(appended));
     const auto at = static_cast<std::ptrdiff_t>(j);
@@ -562,7 +624,7 @@ class Coordinator {
   void complete(TaskState& state) {
     state.completed = true;
     ++summary_.completed;
-    ++round_finished_;
+    ++finished_;
     static metrics::Counter& completed =
         metrics::counter("dist.tasks_completed");
     completed.add();
@@ -672,61 +734,12 @@ class Coordinator {
         process_lines(slot);
       } else if (n == 0) {
         // EOF: the worker exited; reap it here so the death is attributed
-        // before the next dispatch round.
+        // before the next dispatch.
         int status = 0;
         ::waitpid(slot.pid, &status, 0);
         handle_death(slot, describe_exit(status), /*hung=*/false);
       }
     }
-  }
-
-  // ---- rounds -------------------------------------------------------------
-
-  void run_round(const std::vector<PlannedTask>& round_tasks) {
-    summary_.tasks += round_tasks.size();
-    round_total_ = round_tasks.size();
-    round_finished_ = 0;
-    // The coordinator writes the workers' rows through the process's one
-    // instance of each store, opened before the first dispatch; an
-    // in-process sweep of the same file (robust_compare's round-2 resolve)
-    // shares it.
-    for (const PlannedTask& planned : round_tasks) {
-      std::shared_ptr<core::ResultStore>& store =
-          stores_[planned.message.store];
-      if (!store) {
-        store = core::ResultStore::open(spec_.cache_dir + "/" +
-                                        planned.message.store);
-      }
-      TaskState state;
-      state.task = planned.message;
-      state.keys = planned.keys;
-      pending_.push_back(state.task.id);
-      tasks_.emplace(state.task.id, std::move(state));
-    }
-    // The planner may have spent a while training since the last event
-    // read; do not count that silence against the workers.
-    const Clock::time_point round_start = Clock::now();
-    for (WorkerSlot& slot : slots_) {
-      if (slot.alive) slot.last_heard = round_start;
-    }
-
-    bool cancelled = false;
-    while (round_finished_ < round_total_) {
-      if (options_.cancel != nullptr && options_.cancel->load()) {
-        cancelled = true;
-        break;
-      }
-      reap_exited();
-      check_heartbeats();
-      respawn_dead();
-      dispatch();
-      poll_events(/*timeout_ms=*/100);
-    }
-
-    // Rows still in flight are appended while the workers drain, so the
-    // partial results of a cancelled round stay cached.
-    if (cancelled) shutdown_workers();
-    if (cancelled) throw core::ExperimentCancelled(spec_.experiment);
   }
 
   void shutdown_workers() {
@@ -741,7 +754,7 @@ class Coordinator {
       slot.task_fd = -1;
     }
     // Keep reading event pipes until EOF: workers flush their final
-    // telemetry (trailing span buffer, one metrics snapshot) between the
+    // telemetry (trailing span buffer and metrics delta) between the
     // shutdown command and exit, and a payload larger than the pipe buffer
     // would deadlock a worker against a coordinator that only waitpid()s.
     // At EOF, handle_death only drains and closes while shutting down.
@@ -785,32 +798,38 @@ class Coordinator {
     shutting_down_ = false;
   }
 
-  const core::ExperimentSpec& spec_;
+  SigpipeGuard sigpipe_;
   core::ModelZoo& zoo_;
-  const DistOptions& options_;
-  DistSummary& summary_;
-  DistPlanner planner_;
+  const DistOptions options_;
+  DistSummary summary_;
   std::string binary_;
   std::string expected_kernel_;
   std::string log_dir_;
   std::vector<WorkerSlot> slots_;
-  // The canonical stores of every round so far, by file name.
-  std::map<std::string, std::shared_ptr<core::ResultStore>> stores_;
+  // The tasks of the current hand-off, and how many of them are completed
+  // or quarantined.
   std::map<std::uint64_t, TaskState> tasks_;
+  std::size_t finished_ = 0;
   std::deque<std::uint64_t> pending_;
-  std::size_t round_total_ = 0;
-  std::size_t round_finished_ = 0;
+  std::uint64_t next_task_id_ = 1;
   bool shutting_down_ = false;
 };
 
-}  // namespace
+QuarantinedError::QuarantinedError(std::vector<QuarantinedTask> lost)
+    : std::runtime_error("safelight: " + std::to_string(lost.size()) +
+                         " dist task(s) quarantined"),
+      tasks(std::move(lost)) {}
 
-DistStatus run_distributed(const core::ExperimentSpec& spec,
-                           core::ModelZoo& zoo, const DistOptions& options,
-                           DistSummary& summary) {
-  SigpipeGuard sigpipe;
-  Coordinator coordinator(spec, zoo, options, summary);
-  return coordinator.run();
+Fleet::Fleet(core::ModelZoo& zoo, const DistOptions& options)
+    : coordinator_(std::make_unique<Coordinator>(zoo, options)) {}
+
+Fleet::~Fleet() = default;
+
+void Fleet::evaluate(const core::ExperimentSpec& spec,
+                     const std::vector<core::PreparedSweep>& sweeps) {
+  coordinator_->evaluate(spec, sweeps);
 }
+
+void Fleet::finish() { coordinator_->finish(); }
 
 }  // namespace safelight::dist

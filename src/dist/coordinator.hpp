@@ -1,8 +1,17 @@
-// Fault-tolerant sweep coordinator.
+// Fault-tolerant fleet of sweep workers: the evaluate stage of every
+// registry run under `safelight run --workers N`.
 //
-// Spawns N `safelight worker` subprocesses, streams the DistPlanner's task
-// rounds to them over NDJSON pipes, and survives everything a worker can do
-// wrong:
+// cmd_run builds one Fleet per invocation and installs Fleet::evaluate as
+// the RunContext evaluate hook (core/experiment.hpp), so the registry's
+// ordinary run loop prepares each declared sweep in the coordinator
+// (training, store open, pending cells) and hands the fleet the pending
+// cells of all of a run's sweeps at once. The fleet chunks them into
+// tasks, spawns its N `safelight worker` subprocesses on the first task,
+// streams the tasks to them over NDJSON pipes and appends the rows they
+// send into the prepared stores; the registry then collects and assembles
+// exactly as in process, so distributed output is byte-identical to a
+// single-process run by construction. It survives everything a worker can
+// do wrong:
 //   * crash (any exit, including the injected std::_Exit(42) plug pulls)
 //     -> the in-flight task is requeued with capped exponential backoff,
 //        holding only the cells whose rows never arrived, and the slot is
@@ -11,25 +20,23 @@
 //        backoff and quarantine count only consecutive failed attempts
 //        that delivered no rows (a cell's rows arriving resets the count);
 //   * hang (SIGSTOP, livelock) -> heartbeat silence past the timeout gets
-//     the process SIGKILLed and handled like a crash;
+//     the process SIGKILLed and handled like a crash; liveness restarts at
+//     every hand-off, since the coordinator trains between them;
 //   * poison task (fails deterministically every time) -> after
 //     max_task_retries + 1 such failures the task is quarantined: the
-//     sweep completes without it, the report names every lost cell, and
-//     the run exits nonzero instead of pretending to be complete.
+//     hand-off completes without it and throws QuarantinedError naming
+//     every lost cell, and the CLI skips that model and exits 3 instead of
+//     pretending to be complete.
 // Each task has exactly one owner at a time: the slot it was dispatched
 // to. A slow worker is simply waited for; only one of the failures above
 // puts its task back in the queue.
 //
 // The coordinator is the only writer of the canonical stores. A worker
 // sends each evaluated cell's rows as a `cell` event (dist/protocol.hpp);
-// the coordinator appends them through the process's one instance of each
-// store (core::ResultStore::open), opened before a round's first dispatch
-// and held until the run ends. It accepts only the declared keys of an
-// outstanding cell of the sending slot's task; ResultStore::put skips a
-// key already stored with the same bytes and makes one stored with
-// different bytes a hard error. After the last round the caller replays the
-// experiment in-process against the warmed cache — distributed output is
-// therefore byte-identical to a single-process run by construction.
+// the fleet accepts only the declared keys of an outstanding cell of the
+// sending slot's task and puts them into the store instance the prepare
+// stage opened; ResultStore::put skips a key already stored with the same
+// bytes and makes one stored with different bytes a hard error.
 //
 // A worker is configured by its command line alone: the coordinator passes
 // its resolved --zoo, --threads, --backend, --heartbeat-timeout, --trace and
@@ -42,6 +49,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -88,33 +97,43 @@ struct QuarantinedTask {
   std::string last_error;
 };
 
-struct DistSummary {
-  std::size_t workers = 0;
-  std::size_t tasks = 0;      // tasks planned across all rounds
-  std::size_t completed = 0;  // tasks finished (done event received)
-  std::size_t retries = 0;    // requeues after a failure
-  std::size_t crashes = 0;    // worker deaths (incl. injected plug pulls)
-  std::size_t hang_kills = 0; // heartbeat-timeout SIGKILLs
-  std::size_t rounds = 0;
-  std::vector<QuarantinedTask> quarantined;
-  double wall_seconds = 0.0;
+/// Thrown by Fleet::evaluate once every task of the hand-off finished or
+/// was quarantined, when any was: the run's stores lack those cells.
+class QuarantinedError : public std::runtime_error {
+ public:
+  explicit QuarantinedError(std::vector<QuarantinedTask> lost);
+  std::vector<QuarantinedTask> tasks;
 };
 
-enum class DistStatus {
-  kComplete,     // every planned task finished; caches fully warmed
-  kQuarantined,  // sweep finished minus quarantined tasks; caller must
-                 // surface the loss and exit nonzero
-};
+class Coordinator;  // dist/coordinator.cpp
 
-/// Runs spec.experiment's declared sweeps distributed across
-/// options.workers subprocesses (config::dist_bin(): SAFELIGHT_DIST_BIN,
-/// else this binary), warming spec.cache_dir's stores. Prints a one-line
-/// machine-parsable summary ("[dist] summary: ...") on completion. Throws
-/// core::ExperimentCancelled on cancel, std::runtime_error on refused
-/// worker rows (a store conflict, an undeclared key or cell) or a spawn
-/// failure.
-DistStatus run_distributed(const core::ExperimentSpec& spec,
-                           core::ModelZoo& zoo, const DistOptions& options,
-                           DistSummary& summary);
+/// options.workers `safelight worker` subprocesses (config::dist_bin():
+/// SAFELIGHT_DIST_BIN, else this binary) serving one CLI invocation. They
+/// are spawned on the first task and live until finish() or destruction
+/// (which kills any still running).
+class Fleet {
+ public:
+  Fleet(core::ModelZoo& zoo, const DistOptions& options);
+  ~Fleet();
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
+
+  /// The RunContext evaluate hook: chunks the pending cells of all of
+  /// `sweeps` into tasks of clamp(pending / (workers * 4), 1, 32) cells —
+  /// a lost task forfeits little work, per-task overhead stays amortized —
+  /// runs them on the workers and appends their rows into the prepared
+  /// stores. Throws QuarantinedError (see above), core::ExperimentCancelled
+  /// on cancel, std::runtime_error on refused worker rows (a store
+  /// conflict, an undeclared key or cell) or a spawn failure.
+  void evaluate(const core::ExperimentSpec& spec,
+                const std::vector<core::PreparedSweep>& sweeps);
+
+  /// Shuts the workers down and prints the one machine-parsable summary
+  /// line of the invocation ("[dist] summary: workers=N tasks=N ...").
+  void finish();
+
+ private:
+  std::unique_ptr<Coordinator> coordinator_;
+};
 
 }  // namespace safelight::dist

@@ -40,9 +40,11 @@
 // Telemetry events exist so an armed coordinator can merge the whole
 // fleet's observability into one Chrome trace / one metrics registry: a
 // worker armed for buffering (it was passed --trace) drains its span buffer
-// after every task (and at shutdown), and ships one metrics snapshot right
-// before exiting. Telemetry doubles ride as %.17g strings, which strtod
-// reads back bit for bit.
+// after every task (and at shutdown), and one armed for metrics ships the
+// delta of its registry since the last one right behind every cell event
+// (and at shutdown); the coordinator adds the deltas up.
+// Telemetry doubles ride as %.17g strings, which strtod reads back bit for
+// bit.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +94,7 @@ struct EventMessage {
   std::uint64_t evaluated = 0;  // kDone: cells the task evaluated
   std::string message;          // kFatal: exception text
   std::vector<trace::RawEvent> spans;  // kTrace: drained span buffer
-  metrics::Snapshot metrics;           // kMetrics: worker registry snapshot
+  metrics::Snapshot metrics;           // kMetrics: worker registry delta
 };
 
 /// Encoders return one complete line including the trailing '\n'.

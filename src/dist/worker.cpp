@@ -219,6 +219,18 @@ std::unique_ptr<KeptSweep> deploy(const TaskMessage& task,
                                      std::move(model), std::move(store_name));
 }
 
+/// Ships what the registry counted since the last call, then zeroes it and
+/// stays armed (a worker writes no metrics file): the coordinator adds the
+/// deltas up.
+void ship_metrics(ProtocolWriter& writer) {
+  if (!metrics::armed()) return;
+  EventMessage event;
+  event.type = EventMessage::Type::kMetrics;
+  event.metrics = metrics::snapshot();
+  metrics::arm_collection();
+  writer.send(event);
+}
+
 /// Evaluates every cell of `task` in order and sends each cell's rows the
 /// moment it is done, so a crash loses only the cell in flight.
 void run_task(const TaskMessage& task, KeptSweep& kept, const Seams& seams,
@@ -257,6 +269,9 @@ void run_task(const TaskMessage& task, KeptSweep& kept, const Seams& seams,
         static_cast<std::size_t>(it - sweep.cells.begin()));
     fault::ptp("dist.worker.cell");  // crash: this cell's rows never sent
     writer.send(cell);
+    // The cell's counts travel right behind its rows: a crash loses only
+    // the counts of a cell its retry evaluates again.
+    ship_metrics(writer);
     ++done.evaluated;
   }
 }
@@ -294,8 +309,10 @@ int run_worker(const WorkerOptions& options) {
   HeartbeatThread heartbeat(writer, options.heartbeat_interval_s);
   core::ModelZoo zoo(options.zoo_dir);
   const Seams seams = read_seams();
-  // Keyed by (experiment, spec document, sweep index).
-  std::map<std::string, std::unique_ptr<KeptSweep>> kept_sweeps;
+  // The deployments of the one spec document the latest task named, by
+  // sweep index: a worker serving a whole run-all holds one experiment's.
+  std::string kept_document;
+  std::map<std::size_t, std::unique_ptr<KeptSweep>> kept_sweeps;
 
   LineReader reader(options.protocol_in);
   while (auto line = reader.next_line()) {
@@ -306,9 +323,11 @@ int run_worker(const WorkerOptions& options) {
     done.type = EventMessage::Type::kDone;
     done.task_id = task.id;
     try {
-      std::unique_ptr<KeptSweep>& kept =
-          kept_sweeps[task.experiment + '\n' + task.spec + '\n' +
-                      std::to_string(task.sweep)];
+      if (kept_document != task.experiment + '\n' + task.spec) {
+        kept_sweeps.clear();
+        kept_document = task.experiment + '\n' + task.spec;
+      }
+      std::unique_ptr<KeptSweep>& kept = kept_sweeps[task.sweep];
       if (!kept) kept = deploy(task, zoo);
       {
         trace::Span task_span("dist", "worker.task");
@@ -328,17 +347,11 @@ int run_worker(const WorkerOptions& options) {
     }
     ship_trace(writer);
   }
-  // Final telemetry, after the shutdown command: the trailing span buffer
-  // (heartbeats since the last task) and one metrics snapshot — counters
-  // and histogram buckets merge additively on the coordinator, so exactly
-  // one snapshot per worker lifetime keeps the fleet totals honest.
+  // Final telemetry, after the shutdown command: what was recorded since
+  // the last task (heartbeats, mostly). Counters and histogram buckets
+  // merge additively on the coordinator, so the deltas sum to the totals.
   ship_trace(writer);
-  if (metrics::armed()) {
-    EventMessage event;
-    event.type = EventMessage::Type::kMetrics;
-    event.metrics = metrics::snapshot();
-    writer.send(event);
-  }
+  ship_metrics(writer);
   return 0;
 }
 

@@ -11,11 +11,16 @@
 // worker rebuilds that declaration, evaluates exactly the task's cells
 // through its own evaluate and sends each cell's rows to the coordinator
 // (core::evaluate_cell_rows) under exactly the keys and store file name
-// the in-process run uses. A worker writes no durable file: the
-// coordinator is the only writer of the canonical stores, and a retried
-// task holds only the cells whose rows it never received. Under --chaos
-// the fault point `dist.worker.cell`, just before a cell's rows are sent,
-// is where the plug is pulled.
+// the in-process run uses. One worker serves a whole CLI invocation, so it
+// keeps the declarations and deployments of one spec document at a time:
+// a task naming another document replaces them. A worker writes no
+// durable file: the coordinator is the only writer of the canonical
+// stores, and a retried task holds only the cells whose rows it never
+// received. Behind each cell's rows it ships the delta of its metrics
+// registry, and after each task its buffered spans, so a crash loses only
+// the counts of a cell its retry evaluates again. Under --chaos the fault
+// point `dist.worker.cell`, just before a cell's rows are sent, is where
+// the plug is pulled.
 //
 // A heartbeat thread writes {"type":"heartbeat"} every interval (a quarter
 // of the --heartbeat-timeout, clamped to [0.02, 1] s) so the coordinator can

@@ -43,7 +43,6 @@ struct ServeOptions {
   /// Stop flag polled by the serve loop (the CLI wires its SIGINT/SIGTERM
   /// cancellation flag here). nullptr = run until the process dies.
   const std::atomic<bool>* stop = nullptr;
-  bool verbose = false;
 };
 
 class Server {

@@ -1,6 +1,6 @@
-// Distributed sweep sharding: the planner's spec -> task invariant, the
-// coordinator as the one writer of the canonical stores, and the
-// coordinator/worker chaos harness (the wire protocol itself is covered by
+// Distributed sweep evaluation: the evaluate hand-off's spec -> task
+// invariant, the coordinator as the one writer of the canonical stores, and
+// the coordinator/worker chaos harness (the wire protocol itself is covered by
 // protocol_test.cpp, in the unit shard).
 //
 // The end-to-end tests spawn the real `safelight` binary (the coordinator
@@ -39,7 +39,6 @@
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"
 #include "dist/coordinator.hpp"
-#include "dist/plan.hpp"
 #include "dist/protocol.hpp"
 #include "nn/models.hpp"
 #include "nn/serialize.hpp"
@@ -50,14 +49,17 @@ namespace {
 
 using dist::TaskMessage;
 
-// The spec is the whole run: every task the planner sends, decoded and
-// rebuilt the way a worker rebuilds it (dist/worker.cpp deploy: parse the
-// shipped spec, take the named sweep of the named experiment, load its
-// variant, name its store), must name the store the planner read and
-// deploy the variant the in-process run declares. Together the tasks must
-// cover exactly the cells core::pending_cells leaves over the experiment's
-// declared sweeps — here with one cell per store already cached — each with
-// the keys its declaration lists, the only rows the coordinator accepts.
+// The spec is the whole run: every sweep a registry run hands the
+// RunContext evaluate hook (what the fleet ships), encoded and decoded as
+// the fleet does and rebuilt the way a worker rebuilds it (dist/worker.cpp
+// KeptSpec: parse the shipped spec, take the named sweep of the named
+// experiment, load its variant, name its store), must name the store the
+// prepare stage opened and deploy the variant the run declared. Each
+// hand-off must carry exactly the cells core::pending_cells leaves over the
+// store — here with one cell per store already cached — each with the keys
+// its declaration lists, the only rows the coordinator accepts. The hook
+// then fills the pending keys as the fleet would, so the run assembles and
+// an unpinned robust_compare hands off its selection and its comparison.
 TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
   TempDir dir("dist_plan_invariant");
   core::ModelZoo zoo(dir.path() + "/zoo");
@@ -66,8 +68,9 @@ TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
   const std::vector<core::VariantSpec> variants = core::paper_variants(kL2);
 
   for (const Scale scale : {Scale::kTiny, Scale::kDefault}) {
-    // Untrained zoo entries: the planner only loads them (for the store
-    // checksum), so the test never pays for training.
+    // Untrained zoo entries: the prepare stage only loads them (for the
+    // store checksum), and the hook evaluates nothing, so the test never
+    // pays for training.
     const core::ExperimentSetup setup =
         core::experiment_setup(nn::ModelId::kCnn1, scale);
     for (const core::VariantSpec& variant : variants) {
@@ -75,108 +78,121 @@ TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
       nn::save_model(*model, zoo.entry_path(setup, variant));
     }
 
+    // (experiment, pinned robust variant); mitigation sweeps every variant,
+    // whatever spec.variant names, and an empty robust variant selects one.
+    std::vector<std::pair<std::string, std::string>> runs;
     for (const std::string& experiment : registry.names()) {
       for (const core::VariantSpec& variant : variants) {
-        // mitigation sweeps every variant, whatever spec.variant names.
         if (experiment == "mitigation" && !variant.is_original()) continue;
-        SCOPED_TRACE(experiment + " / " + variant.name + " / " +
-                     to_string(scale));
-        core::ExperimentSpec spec = registry.default_spec(experiment);
-        spec.model = nn::ModelId::kCnn1;
-        spec.scale = scale;
-        spec.seed_count = 1;
-        spec.clean_runs = 2;
-        spec.variant = variant.name;
-        spec.l2_strength = kL2;
-        // Pinned, so robust_compare plans no selection sweep (which would
-        // evaluate the untrained models in-process).
-        spec.robust_variant = variant.name;
-        spec.cache_dir = dir.path() + "/stores/" + experiment + "_" +
-                         variant.name + "_" + to_string(scale);
-        std::filesystem::create_directories(spec.cache_dir);
-        const std::vector<core::CellSweep> declared =
-            registry.info(experiment).sweeps(spec);
-        ASSERT_FALSE(declared.empty());
+        runs.emplace_back(experiment, variant.name);
+      }
+    }
+    runs.emplace_back("robust_compare", "");
 
-        // Cache the first cell of every declared store, so the planner
-        // must read the canonical store under the name the engine uses.
-        std::vector<std::string> store_names;
-        for (const core::CellSweep& sweep : declared) {
-          const auto model =
-              zoo.get_or_train(setup, sweep.variant, /*verbose=*/false);
-          store_names.push_back(core::sweep_store_name(
-              setup, spec.corruption, sweep, core::weights_checksum(*model)));
-          core::ResultStore store(spec.cache_dir + "/" + store_names.back());
-          for (const std::string& key : sweep.cells[0].keys) {
-            store.put(key, 0.5);
-          }
-        }
+    for (const auto& [experiment, variant] : runs) {
+      SCOPED_TRACE(experiment + " / " + variant + " / " + to_string(scale));
+      core::ExperimentSpec spec = registry.default_spec(experiment);
+      spec.model = nn::ModelId::kCnn1;
+      spec.scale = scale;
+      spec.seed_count = 1;
+      spec.clean_runs = 2;
+      spec.variant = variant.empty() ? "Original" : variant;
+      spec.l2_strength = kL2;
+      spec.robust_variant = variant;
+      spec.cache_dir = dir.path() + "/stores/" + experiment + "_" + variant +
+                       "_" + to_string(scale);
+      std::filesystem::create_directories(spec.cache_dir);
 
-        dist::DistPlanner planner(spec);
-        std::vector<std::set<std::string>> planned(declared.size());
-        // Like a worker, rebuild once per (spec document, sweep).
-        std::map<std::pair<std::string, std::size_t>, std::string> rebuilt;
-        while (const auto round = planner.next_round(zoo, 2)) {
-          for (const dist::PlannedTask& planned_task : *round) {
-            const TaskMessage task =
-                dist::decode_task(dist::encode_task(planned_task.message));
-            EXPECT_EQ(task.experiment, experiment);
-            ASSERT_LT(task.sweep, declared.size());
-            std::string& store = rebuilt[{task.spec, task.sweep}];
-            if (store.empty()) {
-              const core::ExperimentSpec shipped =
-                  core::spec_from_json(task.spec);
-              const std::vector<core::CellSweep> sweeps =
-                  registry.info(task.experiment).sweeps(shipped);
-              ASSERT_LT(task.sweep, sweeps.size());
-              const core::CellSweep& sweep = sweeps[task.sweep];
-              const core::VariantSpec& expected =
-                  declared[task.sweep].variant;
-              EXPECT_EQ(sweep.variant.name, expected.name);
-              EXPECT_EQ(sweep.variant.weight_decay, expected.weight_decay);
-              EXPECT_EQ(sweep.variant.noise_sigma, expected.noise_sigma);
-              const core::ExperimentSetup shipped_setup =
-                  shipped.resolved_setup();
-              const auto model =
-                  zoo.get_or_train(shipped_setup, sweep.variant, false);
-              store = core::sweep_store_name(shipped_setup, shipped.corruption,
-                                             sweep,
-                                             core::weights_checksum(*model));
-            }
-            EXPECT_EQ(store, task.store);
-            EXPECT_EQ(task.store, store_names[task.sweep]);
-            ASSERT_EQ(planned_task.keys.size(), task.cells.size());
-            for (std::size_t j = 0; j < task.cells.size(); ++j) {
-              const std::string& id = task.cells[j];
-              EXPECT_TRUE(planned[task.sweep].insert(id).second)
-                  << "cell " << id << " planned twice";
-              const auto& cells = declared[task.sweep].cells;
-              const auto cell = std::find_if(
-                  cells.begin(), cells.end(),
-                  [&](const core::SweepCell& c) { return c.id == id; });
-              ASSERT_NE(cell, cells.end()) << id;
-              EXPECT_EQ(planned_task.keys[j], cell->keys) << id;
-            }
-          }
-        }
-
-        for (std::size_t s = 0; s < declared.size(); ++s) {
-          std::set<std::string> cached;
-          for (const auto& entry : core::read_store_entries(
-                   spec.cache_dir + "/" + store_names[s])) {
-            cached.insert(entry.key);
-          }
-          std::set<std::string> pending;
-          for (const std::size_t i : core::pending_cells(
-                   declared[s].cells, [&](const std::string& key) {
-                     return cached.count(key) > 0;
-                   })) {
-            pending.insert(declared[s].cells[i].id);
-          }
-          EXPECT_FALSE(pending.count(declared[s].cells[0].id));
-          EXPECT_EQ(planned[s], pending) << "sweep " << s;
+      // Cache the first cell of every declared store, so the prepare stage
+      // must read the canonical store under the name the worker computes.
+      std::set<std::string> warmed;
+      for (const core::CellSweep& sweep :
+           registry.info(experiment).sweeps(spec)) {
+        const auto model =
+            zoo.get_or_train(setup, sweep.variant, /*verbose=*/false);
+        const std::string name = core::sweep_store_name(
+            setup, spec.corruption, sweep, core::weights_checksum(*model));
+        warmed.insert(name);
+        core::ResultStore store(spec.cache_dir + "/" + name);
+        for (const std::string& key : sweep.cells[0].keys) {
+          store.put(key, 0.5);
         }
       }
+
+      std::vector<std::string> handed;  // experiment of each hand-off
+      core::RunContext context(zoo);
+      context.evaluate = [&](const core::ExperimentSpec& resolved,
+                             const std::vector<core::PreparedSweep>& sweeps) {
+        handed.push_back(resolved.experiment);
+        ASSERT_EQ(sweeps.size(),
+                  registry.info(resolved.experiment).sweeps(resolved).size());
+        for (const core::PreparedSweep& prepared : sweeps) {
+          const std::vector<core::SweepCell>& cells = prepared.sweep->cells;
+          // Exactly the pending cells of the store as it is on disk.
+          std::set<std::string> cached;
+          for (const auto& entry : core::read_store_entries(
+                   spec.cache_dir + "/" + prepared.store_name)) {
+            cached.insert(entry.key);
+          }
+          EXPECT_EQ(prepared.pending,
+                    core::pending_cells(cells, [&](const std::string& key) {
+                      return cached.count(key) > 0;
+                    }));
+          if (warmed.count(prepared.store_name)) {
+            EXPECT_NE(prepared.pending.front(), 0u);
+          }
+
+          TaskMessage sent{7, resolved.experiment,
+                           core::spec_to_json(resolved), prepared.index,
+                           prepared.store_name, {}};
+          for (const std::size_t i : prepared.pending) {
+            sent.cells.push_back(cells[i].id);
+          }
+          const TaskMessage task =
+              dist::decode_task(dist::encode_task(sent));
+
+          const core::ExperimentSpec shipped = core::spec_from_json(task.spec);
+          EXPECT_EQ(shipped.experiment, task.experiment);
+          const std::vector<core::CellSweep> rebuilt_sweeps =
+              registry.info(task.experiment).sweeps(shipped);
+          ASSERT_LT(task.sweep, rebuilt_sweeps.size());
+          const core::CellSweep& rebuilt = rebuilt_sweeps[task.sweep];
+          const core::VariantSpec& expected = prepared.sweep->variant;
+          EXPECT_EQ(rebuilt.variant.name, expected.name);
+          EXPECT_EQ(rebuilt.variant.weight_decay, expected.weight_decay);
+          EXPECT_EQ(rebuilt.variant.noise_sigma, expected.noise_sigma);
+          const core::ExperimentSetup shipped_setup = shipped.resolved_setup();
+          const auto model =
+              zoo.get_or_train(shipped_setup, rebuilt.variant, false);
+          EXPECT_EQ(core::sweep_store_name(shipped_setup, shipped.corruption,
+                                           rebuilt,
+                                           core::weights_checksum(*model)),
+                    task.store);
+          ASSERT_EQ(task.cells.size(), prepared.pending.size());
+          for (std::size_t j = 0; j < task.cells.size(); ++j) {
+            const auto cell = std::find_if(
+                rebuilt.cells.begin(), rebuilt.cells.end(),
+                [&](const core::SweepCell& c) { return c.id == task.cells[j]; });
+            ASSERT_NE(cell, rebuilt.cells.end()) << task.cells[j];
+            EXPECT_EQ(cell->keys, cells[prepared.pending[j]].keys)
+                << task.cells[j];
+          }
+        }
+        // Fill the pending keys, as the fleet appends worker rows; only now,
+        // since two sweeps of one hand-off can share a store.
+        for (const core::PreparedSweep& prepared : sweeps) {
+          for (const std::size_t i : prepared.pending) {
+            for (const std::string& key : prepared.sweep->cells[i].keys) {
+              prepared.store->put(key, 0.5);
+            }
+          }
+        }
+      };
+      registry.run(spec, context);
+      const std::vector<std::string> expected_handoffs =
+          variant.empty() ? std::vector<std::string>{"mitigation", experiment}
+                          : std::vector<std::string>{experiment};
+      EXPECT_EQ(handed, expected_handoffs);
     }
   }
 }
@@ -365,7 +381,7 @@ TEST(DistRun, TracedTwoWorkerRunMergesFleetTraceAndStaysBitwise) {
   // Fleet metrics: worker registries merged into the coordinator's, so
   // coordinator-side dist counters and worker-side gemm counters coexist.
   // On a healthy fleet every task has exactly one owner: one dispatch per
-  // planned task, no retries to add more.
+  // task, no retries to add more.
   EXPECT_EQ(summary_count(run, "crashes"), 0u) << run.proc.stdout_text;
   EXPECT_EQ(summary_count(run, "hang_kills"), 0u) << run.proc.stdout_text;
   EXPECT_EQ(summary_count(run, "retries"), 0u) << run.proc.stdout_text;
@@ -376,13 +392,138 @@ TEST(DistRun, TracedTwoWorkerRunMergesFleetTraceAndStaysBitwise) {
   EXPECT_GT(fleet.at("counters").at("gemm.calls").as_uint(), 0u);
 }
 
+/// Counter `name` of a --metrics JSON file; 0 when absent.
+std::uint64_t counter_of(const std::string& metrics_path,
+                         const std::string& name) {
+  const JsonValue counters =
+      JsonValue::parse(read_file_bytes(metrics_path)).at("counters");
+  return counters.has(name) ? counters.at(name).as_uint() : 0;
+}
+
+TEST(DistRun, FleetCountsTheWorkLikeAnInProcessRun) {
+  // The fleet takes the evaluate stage of the one registry run, so its
+  // counters describe the work: on fresh stores every cell is a miss and
+  // an append, and no key is read back from the store — exactly what the
+  // in-process run counts for the same 19 cells (1 seed: the baseline
+  // plus 18 scenarios).
+  const std::vector<std::string> flags = {"--seeds", "1", "--metrics"};
+  TempDir reference_dir("dist_counts_ref");
+  std::vector<std::string> reference_flags = flags;
+  reference_flags.push_back(reference_dir.path() + "/metrics.json");
+  const DistRunResult reference = run_experiment(
+      "susceptibility", reference_dir.path(), reference_flags, {});
+  ASSERT_EQ(reference.proc.exit_code, 0) << reference.proc.stderr_text;
+
+  TempDir dir("dist_counts");
+  std::vector<std::string> dist_flags = flags;
+  dist_flags.insert(dist_flags.end(),
+                    {dir.path() + "/metrics.json", "--workers", "2"});
+  const DistRunResult run =
+      run_experiment("susceptibility", dir.path(), dist_flags, {});
+  ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
+  EXPECT_EQ(run.csv_bytes, reference.csv_bytes);
+
+  const std::string fleet = dir.path() + "/metrics.json";
+  EXPECT_EQ(counter_of(fleet, "store.lookup_hits"), 0u);
+  EXPECT_EQ(counter_of(fleet, "store.lookup_misses"), 19u);
+  EXPECT_EQ(counter_of(fleet, "store.appends"), 19u);
+  for (const char* name :
+       {"store.lookup_hits", "store.lookup_misses", "store.appends",
+        "store.flushes", "attack.hotspot_plans"}) {
+    EXPECT_EQ(counter_of(fleet, name),
+              counter_of(reference_dir.path() + "/metrics.json", name))
+        << name;
+  }
+}
+
+TEST(DistRun, CrashedWorkersStillShipTheCountsOfEveryDeliveredCell) {
+  // A worker ships a metrics delta right behind each cell's rows, so a
+  // plug pull loses only the counts of the cell in flight, which its retry
+  // counts again: under chaos the fleet counts exactly the in-process
+  // hotspot plans. One worker keeps the crash schedule deterministic; at
+  // this seed it dies 4 times mid-task, and a delta per task counts 6 of
+  // the 9 plans (one snapshot at shutdown, as before, fewer still).
+  const std::vector<std::string> flags = {"--seeds", "1", "--base-seed", "4",
+                                          "--metrics"};
+  TempDir reference_dir("dist_crash_counts_ref");
+  std::vector<std::string> reference_flags = flags;
+  reference_flags.push_back(reference_dir.path() + "/metrics.json");
+  const DistRunResult reference = run_experiment(
+      "susceptibility", reference_dir.path(), reference_flags, {});
+  ASSERT_EQ(reference.proc.exit_code, 0) << reference.proc.stderr_text;
+  const std::uint64_t plans = counter_of(
+      reference_dir.path() + "/metrics.json", "attack.hotspot_plans");
+  EXPECT_EQ(plans, 9u);
+
+  TempDir dir("dist_crash_counts");
+  std::vector<std::string> dist_flags = flags;
+  dist_flags.insert(dist_flags.end(),
+                    {dir.path() + "/metrics.json", "--workers", "1",
+                     "--chaos", "0.25", "--max-task-retries", "1000"});
+  const DistRunResult run =
+      run_experiment("susceptibility", dir.path(), dist_flags, {});
+  ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
+  EXPECT_GE(summary_count(run, "crashes"), 1u)
+      << "chaos run killed no workers; the test proved nothing: "
+      << run.proc.stdout_text;
+  EXPECT_EQ(run.csv_bytes, reference.csv_bytes);
+  EXPECT_EQ(counter_of(dir.path() + "/metrics.json", "attack.hotspot_plans"),
+            plans);
+}
+
+TEST(DistRun, RunAllSharesOneFleetAndMatchesInProcessBytes) {
+  // One fleet serves every experiment of the invocation: each slot is
+  // spawned once (no crashes), one summary line is printed, and every
+  // output file — robust_compare's two hand-offs included — matches the
+  // in-process run-all byte for byte.
+  const auto run_all = [](const std::string& dir,
+                          const std::vector<std::string>& extra) {
+    std::vector<std::string> argv = {
+        SAFELIGHT_CLI_BIN, "run-all",   "--model", "cnn1",        "--scale",
+        "tiny",            "--seeds",   "1",       "--threads",   "1",
+        "--zoo",           dir + "/zoo", "--out",  dir + "/out",  "--json"};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    return run_process(argv, {}, dir, kRunTimeoutSeconds);
+  };
+  const auto count = [](const std::string& text, const std::string& what) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(what); at != std::string::npos;
+         at = text.find(what, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  TempDir reference_dir("dist_runall_ref");
+  const ProcessResult reference = run_all(reference_dir.path(), {});
+  ASSERT_EQ(reference.exit_code, 0) << reference.stderr_text;
+
+  TempDir dir("dist_runall");
+  const ProcessResult run =
+      run_all(dir.path(), {"--workers", "2", "--verbose"});
+  ASSERT_EQ(run.exit_code, 0) << run.stderr_text;
+  EXPECT_EQ(count(run.stdout_text, "[dist] summary:"), 1u) << run.stdout_text;
+  EXPECT_NE(run.stdout_text.find(" crashes=0 "), std::string::npos);
+  EXPECT_EQ(count(run.stderr_text, " spawned (pid "), 2u) << run.stderr_text;
+
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           reference_dir.path() + "/out")) {
+    ++files;
+    const std::string name = entry.path().filename();
+    EXPECT_EQ(read_file_bytes(dir.path() + "/out/" + name),
+              read_file_bytes(entry.path()))
+        << name;
+  }
+  EXPECT_GE(files, 12u);
+}
+
 TEST(DistRun, SecondRunIsFullyCachedAndPlansNoTasks) {
   TempDir dir("dist_cached");
   const DistRunResult first =
       run_experiment("susceptibility", dir.path(), {"--workers", "2"}, {});
   ASSERT_EQ(first.proc.exit_code, 0) << first.proc.stderr_text;
-  // Same spec, same cache: the planner must find every cell cached and
-  // dispatch nothing.
+  // Same spec, same cache: the prepare stage must find every cell cached
+  // and the fleet dispatch nothing.
   const DistRunResult second =
       run_experiment("susceptibility", dir.path(), {"--workers", "2"}, {});
   ASSERT_EQ(second.proc.exit_code, 0) << second.proc.stderr_text;
@@ -542,7 +683,7 @@ TEST(DistRun, ByteConflictOnOneKeyIsAHardError) {
   // already holds under different value bytes means non-deterministic
   // evaluation or a corrupt store: the run must stop before the store is
   // touched. Set up: a finished detection store, edited so one clean cell
-  // misses its `probes` row (so the planner re-plans the cell) and holds a
+  // misses its `probes` row (so the cell is pending again) and holds a
   // perturbed `score` (so the worker's row conflicts).
   TempDir dir("dist_conflict");
   const DistRunResult first =
@@ -669,9 +810,9 @@ TEST(DistRun, SigtermExitsGracefullyWith130AndResumeHint) {
       << proc.stderr_text;
 }
 
-// The detector sweeps shard like the scenario sweeps: tasks carry their
-// cell ids, workers fill them under the same chaos harness, and the merged
-// stores replay to the in-process bytes with nothing left to plan.
+// The detector sweeps run on the fleet like the scenario sweeps: tasks
+// carry their cell ids, workers fill them under the same chaos harness, and
+// the filled stores assemble to the in-process bytes with nothing left to dispatch.
 class DistRunSweep : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DistRunSweep, ShardsUnderChaosToInProcessBytesAndReplansNothing) {

@@ -725,6 +725,34 @@ TEST(Pipeline, EachAttackedDeploymentPlansItsHotspotsOnce) {
   metrics::reset();
 }
 
+TEST(Pipeline, SweepsOfOneRunSharingAStoreEvaluateEachCellOnce) {
+  // robust_compare pinned to Original declares two sweeps of one store.
+  // The registry prepares both before evaluating either, so both list the
+  // same pending cells; the second must find them filled by the first and
+  // evaluate none again: one hotspot plan per hotspot scenario of the grid.
+  TempDir dir("pipeline_shared_store");
+  ModelZoo zoo(dir.path());
+  RunContext context(zoo);
+  const auto& registry = ExperimentRegistry::global();
+  ExperimentSpec spec = registry.default_spec("robust_compare");
+  spec.model = nn::ModelId::kCnn1;
+  spec.scale = Scale::kTiny;
+  spec.seed_count = 1;
+  spec.robust_variant = "Original";
+  spec.cache_dir = dir.path();
+  spec.max_workers = 2;
+  zoo.get_or_train(spec.resolved_setup(), spec.resolved_variant());
+  metrics::arm_collection();
+  const metrics::Counter& plans = metrics::counter("attack.hotspot_plans");
+  const auto report =
+      registry.run(spec, context).as<RobustComparisonReport>();
+  EXPECT_EQ(plans.value(), 3u);  // CONV+FC hotspots at 1, 5 and 10 %
+  metrics::reset();
+  for (const RobustComparisonCell& cell : report.cells) {
+    EXPECT_EQ(cell.robust.median, cell.original.median);
+  }
+}
+
 TEST(Pipeline, CancelMidSweepKeepsCompleteRowsAndResumesIdentically) {
   // Every cell sweep polls the cancel flag at its cell boundaries: the
   // scenario sweep, the detection sweep and the campaign sweep alike.
