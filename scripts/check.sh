@@ -104,7 +104,7 @@ fi
 phase_start "env-knob lint"
 STRAY_GETENV="$(grep -rn 'getenv(' src \
   | grep -v '^src/common/config\.cpp:' \
-  | grep -vE '^src/dist/worker\.cpp:[0-9]+:.*getenv\("SAFELIGHT_DIST_(POISON|HANG|HANG_ONCE|FAKE_KERNEL)"\)' \
+  | grep -vE '^src/dist/worker\.cpp:[0-9]+:.*getenv\("SAFELIGHT_DIST_(POISON|HANG|HANG_ONCE)"\)' \
   || true)"
 if [[ -n "$STRAY_GETENV" ]]; then
   echo "error: getenv( outside common/config.cpp; read the knob through config::" >&2

@@ -200,10 +200,6 @@ std::size_t max_task_retries() {
   return static_cast<std::size_t>(v);
 }
 
-std::string dist_bin() {
-  return env_string("SAFELIGHT_DIST_BIN", "/proc/self/exe");
-}
-
 std::string trace_path() {
   if (mutable_overrides().trace_path) return *mutable_overrides().trace_path;
   return env_string("SAFELIGHT_TRACE", "");

@@ -33,8 +33,6 @@
 //                                        silence before it is declared hung
 //   max_task_retries()     SAFELIGHT_MAX_TASK_RETRIES   failures before a
 //                                        task is quarantined as poison
-//   dist_bin()    SAFELIGHT_DIST_BIN     binary the coordinator spawns as
-//                                        `safelight worker` (default: itself)
 //   trace_path()   SAFELIGHT_TRACE       Chrome trace-event output file
 //                                        (empty = tracing disarmed)
 //   metrics_path() SAFELIGHT_METRICS     metrics JSON output file
@@ -179,11 +177,6 @@ double heartbeat_timeout_s();
 /// Times a task may fail (worker crash or hang) before the coordinator
 /// quarantines it as poison: CLI > SAFELIGHT_MAX_TASK_RETRIES > 3.
 std::size_t max_task_retries();
-
-/// Binary the dist coordinator execs as `safelight worker`:
-/// SAFELIGHT_DIST_BIN > "/proc/self/exe" (this binary). The hello handshake
-/// rejects a worker whose kernel numerics differ (nn/backend.hpp).
-std::string dist_bin();
 
 /// Chrome trace-event output file: CLI > SAFELIGHT_TRACE > "" (tracing
 /// disarmed). trace::init_from_config() consumes this.

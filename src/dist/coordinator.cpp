@@ -32,7 +32,6 @@
 #include "core/result_store.hpp"
 #include "core/zoo.hpp"
 #include "dist/protocol.hpp"
-#include "nn/backend.hpp"
 
 namespace safelight::dist {
 
@@ -49,6 +48,10 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 /// Requeue backoff: min(kRetryCapS, kRetryBaseS * 2^(failures-1)).
 constexpr double kRetryBaseS = 0.2;
 constexpr double kRetryCapS = 5.0;
+
+/// Every worker is this very executable, so it runs the coordinator's own
+/// kernel numerics by construction.
+constexpr const char* kSelfExe = "/proc/self/exe";
 
 /// Round-trip exact decimal text of a double flag value.
 std::string exact_decimal(double value) {
@@ -137,11 +140,6 @@ class Coordinator {
   Coordinator(core::ModelZoo& zoo, const DistOptions& options)
       : zoo_(zoo), options_(options) {
     require(options_.workers >= 1, "dist::Fleet: workers must be >= 1");
-    // The fingerprint every worker hello must match: identical across
-    // hosts and backend variants for a conforming binary, different only
-    // when the kernel math differs (nn/backend.hpp).
-    expected_kernel_ = nn::backend::kernel_fingerprint();
-    binary_ = config::dist_bin();
     log_dir_ = zoo_.directory() + "/dist/logs";
     slots_.resize(options_.workers);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -261,11 +259,10 @@ class Coordinator {
   /// no SAFELIGHT_* value the worker inherits can override them.
   std::vector<std::string> worker_args(const WorkerSlot& slot) const {
     std::vector<std::string> args = {
-        binary_, "worker", "--zoo", zoo_.directory(), "--threads",
+        kSelfExe, "worker", "--zoo", zoo_.directory(), "--threads",
         std::to_string(config::threads()),
-        // "auto" stays "auto": each node picks the best variant its own CPU
-        // supports, which is safe because conforming variants are bitwise-
-        // identical (and the hello handshake enforces "conforming").
+        // "auto" stays "auto": on the same CPU it resolves to the same
+        // variant, and every variant is bitwise-identical (nn/backend.hpp).
         "--backend", config::backend(), "--heartbeat-timeout",
         exact_decimal(options_.heartbeat_timeout_s),
         // In a worker a telemetry path only arms buffering: spans and
@@ -323,7 +320,7 @@ class Coordinator {
         ::dup2(log_fd, 2);
         if (log_fd > 2) ::close(log_fd);
       }
-      ::execv(binary_.c_str(), argv.data());
+      ::execv(kSelfExe, argv.data());
       ::_exit(127);  // exec failed; stderr already points at the log
     }
 
@@ -554,36 +551,6 @@ class Coordinator {
     }
   }
 
-  /// Startup handshake: a worker advertising different kernel numerics is
-  /// a hard error before any task reaches it. Retrying would fail the same
-  /// way (the mismatch is a property of the binary, not the task), and
-  /// letting it run would append store rows computed with different math —
-  /// so this throws out of the event loop instead of going through the
-  /// requeue machinery.
-  void check_hello(const WorkerSlot& slot, const EventMessage& event) {
-    if (event.kernel == expected_kernel_) {
-      if (options_.verbose) {
-        log::info("dist", "worker w%d hello: backend %s, kernel %s",
-                  slot.slot, event.backend.c_str(), event.kernel.c_str());
-      }
-      return;
-    }
-    const std::string advertised =
-        event.kernel.empty()
-            ? "no kernel fingerprint (binary predates the compute-backend "
-              "registry)"
-            : "kernel " + event.kernel + " (backend '" + event.backend + "')";
-    const std::string message =
-        "worker w" + std::to_string(slot.slot) + " (" + binary_ +
-        ") advertises " + advertised + " but the coordinator expects kernel " +
-        expected_kernel_ +
-        "; SAFELIGHT_DIST_BIN points at a binary whose GEMM numerics "
-        "differ, and appending its results would poison the stores — "
-        "rebuild the worker binary from the same sources";
-    log::error("dist", "%s", message.c_str());
-    throw std::runtime_error(message);
-  }
-
   /// Appends one cell's rows to its canonical store. Worker rows are
   /// outside input headed for a durable file: only the declared keys, in
   /// declared order, of a cell the slot's task still holds are accepted.
@@ -681,9 +648,6 @@ class Coordinator {
         continue;
       }
       switch (event.type) {
-        case EventMessage::Type::kHello:
-          check_hello(slot, event);
-          break;
         case EventMessage::Type::kHeartbeat:
           break;  // last_heard was updated by the read itself
         case EventMessage::Type::kCell:
@@ -802,8 +766,6 @@ class Coordinator {
   core::ModelZoo& zoo_;
   const DistOptions options_;
   DistSummary summary_;
-  std::string binary_;
-  std::string expected_kernel_;
   std::string log_dir_;
   std::vector<WorkerSlot> slots_;
   // The tasks of the current hand-off, and how many of them are completed

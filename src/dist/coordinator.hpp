@@ -38,11 +38,13 @@
 // stage opened; ResultStore::put skips a key already stored with the same
 // bytes and makes one stored with different bytes a hard error.
 //
-// A worker is configured by its command line alone: the coordinator passes
-// its resolved --zoo, --threads, --backend, --heartbeat-timeout, --trace and
-// --metrics (plus the --fault-* flags under chaos) as flags, which win over
-// any SAFELIGHT_* value the worker inherits, so its environment passes
-// through unchanged.
+// A worker is this very executable (/proc/self/exe), configured by its
+// command line alone: the coordinator passes its resolved --zoo, --threads,
+// --backend, --heartbeat-timeout, --trace and --metrics (plus the --fault-*
+// flags under chaos) as flags, which win over any SAFELIGHT_* value the
+// worker inherits, so its environment passes through unchanged. Same
+// binary, same --backend: a worker's kernel numerics are the coordinator's
+// by construction, so no handshake checks them.
 #pragma once
 
 #include <atomic>
@@ -107,10 +109,9 @@ class QuarantinedError : public std::runtime_error {
 
 class Coordinator;  // dist/coordinator.cpp
 
-/// options.workers `safelight worker` subprocesses (config::dist_bin():
-/// SAFELIGHT_DIST_BIN, else this binary) serving one CLI invocation. They
-/// are spawned on the first task and live until finish() or destruction
-/// (which kills any still running).
+/// options.workers `safelight worker` subprocesses of this executable
+/// serving one CLI invocation. They are spawned on the first task and live
+/// until finish() or destruction (which kills any still running).
 class Fleet {
  public:
   Fleet(core::ModelZoo& zoo, const DistOptions& options);

@@ -30,7 +30,6 @@ double double_from_wire(const std::string& text) {
 
 const char* event_type_name(EventMessage::Type type) {
   switch (type) {
-    case EventMessage::Type::kHello: return "hello";
     case EventMessage::Type::kHeartbeat: return "heartbeat";
     case EventMessage::Type::kCell: return "cell";
     case EventMessage::Type::kDone: return "done";
@@ -186,11 +185,6 @@ std::string encode_event(const EventMessage& event) {
   json.begin_object();
   json.key("type").value(event_type_name(event.type));
   switch (event.type) {
-    case EventMessage::Type::kHello:
-      json.key("pid").value(event.pid);
-      json.key("backend").value(event.backend);
-      json.key("kernel").value(event.kernel);
-      break;
     case EventMessage::Type::kHeartbeat:
       break;
     case EventMessage::Type::kCell:
@@ -229,15 +223,7 @@ EventMessage decode_event(const std::string& line) {
   const JsonValue doc = JsonValue::parse(line);
   const std::string& type = doc.at("type").as_string();
   EventMessage event;
-  if (type == "hello") {
-    event.type = EventMessage::Type::kHello;
-    event.pid = doc.at("pid").as_uint();
-    // Lenient on purpose (see EventMessage): a hello without these fields
-    // decodes with them empty so the coordinator can reject the stale
-    // binary with a mismatch error that names the fix.
-    if (doc.has("backend")) event.backend = doc.at("backend").as_string();
-    if (doc.has("kernel")) event.kernel = doc.at("kernel").as_string();
-  } else if (type == "heartbeat") {
+  if (type == "heartbeat") {
     event.type = EventMessage::Type::kHeartbeat;
   } else if (type == "cell") {
     event.type = EventMessage::Type::kCell;

@@ -22,7 +22,6 @@
 //   {"type":"shutdown"}
 //
 // Worker -> coordinator events:
-//   {"type":"hello","pid":N,"backend":"avx512","kernel":"<16-hex digest>"}
 //   {"type":"heartbeat"}
 //   {"type":"cell","id":N,"cell":"hotspot/CONV+FC/f0.05/s1003",
 //    "rows":[["hotspot/CONV+FC/f0.05/s1003/n64","0.59375"], ...]}
@@ -71,20 +70,8 @@ struct TaskMessage {
 
 /// Worker -> coordinator event.
 struct EventMessage {
-  enum class Type {
-    kHello, kHeartbeat, kCell, kDone, kFatal, kTrace, kMetrics
-  };
+  enum class Type { kHeartbeat, kCell, kDone, kFatal, kTrace, kMetrics };
   Type type = Type::kHeartbeat;
-  std::uint64_t pid = 0;        // kHello
-  /// kHello: the worker's selected compute backend and its kernel-numerics
-  /// fingerprint (nn::backend::kernel_fingerprint). The coordinator refuses
-  /// a worker whose fingerprint differs from its own — a mismatched
-  /// SAFELIGHT_DIST_BIN binary must fail the handshake, not send results
-  /// computed with different math. Decoded leniently (empty when absent)
-  /// so a pre-registry binary's hello still parses and is rejected with an
-  /// actionable error instead of the undecodable-line warn path.
-  std::string backend;          // kHello
-  std::string kernel;           // kHello
   std::uint64_t task_id = 0;    // kCell / kDone / kFatal
   std::string cell;             // kCell: the evaluated cell's id
   /// kCell: the cell's (store key, value) rows. The decoder accepts a value

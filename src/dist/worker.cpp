@@ -25,7 +25,6 @@
 #include "core/pipeline.hpp"
 #include "core/zoo.hpp"
 #include "dist/protocol.hpp"
-#include "nn/backend.hpp"
 
 namespace safelight::dist {
 
@@ -290,22 +289,6 @@ void ship_trace(ProtocolWriter& writer) {
 
 int run_worker(const WorkerOptions& options) {
   ProtocolWriter writer(options.protocol_out);
-  EventMessage hello;
-  hello.type = EventMessage::Type::kHello;
-  hello.pid = static_cast<std::uint64_t>(::getpid());
-  // Handshake payload: which variant this worker dispatches to, and the
-  // digest of its kernel numerics. The coordinator rejects a mismatched
-  // digest before any task is assigned (a SAFELIGHT_DIST_BIN binary with
-  // different math must not contribute store rows).
-  hello.backend = nn::backend::active().name();
-  hello.kernel = nn::backend::kernel_fingerprint();
-  if (const char* fake = std::getenv("SAFELIGHT_DIST_FAKE_KERNEL")) {
-    // Test seam: advertise a bogus fingerprint so dist_test can prove the
-    // coordinator's rejection path without building a second binary.
-    if (fake[0] != '\0') hello.kernel = fake;
-  }
-  writer.send(hello);
-
   HeartbeatThread heartbeat(writer, options.heartbeat_interval_s);
   core::ModelZoo zoo(options.zoo_dir);
   const Seams seams = read_seams();

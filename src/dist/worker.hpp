@@ -36,8 +36,6 @@
 //   SAFELIGHT_DIST_HANG_ONCE   path of a sentinel file; when set, only the
 //                              process that O_EXCL-creates it hangs, so a
 //                              reassigned task completes on the next worker.
-//   SAFELIGHT_DIST_FAKE_KERNEL fingerprint the hello advertises instead of
-//                              the real one (the handshake-rejection test).
 // These are the only getenv calls outside common/config.cpp (check.sh
 // enforces it).
 #pragma once

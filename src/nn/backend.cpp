@@ -172,8 +172,7 @@ std::string kernel_fingerprint(const ComputeBackend& backend) {
   // epilogues, accumulation, and all three entry points. A conforming
   // variant reproduces gemm_ref bit for bit, so the digest is the same on
   // every host and every variant of a conforming binary; it only changes
-  // when the kernel's math changes — which is exactly what the distributed
-  // handshake needs to detect.
+  // when the kernel's math changes.
   const ScopedBackend forced(backend);
   constexpr std::size_t kM = 7, kK = 13, kN = 37;
   float a[kM * kK], b[kK * kN], bt[kN * kK], at[kK * kM];

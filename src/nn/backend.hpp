@@ -2,14 +2,12 @@
 //
 // The packed GEMM kernel used to be one translation unit compiled with
 // -march=native: a binary built on an AVX-512 host SIGILLed on an older
-// fleet node, the exact wrong model for heterogeneous deployments (and a
-// latent trap for SAFELIGHT_DIST_BIN, which lets a coordinator exec a
-// worker binary built elsewhere). Instead, the kernel body now compiles
-// into several variants of ONE fat binary — scalar (baseline ISA only),
-// AVX2 and AVX-512, each a separate translation unit with per-source
-// COMPILE_OPTIONS (src/CMakeLists.txt) — and this registry probes the CPU
-// at runtime (__builtin_cpu_supports) to pick the best variant the host
-// can actually execute.
+// host. Instead, the kernel body now compiles into several variants of ONE
+// fat binary — scalar (baseline ISA only), AVX2 and AVX-512, each a
+// separate translation unit with per-source COMPILE_OPTIONS
+// (src/CMakeLists.txt) — and this registry probes the CPU at runtime
+// (__builtin_cpu_supports) to pick the best variant the host can actually
+// execute.
 //
 // Selection: --backend / SAFELIGHT_BACKEND through the standard config
 // precedence (CLI flag > env > default "auto"); "auto" takes the highest-
@@ -21,9 +19,9 @@
 // all variants — and gemm_ref — are bitwise-identical on every input.
 // Backend choice can therefore never change a CSV byte; it only changes
 // speed. tests/gemm_equivalence_test.cpp enforces this per compiled-in
-// variant, and kernel_fingerprint() turns it into a handshake: a worker
-// whose probe-GEMM fingerprint differs from the coordinator's is running
-// genuinely different numerics and is rejected (dist/coordinator.cpp).
+// variant, and kernel_fingerprint() digests it: a build whose probe-GEMM
+// fingerprint differs is running genuinely different numerics. announce()
+// records the digest in the trace metadata.
 //
 // ComputeBackend is the seam further kernels slot into: today it owns the
 // GEMM kernel table, including the conv packers that lower an image group
@@ -158,8 +156,7 @@ class ScopedBackend {
 /// epilogues, all three entry points, and a padded stride-2 conv group
 /// through both conv packers) run through `backend`, output bytes hashed.
 /// Identical across hosts and across conforming variants — the contract
-/// above — so a mismatch means genuinely different math, which is what the
-/// distributed handshake must refuse to merge.
+/// above — so a mismatch means genuinely different math.
 std::string kernel_fingerprint(const ComputeBackend& backend);
 
 /// kernel_fingerprint(active()).

@@ -65,12 +65,14 @@ Server::Server(const ServeOptions& options)
       }()),
       listener_(options.port) {}
 
-Server::~Server() {
+Server::~Server() { shut_down(); }
+
+void Server::shut_down() {
   stopping_.store(true);
   listener_.close();
   manager_.drain();
   // Handler threads are detached; they hold `this` only while running, so
-  // wait for the count to hit zero before the members go away.
+  // wait (up to 10 s) for the count to hit zero before the members go away.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (active_handlers_.load() > 0 &&
@@ -101,15 +103,7 @@ int Server::serve() {
   // Graceful drain: no new connections, no new admissions, running slots
   // cancelled cooperatively; streaming handlers end when their job
   // terminalizes. ResultStore flushes on every put, so nothing is lost.
-  stopping_.store(true);
-  listener_.close();
-  manager_.drain();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (active_handlers_.load() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  shut_down();
   std::printf("[serve] stopped (drained %zu slot(s))\n",
               manager_.slot_count());
   std::fflush(stdout);

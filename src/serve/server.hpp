@@ -70,6 +70,9 @@ class Server {
   void handle_connection(int fd);
 
  private:
+  /// Stops admission, closes the listener, drains the slots and waits up
+  /// to 10 s for the detached handlers.
+  void shut_down();
   void handle_request(HttpConnection& connection, const HttpRequest& request);
   void handle_submit(HttpConnection& connection, const HttpRequest& request);
   void handle_jobs_index(HttpConnection& connection);

@@ -90,8 +90,7 @@ TEST(BackendRegistry, ConfigPrecedenceSelectsActiveBackend) {
 TEST(BackendRegistry, KernelFingerprintIdenticalAcrossSupportedVariants) {
   // The numerics contract, digested: every conforming variant computes the
   // probe problem bit for bit identically, so one fingerprint rules the
-  // whole registry. This is what makes the distributed handshake mean
-  // "different fingerprint == genuinely different math".
+  // whole registry: "different fingerprint == genuinely different math".
   const std::string expected = kernel_fingerprint(resolve("scalar"));
   EXPECT_EQ(expected.size(), 16u);
   for (const ComputeBackend* backend : registered()) {

@@ -143,13 +143,6 @@ TEST(DistProtocol, TaskRoundTripsThroughNdjsonBitExactly) {
 }
 
 TEST(DistProtocol, EventsRoundTrip) {
-  EventMessage hello;
-  hello.type = EventMessage::Type::kHello;
-  hello.pid = 12345;
-  const EventMessage hello2 = dist::decode_event(dist::encode_event(hello));
-  EXPECT_EQ(hello2.type, EventMessage::Type::kHello);
-  EXPECT_EQ(hello2.pid, 12345u);
-
   // Cell rows carry doubles as %.17g text: decimal-inexact values, zero
   // and non-finite values all come back bit for bit, ids and keys intact.
   EventMessage cell;
@@ -272,6 +265,9 @@ TEST(DistProtocol, ShutdownIsRecognizedAndMalformedLinesThrow) {
                std::invalid_argument);
   EXPECT_THROW(dist::decode_task("{not json"), std::invalid_argument);
   EXPECT_THROW(dist::decode_event("{\"type\":\"task\"}"),
+               std::invalid_argument);
+  // Workers are this binary, so there is no handshake event.
+  EXPECT_THROW(dist::decode_event("{\"type\":\"hello\",\"pid\":1}"),
                std::invalid_argument);
 }
 
