@@ -82,7 +82,7 @@ int main() {
       "    classifier 25088->4096->4096->10 = 119.6M exactly).\n"
       "  * ResNet18 with option-A shortcuts (17 conv layers, FC 5.1K exact)\n"
       "    has 11.0M conv params at width 64; the paper's 4.7M corresponds\n"
-      "    to width ~42 (printed below). See EXPERIMENTS.md.\n\n");
+      "    to width ~42 (printed below). See docs/experiments.md.\n\n");
 
   const sl::nn::ModelSpec slim = sl::nn::spec_resnet18(42);
   std::printf("ResNet18 @ width 42: conv %s, fc %s, total %s\n",

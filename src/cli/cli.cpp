@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -505,10 +506,7 @@ int cmd_run(const std::vector<std::string>& experiments,
     dist_options.verbose = options.verbose;
     dist_options.cancel = &g_cancel_requested;
     fleet = std::make_unique<dist::Fleet>(zoo, dist_options);
-    context.evaluate = [&fleet](const core::ExperimentSpec& spec,
-                                const std::vector<core::PreparedSweep>& sweeps) {
-      fleet->evaluate(spec, sweeps);
-    };
+    context.evaluate = std::bind_front(&dist::Fleet::evaluate, fleet.get());
   }
 
   struct ExperimentTiming {

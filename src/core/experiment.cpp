@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <set>
 
 #include "common/csv.hpp"
 #include "common/json.hpp"
@@ -356,6 +357,14 @@ void ExperimentSpec::validate() const {
   if (!robust_variant.empty()) variant_by_name(robust_variant, l2_strength);
 }
 
+RunContext::RunContext(ModelZoo& zoo)
+    : evaluate([this](const ExperimentSpec& resolved,
+                      const ExperimentSetup& setup,
+                      const std::vector<PreparedSweep>& prepared) {
+        evaluate_sweeps(resolved, setup, *this, prepared);
+      }),
+      zoo_(&zoo) {}
+
 ExperimentResult ExperimentRegistry::run(const ExperimentSpec& spec,
                                          RunContext& context) const {
   const ExperimentInfo& entry = info(spec.experiment);
@@ -368,6 +377,9 @@ ExperimentResult ExperimentRegistry::run(const ExperimentSpec& spec,
   const ExperimentSetup setup = resolved.resolved_setup();
   std::vector<PreparedSweep> prepared;
   prepared.reserve(sweeps.size());
+  // (store, cell id) pairs already pending: two sweeps of one store (e.g.
+  // robust_compare pinned to Original) hand each cell over once.
+  std::set<std::pair<const ResultStore*, std::string>> handed;
   for (std::size_t s = 0; s < sweeps.size(); ++s) {
     context.throw_if_cancelled(spec.experiment);
     const std::string stage = setup.tag() + " / " + sweeps[s].variant.name;
@@ -376,15 +388,13 @@ ExperimentResult ExperimentRegistry::run(const ExperimentSpec& spec,
       std::printf("[%s] %s\n", spec.experiment.c_str(), stage.c_str());
       std::fflush(stdout);
     }
-    prepared.push_back(prepare_sweep(resolved, setup, context, sweeps[s], s));
+    PreparedSweep& sweep = prepared.emplace_back(
+        prepare_sweep(resolved, setup, context, sweeps[s], s));
+    std::erase_if(sweep.pending, [&](std::size_t i) {
+      return !handed.emplace(sweep.store.get(), sweeps[s].cells[i].id).second;
+    });
   }
-  if (context.evaluate) {
-    context.evaluate(resolved, prepared);
-  } else {
-    for (const PreparedSweep& sweep : prepared) {
-      evaluate_pending(resolved, setup, context, sweep);
-    }
-  }
+  context.evaluate(resolved, setup, prepared);
   std::vector<std::vector<SweptCell>> swept;
   swept.reserve(prepared.size());
   for (const PreparedSweep& sweep : prepared) {

@@ -8,8 +8,8 @@
 //                         clamps) and serializable into the result metadata.
 //   RunContext          — what every run needs besides the spec: the shared
 //                         ModelZoo, an optional progress callback, an
-//                         optional cooperative cancellation flag and an
-//                         optional hook that takes the evaluate stage.
+//                         optional cooperative cancellation flag and the
+//                         evaluate-stage hook (in process by default).
 //   ExperimentResult    — the typed report payload plus uniform CSV and
 //                         JSON serialization (golden-pinned).
 //   ExperimentRegistry  — name -> experiment ("susceptibility",
@@ -18,8 +18,9 @@
 //                         sweeps plus an assembly of the swept cells into
 //                         its report; the registry is the only code that
 //                         runs an experiment's sweeps (resolve -> sweeps ->
-//                         prepare each -> evaluate all pending cells ->
-//                         collect each -> assemble; core/pipeline.hpp).
+//                         prepare each -> one evaluate hand-off of all
+//                         pending cells -> collect each -> assemble;
+//                         core/pipeline.hpp).
 #pragma once
 
 #include <atomic>
@@ -110,14 +111,20 @@ struct PreparedSweep;  // core/pipeline.hpp
 
 /// Everything an experiment run needs besides the spec. The zoo is shared
 /// across experiments of one session (run-all trains each variant exactly
-/// once); progress, cancellation and evaluation are optional hooks.
+/// once); progress and cancellation are optional hooks, and evaluate is the
+/// evaluate stage, in process unless replaced.
 class RunContext {
  public:
   using ProgressFn = std::function<void(const std::string& stage)>;
   using EvaluateFn = std::function<void(const ExperimentSpec& resolved,
+                                        const ExperimentSetup& setup,
                                         const std::vector<PreparedSweep>&)>;
 
-  explicit RunContext(ModelZoo& zoo) : zoo_(&zoo) {}
+  /// `evaluate` starts as the in-process engine on this context
+  /// (core::evaluate_sweeps), which is why a context is not copyable.
+  explicit RunContext(ModelZoo& zoo);
+  RunContext(const RunContext&) = delete;
+  RunContext& operator=(const RunContext&) = delete;
 
   ModelZoo& zoo() const { return *zoo_; }
 
@@ -126,10 +133,11 @@ class RunContext {
   /// When non-null, experiments poll it between coarse work units and
   /// abort via ExperimentCancelled.
   const std::atomic<bool>* cancel = nullptr;
-  /// When set, takes the evaluate stage of every registry run: fills every
-  /// pending key of all the run's prepared sweeps (declared from
-  /// `resolved`, PreparedSweep::index naming each) into their stores. The
-  /// dist fleet under `--workers`; unset, the engine evaluates in process.
+  /// The evaluate stage of every registry run, called once per run: fills
+  /// every pending key of all the run's prepared sweeps (declared from
+  /// `resolved`, PreparedSweep::index naming each; `setup` is
+  /// resolved.resolved_setup()) into their stores. The in-process engine
+  /// by default; the dist fleet under `--workers`.
   EvaluateFn evaluate;
 
   void note(const std::string& stage) const {
@@ -244,10 +252,11 @@ class ExperimentRegistry {
   ExperimentSpec default_spec(const std::string& name) const;
 
   /// Validates the spec (including the experiment name), resolves it,
-  /// prepares each declared sweep, evaluates their pending cells (through
-  /// context.evaluate when set, else in process), collects each and
-  /// assembles the report, stamping wall_seconds over the whole run.
-  /// result.spec is the caller's spec.
+  /// prepares each declared sweep (a cell id pending in an earlier sweep of
+  /// the same store is dropped from the later one's pending list), hands
+  /// every pending cell to context.evaluate in one call, collects each
+  /// sweep and assembles the report, stamping wall_seconds over the whole
+  /// run. result.spec is the caller's spec.
   ExperimentResult run(const ExperimentSpec& spec, RunContext& context) const;
 
  private:

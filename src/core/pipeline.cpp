@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -125,49 +126,75 @@ PreparedSweep prepare_sweep(const ExperimentSpec& spec,
   return prepared;
 }
 
-void evaluate_pending(const ExperimentSpec& spec, const ExperimentSetup& setup,
-                      const RunContext& context,
-                      const PreparedSweep& prepared) {
-  const CellSweep& sweep = *prepared.sweep;
+void evaluate_sweeps(const ExperimentSpec& spec, const ExperimentSetup& setup,
+                     const RunContext& context,
+                     const std::vector<PreparedSweep>& prepared) {
+  // Every pending cell of the run, ordered by sweep: a thread moves on to
+  // a later sweep at most once per sweep, so it holds one deployment.
+  std::vector<std::pair<std::size_t, std::size_t>> claims;  // (sweep, cell)
+  for (std::size_t s = 0; s < prepared.size(); ++s) {
+    for (const std::size_t i : prepared[s].pending) claims.emplace_back(s, i);
+  }
   // Detector sweeps run no scenario.evaluate spans, so they get their own
   // name and pipeline.sweep stays the denominator of the scenario busy
   // ratio.
-  trace::Span sweep_span(sweep.detectors ? "defense" : "pipeline",
-                         sweep.detectors ? "defense.sweep" : "pipeline.sweep");
+  const bool detectors =
+      std::any_of(prepared.begin(), prepared.end(),
+                  [](const PreparedSweep& p) { return p.sweep->detectors; });
+  trace::Span sweep_span(detectors ? "defense" : "pipeline",
+                         detectors ? "defense.sweep" : "pipeline.sweep");
   if (sweep_span.active()) {
-    sweep_span.arg("variant", sweep.variant.name)
-        .arg("cells", static_cast<double>(sweep.cells.size()));
+    sweep_span.arg("sweeps", static_cast<double>(prepared.size()))
+        .arg("cells", static_cast<double>(claims.size()));
   }
+  // One clean-prefix cache per sweep, shared by its deployments (each
+  // boundary is built once, by whichever thread needs it first), and
+  // released with the sweep's last cell: the caches of a many-sweep run are
+  // never all live at once.
+  struct SweepCache {
+    std::shared_ptr<PrefixCache> prefix = std::make_shared<PrefixCache>();
+    std::atomic<std::size_t> remaining{0};
+  };
+  std::vector<SweepCache> caches(prepared.size());
+  for (std::size_t s = 0; s < prepared.size(); ++s) {
+    caches[s].remaining = prepared[s].pending.size();
+  }
+  // A thread's deployment of the sweep it last claimed a cell of.
+  // Evaluation corrupts and restores model weights, so every thread
+  // deploys a private copy (cheap: a zoo cache load).
+  struct Claimer {
+    std::size_t sweep = 0;
+    std::unique_ptr<Deployment> deployment;
+  };
   ModelZoo& zoo = context.zoo();
-  ResultStore& store = *prepared.store;
-  // One clean-prefix cache per sweep, shared by its deployments: each
-  // boundary is built once, by whichever thread needs it first.
-  const auto prefix = std::make_shared<PrefixCache>();
-  parallel_claim<Deployment>(
-      prepared.pending.size(), spec.max_workers,
-      // Evaluation corrupts and restores model weights, so every thread
-      // deploys a private copy (cheap: a zoo cache load).
-      [&] {
-        return std::make_unique<Deployment>(
-            spec, setup, sweep, zoo.get_or_train(setup, sweep.variant, false),
-            prefix);
-      },
-      [&](Deployment& deployment, std::size_t p) {
+  parallel_claim<Claimer>(
+      claims.size(), spec.max_workers,
+      [] { return std::make_unique<Claimer>(); },
+      [&](Claimer& claimer, std::size_t c) {
         // Cell boundaries are the cancellation points: everything already
         // evaluated is persisted, so stopping here loses no work.
         // parallel_claim rethrows this on the caller.
         context.throw_if_cancelled(spec.experiment);
-        // A cell filled since the prepare stage — by an earlier sweep of
-        // the run over the same store, or a concurrent serve tenant — is
-        // not evaluated twice.
-        const std::size_t i = prepared.pending[p];
+        const auto [s, i] = claims[c];
+        const CellSweep& sweep = *prepared[s].sweep;
+        ResultStore& store = *prepared[s].store;
+        // A cell filled since the prepare stage, by a concurrent serve
+        // tenant of the same store, is not evaluated twice.
         const std::vector<std::string>& keys = sweep.cells[i].keys;
-        if (std::all_of(keys.begin(), keys.end(), [&](const std::string& key) {
+        if (!std::all_of(keys.begin(), keys.end(), [&](const std::string& key) {
               return store.contains(key);
             })) {
-          return;
+          if (!claimer.deployment || claimer.sweep != s) {
+            claimer.deployment.reset();  // one live deployment per thread
+            claimer.deployment = std::make_unique<Deployment>(
+                spec, setup, sweep,
+                zoo.get_or_train(setup, sweep.variant, false),
+                caches[s].prefix);
+            claimer.sweep = s;
+          }
+          sweep.evaluate(*claimer.deployment, i, store);
         }
-        sweep.evaluate(deployment, i, store);
+        if (--caches[s].remaining == 0) caches[s].prefix.reset();
       });
 }
 
@@ -205,9 +232,10 @@ std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
                                    const RunContext& context,
                                    const CellSweep& sweep) {
   const ExperimentSetup setup = spec.resolved_setup();
-  const PreparedSweep prepared = prepare_sweep(spec, setup, context, sweep, 0);
-  evaluate_pending(spec, setup, context, prepared);
-  return collect_sweep(prepared);
+  const std::vector<PreparedSweep> prepared = {
+      prepare_sweep(spec, setup, context, sweep, 0)};
+  evaluate_sweeps(spec, setup, context, prepared);
+  return collect_sweep(prepared.front());
 }
 
 CellSweep scenario_sweep(const ExperimentSpec& spec,

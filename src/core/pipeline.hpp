@@ -12,15 +12,19 @@
 //     the ResultStore named by sweep_store_name is opened under the spec's
 //     cache_dir; cells are deduplicated by id, and a cell is pending when
 //     any of its keys is missing (an interrupt can land between a cell's
-//     flushes); one key listed under two different ids is a declaration bug;
-//   * evaluate: in process, pending cells fan out over parallel_claim, each
-//     thread on a private Deployment around its own model copy (evaluation
+//     flushes); one key listed under two different ids is a declaration bug.
+//     The registry then drops a cell id already pending in an earlier sweep
+//     of the same store, so no hand-off lists a cell twice;
+//   * evaluate: one hand-off of every pending cell of the run to the
+//     RunContext evaluate hook. Its default, evaluate_sweeps, claims the
+//     run's (sweep, cell) pairs in sweep order over one parallel_claim, each
+//     thread on a private Deployment of the sweep it is in (evaluation
 //     mutates weights), the deployments of a sweep sharing one clean-prefix
 //     cache, with the cancel flag checked at every cell boundary (all that
-//     was evaluated is persisted, so a rerun resumes). A RunContext
-//     evaluate hook (the dist fleet) takes this stage for all the sweeps of
-//     a run at once instead; its workers evaluate on the same Deployment
-//     (evaluate_cell_rows) and the fleet appends their rows to the stores;
+//     was evaluated is persisted, so a rerun resumes). Under `--workers`
+//     the dist fleet is the hook; its workers evaluate on the same
+//     Deployment (evaluate_cell_rows) and the fleet appends their rows to
+//     the stores;
 //   * collect: values come back per cell in declaration order, with a flag
 //     saying whether the run evaluated the cell or read it from the store.
 // Results never depend on execution order, so a sweep is deterministic in
@@ -87,8 +91,8 @@ struct CellSweep {
 };
 
 /// One private deployment of a sweep's variant, the only state a cell
-/// evaluates on: the engine builds one per fan-out thread, a dist worker
-/// one per kept sweep. The evaluator conditions the weights for the
+/// evaluates on: the engine builds one per thread and sweep it claims
+/// cells of, a dist worker one per kept sweep. The evaluator conditions the weights for the
 /// accelerator and manages them from then on (attack, restore); the suite,
 /// present when sweep.detectors is set, is calibrated on the clean
 /// deployment under the spec's base seed, so every deployment of a sweep
@@ -141,21 +145,27 @@ PreparedSweep prepare_sweep(const ExperimentSpec& spec,
                             const RunContext& context, const CellSweep& sweep,
                             std::size_t index);
 
-/// Evaluate stage in process: fans the pending cells out over
-/// spec.max_workers threads into the store. Throws ExperimentCancelled at
-/// the first cell boundary after context.cancel flips. One trace span:
-/// `defense.sweep` for detector sweeps, `pipeline.sweep` for the others.
-void evaluate_pending(const ExperimentSpec& spec, const ExperimentSetup& setup,
-                      const RunContext& context,
-                      const PreparedSweep& prepared);
+/// Evaluate stage in process, RunContext::evaluate's default: one
+/// parallel_claim over spec.max_workers threads claims every pending cell
+/// of `prepared` in sweep order into its sweep's store. A thread rebuilds
+/// its deployment only when it claims a cell of a later sweep, and a
+/// sweep's prefix cache is released with its last cell. Throws
+/// ExperimentCancelled at the first cell boundary after context.cancel
+/// flips. One trace span with args `sweeps` and `cells` (pending cells
+/// handed over): `defense.sweep` when any sweep carries detectors,
+/// `pipeline.sweep` otherwise.
+void evaluate_sweeps(const ExperimentSpec& spec, const ExperimentSetup& setup,
+                     const RunContext& context,
+                     const std::vector<PreparedSweep>& prepared);
 
 /// Collect stage: one store.lookup_misses per key of a distinct pending
 /// cell, one store.lookup_hits per key of a distinct stored one (persisted
 /// stores only), then every cell read back in declaration order.
 std::vector<SweptCell> collect_sweep(const PreparedSweep& prepared);
 
-/// One standalone sweep through the three stages, in process whatever hook
-/// `context` carries (ablations, tests).
+/// One standalone sweep through the three stages, in process
+/// (evaluate_sweeps on a one-sweep hand-off) whatever hook `context`
+/// carries (ablations, tests).
 std::vector<SweptCell> sweep_cells(const ExperimentSpec& spec,
                                    const RunContext& context,
                                    const CellSweep& sweep);

@@ -788,6 +788,7 @@ Fleet::Fleet(core::ModelZoo& zoo, const DistOptions& options)
 Fleet::~Fleet() = default;
 
 void Fleet::evaluate(const core::ExperimentSpec& spec,
+                     const core::ExperimentSetup& /*setup*/,
                      const std::vector<core::PreparedSweep>& sweeps) {
   coordinator_->evaluate(spec, sweeps);
 }

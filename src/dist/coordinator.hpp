@@ -123,10 +123,12 @@ class Fleet {
   /// `sweeps` into tasks of clamp(pending / (workers * 4), 1, 32) cells —
   /// a lost task forfeits little work, per-task overhead stays amortized —
   /// runs them on the workers and appends their rows into the prepared
-  /// stores. Throws QuarantinedError (see above), core::ExperimentCancelled
-  /// on cancel, std::runtime_error on refused worker rows (a store
-  /// conflict, an undeclared key or cell) or a spawn failure.
+  /// stores. `setup` is unused: workers resolve it from the shipped spec.
+  /// Throws QuarantinedError (see above), core::ExperimentCancelled on
+  /// cancel, std::runtime_error on refused worker rows (a store conflict,
+  /// an undeclared key or cell) or a spawn failure.
   void evaluate(const core::ExperimentSpec& spec,
+                const core::ExperimentSetup& setup,
                 const std::vector<core::PreparedSweep>& sweeps);
 
   /// Shuts the workers down and prints the one machine-parsable summary

@@ -56,8 +56,9 @@ using dist::TaskMessage;
 // experiment, load its variant, name its store), must name the store the
 // prepare stage opened and deploy the variant the run declared. Each
 // hand-off must carry exactly the cells core::pending_cells leaves over the
-// store — here with one cell per store already cached — each with the keys
-// its declaration lists, the only rows the coordinator accepts. The hook
+// store — here with one cell per store already cached — less those an
+// earlier sweep of the hand-off lists in the same store, each with the
+// keys its declaration lists, the only rows the coordinator accepts. The hook
 // then fills the pending keys as the fleet would, so the run assembles and
 // an unpinned robust_compare hands off its selection and its comparison.
 TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
@@ -122,23 +123,34 @@ TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
       std::vector<std::string> handed;  // experiment of each hand-off
       core::RunContext context(zoo);
       context.evaluate = [&](const core::ExperimentSpec& resolved,
+                             const core::ExperimentSetup& resolved_setup,
                              const std::vector<core::PreparedSweep>& sweeps) {
         handed.push_back(resolved.experiment);
+        EXPECT_EQ(resolved_setup.tag(), resolved.resolved_setup().tag());
         ASSERT_EQ(sweeps.size(),
                   registry.info(resolved.experiment).sweeps(resolved).size());
+        // (store, cell id) of the earlier sweeps of this hand-off.
+        std::set<std::pair<std::string, std::string>> listed;
         for (const core::PreparedSweep& prepared : sweeps) {
           const std::vector<core::SweepCell>& cells = prepared.sweep->cells;
-          // Exactly the pending cells of the store as it is on disk.
+          // Exactly the pending cells of the store as it is on disk, less
+          // those an earlier sweep of the same store already lists.
           std::set<std::string> cached;
           for (const auto& entry : core::read_store_entries(
                    spec.cache_dir + "/" + prepared.store_name)) {
             cached.insert(entry.key);
           }
-          EXPECT_EQ(prepared.pending,
-                    core::pending_cells(cells, [&](const std::string& key) {
-                      return cached.count(key) > 0;
-                    }));
-          if (warmed.count(prepared.store_name)) {
+          std::vector<std::size_t> expected_pending;
+          for (const std::size_t i :
+               core::pending_cells(cells, [&](const std::string& key) {
+                 return cached.count(key) > 0;
+               })) {
+            if (listed.emplace(prepared.store_name, cells[i].id).second) {
+              expected_pending.push_back(i);
+            }
+          }
+          EXPECT_EQ(prepared.pending, expected_pending);
+          if (warmed.count(prepared.store_name) && !prepared.pending.empty()) {
             EXPECT_NE(prepared.pending.front(), 0u);
           }
 
@@ -178,8 +190,7 @@ TEST(DistPlan, TasksRebuildTheSpecsSetupAndVariantThroughTheWorkerPath) {
                 << task.cells[j];
           }
         }
-        // Fill the pending keys, as the fleet appends worker rows; only now,
-        // since two sweeps of one hand-off can share a store.
+        // Fill the pending keys, as the fleet appends worker rows.
         for (const core::PreparedSweep& prepared : sweeps) {
           for (const std::size_t i : prepared.pending) {
             for (const std::string& key : prepared.sweep->cells[i].keys) {

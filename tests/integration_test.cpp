@@ -9,8 +9,6 @@
 //   5. noise-aware + L2 training recovers part of the drop.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "core/evaluation.hpp"
 #include "core/experiment.hpp"
 #include "nn/linear.hpp"
@@ -18,17 +16,16 @@
 #include "nn/serialize.hpp"
 #include "support/reference_exec.hpp"
 #include "support/vdp.hpp"
+#include "test_util.hpp"
 
 namespace safelight {
 namespace {
 
+/// Each test trains into its own zoo and stores: ctest runs every test in
+/// a process of its own, and processes sharing one zoo would race on its
+/// store locks and sweep each other's in-progress `.tmp` files.
 class IntegrationFixture : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    dir_ = "/tmp/safelight_integration_zoo";
-    std::filesystem::create_directories(dir_);
-  }
-
   /// Runs `experiment` on the fixture's tiny CNN_1 setup through the
   /// registry, with `seeds` placements per grid cell.
   core::ExperimentResult run_experiment(const std::string& experiment,
@@ -46,10 +43,9 @@ class IntegrationFixture : public ::testing::Test {
 
   core::ExperimentSetup setup_ =
       core::experiment_setup(nn::ModelId::kCnn1, Scale::kTiny);
-  static std::string dir_;
+  TempDir zoo_dir_{"integration_zoo"};
+  const std::string& dir_ = zoo_dir_.path();
 };
-
-std::string IntegrationFixture::dir_;
 
 TEST_F(IntegrationFixture, UnattackedExecutorMatchesSoftwareInference) {
   core::ModelZoo zoo(dir_);
@@ -293,8 +289,8 @@ TEST(ZooPersistence, SurvivesProcessBoundarySimulation) {
   // bench processes sharing the zoo).
   const core::ExperimentSetup setup =
       core::experiment_setup(nn::ModelId::kCnn1, Scale::kTiny);
-  const std::string dir = "/tmp/safelight_integration_zoo2";
-  std::filesystem::remove_all(dir);
+  const TempDir zoo_dir("integration_zoo_persistence");
+  const std::string& dir = zoo_dir.path();
   nn::Tensor probe({2, 1, 20, 20});
   Rng rng(3);
   for (std::size_t i = 0; i < probe.numel(); ++i) {
@@ -312,7 +308,6 @@ TEST(ZooPersistence, SurvivesProcessBoundarySimulation) {
     const nn::Tensor logits_b = model->forward(probe, false);
     EXPECT_FLOAT_EQ(nn::max_abs_diff(logits_a, logits_b), 0.0f);
   }
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

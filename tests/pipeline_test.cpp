@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"
@@ -981,6 +982,102 @@ TEST_F(CellSweep, ResultsFollowDeclarationOrderForOneAndFourWorkers) {
           << cells[i].id << ", " << workers << " workers";
     }
   }
+}
+
+TEST_F(CellSweep, OneRunClaimsEverySweepsPendingCellsInSweepOrder) {
+  // A registry run of three sweeps is one hand-off: one parallel_claim over
+  // its (sweep, cell) pairs in sweep order, so each thread's claims never
+  // go back, no pending cell is evaluated twice and no stored one at all.
+  constexpr std::size_t kSweeps = 3;
+  constexpr std::size_t kCells = 8;
+  struct Claim {
+    std::thread::id thread;
+    std::size_t sweep;
+    std::size_t cell;
+  };
+  std::vector<Claim> claims;
+  const auto declare = [&](const ExperimentSpec&) {
+    std::vector<core::CellSweep> sweeps;
+    for (std::size_t s = 0; s < kSweeps; ++s) {
+      std::vector<SweepCell> cells;
+      for (std::size_t i = 0; i < kCells; ++i) {
+        const std::string id = "s" + std::to_string(s) + "c" +
+                               std::to_string(i);
+        cells.push_back({id, {id + "/0"}});
+      }
+      sweeps.push_back(
+          {variant_by_name("Original"), ".s" + std::to_string(s) + ".csv",
+           cells, false,
+           [&, s, cells](Deployment&, std::size_t i, ResultStore& store) {
+             {
+               const std::lock_guard<std::mutex> lock(mutex_);
+               claims.push_back({std::this_thread::get_id(), s, i});
+             }
+             store.put(cells[i].keys[0], static_cast<double>(i));
+           }});
+    }
+    return sweeps;
+  };
+  ExperimentRegistry registry;
+  registry.add({"handoff", "three sweeps of one run", 1, {}, declare,
+                [](const ExperimentSpec&, const std::vector<core::CellSweep>&,
+                   const std::vector<std::vector<SweptCell>>&) {
+                  return ExperimentResult::Payload{SusceptibilityReport{}};
+                }});
+  ExperimentSpec spec = tiny_spec(dir_->path() + "/handoff", 4);
+  spec.experiment = "handoff";
+  spec.seed_count = 1;
+
+  // Store cells 0 and 5 of sweep 1 beforehand: they are not pending.
+  const ExperimentSetup setup = spec.resolved_setup();
+  {
+    const core::CellSweep stored = declare(spec)[1];
+    const auto model = zoo_->get_or_train(setup, stored.variant, false);
+    std::filesystem::create_directories(spec.cache_dir);
+    ResultStore store(spec.cache_dir + "/" +
+                      sweep_store_name(setup, spec.corruption, stored,
+                                       weights_checksum(*model)));
+    for (const std::size_t i : {0u, 5u}) {
+      store.put(stored.cells[i].keys[0], static_cast<double>(i));
+    }
+  }
+
+  trace::reset();
+  trace::arm_buffering();
+  RunContext context(*zoo_);
+  registry.run(spec, context);
+  const std::vector<trace::RawEvent> events = trace::drain();
+  trace::reset();
+
+  std::set<std::pair<std::size_t, std::size_t>> evaluated;
+  std::map<std::thread::id, std::pair<std::size_t, std::size_t>> last;
+  for (const Claim& claim : claims) {
+    const std::pair<std::size_t, std::size_t> at{claim.sweep, claim.cell};
+    EXPECT_TRUE(evaluated.insert(at).second)
+        << "sweep " << claim.sweep << " cell " << claim.cell << " twice";
+    const auto [it, first] = last.emplace(claim.thread, at);
+    EXPECT_TRUE(first || it->second < at)
+        << "a thread went back to sweep " << claim.sweep << " cell "
+        << claim.cell;
+    it->second = at;
+  }
+  std::set<std::pair<std::size_t, std::size_t>> expected;
+  for (std::size_t s = 0; s < kSweeps; ++s) {
+    for (std::size_t i = 0; i < kCells; ++i) {
+      if (s != 1 || (i != 0 && i != 5)) expected.emplace(s, i);
+    }
+  }
+  EXPECT_EQ(evaluated, expected);
+
+  std::size_t sweep_spans = 0;
+  for (const trace::RawEvent& event : events) {
+    if (event.name != "pipeline.sweep") continue;
+    ++sweep_spans;
+    EXPECT_EQ(event.num_args,
+              (std::vector<std::pair<std::string, double>>{
+                  {"sweeps", 3.0}, {"cells", 22.0}}));
+  }
+  EXPECT_EQ(sweep_spans, 1u);
 }
 
 // Every registry experiment's declared sweeps give each store key exactly

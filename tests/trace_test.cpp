@@ -101,11 +101,13 @@ TEST(TraceSpan, DetectionRunRecordsOneDefenseSweepSpan) {
     if (event.name != "defense.sweep") continue;
     ++defense_sweeps;
     EXPECT_EQ(event.cat, "defense");
-    ASSERT_EQ(event.str_args.size(), 1u);
-    EXPECT_EQ(event.str_args[0],
-              (std::pair<std::string, std::string>{"variant", "Original"}));
-    ASSERT_EQ(event.num_args.size(), 1u);
+    EXPECT_TRUE(event.str_args.empty());
+    // One sweep handed over with its two pending cells: the clean run and
+    // the hotspot scenario.
+    ASSERT_EQ(event.num_args.size(), 2u);
     EXPECT_EQ(event.num_args[0],
+              (std::pair<std::string, double>{"sweeps", 1.0}));
+    EXPECT_EQ(event.num_args[1],
               (std::pair<std::string, double>{"cells", 2.0}));
   }
   EXPECT_EQ(defense_sweeps, 1u);
